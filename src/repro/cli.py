@@ -202,8 +202,8 @@ def cmd_solve(args):
         # Halo / reduction / eigenbound faults live in the virtual
         # machine, which the serial context bypasses.
         print("note: --inject-fault requires the virtual machine; "
-              "switching to --engine perrank")
-        engine = "perrank"
+              "switching to --engine batched")
+        engine = "batched"
 
     resilience = None
     if args.replicate_every is not None or args.abft:
@@ -214,8 +214,8 @@ def cmd_solve(args):
             # Buddy replication and halo/rowsum checks live in the
             # virtual machine, like the fault injectors.
             print("note: resilience requires the virtual machine; "
-                  "switching to --engine perrank")
-            engine = "perrank"
+                  "switching to --engine batched")
+            engine = "batched"
 
     precond_kwargs = {}
     base_kind = precond_kind.split(":", 1)[0].lower()
@@ -239,6 +239,7 @@ def cmd_solve(args):
         decomp = decompose(config.ny, config.nx, by, bx, mask=config.mask)
         vm = VirtualMachine(decomp, mask=config.mask, engine=engine,
                             faults=vm_faults)
+        print(f"engine: {vm.engine} on {decomp.describe()}")
         if precond_kind == "evp":
             pre = evp_for_config(config, decomp=decomp, kernels=kernels)
         else:

@@ -86,6 +86,9 @@ class KernelBackend:
         ``coeffs`` is a dict of nine stacked ``(p, bny, bnx)``
         coefficient arrays; ``out`` is the preallocated ``(p, bny,
         bnx[, nrhs])`` interior stack (may be a strided view).
+        ``(bny, bnx)`` is the stack's padded extent -- the largest
+        block shape; coefficients are zero on the pad cells of smaller
+        tiles.
         """
         raise NotImplementedError
 

@@ -6,15 +6,13 @@ reading neighbor values out of its exchanged halo -- exactly POP's
 validated against the global one: ``gather(blocked(x)) == global(x)``
 bit-for-bit on every grid the test suite generates.
 
-On uniform decompositions the nine per-rank coefficient slices are also
-kept stacked as ``(p, bny, bnx)`` arrays, so that
-:meth:`BlockedOperator.apply` on stacked fields runs the whole
+The nine per-rank coefficient slices are also kept stacked as
+``(p, bny, bnx)`` arrays (zero on the pad cells of ragged tiles), so
+that :meth:`BlockedOperator.apply` on stacked fields runs the whole
 multiply-accumulate sequence as nine vectorized numpy calls over the
 stack instead of a Python loop over ranks -- bit-identical, since every
 point sees the same operation sequence in the same order.
 """
-
-import numpy as np
 
 from repro.core.errors import SolverError
 from repro.kernels import resolve_kernels
@@ -60,8 +58,7 @@ class BlockedOperator:
     def _get_stacked_coeffs(self):
         if self._stacked_coeffs is None:
             self._stacked_coeffs = {
-                name: np.stack([getattr(lc, name)
-                                for lc in self._local_coeffs])
+                name: self.decomp.stack_interiors(getattr(self.coeffs, name))
                 for name in _COEFF_ORDER
             }
         return self._stacked_coeffs
@@ -73,8 +70,7 @@ class BlockedOperator:
         stale; exchange afterwards if the next operation reads them).
         Stacked fields dispatch to the vectorized stacked path.
         """
-        if (x_field.is_stacked and out_field.is_stacked
-                and self.decomp.is_uniform):
+        if x_field.is_stacked and out_field.is_stacked:
             return self.apply_stacked(x_field, out_field)
         h = self.decomp.halo_width
         kernels = self.kernels
@@ -90,7 +86,7 @@ class BlockedOperator:
     def apply_stacked(self, x_field, out_field):
         """``out = A @ x`` over the whole stack in nine MAC passes."""
         h = self.decomp.halo_width
-        bny, bnx = self.decomp.uniform_block_shape()
+        bny, bnx = self.decomp.max_block_shape()
         self.kernels.stencil_apply_stacked(
             self._get_stacked_coeffs(), x_field.stack, h, bny, bnx,
             out_field.interior_stack())

@@ -206,16 +206,17 @@ class Decomposition:
         return self._max_block_points
 
     # ------------------------------------------------------------------
-    # uniformity (enables the batched execution engine)
+    # stacked (structure-of-arrays) layout of the batched engine
     # ------------------------------------------------------------------
     @property
     def is_uniform(self):
         """Whether every active block has the same ``(ny, nx)`` shape.
 
         Uniform decompositions (the common case when block counts divide
-        the grid evenly) allow same-shape per-rank tiles to be stacked
-        into one dense ``(p, bny, bnx)`` array -- the structure-of-arrays
-        layout the batched execution engine runs on.
+        the grid evenly) are the pad = 0 case of the stacked layout:
+        every rank's tile fills its ``(bny, bnx)`` slot of the stack
+        exactly.  Ragged ones leave a zero pad in the smaller tiles'
+        slots.
         """
         if self._is_uniform is None:
             if not self.active_blocks:
@@ -226,16 +227,6 @@ class Decomposition:
                     b.ny == first.ny and b.nx == first.nx
                     for b in self.active_blocks)
         return self._is_uniform
-
-    @property
-    def supports_batched(self):
-        """Whether the batched engine can execute this decomposition.
-
-        Requires uniform block shapes *and* no land-eliminated blocks:
-        with eliminated blocks the per-rank path remains the reference
-        (the batched engine falls back cleanly).
-        """
-        return self.is_uniform and self.num_active == self.num_blocks
 
     def uniform_block_shape(self):
         """``(bny, bnx)`` shared by all active blocks.
@@ -248,8 +239,36 @@ class Decomposition:
                 "decomposition is ragged: active blocks have differing "
                 "shapes, so there is no uniform block shape"
             )
-        first = self.active_blocks[0]
-        return first.ny, first.nx
+        return self.max_block_shape()
+
+    def shape_groups(self):
+        """Active ranks grouped by block shape: ``[(ranks, ny, nx), ...]``.
+
+        ``ranks`` is an ascending ``intp`` array.  ``_split_extent``
+        produces at most two extents per axis, so there are at most four
+        groups (one when uniform).
+        """
+        by_shape = {}
+        for rank, block in enumerate(self.active_blocks):
+            by_shape.setdefault((block.ny, block.nx), []).append(rank)
+        return [(np.asarray(ranks, dtype=np.intp), ny, nx)
+                for (ny, nx), ranks in by_shape.items()]
+
+    def stack_interiors(self, source):
+        """Stack ``source[block.slices]`` over the active ranks.
+
+        ``source`` is a global ``(ny, nx)`` array (mask, coefficient,
+        inverse diagonal); the result has shape ``(p, bny, bnx)`` with
+        ``(bny, bnx)`` the largest block shape.  Smaller blocks sit in
+        the low corner of their slot and the remainder is zero, so pad
+        cells act like land: masked out of every product and never a
+        ``1/0``.
+        """
+        bny, bnx = self.max_block_shape()
+        out = np.zeros((self.num_active, bny, bnx), dtype=source.dtype)
+        for rank, block in enumerate(self.active_blocks):
+            out[rank, :block.ny, :block.nx] = source[block.slices]
+        return out
 
     def halo_words_per_exchange(self):
         """Words the critical-path rank sends per halo update.

@@ -34,16 +34,25 @@ class BlockField:
 
     Two storage layouts exist:
 
-    * **per-rank** (the default): ``locals_`` is a list of independent
-      arrays, one per rank -- works for any decomposition, including
-      ragged and land-eliminated ones.
+    * **per-rank**: ``locals_`` is a list of independent arrays, one per
+      rank -- the layout of the ``engine="perrank"`` parity oracle.
     * **stacked** (structure-of-arrays): all local arrays live in one
-      dense ``(num_ranks, bny + 2h, bnx + 2h)`` ndarray (``stack``) and
-      ``locals_`` holds *views* into it.  Only possible when every
-      active block has the same shape.  The per-rank accessors work
-      identically on both layouts; the batched execution engine
+      dense ``(num_ranks, bny + 2h, bnx + 2h)`` ndarray (``stack``),
+      ``(bny, bnx)`` being the largest block shape, and ``locals_``
+      holds *views* into it.  Works for every decomposition: the rank
+      axis counts active ranks only (eliminated land blocks have no
+      slot), and a block smaller than the largest occupies the low
+      corner of its slot, the rest being pad.  The per-rank accessors
+      work identically on both layouts; the batched execution engine
       additionally operates on the whole stack with single vectorized
       numpy calls.
+
+    Pad cells (and the part of a smaller block's north/east halo that
+    falls inside the stack's interior window) may hold stale finite
+    values after elementwise updates.  Nothing reads them: stencil and
+    mask coefficients are zero there, the halo exchange refreshes the
+    whole stack before every operator apply, and reductions, gathers,
+    checksums and checkpoints touch exact per-rank windows only.
 
     Attributes
     ----------
@@ -64,23 +73,32 @@ class BlockField:
         self.stack = stack
 
     @classmethod
+    def from_stack(cls, decomp, stack):
+        """Wrap a ``(num_ranks, bny + 2h, bnx + 2h[, nrhs])`` stack."""
+        if decomp.is_uniform:
+            return cls(decomp, list(stack), stack=stack)
+        h = decomp.halo_width
+        locals_ = [stack[rank, :b.ny + 2 * h, :b.nx + 2 * h]
+                   for rank, b in enumerate(decomp.active_blocks)]
+        return cls(decomp, locals_, stack=stack)
+
+    @classmethod
     def zeros(cls, decomp, dtype=np.float64, stacked=False, nrhs=None):
         """A zero-valued block field over ``decomp``.
 
-        ``stacked=True`` requests the structure-of-arrays layout and
-        requires a uniform decomposition.  ``nrhs`` adds a trailing
-        batch axis so the field holds that many independent RHS columns
-        (``None`` keeps the scalar 2-D layout).
+        ``stacked=True`` requests the structure-of-arrays layout.
+        ``nrhs`` adds a trailing batch axis so the field holds that many
+        independent RHS columns (``None`` keeps the scalar 2-D layout).
         """
         h = decomp.halo_width
         trailing = () if nrhs is None else (int(nrhs),)
         if stacked:
-            bny, bnx = decomp.uniform_block_shape()
+            bny, bnx = decomp.max_block_shape()
             stack = np.zeros(
                 (decomp.num_active, bny + 2 * h, bnx + 2 * h) + trailing,
                 dtype=dtype,
             )
-            return cls(decomp, list(stack), stack=stack)
+            return cls.from_stack(decomp, stack)
         locals_ = [
             np.zeros((b.ny + 2 * h, b.nx + 2 * h) + trailing, dtype=dtype)
             for b in decomp.active_blocks
@@ -110,9 +128,11 @@ class BlockField:
         return self.locals_[rank][h:h + block.ny, h:h + block.nx]
 
     def interior_stack(self):
-        """View of all ranks' interiors, shape ``(p, bny, bnx[, nrhs])``.
+        """View of all ranks' interior slots, shape ``(p, bny, bnx[, nrhs])``.
 
-        Only available on stacked fields.
+        Only available on stacked fields.  On a ragged decomposition
+        the slot of a smaller block also covers its pad (see the class
+        docstring).
         """
         if self.stack is None:
             raise DecompositionError(
@@ -125,8 +145,7 @@ class BlockField:
     def copy(self):
         """Deep copy of the block field (layout preserved)."""
         if self.stack is not None:
-            stack = self.stack.copy()
-            return BlockField(self.decomp, list(stack), stack=stack)
+            return BlockField.from_stack(self.decomp, self.stack.copy())
         return BlockField(self.decomp, [arr.copy() for arr in self.locals_])
 
 
@@ -162,9 +181,9 @@ class HaloExchanger:
         """Distribute a global ``(ny, nx[, nrhs])`` array into a BlockField.
 
         Halo rings are zero-initialized; call an exchange method to fill
-        them.  ``stacked=True`` produces a structure-of-arrays field
-        (uniform decompositions only).  A 3-D input distributes every
-        RHS column at once into a trailing-axis field.
+        them.  ``stacked=True`` produces a structure-of-arrays field.
+        A 3-D input distributes every RHS column at once into a
+        trailing-axis field.
         """
         decomp = self.decomp
         if global_field.shape[:2] != (decomp.ny, decomp.nx):
@@ -266,35 +285,44 @@ class HaloExchanger:
     def _stacked_index_maps(self):
         """Flat index maps driving the stacked halo exchange.
 
-        Returns ``(scatter_idx, gather_idx)``:
+        Returns ``(scatter_idx, gather_idx)`` into the flat padded
+        ``(ny + 2h, nx + 2h)`` global scratch, which carries two extra
+        trailing slots:
 
         * ``scatter_idx`` -- shape ``(p, bny, bnx)``: for each stacked
-          interior point, its flat position in the padded
-          ``(ny + 2h, nx + 2h)`` global scratch.
+          interior point, its flat position in the scratch.  Points of a
+          slot beyond its block's real interior go to the last slot, a
+          dump nothing gathers from.
         * ``gather_idx`` -- shape ``(p, bny + 2h, bnx + 2h)``: for each
           stacked local point (halos included), its flat position in the
-          same scratch.
+          scratch.  Pad points read the second-to-last slot, which is
+          never written and so always zero.
 
         Built once; both maps turn the two per-rank copy loops of
         :meth:`exchange_via_global` into one fancy-indexing scatter and
-        one fancy-indexing gather over the whole stack.
+        one fancy-indexing gather over the whole stack.  On a uniform
+        decomposition there are no pad points and neither extra slot is
+        referenced.
         """
         if self._stacked_maps is None:
             decomp = self.decomp
             h = decomp.halo_width
-            bny, bnx = decomp.uniform_block_shape()
+            bny, bnx = decomp.max_block_shape()
             width = decomp.nx + 2 * h
             p = decomp.num_active
-            scatter_idx = np.empty((p, bny, bnx), dtype=np.intp)
-            gather_idx = np.empty((p, bny + 2 * h, bnx + 2 * h),
+            zero_slot = (decomp.ny + 2 * h) * width
+            scatter_idx = np.full((p, bny, bnx), zero_slot + 1,
                                   dtype=np.intp)
+            gather_idx = np.full((p, bny + 2 * h, bnx + 2 * h), zero_slot,
+                                 dtype=np.intp)
             for rank, block in enumerate(decomp.active_blocks):
                 jj = np.arange(h + block.j0, h + block.j1)[:, None]
                 ii = np.arange(h + block.i0, h + block.i1)[None, :]
-                scatter_idx[rank] = jj * width + ii
+                scatter_idx[rank, :block.ny, :block.nx] = jj * width + ii
                 jj = np.arange(block.j0, block.j1 + 2 * h)[:, None]
                 ii = np.arange(block.i0, block.i1 + 2 * h)[None, :]
-                gather_idx[rank] = jj * width + ii
+                gather_idx[rank, :block.ny + 2 * h, :block.nx + 2 * h] = \
+                    jj * width + ii
             self._stacked_maps = (scatter_idx, gather_idx)
         return self._stacked_maps
 
@@ -305,6 +333,7 @@ class HaloExchanger:
         through the same padded global assembly), but the per-rank copy
         loops are replaced by one scatter of all interiors into a reused
         flat scratch and one gather of all padded windows out of it.
+        The gather rewrites the whole stack, so pad cells come out zero.
         Requires a stacked :class:`BlockField`.
         """
         if not field.is_stacked:
@@ -312,8 +341,6 @@ class HaloExchanger:
                 "exchange_stacked requires a stacked BlockField; "
                 "use exchange/exchange_via_global for per-rank fields"
             )
-        decomp = self.decomp
-        h = decomp.halo_width
         scatter_idx, gather_idx = self._stacked_index_maps()
         dtype = field.stack.dtype
         trailing = field.stack.shape[3:]
@@ -321,10 +348,14 @@ class HaloExchanger:
         scratch = self._padded_scratch.get(key)
         if scratch is None:
             # Out-of-domain positions stay zero forever: the scatter
-            # below only ever writes interior positions, so the border
-            # ring (the closed lateral boundary) never needs re-zeroing.
+            # below only ever writes interior positions (and the dump
+            # slot), so neither the border ring (the closed lateral
+            # boundary), the sites of eliminated land blocks nor the
+            # zero slot ever need re-zeroing.
+            decomp = self.decomp
+            h = decomp.halo_width
             scratch = np.zeros(
-                ((decomp.ny + 2 * h) * (decomp.nx + 2 * h),) + trailing,
+                ((decomp.ny + 2 * h) * (decomp.nx + 2 * h) + 2,) + trailing,
                 dtype=dtype)
             self._padded_scratch[key] = scratch
         scratch[scatter_idx] = field.interior_stack()

@@ -46,7 +46,8 @@ def masked_global_sum_blocks(partials):
     return total
 
 
-def masked_partials_stacked(a_interiors, b_interiors, mask_stack):
+def masked_partials_stacked(a_interiors, b_interiors, mask_stack,
+                            mask_groups=None):
     """Per-rank masked partial products from stacked interiors.
 
     ``a_interiors``/``b_interiors``/``mask_stack`` have shape
@@ -58,11 +59,27 @@ def masked_partials_stacked(a_interiors, b_interiors, mask_stack):
     product.  (``einsum`` was rejected here -- it accumulates serially
     and differs from the per-rank sums in the last bits.)
 
+    ``mask_groups`` (``None`` when uniform) handles ragged stacks:
+    pairwise summation blocks by element count, so summing a padded slot
+    would change the bits even though the pad contributes zeros.  It
+    lists, per block shape, ``(ranks, mask_window)`` with
+    ``mask_window = mask_stack[ranks, :ny, :nx]``; each group's exact
+    ``(ny, nx)`` windows are multiplied and reduced on their own -- at
+    most four groups, and no pad cell is ever read.
+
     Returns a list of Python floats ordered by rank, ready for
     :func:`masked_global_sum_blocks`.
     """
-    prod = a_interiors * b_interiors * mask_stack
-    return np.sum(prod, axis=(1, 2)).tolist()
+    if mask_groups is None:
+        prod = a_interiors * b_interiors * mask_stack
+        return np.sum(prod, axis=(1, 2)).tolist()
+    partials = np.empty(mask_stack.shape[0])
+    for ranks, mask_window in mask_groups:
+        _, ny, nx = mask_window.shape
+        prod = (a_interiors[ranks, :ny, :nx] * b_interiors[ranks, :ny, :nx]
+                * mask_window)
+        partials[ranks] = np.sum(prod, axis=(1, 2))
+    return partials.tolist()
 
 
 def masked_global_dot_blockfields(a, b, mask_blocks):

@@ -248,7 +248,10 @@ class ResilienceRuntime:
         self._rowsum_stack = None
         self._bnorm = None
         self._state_words = None
-        self._uniform = None
+        # Uniform blocks let the ABFT sums run as one stacked reduction
+        # over exact interiors; ragged ones are summed rank by rank, so
+        # no check ever reads a pad cell of a stacked field.
+        self._uniform = vm.decomp.is_uniform
         self._intercepted = set()
 
     @classmethod
@@ -419,12 +422,6 @@ class ResilienceRuntime:
         """
         h = self.vm.decomp.halo_width
         locals_ = [field.local(rank) for rank in range(self.vm.num_ranks)]
-        if self._uniform is None:
-            # Block-shape uniformity is a property of the decomposition
-            # alone (a field's RHS width is constant across ranks), so
-            # one scan settles it for every field of this solve.
-            shape = locals_[0].shape[:2]
-            self._uniform = all(loc.shape[:2] == shape for loc in locals_)
         if self._uniform:
             # Uniform decomposition: one stacked reduction instead of a
             # python loop over ranks.  Each rank's slice occupies the
@@ -561,8 +558,7 @@ class ResilienceRuntime:
             self.context.operator.apply(ones, out)
             self._rowsum = [np.asarray(out.interior(rank)).copy()
                             for rank in range(vm.num_ranks)]
-            shape = self._rowsum[0].shape
-            if all(w.shape == shape for w in self._rowsum):
+            if self._uniform:
                 self._rowsum_stack = np.stack(self._rowsum)
             self.vm.ledger.record_flops("resilience",
                                         9 * vm.max_block_points)
@@ -572,9 +568,6 @@ class ResilienceRuntime:
         """Interiors stacked over ranks, or ``None`` when non-uniform."""
         interiors = [field.interior(rank)
                      for rank in range(self.vm.num_ranks)]
-        if self._uniform is None:
-            shape = interiors[0].shape[:2]
-            self._uniform = all(a.shape[:2] == shape for a in interiors)
         if self._uniform:
             return np.stack(interiors), interiors
         return None, interiors

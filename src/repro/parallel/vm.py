@@ -18,19 +18,20 @@ Execution engines
 -----------------
 Two engines execute these primitives:
 
-* ``"perrank"`` -- every operation is a Python-level loop over simulated
-  ranks.  Works for any decomposition and serves as the bit-identical
-  reference oracle.
 * ``"batched"`` -- the structure-of-arrays engine: per-rank tiles are
   stacked into one dense ``(p, bny + 2h, bnx + 2h)`` ndarray and every
   primitive runs as a single vectorized numpy call over the stack.
-  Requires a uniform decomposition with no land-eliminated blocks.
+  Runs every decomposition: ``p`` counts active ranks only (eliminated
+  land blocks have no slot) and ragged tiles are zero-padded to the
+  largest block shape (see :class:`~repro.parallel.halo.BlockField`).
+* ``"perrank"`` -- every operation is a Python-level loop over simulated
+  ranks.  Kept as the bit-identical parity oracle the batched engine is
+  tested against; it only runs when asked for by name.
 
-``engine="auto"`` (the default) picks the batched engine whenever the
-decomposition supports it and falls back to the per-rank engine
-otherwise (ragged or land-eliminated decompositions).  Both engines
-produce bit-identical results and identical event-ledger streams -- the
-batching is an execution detail, not a cost-model change.
+``engine="auto"`` (the default) and ``"batched"`` both select the
+batched engine.  Both engines produce bit-identical results and
+identical event-ledger streams -- the batching is an execution detail,
+not a cost-model change.
 """
 
 import numpy as np
@@ -68,9 +69,7 @@ class VirtualMachine:
         available for validation.
     engine:
         ``"auto"`` (default), ``"batched"`` or ``"perrank"`` -- see the
-        module docstring.  Requesting ``"batched"`` on a decomposition
-        that cannot be batched (ragged or land-eliminated) falls back
-        cleanly to the per-rank engine.
+        module docstring.
     faults:
         Optional iterable of :class:`~repro.parallel.faults.FaultInjector`
         instances to attach (see :meth:`inject`).  Faults observe the
@@ -88,11 +87,7 @@ class VirtualMachine:
             raise DecompositionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        self.requested_engine = engine
-        if engine == "perrank":
-            self.engine = "perrank"
-        else:
-            self.engine = "batched" if decomp.supports_batched else "perrank"
+        self.engine = "perrank" if engine == "perrank" else "batched"
         if mask is None:
             mask = np.ones((decomp.ny, decomp.nx), dtype=bool)
         self.mask = np.asarray(mask, dtype=bool)
@@ -101,9 +96,17 @@ class VirtualMachine:
             self.mask[block.slices].astype(np.float64)
             for block in decomp.active_blocks
         ]
-        self._mask_stack = (
-            np.stack(self._mask_blocks) if self.engine == "batched" else None
-        )
+        self._mask_stack = None
+        # Ragged decompositions only: per block shape, the ranks and
+        # their exact (ny, nx) mask windows (see masked_partials_stacked).
+        self._mask_groups = None
+        if self.engine == "batched":
+            self._mask_stack = decomp.stack_interiors(
+                self.mask.astype(np.float64))
+            if not decomp.is_uniform:
+                self._mask_groups = [
+                    (ranks, self._mask_stack[ranks, :ny, :nx])
+                    for ranks, ny, nx in decomp.shape_groups()]
         self._max_points = decomp.max_block_points()
         self.faults = []
         self._halo_rounds = 0
@@ -143,7 +146,8 @@ class VirtualMachine:
 
     @property
     def mask_stack(self):
-        """Stacked ``(p, bny, bnx)`` float interior masks (batched only)."""
+        """Stacked ``(p, bny, bnx)`` float interior masks, zero on pad
+        cells (batched only)."""
         return self._mask_stack
 
     # ------------------------------------------------------------------
@@ -227,7 +231,7 @@ class VirtualMachine:
             return masked_partials_stacked(
                 np.ascontiguousarray(a.interior_stack()[..., j]),
                 np.ascontiguousarray(b.interior_stack()[..., j]),
-                self._mask_stack,
+                self._mask_stack, self._mask_groups,
             )
         return [
             masked_local_dot(np.ascontiguousarray(a.interior(r)[..., j]),
@@ -273,16 +277,7 @@ class VirtualMachine:
         """
         if a.nrhs is not None:
             return self._global_dot_multi(a, b, phase)
-        if self.is_batched and a.is_stacked and b.is_stacked:
-            partials = masked_partials_stacked(
-                a.interior_stack(), b.interior_stack(), self._mask_stack
-            )
-        else:
-            partials = [
-                masked_local_dot(a.interior(r), b.interior(r),
-                                 self._mask_blocks[r])
-                for r in range(self.num_ranks)
-            ]
+        partials = self._pair_partials(a, b)
         # Paper convention (Eq. 2): the product-and-sum is computation
         # (part of the 15 n^2), the masking multiply belongs to the
         # reduction cost (the 2 n^2 of T_g).
@@ -299,7 +294,8 @@ class VirtualMachine:
         """Rank-ordered partials of one scalar vector pair."""
         if self.is_batched and a.is_stacked and b.is_stacked:
             return masked_partials_stacked(
-                a.interior_stack(), b.interior_stack(), self._mask_stack
+                a.interior_stack(), b.interior_stack(), self._mask_stack,
+                self._mask_groups,
             )
         return [
             masked_local_dot(a.interior(r), b.interior(r),
@@ -385,23 +381,8 @@ class VirtualMachine:
                 out1[j] = masked_global_sum_blocks(p1)
                 out2[j] = masked_global_sum_blocks(p2)
             return out1, out2
-        if (self.is_batched and a1.is_stacked and b1.is_stacked
-                and a2.is_stacked and b2.is_stacked):
-            partials1 = masked_partials_stacked(
-                a1.interior_stack(), b1.interior_stack(), self._mask_stack
-            )
-            partials2 = masked_partials_stacked(
-                a2.interior_stack(), b2.interior_stack(), self._mask_stack
-            )
-        else:
-            partials1 = []
-            partials2 = []
-            for r in range(self.num_ranks):
-                m = self._mask_blocks[r]
-                partials1.append(
-                    masked_local_dot(a1.interior(r), b1.interior(r), m))
-                partials2.append(
-                    masked_local_dot(a2.interior(r), b2.interior(r), m))
+        partials1 = self._pair_partials(a1, b1)
+        partials2 = self._pair_partials(a2, b2)
         self.ledger.record_flops("computation", 2 * self._max_points)
         self.ledger.record_flops(phase, 2 * self._max_points)
         self.ledger.record_allreduce(phase, words=2)

@@ -70,14 +70,20 @@ class Preconditioner(abc.ABC):
 
         The batched execution engine's entry point: subclasses override
         it with a fully vectorized implementation; this base fallback
-        loops over ranks through :meth:`apply_block`, so every
-        preconditioner works under both engines.  Results are
-        bit-identical to the per-rank loop by construction.
+        loops over ranks through :meth:`apply_block` on each rank's
+        exact ``(ny, nx)`` window, so every preconditioner works under
+        both engines.  Results are bit-identical to the per-rank loop by
+        construction.  Pad cells of ``out`` (ragged decompositions) are
+        zero or left as passed in; nothing reads them.
         """
         if out is None:
-            out = np.empty_like(r_stack)
+            out = np.zeros_like(r_stack)
         for rank in range(r_stack.shape[0]):
-            self.apply_block(rank, r_stack[rank], out=out[rank])
+            block = self._rank_block(rank)
+            ny, nx = (r_stack.shape[1:3] if block is None
+                      else (block.ny, block.nx))
+            self.apply_block(rank, r_stack[rank, :ny, :nx],
+                             out=out[rank, :ny, :nx])
         return out
 
     # ------------------------------------------------------------------
@@ -140,21 +146,6 @@ class Preconditioner(abc.ABC):
         if self.decomp is None:
             return self.stencil.shape[0] * self.stencil.shape[1]
         return self.decomp.max_block_points()
-
-    def _interior_stack(self, source):
-        """Stack per-rank interior slices of a global array.
-
-        Returns a ``(p, bny, bnx)`` copy of ``source[block.slices]`` over
-        the active blocks; requires a uniform decomposition.  Used by
-        batched ``apply_stack`` overrides to pre-stack masks and
-        coefficients (cached by the callers).
-        """
-        if self.decomp is None:
-            raise SolverError(
-                "stacked application requires a decomposition"
-            )
-        return np.stack([source[b.slices]
-                         for b in self.decomp.active_blocks])
 
     @staticmethod
     def _bcast(coeff, data):

@@ -167,7 +167,7 @@ class BlockLUPreconditioner(Preconditioner):
             out[rank, j0 - block.j0:j1 - block.j0,
                 i0 - block.i0:i1 - block.i0] = self._solve_tile(factor, y)
         if self._mask_f_stack is None:
-            self._mask_f_stack = self._interior_stack(self._mask_f)
+            self._mask_f_stack = self.decomp.stack_interiors(self._mask_f)
         out *= self._bcast(self._mask_f_stack, out)
         return out
 

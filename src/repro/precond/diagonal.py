@@ -55,7 +55,7 @@ class DiagonalPreconditioner(Preconditioner):
         if self.decomp is None:
             return super().apply_stack(r_stack, out=out)
         if self._inv_diag_stack is None:
-            self._inv_diag_stack = self._interior_stack(self._inv_diag)
+            self._inv_diag_stack = self.decomp.stack_interiors(self._inv_diag)
         if out is None:
             out = np.empty_like(r_stack)
         np.multiply(r_stack, self._bcast(self._inv_diag_stack, r_stack),

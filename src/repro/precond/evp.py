@@ -802,7 +802,7 @@ class EVPBlockPreconditioner(Preconditioner):
             return super().apply_stack(r_stack, out=out)
         if self._stack_idx is None:
             self._stack_idx = self._build_stack_indices()
-            self._mask_f_stack = self._interior_stack(self._mask_f)
+            self._mask_f_stack = self.decomp.stack_interiors(self._mask_f)
             self._stack_ident = self._stack_identity_shape()
         if self._stack_ident == r_stack.shape[:3]:
             # Every block is exactly one tile in batch order: the gather

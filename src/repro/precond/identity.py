@@ -38,7 +38,7 @@ class IdentityPreconditioner(Preconditioner):
         if self.decomp is None:
             return super().apply_stack(r_stack, out=out)
         if self._mask_stack is None:
-            self._mask_stack = self._interior_stack(self.mask)
+            self._mask_stack = self.decomp.stack_interiors(self.mask)
         if out is None:
             out = np.empty_like(r_stack)
         np.multiply(r_stack, self._bcast(self._mask_stack, r_stack), out=out)

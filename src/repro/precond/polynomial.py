@@ -313,15 +313,18 @@ class ChebyshevPreconditioner(Preconditioner):
         return self._apply(r_interior, inv, matvec, out)
 
     def apply_stack(self, r_stack, out=None):
-        if self.decomp is None or not self.decomp.is_uniform:
+        if self.decomp is None:
             return super().apply_stack(r_stack, out=out)
         if out is None:
             out = np.empty_like(r_stack)
         coeffs = self._stacked()
         if self._inv_stack is None:
-            self._inv_stack = self._interior_stack(self._inv)
+            self._inv_stack = self.decomp.stack_interiors(self._inv)
+        # ``inv`` is zero on pad cells, so the Chebyshev direction
+        # vectors stay zero there and a ragged tile's edge rows read
+        # the same zero-Dirichlet border the per-rank path pads with.
         inv = self._bcast(self._inv_stack, r_stack)
-        bny, bnx = self.decomp.uniform_block_shape()
+        bny, bnx = self.decomp.max_block_shape()
         pad_shape = (r_stack.shape[0], bny + 2, bnx + 2) + r_stack.shape[3:]
         pad = self._padded("stack", pad_shape, r_stack.dtype)
 
@@ -348,10 +351,8 @@ class ChebyshevPreconditioner(Preconditioner):
 
     def _stacked(self):
         if self._stacked_coeffs_cache is None:
-            locals_ = [self._local(rank)
-                       for rank in range(len(self.decomp.active_blocks))]
             self._stacked_coeffs_cache = {
-                name: np.stack([getattr(lc, name) for lc in locals_])
+                name: self.decomp.stack_interiors(getattr(self.stencil, name))
                 for name in _COEFF_ORDER
             }
         return self._stacked_coeffs_cache

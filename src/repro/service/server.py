@@ -264,7 +264,7 @@ class SolverService:
                 and req["engine"] in (None, "serial"):
             # Buddy replication and ABFT live in the virtual machine,
             # which the serial context bypasses.
-            req["engine"] = "perrank"
+            req["engine"] = "batched"
         if req["engine"] is None:
             req["blocks"] = None
         elif req["blocks"] is None:

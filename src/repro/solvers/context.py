@@ -461,13 +461,13 @@ class SerialContext(SolverContext):
 class DistributedContext(SolverContext):
     """Block-field context over a :class:`VirtualMachine`.
 
-    Under the per-rank engine every operation really happens rank by
-    rank: halo exchanges move strips between block arrays, reductions
-    combine per-rank partials in rank order, and elementwise updates
-    loop over block interiors.  Under the batched engine
-    (``vm.engine == "batched"``) the same operations run as single
-    vectorized numpy calls over the stacked ``(p, bny, bnx)`` layout --
-    bit-identical results, identical event streams.
+    Under the batched engine (``vm.engine == "batched"``, the default
+    for every decomposition) each operation runs as a single vectorized
+    numpy call over the stacked ``(p, bny, bnx)`` layout.  Under the
+    per-rank parity oracle every operation really happens rank by rank:
+    halo exchanges move strips between block arrays, reductions combine
+    per-rank partials in rank order, and elementwise updates loop over
+    block interiors -- bit-identical results, identical event streams.
     """
 
     def __init__(self, stencil, preconditioner, vm, kernels=None):

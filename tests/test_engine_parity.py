@@ -3,8 +3,10 @@
 The batched (structure-of-arrays) engine is an execution detail: for
 every solver x preconditioner combination it must produce bit-identical
 iterates and an identical event-ledger stream to the per-rank reference
-engine.  Ragged and land-eliminated decompositions cannot be batched and
-must fall back cleanly to the per-rank engine.
+engine.  The hand-picked cases here run on a uniform, fully active
+decomposition (the pad = 0 case of the stacked layout); ragged and
+land-eliminated decompositions are drawn by
+``tests/test_engine_conformance.py``.
 """
 
 import numpy as np
@@ -38,7 +40,7 @@ def uniform_config():
 def uniform_decomp(uniform_config):
     d = decompose(uniform_config.ny, uniform_config.nx, 4, 4,
                   mask=uniform_config.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
@@ -53,7 +55,6 @@ def eliminated_decomp(eliminated_config):
     d = decompose(eliminated_config.ny, eliminated_config.nx, 4, 4,
                   mask=eliminated_config.mask)
     assert d.num_active < d.num_blocks
-    assert not d.supports_batched
     return d
 
 
@@ -91,21 +92,22 @@ class TestEngineResolution:
         assert vm.engine == "perrank"
         assert not vm.zeros().is_stacked
 
-    def test_ragged_falls_back(self):
+    def test_ragged_runs_batched(self):
         cfg = make_test_config(34, 46, seed=9)
         decomp = decompose(cfg.ny, cfg.nx, 3, 5, mask=cfg.mask)
         assert not decomp.is_uniform
         for engine in ("auto", "batched"):
             vm = VirtualMachine(decomp, mask=cfg.mask, engine=engine)
-            assert vm.engine == "perrank"
-            assert vm.requested_engine == engine
+            assert vm.engine == "batched"
+            assert vm.zeros().is_stacked
 
-    def test_land_eliminated_falls_back(self, eliminated_config,
-                                        eliminated_decomp):
+    def test_land_eliminated_runs_batched(self, eliminated_config,
+                                          eliminated_decomp):
         for engine in ("auto", "batched"):
             vm = VirtualMachine(eliminated_decomp,
                                 mask=eliminated_config.mask, engine=engine)
-            assert vm.engine == "perrank"
+            assert vm.engine == "batched"
+            assert vm.zeros().stack.shape[0] == eliminated_decomp.num_active
 
     def test_unknown_engine_rejected(self, uniform_decomp):
         with pytest.raises(DecompositionError):
@@ -139,10 +141,18 @@ class TestStackedField:
         with pytest.raises(DecompositionError):
             field.interior_stack()
 
-    def test_stacked_zeros_requires_uniform(self):
+    def test_stacked_zeros_pads_ragged(self):
         ragged = decompose(34, 46, 3, 5)
-        with pytest.raises(DecompositionError):
-            BlockField.zeros(ragged, stacked=True)
+        h = ragged.halo_width
+        field = BlockField.zeros(ragged, stacked=True, nrhs=2)
+        bny, bnx = ragged.max_block_shape()
+        assert field.stack.shape == (15, bny + 2 * h, bnx + 2 * h, 2)
+        for rank, block in enumerate(ragged.active_blocks):
+            local = field.local(rank)
+            assert local.shape == (block.ny + 2 * h, block.nx + 2 * h, 2)
+            assert np.shares_memory(local, field.stack)
+            assert field.interior(rank).shape == (block.ny, block.nx, 2)
+        assert field.copy().local(14).shape == field.local(14).shape
 
 
 class TestPrimitiveParity:
@@ -306,29 +316,3 @@ class TestGuardrailParity:
         for phase in set(per.setup_events) | set(bat.setup_events):
             assert per.setup_events.get(phase) == \
                 bat.setup_events.get(phase), phase
-
-
-class TestFallbackParity:
-    """Requesting the batched engine where it cannot run must fall back
-    to the per-rank engine and still solve correctly."""
-
-    def test_land_eliminated_solve(self, eliminated_config,
-                                   eliminated_decomp):
-        per = _solve("perrank", eliminated_config, eliminated_decomp,
-                     ChronGearSolver, "diagonal")
-        fall = _solve("batched", eliminated_config, eliminated_decomp,
-                      ChronGearSolver, "diagonal")
-        assert per.iterations == fall.iterations
-        assert np.array_equal(per.x, fall.x)
-        for phase in PHASES:
-            assert per.events.get(phase) == fall.events.get(phase), phase
-
-    def test_ragged_solve(self):
-        cfg = make_test_config(34, 46, seed=9)
-        decomp = decompose(cfg.ny, cfg.nx, 3, 5, mask=cfg.mask)
-        per = _solve("perrank", cfg, decomp, PCSISolver, "diagonal",
-                     eig_bounds=(0.02, 2.5))
-        fall = _solve("batched", cfg, decomp, PCSISolver, "diagonal",
-                      eig_bounds=(0.02, 2.5))
-        assert per.iterations == fall.iterations
-        assert np.array_equal(per.x, fall.x)

@@ -56,7 +56,7 @@ def config():
 @pytest.fixture(scope="module")
 def decomp(config):
     d = decompose(config.ny, config.nx, 4, 4, mask=config.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 

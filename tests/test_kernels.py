@@ -68,7 +68,7 @@ def uniform_config():
 def uniform_decomp(uniform_config):
     d = decompose(uniform_config.ny, uniform_config.nx, 4, 4,
                   mask=uniform_config.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
@@ -81,7 +81,7 @@ def eliminated_config():
 def eliminated_decomp(eliminated_config):
     d = decompose(eliminated_config.ny, eliminated_config.nx, 4, 4,
                   mask=eliminated_config.mask)
-    assert not d.supports_batched
+    assert d.num_active < d.num_blocks
     return d
 
 

@@ -42,7 +42,7 @@ def cfg():
 @pytest.fixture(scope="module")
 def decomp(cfg):
     d = decompose(cfg.ny, cfg.nx, 4, 4, mask=cfg.mask)
-    assert d.supports_batched
+    assert d.is_uniform and d.num_active == d.num_blocks
     return d
 
 
