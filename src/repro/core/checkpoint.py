@@ -41,7 +41,9 @@ from repro.core.errors import ReproError
 #: Bump when the checkpoint payload layout changes; readers refuse
 #: snapshots from other versions outright (resuming across format
 #: changes cannot be bit-identical, so it must not be silent).
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: one ``"solver"`` kind for every solver and batch width
+#: (version 1 had three layouts: single-RHS, multi-RHS and CA-PCG).
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: npz member holding the JSON envelope.
 _ENVELOPE_KEY = "__checkpoint__"

@@ -404,7 +404,7 @@ class FusedKernels(KernelBackend):
         y = validate_evp_shapes(engine, y)
         b, my, mx = engine.batch, engine.my, engine.mx
         if y.ndim == 4:
-            return self._evp_solve_multi(engine, plan, y, out)
+            return self._evp_solve_columns(engine, plan, y, out)
         buf, split = plan.buf, plan.split
         state = buf[:split]
         buf[split:] = y.reshape(b * plan.n_interior)
@@ -421,7 +421,7 @@ class FusedKernels(KernelBackend):
         out[...] = x
         return out
 
-    def _evp_solve_multi(self, engine, plan, y, out):
+    def _evp_solve_columns(self, engine, plan, y, out):
         b, my, mx = engine.batch, engine.my, engine.mx
         nrhs = y.shape[3]
         ms = plan.multi_scratch(b, engine.k, nrhs)

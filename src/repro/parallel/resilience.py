@@ -272,20 +272,19 @@ class ResilienceRuntime:
     # ------------------------------------------------------------------
     # replication
     # ------------------------------------------------------------------
-    def capture(self, state, meta, history_len, solver_meta=None):
+    def capture(self, state, meta, solver_meta=None):
         """Replicate the verified solver state to the buddy ranks.
 
-        ``meta`` is the loop's checkpoint-style metadata (iteration
-        counters, norms); ``history_len`` pins how much of the residual
-        history the replica covers.  The buddy send is charged to the
-        ``"resilience"`` ledger phase.
+        ``meta`` is the guarded loop's own snapshot (iteration counter,
+        per-column guardrail state, frozen outputs, residual
+        histories).  The buddy send is charged to the ``"resilience"``
+        ledger phase.
         """
         t0 = time.perf_counter()
         self._replica = (
             _copy_value(state),
             _copy_value(meta),
             _copy_value(solver_meta),
-            int(history_len),
         )
         self._last_capture = int(meta.get("iterations", 0))
         self.counters["replications"] += 1
@@ -308,8 +307,7 @@ class ResilienceRuntime:
             return True
         return iterations - self._last_capture >= self.policy.replicate_every
 
-    def verify_and_capture(self, state, meta, history_len,
-                           solver_meta=None):
+    def verify_and_capture(self, state, meta, solver_meta=None):
         """Cross-check the residual, then replicate the verified state.
 
         Ordering matters: the replica must never copy corrupted state,
@@ -323,7 +321,7 @@ class ResilienceRuntime:
             # construction -- cross-checking it against itself would
             # spend a matvec to learn nothing.
             self.crosscheck_residual(state)
-        self.capture(state, meta, history_len, solver_meta=solver_meta)
+        self.capture(state, meta, solver_meta=solver_meta)
 
     # ------------------------------------------------------------------
     # rollback
@@ -363,7 +361,7 @@ class ResilienceRuntime:
     def rollback(self, event, detected_at):
         """Restore the last verified replica after ``event``.
 
-        Returns ``(state, meta, solver_meta, history_len)`` -- fresh
+        Returns ``(state, meta, solver_meta)`` -- fresh
         deep copies, so the replica survives further rollbacks -- or
         ``None`` when the budget is spent (the loop then fails the
         solve with a structured diagnosis).  Work performed since the
@@ -374,9 +372,9 @@ class ResilienceRuntime:
         if not self.can_rollback():
             return None
         t0 = time.perf_counter()
-        state, meta, solver_meta, history_len = self._replica
+        state, meta, solver_meta = self._replica
         restored = (_copy_value(state), _copy_value(meta),
-                    _copy_value(solver_meta), history_len)
+                    _copy_value(solver_meta))
         self.counters["rollbacks"] += 1
         if self._mark is not None:
             self.vm.ledger.transfer(self._mark, "resilience")

@@ -55,24 +55,18 @@ divergence diagnoses, and all recoverable: the shared
 the interval, re-estimates, retries, and optionally falls back to
 ChronGear.
 
-**Checkpointing.**  Mid-block state is the basis itself, so snapshots
-use a dedicated ``"capcg"`` checkpoint kind carrying every basis column
-(engine-portable global layout), the Gram system, the coordinate
-vectors and the inner-step index; a resumed run is bit-identical.
-Multi-RHS CA-PCG solves run, converge and compact per column like every
-other solver, but do not support checkpointing (the per-column basis
-freeze is not snapshot-stable); a clear error is raised instead.
+**Checkpointing.**  Mid-block state is the basis itself: the loop
+``state`` carries every basis column (``V``/``W``, lists of context
+vectors), the Gram system and coordinate vectors (``_DENSE_KEYS``) and
+the inner-step index, all of which the shared ``"solver"`` snapshot
+serialises by type -- so single- and multi-RHS solves checkpoint
+mid-epoch and after compaction, and a resumed run is bit-identical.
+``sstep`` joins the knobs a resume must match.
 """
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    CheckpointError,
-    read_checkpoint,
-    sanitize_meta,
-)
 from repro.core.errors import BreakdownError, SolverError
-from repro.solvers.base import _events_from_meta, _events_to_meta
 from repro.solvers.spectral import SpectralBoundedSolver
 
 
@@ -106,11 +100,11 @@ class CAPCGSolver(SpectralBoundedSolver):
 
     name = "capcg"
 
-    #: Dedicated checkpoint kind: snapshots carry the basis state.
-    CHECKPOINT_KIND = "capcg"
-
     #: Keys of the dense (coordinate-space) state arrays.
     _DENSE_KEYS = ("N", "g", "pc", "zc", "ac")
+
+    #: A snapshot's basis only fits the ``sstep`` that built it.
+    _RESUME_KNOBS = SpectralBoundedSolver._RESUME_KNOBS + ("sstep",)
 
     def __init__(self, context, sstep=4, replace_freq=1, **kwargs):
         super().__init__(context, **kwargs)
@@ -401,125 +395,3 @@ class CAPCGSolver(SpectralBoundedSolver):
             zc[:, j] = zcj
             ac[:, j] = acj
         state["rho"] = rho
-
-    # ------------------------------------------------------------------
-    # multi-RHS compaction
-    # ------------------------------------------------------------------
-    def _compact_state(self, state, keep, old_width):
-        dense = {key: state.pop(key) for key in self._DENSE_KEYS}
-        V = state.pop("V")
-        W = state.pop("W")
-        super()._compact_state(state, keep, old_width)
-        ctx = self.context
-        state["V"] = [ctx.compact(v, keep) for v in V]
-        state["W"] = [ctx.compact(v, keep) for v in W]
-        for key, value in dense.items():
-            state[key] = np.ascontiguousarray(value[..., keep])
-
-    # ------------------------------------------------------------------
-    # checkpoint/restart: a dedicated kind carrying the basis state
-    # ------------------------------------------------------------------
-    def _write_checkpoint(self, policy, state, history, loop, acct,
-                          b_norm, failure=None):
-        ctx = self.context
-        arrays = {}
-        for name in ("x", "r", "x0", "r0", "b"):
-            arrays[f"vec_{name}"] = ctx.to_global(state[name])
-        for i, v in enumerate(state["V"]):
-            arrays[f"basis_V_{i}"] = ctx.to_global(v)
-        for i, v in enumerate(state["W"]):
-            arrays[f"basis_W_{i}"] = ctx.to_global(v)
-        for name in self._DENSE_KEYS:
-            arrays[f"dense_{name}"] = np.asarray(state[name],
-                                                 dtype=np.float64)
-        scalars = {
-            "rho": float(state["rho"]),
-            "jj": int(state["jj"]),
-            "outer": int(state["outer"]),
-            "synced": int(state["synced"]),
-            "theta": float(state["theta"]),
-            "delta": float(state["delta"]),
-        }
-        meta = {
-            "solver": self.name,
-            "preconditioner": ctx.preconditioner.name,
-            "shape": [int(s) for s in ctx.mask.shape],
-            "b_digest": acct["b_digest"],
-            "b_norm": float(b_norm),
-            "tol": self.tol,
-            "check_freq": self.check_freq,
-            "sstep": self.sstep,
-            "basis_size": len(state["V"]),
-            "scalars": sanitize_meta(scalars),
-            "extra": sanitize_meta(state.get("extra", {})),
-            "solver_state": sanitize_meta(self._snapshot_solver_meta()),
-            "history": [[int(i), float(r)] for i, r in history],
-            "loop": sanitize_meta(loop),
-            "setup_events": _events_to_meta(self._setup_events(acct)),
-            "loop_events": _events_to_meta(self._loop_events(acct)),
-            "failure": failure.to_dict() if failure is not None else None,
-        }
-        return policy.write(loop["iterations"], self.CHECKPOINT_KIND,
-                            arrays, meta, failure=failure is not None)
-
-    def _restore_checkpoint(self, path, b_digest):
-        arrays, meta = read_checkpoint(path, kind=self.CHECKPOINT_KIND)
-        ctx = self.context
-        if meta.get("solver") != self.name:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to solver "
-                f"{meta.get('solver')!r}, not {self.name!r}")
-        if tuple(meta.get("shape", ())) != tuple(ctx.mask.shape):
-            raise CheckpointError(
-                f"checkpoint {path} grid shape {meta.get('shape')} does "
-                f"not match context {list(ctx.mask.shape)}")
-        if meta.get("b_digest") != b_digest:
-            raise CheckpointError(
-                f"checkpoint {path} was written for a different "
-                f"right-hand side -- resuming would not reproduce the "
-                f"original solve")
-        for knob in ("tol", "check_freq", "sstep"):
-            if meta.get(knob) != getattr(self, knob):
-                raise CheckpointError(
-                    f"checkpoint {path} was written with "
-                    f"{knob}={meta.get(knob)!r}, this solver uses "
-                    f"{getattr(self, knob)!r}; a resumed run would not "
-                    f"be bit-identical")
-        m = int(meta["basis_size"])
-        state = {}
-        for name in ("x", "r", "x0", "r0", "b"):
-            state[name] = ctx.from_global(arrays[f"vec_{name}"])
-        state["V"] = [ctx.from_global(arrays[f"basis_V_{i}"])
-                      for i in range(m)]
-        state["W"] = [ctx.from_global(arrays[f"basis_W_{i}"])
-                      for i in range(m)]
-        for name in self._DENSE_KEYS:
-            state[name] = np.array(arrays[f"dense_{name}"],
-                                   dtype=np.float64)
-        state.update(meta.get("scalars", {}))
-        state["jj"] = int(state["jj"])
-        state["outer"] = int(state["outer"])
-        state["synced"] = int(state["synced"])
-        state["extra"] = dict(meta.get("extra", {}))
-        self._restore_solver_meta(meta.get("solver_state", {}))
-        history = [(int(i), float(r)) for i, r in meta.get("history", [])]
-        loop = dict(meta["loop"])
-        acct = {
-            "after_setup": ctx.ledger.snapshot(),
-            "before_setup": None,
-            "setup_events": _events_from_meta(meta["setup_events"]),
-            "loop_base": _events_from_meta(meta["loop_events"]),
-            "b_digest": b_digest,
-        }
-        return state, history, loop, acct, float(meta["b_norm"])
-
-    def _write_checkpoint_multi(self, *args, **kwargs):
-        raise CheckpointError(
-            "multi-RHS CA-PCG solves do not support checkpointing (the "
-            "per-column basis freeze is not snapshot-stable); "
-            "checkpoint single-RHS solves or use another solver")
-
-    def _restore_checkpoint_multi(self, *args, **kwargs):
-        raise CheckpointError(
-            "multi-RHS CA-PCG solves do not support checkpoint resume; "
-            "resume the single-RHS solves individually")

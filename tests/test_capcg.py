@@ -166,7 +166,7 @@ class TestRecovery:
 
 
 class TestCheckpointResume:
-    """The dedicated 'capcg' snapshot carries the epoch mid-flight."""
+    """The shared 'solver' snapshot carries the epoch mid-flight."""
 
     @pytest.mark.parametrize("engine", ["serial", "batched"])
     def test_resume_is_bit_identical(self, cfg, rhs, tmp_path, engine):
@@ -191,13 +191,42 @@ class TestCheckpointResume:
             assert full.iterations == resumed.iterations
             assert full.residual_norm == resumed.residual_norm
 
-    def test_multi_rhs_checkpoint_is_rejected(self, cfg, rhs, tmp_path):
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    def test_multi_rhs_resume_is_bit_identical(self, cfg, rhs, tmp_path,
+                                               engine):
+        """A 2-column batch with ragged convergence: every snapshot --
+        mid-epoch (10 is not a multiple of s = 4) and after compaction
+        dropped the early column -- resumes bit-identically."""
         batch = np.stack([rhs, 2.0 * rhs], axis=-1)
-        policy = CheckpointPolicy(directory=str(tmp_path), every=10)
-        solver = CAPCGSolver(_context(cfg), tol=1e-12,
-                             max_iterations=500, sstep=4)
-        with pytest.raises(CheckpointError, match="multi-RHS"):
-            solver.solve(batch, checkpoint=policy)
+        # A loosely converged guess makes column 1 finish first.
+        x0 = np.zeros_like(batch)
+        x0[..., 1] = CAPCGSolver(_context(cfg), tol=1e-6,
+                                 sstep=4).solve(batch[..., 1]).x
+
+        def build(eig_bounds=None):
+            return CAPCGSolver(_context(cfg, engine), tol=1e-12,
+                               max_iterations=500, sstep=4,
+                               eig_bounds=eig_bounds)
+
+        first = build()
+        full = first.solve(batch, x0=x0)
+        iters = full.extra["per_rhs_iterations"]
+        assert full.converged and iters[1] < iters[0]
+
+        policy = CheckpointPolicy(directory=str(tmp_path), every=10,
+                                  keep=0)
+        build(first.eig_bounds).solve(batch, x0=x0, checkpoint=policy)
+        at = [int(os.path.basename(p).split("-")[1].split(".")[0])
+              for p in policy.written]
+        assert any(k % 4 for k in at)            # mid-epoch
+        assert any(k > iters[1] for k in at)     # post-compaction
+        for snap in policy.written:
+            resumed = build(first.eig_bounds).solve(batch, x0=x0,
+                                                    resume_from=snap)
+            assert np.array_equal(full.x, resumed.x)
+            assert resumed.extra["per_rhs_iterations"] == iters
+            assert resumed.residual_history == full.residual_history
+            assert resumed.events == full.events
 
     def test_wrong_sstep_refuses_resume(self, cfg, rhs, tmp_path):
         policy = CheckpointPolicy(directory=str(tmp_path), every=20)

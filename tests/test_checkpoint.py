@@ -143,6 +143,29 @@ class TestStorageLayer:
         with pytest.raises(CheckpointError, match="format version"):
             read_checkpoint(path)
 
+    def test_pre_unification_snapshot_names_both_versions(self, tmp_path):
+        """Format 1 had ``solver``/``solver_multi``/``capcg`` layouts;
+        this code reads none of them and says so -- it never tries to
+        parse one."""
+        assert CHECKPOINT_FORMAT_VERSION == 2
+        path = str(tmp_path / "v1.ckpt.npz")
+        write_checkpoint(path, "solver_multi", {"x_full": np.zeros(3)},
+                         {"loop": {"iterations": 10}})
+        with np.load(path, allow_pickle=False) as data:
+            envelope = json.loads(str(data[ENVELOPE_KEY][()]))
+            payload = {n: data[n] for n in data.files if n != ENVELOPE_KEY}
+        envelope["version"] = 1
+        payload[ENVELOPE_KEY] = np.array(json.dumps(envelope))
+        np.savez(path, **payload)
+        with pytest.raises(CheckpointError,
+                           match=r"format version 1; .* version 2"):
+            read_checkpoint(path)
+        stencil = make_test_config(8, 8).stencil
+        solver = ChronGearSolver(SerialContext(
+            stencil, make_preconditioner("diagonal", stencil)))
+        with pytest.raises(CheckpointError, match="format version 1"):
+            solver.solve(np.ones((8, 8)), resume_from=path)
+
     def test_kind_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "kind.ckpt.npz")
         write_checkpoint(path, "stepper", {}, {})

@@ -10,7 +10,14 @@ set-up event ledgers, per-RHS bookkeeping.  Fixed cases then cover the
 guarded paths (injected faults, checkpoint/resume across engines,
 resilient recovery) on a ragged, land-eliminated decomposition, where
 the stacked layout carries pad cells that nothing may read.
+
+One more drawn case covers the guarded loop itself: solver x width x
+context x checkpoint iteration x fault.  A single right-hand side must
+be the width-1 batch, and a resumed or rolled-back solve must be the
+uninterrupted one.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -43,7 +50,13 @@ from repro.parallel import (
 from repro.parallel.resilience import ResilienceRuntime
 from repro.precond import Preconditioner, make_preconditioner
 from repro.precond.evp import evp_for_config
-from repro.solvers import RANK_LOST, SDC_DETECTED, DistributedContext, make_solver
+from repro.solvers import (
+    RANK_LOST,
+    SDC_DETECTED,
+    DistributedContext,
+    SerialContext,
+    make_solver,
+)
 
 #: Flipped exponent bits and injected Inf values overflow on their way
 #: to the guard that catches them; that is the scenario, not a defect.
@@ -211,6 +224,101 @@ class TestDrawnConformance:
         assert np.array_equal(per["ax"], bat["ax"])
         assert np.array_equal(per["b"], bat["b"])
         assert np.array_equal(per["rings"], bat["rings"])
+
+
+# ----------------------------------------------------------------------
+# the guarded loop: one path for every width, resumable, recoverable
+# ----------------------------------------------------------------------
+@st.composite
+def _guarded_cases(draw):
+    return dict(
+        solver=draw(st.sampled_from(SOLVERS)),
+        width=draw(st.sampled_from((None, 1, 3))),
+        context=draw(st.sampled_from(("serial", "batched"))),
+        checkpoint_at=draw(st.integers(3, 30)),
+        fault=draw(st.sampled_from((None, "rank_death", "halo",
+                                    "iterate"))),
+        fault_at=draw(st.integers(8, 40)),
+        rank=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 20)),
+    )
+
+
+def _same_solve(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert a.iterations == b.iterations
+    assert a.residual_history == b.residual_history
+    assert a.extra.get("per_rhs_iterations") \
+        == b.extra.get("per_rhs_iterations")
+
+
+class TestDrawnGuardedLoop:
+    @given(case=_guarded_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_width_one_resume_and_rollback(self, case):
+        config = make_test_config(24, 32, seed=case["seed"])
+        decomp = decompose(config.ny, config.nx, 2, 2, mask=config.mask)
+        b = _rhs(config, seed=case["seed"], nrhs=case["width"])
+        b0 = b if case["width"] is None else np.ascontiguousarray(b[..., 0])
+        kwargs = dict(tol=1e-9, max_iterations=400, raise_on_failure=False)
+
+        def build(faults=()):
+            if case["context"] == "batched":
+                return _solver("batched", config, decomp, case["solver"],
+                               faults=faults, **kwargs)
+            pre = make_preconditioner("diagonal", config.stencil)
+            return make_solver(case["solver"],
+                               SerialContext(config.stencil, pre), **kwargs)
+
+        probe = build()
+        one = probe.solve(b0)
+        if hasattr(probe, "eig_bounds"):
+            # Pin the interval: later runs skip the Lanczos estimation,
+            # so fault rounds count loop exchanges only.
+            kwargs["eig_bounds"] = probe.eig_bounds
+            one = build().solve(b0)
+
+        # (a) a single right-hand side is the width-1 batch.
+        wide = build().solve(b0[..., None])
+        assert np.array_equal(wide.x[..., 0], one.x)
+        assert wide.iterations == one.iterations
+        assert wide.residual_history == one.residual_history
+        assert wide.events == one.events
+        assert wide.setup_events == one.setup_events
+
+        # (b) resume and rollback reproduce the uninterrupted run.
+        full = one if case["width"] is None else build().solve(b)
+        with tempfile.TemporaryDirectory() as tmp:
+            policy = CheckpointPolicy(tmp, every=case["checkpoint_at"],
+                                      keep=0)
+            build().solve(b, checkpoint=policy)
+            if policy.written:
+                resumed = build().solve(b, resume_from=policy.written[0])
+                _same_solve(full, resumed)
+                assert resumed.events == full.events
+                assert resumed.setup_events == full.setup_events
+        if case["fault"] is None or case["context"] != "batched":
+            return
+        if case["fault"] == "rank_death":
+            fault = RankDeathFault(rank=case["rank"], at=case["fault_at"])
+        else:
+            fault = BitflipFault(target=case["fault"], rank=case["rank"],
+                                 at=case["fault_at"])
+        healed = build(faults=[fault]).solve(b, resilience=True)
+        # The claim is about runs that rolled back and recovered.  A
+        # flipped bit can also be inert or too subtle for the ABFT
+        # tolerances, and one that lands in an auxiliary recurrence
+        # vector (PipeCG's u/q) passes the residual cross-check into
+        # the replica and exhausts the rollback budget -- a limit of the
+        # resilience layer at the parent commit too, not of the loop.
+        assume(healed.extra["resilience"]["counters"]["rollbacks"]
+               and healed.diagnosis is None)
+        _same_solve(full, healed)
+        # Rolled-back work is re-charged to the resilience phase; every
+        # other phase is exactly the uninterrupted ledger.
+        assert {phase: counts for phase, counts in healed.events.items()
+                if phase != "resilience"} == full.events
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import CheckpointPolicy
-from repro.core.errors import KernelError
+from repro.core.checkpoint import CheckpointError, CheckpointPolicy
+from repro.core.errors import ConvergenceError, KernelError
 from repro.grid import test_config as make_test_config
 from repro.kernels import resolve_array_module, resolve_kernels
 from repro.parallel import VirtualMachine, decompose
@@ -232,6 +232,77 @@ class TestPerColumnDiagnosis:
         diags = res.extra["per_rhs_diagnosis"]
         for j in range(rhs_batch.shape[2]):
             assert diags[str(j)]["kind"] == "budget_exhausted"
+
+
+class TestBatchFailuresGetWhatScalarFailuresGet:
+    """``on_failure`` snapshots, the ledger and the last finite residual
+    for every failed column of a batch."""
+
+    @staticmethod
+    def _diverging(cfg):
+        return PCSISolver(
+            _make_context(cfg, "serial", "diagonal"),
+            eig_bounds=(1e-6, 0.2), tol=1e-12, max_iterations=400,
+            raise_on_failure=False, max_recoveries=0)
+
+    def test_diverging_batch_leaves_a_resumable_snapshot(
+            self, cfg, rhs_batch, tmp_path):
+        policy = CheckpointPolicy(directory=str(tmp_path), every=0,
+                                  on_failure=True)
+        res = self._diverging(cfg).solve(rhs_batch, checkpoint=policy)
+        diags = res.extra["per_rhs_diagnosis"]
+        assert set(diags) == {"0", "1", "2"}
+        for doc in diags.values():
+            assert doc["kind"] == "diverged"
+            assert doc["data"]["ledger"]["computation"]["flops"] > 0
+            assert np.isfinite(doc["data"]["last_finite_residual"])
+        fail_path = policy.latest()
+        assert fail_path is not None and "fail" in fail_path
+
+        resumed = self._diverging(cfg).solve(rhs_batch,
+                                             resume_from=fail_path)
+        assert (resumed.x == res.x).all()
+        assert resumed.extra["per_rhs_iterations"] == \
+            res.extra["per_rhs_iterations"]
+        assert resumed.residual_history == res.residual_history
+        assert {c: d["kind"] for c, d in
+                resumed.extra["per_rhs_diagnosis"].items()} == \
+            {c: "diverged" for c in diags}
+
+    def test_starved_batch_resumes_under_a_larger_budget(
+            self, cfg, rhs_batch, tmp_path):
+        def build(budget):
+            return ChronGearSolver(
+                _make_context(cfg, "serial", "diagonal"), tol=1e-12,
+                max_iterations=budget, raise_on_failure=False)
+
+        policy = CheckpointPolicy(directory=str(tmp_path), every=0,
+                                  on_failure=True)
+        starved = build(20).solve(rhs_batch, checkpoint=policy)
+        assert not starved.converged
+        full = build(600).solve(rhs_batch)
+        resumed = build(600).solve(rhs_batch,
+                                   resume_from=policy.latest())
+        assert resumed.converged
+        assert (resumed.x == full.x).all()
+        assert resumed.extra["per_rhs_iterations"] == \
+            full.extra["per_rhs_iterations"]
+        assert resumed.residual_history == full.residual_history
+        assert resumed.events == full.events
+
+    def test_failing_snapshot_does_not_mask_the_failure(
+            self, cfg, rhs_batch, tmp_path):
+        class BrokenDisk(CheckpointPolicy):
+            def write(self, *args, **kwargs):
+                raise CheckpointError("disk full")
+
+        solver = self._diverging(cfg)
+        solver.raise_on_failure = True
+        with pytest.raises(ConvergenceError) as err:
+            solver.solve(rhs_batch, checkpoint=BrokenDisk(
+                str(tmp_path), every=0, on_failure=True))
+        assert err.value.diagnosis.kind == "diverged"
+        assert err.value.result.extra["per_rhs_diagnosis"]
 
 
 class TestCheckpointResume:

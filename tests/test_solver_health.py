@@ -19,7 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.errors import BreakdownError, ConvergenceError
+from repro.core.errors import BreakdownError, ConvergenceError, SolverError
 from repro.grid import test_config as make_test_config
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
@@ -154,6 +154,45 @@ class TestConvergenceErrorPaths:
         assert np.all(result.x == 0.0)
         assert result.events == {}
         assert result.diagnosis is None
+
+
+class TestEntryShapes:
+    """A mis-shaped ``b`` or ``x0`` is a SolverError naming the grid the
+    context expects -- never a bare IndexError/ValueError from numpy."""
+
+    @pytest.mark.parametrize("shape", [
+        (5, 7),                 # wrong grid
+        (48, 32),               # transposed grid
+        (5, 7, 2),              # batch on the wrong grid
+        (32, 48, 0),            # empty batch
+        (32, 48, 2, 2),         # too many axes
+        (32,),                  # too few
+    ])
+    def test_bad_b_shape(self, config, shape):
+        solver = ChronGearSolver(_context("serial", config, None))
+        with pytest.raises(SolverError, match=r"\(32, 48\)"):
+            solver.solve(np.ones(shape))
+
+    @pytest.mark.parametrize("b_shape,x0_shape", [
+        ((32, 48), (5, 7)),
+        ((32, 48), (32, 48, 1)),
+        ((32, 48, 2), (32, 48, 3)),
+        ((32, 48, 2), (5, 7)),
+    ])
+    def test_bad_x0_shape(self, config, b_shape, x0_shape):
+        solver = ChronGearSolver(_context("serial", config, None))
+        with pytest.raises(SolverError, match=r"\(32, 48\)"):
+            solver.solve(np.ones(b_shape), x0=np.zeros(x0_shape))
+
+    def test_shared_x0_broadcasts_over_a_batch(self, config):
+        b = np.stack([_rhs(config, 1), _rhs(config, 2)], axis=-1)
+        x0 = _rhs(config, 3)
+        shared = ChronGearSolver(
+            _context("serial", config, None), tol=1e-10).solve(b, x0=x0)
+        explicit = ChronGearSolver(
+            _context("serial", config, None), tol=1e-10).solve(
+                b, x0=np.stack([x0, x0], axis=-1))
+        assert np.array_equal(shared.x, explicit.x)
 
 
 class TestStagnationContract:
