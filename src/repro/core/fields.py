@@ -112,3 +112,54 @@ def allclose_masked(a, b, mask, rtol=1e-12, atol=1e-14):
     """``numpy.allclose`` restricted to points where ``mask`` is truthy."""
     m = np.asarray(mask, dtype=bool)
     return np.allclose(a[m], b[m], rtol=rtol, atol=atol)
+
+
+# ----------------------------------------------------------------------
+# multi-RHS batches: the folded row layout
+# ----------------------------------------------------------------------
+# A batch of ``nrhs`` fields rides a trailing axis, ``(..., nx, nrhs)``.
+# An elementwise kernel that broadcasts a per-point ``(..., nx)`` or a
+# per-column ``(nrhs,)`` coefficient over that layout cannot merge the
+# two trailing axes (one operand has stride 0 on exactly one of them),
+# so numpy's inner loop is ``nrhs`` (2..8) elements long and the call is
+# all loop overhead.  Merging the axes into one row of ``nx * nrhs``
+# elements and handing the kernel a coefficient already laid out along
+# that row (a per-point plane repeated ``nrhs``-fold, a per-column
+# vector tiled ``nx``-fold) restores full-length inner loops.  Every
+# element still meets the same operands in the same operations, so
+# results are bit-identical to the broadcast form.
+
+
+def fold_rows(a):
+    """View of ``a`` with its trailing ``(nx, nrhs)`` axes merged.
+
+    Element ``[..., i, k]`` becomes ``[..., i * nrhs + k]``.  Always a
+    view (kernels write through it): raises ``GridError`` when the two
+    axes are not adjacent in memory, which no vector allocated by a
+    solver context or :class:`~repro.parallel.halo.BlockField` is --
+    their interiors slice whole ``(nx, nrhs)`` rows.
+    """
+    rows = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    if rows.size and not np.may_share_memory(rows, a):
+        raise GridError(
+            f"cannot fold a batch of shape {a.shape} with strides "
+            f"{a.strides} in place: its trailing (nx, nrhs) axes must "
+            "be C-contiguous")
+    return rows
+
+
+def fold_update(coeffs, arrays):
+    """Operands of an elementwise update in the folded row layout.
+
+    ``arrays`` are ``(..., nx, nrhs)`` batches, ``coeffs`` scalars or
+    per-column ``(nrhs,)`` arrays.  Returns the coefficients tiled
+    along one folded row of ``nx`` points (so they broadcast over whole
+    rows and every element still meets the coefficient of its own
+    column) and the arrays as folded views.  Scalars and width-1
+    batches keep their coefficient as it is: a single value broadcasts
+    over the row unchanged.
+    """
+    nx = arrays[0].shape[-2]
+    return ([np.repeat(np.asarray(c)[None, :], nx, axis=0).reshape(-1)
+             if np.size(c) > 1 else c for c in coeffs],
+            [fold_rows(a) for a in arrays])

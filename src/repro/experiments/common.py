@@ -339,7 +339,7 @@ def _decomposed_context(config, precond, engine, blocks, cache):
 def measure_solver(config, solver="chrongear", precond="diagonal",
                    tol=1.0e-13, check_freq=10, max_iterations=60000,
                    cache=None, rhs=None, engine=None, blocks=None,
-                   resilience=None, **solver_kwargs):
+                   resilience=None, memoize=True, **solver_kwargs):
     """Solve once and cache the :class:`SolveResult` (with events).
 
     By default the context carries no decomposition: recorded flops
@@ -366,6 +366,11 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
     in-solve fault-tolerance layer; it requires a virtual-machine
     engine and enters the cache key (a resilient solve records extra
     ``"resilience"``-phase events).
+
+    ``memoize=False`` keeps the result out of the memory tier (it is
+    still read from and persisted to the disk tier): the solver service
+    sees an unbounded stream of distinct right-hand sides and must not
+    retain one live solution per request.
     """
     cache = cache if cache is not None else get_cache()
     if engine is not None and blocks is None:
@@ -389,7 +394,9 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
         except (KeyError, TypeError, ValueError):
             result = None
         if result is not None:
-            return cache.put_object("solve", key, result)
+            if memoize:
+                cache.put_object("solve", key, result)
+            return result
     if engine is None:
         pre = get_cached_preconditioner(config, precond, cache=cache)
         ctx = SerialContext(config.stencil, pre)
@@ -407,7 +414,8 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
                  max_iterations=max_iterations,
                  **extra_kwargs).solve(b, resilience=resilience)
     result.extra["measured_points"] = config.ny * config.nx
-    cache.put_object("solve", key, result)
+    if memoize:
+        cache.put_object("solve", key, result)
     cache.store("solve", key, *result_to_payload(result))
     return result
 

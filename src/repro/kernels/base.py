@@ -68,7 +68,9 @@ class KernelBackend:
         padded copy of ``x`` (zero border, interior already filled);
         ``out`` is preallocated and never aliases ``x``/``padded``.
         A trailing ``nrhs`` axis, when present, batches independent
-        right-hand sides through one vectorized pass.
+        right-hand sides through one vectorized pass; ``padded`` and
+        ``out`` then keep their ``(nx, nrhs)`` axes C-contiguous so a
+        backend may merge them into one row.
         """
         raise NotImplementedError
 
@@ -85,7 +87,8 @@ class KernelBackend:
 
         ``coeffs`` is a dict of nine stacked ``(p, bny, bnx)``
         coefficient arrays; ``out`` is the preallocated ``(p, bny,
-        bnx[, nrhs])`` interior stack (may be a strided view).
+        bnx[, nrhs])`` interior stack (may be a strided view that
+        slices whole ``(nx, nrhs)`` rows).
         ``(bny, bnx)`` is the stack's padded extent -- the largest
         block shape; coefficients are zero on the pad cells of smaller
         tiles.

@@ -31,7 +31,16 @@ wins, in order of importance:
   product buffer are allocated once per shape group and reused; the
   hot loop performs no allocations at all.
 
-Multi-RHS batches reuse the *same* flat index programs over a working
+* **Folded multi-RHS stencil.**  A batch rides a trailing ``nrhs``
+  axis; broadcasting a 2-D coefficient plane over it runs numpy's
+  inner loop ``nrhs`` (2..8) elements at a time.  The stencil instead
+  views the padded source and the output with the ``(nx, nrhs)`` axes
+  merged into one row (neighbor ``di`` is a shift by ``di * nrhs``
+  along it) and multiplies by planes repeated ``nrhs``-fold once per
+  coefficient set: the same nine products and eight adds per element,
+  on full-length rows.  Global and stacked forms share the one loop.
+
+Multi-RHS EVP batches reuse the *same* flat index programs over a working
 buffer with a trailing ``nrhs`` axis: the ``take`` gathers whole rows
 of columns at once, the coefficient rows broadcast over the trailing
 axis, and the subtract-reduce stays a strict left fold per element --
@@ -46,7 +55,16 @@ matmul) lives on the engine and is shared by every backend -- see
 
 import numpy as np
 
+from repro.core.fields import NEIGHBOR_OFFSETS, fold_rows
 from repro.kernels.base import KernelBackend, validate_evp_shapes
+
+#: Center first, then the neighbors in ``NEIGHBOR_OFFSETS`` order: the
+#: reference accumulation order (``operators.blocked._COEFF_ORDER``).
+_COEFF_ORDER = ("c",) + tuple(NEIGHBOR_OFFSETS)
+
+#: Coefficient sets whose folded planes stay cached (a long-lived
+#: process builds a new stacked set per distributed context).
+_MAX_FOLDED_SETS = 4
 
 
 class _MarchStep:
@@ -105,60 +123,6 @@ class _MultiScratch:
         self.e_gather = np.empty((plan.e_gidx.shape[0], b, k, nrhs))
         self.e_vals = expand(plan.e_vals)
         self.f = np.empty((b, k, nrhs))
-
-
-class _StackedStencilProgram:
-    """Flat-index multi-RHS program for :meth:`stencil_apply_stacked`.
-
-    The nine coefficient rows are stacked (center first, then the
-    neighbors in the shared MAC order) with the center row *negated*:
-    ``(-c) * x`` equals ``-(c * x)`` bit-for-bit, so one strict
-    left-fold ``np.subtract.reduce`` followed by a negation reproduces
-    the reference accumulation ``c*x + n*xn + s*xs + ...`` exactly --
-    the same sign identity the fused edge residuals rely on.  One
-    ``take`` / one multiply / one reduce / one negate replace the nine
-    multiplies and eight adds of the view-walking path, with the
-    coefficients pre-expanded along the trailing ``nrhs`` axis.
-    """
-
-    __slots__ = ("coeffs", "g_idx", "vals", "gather", "res")
-
-    #: Same order as the view-walking path (and ``_COEFF_ORDER``).
-    ORDER = (("c", 0, 0), ("n", 1, 0), ("s", -1, 0), ("e", 0, 1),
-             ("w", 0, -1), ("ne", 1, 1), ("nw", 1, -1), ("se", -1, 1),
-             ("sw", -1, -1))
-
-    def __init__(self, coeffs, stack_shape, h, bny, bnx):
-        p, pny, pnx, nrhs = stack_shape
-        #: Pins the cache key: programs are looked up by ``id(coeffs)``
-        #: and revalidated with an ``is`` check against this reference.
-        self.coeffs = coeffs
-        jj, ii = np.mgrid[0:bny, 0:bnx]
-        boff = (np.arange(p, dtype=np.intp) * (pny * pnx))[:, None]
-        idx_rows = []
-        val_rows = []
-        for name, dj, di in self.ORDER:
-            src = ((h + dj + jj) * pnx + (h + di + ii)).ravel()
-            idx_rows.append(boff + src)
-            val_rows.append(np.asarray(coeffs[name]).reshape(p, bny * bnx))
-        g_idx = np.stack(idx_rows)
-        vals = np.stack(val_rows)
-        vals[0] = -vals[0]  # IEEE negation is exact; see class docstring
-        self.g_idx = np.ascontiguousarray(
-            g_idx[..., None] * nrhs + np.arange(nrhs, dtype=np.intp))
-        self.vals = np.ascontiguousarray(
-            np.broadcast_to(vals[..., None], vals.shape + (nrhs,)))
-        self.gather = np.empty(self.g_idx.shape)
-        self.res = np.empty(self.g_idx.shape[1:])
-
-    def run(self, stack, out):
-        gather = self.gather
-        stack.reshape(-1).take(self.g_idx, out=gather, mode="clip")
-        np.multiply(gather, self.vals, out=gather)
-        np.subtract.reduce(gather, axis=0, out=self.res)
-        np.negative(self.res, out=self.res)
-        out[...] = self.res.reshape(out.shape)
-        return out
 
 
 class _EvpPlan:
@@ -320,78 +284,93 @@ class FusedKernels(KernelBackend):
     def __init__(self, xp=None):
         super().__init__(xp)
         self._tmp = {}
-        #: Precompiled :class:`_StackedStencilProgram` per stacked
-        #: coefficient set and batch geometry.
-        self._stencil_multi = {}
+        #: Folded coefficient planes of the multi-RHS stencil, keyed by
+        #: ``id(coeffs)``: ``(coeffs, nrhs, planes)``.  One width per
+        #: coefficient set (widths only shrink within a solve), the
+        #: last few sets only.
+        self._folded = {}
 
-    def _scratch(self, shape, dtype):
-        key = (shape, np.dtype(dtype).str)
+    def _scratch(self, key, shape, dtype):
+        """The reused product buffer of ``key``.  A batch that narrows
+        replaces its buffer; it does not leave one behind per width."""
         buf = self._tmp.get(key)
-        if buf is None:
-            buf = self.xp.empty(shape, dtype=dtype)
-            self._tmp[key] = buf
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._tmp[key] = self.xp.empty(shape, dtype=dtype)
         return buf
+
+    def _folded_planes(self, coeffs, planes, nrhs):
+        """``planes`` repeated ``nrhs``-fold along the folded row axis."""
+        hit = self._folded.get(id(coeffs))
+        if hit is None or hit[0] is not coeffs or hit[1] != nrhs:
+            self._folded.pop(id(coeffs), None)
+            hit = (coeffs, nrhs,
+                   [self.xp.repeat(c, nrhs, axis=-1) for c in planes])
+            self._folded[id(coeffs)] = hit
+            while len(self._folded) > _MAX_FOLDED_SETS:
+                del self._folded[next(iter(self._folded))]
+        return hit[2]
 
     # ------------------------------------------------------------------
     # nine-point stencil: reference MAC order, per-term products landing
-    # in a reused buffer instead of fresh temporaries.
+    # in a reused buffer instead of fresh temporaries.  A multi-RHS
+    # batch runs in the folded row layout (see repro.core.fields): the
+    # same nine products and eight adds per element, on rows of
+    # ``bnx * nrhs`` elements instead of inner loops of ``nrhs``.
     # ------------------------------------------------------------------
-    def stencil_apply(self, coeffs, x, padded, out):
+    def _stencil(self, coeffs, planes, src, h, nrhs, out):
+        """``out = A @ src`` over the two grid axes of ``src``.
+
+        ``src`` is ``(..., bny + 2h, bnx + 2h[, nrhs])`` with current
+        halos, ``out`` the matching ``(..., bny, bnx[, nrhs])`` interior
+        and ``planes`` the nine ``(..., bny, bnx)`` coefficient arrays
+        of ``coeffs`` in ``_COEFF_ORDER``; ``nrhs`` is ``None`` for a
+        single right-hand side.
+        """
         xp = self.xp
-        t = self._scratch(x.shape, x.dtype)
-        cv = (lambda c: c[..., None]) if x.ndim == 3 else (lambda c: c)
-        xp.multiply(cv(coeffs.c), x, out=out)
-        for coeff, view in (
-            (coeffs.n, padded[2:, 1:-1]), (coeffs.s, padded[:-2, 1:-1]),
-            (coeffs.e, padded[1:-1, 2:]), (coeffs.w, padded[1:-1, :-2]),
-            (coeffs.ne, padded[2:, 2:]), (coeffs.nw, padded[2:, :-2]),
-            (coeffs.se, padded[:-2, 2:]), (coeffs.sw, padded[:-2, :-2]),
-        ):
-            xp.multiply(cv(coeff), view, out=t)
+        batched = nrhs is not None
+        key = (out.shape[:-1] if batched else out.shape, batched)
+        if batched:
+            planes = self._folded_planes(coeffs, planes, nrhs)
+            src, out = fold_rows(src), fold_rows(out)
+        else:
+            nrhs = 1
+        bny, bnx = out.shape[-2], out.shape[-1] // nrhs
+        t = self._scratch(key, out.shape, out.dtype)
+
+        def view(dj, di):
+            return src[..., h + dj:h + dj + bny,
+                       (h + di) * nrhs:(h + di + bnx) * nrhs]
+
+        xp.multiply(planes[0], view(0, 0), out=out)
+        for plane, (dj, di) in zip(planes[1:], NEIGHBOR_OFFSETS.values()):
+            xp.multiply(plane, view(dj, di), out=t)
             out += t
+        return out
+
+    def stencil_apply(self, coeffs, x, padded, out):
+        self._stencil(coeffs, [getattr(coeffs, n) for n in _COEFF_ORDER],
+                      padded, 1, x.shape[2] if x.ndim == 3 else None, out)
         return out
 
     def stencil_apply_local(self, coeffs, local, h, out):
         xp = self.xp
         bny, bnx = out.shape[:2]
-        t = self._scratch(out.shape, out.dtype)
+        t = self._scratch(("local", out.shape[:2], out.ndim), out.shape,
+                          out.dtype)
         cv = (lambda c: c[..., None]) if local.ndim == 3 else (lambda c: c)
 
         def view(dj, di):
             return local[h + dj:h + dj + bny, h + di:h + di + bnx]
 
         xp.multiply(cv(coeffs.c), view(0, 0), out=out)
-        for name, dj, di in (("n", 1, 0), ("s", -1, 0), ("e", 0, 1),
-                             ("w", 0, -1), ("ne", 1, 1), ("nw", 1, -1),
-                             ("se", -1, 1), ("sw", -1, -1)):
+        for name, (dj, di) in NEIGHBOR_OFFSETS.items():
             xp.multiply(cv(getattr(coeffs, name)), view(dj, di), out=t)
             out += t
         return out
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
-        xp = self.xp
-        if (stack.ndim == 4 and xp is np and stack.flags.c_contiguous
-                and stack.dtype == np.float64):
-            key = (id(coeffs), stack.shape, h, bny, bnx)
-            prog = self._stencil_multi.get(key)
-            if prog is None or prog.coeffs is not coeffs:
-                prog = _StackedStencilProgram(coeffs, stack.shape,
-                                              h, bny, bnx)
-                self._stencil_multi[key] = prog
-            return prog.run(stack, out)
-        t = self._scratch((stack.shape[0], bny, bnx) + stack.shape[3:],
-                          out.dtype)
-        cv = (lambda c: c[..., None]) if stack.ndim == 4 else (lambda c: c)
-
-        def view(dj, di):
-            return stack[:, h + dj:h + dj + bny, h + di:h + di + bnx]
-
-        xp.multiply(cv(coeffs["c"]), view(0, 0), out=out)
-        for name, dj, di in (("n", 1, 0), ("s", -1, 0), ("e", 0, 1),
-                             ("w", 0, -1), ("ne", 1, 1), ("nw", 1, -1),
-                             ("se", -1, 1), ("sw", -1, -1)):
-            xp.multiply(cv(coeffs[name]), view(dj, di), out=t)
-            out += t
+        self._stencil(coeffs, [coeffs[n] for n in _COEFF_ORDER], stack, h,
+                      stack.shape[3] if stack.ndim == 4 else None, out)
         return out
 
     # ------------------------------------------------------------------

@@ -22,17 +22,21 @@ from repro.kernels import resolve_kernels
 MATVEC_FLOPS_PER_POINT = 9
 
 #: Cached padded scratch buffers for :func:`apply_stencil`, keyed by
-#: ``(shape, dtype)``.  The matvec is the serial hot loop; reusing the
-#: ``(ny + 2, nx + 2[, nrhs])`` buffer avoids one full-grid allocation
-#: per call.  The zero border (the closed boundary) is written once at
-#: creation and never touched afterwards, so no re-zeroing is needed.
+#: grid shape, layout (2-D or batch) and dtype.  The matvec is the
+#: serial hot loop; reusing the ``(ny + 2, nx + 2[, nrhs])`` buffer
+#: avoids one full-grid allocation per call.  The zero border (the
+#: closed boundary) is written once at creation and never touched
+#: afterwards, so no re-zeroing is needed.  A batch keeps one width per
+#: grid: widths only shrink within a solve (8, 7, 6, ... as columns
+#: retire), so a narrower batch replaces the buffer instead of adding
+#: an entry per width.
 _PADDED_SCRATCH = {}
 
 
 def _padded_scratch(shape, dtype):
-    key = (shape, np.dtype(dtype).str)
+    key = (shape[:2], len(shape), np.dtype(dtype).str)
     buf = _PADDED_SCRATCH.get(key)
-    if buf is None:
+    if buf is None or buf.shape[2:] != shape[2:]:
         ny, nx = shape[:2]
         buf = np.zeros((ny + 2, nx + 2) + shape[2:], dtype=dtype)
         _PADDED_SCRATCH[key] = buf
@@ -44,15 +48,17 @@ def apply_stencil(coeffs, x, out=None, kernels=None):
 
     Out-of-domain neighbors contribute zero (closed boundary).  ``x``
     may carry a trailing ``nrhs`` axis, batching independent fields
-    through one vectorized pass.  ``out`` may alias neither ``x`` nor
-    the coefficient arrays.  ``kernels`` selects the executing backend
-    (default: ``$REPRO_KERNELS``/auto).
+    through one vectorized pass; a batch ``out`` must then keep its
+    ``(nx, nrhs)`` axes C-contiguous (any array allocated in that shape
+    does).  ``out`` may alias neither ``x`` nor the coefficient arrays.
+    ``kernels`` selects the executing backend (default:
+    ``$REPRO_KERNELS``/auto).
     """
     padded = _padded_scratch(x.shape, x.dtype)
     padded[1:-1, 1:-1] = x
 
     if out is None:
-        out = np.empty_like(x)
+        out = np.empty(x.shape, dtype=x.dtype)
     return resolve_kernels(kernels).stencil_apply(coeffs, x, padded, out)
 
 

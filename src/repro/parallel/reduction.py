@@ -82,6 +82,37 @@ def masked_partials_stacked(a_interiors, b_interiors, mask_stack,
     return partials.tolist()
 
 
+def masked_column_partials_stacked(a_interiors, b_interiors, mask_stack,
+                                   mask_groups=None):
+    """Per-column, per-rank masked partials of a stacked multi-RHS pair.
+
+    ``a_interiors``/``b_interiors`` are ``(p, bny, bnx, nrhs)`` interior
+    stacks.  The product is formed once in the batch layout and masked
+    *into* a planar ``(nrhs, p, bny, bnx)`` array -- one transposing
+    pass for all columns -- so every ``(column, rank)`` chunk is
+    contiguous and one ``np.sum`` over the trailing axes reduces it
+    exactly as :func:`masked_partials_stacked` reduces that column on
+    its own (same ``(a * b) * mask`` products, same pairwise blocking).
+    ``mask_groups`` selects the exact windows of ragged stacks, as
+    there.
+
+    Returns ``nrhs`` lists of Python floats ordered by rank.
+    """
+    planar = (a_interiors * b_interiors).transpose(3, 0, 1, 2)
+    nrhs = planar.shape[0]
+    if mask_groups is None:
+        masked = np.empty(planar.shape)
+        np.multiply(planar, mask_stack, out=masked)
+        return np.sum(masked, axis=(2, 3)).tolist()
+    partials = np.empty(planar.shape[:2])
+    for ranks, mask_window in mask_groups:
+        _, ny, nx = mask_window.shape
+        masked = np.empty((nrhs,) + mask_window.shape)
+        np.multiply(planar[:, ranks, :ny, :nx], mask_window, out=masked)
+        partials[:, ranks] = np.sum(masked, axis=(2, 3))
+    return partials.tolist()
+
+
 def masked_global_dot_blockfields(a, b, mask_blocks):
     """Masked global inner product of two :class:`BlockField` values.
 

@@ -40,6 +40,7 @@ from repro.core.errors import DecompositionError
 from repro.parallel.events import EventLedger
 from repro.parallel.halo import BlockField, HaloExchanger
 from repro.parallel.reduction import (
+    masked_column_partials_stacked,
     masked_global_sum_blocks,
     masked_local_dot,
     masked_partials_stacked,
@@ -220,24 +221,25 @@ class VirtualMachine:
         if self.resilience is not None:
             self.resilience.on_rank_death(int(rank))
 
-    def _column_partials(self, a, b, j):
-        """Rank-ordered partials of one RHS column of a batched pair.
+    def _column_partials(self, a, b):
+        """Rank-ordered partials of every RHS column of a batched pair.
 
-        Columns are reduced on *contiguous* per-column copies so each
-        column's pairwise summation blocking -- and therefore its bits
-        -- matches the single-RHS reduction exactly.
+        ``nrhs`` lists, each bit-identical to the single-RHS partials
+        of that column: columns are reduced as *contiguous* chunks (one
+        planar transpose for the whole stack; per-column copies under
+        the per-rank oracle) so the pairwise summation blocking matches
+        the scalar reduction exactly.
         """
         if self.is_batched and a.is_stacked and b.is_stacked:
-            return masked_partials_stacked(
-                np.ascontiguousarray(a.interior_stack()[..., j]),
-                np.ascontiguousarray(b.interior_stack()[..., j]),
-                self._mask_stack, self._mask_groups,
-            )
+            return masked_column_partials_stacked(
+                a.interior_stack(), b.interior_stack(),
+                self._mask_stack, self._mask_groups)
         return [
-            masked_local_dot(np.ascontiguousarray(a.interior(r)[..., j]),
-                             np.ascontiguousarray(b.interior(r)[..., j]),
-                             self._mask_blocks[r])
-            for r in range(self.num_ranks)
+            [masked_local_dot(np.ascontiguousarray(a.interior(r)[..., j]),
+                              np.ascontiguousarray(b.interior(r)[..., j]),
+                              self._mask_blocks[r])
+             for r in range(self.num_ranks)]
+            for j in range(a.nrhs)
         ]
 
     def _global_dot_multi(self, a, b, phase):
@@ -248,8 +250,7 @@ class VirtualMachine:
         of reduction latency -- while flops scale with the batch width.
         """
         nrhs = a.nrhs
-        column_partials = [self._column_partials(a, b, j)
-                           for j in range(nrhs)]
+        column_partials = self._column_partials(a, b)
         self.ledger.record_flops("computation", nrhs * self._max_points)
         self.ledger.record_flops(phase, nrhs * self._max_points)
         self.ledger.record_allreduce(phase, words=nrhs)
@@ -326,9 +327,9 @@ class VirtualMachine:
                 if nrhs is None:
                     entries.append(((i, j), self._pair_partials(a, b)))
                 else:
-                    for c in range(nrhs):
-                        entries.append(((i, j, c),
-                                        self._column_partials(a, b, c)))
+                    for c, partials in enumerate(
+                            self._column_partials(a, b)):
+                        entries.append(((i, j, c), partials))
         n_words = len(xs) * len(ys) * w
         self.ledger.record_flops("computation", n_words * self._max_points)
         self.ledger.record_flops(phase, n_words * self._max_points)
@@ -360,11 +361,8 @@ class VirtualMachine:
             nrhs = a1.nrhs
             out1 = np.empty(nrhs)
             out2 = np.empty(nrhs)
-            column_partials = []
-            for j in range(nrhs):
-                column_partials.append(
-                    (self._column_partials(a1, b1, j),
-                     self._column_partials(a2, b2, j)))
+            column_partials = list(zip(self._column_partials(a1, b1),
+                                       self._column_partials(a2, b2)))
             self.ledger.record_flops("computation",
                                      2 * nrhs * self._max_points)
             self.ledger.record_flops(phase, 2 * nrhs * self._max_points)

@@ -14,8 +14,11 @@ exercises the identical retry path.
 The task unit (:func:`run_service_task`) is a plain picklable dict;
 the worker rebuilds the grid from its name/scale/seed and funnels the
 solve through :func:`~repro.experiments.common.measure_solver`, so
-every result is content-addressed into the shared artifact cache --
-a byte-identical re-request is a cache hit, not a re-solve.
+every result is content-addressed into the shared artifact cache's
+*disk* tier -- a byte-identical re-request after a restart (or on
+another worker) is a cache hit, not a re-solve.  Results are not kept
+in the memory tier: the request stream is unbounded, and the server's
+response memo already answers live repeats.
 """
 
 import asyncio
@@ -65,6 +68,7 @@ def _execute_task(task, inline):
         blocks=task.get("blocks"),
         resilience=task.get("resilience"),
         raise_on_failure=False,
+        memoize=False,
     )
 
 

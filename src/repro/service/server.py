@@ -8,9 +8,18 @@ rebuildable worker pool with retry, and the
 :class:`~repro.service.jobs.JobTable` gives asynchronous clients
 submit/status/result/stream semantics.  Single-flight dedup sits in
 front of the coalescer: byte-identical concurrent requests share one
-solve, and a bounded response memo answers byte-identical *repeat*
-requests without re-entering the scheduler (the artifact cache would
-make the re-solve cheap; the memo makes it free).
+solve, and a byte-budgeted response memo answers byte-identical
+*repeat* requests without re-entering the scheduler.
+
+Memory bounds
+-------------
+What the process retains per request is bounded, so a long-lived server
+has a flat footprint: the response memo evicts least-recently-used
+documents beyond :data:`MEMO_BUDGET_BYTES`; solves are *not* kept in
+the artifact cache's memory tier (the memo answers repeats, the disk
+tier answers restarts -- only grids, preconditioners and eigenbounds
+stay live); and a request body above :data:`MAX_BODY_BYTES` is refused
+with 413 before it is read.
 
 Endpoints
 ---------
@@ -39,6 +48,7 @@ import numpy as np
 from repro.core.cache import get_cache
 from repro.core.errors import ReproError
 from repro.core.pool import FailurePolicy
+from repro.experiments.common import FULL_SHAPES
 from repro.reporting.serialize import solve_result_to_doc
 from repro.service.batching import Coalescer
 from repro.service.executor import ServiceExecutor
@@ -57,6 +67,19 @@ from repro.service.protocol import (
 #: the subprocess tests wait for it.
 READY_PREFIX = "repro-service ready"
 
+#: Response-memo budget.  An entry is charged the length of its encoded
+#: solution (the base64 text is all but a few hundred bytes of a
+#: response) plus :data:`_MEMO_ENTRY_OVERHEAD`.
+MEMO_BUDGET_BYTES = 8 * 1024 * 1024
+_MEMO_ENTRY_OVERHEAD = 2048
+
+#: Largest request body read: one float64 field of the largest named
+#: grid, base64-encoded, plus room for the scalar fields.  A request
+#: carries exactly one 2-D right-hand side, so nothing legitimate is
+#: larger.
+_LARGEST_FIELD_BYTES = 8 * max(ny * nx for ny, nx in FULL_SHAPES.values())
+MAX_BODY_BYTES = 4 * ((_LARGEST_FIELD_BYTES + 2) // 3) + 64 * 1024
+
 
 class SolverService:
     """One solver-service process (construct, then ``await run()``)."""
@@ -64,7 +87,7 @@ class SolverService:
     def __init__(self, host="127.0.0.1", port=0, jobs=0, max_batch=8,
                  max_wait_ms=25.0, blocks=(4, 4), engine=None,
                  tuned=True, retries=2, backoff=0.25, job_timeout=None,
-                 memo_size=1024):
+                 memo_bytes=MEMO_BUDGET_BYTES):
         self.host = host
         self.port = int(port)
         self.blocks = (int(blocks[0]), int(blocks[1]))
@@ -90,14 +113,16 @@ class SolverService:
         self.server = None
         self._stop = None
         self._inflight = {}
+        #: content key -> (response doc, charged bytes), least
+        #: recently used first.
         self._memo = {}
-        self._memo_order = []
-        self._memo_size = int(memo_size)
+        self._memo_budget = min(int(memo_bytes), MEMO_BUDGET_BYTES)
+        self._memo_bytes = 0
         self._tuned_memo = {}
         self._handlers = set()
         self.counters = {"requests": 0, "errors": 0,
                          "dedup_inflight": 0, "dedup_memo": 0,
-                         "tuned_applied": 0}
+                         "memo_evictions": 0, "tuned_applied": 0}
         self.resilience_counters = {
             "resilient_solves": 0, "replications": 0, "rollbacks": 0,
             "rank_deaths": 0, "sdc_detected": 0, "recoveries": 0}
@@ -111,10 +136,11 @@ class SolverService:
         req = normalize_request(doc)
         self._resolve_choice(req)
         content_key = request_content_key(req)
-        memo = self._memo.get(content_key)
+        memo = self._memo.pop(content_key, None)
         if memo is not None:
+            self._memo[content_key] = memo  # most recently used last
             self.counters["dedup_memo"] += 1
-            return dict(memo, dedup=True)
+            return dict(memo[0], dedup=True)
         shared = self._inflight.get(content_key)
         if shared is not None:
             self.counters["dedup_inflight"] += 1
@@ -199,11 +225,18 @@ class SolverService:
             totals[name] += int(summary["counters"].get(name, 0))
 
     def _memoize(self, content_key, response):
-        if content_key not in self._memo:
-            self._memo_order.append(content_key)
-        self._memo[content_key] = response
-        while len(self._memo_order) > self._memo_size:
-            self._memo.pop(self._memo_order.pop(0), None)
+        """Remember ``response`` within the byte budget (LRU eviction;
+        a document larger than the whole budget is not kept)."""
+        size = (len(response["result"]["x"]["data"])
+                + _MEMO_ENTRY_OVERHEAD)
+        if size > self._memo_budget:
+            return
+        self._memo_bytes += size - self._memo.pop(content_key, (None, 0))[1]
+        self._memo[content_key] = (response, size)
+        while self._memo_bytes > self._memo_budget:
+            _, evicted = self._memo.pop(next(iter(self._memo)))
+            self._memo_bytes -= evicted
+            self.counters["memo_evictions"] += 1
 
     # ------------------------------------------------------------------
     # tuned-choice auto-apply
@@ -280,7 +313,9 @@ class SolverService:
     def stats(self):
         cache = get_cache()
         return {
-            "service": dict(self.counters, draining=self.draining),
+            "service": dict(self.counters, draining=self.draining,
+                            memo_entries=len(self._memo),
+                            memo_bytes=self._memo_bytes),
             "coalescer": self.coalescer.stats(),
             "executor": self.executor.stats(),
             "jobs": self.jobs.stats(),
@@ -378,10 +413,21 @@ class SolverService:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            body = await reader.readexactly(length)
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            await _respond(writer, 400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            # Refused unread: the connection closes with the response.
+            self.counters["errors"] += 1
+            await _respond(writer, 413, {
+                "error": "request body too large",
+                "content_length": length, "limit": MAX_BODY_BYTES})
+            return
+        body = await reader.readexactly(length) if length else b""
         await self._route(writer, method.upper(), target, body)
 
     async def _route(self, writer, method, target, body):
@@ -471,7 +517,7 @@ class SolverService:
 async def _respond(writer, status, doc):
     reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
               404: "Not Found", 409: "Conflict",
-              500: "Internal Server Error",
+              413: "Payload Too Large", 500: "Internal Server Error",
               503: "Service Unavailable"}.get(status, "OK")
     body = json.dumps(doc, sort_keys=True).encode("utf-8")
     writer.write(

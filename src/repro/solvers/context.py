@@ -43,6 +43,7 @@ import abc
 import numpy as np
 
 from repro.core.errors import SolverError
+from repro.core.fields import fold_update
 from repro.core.norms import masked_dot
 from repro.kernels import resolve_kernels
 from repro.operators.blocked import BlockedOperator
@@ -269,6 +270,7 @@ class SerialContext(SolverContext):
         # ``alpha * x`` afresh on every call in the solver hot loop; the
         # out=-based path reuses this buffer instead.
         self._scratch = None
+        self._planar = None
         if decomp is not None:
             if decomp.ny != stencil.shape[0] or decomp.nx != stencil.shape[1]:
                 raise SolverError(
@@ -293,7 +295,8 @@ class SerialContext(SolverContext):
         return v.copy()
 
     def from_global(self, array):
-        return np.array(array, dtype=np.float64)
+        # C order: batch vectors are folded in place by the kernels.
+        return np.array(array, dtype=np.float64, order="C")
 
     def to_global(self, v):
         return v.copy()
@@ -329,18 +332,18 @@ class SerialContext(SolverContext):
     def _dot_columns(self, a, b):
         """Per-column masked dots of a multi-RHS pair, shape ``(nrhs,)``.
 
-        Each column is reduced on a *contiguous* copy so the pairwise
-        summation blocking (and hence every bit of the result) matches
-        the scalar path exactly; a strided reduction over the batch
-        layout could legally re-block the accumulation.
+        The product is formed in the batch layout, then masked *into* a
+        planar ``(nrhs, ny, nx)`` scratch, so each column is reduced as
+        one contiguous ``ny * nx`` chunk: the pairwise summation
+        blocking (and hence every bit of the result) matches the scalar
+        path exactly; a strided reduction over the batch layout could
+        legally re-block the accumulation.
         """
-        nrhs = a.shape[2]
-        value = np.empty(nrhs)
-        for j in range(nrhs):
-            value[j] = masked_dot(np.ascontiguousarray(a[..., j]),
-                                  np.ascontiguousarray(b[..., j]),
-                                  self._mask_f)
-        return value
+        prod = self._get_scratch(a)
+        np.multiply(a, b, out=prod)
+        planar = self._get_planar(a)
+        np.multiply(prod.transpose(2, 0, 1), self._mask_f, out=planar)
+        return np.sum(planar, axis=(1, 2))
 
     def dot(self, a, b, phase="reduction"):
         if a.ndim == 3:
@@ -417,33 +420,50 @@ class SerialContext(SolverContext):
             self._scratch = np.empty_like(like)
         return self._scratch
 
-    # Coefficients may be scalars or per-column ``(nrhs,)`` arrays --
-    # numpy's right-aligned broadcasting lines those up with the
-    # trailing RHS axis, and the per-element arithmetic is identical to
-    # the scalar path either way.
+    def _get_planar(self, like):
+        """``(nrhs, ny, nx)`` scratch for the column reductions."""
+        shape = like.shape[2:] + like.shape[:2]
+        if self._planar is None or self._planar.shape != shape:
+            self._planar = np.empty(shape)
+        return self._planar
+
+    @staticmethod
+    def _rows(coeffs, *vectors):
+        """Operands of an elementwise update: batch vectors and their
+        per-column ``(nrhs,)`` coefficients in the folded row layout
+        (:func:`~repro.core.fields.fold_update`), scalar 2-D vectors
+        untouched."""
+        if vectors[0].ndim != 3:
+            return coeffs, vectors
+        return fold_update(coeffs, vectors)
+
     def axpy(self, alpha, x, y, phase="computation"):
-        s = self._get_scratch(x)
-        np.multiply(x, alpha, out=s)
-        y += s
+        (alpha,), (fx, fy, s) = self._rows((alpha,), x, y,
+                                           self._get_scratch(x))
+        np.multiply(fx, alpha, out=s)
+        fy += s
         self.ledger.record_flops(phase, self._width(y) * self._critical)
         return y
 
     def xpay(self, x, beta, y, phase="computation"):
-        y *= beta
-        y += x
+        (beta,), (fx, fy) = self._rows((beta,), x, y)
+        fy *= beta
+        fy += fx
         self.ledger.record_flops(phase, self._width(y) * self._critical)
         return y
 
     def combine(self, a, x, b, y, phase="computation"):
-        y *= b
-        s = self._get_scratch(x)
-        np.multiply(x, a, out=s)
-        y += s
+        (a, b), (fx, fy, s) = self._rows((a, b), x, y,
+                                         self._get_scratch(x))
+        fy *= b
+        np.multiply(fx, a, out=s)
+        fy += s
         self.ledger.record_flops(phase, 2 * self._width(y) * self._critical)
         return y
 
     def scale(self, factor, v, phase="computation"):
-        v *= factor
+        (factor,), (fv,) = self._rows((factor,), v)
+        fv *= factor
         self.ledger.record_flops(phase, self._width(v) * self._critical)
         return v
 
@@ -600,15 +620,27 @@ class DistributedContext(SolverContext):
         return out
 
     # -- elementwise ---------------------------------------------------
-    # Coefficients may be scalars or per-column ``(nrhs,)`` arrays; the
-    # trailing RHS axis lines up with numpy's right-aligned
-    # broadcasting in both the stacked and per-rank layouts.
+    def _rows(self, coeffs, *fields):
+        """Stacked operands of an elementwise update, or ``None`` when a
+        field is per-rank.  Multi-RHS interiors and their per-column
+        ``(nrhs,)`` coefficients come back in the folded row layout
+        (:func:`~repro.core.fields.fold_update`)."""
+        if not self._batched(*fields):
+            return None
+        stacks = [f.interior_stack() for f in fields]
+        if fields[0].nrhs is None:
+            return coeffs, stacks
+        return fold_update(coeffs, stacks)
+
+    # The per-rank loops below are the parity oracle: coefficients
+    # (scalars or ``(nrhs,)`` arrays) broadcast over the trailing axis.
     def axpy(self, alpha, x, y, phase="computation"):
-        if self._batched(x, y):
-            xi = x.interior_stack()
+        rows = self._rows((alpha,), x, y)
+        if rows is not None:
+            (alpha,), (xi, yi) = rows
             s = self._get_scratch(xi)
             np.multiply(xi, alpha, out=s)
-            y.interior_stack()[...] += s
+            yi += s
         else:
             for rank in range(self.vm.num_ranks):
                 y.interior(rank)[...] += alpha * x.interior(rank)
@@ -616,10 +648,11 @@ class DistributedContext(SolverContext):
         return y
 
     def xpay(self, x, beta, y, phase="computation"):
-        if self._batched(x, y):
-            yi = y.interior_stack()
+        rows = self._rows((beta,), x, y)
+        if rows is not None:
+            (beta,), (xi, yi) = rows
             yi *= beta
-            yi += x.interior_stack()
+            yi += xi
         else:
             for rank in range(self.vm.num_ranks):
                 yi = y.interior(rank)
@@ -629,10 +662,10 @@ class DistributedContext(SolverContext):
         return y
 
     def combine(self, a, x, b, y, phase="computation"):
-        if self._batched(x, y):
-            yi = y.interior_stack()
+        rows = self._rows((a, b), x, y)
+        if rows is not None:
+            (a, b), (xi, yi) = rows
             yi *= b
-            xi = x.interior_stack()
             s = self._get_scratch(xi)
             np.multiply(xi, a, out=s)
             yi += s
@@ -645,8 +678,10 @@ class DistributedContext(SolverContext):
         return y
 
     def scale(self, factor, v, phase="computation"):
-        if self._batched(v):
-            v.interior_stack()[...] *= factor
+        rows = self._rows((factor,), v)
+        if rows is not None:
+            (factor,), (vi,) = rows
+            vi *= factor
         else:
             for rank in range(self.vm.num_ranks):
                 v.interior(rank)[...] *= factor

@@ -227,6 +227,104 @@ class TestDrawnConformance:
 
 
 # ----------------------------------------------------------------------
+# the folded row layout: a batch kernel is its column calls, bit for bit
+# ----------------------------------------------------------------------
+@st.composite
+def _batch_cases(draw):
+    case = draw(_cases())
+    case.update(
+        nrhs=draw(st.sampled_from((1, 2, 3, 8))),
+        context=draw(st.sampled_from(("serial", "batched"))),
+        poison=draw(st.sampled_from((None, np.nan, np.inf))),
+    )
+    return case
+
+
+def _primitives(ctx, x, y, alpha, beta):
+    """Every multi-RHS primitive once on ``(x, y)``: results as global
+    arrays (reductions stacked), plus the ledger they left."""
+    x, y = ctx.from_global(x), ctx.from_global(y)
+    out = {
+        "matvec": ctx.to_global(ctx.matvec(x)),
+        "dot": ctx.dot(x, y),
+        "pair": np.asarray(ctx.dot_pair(x, y, y, y)),
+        "block": ctx.dot_block([x, y], [y]),
+        "norm": ctx.norm2(x),
+        "axpy": ctx.to_global(ctx.axpy(alpha, x, ctx.copy(y))),
+        "xpay": ctx.to_global(ctx.xpay(x, beta, ctx.copy(y))),
+        "combine": ctx.to_global(ctx.combine(alpha, x, beta, ctx.copy(y))),
+        "scale": ctx.to_global(ctx.scale(alpha, ctx.copy(y))),
+    }
+    return out, ctx.ledger.snapshot()
+
+
+class TestDrawnBatchKernels:
+    @given(case=_batch_cases())
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_batch_primitives_equal_column_calls(self, case):
+        """The fused backend's folded stencil, the row-tiled updates and
+        the planar column dots against (a) the numpy reference (on the
+        per-rank oracle when distributed) and (b) the same call on each
+        column alone --
+        with one column's coefficients poisoned, which must stay in
+        that column."""
+        config = _config_with_land_blocks(
+            case["ny"], case["nx"], case["mby"], case["mbx"],
+            case["land_blocks"], case["seed"])
+        assume(config.n_ocean >= 20)
+        decomp = decompose(config.ny, config.nx, case["mby"], case["mbx"],
+                           mask=config.mask, halo_width=case["halo"])
+        nrhs = case["nrhs"]
+        rng = np.random.default_rng(case["seed"])
+        x = rng.standard_normal(config.shape + (nrhs,))
+        y = rng.standard_normal(config.shape + (nrhs,))
+        alpha, beta = rng.standard_normal((2, nrhs))
+        if case["poison"] is not None:
+            alpha[nrhs - 1] = beta[0] = case["poison"]
+
+        def context(engine, kernels):
+            if engine == "serial":
+                pre = make_preconditioner("diagonal", config.stencil)
+                return SerialContext(config.stencil, pre, decomp=decomp,
+                                     kernels=kernels)
+            vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
+            pre = make_preconditioner("diagonal", config.stencil,
+                                      decomp=decomp)
+            return DistributedContext(config.stencil, pre, vm,
+                                      kernels=kernels)
+
+        batch, ledger = _primitives(context(case["context"], "fused"),
+                                    x, y, alpha, beta)
+        # Serial and distributed reductions associate differently, so
+        # each context is held to the numpy reference of its own kind.
+        oracle, oracle_ledger = _primitives(
+            context("serial" if case["context"] == "serial" else "perrank",
+                    "numpy"), x, y, alpha, beta)
+        for name in batch:
+            assert np.array_equal(batch[name], oracle[name],
+                                  equal_nan=True), name
+        assert ledger == oracle_ledger
+        for j in range(nrhs):
+            column, column_ledger = _primitives(
+                context(case["context"], "fused"),
+                np.ascontiguousarray(x[..., j]),
+                np.ascontiguousarray(y[..., j]),
+                float(alpha[j]), float(beta[j]))
+            for name in batch:
+                assert np.array_equal(batch[name][..., j], column[name],
+                                      equal_nan=True), (name, j)
+            # One event per batch call, nrhs-fold flops and payload.
+            for phase, counts in column_ledger.items():
+                wide = ledger[phase]
+                assert wide.flops == nrhs * counts.flops
+                assert wide.halo_exchanges == counts.halo_exchanges
+                assert wide.halo_words == nrhs * counts.halo_words
+                assert wide.allreduces == counts.allreduces
+                assert wide.allreduce_words == nrhs * counts.allreduce_words
+
+
+# ----------------------------------------------------------------------
 # the guarded loop: one path for every width, resumable, recoverable
 # ----------------------------------------------------------------------
 @st.composite

@@ -204,6 +204,98 @@ class TestStencilParity:
         _assert_close(backend, outs["numpy"], outs[backend])
 
 
+@pytest.fixture(scope="module")
+def ragged_decomp(uniform_config):
+    d = decompose(uniform_config.ny, uniform_config.nx, 3, 5,
+                  mask=uniform_config.mask)
+    assert not d.is_uniform
+    return d
+
+
+class TestBatchStencilParity:
+    """The folded multi-RHS stencil: numpy reference and column calls."""
+
+    @pytest.mark.parametrize("nrhs", [1, 2, 3, 8])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_global_batch(self, uniform_config, backend, nrhs):
+        stencil = uniform_config.stencil
+        x = np.stack([_rhs(uniform_config, seed=j) for j in range(nrhs)],
+                     axis=-1)
+        ref = apply_stencil(stencil, x, kernels="numpy")
+        got = apply_stencil(stencil, x, kernels=backend)
+        _assert_close(backend, ref, got)
+        for j in range(nrhs):
+            column = apply_stencil(stencil, np.ascontiguousarray(x[..., j]),
+                                   kernels=backend)
+            _assert_close(backend, column, got[..., j])
+
+    @pytest.mark.parametrize("nrhs", [1, 2, 3, 8])
+    @pytest.mark.parametrize("layout", ["uniform", "ragged", "eliminated"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stacked_batch(self, request, backend, layout, nrhs):
+        config = request.getfixturevalue(
+            "eliminated_config" if layout == "eliminated"
+            else "uniform_config")
+        decomp = request.getfixturevalue(f"{layout}_decomp")
+        x = np.stack([_rhs(config, seed=j) for j in range(nrhs)], axis=-1)
+
+        def matvec(name, field):
+            vm = VirtualMachine(decomp, mask=config.mask, engine="batched")
+            op = BlockedOperator(config.stencil, decomp, kernels=name)
+            src = vm.scatter(field)
+            vm.exchange(src)
+            out = vm.zeros(nrhs=src.nrhs)
+            op.apply(src, out)
+            return vm.gather(out)
+
+        got = matvec(backend, x)
+        _assert_close(backend, matvec("numpy", x), got)
+        for j in range(nrhs):
+            column = matvec(backend, np.ascontiguousarray(x[..., j]))
+            _assert_close(backend, column, got[..., j])
+
+    def test_out_must_fold_in_place(self, uniform_config):
+        """A batch ``out`` whose trailing axes cannot merge is refused,
+        not silently written to a copy."""
+        from repro.core.errors import GridError
+
+        x = np.stack([_rhs(uniform_config)] * 2, axis=-1)
+        planar = np.empty((2,) + uniform_config.shape)
+        with pytest.raises(GridError, match="fold"):
+            apply_stencil(uniform_config.stencil, x,
+                          out=np.moveaxis(planar, 0, -1), kernels="fused")
+
+    def test_scratch_keeps_one_width(self, uniform_config, uniform_decomp):
+        """Columns retiring one by one (8, 7, ..., 1) leave one padded
+        buffer, one product buffer and one set of folded planes per
+        coefficient set -- and only the last few sets."""
+        from repro.kernels.fused import _MAX_FOLDED_SETS
+        from repro.operators import stencil_op
+
+        backend = FusedKernels()
+        stencil = uniform_config.stencil
+        x = np.stack([_rhs(uniform_config, seed=j) for j in range(8)],
+                     axis=-1)
+        for nrhs in range(8, 0, -1):
+            apply_stencil(stencil, np.ascontiguousarray(x[..., :nrhs]),
+                          kernels=backend)
+        assert len(backend._tmp) == 1
+        assert [(c is stencil, width)
+                for c, width, _ in backend._folded.values()] == [(True, 1)]
+        batch_pads = [buf for (shape, ndim, _), buf
+                      in stencil_op._PADDED_SCRATCH.items()
+                      if shape == uniform_config.shape and ndim == 3]
+        assert [buf.shape[2] for buf in batch_pads] == [1]
+
+        vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask)
+        src = vm.scatter(x)
+        vm.exchange(src)
+        for _ in range(_MAX_FOLDED_SETS + 2):
+            BlockedOperator(stencil, uniform_decomp, kernels=backend).apply(
+                src, vm.zeros(nrhs=8))
+        assert len(backend._folded) == _MAX_FOLDED_SETS
+
+
 class TestEVPParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("cfg_name", ["uniform", "eliminated"])

@@ -307,6 +307,62 @@ class TestServiceSolve:
         assert stats["service"]["dedup_memo"] == 1
         assert second["result"]["x"] == first["result"]["x"]
 
+    def test_retained_memory_is_bounded(self, fresh_cache):
+        """200 distinct requests: the memo keeps to its byte budget by
+        evicting least-recently-used responses, no solve stays in the
+        cache's memory tier, and a repeat still inside the budget is
+        answered from the memo with the first answer's bytes."""
+        _config, variants = _rhs_variants(200)
+        docs = [_request(rhs=rhs) for rhs in variants]
+
+        async def main():
+            probe = SolverService(jobs=0, max_batch=8, max_wait_ms=5)
+            await probe.start()
+            first = await probe.handle_solve(dict(docs[0]))
+            charged = probe.stats()["service"]["memo_bytes"]
+            await probe.shutdown()
+            entries_before = fresh_cache.stats()["memory_entries"]
+
+            budget = 20 * charged
+            service = SolverService(jobs=0, max_batch=8, max_wait_ms=5,
+                                    memo_bytes=budget)
+            await service.start()
+            answers = []
+            for start in range(0, len(docs), 8):
+                answers += await asyncio.gather(*[
+                    service.handle_solve(dict(doc))
+                    for doc in docs[start:start + 8]])
+                assert service.stats()["service"]["memo_bytes"] <= budget
+            recent = await service.handle_solve(dict(docs[-1]))
+            evicted = await service.handle_solve(dict(docs[0]))
+            stats = service.stats()
+            await service.shutdown()
+            return (first, charged, entries_before, budget, answers,
+                    recent, evicted, stats)
+
+        (first, charged, entries_before, budget, answers, recent, evicted,
+         stats) = asyncio.run(main())
+        assert charged >= len(first["result"]["x"]["data"])
+        assert stats["service"]["memo_entries"] == 20
+        assert stats["service"]["memo_bytes"] == 20 * charged <= budget
+        assert stats["service"]["memo_evictions"] == 181
+        assert recent["dedup"] and stats["service"]["dedup_memo"] == 1
+        assert recent["result"] == answers[-1]["result"]
+        # Evicted long ago: solved again, to the same bytes.
+        assert not evicted["dedup"]
+        assert evicted["result"]["x"] == answers[0]["result"]["x"]
+        assert stats["cache"]["memory_entries"] == entries_before
+        assert not any(category == "solve"
+                       for category, _key in fresh_cache._memory)
+
+    def test_memo_budget_is_capped(self, fresh_cache):
+        from repro.service.server import MEMO_BUDGET_BYTES
+
+        assert MEMO_BUDGET_BYTES <= 8 * 1024 * 1024
+        service = SolverService(jobs=0, memo_bytes=10 * MEMO_BUDGET_BYTES)
+        assert service._memo_budget == MEMO_BUDGET_BYTES
+        service.executor.shutdown()
+
     def test_default_solver_and_engine_filled(self, fresh_cache):
         async def main():
             service = SolverService(jobs=0, max_batch=1,
@@ -423,6 +479,38 @@ class TestHttpEndpoints:
             with pytest.raises(ServiceError) as err:
                 client.solve({"config": "test", "solver": "gmres"})
             assert err.value.status == 400
+
+    def test_oversized_body_is_413_before_it_is_read(self, fresh_cache):
+        import json
+        import socket
+
+        from repro.service.server import MAX_BODY_BYTES
+
+        def exchange(port, content_length):
+            # Headers only: a server that tried to read the body would
+            # hang until the socket timeout instead of answering.
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(
+                    f"POST /solve HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {content_length}\r\n\r\n".encode())
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(body)
+
+        with live_service(jobs=0) as (service, client):
+            status, doc = exchange(service.port, MAX_BODY_BYTES + 1)
+            assert status == 413
+            assert doc["limit"] == MAX_BODY_BYTES
+            assert doc["content_length"] == MAX_BODY_BYTES + 1
+            assert "too large" in doc["error"]
+            for bad in ("-5", "lots"):
+                status, doc = exchange(service.port, bad)
+                assert status == 400 and "Content-Length" in doc["error"]
+            assert client.stats()["service"]["errors"] == 1
+            assert client.healthz()["ok"]
 
     def test_unknown_route_is_404(self, fresh_cache):
         with live_service(jobs=0) as (_service, client):
