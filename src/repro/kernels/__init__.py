@@ -10,8 +10,8 @@ package makes their *implementation* selectable while guaranteeing the
     The vectorized reference -- readable, allocation-light, the oracle
     every other backend is validated against.
 ``fused``
-    Same IEEE operation sequence, executed through precompiled
-    flat-index programs with reused scratch (see
+    Same IEEE operation sequence, executed on layouts that make every
+    hot-loop operand a contiguous slice, with reused scratch (see
     :mod:`repro.kernels.fused`).  Bit-identical to ``numpy`` and the
     default under ``auto`` when numba is absent.
 ``numba``

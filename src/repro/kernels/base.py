@@ -21,8 +21,8 @@ construction and its LU-based ring correction -- live on
 :class:`~repro.precond.evp.EVPTileEngine` itself and are *not* routed
 through the backend (see the engine's docstrings).
 
-Per-engine precompiled state (flat gather indices, scratch buffers) is
-produced by :meth:`KernelBackend.prepare_evp` and handed back to every
+Per-engine precompiled state (layouts, marching programs, scratch
+buffers) is produced by :meth:`KernelBackend.prepare_evp` and handed back to every
 ``evp_solve`` call, so backends never key caches on engine identity.
 """
 
@@ -117,6 +117,37 @@ class KernelBackend:
         correction stays backend-independent.
         """
         raise NotImplementedError
+
+    def evp_slots(self, engine, plan):
+        """Where this backend keeps tile cell ``(pos, ty, tx)``.
+
+        Returns ``(y_slot, x_slot, x_size)``: two ``(B, my, mx)`` index
+        arrays giving each cell's row in the right-hand-side buffer
+        (``B * my * mx`` rows, every one used) and in the solution
+        buffer (``x_size`` rows) that :meth:`evp_run` works on.  A
+        caller that composes them with its own cell maps moves data in
+        and out of the backend's layout with one ``take`` each way
+        (:class:`~repro.precond.evp.EVPBlockPreconditioner` does).
+        The default is tile-major, the layout of :meth:`evp_solve`.
+        """
+        b, my, mx = engine.batch, engine.my, engine.mx
+        slot = np.arange(b * my * mx, dtype=np.intp).reshape(b, my, mx)
+        return slot, slot, slot.size
+
+    def evp_run(self, engine, plan, y, x, nrhs):
+        """:meth:`evp_solve` on buffers in the :meth:`evp_slots` layout.
+
+        ``y`` is ``(B * my * mx, n)`` and ``x`` ``(x_size, n)``, zero
+        when first passed and written by nothing else in between;
+        ``nrhs`` is ``None`` (``n == 1``) for a single right-hand side.
+        Rows of ``x`` no slot names are left untouched.  A backend may
+        compile programs over the two array objects, so a caller
+        passes the same objects for as long as it keeps a width.
+        """
+        shape = (engine.batch, engine.my, engine.mx)
+        if nrhs is not None:
+            shape += (nrhs,)
+        self.evp_solve(engine, plan, y.reshape(shape), out=x.reshape(shape))
 
     # ------------------------------------------------------------------
     def describe(self):

@@ -1,52 +1,57 @@
-"""The fused numpy backend: precompiled, scratch-reusing hot paths.
+"""The fused numpy backend: layouts that turn gathers into slices.
 
-Same arithmetic as the numpy reference -- bit-for-bit -- executed with
-far fewer interpreter dispatches and zero per-step allocations.  The
-wins, in order of importance:
+Same arithmetic as the numpy reference -- bit for bit -- executed on
+data laid out so that every operand of every hot loop is a contiguous
+slice: no index arrays, no per-step allocations, inner loops as long as
+the problem allows.
 
-* **Precompiled marching programs.**  Each anti-diagonal step of the
-  EVP marching recurrence is compiled at ``prepare_evp`` time into flat
-  gather/scatter index arrays over one 1-D buffer holding the padded
-  state *and* the right-hand side ``y`` (copied in once per solve).  A
-  step then executes as five numpy calls regardless of the stencil's
-  term count: a single ``take`` for the right-hand side and all
-  neighbor terms at once, one multiply by the pre-gathered
-  coefficients (the rhs row multiplies by an exact ``1.0``), one
-  ``np.subtract.reduce``, one multiply by ``1/ne`` and one scatter.
-  The reference needs ~3 calls plus two temporaries *per term*.
-* **Order-preserving reduction.**  ``np.subtract.reduce`` over the
-  stacked ``(terms + 1, B, L)`` scratch is a strict sequential left
-  fold (subtraction is not reorderable, so numpy cannot apply pairwise
-  regrouping), which reproduces the reference's term-by-term
-  ``rhs -= vals * p[src]`` order exactly -- this is what keeps the
-  backend bit-identical while fusing the loop.
-* **Fused edge residuals.**  The north and east unmarched equations
-  are evaluated together through one flat index program (they are
-  elementwise independent, so fusing the two edge loops cannot change
-  any result bit).  The sign identity ``-((y - t0) - t1 - ...) ==
-  ((-y) + t0) + t1 + ...`` (IEEE negation is exact and rounding is
-  sign-symmetric) lets the same subtract-reduce kernel serve here too.
-* **Scratch reuse everywhere.**  Padded marching states, gather
-  stacks, right-hand-side buffers and the stencil matvec's per-term
-  product buffer are allocated once per shape group and reused; the
-  hot loop performs no allocations at all.
+**EVP marching on a skewed, tile-innermost layout.**  The recurrence
+solves the equation centred on ``(j, i)`` for its north-east unknown,
+so all equations of one anti-diagonal ``j + i = d`` are independent and
+the sweep is a loop over ``d``.  A shape group's padded states are
+therefore stored anti-diagonal-major with the tile axis innermost,
+``S[J + I, J, tile]`` (``(my + mx + 3, my + 2, B)``), and its
+right-hand sides and coefficients packed in rows ordered by
+``(ty + tx, ty)``.  For the centres ``J = lo .. lo + L`` of diagonal
+``D`` every source is then one contiguous ``(L, B)`` block of ``S``::
 
-* **Folded multi-RHS stencil.**  A batch rides a trailing ``nrhs``
-  axis; broadcasting a 2-D coefficient plane over it runs numpy's
-  inner loop ``nrhs`` (2..8) elements at a time.  The stencil instead
-  views the padded source and the output with the ``(nx, nrhs)`` axes
-  merged into one row (neighbor ``di`` is a shift by ``di * nrhs``
-  along it) and multiplies by planes repeated ``nrhs``-fold once per
-  coefficient set: the same nine products and eight adds per element,
-  on full-length rows.  Global and stacked forms share the one loop.
+    c  -> S[D,   J]      nw -> S[D,   J+1]    se -> S[D,   J-1]
+    n  -> S[D+1, J+1]    e  -> S[D+1, J]      sw -> S[D-2, J-1]
+    s  -> S[D-1, J-1]    w  -> S[D-1, J]      target ne -> S[D+2, J+1]
 
-Multi-RHS EVP batches reuse the *same* flat index programs over a working
-buffer with a trailing ``nrhs`` axis: the ``take`` gathers whole rows
-of columns at once, the coefficient rows broadcast over the trailing
-axis, and the subtract-reduce stays a strict left fold per element --
-so each column's bits match the single-RHS program exactly while the
-dispatch cost is paid once for the whole batch.  Per-``nrhs`` scratch
-is pooled on the plan.
+and a step is ``multiply``/``subtract`` on prebuilt views in the
+reference's term order plus one ``multiply`` by ``1/ne`` written
+straight into the target slice.  The reference gathers the same values
+with fancy indexing and applies the same operations in the same order,
+so the state is bit-identical.  The unmarched north/east equations and
+the ring are lines of constant stride through ``S`` (``J`` fixed, or
+``J`` and ``D`` advancing together): strided views, still no indices.
+Nothing is zero-filled between sweeps -- the sweep writes every
+interior cell before reading it and never writes the padding border.
+
+**One program for every width.**  A batch folds its ``nrhs`` into the
+tile axis (``B * nrhs`` innermost, coefficient rows repeated
+``nrhs``-fold), so single- and multi-RHS solves run the same program on
+longer rows and each column sees the single-RHS operation sequence.  A
+plan keeps one working set -- programs, repeated coefficients, three
+``(k, B * nrhs)`` scratch rows -- for the one width and pair of buffers
+it was last handed.
+
+**Layout at the boundary.**  ``evp_slots`` publishes where each tile
+cell lives, so the preconditioner composes it with its own cell maps
+and moves a whole application in and out with one ``take`` each way
+(``EVPBlockPreconditioner._apply``); ``evp_solve`` does the same for a
+stand-alone tile-major batch.
+
+**Folded multi-RHS stencil.**  A batch rides a trailing ``nrhs`` axis;
+broadcasting a 2-D coefficient plane over it runs numpy's inner loop
+``nrhs`` (2..8) elements at a time.  The stencil instead views the
+padded source and the output with the ``(nx, nrhs)`` axes merged into
+one row (neighbor ``di`` is a shift by ``di * nrhs`` along it) and
+multiplies by planes repeated ``nrhs``-fold once per coefficient set:
+the same nine products and eight adds per element, on full-length rows,
+per-term products landing in a reused buffer.  Global and stacked forms
+share the one loop.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -67,212 +72,150 @@ _COEFF_ORDER = ("c",) + tuple(NEIGHBOR_OFFSETS)
 _MAX_FOLDED_SETS = 4
 
 
-class _MarchStep:
-    """One anti-diagonal step compiled to flat-index form."""
-
-    __slots__ = ("g_idx", "vals", "inv_ne", "tgt_idx", "gather", "rhs")
-
-    def __init__(self, g_idx, vals, inv_ne, tgt_idx, gather, rhs):
-        self.g_idx = g_idx      # (T+1, B, L) intp into the combined buffer
-        self.vals = vals        # (T+1, B, L) coefficients (row 0 is 1.0)
-        self.inv_ne = inv_ne    # (B, L)
-        self.tgt_idx = tgt_idx  # (B, L) intp into the state region
-        self.gather = gather    # (T+1, B, L) shared scratch
-        self.rhs = rhs          # (B, L) shared scratch
-
-
-class _MultiScratch:
-    """Per-``nrhs`` working set: the trailing-axis buffer plus scratch.
-
-    The index programs are ``nrhs``-independent; only the working
-    buffers change shape, so a plan keeps one of these per distinct
-    batch width it has seen.  The step coefficients are materialized
-    once with the trailing axis expanded (``vals``, ``invs``,
-    ``e_vals``): a same-shape contiguous multiply beats numpy's
-    broadcast of a ``(..., 1)`` view on every iteration, and repeating
-    a value along a new axis changes no products.
-    """
-
-    __slots__ = ("buf", "gathers", "rhss", "vals", "invs",
-                 "e_gather", "e_vals", "f")
-
-    def __init__(self, plan, b, k, nrhs):
-        self.buf = np.zeros((plan.buf.shape[0], nrhs))
-
-        def expand(a):
-            return np.ascontiguousarray(
-                np.broadcast_to(a[..., None], a.shape + (nrhs,)))
-
-        gather_pool = {}
-        rhs_pool = {}
-        self.gathers = []
-        self.rhss = []
-        self.vals = []
-        self.invs = []
-        for step in plan.steps:
-            rows, _, length = step.g_idx.shape
-            gkey = (rows, length)
-            if gkey not in gather_pool:
-                gather_pool[gkey] = np.empty((rows, b, length, nrhs))
-            if length not in rhs_pool:
-                rhs_pool[length] = np.empty((b, length, nrhs))
-            self.gathers.append(gather_pool[gkey])
-            self.rhss.append(rhs_pool[length])
-            self.vals.append(expand(step.vals))
-            self.invs.append(expand(step.inv_ne))
-        self.e_gather = np.empty((plan.e_gidx.shape[0], b, k, nrhs))
-        self.e_vals = expand(plan.e_vals)
-        self.f = np.empty((b, k, nrhs))
-
-
 class _EvpPlan:
-    """Precompiled marching/edge programs plus scratch for one engine.
+    """Skewed layout of one engine's tiles (width-independent part).
 
-    The working array ``buf`` concatenates the flat padded states of all
-    tiles (``buf[:split]``) with the flat right-hand sides
-    (``buf[split:]``, copied in once per solve).  Having both in one
-    buffer lets every marching step gather its rhs *and* all neighbor
-    terms with a single ``take``; the rhs row of ``vals`` is ``1.0``,
-    whose multiply is IEEE-exact, so the fused gather changes no bits.
+    A padded tile cell ``(J, I)`` of tile ``pos`` lives in state slot
+    ``((J + I) * (my + 2) + J) * B + pos``; the equation centred on
+    interior cell ``(ty, tx)`` has its right-hand side and coefficients
+    in row ``row[ty, tx]`` of the packed ``(my * mx, B)`` arrays:
+    marched centres ordered by ``(ty + tx, ty)``, then the unmarched
+    north- and east-edge centres in ring order.  ``bound`` is the one
+    :class:`_EvpWorkingSet` (one width, one pair of buffers) and
+    ``own`` the buffers and index maps of a stand-alone
+    :meth:`EVPTileEngine.solve`, built on first use.
     """
 
-    __slots__ = ("steps", "e_gidx", "e_vals", "e_gather", "f",
-                 "ring_idx", "buf", "split", "n_interior", "multi")
+    __slots__ = ("shape", "ty", "tx", "steps", "bound", "own")
 
     def __init__(self, engine):
-        b, my, mx = engine.batch, engine.my, engine.mx
-        width = mx + 2
-        n_pad = (my + 2) * width
-        n_int = my * mx
-        split = b * n_pad
-        boff_y = split + (np.arange(b, dtype=np.intp) * n_int)[:, None]
-        boff_p = (np.arange(b, dtype=np.intp) * n_pad)[:, None]
+        my, mx = engine.my, engine.mx
+        self.shape = (engine.batch, my, mx)
+        north = (np.full(mx, my - 1), np.arange(mx))
+        east = (np.arange(my - 1), np.full(my - 1, mx - 1))
+        centres = engine._diagonals + [north, east]
+        self.ty = np.concatenate([ty for ty, _ in centres]).astype(np.intp)
+        self.tx = np.concatenate([tx for _, tx in centres]).astype(np.intp)
+        #: Per marched anti-diagonal: first ``ty``, ``ty + tx``, length
+        #: and the terms the reference sweep does not skip there.
+        self.steps = [
+            (int(ty[0]), int(ty[0] + tx[0]), ty.size,
+             [term for term in engine.terms
+              if np.any(engine.coeffs[term[0]][:, ty, tx])])
+            for ty, tx in engine._diagonals]
+        self.bound = None
+        self.own = None
 
-        # -- marching steps --------------------------------------------
-        # Scratch is shared between steps of equal (terms, length) so a
-        # plan holds O(distinct shapes) buffers, not O(steps).
-        gather_pool = {}
-        rhs_pool = {}
-        self.steps = []
-        for y_src, inv_ne, target, terms in engine._march_steps:
-            rows = len(terms) + 1
-            length = y_src.shape[0]
-            gkey = (rows, length)
-            if gkey not in gather_pool:
-                gather_pool[gkey] = np.empty((rows, b, length))
-            if length not in rhs_pool:
-                rhs_pool[length] = np.empty((b, length))
-            g_idx = np.empty((rows, b, length), dtype=np.intp)
-            vals = np.empty((rows, b, length))
-            g_idx[0] = boff_y + np.asarray(y_src, dtype=np.intp)
-            vals[0] = 1.0
-            for t, (tvals, p_src) in enumerate(terms):
-                g_idx[t + 1] = boff_p + np.asarray(p_src, dtype=np.intp)
-                vals[t + 1] = tvals
-            self.steps.append(_MarchStep(
-                g_idx=g_idx,
-                vals=vals,
-                inv_ne=np.ascontiguousarray(inv_ne),
-                tgt_idx=boff_p + np.asarray(target, dtype=np.intp),
-                gather=gather_pool[gkey],
-                rhs=rhs_pool[length],
-            ))
+    def slots(self):
+        """``(y_slot, x_slot, x_size)`` of :meth:`KernelBackend.evp_slots`."""
+        b, my, mx = self.shape
+        pos = np.arange(b, dtype=np.intp)[:, None, None]
+        row = np.empty((my, mx), dtype=np.intp)
+        row[self.ty, self.tx] = np.arange(my * mx)
+        jj, ii = np.indices((my, mx))
+        return (row * b + pos,
+                ((jj + ii + 2) * (my + 2) + jj + 1) * b + pos,
+                (my + mx + 3) * (my + 2) * b)
 
-        # -- edge residuals (north then east, as in the reference) -----
-        north_tx = np.arange(mx, dtype=np.intp)
-        east_ty = np.arange(my - 1, dtype=np.intp)
-        # y indices of the unmarched equation centers, north then east.
-        y_src = np.concatenate([
-            (my - 1) * mx + north_tx,
-            east_ty * mx + (mx - 1),
-        ])
-        term_rows = [boff_y + y_src]
-        val_rows = [np.ones((b, engine.k))]
+
+class _EvpWorkingSet:
+    """The marching programs of one engine over one pair of buffers.
+
+    ``y`` is the packed right-hand side ``(my * mx * B, n)`` and ``x``
+    the skewed state ``(x_size, n)``; viewed with the tile and RHS axes
+    merged (``B * n`` innermost), every operand of the recurrence for
+    one anti-diagonal is a contiguous ``(L, B * n)`` slice, so a program
+    is a flat list of ``(ufunc, a, b, out)`` on prebuilt views.  The
+    coefficient rows are repeated ``n``-fold once, here.
+    """
+
+    __slots__ = ("y", "x", "march", "edges", "f", "f_tiles", "south",
+                 "west", "rhs_edge")
+
+    def __init__(self, engine, plan, y, x):
+        b, my, mx, k = engine.batch, engine.my, engine.mx, engine.k
+        n = y.shape[1]
+        bn = b * n
+        self.y, self.x = y, x
+        rhs = y.reshape(my * mx, bn)
+        state = x.reshape(my + mx + 3, my + 2, bn)
+        flat = x.reshape((my + mx + 3) * (my + 2), bn)
+        n_march = (my - 1) * (mx - 1)
+
+        def packed(values, rows=slice(None)):
+            return np.repeat(values[:, plan.ty[rows], plan.tx[rows]].T, n,
+                             axis=1)
+
+        def line(j, i, dj, di, count):
+            """``count`` cells from padded ``(j, i)`` stepping by
+            ``(dj, di)``: rows of ``flat`` a constant stride apart."""
+            start = (j + i) * (my + 2) + j
+            step = (dj + di) * (my + 2) + dj
+            return flat[start:start + step * count:step]
+
+        coeff = {name: packed(engine.coeffs[name])
+                 for name, _, _ in engine.terms}
+        inv_ne = 1.0 / packed(engine.coeffs["ne"], slice(n_march))
+        acc, t, self.f = np.empty((3, k, bn))
+
+        self.march = march = []
+        a = 0
+        for lo, d, length, terms in plan.steps:
+            z = a + length
+            cur = rhs[a:z]
+            for name, dj, di in terms:
+                src = state[d + 2 + dj + di, lo + 1 + dj:lo + 1 + dj + length]
+                march.append((np.multiply, coeff[name][a:z], src, t[:length]))
+                march.append((np.subtract, cur, t[:length], acc[:length]))
+                cur = acc[:length]
+            march.append((np.multiply, cur, inv_ne[a:z],
+                          state[d + 4, lo + 2:lo + 2 + length]))
+            a = z
+
+        # Unmarched equations: north edge west to east, then east edge
+        # south to north -- ``f = -y + sum(coeff * p)``, NE term last.
+        self.rhs_edge = rhs[n_march:]
+        self.edges = edges = []
         for name, dj, di in list(engine.terms) + [("ne", 1, 1)]:
-            coeff = engine.coeffs[name]
-            src = np.concatenate([
-                (my + dj) * width + (north_tx + 1 + di),
-                (east_ty + 1 + dj) * width + (mx + di),
-            ])
-            term_rows.append(boff_p + src)
-            val_rows.append(np.concatenate(
-                [coeff[:, my - 1, :], coeff[:, :my - 1, mx - 1]], axis=1))
-        self.e_gidx = np.ascontiguousarray(np.stack(term_rows))
-        self.e_vals = np.ascontiguousarray(np.stack(val_rows))
-        self.e_gather = np.empty((self.e_gidx.shape[0], b, engine.k))
-        self.f = np.empty((b, engine.k))
+            c = (coeff[name][n_march:] if name in coeff
+                 else packed(engine.coeffs[name], slice(n_march, None)))
+            edges.append((np.multiply, c[:mx],
+                          line(my + dj, 1 + di, 0, 1, mx), t[:mx]))
+            edges.append((np.multiply, c[mx:],
+                          line(1 + dj, mx + di, 1, 0, my - 1), t[mx:]))
+            edges.append((np.add, self.f, t, self.f))
+        #: The residuals as ``ring_correction`` takes them, ``(B, k, n)``.
+        self.f_tiles = self.f.reshape(k, b, n).transpose(1, 0, 2)
+        self.south = line(1, 1, 0, 1, mx).reshape(mx, b, n)
+        self.west = line(2, 1, 1, 0, my - 1).reshape(my - 1, b, n)
 
-        # -- ring scatter and the combined working buffer --------------
-        self.ring_idx = boff_p + (
-            engine._ring_rows * width + engine._ring_cols
-        ).astype(np.intp)
-        self.buf = np.zeros(split + b * n_int)
-        self.split = split
-        self.n_interior = n_int
-        #: Per-``nrhs`` :class:`_MultiScratch`, built on first use.
-        self.multi = {}
+    def solve(self, engine, nrhs):
+        """March from a zero ring, correct the ring, march again.
 
-    def multi_scratch(self, b, k, nrhs):
-        ms = self.multi.get(nrhs)
-        if ms is None:
-            ms = _MultiScratch(self, b, k, nrhs)
-            self.multi[nrhs] = ms
-        return ms
-
-
-def _run_march(plan, buf):
-    """Execute the precompiled marching program on the combined buffer.
-
-    Every elementwise operation matches the reference sweep's sequence
-    (gather rhs, subtract the terms in order, multiply by ``1/ne``,
-    scatter), so the filled state is bit-identical to
-    ``EVPTileEngine._march``.
-    """
-    take = buf.take
-    for step in plan.steps:
-        gather = step.gather
-        take(step.g_idx, out=gather, mode="clip")
-        np.multiply(gather, step.vals, out=gather)
-        np.subtract.reduce(gather, axis=0, out=step.rhs)
-        np.multiply(step.rhs, step.inv_ne, out=step.rhs)
-        buf[step.tgt_idx] = step.rhs
+        Only ring cells are reset: every other interior cell is written
+        by the sweep before anything reads it, and the padding border
+        is never written, so it stays zero.
+        """
+        self.south[...] = 0.0
+        self.west[...] = 0.0
+        _run(self.march)
+        np.negative(self.rhs_edge, out=self.f)
+        _run(self.edges)
+        if nrhs is None:
+            # The single-RHS correction is a matmul on contiguous rows.
+            ring = engine.ring_correction(
+                np.ascontiguousarray(self.f_tiles[..., 0]))[..., None]
+        else:
+            ring = engine.ring_correction(self.f_tiles)
+        mx = self.south.shape[0]
+        self.south[...] = ring[:, :mx].transpose(1, 0, 2)
+        self.west[...] = ring[:, mx:].transpose(1, 0, 2)
+        _run(self.march)
 
 
-def _run_edges(plan, buf):
-    """Edge residuals through the same subtract-reduce kernel."""
-    gather = plan.e_gather
-    buf.take(plan.e_gidx, out=gather, mode="clip")
-    np.multiply(gather, plan.e_vals, out=gather)
-    np.subtract.reduce(gather, axis=0, out=plan.f)
-    np.negative(plan.f, out=plan.f)
-    return plan.f
-
-
-def _run_march_multi(plan, ms):
-    """Marching program over the ``(N, nrhs)`` buffer.
-
-    Identical left-fold arithmetic per column -- the coefficient rows
-    broadcast over the trailing axis, so each column executes exactly
-    the single-RHS operation sequence.
-    """
-    buf = ms.buf
-    for step, gather, rhs, vals, inv in zip(plan.steps, ms.gathers,
-                                            ms.rhss, ms.vals, ms.invs):
-        np.take(buf, step.g_idx, axis=0, out=gather, mode="clip")
-        np.multiply(gather, vals, out=gather)
-        np.subtract.reduce(gather, axis=0, out=rhs)
-        np.multiply(rhs, inv, out=rhs)
-        buf[step.tgt_idx] = rhs
-
-
-def _run_edges_multi(plan, ms):
-    """Edge residuals over the ``(N, nrhs)`` buffer."""
-    gather = ms.e_gather
-    np.take(ms.buf, plan.e_gidx, axis=0, out=gather, mode="clip")
-    np.multiply(gather, ms.e_vals, out=gather)
-    np.subtract.reduce(gather, axis=0, out=ms.f)
-    np.negative(ms.f, out=ms.f)
-    return ms.f
+def _run(program):
+    for op, a, b, out in program:
+        op(a, b, out=out)
 
 
 class FusedKernels(KernelBackend):
@@ -379,43 +322,31 @@ class FusedKernels(KernelBackend):
     def prepare_evp(self, engine):
         return _EvpPlan(engine)
 
+    def evp_slots(self, engine, plan):
+        return plan.slots()
+
+    def evp_run(self, engine, plan, y, x, nrhs):
+        ws = plan.bound
+        if ws is None or ws.y is not y or ws.x is not x:
+            ws = plan.bound = _EvpWorkingSet(engine, plan, y, x)
+        ws.solve(engine, nrhs)
+
     def evp_solve(self, engine, plan, y, out=None):
         y = validate_evp_shapes(engine, y)
-        b, my, mx = engine.batch, engine.my, engine.mx
-        if y.ndim == 4:
-            return self._evp_solve_columns(engine, plan, y, out)
-        buf, split = plan.buf, plan.split
-        state = buf[:split]
-        buf[split:] = y.reshape(b * plan.n_interior)
-        state.fill(0.0)
-        _run_march(plan, buf)
-        f = _run_edges(plan, buf)
-        ring = engine.ring_correction(f)
-        state.fill(0.0)
-        buf[plan.ring_idx] = ring
-        _run_march(plan, buf)
-        x = state.reshape(b, my + 2, mx + 2)[:, 1:my + 1, 1:mx + 1]
+        nrhs = y.shape[3] if y.ndim == 4 else None
+        n = nrhs or 1
+        if plan.own is None or plan.own[0].shape[1] != n:
+            y_slot, x_slot, x_size = plan.slots()
+            # Tile-major cell behind every packed right-hand-side row.
+            y_src = np.empty(y_slot.size, dtype=np.intp)
+            y_src[y_slot.ravel()] = np.arange(y_slot.size)
+            plan.own = (np.empty((y_slot.size, n)), np.zeros((x_size, n)),
+                        y_src, x_slot)
+        yb, xb, y_src, x_slot = plan.own
+        np.take(y.reshape(-1, n), y_src, axis=0, out=yb, mode="clip")
+        self.evp_run(engine, plan, yb, xb, nrhs)
         if out is None:
-            return x.copy()
-        out[...] = x
-        return out
-
-    def _evp_solve_columns(self, engine, plan, y, out):
-        b, my, mx = engine.batch, engine.my, engine.mx
-        nrhs = y.shape[3]
-        ms = plan.multi_scratch(b, engine.k, nrhs)
-        buf, split = ms.buf, plan.split
-        state = buf[:split]
-        buf[split:] = y.reshape(b * plan.n_interior, nrhs)
-        state.fill(0.0)
-        _run_march_multi(plan, ms)
-        f = _run_edges_multi(plan, ms)
-        ring = engine.ring_correction(f)
-        state.fill(0.0)
-        buf[plan.ring_idx] = ring
-        _run_march_multi(plan, ms)
-        x = state.reshape(b, my + 2, mx + 2, nrhs)[:, 1:my + 1, 1:mx + 1]
-        if out is None:
-            return x.copy()
-        out[...] = x
+            out = np.empty_like(y)
+        np.take(xb if nrhs else xb[:, 0], x_slot, axis=0, out=out,
+                mode="clip")
         return out

@@ -193,6 +193,14 @@ def _copy_value(value):
     return value
 
 
+def _finite_or_none(value):
+    """A measured size for a recovery document: ``None`` when it is not
+    finite (the message says which), so that documents of two runs
+    compare equal and stay strict JSON."""
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 def _field_words(value):
     """Words a piece of state contributes to the buddy-send payload."""
     if hasattr(value, "locals_"):
@@ -459,10 +467,13 @@ class ResilienceRuntime:
         post = self.ring_checksums(field)
         self.counters["halo_checks"] += 1
         self.seconds += time.perf_counter() - t0
-        if np.array_equal(pre, post):
+        # NaN-aware: a ring that was already non-finite before delivery
+        # still matches its own checksum, so the solver's non-finite
+        # residual check diagnoses it instead of a false SDC suspect.
+        if np.array_equal(pre, post, equal_nan=True):
             return
         bad = [r for r in range(len(pre))
-               if not np.array_equal(pre[r], post[r])]
+               if not np.array_equal(pre[r], post[r], equal_nan=True)]
         rank = bad[0] if bad else None
         raise self.suspect(
             f"halo payload checksum mismatch on rank(s) {bad}",
@@ -498,7 +509,7 @@ class ResilienceRuntime:
                 "matvec row-sum checksum violated "
                 f"(|sum(Ax) - dot(A1, x)| = {np.max(err):.3e})",
                 detail={"check": "matvec_rowsum",
-                        "error": float(np.max(err))})
+                        "error": _finite_or_none(np.max(err))})
 
     def crosscheck_residual(self, state):
         """Verify the recurrence residual against ``b - A x``.
@@ -541,7 +552,7 @@ class ResilienceRuntime:
                 "residual cross-check failed: recurrence residual "
                 f"disagrees with b - Ax by {np.max(dnorm):.3e}",
                 detail={"check": "residual_crosscheck",
-                        "drift": float(np.max(dnorm))})
+                        "drift": _finite_or_none(np.max(dnorm))})
 
     def _ensure_rowsum(self):
         """Lazily build and cache ``A 1`` (row sums of the operator)."""

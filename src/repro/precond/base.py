@@ -21,7 +21,8 @@ import abc
 
 import numpy as np
 
-from repro.core.errors import SolverError
+from repro.core.errors import GridError, SolverError
+from repro.core.fields import fold_rows
 from repro.kernels import resolve_kernels
 
 
@@ -53,6 +54,8 @@ class Preconditioner(abc.ABC):
         self.decomp = decomp
         self.kernels = resolve_kernels(kernels)
         self.mask = np.asarray(stencil.mask, dtype=bool)
+        #: Planes repeated along the folded row axis (see :meth:`_times`).
+        self._folded = {}
 
     # ------------------------------------------------------------------
     # application
@@ -147,17 +150,32 @@ class Preconditioner(abc.ABC):
             return self.stencil.shape[0] * self.stencil.shape[1]
         return self.decomp.max_block_points()
 
-    @staticmethod
-    def _bcast(coeff, data):
-        """Broadcast a mask/coefficient array over a trailing RHS axis.
+    def _times(self, data, plane, out, key):
+        """``out = data * plane`` for a grid-shaped ``plane``.
 
-        Multi-RHS data carries one more (trailing) axis than the 2-D
-        coefficient; numpy's right-aligned broadcasting would misalign
-        them, so the coefficient gets an explicit trailing axis.  For
-        matching ranks this is the identity, keeping the single-RHS
-        arithmetic byte-for-byte unchanged.
+        A batch carries one more (trailing) axis than the plane.
+        Broadcasting the plane over it would run inner loops of
+        ``nrhs`` elements, so the batch is multiplied in the folded row
+        layout (:func:`repro.core.fields.fold_rows`) by the plane
+        repeated ``nrhs``-fold -- the same products on full-length
+        rows.  ``key`` names the plane (each keeps one width: a batch
+        only narrows within a solve); matching ranks multiply directly,
+        the single-RHS arithmetic byte-for-byte unchanged.
         """
-        return coeff[..., None] if data.ndim > coeff.ndim else coeff
+        if out is None:
+            out = np.empty(data.shape, dtype=np.result_type(data, plane))
+        if data.ndim == plane.ndim:
+            return np.multiply(data, plane, out=out)
+        rows = self._folded.get(key)
+        if rows is None or rows.shape[-1] != plane.shape[-1] * data.shape[-1]:
+            rows = self._folded[key] = np.repeat(plane, data.shape[-1],
+                                                 axis=-1)
+        try:
+            data = fold_rows(data)
+        except GridError:  # an operand that is only read may be copied
+            data = fold_rows(np.ascontiguousarray(data))
+        np.multiply(data, rows, out=fold_rows(out))
+        return out
 
     @property
     def is_spd(self):

@@ -124,8 +124,7 @@ class BlockLUPreconditioner(Preconditioner):
             out[...] = 0.0
         for (rank, j0, j1, i0, i1), factor in zip(self._tiles, self._factors):
             out[j0:j1, i0:i1] = self._solve_tile(factor, r[j0:j1, i0:i1])
-        out *= self._bcast(self._mask_f, out)
-        return out
+        return self._times(out, self._mask_f, out, None)
 
     def apply_block(self, rank, r_interior, out=None):
         block = self._rank_block(rank)
@@ -141,8 +140,7 @@ class BlockLUPreconditioner(Preconditioner):
             y = r_interior[j0 - block.j0:j1 - block.j0, i0 - block.i0:i1 - block.i0]
             out[j0 - block.j0:j1 - block.j0,
                 i0 - block.i0:i1 - block.i0] = self._solve_tile(factor, y)
-        out *= self._bcast(self._mask_f[block.slices], out)
-        return out
+        return self._times(out, self._mask_f[block.slices], out, rank)
 
     def apply_stack(self, r_stack, out=None):
         """Stacked application: one pass over all tiles.
@@ -168,8 +166,7 @@ class BlockLUPreconditioner(Preconditioner):
                 i0 - block.i0:i1 - block.i0] = self._solve_tile(factor, y)
         if self._mask_f_stack is None:
             self._mask_f_stack = self.decomp.stack_interiors(self._mask_f)
-        out *= self._bcast(self._mask_f_stack, out)
-        return out
+        return self._times(out, self._mask_f_stack, out, "stack")
 
     # ------------------------------------------------------------------
     def apply_flops(self, rank=None):

@@ -37,18 +37,12 @@ class DiagonalPreconditioner(Preconditioner):
         return self._inv_diag
 
     def apply_global(self, r, out=None):
-        if out is None:
-            out = np.empty_like(r)
-        np.multiply(r, self._bcast(self._inv_diag, r), out=out)
-        return out
+        return self._times(r, self._inv_diag, out, None)
 
     def apply_block(self, rank, r_interior, out=None):
         block = self._rank_block(rank)
         inv = self._inv_diag if block is None else self._inv_diag[block.slices]
-        if out is None:
-            out = np.empty_like(r_interior)
-        np.multiply(r_interior, self._bcast(inv, r_interior), out=out)
-        return out
+        return self._times(r_interior, inv, out, rank)
 
     def apply_stack(self, r_stack, out=None):
         """One vectorized reciprocal-diagonal multiply over the stack."""
@@ -56,11 +50,7 @@ class DiagonalPreconditioner(Preconditioner):
             return super().apply_stack(r_stack, out=out)
         if self._inv_diag_stack is None:
             self._inv_diag_stack = self.decomp.stack_interiors(self._inv_diag)
-        if out is None:
-            out = np.empty_like(r_stack)
-        np.multiply(r_stack, self._bcast(self._inv_diag_stack, r_stack),
-                    out=out)
-        return out
+        return self._times(r_stack, self._inv_diag_stack, out, "stack")
 
     def apply_flops(self, rank=None):
         """One multiply per point: the paper's ``T_p = n^2 theta``."""

@@ -133,7 +133,8 @@ class EVPTileEngine:
         self._diagonals = self._build_diagonals()
         self._ring_rows, self._ring_cols = self._ring_indices()
         self._march_steps = self._build_march_steps()
-        self._march_scratch = {}
+        #: Reference-sweep scratch by length, for one batch width.
+        self._march_scratch = (None, {})
         self._w = None
         self._r = None
         if influence is not None:
@@ -149,8 +150,8 @@ class EVPTileEngine:
         # batched BLAS matmul ``f @ R^T`` (see :meth:`ring_correction`).
         self._rT = np.ascontiguousarray(np.swapaxes(self._r, 1, 2))
         self._ring_scratch = np.empty((self.batch, 1, self.k))
-        #: Per-``nrhs`` scratch pair for the multi-RHS ring correction.
-        self._ring_multi = {}
+        #: Scratch pair of the multi-RHS ring correction (one width).
+        self._ring_multi = None
         self._plan = self.kernels.prepare_evp(self)
 
     # ------------------------------------------------------------------
@@ -275,14 +276,16 @@ class EVPTileEngine:
 
     def _rhs_scratch(self, length, nrhs=None):
         """The reused ``(B, length[, nrhs])`` right-hand-side buffer."""
-        key = length if nrhs is None else (length, nrhs)
-        buf = self._march_scratch.get(key)
+        if self._march_scratch[0] != nrhs:
+            # Widths only shrink within a solve: keep the current one.
+            self._march_scratch = (nrhs, {})
+        pool = self._march_scratch[1]
+        buf = pool.get(length)
         if buf is None:
             shape = (self.batch, length)
             if nrhs is not None:
                 shape += (nrhs,)
-            buf = np.empty(shape)
-            self._march_scratch[key] = buf
+            buf = pool[length] = np.empty(shape)
         return buf
 
     def _edge_residuals(self, p, y):
@@ -429,12 +432,10 @@ class EVPTileEngine:
         """
         if f.ndim == 3:
             nrhs = f.shape[2]
-            scratch = self._ring_multi.get(nrhs)
-            if scratch is None:
-                scratch = (np.empty((nrhs, f.shape[0], 1, self.k)),
-                           np.empty((nrhs, f.shape[0], self.k)))
-                self._ring_multi[nrhs] = scratch
-            rows, cols = scratch
+            if self._ring_multi is None or len(self._ring_multi[0]) != nrhs:
+                self._ring_multi = (np.empty((nrhs, f.shape[0], 1, self.k)),
+                                    np.empty((nrhs, f.shape[0], self.k)))
+            rows, cols = self._ring_multi
             # (nrhs, B, k): column-major over the batch so every slice
             # is the contiguous row vector the single path sees.
             cols[...] = np.moveaxis(f, 2, 0)
@@ -457,6 +458,14 @@ class EVPTileEngine:
         edge residuals -> :meth:`ring_correction` -> march again.
         """
         return self.kernels.evp_solve(self, self._plan, y, out=out)
+
+    def slots(self):
+        """The backend's cell layout (:meth:`KernelBackend.evp_slots`)."""
+        return self.kernels.evp_slots(self, self._plan)
+
+    def solve_slots(self, y, x, nrhs):
+        """:meth:`solve` on buffers laid out as :meth:`slots` says."""
+        self.kernels.evp_run(self, self._plan, y, x, nrhs)
 
     # ------------------------------------------------------------------
     # cost accounting (paper section 4.2 / 4.3)
@@ -553,11 +562,24 @@ class EVPBlockPreconditioner(Preconditioner):
         self._tiles = self._make_tiles()
         self._engines, self._groups = self._build_engines(influence_state)
         self._mask_f = self.mask.astype(np.float64)
-        self._gather_idx = self._build_gather_indices()
-        self._stack_idx = None
-        self._stack_ident = None
-        self._block_idx = None
-        self._mask_f_stack = None
+        # Every group's right-hand sides share one buffer and every
+        # group's solutions another (row ``_x_size`` is never written:
+        # the zero that cells outside all tiles read back).
+        self._layout = []
+        self._y_size = self._x_size = 0
+        for shape, engine in self._engines.items():
+            x_size = engine.slots()[2]
+            y_size = engine.batch * shape[0] * shape[1]
+            self._layout.append((
+                shape, engine,
+                slice(self._y_size, self._y_size + y_size),
+                slice(self._x_size, self._x_size + x_size)))
+            self._y_size += y_size
+            self._x_size += x_size
+        #: Compiled cell maps per layout (global, stack, a rank's block).
+        self._maps = {}
+        #: The buffers and each engine's views of them, for one width.
+        self._work = None
         self._rank_solve_flops = self._accumulate_rank_flops(
             EVPTileEngine.solve_flops_per_tile)
         self._rank_setup_flops = self._accumulate_rank_flops(
@@ -652,23 +674,6 @@ class EVPBlockPreconditioner(Preconditioner):
         """Number of EVP tiles across the whole grid."""
         return len(self._tiles)
 
-    def _build_gather_indices(self):
-        """Per shape-group ``(JJ, II)`` index arrays of shape
-        ``(B, my, mx)`` so one fancy-indexing gather/scatter moves every
-        tile of the group at once (tiles are disjoint, so scatters never
-        collide)."""
-        out = {}
-        for shape, tile_indices in self._groups.items():
-            my, mx = shape
-            jj = np.empty((len(tile_indices), my, mx), dtype=np.intp)
-            ii = np.empty((len(tile_indices), my, mx), dtype=np.intp)
-            for pos, tidx in enumerate(tile_indices):
-                _, j0, j1, i0, i1 = self._tiles[tidx]
-                jj[pos] = np.arange(j0, j1)[:, None]
-                ii[pos] = np.arange(i0, i1)[None, :]
-            out[shape] = (jj, ii)
-        return out
-
     def _accumulate_rank_flops(self, per_tile):
         totals = {}
         for tidx, (trank, j0, j1, i0, i1) in enumerate(self._tiles):
@@ -679,154 +684,110 @@ class EVPBlockPreconditioner(Preconditioner):
     # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------
-    def apply_global(self, r, out=None):
-        if out is None:
-            out = np.zeros_like(r)
-        else:
-            out[...] = 0.0
-        for shape in self._groups:
-            engine = self._engines[shape]
-            jj, ii = self._gather_idx[shape]
-            x = engine.solve(r[jj, ii])
-            out[jj, ii] = x
-        out *= self._bcast(self._mask_f, out)
-        return out
+    def _compile(self, key):
+        """Cell maps of one layout: where every tile cell sits in it.
 
-    def _build_block_indices(self):
-        """Per-rank gather/scatter programs for :meth:`apply_block`.
-
-        For each rank and shape group: the batch positions of the
-        rank's tiles plus ``(n, my, mx)`` index arrays into the rank's
-        interior, so one application moves all of a rank's tiles with
-        two fancy-indexing operations instead of a per-tile Python
-        loop.  Tiles are disjoint, so the scatters never collide and
-        the result matches the per-tile loop bit for bit.
+        ``key`` is ``None`` (the global grid), ``"stack"`` (stacked rank
+        interiors) or a rank (its block interior).  Returns ``(y_dst,
+        y_src, x_idx, engines, mask)``: the solve reads layout cell
+        ``y_src[i]`` into right-hand-side row ``y_dst[i]`` (``None``:
+        row ``i``, every row is some tile's) and cell ``c`` reads its
+        solution back from row ``x_idx[c]``, the zero row when no tile
+        covers it (eliminated land blocks, pad cells of ragged stacks).
+        A rank's map names only its own tiles; the others solve zeros.
         """
-        blocks = self.decomp.active_blocks
-        per_rank = {rank: [] for rank in range(len(blocks))}
-        for shape, tile_indices in self._groups.items():
-            my, mx = shape
-            by_rank = {}
-            for pos, tidx in enumerate(tile_indices):
+        blocks = None if self.decomp is None else self.decomp.active_blocks
+        if key is None:
+            shape, mask = self.stencil.shape, self._mask_f
+        elif key == "stack":
+            shape = (len(blocks),) + self.decomp.max_block_shape()
+            mask = self.decomp.stack_interiors(self._mask_f)
+        else:
+            shape = (blocks[key].ny, blocks[key].nx)
+            mask = self._mask_f[blocks[key].slices]
+        cell = np.arange(int(np.prod(shape)), dtype=np.intp).reshape(shape)
+        x_idx = np.full(shape, self._x_size, dtype=np.intp)
+        dst, src, engines = [], [], []
+        for group, engine, y_rows, x_rows in self._layout:
+            y_slot, x_slot, _ = engine.slots()
+            for pos, tidx in enumerate(self._groups[group]):
                 rank, j0, j1, i0, i1 = self._tiles[tidx]
-                by_rank.setdefault(rank, []).append((pos, j0, j1, i0, i1))
-            for rank, entries in by_rank.items():
-                block = blocks[rank]
-                n = len(entries)
-                positions = np.empty(n, dtype=np.intp)
-                jj = np.empty((n, my, mx), dtype=np.intp)
-                ii = np.empty((n, my, mx), dtype=np.intp)
-                for t, (pos, j0, j1, i0, i1) in enumerate(entries):
-                    positions[t] = pos
-                    jj[t] = np.arange(j0 - block.j0, j1 - block.j0)[:, None]
-                    ii[t] = np.arange(i0 - block.i0, i1 - block.i0)[None, :]
-                per_rank[rank].append((shape, positions, jj, ii))
-        return per_rank
+                if key is None:
+                    window = (slice(j0, j1), slice(i0, i1))
+                elif key == "stack" or key == rank:
+                    b = blocks[rank]
+                    window = (slice(j0 - b.j0, j1 - b.j0),
+                              slice(i0 - b.i0, i1 - b.i0))
+                    if key == "stack":
+                        window = (rank,) + window
+                else:
+                    continue
+                x_idx[window] = x_rows.start + x_slot[pos]
+                dst.append(y_rows.start + y_slot[pos].ravel())
+                src.append(cell[window].ravel())
+                if engine not in engines:
+                    engines.append(engine)
+        dst, src = np.concatenate(dst), np.concatenate(src)
+        if dst.size == self._y_size:
+            y_src = np.empty_like(src)
+            y_src[dst] = src
+            dst, src = None, y_src
+        return dst, src, x_idx, engines, mask
+
+    def _working_set(self, n):
+        """Buffers ``(y, x)`` of width ``n`` plus each engine's views.
+
+        One width at a time (a batch only narrows within a solve); the
+        engines rebuild their programs when handed new views.
+        """
+        if self._work is None or self._work[0].shape[1] != n:
+            y = np.empty((self._y_size, n))
+            x = np.zeros((self._x_size + 1, n))
+            views = {engine: (y[y_rows], x[x_rows])
+                     for _, engine, y_rows, x_rows in self._layout}
+            self._work = (y, x, views)
+        return self._work
+
+    def _apply(self, key, r, out):
+        """Take ``r`` into the engines' layout, solve, take ``out`` back."""
+        if key not in self._maps:
+            self._maps[key] = self._compile(key)
+        y_dst, y_src, x_idx, engines, mask = self._maps[key]
+        nrhs = r.shape[-1] if r.ndim > x_idx.ndim else None
+        y, x, views = self._working_set(nrhs or 1)
+        rows = r.reshape(-1, nrhs or 1)
+        if y_dst is None:
+            np.take(rows, y_src, axis=0, out=y, mode="clip")
+        else:
+            y.fill(0.0)
+            y[y_dst] = rows[y_src]
+        for engine in engines:
+            engine.solve_slots(*views[engine], nrhs)
+        if out is None:
+            out = np.empty(r.shape)
+        np.take(x if nrhs else x[:, 0], x_idx, axis=0, out=out, mode="clip")
+        return self._times(out, mask, out, key)
+
+    def apply_global(self, r, out=None):
+        return self._apply(None, r, out)
 
     def apply_block(self, rank, r_interior, out=None):
-        block = self._rank_block(rank)
-        if block is None:
-            return self.apply_global(r_interior, out=out)
-        if self._block_idx is None:
-            self._block_idx = self._build_block_indices()
-        if out is None:
-            out = np.zeros_like(r_interior)
-        else:
-            out[...] = 0.0
-        for shape, positions, jj, ii in self._block_idx[rank]:
-            engine = self._engines[shape]
-            y = np.zeros((engine.batch,) + shape + r_interior.shape[2:])
-            y[positions] = r_interior[jj, ii]
-            x = engine.solve(y)
-            out[jj, ii] = x[positions]
-        out *= self._bcast(self._mask_f[block.slices], out)
-        return out
-
-    def _build_stack_indices(self):
-        """Per shape-group ``(RR, JJ, II)`` index triples of shape
-        ``(B, my, mx)`` addressing stacked rank interiors, so the
-        batched engine gathers/scatters every tile of a group from/to
-        the ``(p, bny, bnx)`` stack in one fancy-indexing operation."""
-        blocks = self.decomp.active_blocks
-        out = {}
-        for shape, tile_indices in self._groups.items():
-            my, mx = shape
-            rr = np.empty((len(tile_indices), my, mx), dtype=np.intp)
-            jj = np.empty_like(rr)
-            ii = np.empty_like(rr)
-            for pos, tidx in enumerate(tile_indices):
-                rank, j0, j1, i0, i1 = self._tiles[tidx]
-                block = blocks[rank]
-                rr[pos] = rank
-                jj[pos] = np.arange(j0 - block.j0, j1 - block.j0)[:, None]
-                ii[pos] = np.arange(i0 - block.i0, i1 - block.i0)[None, :]
-            out[shape] = (rr, jj, ii)
-        return out
-
-    def _stack_identity_shape(self):
-        """The ``(p, my, mx)`` stack shape whose gather is the identity.
-
-        When there is a single shape group whose tiles are exactly the
-        rank interiors in batch order (``tile_size >= block size`` on a
-        uniform decomposition), ``r_stack[rr, jj, ii]`` would copy the
-        stack verbatim; :meth:`apply_stack` then skips the gather and
-        scatter entirely.  Returns ``None`` when the layout is anything
-        else.
-        """
-        if len(self._stack_idx) != 1:
-            return None
-        (shape, (rr, jj, ii)), = self._stack_idx.items()
-        p, my, mx = rr.shape
-        if (my, mx) != shape:
-            return None
-        exp_rr = np.arange(p, dtype=np.intp)[:, None, None]
-        exp_jj = np.arange(my, dtype=np.intp)[None, :, None]
-        exp_ii = np.arange(mx, dtype=np.intp)[None, None, :]
-        if (np.array_equal(rr, np.broadcast_to(exp_rr, rr.shape))
-                and np.array_equal(jj, np.broadcast_to(exp_jj, jj.shape))
-                and np.array_equal(ii, np.broadcast_to(exp_ii, ii.shape))):
-            return (p, my, mx)
-        return None
+        if self._rank_block(rank) is None:
+            rank = None
+        return self._apply(rank, r_interior, out)
 
     def apply_stack(self, r_stack, out=None):
         """Batched application over stacked rank interiors.
 
-        Every shape group's full tile batch is gathered from the stack,
-        solved in one :meth:`EVPTileEngine.solve` call, and scattered
-        back -- no per-rank loop.  Bit-identical to the per-rank path:
-        tile solves are elementwise-independent along the batch axis, so
-        solving all tiles at once matches solving each rank's subset
-        with the rest zeroed.
+        Every tile of every rank is solved in one pass -- no per-rank
+        loop.  Bit-identical to the per-rank path: tile solves are
+        elementwise-independent along the batch axis, so solving all
+        tiles at once matches solving each rank's subset with the rest
+        zeroed.
         """
         if self.decomp is None:
             return super().apply_stack(r_stack, out=out)
-        if self._stack_idx is None:
-            self._stack_idx = self._build_stack_indices()
-            self._mask_f_stack = self.decomp.stack_interiors(self._mask_f)
-            self._stack_ident = self._stack_identity_shape()
-        if self._stack_ident == r_stack.shape[:3]:
-            # Every block is exactly one tile in batch order: the gather
-            # is the identity permutation, so solve the stack in place
-            # and skip both fancy-indexing copies.  Same values through
-            # the same engine -- the gathered copy merely duplicated the
-            # stack -- so the output is bit-identical to the slow path.
-            engine = self._engines[next(iter(self._groups))]
-            if out is None:
-                out = np.empty_like(r_stack)
-            engine.solve(r_stack, out=out)
-            out *= self._bcast(self._mask_f_stack, out)
-            return out
-        if out is None:
-            out = np.zeros_like(r_stack)
-        else:
-            out[...] = 0.0
-        for shape in self._groups:
-            engine = self._engines[shape]
-            rr, jj, ii = self._stack_idx[shape]
-            x = engine.solve(r_stack[rr, jj, ii])
-            out[rr, jj, ii] = x
-        out *= self._bcast(self._mask_f_stack, out)
-        return out
+        return self._apply("stack", r_stack, out)
 
     # ------------------------------------------------------------------
     # cost accounting

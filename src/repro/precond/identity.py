@@ -5,8 +5,6 @@ and ChronGear into unpreconditioned CG-with-fused-reductions.  Kept as
 the baseline for every preconditioning comparison.
 """
 
-import numpy as np
-
 from repro.precond.base import Preconditioner
 
 
@@ -20,18 +18,12 @@ class IdentityPreconditioner(Preconditioner):
         self._mask_stack = None
 
     def apply_global(self, r, out=None):
-        if out is None:
-            out = np.empty_like(r)
-        np.multiply(r, self._bcast(self.mask, r), out=out)
-        return out
+        return self._times(r, self.mask, out, None)
 
     def apply_block(self, rank, r_interior, out=None):
         block = self._rank_block(rank)
         local_mask = self.mask if block is None else self.mask[block.slices]
-        if out is None:
-            out = np.empty_like(r_interior)
-        np.multiply(r_interior, self._bcast(local_mask, r_interior), out=out)
-        return out
+        return self._times(r_interior, local_mask, out, rank)
 
     def apply_stack(self, r_stack, out=None):
         """One vectorized masking multiply over the whole stack."""
@@ -39,10 +31,7 @@ class IdentityPreconditioner(Preconditioner):
             return super().apply_stack(r_stack, out=out)
         if self._mask_stack is None:
             self._mask_stack = self.decomp.stack_interiors(self.mask)
-        if out is None:
-            out = np.empty_like(r_stack)
-        np.multiply(r_stack, self._bcast(self._mask_stack, r_stack), out=out)
-        return out
+        return self._times(r_stack, self._mask_stack, out, "stack")
 
     def apply_flops(self, rank=None):
         """Identity costs nothing in the paper's accounting."""

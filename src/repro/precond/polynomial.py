@@ -287,10 +287,17 @@ class ChebyshevPreconditioner(Preconditioner):
     def _polynomial(self, rt, matvec, out):
         return self._chebyshev(rt, matvec, out, self.degree)
 
-    def _apply(self, r, inv, matvec, out):
+    def _apply(self, r, inv, key, stencil, out):
+        """``out = q(C) D^-1 r`` with ``C v = D^-1 (A v)``: ``inv`` is
+        the layout's inverse diagonal (``key`` names it for
+        :meth:`_times`), ``stencil(v, res)`` its block-local ``A v``."""
         self.ensure_bounds()
-        rt = inv * r
-        return self._polynomial(rt, matvec, out)
+
+        def matvec(v, res):
+            stencil(v, res)
+            self._times(res, inv, res, key)
+
+        return self._polynomial(self._times(r, inv, None, key), matvec, out)
 
     # ------------------------------------------------------------------
     # the three application layouts
@@ -299,18 +306,17 @@ class ChebyshevPreconditioner(Preconditioner):
         if out is None:
             out = np.empty_like(r_interior)
         coeffs = self._local(rank)
-        inv = self._bcast(self._inv_block(rank), r_interior)
+        inv = self._inv_block(rank)
         ny, nx = r_interior.shape[0], r_interior.shape[1]
         pad_shape = (ny + 2, nx + 2) + r_interior.shape[2:]
         pad = self._padded(0 if rank is None else rank, pad_shape,
                            r_interior.dtype)
 
-        def matvec(v, res):
+        def stencil(v, res):
             pad[1:-1, 1:-1] = v
             self.kernels.stencil_apply_local(coeffs, pad, 1, res)
-            res *= inv
 
-        return self._apply(r_interior, inv, matvec, out)
+        return self._apply(r_interior, inv, rank, stencil, out)
 
     def apply_stack(self, r_stack, out=None):
         if self.decomp is None:
@@ -323,18 +329,17 @@ class ChebyshevPreconditioner(Preconditioner):
         # ``inv`` is zero on pad cells, so the Chebyshev direction
         # vectors stay zero there and a ragged tile's edge rows read
         # the same zero-Dirichlet border the per-rank path pads with.
-        inv = self._bcast(self._inv_stack, r_stack)
+        inv = self._inv_stack
         bny, bnx = self.decomp.max_block_shape()
         pad_shape = (r_stack.shape[0], bny + 2, bnx + 2) + r_stack.shape[3:]
         pad = self._padded("stack", pad_shape, r_stack.dtype)
 
-        def matvec(v, res):
+        def stencil(v, res):
             pad[:, 1:-1, 1:-1] = v
             self.kernels.stencil_apply_stacked(coeffs, pad, 1, bny, bnx,
                                                res)
-            res *= inv
 
-        return self._apply(r_stack, inv, matvec, out)
+        return self._apply(r_stack, inv, "stack", stencil, out)
 
     def apply_global(self, r, out=None):
         if out is None:

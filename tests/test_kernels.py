@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import KernelError
 from repro.grid import test_config as make_test_config
@@ -36,6 +38,7 @@ from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import DistributedContext, PCSISolver
+from tests.test_engine_conformance import _config_with_land_blocks
 
 NUMBA_RTOL = 1e-12
 
@@ -89,6 +92,31 @@ def _rhs(config, seed=1):
     rng = np.random.default_rng(seed)
     return apply_stencil(config.stencil,
                          rng.standard_normal(config.shape) * config.mask)
+
+
+@st.composite
+def _evp_cases(draw):
+    """A decomposition (uniform, ragged, land-eliminated), a tile size
+    (tile sides 1..12, single-row and single-column tiles included), a
+    stencil, a batch width and an application layout."""
+    mby = draw(st.integers(1, 3))
+    mbx = draw(st.integers(1, 3))
+    land_blocks = draw(st.sets(st.integers(0, mby * mbx - 1),
+                               max_size=(mby * mbx) // 3))
+    # Block sides 1..14 plus a ragged remainder: with ``tile_size`` up
+    # to 12 that reaches every tile side the engine supports.
+    ny = mby * draw(st.integers(1, 14)) + draw(st.integers(0, mby - 1))
+    nx = mbx * draw(st.integers(1, 14)) + draw(st.integers(0, mbx - 1))
+    return dict(
+        ny=ny, nx=nx, mby=mby, mbx=mbx, land_blocks=sorted(land_blocks),
+        seed=draw(st.integers(0, 20)),
+        tile_size=draw(st.sampled_from((1, 2, 3, 5, 7, 11, 12))),
+        simplified=draw(st.booleans()),
+        nrhs=draw(st.sampled_from((None, 1, 3, 8))),
+        layout=draw(st.sampled_from(("global", "stack", "block"))),
+        rank=draw(st.integers(0, 8)), tile=draw(st.integers(0, 50)),
+        poison=draw(st.sampled_from((np.nan, np.inf))),
+    )
 
 
 class TestRegistry:
@@ -327,6 +355,116 @@ class TestEVPParity:
             _assert_close(backend,
                           pres["numpy"].apply_block(rank, r_stack[rank]),
                           pres[backend].apply_block(rank, r_stack[rank]))
+
+    @given(case=_evp_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_layouts(self, case):
+        """Tile shape x stencil x width x layout: the skewed fused
+        program against the numpy reference sweep, bit for bit."""
+        config = _config_with_land_blocks(
+            case["ny"], case["nx"], case["mby"], case["mbx"],
+            case["land_blocks"], case["seed"])
+        decomp = decompose(case["ny"], case["nx"], case["mby"], case["mbx"],
+                           mask=config.mask)
+        options = dict(decomp=decomp, tile_size=case["tile_size"],
+                       simplified=case["simplified"])
+        ref = evp_for_config(config, kernels="numpy", **options)
+        # Built from the reference's cached influence payload: the
+        # arrays the artifact cache would hand back.
+        pre = evp_for_config(config, kernels="fused",
+                             influence_state=ref.influence_state(),
+                             **options)
+        layout, nrhs = case["layout"], case["nrhs"]
+        rank = case["rank"] % decomp.num_active
+        block = decomp.active_blocks[rank]
+        tail = () if nrhs is None else (nrhs,)
+        if layout == "global":
+            shape, mask = config.shape, config.mask
+        elif layout == "stack":
+            shape = (decomp.num_active,) + decomp.max_block_shape()
+            mask = decomp.stack_interiors(config.mask)
+        else:
+            shape, mask = (block.ny, block.nx), config.mask[block.slices]
+
+        def apply(p, r, out=None):
+            if layout == "global":
+                return p.apply_global(r, out=out)
+            if layout == "stack":
+                return p.apply_stack(r, out=out)
+            return p.apply_block(rank, r, out=out)
+
+        def tile_cells(tile):
+            """Boolean map of one tile's cells in this layout."""
+            trank, j0, j1, i0, i1 = tile
+            cells = np.zeros(shape, dtype=bool)
+            if layout == "global":
+                cells[j0:j1, i0:i1] = True
+            else:
+                b = decomp.active_blocks[trank]
+                local = cells[trank] if layout == "stack" else cells
+                local[j0 - b.j0:j1 - b.j0, i0 - b.i0:i1 - b.i0] = True
+            return cells
+
+        rng = np.random.default_rng(case["seed"])
+        r = rng.standard_normal(shape + tail)
+        got = apply(pre, r)
+        assert np.array_equal(apply(ref, r), got)
+        # Cells no tile owns (eliminated blocks, pads) and land: 0.0.
+        assert not np.any(got[~mask.astype(bool)])
+        for j in range(nrhs or 0):
+            column = apply(pre, np.ascontiguousarray(r[..., j]))
+            assert np.array_equal(column, got[..., j])
+
+        # ``out=`` may be a strided window of a larger array.
+        frame = np.full(tuple(n + 2 for n in shape) + tail, 7.0)
+        inner = frame[(slice(1, -1),) * len(shape)]
+        assert apply(pre, r, out=inner) is inner
+        assert np.array_equal(inner, got)
+        assert np.count_nonzero(frame == 7.0) == frame.size - inner.size
+
+        # A non-finite value stays in its tile and its column.
+        tiles = [t for t in pre._tiles if layout != "block" or t[0] == rank]
+        cells = tile_cells(tiles[case["tile"] % len(tiles)])
+        poisoned = r.copy()
+        col = case["tile"] % (nrhs or 1)
+        spot = tuple(np.argwhere(cells)[0]) + (() if nrhs is None else (col,))
+        poisoned[spot] = case["poison"]
+        with np.errstate(all="ignore"):
+            bad = apply(pre, poisoned)
+            assert np.array_equal(apply(ref, poisoned), bad, equal_nan=True)
+        clean = np.ones(bad.shape, dtype=bool)
+        clean[cells if nrhs is None else (cells, col)] = False
+        assert np.array_equal(bad[clean], got[clean])
+
+    def test_working_set_keeps_one_width(self, uniform_config,
+                                         uniform_decomp):
+        """Widths 8, 3, 1 in turn leave one working set: one pair of
+        buffers, one marching program and one ring scratch per shape
+        group, one folded mask."""
+        pre = evp_for_config(uniform_config, decomp=uniform_decomp,
+                             tile_size=5, kernels="fused")
+        r = np.random.default_rng(0).standard_normal(
+            uniform_config.shape + (8,))
+        for nrhs in (8, 3, 1):
+            pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
+        y, x, views = pre._work
+        assert y.shape[1] == x.shape[1] == 1
+        assert len(pre._folded) == 1
+        for engine, (y_rows, x_rows) in views.items():
+            bound = engine._plan.bound
+            assert bound.y is y_rows and bound.x is x_rows
+            assert bound.f.shape == (engine.k, engine.batch)
+            assert len(engine._ring_multi[0]) == 1
+            assert engine._plan.own is None
+        numpy_pre = evp_for_config(uniform_config, decomp=uniform_decomp,
+                                   tile_size=5, kernels="numpy")
+        for nrhs in (8, 3, 1):
+            numpy_pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
+        for engine in numpy_pre._engines.values():
+            width, pool = engine._march_scratch
+            assert width == 1
+            assert all(buf.shape[2] == 1 for buf in pool.values())
 
     def test_influence_matrices_backend_independent(self, uniform_config,
                                                     uniform_decomp):

@@ -232,3 +232,41 @@ class TestBlockLU:
         for rank, block in enumerate(small_decomp.active_blocks):
             zb = pre.apply_block(rank, r[block.slices])
             assert np.allclose(zb, z[block.slices])
+
+
+class TestBatchPlanes:
+    """Grid-shaped planes (mask, reciprocal diagonal) multiply a batch
+    in the folded row layout, repeated once per width."""
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "cheby:2",
+                                      "block_lu", "evp"])
+    def test_columns_match_and_one_width_is_kept(self, small_config,
+                                                 small_decomp, kind):
+        if kind == "evp":
+            pre = evp_for_config(small_config, decomp=small_decomp)
+        else:
+            pre = make_preconditioner(kind, small_config.stencil,
+                                      decomp=small_decomp)
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal(small_config.shape + (4,))
+        stack = np.stack([small_decomp.stack_interiors(wide[..., j])
+                          for j in range(4)], axis=-1)
+        blocks = small_decomp.active_blocks
+        row_points = {None: small_config.nx,
+                      "stack": small_decomp.max_block_shape()[1],
+                      **{rank: b.nx for rank, b in enumerate(blocks)}}
+        for nrhs in (3, 2):
+            # A slice of the trailing axis cannot fold in place: an
+            # operand that is only read is copied, not refused.
+            r = wide[..., :nrhs]
+            z = pre.apply_global(r)
+            zs = pre.apply_stack(stack[..., :nrhs])
+            for j in range(nrhs):
+                column = np.ascontiguousarray(r[..., j])
+                assert np.array_equal(z[..., j], pre.apply_global(column))
+                assert np.array_equal(
+                    zs[..., j], pre.apply_stack(
+                        np.ascontiguousarray(stack[..., j])))
+            assert pre._folded and all(
+                rows.shape[-1] == row_points[key] * nrhs
+                for key, rows in pre._folded.items())

@@ -31,6 +31,7 @@ from repro.parallel import (
     make_fault,
     parse_fault_spec,
 )
+from repro.parallel.faults import FaultInjector
 from repro.precond import make_preconditioner
 from repro.solvers import (
     BREAKDOWN,
@@ -40,6 +41,7 @@ from repro.solvers import (
     ChronGearSolver,
     DistributedContext,
     PCSISolver,
+    PipeCGSolver,
     SerialContext,
 )
 from repro.solvers.capcg import CAPCGSolver
@@ -299,6 +301,43 @@ class TestRecovery:
         assert diagnosis.kind in (SDC_DETECTED,) + NAN_KINDS
         if diagnosis.kind == SDC_DETECTED:
             assert diagnosis.data["rollbacks"] == 2
+
+
+class _InteriorNaN(FaultInjector):
+    """A NaN in resident state: an interior cell on a block edge, so
+    the *next* exchange delivers it into a neighbour's halo ring."""
+
+    kind = "interior_nan"
+
+    def on_exchange(self, field, count, vm):
+        if self._fires(count):
+            h = field.decomp.halo_width
+            field.local(5)[h, h + 3] = np.nan
+
+
+@pytest.mark.parametrize("solver_cls", [PCSISolver, PipeCGSolver])
+def test_nonfinite_ring_is_not_a_halo_mismatch(config, decomp, solver_cls):
+    # NaN != NaN: a ring that is already non-finite when it is sent
+    # used to fail its own checksum on delivery, so the rollback budget
+    # went on a false ``halo_checksum`` suspect and the solve ended as
+    # SDC_DETECTED.  The compare is NaN-aware: the non-finite checks
+    # own this failure.  (``abft_every`` keeps the row-sum check out.)
+    b = _rhs(config)
+    policy = {"max_rollbacks": 2, "abft": True, "abft_every": 10 ** 6}
+    solver = _make_solver("batched", config, decomp, solver_cls=solver_cls,
+                          faults=[_InteriorNaN(at=16, persistent=True)])
+    with pytest.raises(ConvergenceError) as err:
+        solver.solve(b, resilience=policy)
+    assert err.value.diagnosis.kind in NAN_KINDS
+    # One-shot: recovered, and what flagged it was not the checksum.
+    reference = _make_solver("batched", config, decomp,
+                             solver_cls=solver_cls).solve(b)
+    result = _make_solver(
+        "batched", config, decomp, solver_cls=solver_cls,
+        faults=[_InteriorNaN(at=16)]).solve(b, resilience=policy)
+    summary = _assert_recovered_identical(result, reference)
+    assert all(doc["data"]["check"] in NAN_KINDS
+               for doc in summary["recoveries"])
 
 
 class TestMultiRHS:
