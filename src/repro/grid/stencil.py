@@ -91,6 +91,13 @@ class StencilCoeffs:
     phi: float = 0.0
     area: np.ndarray = None
 
+    def __post_init__(self):
+        # Immutable after assembly: the content digest and the kernel
+        # backends' cached operators snapshot the planes, so a write
+        # must fail rather than leave a stale operator behind.
+        for name in COEFF_NAMES:
+            getattr(self, name).setflags(write=False)
+
     @property
     def shape(self):
         """Grid shape ``(ny, nx)``."""
@@ -111,8 +118,8 @@ class StencilCoeffs:
         -- everything a solve or a preconditioner build depends on --
         so two stencils with identical content share cache entries no
         matter how they were constructed.  The digest is cached on the
-        instance; coefficient arrays are treated as immutable after
-        assembly throughout this code base.
+        instance; the coefficient arrays are read-only after assembly
+        (``__post_init__``).
         """
         cached = getattr(self, "_content_digest", None)
         if cached is None:

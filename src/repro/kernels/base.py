@@ -30,16 +30,7 @@ import numpy as np
 
 
 class KernelBackend:
-    """Base class for kernel backends (see module docstring).
-
-    ``xp`` is the array-module namespace the backend computes with --
-    numpy by default, or a GPU module (CuPy, ``jax.numpy``) resolved by
-    :func:`repro.kernels.resolve_array_module`.  Backends route their
-    array allocations and elementwise programs through ``self.xp`` so
-    the same code runs unchanged on device arrays; with ``xp = numpy``
-    every operation is literally the pre-existing numpy call, so the
-    default path stays bit-identical.
-    """
+    """Base class for kernel backends (see module docstring)."""
 
     #: Registry name ("numpy", "fused", "numba").
     name = "abstract"
@@ -54,25 +45,25 @@ class KernelBackend:
     #: Human-readable reason when ``available`` is False.
     unavailable_reason = None
 
-    def __init__(self, xp=None):
-        #: Array-module namespace (numpy unless a GPU module was bound).
-        self.xp = np if xp is None else xp
-
     # ------------------------------------------------------------------
     # nine-point stencil
     # ------------------------------------------------------------------
-    def stencil_apply(self, coeffs, x, padded, out):
-        """Global ``out = A @ x``.
+    def stencil_apply(self, coeffs, x, out=None):
+        """Global ``A @ x`` for ``x`` of shape ``(ny, nx[, nrhs])``.
 
-        ``padded`` is the caller-managed ``(ny + 2, nx + 2[, nrhs])``
-        padded copy of ``x`` (zero border, interior already filled);
-        ``out`` is preallocated and never aliases ``x``/``padded``.
-        A trailing ``nrhs`` axis, when present, batches independent
-        right-hand sides through one vectorized pass; ``padded`` and
-        ``out`` then keep their ``(nx, nrhs)`` axes C-contiguous so a
-        backend may merge them into one row.
+        Out-of-domain neighbors contribute zero (closed boundary).  A
+        trailing ``nrhs`` axis batches independent right-hand sides
+        through one pass.  The result is written to ``out`` (any
+        layout; never aliases ``x``) when one is given and returned as
+        a new array otherwise.  The default is the local form on a
+        zero-bordered copy of ``x``.
         """
-        raise NotImplementedError
+        padded = np.zeros((x.shape[0] + 2, x.shape[1] + 2) + x.shape[2:],
+                          dtype=x.dtype)
+        padded[1:-1, 1:-1] = x
+        if out is None:
+            out = np.empty(x.shape, dtype=x.dtype)
+        return self.stencil_apply_local(coeffs, padded, 1, out)
 
     def stencil_apply_local(self, coeffs, local, h, out):
         """``A @ x`` on one rank's interior, neighbors read from halos.
@@ -87,8 +78,7 @@ class KernelBackend:
 
         ``coeffs`` is a dict of nine stacked ``(p, bny, bnx)``
         coefficient arrays; ``out`` is the preallocated ``(p, bny,
-        bnx[, nrhs])`` interior stack (may be a strided view that
-        slices whole ``(nx, nrhs)`` rows).
+        bnx[, nrhs])`` interior stack (usually a strided view).
         ``(bny, bnx)`` is the stack's padded extent -- the largest
         block shape; coefficients are zero on the pad cells of smaller
         tiles.

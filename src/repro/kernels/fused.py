@@ -43,33 +43,93 @@ and moves a whole application in and out with one ``take`` each way
 (``EVPBlockPreconditioner._apply``); ``evp_solve`` does the same for a
 stand-alone tile-major batch.
 
-**Folded multi-RHS stencil.**  A batch rides a trailing ``nrhs`` axis;
-broadcasting a 2-D coefficient plane over it runs numpy's inner loop
-``nrhs`` (2..8) elements at a time.  The stencil instead views the
-padded source and the output with the ``(nx, nrhs)`` axes merged into
-one row (neighbor ``di`` is a shift by ``di * nrhs`` along it) and
-multiplies by planes repeated ``nrhs``-fold once per coefficient set:
-the same nine products and eight adds per element, on full-length rows,
-per-term products landing in a reused buffer.  Global and stacked forms
-share the one loop.
+**The stencil as one compiled sweep.**  The nine coefficient planes
+are stored once per coefficient set as a ``scipy.sparse.dia_array``
+over the *flattened* vector layout, and a matvec is ``sweep @
+x.reshape(-1)``: scipy's DIA kernel starts from ``y = 0.0`` and runs
+one ``y[i] += data[k, i + off_k] * x[i + off_k]`` loop per stored
+diagonal, in the order the diagonals were given.  Row ``k`` of ``data``
+is plane ``k`` of ``_COEFF_ORDER`` written at a shift of its neighbor's
+flat offset ``off_k = (dj * W + di) * nrhs`` and repeated ``nrhs``-fold
+along the row -- a batch's trailing axis is folded into the grid row, so
+it is the same 1-D sweep on longer rows and every column sees the
+single-RHS operation sequence.  Each output element therefore receives
+the reference's nine rounded products through the reference's eight
+rounded adds in the reference's order.  Two things differ, neither in
+value: the first term is ``0.0 + c * x`` instead of ``c * x`` (equal
+for every IEEE value; only ``-0.0`` comes back as ``+0.0``), and in the
+global form (``W = nx``, no padding, no copy of ``x``) the couplings
+that leave the domain -- or would wrap into the next grid row -- are
+stored as zero and multiply a real cell, where the reference multiplies
+the zero border: both add ``0.0`` for finite ``x``.  (A NaN or Inf in
+the first or last grid column reaches, through such a ``0.0 * x``, up
+to three cells on the opposite edge that the reference leaves finite;
+the stacked form has no such cells, its halo columns keep rows and
+blocks apart.)  The stacked form embeds the planes in the padded ``(p,
+bny + 2h, bnx + 2h)`` layout of the block stack (``W = bnx + 2h``):
+halo cells have all-zero rows whose results are never copied out, pad
+cells of ragged tiles keep their zero coefficients.  Cached per
+coefficient set (identity-keyed, the last ``_MAX_FOLDED_SETS`` sets):
+the single-RHS sweep and one batch width.  Bit-parity rests on the
+scipy build *not* contracting ``y += a * b`` into a fused multiply-add;
+``tests/test_kernels.py::TestBatchStencilParity::test_sweep_is_not_contracted``
+is the tripwire.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
 :meth:`EVPTileEngine.ring_correction`.
 """
 
-import numpy as np
+import math
+import operator
 
-from repro.core.fields import NEIGHBOR_OFFSETS, fold_rows
-from repro.kernels.base import KernelBackend, validate_evp_shapes
+import numpy as np
+from scipy.sparse import dia_array
+
+from repro.core.fields import NEIGHBOR_OFFSETS
+from repro.kernels.base import validate_evp_shapes
+from repro.kernels.numpy_ref import NumpyKernels
 
 #: Center first, then the neighbors in ``NEIGHBOR_OFFSETS`` order: the
 #: reference accumulation order (``operators.blocked._COEFF_ORDER``).
 _COEFF_ORDER = ("c",) + tuple(NEIGHBOR_OFFSETS)
+#: Their ``(dj, di)`` grid offsets.
+_OFFSETS = ((0, 0),) + tuple(NEIGHBOR_OFFSETS.values())
 
-#: Coefficient sets whose folded planes stay cached (a long-lived
-#: process builds a new stacked set per distributed context).
+#: Coefficient sets whose sweeps stay cached (a long-lived process
+#: builds a new stacked set per distributed context).
 _MAX_FOLDED_SETS = 4
+
+
+def _dia_sweep(planes, h, n):
+    """``A`` as a DIA operator over a flattened ``(..., H, W, n)`` layout.
+
+    ``planes`` are the nine ``(..., H - 2h, W - 2h)`` coefficient
+    arrays in ``_COEFF_ORDER``, ``h`` the halo width of the layout
+    (0: the global grid) and ``n`` its trailing batch width.  Diagonal
+    ``k`` holds, at column ``i + off_k``, the coefficient with which
+    row ``i`` reads its neighbor ``off_k = (dj * W + di) * n`` further
+    on: the plane is written once, through a view of the data buffer
+    that starts ``off_k`` late.  Only rows whose neighbor lies inside
+    their own ``(H, W)`` cell block are written -- with a halo, every
+    interior row -- so no write leaves the row's own diagonal.
+    """
+    *lead, bny, bnx = planes[0].shape
+    rows, width = bny + 2 * h, bnx + 2 * h
+    size = math.prod(lead) * rows * width * n
+    reach = (width + 1) * n
+    buf = np.zeros(9 * size + 2 * reach)
+    offsets = []
+    for k, (plane, (dj, di)) in enumerate(zip(planes, _OFFSETS)):
+        offsets.append((dj * width + di) * n)
+        start = reach + k * size + offsets[-1]
+        slot = buf[start:start + size].reshape(*lead, rows, width, n)
+        j0, j1 = max(h, -dj), rows - max(h, dj)
+        i0, i1 = max(h, -di), width - max(h, di)
+        slot[..., j0:j1, i0:i1, :] = plane[..., j0 - h:j1 - h,
+                                           i0 - h:i1 - h, None]
+    data = buf[reach:reach + 9 * size].reshape(9, size)
+    return dia_array((data, offsets), shape=(size, size))
 
 
 class _EvpPlan:
@@ -218,102 +278,61 @@ def _run(program):
         op(a, b, out=out)
 
 
-class FusedKernels(KernelBackend):
-    """Fused numpy backend (see module docstring)."""
+class FusedKernels(NumpyKernels):
+    """Fused backend (see module docstring).  What it does not override
+    -- the per-rank oracle's ``stencil_apply_local`` -- is the
+    reference."""
 
     name = "fused"
     deterministic = True
 
-    def __init__(self, xp=None):
-        super().__init__(xp)
-        self._tmp = {}
-        #: Folded coefficient planes of the multi-RHS stencil, keyed by
-        #: ``id(coeffs)``: ``(coeffs, nrhs, planes)``.  One width per
-        #: coefficient set (widths only shrink within a solve), the
-        #: last few sets only.
-        self._folded = {}
-
-    def _scratch(self, key, shape, dtype):
-        """The reused product buffer of ``key``.  A batch that narrows
-        replaces its buffer; it does not leave one behind per width."""
-        buf = self._tmp.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._tmp[key] = self.xp.empty(shape, dtype=dtype)
-        return buf
-
-    def _folded_planes(self, coeffs, planes, nrhs):
-        """``planes`` repeated ``nrhs``-fold along the folded row axis."""
-        hit = self._folded.get(id(coeffs))
-        if hit is None or hit[0] is not coeffs or hit[1] != nrhs:
-            self._folded.pop(id(coeffs), None)
-            hit = (coeffs, nrhs,
-                   [self.xp.repeat(c, nrhs, axis=-1) for c in planes])
-            self._folded[id(coeffs)] = hit
-            while len(self._folded) > _MAX_FOLDED_SETS:
-                del self._folded[next(iter(self._folded))]
-        return hit[2]
+    def __init__(self):
+        #: DIA sweeps keyed by ``id(coeffs)``: ``{"coeffs": coeffs,
+        #: "single": (1, sweep), "batch": (nrhs, sweep)}``, identity-
+        #: revalidated.  A set keeps its single-RHS sweep and one batch
+        #: width (widths only shrink within a solve; a service
+        #: alternates 1 and its batch size), the backend the last few
+        #: sets.
+        self._sweeps = {}
 
     # ------------------------------------------------------------------
-    # nine-point stencil: reference MAC order, per-term products landing
-    # in a reused buffer instead of fresh temporaries.  A multi-RHS
-    # batch runs in the folded row layout (see repro.core.fields): the
-    # same nine products and eight adds per element, on rows of
-    # ``bnx * nrhs`` elements instead of inner loops of ``nrhs``.
+    # nine-point stencil: one compiled DIA sweep, reference MAC order
     # ------------------------------------------------------------------
-    def _stencil(self, coeffs, planes, src, h, nrhs, out):
-        """``out = A @ src`` over the two grid axes of ``src``.
+    def _sweep(self, coeffs, plane, h, n):
+        """The cached sweep of ``coeffs`` at batch width ``n``;
+        ``plane(coeffs, name)`` reads one coefficient array."""
+        hit = self._sweeps.get(id(coeffs))
+        if hit is None or hit["coeffs"] is not coeffs:
+            self._sweeps.pop(id(coeffs), None)
+            hit = self._sweeps[id(coeffs)] = {"coeffs": coeffs}
+            while len(self._sweeps) > _MAX_FOLDED_SETS:
+                self._sweeps.pop(next(iter(self._sweeps)), None)
+        slot = "single" if n == 1 else "batch"
+        if hit.get(slot, (0,))[0] != n:
+            # Release the other width before building: peak is one sweep.
+            hit.pop(slot, None)
+            hit[slot] = (n, _dia_sweep(
+                [plane(coeffs, name) for name in _COEFF_ORDER], h, n))
+        return hit[slot][1]
 
-        ``src`` is ``(..., bny + 2h, bnx + 2h[, nrhs])`` with current
-        halos, ``out`` the matching ``(..., bny, bnx[, nrhs])`` interior
-        and ``planes`` the nine ``(..., bny, bnx)`` coefficient arrays
-        of ``coeffs`` in ``_COEFF_ORDER``; ``nrhs`` is ``None`` for a
-        single right-hand side.
-        """
-        xp = self.xp
-        batched = nrhs is not None
-        key = (out.shape[:-1] if batched else out.shape, batched)
-        if batched:
-            planes = self._folded_planes(coeffs, planes, nrhs)
-            src, out = fold_rows(src), fold_rows(out)
-        else:
-            nrhs = 1
-        bny, bnx = out.shape[-2], out.shape[-1] // nrhs
-        t = self._scratch(key, out.shape, out.dtype)
-
-        def view(dj, di):
-            return src[..., h + dj:h + dj + bny,
-                       (h + di) * nrhs:(h + di + bnx) * nrhs]
-
-        xp.multiply(planes[0], view(0, 0), out=out)
-        for plane, (dj, di) in zip(planes[1:], NEIGHBOR_OFFSETS.values()):
-            xp.multiply(plane, view(dj, di), out=t)
-            out += t
-        return out
-
-    def stencil_apply(self, coeffs, x, padded, out):
-        self._stencil(coeffs, [getattr(coeffs, n) for n in _COEFF_ORDER],
-                      padded, 1, x.shape[2] if x.ndim == 3 else None, out)
-        return out
-
-    def stencil_apply_local(self, coeffs, local, h, out):
-        xp = self.xp
-        bny, bnx = out.shape[:2]
-        t = self._scratch(("local", out.shape[:2], out.ndim), out.shape,
-                          out.dtype)
-        cv = (lambda c: c[..., None]) if local.ndim == 3 else (lambda c: c)
-
-        def view(dj, di):
-            return local[h + dj:h + dj + bny, h + di:h + di + bnx]
-
-        xp.multiply(cv(coeffs.c), view(0, 0), out=out)
-        for name, (dj, di) in NEIGHBOR_OFFSETS.items():
-            xp.multiply(cv(getattr(coeffs, name)), view(dj, di), out=t)
-            out += t
+    def stencil_apply(self, coeffs, x, out=None):
+        if x.shape[1] < 3:
+            # East and north-west would share a diagonal: a grid this
+            # narrow runs the reference loop.
+            return super().stencil_apply(coeffs, x, out)
+        sweep = self._sweep(coeffs, getattr, 0,
+                            x.shape[2] if x.ndim == 3 else 1)
+        y = (sweep @ x.reshape(-1)).reshape(x.shape)
+        if out is None:
+            return y
+        out[...] = y
         return out
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
-        self._stencil(coeffs, [coeffs[n] for n in _COEFF_ORDER], stack, h,
-                      stack.shape[3] if stack.ndim == 4 else None, out)
+        sweep = self._sweep(coeffs, operator.getitem, h,
+                            stack.shape[3] if stack.ndim == 4 else 1)
+        y = (sweep @ stack.reshape(-1)).reshape(stack.shape)
+        out[...] = y[:, h:h + bny, h:h + bnx]
         return out
 
     # ------------------------------------------------------------------

@@ -157,21 +157,9 @@ class NumbaKernels(KernelBackend):
     # Multi-RHS batches (a trailing ``nrhs`` axis) loop column by column
     # through the compiled single-RHS loops on contiguous copies, so the
     # batched path reproduces the backend's own single-RHS arithmetic
-    # stream exactly.
+    # stream exactly.  The global ``stencil_apply`` is the base class's:
+    # the local loop on a zero-bordered copy.
     # ------------------------------------------------------------------
-    def stencil_apply(self, coeffs, x, padded, out):
-        if x.ndim == 3:
-            for j in range(x.shape[-1]):
-                out[..., j] = _stencil_2d(
-                    coeffs.c, coeffs.n, coeffs.s, coeffs.e, coeffs.w,
-                    coeffs.ne, coeffs.nw, coeffs.se, coeffs.sw,
-                    np.ascontiguousarray(padded[..., j]), 1,
-                    np.empty(out.shape[:2]))
-            return out
-        return _stencil_2d(coeffs.c, coeffs.n, coeffs.s, coeffs.e,
-                           coeffs.w, coeffs.ne, coeffs.nw, coeffs.se,
-                           coeffs.sw, padded, 1, out)
-
     def stencil_apply_local(self, coeffs, local, h, out):
         if local.ndim == 3:
             for j in range(local.shape[-1]):

@@ -1,10 +1,11 @@
 """The numpy reference backend.
 
 Straightforward vectorized numpy: the stencil matvec as nine
-slice-multiply-accumulate passes, the EVP solve as the engine's
-reference marching sweep (`EVPTileEngine._march`) with per-step fancy
-indexing.  Every other backend is validated against this one -- the
-deterministic backends bit-for-bit, numba to 1e-12 relative.
+slice-multiply-accumulate passes (the global form is the local one on a
+zero-bordered copy, :meth:`KernelBackend.stencil_apply`), the EVP solve
+as the engine's reference marching sweep (`EVPTileEngine._march`) with
+per-step fancy indexing.  Every other backend is validated against this
+one -- the deterministic backends bit-for-bit, numba to 1e-12 relative.
 
 The coefficient application order (center, compass, corners -- the
 module-level tuple in :mod:`repro.operators.blocked`) is part of the
@@ -17,10 +18,6 @@ unchanged except that the 2-D coefficient arrays gain an explicit
 trailing broadcast axis, so every element of every column sees exactly
 the operation sequence the single-RHS path performs -- batched results
 are bit-identical per column.
-
-All array math is routed through ``self.xp`` (numpy unless an
-alternative array module was bound), so the same programs run on GPU
-array modules.
 """
 
 import numpy as np
@@ -37,29 +34,14 @@ class NumpyKernels(KernelBackend):
     # ------------------------------------------------------------------
     # nine-point stencil
     # ------------------------------------------------------------------
-    def stencil_apply(self, coeffs, x, padded, out):
-        xp = self.xp
-        cv = (lambda c: c[..., None]) if x.ndim == 3 else (lambda c: c)
-        xp.multiply(cv(coeffs.c), x, out=out)
-        out += cv(coeffs.n) * padded[2:, 1:-1]
-        out += cv(coeffs.s) * padded[:-2, 1:-1]
-        out += cv(coeffs.e) * padded[1:-1, 2:]
-        out += cv(coeffs.w) * padded[1:-1, :-2]
-        out += cv(coeffs.ne) * padded[2:, 2:]
-        out += cv(coeffs.nw) * padded[2:, :-2]
-        out += cv(coeffs.se) * padded[:-2, 2:]
-        out += cv(coeffs.sw) * padded[:-2, :-2]
-        return out
-
     def stencil_apply_local(self, coeffs, local, h, out):
-        xp = self.xp
         bny, bnx = out.shape[:2]
         cv = (lambda c: c[..., None]) if local.ndim == 3 else (lambda c: c)
 
         def view(dj, di):
             return local[h + dj:h + dj + bny, h + di:h + di + bnx]
 
-        xp.multiply(cv(coeffs.c), view(0, 0), out=out)
+        np.multiply(cv(coeffs.c), view(0, 0), out=out)
         out += cv(coeffs.n) * view(1, 0)
         out += cv(coeffs.s) * view(-1, 0)
         out += cv(coeffs.e) * view(0, 1)
@@ -71,13 +53,12 @@ class NumpyKernels(KernelBackend):
         return out
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
-        xp = self.xp
         cv = (lambda c: c[..., None]) if stack.ndim == 4 else (lambda c: c)
 
         def view(dj, di):
             return stack[:, h + dj:h + dj + bny, h + di:h + di + bnx]
 
-        xp.multiply(cv(coeffs["c"]), view(0, 0), out=out)
+        np.multiply(cv(coeffs["c"]), view(0, 0), out=out)
         out += cv(coeffs["n"]) * view(1, 0)
         out += cv(coeffs["s"]) * view(-1, 0)
         out += cv(coeffs["e"]) * view(0, 1)
@@ -93,17 +74,16 @@ class NumpyKernels(KernelBackend):
     # ------------------------------------------------------------------
     def evp_solve(self, engine, plan, y, out=None):
         """March -> edge residuals -> ring correction -> march again."""
-        xp = self.xp
         y = validate_evp_shapes(engine, y)
         b, my, mx = engine.batch, engine.my, engine.mx
         trailing = y.shape[3:]
         march = engine._march_multi if trailing else engine._march
         edges = engine._edge_residuals_multi if trailing else engine._edge_residuals
-        p = xp.zeros((b, my + 2, mx + 2) + trailing)
+        p = np.zeros((b, my + 2, mx + 2) + trailing)
         march(p, y)
         f = edges(p, y)
         ring = engine.ring_correction(f)
-        p2 = xp.zeros((b, my + 2, mx + 2) + trailing)
+        p2 = np.zeros((b, my + 2, mx + 2) + trailing)
         p2[:, engine._ring_rows, engine._ring_cols] = ring
         march(p2, y)
         x = p2[:, 1:my + 1, 1:mx + 1]

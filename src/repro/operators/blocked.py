@@ -9,9 +9,10 @@ bit-for-bit on every grid the test suite generates.
 The nine per-rank coefficient slices are also kept stacked as
 ``(p, bny, bnx)`` arrays (zero on the pad cells of ragged tiles), so
 that :meth:`BlockedOperator.apply` on stacked fields runs the whole
-multiply-accumulate sequence as nine vectorized numpy calls over the
-stack instead of a Python loop over ranks -- bit-identical, since every
-point sees the same operation sequence in the same order.
+multiply-accumulate sequence as one kernel-backend call over the stack
+(nine vectorized passes in the reference backend, one compiled sweep in
+the fused one) instead of a Python loop over ranks -- bit-identical,
+since every point sees the same operation sequence in the same order.
 """
 
 from repro.core.errors import SolverError
@@ -84,7 +85,7 @@ class BlockedOperator:
         return out_field
 
     def apply_stacked(self, x_field, out_field):
-        """``out = A @ x`` over the whole stack in nine MAC passes."""
+        """``out = A @ x`` over the whole stack in one backend call."""
         h = self.decomp.halo_width
         bny, bnx = self.decomp.max_block_shape()
         self.kernels.stencil_apply_stacked(

@@ -1,10 +1,15 @@
 """Sparse-matrix assembly and spectral diagnostics.
 
-The stencil form is what production code applies; the explicit
-``scipy.sparse`` form exists for validation (symmetry, definiteness,
-agreement with the stencil apply) and for the spectral studies behind
-Figure 4 (block sparsity structure) and the eigenvalue-bound experiments
-(Figure 3 / the eigen-margin ablation).
+Production code applies the operator through a kernel backend
+(:mod:`repro.kernels`): the default one also keeps it in a
+``scipy.sparse`` format, a DIA array laid out over whatever vector it
+multiplies (global grid or padded block stack, any batch width) and
+holding the nine planes in the reference accumulation order.  The CSR
+form assembled *here* is the textbook matrix over grid unknowns: it
+exists for validation (symmetry, definiteness, agreement with the
+stencil apply) and for the spectral studies behind Figure 4 (block
+sparsity structure) and the eigenvalue-bound experiments (Figure 3 /
+the eigen-margin ablation).
 """
 
 import numpy as np

@@ -7,10 +7,10 @@ We count one fused multiply-add as 1 "flop unit" to match the paper's
 ``theta`` bookkeeping, so :data:`MATVEC_FLOPS_PER_POINT` is 9.
 
 The arithmetic is executed by a pluggable kernel backend (see
-:mod:`repro.kernels`); the default is pure ``numpy`` slicing over a
-single padded copy of the input -- no Python-level loops -- per the HPC
-guide idioms.  Deterministic backends are bit-identical, so callers may
-treat the backend as an execution detail.
+:mod:`repro.kernels`); the default hands the whole product to one
+compiled sweep over the nine coefficient planes.  Deterministic
+backends are bit-identical, so callers may treat the backend as an
+execution detail.
 """
 
 import numpy as np
@@ -21,45 +21,18 @@ from repro.kernels import resolve_kernels
 #: the paper's ``9 n^2`` accounting (one unit per stencil coefficient).
 MATVEC_FLOPS_PER_POINT = 9
 
-#: Cached padded scratch buffers for :func:`apply_stencil`, keyed by
-#: grid shape, layout (2-D or batch) and dtype.  The matvec is the
-#: serial hot loop; reusing the ``(ny + 2, nx + 2[, nrhs])`` buffer
-#: avoids one full-grid allocation per call.  The zero border (the
-#: closed boundary) is written once at creation and never touched
-#: afterwards, so no re-zeroing is needed.  A batch keeps one width per
-#: grid: widths only shrink within a solve (8, 7, 6, ... as columns
-#: retire), so a narrower batch replaces the buffer instead of adding
-#: an entry per width.
-_PADDED_SCRATCH = {}
-
-
-def _padded_scratch(shape, dtype):
-    key = (shape[:2], len(shape), np.dtype(dtype).str)
-    buf = _PADDED_SCRATCH.get(key)
-    if buf is None or buf.shape[2:] != shape[2:]:
-        ny, nx = shape[:2]
-        buf = np.zeros((ny + 2, nx + 2) + shape[2:], dtype=dtype)
-        _PADDED_SCRATCH[key] = buf
-    return buf
-
 
 def apply_stencil(coeffs, x, out=None, kernels=None):
     """Global ``A @ x`` for a nine-point :class:`StencilCoeffs`.
 
     Out-of-domain neighbors contribute zero (closed boundary).  ``x``
     may carry a trailing ``nrhs`` axis, batching independent fields
-    through one vectorized pass; a batch ``out`` must then keep its
-    ``(nx, nrhs)`` axes C-contiguous (any array allocated in that shape
-    does).  ``out`` may alias neither ``x`` nor the coefficient arrays.
+    through one pass.  ``out`` (any layout) may alias neither ``x`` nor
+    the coefficient arrays; without one the result is a new array.
     ``kernels`` selects the executing backend (default:
     ``$REPRO_KERNELS``/auto).
     """
-    padded = _padded_scratch(x.shape, x.dtype)
-    padded[1:-1, 1:-1] = x
-
-    if out is None:
-        out = np.empty(x.shape, dtype=x.dtype)
-    return resolve_kernels(kernels).stencil_apply(coeffs, x, padded, out)
+    return resolve_kernels(kernels).stencil_apply(coeffs, x, out)
 
 
 def apply_stencil_local(coeffs, local, halo_width, out=None, kernels=None):
@@ -94,7 +67,4 @@ def apply_stencil_local(coeffs, local, halo_width, out=None, kernels=None):
 def residual(coeffs, x, b, out=None, kernels=None):
     """``b - A @ x`` (the solver's residual), vectorized."""
     ax = apply_stencil(coeffs, x, kernels=kernels)
-    if out is None:
-        out = np.empty_like(b)
-    np.subtract(b, ax, out=out)
-    return out
+    return np.subtract(b, ax, out=ax if out is None else out)

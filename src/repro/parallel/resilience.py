@@ -536,7 +536,7 @@ class ResilienceRuntime:
                                               axis=(0, 1, 2))))
             self.vm.ledger.record_allreduce("resilience", words=1)
         else:
-            diff = ctx._sub(true_r, state["r"])
+            diff = ctx._sub(true_r, state["r"], out=true_r)
             dnorm = np.asarray(ctx.norm2(diff))
         if self._bnorm is None:
             # ``b`` is loop-invariant: one reduction for the whole solve.

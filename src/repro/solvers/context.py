@@ -52,6 +52,13 @@ from repro.parallel.events import EventLedger
 from repro.parallel.reduction import binomial_tree_depth
 
 
+def _is_one(alpha):
+    """Whether ``y += alpha * x`` is the plain ``y += x`` (P-CSI's
+    ``x += dx``): ``1.0 * v == v`` for every IEEE value, so skipping
+    the product changes no bit."""
+    return isinstance(alpha, float) and alpha == 1.0
+
+
 class SolverContext(abc.ABC):
     """Abstract solver context (see module docstring).
 
@@ -95,13 +102,18 @@ class SolverContext(abc.ABC):
         """``out = A x`` (includes the halo update of ``x``)."""
 
     def residual(self, b, x, out=None, phase="computation"):
-        """``out = b - A x``; charged as one matvec (paper convention)."""
+        """``out = b - A x``; charged as one matvec (paper convention).
+
+        Without an ``out`` the subtraction lands in the matvec's own
+        result: one sweep, one pass, one allocation.
+        """
         ax = self.matvec(x, phase=phase)
-        return self._sub(b, ax, out=out)
+        return self._sub(b, ax, out=ax if out is None else out)
 
     @abc.abstractmethod
-    def _sub(self, a, b, out=None):
-        """``out = a - b`` (cost folded into the producing matvec)."""
+    def _sub(self, a, b, out):
+        """``out = a - b`` (cost folded into the producing matvec);
+        ``out`` may be ``a`` or ``b``."""
 
     def precond(self, r, out=None, phase="preconditioning"):
         """``out = M^-1 r``."""
@@ -319,11 +331,8 @@ class SerialContext(SolverContext):
         self.ledger.record_halo("boundary", words=w * self._halo_words)
         return out
 
-    def _sub(self, a, b, out=None):
-        if out is None:
-            out = np.empty_like(a)
-        np.subtract(a, b, out=out)
-        return out
+    def _sub(self, a, b, out):
+        return np.subtract(a, b, out=out)
 
     def _apply_precond(self, r, out):
         return self.preconditioner.apply_global(r, out=out)
@@ -438,10 +447,13 @@ class SerialContext(SolverContext):
         return fold_update(coeffs, vectors)
 
     def axpy(self, alpha, x, y, phase="computation"):
-        (alpha,), (fx, fy, s) = self._rows((alpha,), x, y,
-                                           self._get_scratch(x))
-        np.multiply(fx, alpha, out=s)
-        fy += s
+        if _is_one(alpha):
+            y += x
+        else:
+            (alpha,), (fx, fy, s) = self._rows((alpha,), x, y,
+                                               self._get_scratch(x))
+            np.multiply(fx, alpha, out=s)
+            fy += s
         self.ledger.record_flops(phase, self._width(y) * self._critical)
         return y
 
@@ -551,9 +563,7 @@ class DistributedContext(SolverContext):
             resilience.on_matvec(x, out)
         return out
 
-    def _sub(self, a, b, out=None):
-        if out is None:
-            out = self.vm.zeros(nrhs=a.nrhs)
+    def _sub(self, a, b, out):
         if self._batched(a, b, out):
             np.subtract(a.interior_stack(), b.interior_stack(),
                         out=out.interior_stack())
@@ -638,9 +648,12 @@ class DistributedContext(SolverContext):
         rows = self._rows((alpha,), x, y)
         if rows is not None:
             (alpha,), (xi, yi) = rows
-            s = self._get_scratch(xi)
-            np.multiply(xi, alpha, out=s)
-            yi += s
+            if _is_one(alpha):
+                yi += xi
+            else:
+                s = self._get_scratch(xi)
+                np.multiply(xi, alpha, out=s)
+                yi += s
         else:
             for rank in range(self.vm.num_ranks):
                 y.interior(rank)[...] += alpha * x.interior(rank)

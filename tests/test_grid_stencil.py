@@ -91,6 +91,15 @@ class TestAssembledStructure:
         expected = st_.phi * st_.area[2:-2, 2:-2]
         assert np.allclose(inner, expected, rtol=1e-12)
 
+    def test_planes_are_read_only(self, small_config):
+        """The digest memo and the kernel backends' cached operators
+        snapshot the planes: a write raises instead of leaving a stale
+        operator behind."""
+        stencil = small_config.stencil
+        for name in stencil.arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(stencil, name)[0, 0] = 1.0
+
     def test_ocean_subspace_invariant(self, small_config):
         """A maps masked vectors to masked vectors."""
         from repro.operators import apply_stencil

@@ -119,6 +119,32 @@ def _evp_cases(draw):
     )
 
 
+@st.composite
+def _stencil_cases(draw):
+    """A grid (sides 1..24, single rows and columns included), a layout
+    -- the global grid, a uniform block stack, or a ragged stack with
+    whole blocks eliminated as land -- a halo width, a batch width and
+    where to plant a NaN."""
+    layout = draw(st.sampled_from(("global", "uniform", "ragged")))
+    ny, nx = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    mby = draw(st.integers(1, min(3, ny)))
+    mbx = draw(st.integers(1, min(3, nx)))
+    land_blocks = ()
+    if layout == "uniform":
+        ny, nx = ny - ny % mby, nx - nx % mbx
+    elif layout == "ragged":
+        land_blocks = draw(st.sets(st.integers(0, mby * mbx - 1),
+                                   max_size=(mby * mbx) // 3))
+    return dict(
+        layout=layout, ny=ny, nx=nx, mby=mby, mbx=mbx,
+        land_blocks=sorted(land_blocks), h=draw(st.sampled_from((1, 2))),
+        nrhs=draw(st.sampled_from((None, 1, 2, 3, 8))),
+        seed=draw(st.integers(0, 20)),
+        where=draw(st.sampled_from(("any", "land", "halo"))),
+        spot=draw(st.integers(0, 10_000)),
+    )
+
+
 class TestRegistry:
     def test_reference_backends_always_available(self):
         names = available_backends()
@@ -282,23 +308,118 @@ class TestBatchStencilParity:
             column = matvec(backend, np.ascontiguousarray(x[..., j]))
             _assert_close(backend, column, got[..., j])
 
-    def test_out_must_fold_in_place(self, uniform_config):
-        """A batch ``out`` whose trailing axes cannot merge is refused,
-        not silently written to a copy."""
-        from repro.core.errors import GridError
+    @given(case=_stencil_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_layouts(self, case):
+        """Grid x layout x halo x width on unmasked random fields: the
+        DIA sweep against the reference loop, bit for bit."""
+        config = _config_with_land_blocks(
+            case["ny"], case["nx"], case["mby"], case["mbx"],
+            case["land_blocks"], case["seed"])
+        layout, h, nrhs = case["layout"], case["h"], case["nrhs"]
+        tail = () if nrhs is None else (nrhs,)
+        backends = {"numpy": NumpyKernels(), "fused": FusedKernels()}
+        if layout == "global":
+            coeffs, mask = config.stencil, config.mask
+            shape = inner = config.shape
+        else:
+            decomp = decompose(
+                case["ny"], case["nx"], case["mby"], case["mbx"],
+                mask=config.mask if layout == "ragged" else None)
+            coeffs = BlockedOperator(config.stencil,
+                                     decomp)._get_stacked_coeffs()
+            bny, bnx = decomp.max_block_shape()
+            inner = (decomp.num_active, bny, bnx)
+            shape = (decomp.num_active, bny + 2 * h, bnx + 2 * h)
+            mask = np.zeros(shape, dtype=bool)
+            mask[:, h:-h, h:-h] = decomp.stack_interiors(config.mask)
 
-        x = np.stack([_rhs(uniform_config)] * 2, axis=-1)
-        planar = np.empty((2,) + uniform_config.shape)
-        with pytest.raises(GridError, match="fold"):
-            apply_stencil(uniform_config.stencil, x,
-                          out=np.moveaxis(planar, 0, -1), kernels="fused")
+        def apply(name, x):
+            if layout == "global":
+                return backends[name].stencil_apply(coeffs, x)
+            return backends[name].stencil_apply_stacked(
+                coeffs, x, h, bny, bnx, np.empty(inner + x.shape[3:]))
+
+        rng = np.random.default_rng(case["seed"])
+        x = rng.standard_normal(shape + tail)
+        got = apply("fused", x)
+        assert np.array_equal(apply("numpy", x), got)
+        for j in range(nrhs or 0):
+            column = apply("fused", np.ascontiguousarray(x[..., j]))
+            assert np.array_equal(column, got[..., j])
+
+        # A NaN -- anywhere, on a land (or pad) cell, in a halo cell --
+        # comes back where the reference puts it, in its own column.
+        cells = np.ones(shape, dtype=bool)
+        if case["where"] == "land" and not mask.all():
+            cells = ~mask
+        elif case["where"] == "halo" and layout != "global":
+            cells[:, h:-h, h:-h] = False
+        spots = np.argwhere(cells)
+        spot = tuple(spots[case["spot"] % len(spots)])
+        poisoned = x.copy()
+        poisoned[spot + (() if nrhs is None else (case["spot"] % nrhs,))] \
+            = np.nan
+        ref, bad = apply("numpy", poisoned), apply("fused", poisoned)
+        if layout == "global" and spot[1] in (0, config.nx - 1):
+            # The global form stores a coupling that would wrap into the
+            # next grid row as 0.0 and multiplies a real cell with it:
+            # ``0.0 * nan`` reaches the opposite edge column, which the
+            # reference (zero border) leaves finite.  Nowhere else.
+            extra = np.isnan(bad) & ~np.isnan(ref)
+            assert not extra[:, 1:-1].any()
+            bad = np.where(extra, ref, bad)
+        assert np.array_equal(ref, bad, equal_nan=True)
+
+    def test_out_need_not_fold_in_place(self, uniform_config,
+                                        uniform_decomp):
+        """No ``out``, a strided window and the planar layout (trailing
+        ``(nx, nrhs)`` axes not adjacent in memory) all take the
+        result, global and stacked: the sweep writes a vector of its
+        own and copies once."""
+        backend = FusedKernels()
+        stencil = uniform_config.stencil
+        x = np.stack([_rhs(uniform_config, seed=j) for j in range(2)],
+                     axis=-1)
+        fresh = apply_stencil(stencil, x, kernels=backend)
+        assert fresh.flags.c_contiguous
+        assert np.array_equal(fresh, apply_stencil(stencil, x,
+                                                   kernels="numpy"))
+
+        vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask)
+        src = vm.scatter(x)
+        vm.exchange(src)
+        bny, bnx = uniform_decomp.max_block_shape()
+        reference = BlockedOperator(stencil, uniform_decomp, kernels="numpy")
+        coeffs = reference._get_stacked_coeffs()
+        stacked = vm.zeros(nrhs=2)
+        reference.apply(src, stacked)
+
+        applies = [
+            (fresh, lambda out: apply_stencil(stencil, x, out=out,
+                                              kernels=backend)),
+            (stacked.interior_stack(),
+             lambda out: backend.stencil_apply_stacked(
+                 coeffs, src.stack, uniform_decomp.halo_width, bny, bnx,
+                 out)),
+        ]
+        for ref, apply in applies:
+            frame = np.full(tuple(n + 2 for n in ref.shape), 7.0)
+            window = frame[(slice(1, -1),) * ref.ndim]
+            assert apply(window) is window
+            assert np.array_equal(window, ref)
+            assert np.count_nonzero(frame == 7.0) == frame.size - window.size
+            planar = np.empty(ref.shape[-1:] + ref.shape[:-1])
+            apply(np.moveaxis(planar, 0, -1))
+            assert np.array_equal(np.moveaxis(planar, 0, -1), ref)
 
     def test_scratch_keeps_one_width(self, uniform_config, uniform_decomp):
-        """Columns retiring one by one (8, 7, ..., 1) leave one padded
-        buffer, one product buffer and one set of folded planes per
-        coefficient set -- and only the last few sets."""
+        """What the backend keeps per coefficient set is its sweeps:
+        columns retiring one by one (8, 7, ..., 1) with a single-RHS
+        apply in between leave one single-RHS sweep and one batch
+        width -- and the backend keeps only the last few sets."""
         from repro.kernels.fused import _MAX_FOLDED_SETS
-        from repro.operators import stencil_op
 
         backend = FusedKernels()
         stencil = uniform_config.stencil
@@ -307,13 +428,13 @@ class TestBatchStencilParity:
         for nrhs in range(8, 0, -1):
             apply_stencil(stencil, np.ascontiguousarray(x[..., :nrhs]),
                           kernels=backend)
-        assert len(backend._tmp) == 1
-        assert [(c is stencil, width)
-                for c, width, _ in backend._folded.values()] == [(True, 1)]
-        batch_pads = [buf for (shape, ndim, _), buf
-                      in stencil_op._PADDED_SCRATCH.items()
-                      if shape == uniform_config.shape and ndim == 3]
-        assert [buf.shape[2] for buf in batch_pads] == [1]
+            apply_stencil(stencil, np.ascontiguousarray(x[..., 0]),
+                          kernels=backend)
+        (held,) = backend._sweeps.values()
+        assert held["coeffs"] is stencil and len(held) == 3
+        # A width-1 batch is the single-RHS sweep: same flat layout.
+        assert held["single"][0] == 1 and held["batch"][0] == 2
+        assert held["batch"][1].shape == (2 * x[..., 0].size,) * 2
 
         vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask)
         src = vm.scatter(x)
@@ -321,7 +442,32 @@ class TestBatchStencilParity:
         for _ in range(_MAX_FOLDED_SETS + 2):
             BlockedOperator(stencil, uniform_decomp, kernels=backend).apply(
                 src, vm.zeros(nrhs=8))
-        assert len(backend._folded) == _MAX_FOLDED_SETS
+        assert len(backend._sweeps) == _MAX_FOLDED_SETS
+
+    def test_sweep_is_not_contracted(self):
+        """The one thing bit-parity rests on: scipy's DIA kernel rounds
+        the product before it adds.  With an inexact second product a
+        fused multiply-add shows: ``1 * (1 + 2**-26)`` is exact,
+        ``-(1 + 2**-27) * (1 + 2**-27)`` rounds to ``-(1 + 2**-26)``,
+        so multiply-then-add gives 0.0 and a contracted ``a * b + c``
+        gives ``-2**-54``."""
+        from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
+
+        shape = (3, 3)
+        planes = {name: np.zeros(shape) for name in COEFF_NAMES}
+        planes["c"][...] = 1.0
+        planes["n"][...] = -(1.0 + 2.0 ** -27)
+        stencil = StencilCoeffs(mask=np.ones(shape, dtype=bool), **planes)
+        x = np.zeros(shape)
+        x[1, 1] = 1.0 + 2.0 ** -26
+        x[2, 1] = 1.0 + 2.0 ** -27
+        ref = apply_stencil(stencil, x, kernels="numpy")
+        got = apply_stencil(stencil, x, kernels=FusedKernels())
+        assert ref[1, 1] == 0.0
+        assert got[1, 1] == 0.0 and np.array_equal(ref, got), (
+            "this scipy build contracts a*b+c into a fused multiply-add "
+            f"(DIA sweep gave {got[1, 1]!r}, multiply-then-add gives 0.0): "
+            "the fused backend is no longer bit-identical to the reference")
 
 
 class TestEVPParity:

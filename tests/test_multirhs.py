@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointError, CheckpointPolicy
-from repro.core.errors import ConvergenceError, KernelError
+from repro.core.errors import ConvergenceError
 from repro.grid import test_config as make_test_config
-from repro.kernels import resolve_array_module, resolve_kernels
+from repro.kernels import resolve_kernels
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
@@ -411,43 +411,3 @@ class TestEnsembleLockstep:
                                           batched.members):
             for month_seq, month_bat in zip(member_seq, member_bat):
                 assert (month_seq == month_bat).all()
-
-
-class TestArrayModuleResolution:
-    """xp plumbing: numpy identity, graceful GPU fallback, hard errors."""
-
-    def test_numpy_is_default_and_shared(self):
-        assert resolve_array_module() is np
-        assert resolve_array_module("numpy") is np
-        backend = resolve_kernels("fused")
-        assert backend.xp is np
-        assert resolve_kernels("fused", xp="numpy") is backend
-
-    @pytest.mark.parametrize("name", ["cupy", "jax"])
-    def test_missing_gpu_module_degrades_with_one_warning(self, name):
-        try:
-            __import__(name)
-        except ImportError:
-            pass
-        else:
-            pytest.skip(f"{name} is installed here")
-        import repro.kernels as K
-
-        K._WARNED_ARRAY_MODULES.discard(name)
-        with pytest.warns(RuntimeWarning,
-                          match=f"array module '{name}' is unavailable"):
-            assert resolve_array_module(name) is np
-        # Second resolution: silent (warn-once), still numpy.
-        import warnings as W
-
-        with W.catch_warnings():
-            W.simplefilter("error")
-            assert resolve_array_module(name) is np
-
-    def test_unknown_array_module_raises(self):
-        with pytest.raises(KernelError, match="unknown array module"):
-            resolve_array_module("torch")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            resolve_kernels("cuda")

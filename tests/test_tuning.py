@@ -247,40 +247,3 @@ class TestCacheStatsRegression:
         # Both lines print unconditionally, healthy or healed.
         assert "quarantined entries: 1" in out
         assert "hit ratio" in out and "rebuilds" in out
-
-
-class TestWarnOnceReset:
-    """The documented reset hook re-arms array-module fallbacks."""
-
-    def test_reset_rearms_the_warning(self):
-        import warnings
-
-        from repro.kernels import (
-            resolve_array_module,
-            reset_warned_array_modules,
-        )
-
-        try:
-            import cupy  # noqa: F401
-            pytest.skip("cupy installed; fallback never fires")
-        except ImportError:
-            pass
-
-        reset_warned_array_modules()
-        with warnings.catch_warnings(record=True) as first:
-            warnings.simplefilter("always")
-            assert resolve_array_module("cupy") is np
-        assert any("cupy" in str(w.message) for w in first)
-
-        # Warn-once: silent on the second resolution ...
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_array_module("cupy") is np
-
-        # ... until the suite resets the process-global set.
-        reset_warned_array_modules()
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            assert resolve_array_module("cupy") is np
-        assert any("cupy" in str(w.message) for w in again)
-        reset_warned_array_modules()
