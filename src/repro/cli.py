@@ -12,15 +12,13 @@ Commands
     One-off barotropic solve on a named configuration with a chosen
     solver/preconditioner; prints iterations and modeled times.  When
     ``repro tune`` has persisted a winning combo for this grid +
-    decomposition, any of ``--solver``/``--precond``/``--kernels``/
-    ``--engine`` left unset is filled from it (``--no-tuned`` opts
-    out).  ``--precond`` accepts the polynomial kinds ``cheby:D`` and
+    decomposition, any of ``--solver``/``--precond``/``--engine``
+    left unset is filled from it (``--no-tuned`` opts out).
+    ``--precond`` accepts the polynomial kinds ``cheby:D`` and
     ``ncheby:D[:K]``; ``--precond-degree`` / ``--newton-steps``
     override the suffix.
     ``--engine {serial,perrank,batched}`` selects the execution
-    substrate; ``--kernels {auto,numpy,fused,numba}`` the kernel
-    backend (default ``$REPRO_KERNELS`` or ``auto``);
-    ``--inject-fault SPEC`` (repeatable) attaches
+    substrate; ``--inject-fault SPEC`` (repeatable) attaches
     deterministic fault injectors to exercise the solver guardrails,
     and ``--max-recoveries`` / ``--fallback chrongear`` control the
     divergence recovery of the spectrally bounded solvers (P-CSI and
@@ -40,8 +38,8 @@ Commands
 ``machines``
     Print the calibrated machine models.
 ``tune [--config NAME] [--blocks by,bx] [--quick] [--out PATH]``
-    Benchmark candidate (solver, preconditioner+degree, kernels,
-    engine) combos with real solves, print the ranked table, and
+    Benchmark candidate (solver, preconditioner+degree, engine)
+    combos with real solves, print the ranked table, and
     persist the winner in the artifact cache keyed by grid +
     decomposition; later ``repro solve`` runs apply it automatically.
 ``report [--out DIR] [--verification] [--jobs N] [--no-cache]
@@ -151,12 +149,9 @@ def cmd_solve(args):
     from repro.operators import apply_stencil
     from repro.parallel import VirtualMachine, decompose, parse_fault_spec
     from repro.perfmodel import get_machine, phase_times
-    from repro.precond import make_preconditioner
+    from repro.precond import make_preconditioner, polynomial_family
     from repro.precond.evp import evp_for_config
     from repro.solvers import DistributedContext, SerialContext, make_solver
-
-    from repro.core.errors import KernelError
-    from repro.kernels import resolve_kernels
 
     config = get_cached_config(args.config, scale=args.scale)
     print(config.describe())
@@ -181,20 +176,11 @@ def cmd_solve(args):
     precond_kind = args.precond or (tuned and tuned.get("precond")) \
         or "evp"
     engine = args.engine or (tuned and tuned.get("engine")) or "serial"
-    kernels_choice = args.kernels or (tuned and tuned.get("kernels"))
     if tuned is not None and None in (args.solver, args.precond,
-                                      args.engine, args.kernels):
+                                      args.engine):
         print(f"applying tuned choice: solver={solver_name} "
-              f"precond={precond_kind} kernels={kernels_choice} "
-              f"engine={engine} (from repro tune; --no-tuned to "
-              f"disable)")
-
-    try:
-        kernels = resolve_kernels(kernels_choice)
-    except KernelError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(f"kernel backend: {kernels.describe()}")
+              f"precond={precond_kind} engine={engine} "
+              f"(from repro tune; --no-tuned to disable)")
 
     faults = [parse_fault_spec(spec) for spec in args.inject_fault]
     vm_faults = [f for f in faults if f.kind != "nan_rhs"]
@@ -218,35 +204,31 @@ def cmd_solve(args):
             engine = "batched"
 
     precond_kwargs = {}
-    base_kind = precond_kind.split(":", 1)[0].lower()
-    if base_kind in ("cheby", "chebyshev", "ncheby", "newton-cheby",
-                     "newtoncheby", "newton"):
-        if args.precond_degree is not None:
-            precond_kwargs["degree"] = args.precond_degree
-        if args.newton_steps is not None and base_kind not in (
-                "cheby", "chebyshev"):
-            precond_kwargs["steps"] = args.newton_steps
+    family = polynomial_family(precond_kind)
+    if family and args.precond_degree is not None:
+        precond_kwargs["degree"] = args.precond_degree
+    if family == "ncheby" and args.newton_steps is not None:
+        precond_kwargs["steps"] = args.newton_steps
 
     decomp = None
     if engine == "serial":
         if precond_kind == "evp":
-            pre = evp_for_config(config, kernels=kernels)
+            pre = evp_for_config(config)
         else:
             pre = make_preconditioner(precond_kind, config.stencil,
-                                      kernels=kernels, **precond_kwargs)
-        ctx = SerialContext(config.stencil, pre, kernels=kernels)
+                                      **precond_kwargs)
+        ctx = SerialContext(config.stencil, pre)
     else:
         decomp = decompose(config.ny, config.nx, by, bx, mask=config.mask)
         vm = VirtualMachine(decomp, mask=config.mask, engine=engine,
                             faults=vm_faults)
         print(f"engine: {vm.engine} on {decomp.describe()}")
         if precond_kind == "evp":
-            pre = evp_for_config(config, decomp=decomp, kernels=kernels)
+            pre = evp_for_config(config, decomp=decomp)
         else:
             pre = make_preconditioner(precond_kind, config.stencil,
-                                      decomp=decomp, kernels=kernels,
-                                      **precond_kwargs)
-        ctx = DistributedContext(config.stencil, pre, vm, kernels=kernels)
+                                      decomp=decomp, **precond_kwargs)
+        ctx = DistributedContext(config.stencil, pre, vm)
     for fault in faults:
         print(f"injecting fault: {fault.describe()}")
 
@@ -404,7 +386,7 @@ def cmd_tune(args):
                   if entry["converged"]
                   else f"FAILED: {entry['error']}")
         print(f"  {entry['solver']}/{entry['precond']}"
-              f"/{entry['kernels']}/{entry['engine']}: {status}")
+              f"/{entry['engine']}: {status}")
 
     print(f"tuning {args.config} on a {blocks[0]}x{blocks[1]} "
           f"decomposition (tol {args.tol:g}"
@@ -423,8 +405,8 @@ def cmd_tune(args):
         return 1
     c = report["choice"]
     print(f"persisted tuned choice: solver={c['solver']} "
-          f"precond={c['precond']} kernels={c['kernels']} "
-          f"engine={c['engine']} (key {report['key'][:12]}..., cache "
+          f"precond={c['precond']} engine={c['engine']} "
+          f"(key {report['key'][:12]}..., cache "
           f"{cache.cache_dir}); later 'repro solve' runs on this grid + "
           f"decomposition apply it automatically")
     return 0
@@ -519,8 +501,8 @@ def cmd_cache(args):
         report = cache.verify(repair=args.repair)
         print(f"cache directory: {cache.cache_dir}")
         print(f"checked {report['checked']} entries: "
-              f"{report['ok']} verified, {report['legacy']} legacy "
-              f"(no checksum), {len(report['corrupt'])} corrupt")
+              f"{report['ok']} verified, "
+              f"{len(report['corrupt'])} corrupt")
         for path, reason in report["corrupt"]:
             import os as _os
 
@@ -615,9 +597,6 @@ def build_parser():
                          help="serial context or a virtual-machine "
                               "execution engine (default: the persisted "
                               "tuned choice if any, else serial)")
-    p_solve.add_argument("--kernels", default=None,
-                         help="kernel backend: auto, numpy, fused or "
-                              "numba (default: $REPRO_KERNELS or auto)")
     p_solve.add_argument("--blocks", default="4,4",
                          help="block grid 'by,bx' for the virtual "
                               "machine (default: 4,4)")
@@ -672,7 +651,7 @@ def build_parser():
 
     p_tune = sub.add_parser(
         "tune",
-        help="benchmark solver/preconditioner/kernels/engine combos and "
+        help="benchmark solver/preconditioner/engine combos and "
              "persist the winner for this grid + decomposition")
     p_tune.add_argument("--config", default="pop_1deg",
                         choices=["pop_1deg", "pop_0.1deg", "test"])

@@ -46,8 +46,8 @@ evictor take it *exclusive* -- an entry currently being read can never
 be evicted or replaced mid-read.  ``max_bytes`` activates
 byte-accounted least-recently-used eviction (access times are bumped on
 every hit); eviction counts persist per shard so ``repro cache stats``
-reports them across processes.  Entries written before sharding was
-enabled remain readable: lookups fall back to the flat legacy layout.
+reports them across processes.  An entry lives in exactly one place --
+its key's shard, or the cache root when ``shards`` is unset.
 """
 
 import contextlib
@@ -230,8 +230,7 @@ class ArtifactCache:
         Spread disk entries across this many ``shard-XX/``
         subdirectories by key prefix, each with its own advisory file
         lock (see the module docstring).  ``None``/``0``/``1`` keeps
-        the flat single-directory layout, bit-compatible with every
-        earlier format.
+        the flat single-directory layout.
     max_bytes:
         Total on-disk byte budget; when set, each store triggers
         least-recently-used eviction in its shard down to the shard's
@@ -320,10 +319,6 @@ class ArtifactCache:
         return os.path.join(self._shard_dir(self.shard_index(key)),
                             self._entry_name(category, key))
 
-    def _legacy_path(self, category, key):
-        """Flat-layout path (pre-sharding), used as a read fallback."""
-        return os.path.join(self.cache_dir, self._entry_name(category, key))
-
     @property
     def _locking(self):
         """Whether shard locks are engaged (sharded or evicting)."""
@@ -386,10 +381,9 @@ class ArtifactCache:
         """Parse one disk entry; returns ``(arrays, meta)``.
 
         Raises ``CacheEntryDamaged`` (carrying the reason) for anything
-        unusable: unreadable npz, missing/garbled metadata member, or a
-        checksum that does not match the recorded one.  Pre-v4 entries
-        without an integrity envelope load as-is (their keys are salted
-        with the old format version, so normal lookups never hit them).
+        unusable: unreadable npz, missing/garbled metadata member, no
+        integrity envelope, or a checksum that does not match the
+        recorded one.
         """
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -400,18 +394,16 @@ class ArtifactCache:
                 zipfile.BadZipFile, json.JSONDecodeError,
                 UnicodeDecodeError) as exc:
             raise CacheEntryDamaged(f"unreadable ({exc})") from exc
-        if isinstance(meta_doc, dict) and "__checksum__" in meta_doc:
-            expected = meta_doc["__checksum__"]
-            meta = meta_doc.get("meta", {})
-            actual = self._content_checksum(arrays, meta)
-            if actual != expected:
-                raise CacheEntryDamaged(
-                    f"checksum mismatch (sha256 {actual[:12]}... != "
-                    f"recorded {str(expected)[:12]}...)")
-            return arrays, meta
-        # Legacy (pre-v4) layout: the metadata member is the caller's
-        # meta itself and no checksum exists to verify.
-        return arrays, meta_doc
+        if not (isinstance(meta_doc, dict) and "__checksum__" in meta_doc):
+            raise CacheEntryDamaged("no integrity envelope")
+        expected = meta_doc["__checksum__"]
+        meta = meta_doc.get("meta", {})
+        actual = self._content_checksum(arrays, meta)
+        if actual != expected:
+            raise CacheEntryDamaged(
+                f"checksum mismatch (sha256 {actual[:12]}... != "
+                f"recorded {str(expected)[:12]}...)")
+        return arrays, meta
 
     def load(self, category, key):
         """Disk entry as ``(arrays, meta)``; ``None`` (a miss) otherwise.
@@ -428,12 +420,6 @@ class ArtifactCache:
         index = self.shard_index(key)
         path = self._path(category, key)
         shard_dir = os.path.dirname(path)
-        if not os.path.exists(path) and self.shards:
-            # Entries written before sharding was enabled live in the
-            # flat root; read them from there rather than rebuilding.
-            legacy = self._legacy_path(category, key)
-            if os.path.exists(legacy):
-                path, shard_dir = legacy, self.cache_dir
         if not os.path.exists(path):
             self.misses += 1
             self._count_shard(index, "misses")
@@ -602,22 +588,16 @@ class ArtifactCache:
         """Audit every disk entry; returns a summary dict.
 
         Each entry is fully read back and its checksum recomputed.  The
-        summary maps ``checked``/``ok``/``legacy`` to counts and
-        ``corrupt`` to a list of ``(path, reason)`` pairs.  With
-        ``repair=True`` corrupt entries are quarantined on the spot (so
-        the next lookup rebuilds them); without it the audit is
-        read-only.  ``legacy`` counts pre-v4 entries that carry no
-        checksum -- unreachable through current keys and left alone.
+        summary maps ``checked``/``ok`` to counts and ``corrupt`` to a
+        list of ``(path, reason)`` pairs (an entry without an integrity
+        envelope is corrupt).  With ``repair=True`` corrupt entries are
+        quarantined on the spot (so the next lookup rebuilds them);
+        without it the audit is read-only.
         """
-        report = {"checked": 0, "ok": 0, "legacy": 0, "corrupt": [],
-                  "quarantined": 0}
+        report = {"checked": 0, "ok": 0, "corrupt": [], "quarantined": 0}
         for path in self._disk_entries():
             report["checked"] += 1
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    meta_doc = json.loads(str(data[_META_KEY][()]))
-                    has_envelope = (isinstance(meta_doc, dict)
-                                    and "__checksum__" in meta_doc)
                 self._read_entry(path)
             except CacheEntryDamaged as exc:
                 report["corrupt"].append((path, str(exc)))
@@ -625,34 +605,15 @@ class ArtifactCache:
                     self._quarantine(path, f"verify: {exc}")
                     report["quarantined"] += 1
                 continue
-            except (OSError, ValueError, KeyError, EOFError,
-                    zipfile.BadZipFile, json.JSONDecodeError,
-                    UnicodeDecodeError) as exc:
-                report["corrupt"].append((path, f"unreadable ({exc})"))
-                if repair:
-                    self._quarantine(path, f"verify: unreadable ({exc})")
-                    report["quarantined"] += 1
-                continue
-            if has_envelope:
-                report["ok"] += 1
-            else:
-                report["legacy"] += 1
+            report["ok"] += 1
         return report
 
     # ------------------------------------------------------------------
     # accounting + maintenance
     # ------------------------------------------------------------------
     def _disk_entries(self, directory=None):
-        """Entry paths under ``directory`` (default: the whole tier).
-
-        Sharded caches are walked shard by shard *plus* the flat root,
-        so stats/clear/verify keep covering pre-sharding entries.
-        """
-        if self.cache_dir is None:
-            return []
-        dirs = ([directory] if directory is not None
-                else [self.cache_dir] + ([] if not self.shards
-                                         else self._shard_dirs()))
+        """Entry paths under ``directory`` (default: the whole tier)."""
+        dirs = [directory] if directory is not None else self._shard_dirs()
         out = []
         for base in dirs:
             if not os.path.isdir(base):

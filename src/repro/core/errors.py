@@ -24,7 +24,7 @@ class DecompositionError(ReproError):
 
 
 class KernelError(ReproError):
-    """A kernel backend was requested that is unknown or unavailable."""
+    """A kernel implementation other than ``numpy`` / ``fused`` was named."""
 
 
 class SolverError(ReproError):

@@ -29,14 +29,10 @@ from repro.operators import apply_stencil
 from repro.parallel import decompose
 from repro.parallel.decomposition import decomposition_for_core_count, _factor_pairs
 from repro.parallel.events import EventCounts
-from repro.precond import make_preconditioner
+from repro.precond import make_preconditioner, polynomial_family
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
-    CAPCGSolver,
-    ChronGearSolver,
-    PCGSolver,
-    PCSISolver,
-    PipeCGSolver,
+    SOLVER_REGISTRY,
     SerialContext,
     SpectralBoundedSolver,
 )
@@ -302,10 +298,6 @@ def solve_key(config, solver, precond, tol, check_freq, max_iterations,
     return digest_of(*parts)
 
 
-#: Preconditioner kinds that accept a ``bounds_cache=`` keyword.
-_POLY_PREFIXES = ("cheby", "chebyshev", "ncheby", "newton")
-
-
 def _decomposed_context(config, precond, engine, blocks, cache):
     """Build the execution context for a decomposed measured solve.
 
@@ -326,7 +318,7 @@ def _decomposed_context(config, precond, engine, blocks, cache):
         pre = evp_for_config(config, decomp=decomp, cache=cache)
     else:
         pkw = {}
-        if str(precond).split(":", 1)[0] in _POLY_PREFIXES:
+        if polynomial_family(precond):
             pkw["bounds_cache"] = cache
         pre = make_preconditioner(precond, config.stencil,
                                   decomp=decomp, **pkw)
@@ -402,9 +394,7 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
         ctx = SerialContext(config.stencil, pre)
     else:
         ctx = _decomposed_context(config, precond, engine, blocks, cache)
-    cls = {"chrongear": ChronGearSolver, "pcsi": PCSISolver,
-           "pcg": PCGSolver, "pipecg": PipeCGSolver,
-           "capcg": CAPCGSolver}[solver]
+    cls = SOLVER_REGISTRY[solver]
     extra_kwargs = dict(solver_kwargs)
     if issubclass(cls, SpectralBoundedSolver):
         extra_kwargs.setdefault("bounds_cache", cache)

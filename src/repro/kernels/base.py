@@ -1,29 +1,29 @@
-"""The kernel-backend interface.
+"""The kernel interface.
 
-A *kernel backend* is a pluggable implementation of the two per-iteration
-hot paths of the reproduction:
+A :class:`KernelBackend` implements the two per-iteration hot paths of
+the reproduction:
 
 * the nine-point stencil matrix-vector product (the paper's ``9 n^2``
   computation term), in its global, per-rank-local and stacked forms,
 * the EVP tile solve (the paper's ``14 n^2`` preconditioner apply):
   two marching sweeps plus the edge-residual evaluation.
 
-Backends change *execution strategy only* -- never the arithmetic.  The
-``deterministic`` flag records the contract: a deterministic backend
-performs bit-for-bit the same IEEE operation sequence as the numpy
-reference, so solver iterates are bit-identical under it.  The optional
-``numba`` backend relaxes this to a small round-off drift (different
-but valid evaluation of the same formulas; the parity suite bounds it
-at 1e-12 relative).
+There are two implementations -- the ``numpy`` reference and the
+``fused`` product -- and one contract: an implementation changes
+*execution strategy only*, never the arithmetic.  Both perform bit for
+bit the same IEEE operation sequence, so solver iterates are
+``np.array_equal`` under either, which is why nothing selects between
+them at run time (see :mod:`repro.kernels`).
 
-Pieces that must stay backend-independent -- the EVP influence-matrix
-construction and its LU-based ring correction -- live on
-:class:`~repro.precond.evp.EVPTileEngine` itself and are *not* routed
-through the backend (see the engine's docstrings).
+Pieces that must not depend on the implementation -- the EVP
+influence-matrix construction and its LU-based ring correction -- live
+on :class:`~repro.precond.evp.EVPTileEngine` itself and are *not*
+routed through this interface (see the engine's docstrings).
 
 Per-engine precompiled state (layouts, marching programs, scratch
 buffers) is produced by :meth:`KernelBackend.prepare_evp` and handed back to every
-``evp_solve`` call, so backends never key caches on engine identity.
+``evp_solve`` call, so implementations never key caches on engine
+identity.
 """
 
 import numpy as np
@@ -32,18 +32,8 @@ import numpy as np
 class KernelBackend:
     """Base class for kernel backends (see module docstring)."""
 
-    #: Registry name ("numpy", "fused", "numba").
+    #: ``"numpy"`` or ``"fused"``.
     name = "abstract"
-
-    #: Whether results are bit-identical to the numpy reference.
-    deterministic = True
-
-    #: Whether the backend can run in this process (numba flips this
-    #: to False when the import fails; the registry reports why).
-    available = True
-
-    #: Human-readable reason when ``available`` is False.
-    unavailable_reason = None
 
     # ------------------------------------------------------------------
     # nine-point stencil
@@ -142,8 +132,7 @@ class KernelBackend:
     # ------------------------------------------------------------------
     def describe(self):
         """One-line summary for CLI/benchmark output."""
-        kind = "bit-identical" if self.deterministic else "round-off drift"
-        return f"{self.name} ({kind})"
+        return f"{self.name} (bit-identical)"
 
     def __repr__(self):
         return f"<KernelBackend {self.name}>"

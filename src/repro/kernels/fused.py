@@ -284,7 +284,6 @@ class FusedKernels(NumpyKernels):
     reference."""
 
     name = "fused"
-    deterministic = True
 
     def __init__(self):
         #: DIA sweeps keyed by ``id(coeffs)``: ``{"coeffs": coeffs,

@@ -4,12 +4,12 @@ Straightforward vectorized numpy: the stencil matvec as nine
 slice-multiply-accumulate passes (the global form is the local one on a
 zero-bordered copy, :meth:`KernelBackend.stencil_apply`), the EVP solve
 as the engine's reference marching sweep (`EVPTileEngine._march`) with
-per-step fancy indexing.  Every other backend is validated against this
-one -- the deterministic backends bit-for-bit, numba to 1e-12 relative.
+per-step fancy indexing.  The fused kernels are validated against this
+one, bit for bit.
 
 The coefficient application order (center, compass, corners -- the
 module-level tuple in :mod:`repro.operators.blocked`) is part of the
-reference semantics: all deterministic backends must accumulate in the
+reference semantics: the fused kernels must accumulate in the
 same order, since floating-point addition does not commute in the last
 bit.
 
@@ -29,7 +29,6 @@ class NumpyKernels(KernelBackend):
     """Reference implementations (see module docstring)."""
 
     name = "numpy"
-    deterministic = True
 
     # ------------------------------------------------------------------
     # nine-point stencil

@@ -34,8 +34,8 @@ class BlockedOperator:
     decomp:
         The block :class:`~repro.parallel.decomposition.Decomposition`.
     kernels:
-        Kernel backend executing the multiply-accumulate passes (name,
-        instance, or ``None`` for the ``$REPRO_KERNELS``/auto default);
+        Kernels executing the multiply-accumulate passes (``"numpy"``,
+        ``"fused"``, an instance, or ``None`` for the fused default);
         see :mod:`repro.kernels`.
     """
 

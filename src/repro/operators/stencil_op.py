@@ -29,8 +29,8 @@ def apply_stencil(coeffs, x, out=None, kernels=None):
     may carry a trailing ``nrhs`` axis, batching independent fields
     through one pass.  ``out`` (any layout) may alias neither ``x`` nor
     the coefficient arrays; without one the result is a new array.
-    ``kernels`` selects the executing backend (default:
-    ``$REPRO_KERNELS``/auto).
+    ``kernels`` substitutes the reference implementation
+    (``"numpy"``); the default ``None`` is the fused kernels.
     """
     return resolve_kernels(kernels).stencil_apply(coeffs, x, out)
 

@@ -34,6 +34,7 @@ __all__ = [
     "ChebyshevPreconditioner",
     "NewtonChebyshevPreconditioner",
     "polynomial_point_flops",
+    "polynomial_family",
     "make_preconditioner",
 ]
 
@@ -41,6 +42,21 @@ __all__ = [
 #: ``cheby:DEGREE`` and ``ncheby:DEGREE[:STEPS]``).
 _CHEBY_NAMES = ("cheby", "chebyshev")
 _NCHEBY_NAMES = ("ncheby", "newton-cheby", "newtoncheby", "newton")
+
+
+def polynomial_family(kind):
+    """``"cheby"`` / ``"ncheby"`` for a polynomial spec, else ``None``.
+
+    The one reading of the spellings above (case-insensitive, any
+    ``:DEGREE[:STEPS]`` suffix ignored): callers use it to decide which
+    kinds take ``bounds_cache=``, ``degree=`` and ``steps=``.
+    """
+    base = str(kind).lower().partition(":")[0]
+    if base in _CHEBY_NAMES:
+        return "cheby"
+    if base in _NCHEBY_NAMES:
+        return "ncheby"
+    return None
 
 
 def _int_suffix(kind, part, what):
@@ -65,13 +81,14 @@ def make_preconditioner(kind, stencil, decomp=None, **kwargs):
     """
     kind = kind.lower()
     base, _, suffix = kind.partition(":")
-    if base in _CHEBY_NAMES:
+    family = polynomial_family(kind)
+    if family == "cheby":
         kwargs = dict(kwargs)
         if suffix:
             kwargs.setdefault("degree",
                               _int_suffix(kind, suffix, "degree"))
         return ChebyshevPreconditioner(stencil, decomp=decomp, **kwargs)
-    if base in _NCHEBY_NAMES:
+    if family == "ncheby":
         kwargs = dict(kwargs)
         if suffix:
             parts = suffix.split(":")

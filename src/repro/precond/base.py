@@ -39,11 +39,10 @@ class Preconditioner(abc.ABC):
         accounting; block preconditioners require it to know the block
         boundaries (``None`` means "one block covering the whole grid").
     kernels:
-        Kernel backend selection (a name, a backend instance, or
-        ``None`` for ``$REPRO_KERNELS``/auto) -- see
-        :func:`repro.kernels.resolve_kernels`.  Backends change the
-        execution strategy, never the operator ``M``, so this is not
-        part of :meth:`cache_token`.
+        ``"numpy"``, ``"fused"``, a kernel instance, or ``None`` for
+        the fused default -- see :func:`repro.kernels.resolve_kernels`.
+        The implementations change the execution strategy, never the
+        operator ``M``, so this is not part of :meth:`cache_token`.
     """
 
     #: Short name used in experiment tables ("diagonal", "evp", ...).

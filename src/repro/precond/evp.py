@@ -93,8 +93,8 @@ class EVPTileEngine:
         via the artifact cache).  Skips the ``O(n^3)`` construction;
         mismatched shapes fall back to a fresh build.
     kernels:
-        Kernel backend (name, instance or ``None`` for the
-        ``REPRO_KERNELS``/auto default) that executes :meth:`solve`.
+        Kernels (``"numpy"``, ``"fused"``, an instance or ``None`` for
+        the fused default) that execute :meth:`solve`.
         Setup -- influence-matrix construction and the ring-correction
         factors -- always runs the deterministic reference sweep, so
         the matrices (and anything cached from them) are identical
@@ -519,8 +519,8 @@ class EVPBlockPreconditioner(Preconditioner):
         cache); shape groups found in it skip their ``O(n^3)``
         influence-matrix construction.
     kernels:
-        Kernel backend executing the tile solves (name, instance or
-        ``None`` for the ``REPRO_KERNELS``/auto default); resolved once
+        Kernels executing the tile solves (``"numpy"``, ``"fused"``, an
+        instance or ``None`` for the fused default); resolved once
         and shared by every shape group's engine.  Not part of
         :meth:`cache_token`: backends change execution strategy, not
         the operator ``M``.

@@ -238,7 +238,7 @@ class ChebyshevPreconditioner(Preconditioner):
                     _BlockCoeffs(self.stencil, block)
                     for block in self.decomp.active_blocks
                 ]
-        return self._block_coeffs[0 if rank is None else rank]
+        return self._block_coeffs[rank]
 
     def _inv_block(self, rank):
         block = self._rank_block(rank)
@@ -309,8 +309,7 @@ class ChebyshevPreconditioner(Preconditioner):
         inv = self._inv_block(rank)
         ny, nx = r_interior.shape[0], r_interior.shape[1]
         pad_shape = (ny + 2, nx + 2) + r_interior.shape[2:]
-        pad = self._padded(0 if rank is None else rank, pad_shape,
-                           r_interior.dtype)
+        pad = self._padded(rank, pad_shape, r_interior.dtype)
 
         def stencil(v, res):
             pad[1:-1, 1:-1] = v
@@ -345,7 +344,10 @@ class ChebyshevPreconditioner(Preconditioner):
         if out is None:
             out = np.empty_like(r)
         if self.decomp is None:
-            return self.apply_block(None, r, out=out)
+            def stencil(v, res):
+                self.kernels.stencil_apply(self.stencil, v, res)
+
+            return self._apply(r, self._inv, "global", stencil, out)
         # With a decomposition the operator is the *block-local* one --
         # the serial context must apply the identical M the distributed
         # engines apply, block by block.

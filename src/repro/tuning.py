@@ -1,10 +1,13 @@
-"""Auto-tuning: benchmark (solver, preconditioner, kernels, engine)
-combos and persist the winner per grid + decomposition.
+"""Auto-tuning: benchmark (solver, preconditioner, engine) combos and
+persist the winner per grid + decomposition.
 
 Following "Tuning Spectral Element Preconditioners for Parallel
-Scalability", the right (solver, preconditioner+degree, kernel backend,
-execution engine) combination is an empirical property of a grid and
-its block decomposition, not something to hand-pick.  :func:`tune`
+Scalability", which tunes the choices that change the *numerics* per
+machine, the right (solver, preconditioner+degree, execution engine)
+combination is an empirical property of a grid and its block
+decomposition, not something to hand-pick.  (The kernel
+implementations are not an axis: they agree bit for bit, see
+:mod:`repro.kernels`.)  :func:`tune`
 benchmarks a candidate matrix with real solves on the local machine,
 ranks the converged candidates by wall time, and persists the winner in
 the content-addressed artifact cache under a key derived from the grid
@@ -29,7 +32,7 @@ from repro.core.cache import (
     digest_of,
     get_cache,
 )
-from repro.core.errors import ConvergenceError, KernelError
+from repro.core.errors import ConvergenceError
 
 #: Candidate axes of a full tuning run.
 DEFAULT_SOLVERS = ("chrongear", "pcsi", "capcg")
@@ -40,9 +43,6 @@ DEFAULT_ENGINES = ("serial", "batched")
 QUICK_SOLVERS = ("chrongear", "pcsi")
 QUICK_PRECONDS = ("diagonal", "cheby:2")
 QUICK_ENGINES = ("serial", "batched")
-
-#: Preconditioner kinds that accept a ``bounds_cache=`` keyword.
-_POLY_PREFIXES = ("cheby", "chebyshev", "ncheby", "newton")
 
 
 def tuned_choice_key(config, decomp):
@@ -56,8 +56,8 @@ def load_tuned_choice(config, decomp, cache=None):
 
     Checks the memory tier first, then the disk tier (promoting a disk
     hit into memory).  The returned dict carries ``solver``,
-    ``precond``, ``kernels``, ``engine``, ``blocks`` plus the benchmark
-    numbers recorded at tuning time.
+    ``precond``, ``engine``, ``blocks`` plus the benchmark numbers
+    recorded at tuning time.
     """
     cache = cache if cache is not None else get_cache()
     key = tuned_choice_key(config, decomp)
@@ -70,38 +70,27 @@ def load_tuned_choice(config, decomp, cache=None):
     return choice
 
 
-def candidate_list(quick=False, kernels=None):
-    """The candidate (solver, precond, kernels, engine) tuples to try.
-
-    ``kernels=None`` consults the available backends: all of them for a
-    full run, only the auto-preferred one under ``--quick``.
-    """
-    from repro.kernels import available_backends
-
-    if kernels is None:
-        backends = available_backends()
-        kernels = (backends[:1] if quick else backends)
+def candidate_list(quick=False):
+    """The candidate (solver, precond, engine) combos to try."""
     solvers = QUICK_SOLVERS if quick else DEFAULT_SOLVERS
     preconds = QUICK_PRECONDS if quick else DEFAULT_PRECONDS
     engines = QUICK_ENGINES if quick else DEFAULT_ENGINES
     return [
-        {"solver": s, "precond": p, "kernels": k, "engine": e}
+        {"solver": s, "precond": p, "engine": e}
         for s in solvers
         for p in preconds
-        for k in kernels
         for e in engines
     ]
 
 
-def _build_preconditioner(spec, config, decomp, kernels, cache):
-    from repro.precond import make_preconditioner
+def _build_preconditioner(spec, config, decomp, cache):
+    from repro.precond import make_preconditioner, polynomial_family
     from repro.precond.evp import evp_for_config
 
     if spec == "evp":
-        return evp_for_config(config, decomp=decomp, cache=cache,
-                              kernels=kernels)
-    kwargs = {"kernels": kernels}
-    if spec.split(":", 1)[0] in _POLY_PREFIXES:
+        return evp_for_config(config, decomp=decomp, cache=cache)
+    kwargs = {}
+    if polynomial_family(spec):
         kwargs["bounds_cache"] = cache
     return make_preconditioner(spec, config.stencil, decomp=decomp,
                                **kwargs)
@@ -125,15 +114,13 @@ def _benchmark(config, decomp, candidate, rhs, tol, max_iterations,
                  modeled_time=None, error=None)
     try:
         pre = _build_preconditioner(candidate["precond"], config, decomp,
-                                    candidate["kernels"], cache)
+                                    cache)
         if candidate["engine"] == "serial":
-            ctx = SerialContext(config.stencil, pre, decomp=decomp,
-                                kernels=candidate["kernels"])
+            ctx = SerialContext(config.stencil, pre, decomp=decomp)
         else:
             vm = VirtualMachine(decomp, mask=config.mask,
                                 engine=candidate["engine"])
-            ctx = DistributedContext(config.stencil, pre, vm,
-                                     kernels=candidate["kernels"])
+            ctx = DistributedContext(config.stencil, pre, vm)
         solver_kwargs = {"tol": tol, "max_iterations": max_iterations}
         solver_cls = SOLVER_REGISTRY[candidate["solver"].lower()]
         if issubclass(solver_cls, SpectralBoundedSolver):
@@ -147,7 +134,7 @@ def _benchmark(config, decomp, candidate, rhs, tol, max_iterations,
         t = phase_times(result.events, get_machine(machine),
                         decomp.num_active)
         entry["modeled_time"] = float(t.total)
-    except (ConvergenceError, KernelError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:
         entry["error"] = str(exc)
     return entry
 
@@ -186,7 +173,6 @@ def tune(config, blocks=(4, 4), quick=False, candidates=None,
         choice = {
             "solver": best["solver"],
             "precond": best["precond"],
-            "kernels": best["kernels"],
             "engine": best["engine"],
             "blocks": [by, bx],
             "wall_time": best["wall_time"],
@@ -204,21 +190,19 @@ def render_table(report):
     """The ranked candidate table as printable text lines."""
     lines = [
         f"{'rank':>4s}  {'solver':<10s} {'precond':<12s} "
-        f"{'kernels':<8s} {'engine':<8s} {'iters':>6s} "
-        f"{'wall':>10s} {'modeled':>10s}"
+        f"{'engine':<8s} {'iters':>6s} {'wall':>10s} {'modeled':>10s}"
     ]
     for rank, e in enumerate(report["ranked"], start=1):
         lines.append(
             f"{rank:>4d}  {e['solver']:<10s} {e['precond']:<12s} "
-            f"{e['kernels']:<8s} {e['engine']:<8s} "
-            f"{e['iterations']:>6d} {e['wall_time'] * 1e3:>8.1f}ms "
+            f"{e['engine']:<8s} {e['iterations']:>6d} "
+            f"{e['wall_time'] * 1e3:>8.1f}ms "
             f"{e['modeled_time'] * 1e3:>8.3f}ms"
         )
     failed = [e for e in report["entries"] if not e["converged"]]
     for e in failed:
         lines.append(
             f"   -  {e['solver']:<10s} {e['precond']:<12s} "
-            f"{e['kernels']:<8s} {e['engine']:<8s} "
-            f"FAILED: {e['error']}"
+            f"{e['engine']:<8s} FAILED: {e['error']}"
         )
     return lines

@@ -1,5 +1,6 @@
 """Unit tests for the sharded, size-bounded artifact cache layout."""
 
+import json
 import os
 
 import numpy as np
@@ -71,14 +72,32 @@ class TestShardLayout:
         assert os.path.dirname(path) == str(tmp_path)
         assert cache.shards == 0
 
-    def test_legacy_flat_entries_still_readable(self, tmp_path):
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_envelope_less_entry_is_quarantined_not_loaded(self, tmp_path,
+                                                           shards):
+        """A readable npz with no checksum envelope (what the pre-v4
+        reader used to hand back unverified) is damage: a miss on
+        ``load``, corrupt in ``verify``."""
+        cache = ArtifactCache(cache_dir=str(tmp_path), shards=shards)
+        key = digest_of("no-envelope")
+        path = cache.store("t", key, {"x": np.arange(4.0)}, {"ok": True})
+        np.savez(path, x=np.arange(4.0) + 1.0,
+                 __meta__=np.array(json.dumps({"ok": True})))
+        report = cache.verify()
+        assert (report["checked"], report["ok"]) == (1, 0)
+        assert report["corrupt"] == [(path, "no integrity envelope")]
+        assert cache.load("t", key) is None
+        assert cache.quarantined == 1 and not os.path.exists(path)
+        assert os.listdir(cache.quarantine_dir())
+
+    def test_sharded_cache_does_not_read_the_flat_root(self, tmp_path):
+        """One place per entry: a key's shard, nowhere else."""
         flat = ArtifactCache(cache_dir=str(tmp_path))
-        key = digest_of("legacy")
-        flat.store("t", key, {"x": np.arange(4.0)}, {"old": True})
+        key = digest_of("one-place")
+        flat.store("t", key, {"x": np.arange(4.0)}, {})
         sharded = ArtifactCache(cache_dir=str(tmp_path), shards=4)
-        loaded = sharded.load("t", key)
-        assert loaded is not None
-        assert loaded[1] == {"old": True}
+        assert sharded.load("t", key) is None
+        assert sharded.verify()["checked"] == 0
 
 
 def _entry_size(tmp_path):

@@ -50,6 +50,16 @@ class TestCalibration:
         assert model.flops_per_point_step > 0
 
 
+class TestMeasureSolverNames:
+    def test_every_registered_solver_name_is_accepted(self):
+        """``measure_solver`` reads ``SOLVER_REGISTRY``, aliases
+        included, not a table of its own."""
+        config = get_cached_config("test")
+        a = measure_solver(config, "csi", "diagonal", tol=1e-8)
+        b = measure_solver(config, "pcsi", "diagonal", tol=1e-8)
+        assert a.converged and a.iterations == b.iterations
+
+
 class TestSweeps:
     def test_barotropic_sweep_structure(self):
         sweep = barotropic_sweep("pop_0.1deg", CORES, scale=SCALE,

@@ -1,12 +1,11 @@
-"""Kernel backend registry and cross-backend parity.
+"""Kernel resolution and reference/product parity.
 
-The kernel backends are execution details: the ``numpy`` reference and
-the ``fused`` backend must produce bit-identical results everywhere
-(same IEEE operation sequence, different dispatch), and the optional
-``numba`` backend may drift by at most 1e-12 relative.  The parity
-matrix below exercises every backend against the reference across
-stencil matvecs, EVP preconditioner applies, and full distributed
-solves under both execution engines and both mask regimes.
+The two kernel implementations are execution details: the ``numpy``
+reference and the ``fused`` product must produce bit-identical results
+everywhere (same IEEE operation sequence, different dispatch).  The
+parity matrix below holds ``fused`` to the reference across stencil
+matvecs, EVP preconditioner applies, and full distributed solves under
+both execution engines and both mask regimes.
 """
 
 import os
@@ -21,17 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import KernelError
 from repro.grid import test_config as make_test_config
-from repro.kernels import (
-    AUTO_ORDER,
-    KERNEL_CHOICES,
-    NUMBA_AVAILABLE,
-    FusedKernels,
-    NumbaKernels,
-    NumpyKernels,
-    available_backends,
-    get_backend,
-    resolve_kernels,
-)
+from repro.kernels import FusedKernels, NumpyKernels, resolve_kernels
 from repro.operators import BlockedOperator, apply_stencil
 from repro.operators.stencil_op import apply_stencil_local
 from repro.parallel import VirtualMachine, decompose
@@ -40,26 +29,12 @@ from repro.precond.evp import evp_for_config
 from repro.solvers import DistributedContext, PCSISolver
 from tests.test_engine_conformance import _config_with_land_blocks
 
-NUMBA_RTOL = 1e-12
-
-#: Backends that must match the reference bit for bit.
-DETERMINISTIC = ["numpy", "fused"]
-
-#: All backends the parity matrix runs -- numba rides along only when
-#: the optional dependency is importable.
-BACKENDS = DETERMINISTIC + [
-    pytest.param("numba", marks=pytest.mark.skipif(
-        not NUMBA_AVAILABLE, reason="numba not installed"))
-]
+#: Both implementations; each must match the reference bit for bit.
+BACKENDS = ["numpy", "fused"]
 
 
 def _assert_close(name, ref, got):
-    """Bit-identical for deterministic backends, 1e-12 for numba."""
-    if get_backend(name).deterministic:
-        assert np.array_equal(ref, got)
-    else:
-        scale = np.abs(ref).max() or 1.0
-        assert np.abs(got - ref).max() / scale <= NUMBA_RTOL
+    assert np.array_equal(ref, got), name
 
 
 @pytest.fixture(scope="module")
@@ -147,71 +122,47 @@ def _stencil_cases(draw):
 
 class TestRegistry:
     def test_reference_backends_always_available(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "fused" in names
-        assert names == tuple(n for n in AUTO_ORDER if n in names)
-
-    def test_determinism_flags(self):
-        assert NumpyKernels().deterministic
-        assert FusedKernels().deterministic
-        assert not NumbaKernels().deterministic
+        assert type(resolve_kernels("numpy")) is NumpyKernels
+        assert type(resolve_kernels("fused")) is FusedKernels
+        assert resolve_kernels("fused") is resolve_kernels("fused")
 
     def test_unknown_backend_raises_listing_choices(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            get_backend("gpu")
-        with pytest.raises(KernelError) as err:
-            resolve_kernels("gpu")
-        for choice in KERNEL_CHOICES:
-            assert choice in str(err.value)
+        for name in ("auto", "jit", "gpu", ""):
+            with pytest.raises(KernelError,
+                               match="unknown kernel backend") as err:
+                resolve_kernels(name)
+            assert str(err.value).endswith("expected one of numpy, fused")
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_unavailable_backend_raises_with_reason(self):
-        with pytest.raises(KernelError, match="unavailable"):
-            get_backend("numba")
-        with pytest.raises(KernelError, match="unavailable"):
-            resolve_kernels("numba")
-        with pytest.raises(KernelError, match="unavailable"):
-            resolve_kernels(NumbaKernels())
+    def test_none_is_fused(self):
+        assert resolve_kernels(None) is resolve_kernels("fused")
 
-    def test_auto_picks_first_available(self):
-        assert resolve_kernels("auto").name == available_backends()[0]
-
-    def test_none_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert resolve_kernels(None) is resolve_kernels("auto")
-
-    def test_env_variable_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert resolve_kernels(None).name == "numpy"
-        monkeypatch.setenv("REPRO_KERNELS", "gpu")
-        with pytest.raises(KernelError):
-            resolve_kernels(None)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert resolve_kernels("fused").name == "fused"
+    def test_env_variable_ignored(self, monkeypatch):
+        for value in ("numpy", "gpu"):
+            monkeypatch.setenv("REPRO_KERNELS", value)
+            assert resolve_kernels(None) is resolve_kernels("fused")
 
     def test_instance_passthrough(self):
-        backend = FusedKernels()
-        assert resolve_kernels(backend) is backend
+        for backend in (FusedKernels(), NumpyKernels()):
+            assert resolve_kernels(backend) is backend
 
     def test_names_case_insensitive(self):
         assert resolve_kernels("FUSED").name == "fused"
 
     def test_describe_mentions_name(self):
-        for name in available_backends():
-            assert name in get_backend(name).describe()
+        assert resolve_kernels("numpy").describe() == \
+            "numpy (bit-identical)"
+        assert resolve_kernels(None).describe() == "fused (bit-identical)"
 
     def test_cli_rejects_unknown_backend(self):
+        """There is no ``--kernels`` flag: any value is a usage error."""
         env = dict(os.environ, PYTHONPATH=str(
             Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "solve", "--config",
-             "test", "--kernels", "gpu"],
+             "test", "--kernels", "fused"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 2
-        assert "unknown kernel backend" in proc.stderr
+        assert "unrecognized arguments: --kernels" in proc.stderr
 
 
 class TestStencilParity:
@@ -617,7 +568,7 @@ class TestEVPParity:
         """Cached artifacts must not depend on the consuming backend."""
         pres = {name: evp_for_config(uniform_config, decomp=uniform_decomp,
                                      kernels=name)
-                for name in available_backends()}
+                for name in BACKENDS}
         ref = pres["numpy"]
         for name, pre in pres.items():
             for shape, engine in pre._engines.items():
@@ -650,9 +601,8 @@ class TestSolveParity:
                           "numpy")
         got = self._solve(uniform_config, uniform_decomp, engine, precond,
                           backend)
-        if get_backend(backend).deterministic:
-            assert ref.iterations == got.iterations
-            assert ref.residual_norm == got.residual_norm
+        assert ref.iterations == got.iterations
+        assert ref.residual_norm == got.residual_norm
         _assert_close(backend, ref.x, got.x)
 
     def test_eliminated(self, eliminated_config, eliminated_decomp,
@@ -661,6 +611,5 @@ class TestSolveParity:
                           precond, "numpy")
         got = self._solve(eliminated_config, eliminated_decomp, "perrank",
                           precond, backend)
-        if get_backend(backend).deterministic:
-            assert ref.iterations == got.iterations
+        assert ref.iterations == got.iterations
         _assert_close(backend, ref.x, got.x)

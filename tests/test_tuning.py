@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.cache import ArtifactCache
+from repro.grid import get_config
 from repro.grid import test_config as make_test_config
 from repro.parallel import decompose
 from repro.tuning import (
@@ -39,7 +40,11 @@ def quick_report(cfg, tmp_path_factory):
 
 class TestCandidateMatrix:
     def test_full_matrix_spans_all_axes(self):
-        cands = candidate_list(kernels=("numpy",))
+        cands = candidate_list()
+        assert len(cands) == 3 * 5 * 2
+        assert len(candidate_list(quick=True)) == 2 * 2 * 2
+        assert all(set(c) == {"solver", "precond", "engine"}
+                   for c in cands)
         solvers = {c["solver"] for c in cands}
         preconds = {c["precond"] for c in cands}
         assert {"chrongear", "pcsi", "capcg"} <= solvers
@@ -47,8 +52,8 @@ class TestCandidateMatrix:
         assert "evp" in preconds and "diagonal" in preconds
 
     def test_quick_matrix_is_smaller(self):
-        quick = candidate_list(quick=True, kernels=("numpy",))
-        full = candidate_list(kernels=("numpy",))
+        quick = candidate_list(quick=True)
+        full = candidate_list()
         assert 0 < len(quick) < len(full)
 
     def test_key_depends_on_grid_and_blocks(self, cfg):
@@ -76,7 +81,7 @@ class TestTunePersistRoundTrip:
     def test_choice_is_the_winner(self, quick_report):
         report = quick_report["report"]
         best = report["ranked"][0]
-        for field in ("solver", "precond", "kernels", "engine"):
+        for field in ("solver", "precond", "engine"):
             assert report["choice"][field] == best[field]
 
     def test_reload_from_fresh_cache(self, quick_report):
@@ -146,13 +151,31 @@ class TestCliTunedResolution:
         rc = main(["solve", "--config", "test", "--blocks", "2,2",
                    "--cache-dir", cache_dir, "--solver", "chrongear",
                    "--precond", "diagonal", "--engine", "serial",
-                   "--kernels", "numpy", "--tol", "1e-8",
+                   "--tol", "1e-8", "--cores", "16"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        # All three axes explicit -> nothing inherited, no banner.
+        assert "applying tuned choice:" not in out
+        assert "chrongear+diagonal" in out
+
+    def test_stale_kernels_key_is_ignored(self, tmp_path, capsys):
+        """A record persisted when the tuner still had a kernels axis
+        (any value, including a backend that no longer exists) is
+        applied; the key is not read."""
+        cache_dir, _ = self._tune(tmp_path, capsys)
+        cache = ArtifactCache(cache_dir=cache_dir)
+        cfg = get_config("test")
+        key = tuned_choice_key(
+            cfg, decompose(cfg.ny, cfg.nx, 2, 2, mask=cfg.mask))
+        choice = dict(cache.load("tuned", key)[1], kernels="retired-jit")
+        cache.store("tuned", key, meta=choice)
+        rc = main(["solve", "--config", "test", "--blocks", "2,2",
+                   "--cache-dir", cache_dir, "--tol", "1e-8",
                    "--cores", "16"])
         out = capsys.readouterr().out
         assert rc == 0
-        # All four axes explicit -> nothing inherited, no banner.
-        assert "applying tuned choice:" not in out
-        assert "chrongear+diagonal" in out
+        assert f"applying tuned choice: solver={choice['solver']}" in out
+        assert "kernels" not in out and "converged" in out
 
     def test_solve_without_choice_uses_defaults(self, tmp_path, capsys):
         rc = main(["solve", "--config", "test",
@@ -172,6 +195,45 @@ class TestCliTunedResolution:
         out = capsys.readouterr().out
         assert rc == 0
         assert "pcsi+cheby" in out and "converged" in out
+
+
+class TestPolynomialSpellings:
+    """Every accepted spelling of a polynomial kind gets the caller's
+    bounds cache, through the service's and the tuner's builders."""
+
+    SPELLINGS = ("Cheby:2", "CHEBYSHEV:2", "nCheby:2:1",
+                 "Newton-Cheby:2:1", "NewtonCheby:2:1", "NEWTON:2:1")
+
+    def test_six_spellings_share_one_lanczos_run(self, cfg, monkeypatch):
+        from repro.experiments.common import _decomposed_context
+        from repro.precond import polynomial_family
+        from repro.solvers.lanczos import LanczosEstimator
+        from repro.tuning import _build_preconditioner
+
+        runs = []
+        real_run = LanczosEstimator.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanczosEstimator, "run", counting_run)
+        cache = ArtifactCache()
+        decomp = decompose(cfg.ny, cfg.nx, 2, 2, mask=cfg.mask)
+        bounds = set()
+        for spec in self.SPELLINGS:
+            assert polynomial_family(spec) in ("cheby", "ncheby")
+            built = (
+                _decomposed_context(cfg, spec, "serial", (2, 2),
+                                    cache).preconditioner,
+                _build_preconditioner(spec, cfg, decomp, cache),
+            )
+            for pre in built:
+                assert pre.bounds_cache is cache, spec
+                bounds.add(pre.ensure_bounds())
+        assert len(runs) == 1 and len(bounds) == 1
+        assert polynomial_family("evp") is None
+        assert polynomial_family("diagonal") is None
 
 
 class TestCacheStatsRegression:
@@ -229,6 +291,25 @@ class TestCacheStatsRegression:
         counters = cache.counters()
         assert counters["hit_ratio"] == cache.hit_ratio
         assert counters["rebuilds"] == 0
+
+    def test_cli_verify_reports_envelope_less_entry(self, tmp_path,
+                                                    capsys):
+        """A readable npz without the checksum envelope is corrupt to
+        ``repro cache verify``, and ``--repair`` quarantines it."""
+        cache_dir = str(tmp_path / "cache")
+        cache = ArtifactCache(cache_dir=cache_dir)
+        self._store_entries(cache)
+        victim = cache._path("demo", "key0")
+        np.savez(victim, x=np.arange(4.0), __meta__=np.array('{"i": 0}'))
+        assert main(["cache", "verify", "--cache-dir", cache_dir]) == 1
+        out = capsys.readouterr().out
+        assert "2 verified, 1 corrupt" in out
+        assert "no integrity envelope" in out
+        assert main(["cache", "verify", "--repair",
+                     "--cache-dir", cache_dir]) == 1
+        assert "quarantined 1 corrupt" in capsys.readouterr().out
+        assert cache.load("demo", "key0") is None
+        assert main(["cache", "verify", "--cache-dir", cache_dir]) == 0
 
     def test_cli_stats_reports_quarantine_and_ratio(self, tmp_path,
                                                     capsys):
