@@ -533,6 +533,11 @@ def cmd_cache(args):
         print(f"  shard {row['shard']:02d}: {row['entries']} entries, "
               f"{row['bytes'] / 1e6:.2f} MB, {row['hits']} hits / "
               f"{row['misses']} misses, {row['evictions']} evictions")
+    # The compiled kernels live in the user's cache, not this one; this
+    # is where one looks to see whether they were built.
+    from repro.kernels import resolve_kernels
+
+    print(f"native kernels: {resolve_kernels(None).native_status()}")
     return 0
 
 

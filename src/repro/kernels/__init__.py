@@ -1,32 +1,42 @@
 """The two kernel implementations behind the solver hot paths.
 
-The per-iteration cost of the reproduction concentrates in two places:
-the nine-point stencil matvec (the paper's ``9 n^2`` computation term)
-and the EVP preconditioner apply (the ``14 n^2`` marching solve).  Each
-has exactly two implementations, and they perform the same IEEE
-operation sequence -- ``np.array_equal`` results, pinned by
+The per-iteration cost of the reproduction concentrates in a few loops:
+the nine-point stencil matvec (the paper's ``9 n^2`` computation term),
+the EVP preconditioner apply (the ``14 n^2`` marching solve), and --
+for the solvers that reduce every iteration -- the masked inner product
+and the vector recurrences (ChronGear's ``2 n^2 + 4 n^2``).  Each has
+exactly two implementations, and they perform the same IEEE operation
+sequence -- ``np.array_equal`` results, pinned by
 ``tests/test_kernels.py``:
 
 ``numpy`` (:class:`NumpyKernels`)
-    The reference: nine slice-multiply-accumulate passes and the
-    engine's gather-based marching sweep.  Readable and slow; it is
-    the oracle the parity suites compare against, and
-    :mod:`repro.precond.polynomial` pins it for its Lanczos run.
+    The reference: nine slice-multiply-accumulate passes, the engine's
+    gather-based marching sweep, numpy's own product-then-sum.
+    Readable and slow; it is the oracle the parity suites compare
+    against, and :mod:`repro.precond.polynomial` pins it for its
+    Lanczos run.
 ``fused`` (:class:`FusedKernels`)
-    The product, used by everything else: the stencil as one compiled
-    ``scipy.sparse`` DIA sweep over the nine coefficient planes, EVP
-    marching on a layout that makes every operand a contiguous slice
-    (see :mod:`repro.kernels.fused`).
+    The product, used by everything else: layouts on which every hot
+    loop is one pass over contiguous memory (see
+    :mod:`repro.kernels.fused`), each loop run by one compiled function
+    of ``native.c`` -- the stencil sweep, a chain of vector updates,
+    the masked dot, the EVP march and its edge residuals.  The C file
+    is built on first use with the system compiler and cached per user
+    (:mod:`repro.kernels.native`); where it cannot be built, loaded or
+    verified the same layouts run through scipy's DIA kernel and numpy
+    ufuncs, silently, and :meth:`FusedKernels.describe` says which:
+    ``fused+native (bit-identical)`` or ``fused (bit-identical)``.
 
-Because the two agree bit for bit there is nothing to select: no
-command-line flag, no environment variable, no ``auto``.  The
-``kernels=`` constructor argument on contexts, preconditioners,
+Because the implementations agree bit for bit there is nothing to
+select: no command-line flag, no environment variable, no ``auto``.
+The ``kernels=`` constructor argument on contexts, preconditioners,
 ``apply_stencil``, ``BlockedOperator`` and ``EVPTileEngine`` is the
 seam through which a test substitutes the oracle (``"numpy"``, or a
 :class:`~repro.kernels.base.KernelBackend` instance); ``None`` is the
-shared ``fused`` instance.  A faster march, when one lands, belongs
-*inside* :meth:`FusedKernels.prepare_evp`, chosen by whether its build
-succeeded -- something the code can observe -- not behind a name.
+shared ``fused`` instance.  Whether the compiled loops run is decided
+inside :class:`FusedKernels` by whether the build succeeded and each
+entry point passed its load-time self-test -- something the code can
+observe -- not behind a name.
 
 The EVP influence matrices are deliberately *not* kernel work: they
 are built once by the engine's deterministic reference sweep, so cached

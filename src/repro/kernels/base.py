@@ -1,12 +1,15 @@
 """The kernel interface.
 
-A :class:`KernelBackend` implements the two per-iteration hot paths of
+A :class:`KernelBackend` implements the per-iteration hot paths of
 the reproduction:
 
 * the nine-point stencil matrix-vector product (the paper's ``9 n^2``
   computation term), in its global, per-rank-local and stacked forms,
 * the EVP tile solve (the paper's ``14 n^2`` preconditioner apply):
-  two marching sweeps plus the edge-residual evaluation.
+  two marching sweeps plus the edge-residual evaluation,
+* the serial context's inner product (:meth:`~KernelBackend.masked_dot`)
+  and runs of vector updates (:meth:`~KernelBackend.update_chain`: the
+  paper's ``4 n^2`` for ChronGear's four recurrences).
 
 There are two implementations -- the ``numpy`` reference and the
 ``fused`` product -- and one contract: an implementation changes
@@ -121,13 +124,48 @@ class KernelBackend:
         when first passed and written by nothing else in between;
         ``nrhs`` is ``None`` (``n == 1``) for a single right-hand side.
         Rows of ``x`` no slot names are left untouched.  A backend may
-        compile programs over the two array objects, so a caller
-        passes the same objects for as long as it keeps a width.
+        compile programs over the two array objects -- the fused
+        kernels bind either ufunc calls on views of them or, where
+        ``native.c`` was adopted, tables of offsets into them for
+        ``evp_march`` / ``evp_edges`` -- so a caller passes the same
+        objects for as long as it keeps a width.
         """
         shape = (engine.batch, engine.my, engine.mx)
         if nrhs is not None:
             shape += (nrhs,)
         self.evp_solve(engine, plan, y.reshape(shape), out=x.reshape(shape))
+
+    # ------------------------------------------------------------------
+    # vector kernels of the serial context
+    # ------------------------------------------------------------------
+    def masked_dot(self, a, b, mask, scratch):
+        """``sum(a * b * mask)`` over every element, as a Python float.
+
+        ``mask`` is the ocean mask as ``0.0`` / ``1.0``; all four
+        arrays share one shape.  The sum runs in numpy's pairwise order
+        over the flattened products -- the bits of ``float(np.sum(a * b
+        * mask))`` -- so an implementation may form the products on the
+        fly but not re-block the sum (``np.dot`` does).  ``scratch``
+        takes the products here: three passes, no temporaries.
+        """
+        np.multiply(a, b, out=scratch)
+        np.multiply(scratch, mask, out=scratch)
+        return float(np.add.reduce(scratch, axis=None))
+
+    def update_chain(self, steps):
+        """Run consecutive vector updates in one pass, if this backend can.
+
+        ``steps`` is a list of ``(kind, a, b, x, y)`` over same-size
+        C-contiguous float64 arrays and float coefficients: ``kind`` 0
+        is ``y += a * x`` (axpy), 1 ``y = x + b * y`` (xpay), 2 ``y = a
+        * x + b * y`` (combine), each with the roundings of the
+        context's own numpy calls (``a * x`` and ``b * y`` rounded, then
+        one add).  A later step may read or update an earlier step's
+        ``y``.  Returns ``True`` when the chain ran; ``False`` (the
+        default: there is no fused form in numpy) when nothing was
+        touched and the caller runs the updates one by one.
+        """
+        return False
 
     # ------------------------------------------------------------------
     def describe(self):

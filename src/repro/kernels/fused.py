@@ -1,9 +1,14 @@
-"""The fused numpy backend: layouts that turn gathers into slices.
+"""The fused backend: layouts that turn gathers into slices, and one
+compiled pass per hot loop.
 
 Same arithmetic as the numpy reference -- bit for bit -- executed on
 data laid out so that every operand of every hot loop is a contiguous
 slice: no index arrays, no per-step allocations, inner loops as long as
-the problem allows.
+the problem allows.  On those layouts each loop is one function of
+``native.c`` (:mod:`repro.kernels.native` builds and verifies it); an
+entry point that was not adopted leaves its loop on the scipy / numpy
+form described below, which performs the same operations in more
+passes.
 
 **EVP marching on a skewed, tile-innermost layout.**  The recurrence
 solves the equation centred on ``(j, i)`` for its north-east unknown,
@@ -19,11 +24,12 @@ right-hand sides and coefficients packed in rows ordered by
     n  -> S[D+1, J+1]    e  -> S[D+1, J]      sw -> S[D-2, J-1]
     s  -> S[D-1, J-1]    w  -> S[D-1, J]      target ne -> S[D+2, J+1]
 
-and a step is ``multiply``/``subtract`` on prebuilt views in the
-reference's term order plus one ``multiply`` by ``1/ne`` written
-straight into the target slice.  The reference gathers the same values
-with fancy indexing and applies the same operations in the same order,
-so the state is bit-identical.  The unmarched north/east equations and
+and a step is ``multiply``/``subtract`` in the reference's term order
+plus one ``multiply`` by ``1/ne`` written straight into the target
+slice -- in ``evp_march`` a loop over the slice with the running value
+in a register, otherwise ufunc calls on prebuilt views.  The reference
+gathers the same values with fancy indexing and applies the same
+operations in the same order, so the state is bit-identical.  The unmarched north/east equations and
 the ring are lines of constant stride through ``S`` (``J`` fixed, or
 ``J`` and ``D`` advancing together): strided views, still no indices.
 Nothing is zero-filled between sweeps -- the sweep writes every
@@ -45,10 +51,13 @@ stand-alone tile-major batch.
 
 **The stencil as one compiled sweep.**  The nine coefficient planes
 are stored once per coefficient set as a ``scipy.sparse.dia_array``
-over the *flattened* vector layout, and a matvec is ``sweep @
-x.reshape(-1)``: scipy's DIA kernel starts from ``y = 0.0`` and runs
-one ``y[i] += data[k, i + off_k] * x[i + off_k]`` loop per stored
-diagonal, in the order the diagonals were given.  Row ``k`` of ``data``
+over the *flattened* vector layout.  ``dia_sweep`` reads that array's
+own ``data`` / ``offsets`` and makes one pass over ``y``: per row,
+``acc = 0.0; acc += data[k, i + off_k] * x[i + off_k]`` in diagonal
+order.  Without it a matvec is ``sweep @ x.reshape(-1)``: scipy's DIA
+kernel starts from ``y = 0.0`` and runs one such loop per stored
+diagonal, in the order the diagonals were given -- nine passes over
+``y``, the same sum per element.  Row ``k`` of ``data``
 is plane ``k`` of ``_COEFF_ORDER`` written at a shift of its neighbor's
 flat offset ``off_k = (dj * W + di) * nrhs`` and repeated ``nrhs``-fold
 along the row -- a batch's trailing axis is folded into the grid row, so
@@ -71,23 +80,35 @@ halo cells have all-zero rows whose results are never copied out, pad
 cells of ragged tiles keep their zero coefficients.  Cached per
 coefficient set (identity-keyed, the last ``_MAX_FOLDED_SETS`` sets):
 the single-RHS sweep and one batch width.  Bit-parity rests on the
-scipy build *not* contracting ``y += a * b`` into a fused multiply-add;
-``tests/test_kernels.py::TestBatchStencilParity::test_sweep_is_not_contracted``
-is the tripwire.
+scipy build -- and the compiler building ``native.c`` under
+``-ffp-contract=off`` -- *not* contracting ``y += a * b`` into a fused
+multiply-add; ``test_sweep_is_not_contracted`` and
+``test_native_sweep_is_not_contracted`` in ``tests/test_kernels.py`` are
+the tripwires.
+
+**The serial context's vector kernels.**  ``masked_dot`` is
+``sum(a * b * mask)`` in numpy's pairwise order with the products
+formed on the fly (``pairwise_dot``: one pass, no temporaries);
+``update_chain`` runs a solver's consecutive ``axpy`` / ``xpay`` /
+``combine`` steps chunk by chunk, so a chain's operands are read from
+memory once.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
 :meth:`EVPTileEngine.ring_correction`.
 """
 
+import functools
 import math
 import operator
+import struct
 
 import numpy as np
 from scipy.sparse import dia_array
 
 from repro.core.fields import NEIGHBOR_OFFSETS
 from repro.kernels.base import validate_evp_shapes
+from repro.kernels.native import STEP_FORMAT, Native, address, load
 from repro.kernels.numpy_ref import NumpyKernels
 
 #: Center first, then the neighbors in ``NEIGHBOR_OFFSETS`` order: the
@@ -184,23 +205,28 @@ class _EvpWorkingSet:
     ``y`` is the packed right-hand side ``(my * mx * B, n)`` and ``x``
     the skewed state ``(x_size, n)``; viewed with the tile and RHS axes
     merged (``B * n`` innermost), every operand of the recurrence for
-    one anti-diagonal is a contiguous ``(L, B * n)`` slice, so a program
-    is a flat list of ``(ufunc, a, b, out)`` on prebuilt views.  The
-    coefficient rows are repeated ``n``-fold once, here.
+    one anti-diagonal is a contiguous ``(L, B * n)`` slice.  The march
+    and the edge residuals each run as one call into ``lib`` (the
+    loaded ``native.c``) over tables of element offsets, or -- where
+    that entry point was not adopted -- as a flat list of ``(ufunc, a,
+    b, out)`` on prebuilt views of the same slices.  The coefficient
+    rows are repeated ``n``-fold once, here.
     """
 
     __slots__ = ("y", "x", "march", "edges", "f", "f_tiles", "south",
-                 "west", "rhs_edge")
+                 "west", "keep")
 
-    def __init__(self, engine, plan, y, x):
+    def __init__(self, engine, plan, y, x, lib):
         b, my, mx, k = engine.batch, engine.my, engine.mx, engine.k
         n = y.shape[1]
         bn = b * n
         self.y, self.x = y, x
         rhs = y.reshape(my * mx, bn)
-        state = x.reshape(my + mx + 3, my + 2, bn)
         flat = x.reshape((my + mx + 3) * (my + 2), bn)
-        n_march = (my - 1) * (mx - 1)
+        rows, n_march = my * mx, (my - 1) * (mx - 1)
+        names = [name for name, _, _ in engine.terms]
+        if not (y.flags.c_contiguous and x.flags.c_contiguous):
+            lib = Native("strided buffers")
 
         def packed(values, rows=slice(None)):
             return np.repeat(values[:, plan.ty[rows], plan.tx[rows]].T, n,
@@ -211,43 +237,90 @@ class _EvpWorkingSet:
             ``(dj, di)``: rows of ``flat`` a constant stride apart."""
             start = (j + i) * (my + 2) + j
             step = (dj + di) * (my + 2) + dj
-            return flat[start:start + step * count:step]
+            return slice(start, start + step * count, step)
 
-        coeff = {name: packed(engine.coeffs[name])
-                 for name, _, _ in engine.terms}
+        # One block of coefficient rows: a ``(my * mx, bn)`` plane per
+        # marching term, then NE for the ``k`` unmarched equations.
+        block = np.empty((len(names) * rows + k, bn))
+        for t, name in enumerate(names):
+            block[t * rows:(t + 1) * rows] = packed(engine.coeffs[name])
+        block[len(names) * rows:] = packed(engine.coeffs["ne"],
+                                           slice(n_march, None))
         inv_ne = 1.0 / packed(engine.coeffs["ne"], slice(n_march))
-        acc, t, self.f = np.empty((3, k, bn))
+        acc, tmp, self.f = np.empty((3, k, bn))
+        self.keep = [block, inv_ne]
 
-        self.march = march = []
-        a = 0
+        # Per marched anti-diagonal: first equation row, length, first
+        # target row of ``flat``, (term, first source row) per term.
+        steps, a = [], 0
         for lo, d, length, terms in plan.steps:
-            z = a + length
-            cur = rhs[a:z]
-            for name, dj, di in terms:
-                src = state[d + 2 + dj + di, lo + 1 + dj:lo + 1 + dj + length]
-                march.append((np.multiply, coeff[name][a:z], src, t[:length]))
-                march.append((np.subtract, cur, t[:length], acc[:length]))
-                cur = acc[:length]
-            march.append((np.multiply, cur, inv_ne[a:z],
-                          state[d + 4, lo + 2:lo + 2 + length]))
-            a = z
+            steps.append((a, length, (d + 4) * (my + 2) + lo + 2,
+                          [(names.index(name),
+                            (d + 2 + dj + di) * (my + 2) + lo + 1 + dj)
+                           for name, dj, di in terms]))
+            a += length
+        if lib.evp_march is not None:
+            prog = []
+            for a, length, target, terms in steps:
+                prog += [length * bn, a * bn, target * bn, len(terms)]
+                for t, src in terms:
+                    prog += [(t * rows + a) * bn, src * bn]
+            prog = np.array(prog, dtype=np.int64)
+            self.keep.append(prog)
+            self.march = functools.partial(
+                lib.evp_march, len(steps), prog.ctypes.data,
+                block.ctypes.data, inv_ne.ctypes.data, rhs.ctypes.data,
+                flat.ctypes.data)
+        else:
+            ops = []
+            for a, length, target, terms in steps:
+                cur = rhs[a:a + length]
+                for t, src in terms:
+                    ops.append((np.multiply,
+                                block[t * rows + a:t * rows + a + length],
+                                flat[src:src + length], tmp[:length]))
+                    ops.append((np.subtract, cur, tmp[:length], acc[:length]))
+                    cur = acc[:length]
+                ops.append((np.multiply, cur, inv_ne[a:a + length],
+                            flat[target:target + length]))
+            self.march = functools.partial(_run, ops)
 
         # Unmarched equations: north edge west to east, then east edge
         # south to north -- ``f = -y + sum(coeff * p)``, NE term last.
-        self.rhs_edge = rhs[n_march:]
-        self.edges = edges = []
-        for name, dj, di in list(engine.terms) + [("ne", 1, 1)]:
-            c = (coeff[name][n_march:] if name in coeff
-                 else packed(engine.coeffs[name], slice(n_march, None)))
-            edges.append((np.multiply, c[:mx],
-                          line(my + dj, 1 + di, 0, 1, mx), t[:mx]))
-            edges.append((np.multiply, c[mx:],
-                          line(1 + dj, mx + di, 1, 0, my - 1), t[mx:]))
-            edges.append((np.add, self.f, t, self.f))
+        rhs_edge, f = rhs[n_march:], self.f
+        lines = [(line(my + dj, 1 + di, 0, 1, mx),
+                  line(1 + dj, mx + di, 1, 0, my - 1))
+                 for _, dj, di in list(engine.terms) + [("ne", 1, 1)]]
+        first = [t * rows + n_march for t in range(len(names))]
+        first.append(len(names) * rows)
+        if lib.evp_edges is not None:
+            ids = np.arange(flat.shape[0], dtype=np.int64)
+            src_rows = np.concatenate([ids[part] for pair in lines
+                                       for part in pair])
+            offsets = np.array(first, dtype=np.int64) * bn
+            self.keep += [src_rows, offsets]
+            self.edges = functools.partial(
+                lib.evp_edges, k, bn, len(lines), offsets.ctypes.data,
+                src_rows.ctypes.data, block.ctypes.data,
+                rhs_edge.ctypes.data, flat.ctypes.data, f.ctypes.data)
+        else:
+            ops = []
+            for c, (north, east) in zip(first, lines):
+                ops.append((np.multiply, block[c:c + mx], flat[north],
+                            tmp[:mx]))
+                ops.append((np.multiply, block[c + mx:c + k], flat[east],
+                            tmp[mx:]))
+                ops.append((np.add, f, tmp, f))
+
+            def edges():
+                np.negative(rhs_edge, out=f)
+                _run(ops)
+
+            self.edges = edges
         #: The residuals as ``ring_correction`` takes them, ``(B, k, n)``.
         self.f_tiles = self.f.reshape(k, b, n).transpose(1, 0, 2)
-        self.south = line(1, 1, 0, 1, mx).reshape(mx, b, n)
-        self.west = line(2, 1, 1, 0, my - 1).reshape(my - 1, b, n)
+        self.south = flat[line(1, 1, 0, 1, mx)].reshape(mx, b, n)
+        self.west = flat[line(2, 1, 1, 0, my - 1)].reshape(my - 1, b, n)
 
     def solve(self, engine, nrhs):
         """March from a zero ring, correct the ring, march again.
@@ -258,9 +331,8 @@ class _EvpWorkingSet:
         """
         self.south[...] = 0.0
         self.west[...] = 0.0
-        _run(self.march)
-        np.negative(self.rhs_edge, out=self.f)
-        _run(self.edges)
+        self.march()
+        self.edges()
         if nrhs is None:
             # The single-RHS correction is a matmul on contiguous rows.
             ring = engine.ring_correction(
@@ -270,7 +342,7 @@ class _EvpWorkingSet:
         mx = self.south.shape[0]
         self.south[...] = ring[:, :mx].transpose(1, 0, 2)
         self.west[...] = ring[:, mx:].transpose(1, 0, 2)
-        _run(self.march)
+        self.march()
 
 
 def _run(program):
@@ -281,25 +353,44 @@ def _run(program):
 class FusedKernels(NumpyKernels):
     """Fused backend (see module docstring).  What it does not override
     -- the per-rank oracle's ``stencil_apply_local`` -- is the
-    reference."""
+    reference.  ``native=False`` (tests only) keeps every loop on its
+    numpy/scipy form, the code that runs where ``native.c`` cannot be
+    built."""
 
     name = "fused"
 
-    def __init__(self):
+    def __init__(self, native=True):
         #: DIA sweeps keyed by ``id(coeffs)``: ``{"coeffs": coeffs,
-        #: "single": (1, sweep), "batch": (nrhs, sweep)}``, identity-
-        #: revalidated.  A set keeps its single-RHS sweep and one batch
-        #: width (widths only shrink within a solve; a service
+        #: "single": (1, sweep, call), "batch": (nrhs, sweep, call)}``,
+        #: identity-revalidated.  A set keeps its single-RHS sweep and
+        #: one batch width (widths only shrink within a solve; a service
         #: alternates 1 and its batch size), the backend the last few
         #: sets.
         self._sweeps = {}
+        #: The loaded ``native.c`` (built on first use, not on import).
+        self._lib = None if native else Native("not used")
+
+    def _native(self):
+        if self._lib is None:
+            self._lib = load()
+        return self._lib
+
+    def native_status(self):
+        """What became of ``native.c`` (:attr:`Native.status`)."""
+        return self._native().status
+
+    def describe(self):
+        mark = "+native" if self._native().loaded else ""
+        return f"{self.name}{mark} (bit-identical)"
 
     # ------------------------------------------------------------------
     # nine-point stencil: one compiled DIA sweep, reference MAC order
     # ------------------------------------------------------------------
     def _sweep(self, coeffs, plane, h, n):
-        """The cached sweep of ``coeffs`` at batch width ``n``;
-        ``plane(coeffs, name)`` reads one coefficient array."""
+        """The cached sweep of ``coeffs`` at batch width ``n`` as ``(n,
+        sweep, call)``; ``plane(coeffs, name)`` reads one coefficient
+        array and ``call`` is ``dia_sweep`` bound to the sweep's own
+        ``data`` / ``offsets`` (``None`` without the library)."""
         hit = self._sweeps.get(id(coeffs))
         if hit is None or hit["coeffs"] is not coeffs:
             self._sweeps.pop(id(coeffs), None)
@@ -310,29 +401,85 @@ class FusedKernels(NumpyKernels):
         if hit.get(slot, (0,))[0] != n:
             # Release the other width before building: peak is one sweep.
             hit.pop(slot, None)
-            hit[slot] = (n, _dia_sweep(
-                [plane(coeffs, name) for name in _COEFF_ORDER], h, n))
-        return hit[slot][1]
+            sweep = _dia_sweep(
+                [plane(coeffs, name) for name in _COEFF_ORDER], h, n)
+            call, fn = None, self._native().dia_sweep
+            if fn is not None and sweep.data.flags.c_contiguous:
+                offsets = sweep.offsets.astype(np.int64)
+                call = functools.partial(
+                    fn, sweep.shape[0], len(offsets), sweep.data.ctypes.data,
+                    sweep.data.shape[1], offsets.ctypes.data)
+                call.offsets = offsets   # alive as long as the pointer
+            hit[slot] = (n, sweep, call)
+        return hit[slot]
+
+    @staticmethod
+    def _matvec(entry, x, out=None):
+        """``sweep @ x`` in ``x``'s shape -- in ``out`` when the native
+        sweep can write there directly."""
+        _, sweep, call = entry
+        if call is None:
+            return (sweep @ x.reshape(-1)).reshape(x.shape)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if (out is None or out.shape != x.shape or out.dtype != x.dtype
+                or not out.flags.c_contiguous):
+            out = np.empty(x.shape)
+        call(x.ctypes.data, address(out))
+        return out
 
     def stencil_apply(self, coeffs, x, out=None):
         if x.shape[1] < 3:
             # East and north-west would share a diagonal: a grid this
             # narrow runs the reference loop.
             return super().stencil_apply(coeffs, x, out)
-        sweep = self._sweep(coeffs, getattr, 0,
+        entry = self._sweep(coeffs, getattr, 0,
                             x.shape[2] if x.ndim == 3 else 1)
-        y = (sweep @ x.reshape(-1)).reshape(x.shape)
-        if out is None:
+        y = self._matvec(entry, x, out)
+        if out is None or y is out:
             return y
         out[...] = y
         return out
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
-        sweep = self._sweep(coeffs, operator.getitem, h,
+        entry = self._sweep(coeffs, operator.getitem, h,
                             stack.shape[3] if stack.ndim == 4 else 1)
-        y = (sweep @ stack.reshape(-1)).reshape(stack.shape)
-        out[...] = y[:, h:h + bny, h:h + bnx]
+        out[...] = self._matvec(entry, stack)[:, h:h + bny, h:h + bnx]
         return out
+
+    # ------------------------------------------------------------------
+    # the serial context's vector kernels
+    # ------------------------------------------------------------------
+    def masked_dot(self, a, b, mask, scratch):
+        fn = self._native().pairwise_dot
+        if fn is not None and a.shape == b.shape == mask.shape \
+                and a.dtype == b.dtype == mask.dtype == np.float64:
+            try:
+                return fn(address(a), address(b), address(mask), a.size)
+            except (TypeError, ValueError):
+                pass   # read-only, strided or empty: numpy takes those
+        return super().masked_dot(a, b, mask, scratch)
+
+    def update_chain(self, steps):
+        fn = self._native().update_chain
+        if fn is None:
+            return False
+        size, nbytes = steps[0][4].size, steps[0][4].nbytes
+        flat, spans = [], set()
+        try:
+            for kind, a, b, x, y in steps:
+                if not (x.size == y.size == size
+                        and x.dtype == y.dtype == np.float64):
+                    return False
+                px, py = address(x), address(y)
+                spans.update((px, py))
+                flat += (kind, a, b, px, py)
+        except (TypeError, ValueError):
+            return False   # read-only, strided or empty operands
+        spans = sorted(spans)
+        if any(q - p < nbytes for p, q in zip(spans, spans[1:])):
+            return False   # arrays overlapping at an offset
+        fn(size, len(steps), struct.pack(STEP_FORMAT * len(steps), *flat))
+        return True
 
     # ------------------------------------------------------------------
     # EVP tile solves
@@ -346,7 +493,8 @@ class FusedKernels(NumpyKernels):
     def evp_run(self, engine, plan, y, x, nrhs):
         ws = plan.bound
         if ws is None or ws.y is not y or ws.x is not x:
-            ws = plan.bound = _EvpWorkingSet(engine, plan, y, x)
+            ws = plan.bound = _EvpWorkingSet(engine, plan, y, x,
+                                             self._native())
         ws.solve(engine, nrhs)
 
     def evp_solve(self, engine, plan, y, out=None):

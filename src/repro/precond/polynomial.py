@@ -262,6 +262,17 @@ class ChebyshevPreconditioner(Preconditioner):
     # the polynomial core (one code path for every layout, so serial,
     # per-rank and batched applications are bit-identical)
     # ------------------------------------------------------------------
+    def _buffers(self, key, like, count):
+        """``count`` work vectors shaped like ``like`` under ``key``,
+        kept between applies (one shape at a time: a batch only narrows
+        within a solve)."""
+        held = self._scratch.get(key)
+        if held is None or held.shape[1:] != like.shape \
+                or held.dtype != like.dtype:
+            held = self._scratch[key] = np.empty((count,) + like.shape,
+                                                 dtype=like.dtype)
+        return held
+
     def _chebyshev(self, rt, matvec, out, degree):
         """``out = q_degree(C) rt`` via the Chebyshev semi-iteration."""
         nu, mu = self._bounds
@@ -269,10 +280,10 @@ class ChebyshevPreconditioner(Preconditioner):
         delta = 0.5 * (mu - nu)
         sigma = theta / delta
         rho = 1.0 / sigma
-        d = rt * (1.0 / theta)
+        d, resid, scratch = self._buffers("chebyshev", rt, 3)
+        np.multiply(rt, 1.0 / theta, out=d)
         out[...] = d
-        resid = rt.copy()
-        scratch = np.empty_like(rt)
+        resid[...] = rt
         for _ in range(degree):
             matvec(d, scratch)
             resid -= scratch
@@ -416,18 +427,20 @@ class NewtonChebyshevPreconditioner(ChebyshevPreconditioner):
         self.steps = int(steps)
 
     def _polynomial(self, rt, matvec, out):
-        out[...] = self._newton(self.steps, rt, matvec)
+        (seed,) = self._buffers("newton", rt, 1)
+        out[...] = self._newton(self.steps, rt, matvec, seed)
         return out
 
-    def _newton(self, j, v, matvec):
-        """``q_j(C) v`` with ``q_{j+1}(t) = q_j(t) (2 - t q_j(t))``."""
+    def _newton(self, j, v, matvec, out):
+        """``out = q_j(C) v`` with ``q_{j+1}(t) = q_j(t) (2 - t q_j(t))``;
+        level ``j`` keeps two work vectors of its own (``v`` at level
+        ``j - 1`` is one of them)."""
         if j == 0:
-            return self._chebyshev(v, matvec, np.empty_like(v),
-                                   self.degree)
-        u = self._newton(j - 1, v, matvec)
-        w = np.empty_like(v)
+            return self._chebyshev(v, matvec, out, self.degree)
+        u = self._newton(j - 1, v, matvec, out)
+        w, t = self._buffers(("newton", j), v, 2)
         matvec(u, w)
-        t = self._newton(j - 1, w, matvec)
+        self._newton(j - 1, w, matvec, t)
         u *= 2.0
         u -= t
         return u

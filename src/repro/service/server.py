@@ -30,7 +30,7 @@ GET    /jobs/<id>              job status
 GET    /jobs/<id>/result       job response (409 while running)
 GET    /jobs/<id>/stream       NDJSON lifecycle events until terminal
 GET    /stats                  coalescer + cache + pool + job counters
-GET    /healthz                liveness (+ draining flag)
+GET    /healthz                liveness (+ draining flag, kernels in use)
 ====== ======================= =======================================
 
 Shutdown: SIGTERM/SIGINT stop accepting connections, flush every
@@ -49,6 +49,7 @@ from repro.core.cache import get_cache
 from repro.core.errors import ReproError
 from repro.core.pool import FailurePolicy
 from repro.experiments.common import FULL_SHAPES
+from repro.kernels import resolve_kernels
 from repro.reporting.serialize import solve_result_to_doc
 from repro.service.batching import Coalescer
 from repro.service.executor import ServiceExecutor
@@ -110,6 +111,9 @@ class SolverService:
                                    max_wait_ms=max_wait_ms)
         self.jobs = JobTable()
         self.draining = False
+        #: Which kernels solves run on (resolved here, not per request:
+        #: the first use loads -- once per machine, builds -- native.c).
+        self.kernels = resolve_kernels(None).describe()
         self.server = None
         self._stop = None
         self._inflight = {}
@@ -337,6 +341,7 @@ class SolverService:
             "workers": dict(executor, alive=bool(workers_ok)),
             "queue_depth": self.coalescer.stats()["queue_depth"],
             "resilience": dict(self.resilience_counters),
+            "kernels": self.kernels,
         }
 
     # ------------------------------------------------------------------

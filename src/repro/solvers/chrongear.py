@@ -76,12 +76,18 @@ class ChronGearSolver(IterativeSolver):
             raise BreakdownError("ChronGear breakdown: sigma vanished")
         alpha = rho / sigma
         # steps 13-16: the four vector recurrences
-        ctx.xpay(r_prime, beta, state["s"])   # s = r' + beta s
-        ctx.xpay(z, beta, state["p"])         # p = z + beta p
-        ctx.axpy(alpha, state["s"], state["x"])    # x += alpha s
-        ctx.axpy(-alpha, state["p"], state["r"])   # r -= alpha p
+        self._recurrences(state, r_prime, z, alpha, beta)
         state["rho"] = rho
         state["sigma"] = sigma
+
+    def _recurrences(self, state, r_prime, z, alpha, beta):
+        """Algorithm 1 steps 13-16 as one run of updates (4 n^2)."""
+        self.context.updates(
+            ("xpay", r_prime, beta, state["s"]),       # s = r' + beta s
+            ("xpay", z, beta, state["p"]),             # p = z + beta p
+            ("axpy", alpha, state["s"], state["x"]),   # x += alpha s
+            ("axpy", -alpha, state["p"], state["r"]),  # r -= alpha p
+        )
 
     def _iterate_multi(self, state, rho, delta, r_prime, z):
         """Batched scalar recurrences: one ``(nrhs,)`` entry per column.
@@ -102,7 +108,6 @@ class ChronGearSolver(IterativeSolver):
         vanishing on a live column) raise :class:`BreakdownError`, the
         same verdict the scalar path gives.
         """
-        ctx = self.context
         noop = (rho == 0.0) & (delta == 0.0)
         if bool(noop.all()):
             # Every active column is exactly solved; leave the state
@@ -120,9 +125,6 @@ class ChronGearSolver(IterativeSolver):
         if bool(np.any((sigma == 0.0) & ~noop & np.isfinite(sigma))):
             raise BreakdownError("ChronGear breakdown: sigma vanished")
         alpha = np.where(noop, 0.0, rho / np.where(noop, 1.0, sigma))
-        ctx.xpay(r_prime, beta, state["s"])   # s = r' + beta s
-        ctx.xpay(z, beta, state["p"])         # p = z + beta p
-        ctx.axpy(alpha, state["s"], state["x"])    # x += alpha s
-        ctx.axpy(-alpha, state["p"], state["r"])   # r -= alpha p
+        self._recurrences(state, r_prime, z, alpha, beta)
         state["rho"] = np.where(noop, rho_old, rho)
         state["sigma"] = np.where(noop, sigma_old, sigma)

@@ -14,6 +14,10 @@ this small set of primitives:
 ``axpy``           ``y += alpha * x`` (1 unit/pt)
 ``xpay``           ``y = x + beta * y`` (1 unit/pt)
 ``combine``        ``y = a * x + b * y`` (2 units/pt; P-CSI's dx update)
+``updates``        a run of consecutive ``axpy`` / ``xpay`` / ``combine``
+                   steps, charged as the steps are (ChronGear's four
+                   recurrences: 4 units/pt); one pass over the vectors
+                   where the context can fuse it
 ``scale``          ``v *= factor`` (1 unit/pt; P-CSI setup, Lanczos
                    normalization)
 ``sub``            ``out = a - b`` (folded into the matvec's cost --
@@ -44,12 +48,20 @@ import numpy as np
 
 from repro.core.errors import SolverError
 from repro.core.fields import fold_update
-from repro.core.norms import masked_dot
 from repro.kernels import resolve_kernels
 from repro.operators.blocked import BlockedOperator
 from repro.operators.stencil_op import MATVEC_FLOPS_PER_POINT, apply_stencil
 from repro.parallel.events import EventLedger
 from repro.parallel.reduction import binomial_tree_depth
+
+
+#: ``updates`` step -> (kernel chain kind, flop units per point, the
+#: step's arguments as the kernel's ``(a, b, x, y)``).
+_CHAIN_STEPS = {
+    "axpy": (0, 1, lambda alpha, x, y: (alpha, 0.0, x, y)),
+    "xpay": (1, 1, lambda x, beta, y: (0.0, beta, x, y)),
+    "combine": (2, 2, lambda a, x, b, y: (a, b, x, y)),
+}
 
 
 def _is_one(alpha):
@@ -241,6 +253,24 @@ class SolverContext(abc.ABC):
     def scale(self, factor, v, phase="computation"):
         """``v *= factor`` in place; returns ``v``."""
 
+    def updates(self, *steps, phase="computation"):
+        """A run of consecutive updates, in order.
+
+        Each step is a tuple naming one of the three update primitives
+        and its arguments -- ``("axpy", alpha, x, y)``, ``("xpay", x,
+        beta, y)``, ``("combine", a, x, b, y)`` -- and a later step may
+        read or update what an earlier one wrote (ChronGear's ``x +=
+        alpha s`` follows ``s = r' + beta s``).  The result and the
+        ledger records are those of the calls made one by one, which is
+        what this default does; a context may run the whole chain in
+        one pass over the vectors instead.
+        """
+        for kind, *args in steps:
+            if kind not in _CHAIN_STEPS:
+                raise SolverError(f"unknown update step {kind!r}; expected "
+                                  f"one of {', '.join(_CHAIN_STEPS)}")
+            getattr(self, kind)(*args, phase=phase)
+
     # -- topology ------------------------------------------------------
     @property
     @abc.abstractmethod
@@ -354,6 +384,12 @@ class SerialContext(SolverContext):
         np.multiply(prod.transpose(2, 0, 1), self._mask_f, out=planar)
         return np.sum(planar, axis=(1, 2))
 
+    def _dot(self, a, b):
+        """Masked inner product of two 2-D vectors: one pass where the
+        kernels fuse the masking multiply into the sum."""
+        return self.kernels.masked_dot(a, b, self._mask_f,
+                                       self._get_scratch(a))
+
     def dot(self, a, b, phase="reduction"):
         if a.ndim == 3:
             value = self._dot_columns(a, b)
@@ -363,7 +399,7 @@ class SerialContext(SolverContext):
             # All columns' partials ride one fused all-reduce.
             self.ledger.record_allreduce(phase, words=nrhs)
             return value
-        value = masked_dot(a, b, self._mask_f)
+        value = self._dot(a, b)
         self.ledger.record_flops("computation", self._critical)
         self.ledger.record_flops(phase, self._critical)
         self.ledger.record_allreduce(phase, words=1)
@@ -378,8 +414,8 @@ class SerialContext(SolverContext):
             self.ledger.record_flops(phase, 2 * nrhs * self._critical)
             self.ledger.record_allreduce(phase, words=2 * nrhs)
             return v1, v2
-        v1 = masked_dot(a1, b1, self._mask_f)
-        v2 = masked_dot(a2, b2, self._mask_f)
+        v1 = self._dot(a1, b1)
+        v2 = self._dot(a2, b2)
         self.ledger.record_flops("computation", 2 * self._critical)
         self.ledger.record_flops(phase, 2 * self._critical)
         self.ledger.record_allreduce(phase, words=2)
@@ -397,7 +433,7 @@ class SerialContext(SolverContext):
                 if multi:
                     out[i, j] = self._dot_columns(x, y)
                 else:
-                    out[i, j] = masked_dot(x, y, self._mask_f)
+                    out[i, j] = self._dot(x, y)
         n_words = len(xs) * len(ys) * w
         self.ledger.record_flops("computation", n_words * self._critical)
         self.ledger.record_flops(phase, n_words * self._critical)
@@ -478,6 +514,29 @@ class SerialContext(SolverContext):
         fv *= factor
         self.ledger.record_flops(phase, self._width(v) * self._critical)
         return v
+
+    def updates(self, *steps, phase="computation"):
+        """One pass over the vectors when the kernels fuse the chain:
+        scalar coefficients (a 2-D solve, or a batch whose columns share
+        them, as P-CSI's do) over whole contiguous vectors.  Anything
+        else -- per-column coefficients, kernels without a fused chain
+        -- is the calls one by one."""
+        chain, units = [], 0
+        for kind, *args in steps:
+            if kind not in _CHAIN_STEPS:
+                break
+            code, cost, operands = _CHAIN_STEPS[kind]
+            a, b, x, y = operands(*args)
+            if not (isinstance(a, float) and isinstance(b, float)
+                    and x.shape == y.shape):
+                break
+            chain.append((code, a, b, x, y))
+            units += cost * self._width(y)
+        else:
+            if self.kernels.update_chain(chain):
+                self.ledger.record_flops(phase, units * self._critical)
+                return
+        super().updates(*steps, phase=phase)
 
     # -- topology ------------------------------------------------------
     @property

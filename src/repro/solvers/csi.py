@@ -76,10 +76,10 @@ class PCSISolver(SpectralBoundedSolver):
         omega = 1.0 / (gamma - state["omega"] / (4.0 * alpha * alpha))
         # step 6: preconditioning (block-local, no communication)
         r_prime = ctx.precond(state["r"])
-        # step 7: dx = omega r' + (gamma omega - 1) dx
-        ctx.combine(omega, r_prime, gamma * omega - 1.0, state["dx"])
-        # step 8: x += dx
-        ctx.axpy(1.0, state["dx"], state["x"])
+        # step 7: dx = omega r' + (gamma omega - 1) dx; step 8: x += dx
+        ctx.updates(
+            ("combine", omega, r_prime, gamma * omega - 1.0, state["dx"]),
+            ("axpy", 1.0, state["dx"], state["x"]))
         # steps 9-10: residual recompute (matvec) + halo update
         state["r"] = ctx.residual(state["b"], state["x"])
         state["omega"] = omega

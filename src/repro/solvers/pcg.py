@@ -44,8 +44,8 @@ class PCGSolver(IterativeSolver):
                 return
             raise BreakdownError("PCG breakdown: p^T A p vanished")
         alpha = state["rho"] / pq
-        ctx.axpy(alpha, p, state["x"])
-        ctx.axpy(-alpha, q, state["r"])
+        ctx.updates(("axpy", alpha, p, state["x"]),
+                    ("axpy", -alpha, q, state["r"]))
         z = ctx.precond(state["r"])
         rho_new = ctx.dot(state["r"], z)        # reduction #2
         if not math.isfinite(rho_new):
@@ -76,8 +76,8 @@ class PCGSolver(IterativeSolver):
         if bool(np.any((pq == 0.0) & ~noop & np.isfinite(pq))):
             raise BreakdownError("PCG breakdown: p^T A p vanished")
         alpha = np.where(noop, 0.0, rho / np.where(noop, 1.0, pq))
-        ctx.axpy(alpha, p, state["x"])
-        ctx.axpy(-alpha, q, state["r"])
+        ctx.updates(("axpy", alpha, p, state["x"]),
+                    ("axpy", -alpha, q, state["r"]))
         z = ctx.precond(state["r"])
         rho_new = ctx.dot(state["r"], z)        # reduction #2
         if bool(np.any((rho == 0.0) & ~noop & np.isfinite(rho_new))):

@@ -114,14 +114,7 @@ class PipeCGSolver(IterativeSolver):
                     "PipeCG breakdown: denominator vanished")
             alpha = gamma / denom
 
-        ctx.xpay(n, beta, state["z"])        # z = n + beta z
-        ctx.xpay(m, beta, state["q"])        # q = m + beta q
-        ctx.xpay(u, beta, state["p"])        # p = u + beta p
-        ctx.xpay(w, beta, state["s"])        # s = w + beta s
-        ctx.axpy(alpha, state["p"], state["x"])
-        ctx.axpy(-alpha, state["s"], r)
-        ctx.axpy(-alpha, state["q"], u)
-        ctx.axpy(-alpha, state["z"], w)
+        self._recurrences(state, m, n, alpha, beta)
 
         state["gamma"] = gamma
         state["alpha"] = alpha
@@ -132,6 +125,20 @@ class PipeCGSolver(IterativeSolver):
             state["r"] = ctx.residual(state["b"], state["x"])
             state["u"] = ctx.precond(state["r"])
             state["w"] = ctx.matvec(state["u"])
+
+    def _recurrences(self, state, m, n, alpha, beta):
+        """The eight vector recurrences as one run of updates."""
+        r, u, w = state["r"], state["u"], state["w"]
+        self.context.updates(
+            ("xpay", n, beta, state["z"]),        # z = n + beta z
+            ("xpay", m, beta, state["q"]),        # q = m + beta q
+            ("xpay", u, beta, state["p"]),        # p = u + beta p
+            ("xpay", w, beta, state["s"]),        # s = w + beta s
+            ("axpy", alpha, state["p"], state["x"]),
+            ("axpy", -alpha, state["s"], r),
+            ("axpy", -alpha, state["q"], u),
+            ("axpy", -alpha, state["z"], w),
+        )
 
     def _iterate_multi(self, state, k, gamma, delta, m, n):
         """Batched recurrences, one ``(nrhs,)`` entry per column.
@@ -147,7 +154,6 @@ class PipeCGSolver(IterativeSolver):
         raises the same :class:`BreakdownError` the scalar path would.
         """
         ctx = self.context
-        r, u, w = state["r"], state["u"], state["w"]
         noop = (gamma == 0.0) & (delta == 0.0)
         live = ~noop
         if state["gamma"] is None:
@@ -174,14 +180,7 @@ class PipeCGSolver(IterativeSolver):
             alpha = np.where(live,
                              gamma / np.where(live, denom, 1.0), 0.0)
 
-        ctx.xpay(n, beta, state["z"])        # z = n + beta z
-        ctx.xpay(m, beta, state["q"])        # q = m + beta q
-        ctx.xpay(u, beta, state["p"])        # p = u + beta p
-        ctx.xpay(w, beta, state["s"])        # s = w + beta s
-        ctx.axpy(alpha, state["p"], state["x"])
-        ctx.axpy(-alpha, state["s"], r)
-        ctx.axpy(-alpha, state["q"], u)
-        ctx.axpy(-alpha, state["z"], w)
+        self._recurrences(state, m, n, alpha, beta)
 
         if state["gamma"] is None:
             state["gamma"] = gamma

@@ -5,7 +5,11 @@ reference and the ``fused`` product must produce bit-identical results
 everywhere (same IEEE operation sequence, different dispatch).  The
 parity matrix below holds ``fused`` to the reference across stencil
 matvecs, EVP preconditioner applies, and full distributed solves under
-both execution engines and both mask regimes.
+both execution engines and both mask regimes -- twice: with the
+compiled loops of ``native.c`` and with ``native=False``, the numpy /
+scipy code that runs where the library cannot be built.  (Without a
+compiler the two are the same code and everything still runs; only the
+tests of the library itself skip, with the loader's reason.)
 """
 
 import os
@@ -21,16 +25,34 @@ from hypothesis import strategies as st
 from repro.core.errors import KernelError
 from repro.grid import test_config as make_test_config
 from repro.kernels import FusedKernels, NumpyKernels, resolve_kernels
+from repro.kernels.native import load as load_native
 from repro.operators import BlockedOperator, apply_stencil
 from repro.operators.stencil_op import apply_stencil_local
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
-from repro.solvers import DistributedContext, PCSISolver
+from repro.solvers import (
+    DistributedContext,
+    PCSISolver,
+    SerialContext,
+    make_solver,
+)
 from tests.test_engine_conformance import _config_with_land_blocks
 
-#: Both implementations; each must match the reference bit for bit.
-BACKENDS = ["numpy", "fused"]
+#: The oracle, the product with the library, the product without it;
+#: each must match the reference bit for bit.
+KERNELS = {"numpy": resolve_kernels("numpy"),
+           "fused": resolve_kernels("fused"),
+           "fused-unbuilt": FusedKernels(native=False)}
+BACKENDS = list(KERNELS)
+PRODUCTS = BACKENDS[1:]
+
+
+def needs_native(entry_point):
+    """Skip a test of the library itself where it was not adopted."""
+    lib = load_native()
+    return pytest.mark.skipif(getattr(lib, entry_point) is None,
+                              reason=f"native kernels: {lib.status}")
 
 
 def _assert_close(name, ref, got):
@@ -151,7 +173,14 @@ class TestRegistry:
     def test_describe_mentions_name(self):
         assert resolve_kernels("numpy").describe() == \
             "numpy (bit-identical)"
-        assert resolve_kernels(None).describe() == "fused (bit-identical)"
+        fused = resolve_kernels(None)
+        assert fused.describe() == (
+            "fused+native (bit-identical)" if load_native().loaded
+            else "fused (bit-identical)")
+        assert fused.native_status() == load_native().status
+        unbuilt = FusedKernels(native=False)
+        assert unbuilt.describe() == "fused (bit-identical)"
+        assert unbuilt.native_status() == "not used"
 
     def test_cli_rejects_unknown_backend(self):
         """There is no ``--kernels`` flag: any value is a usage error."""
@@ -171,7 +200,7 @@ class TestStencilParity:
         ref = apply_stencil(uniform_config.stencil,
                             _rhs(uniform_config), kernels="numpy")
         got = apply_stencil(uniform_config.stencil,
-                            _rhs(uniform_config), kernels=backend)
+                            _rhs(uniform_config), kernels=KERNELS[backend])
         _assert_close(backend, ref, got)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -183,14 +212,15 @@ class TestStencilParity:
         op_ref = BlockedOperator(uniform_config.stencil, uniform_decomp,
                                  kernels="numpy")
         op_got = BlockedOperator(uniform_config.stencil, uniform_decomp,
-                                 kernels=backend)
+                                 kernels=KERNELS[backend])
         h = uniform_decomp.halo_width
         for rank in range(uniform_decomp.num_active):
             coeffs = op_ref._local_coeffs[rank]
             ref = apply_stencil_local(coeffs, x.local(rank), h,
                                       kernels="numpy")
             got = apply_stencil_local(op_got._local_coeffs[rank],
-                                      x.local(rank), h, kernels=backend)
+                                      x.local(rank), h,
+                                      kernels=KERNELS[backend])
             _assert_close(backend, ref, got)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -200,7 +230,7 @@ class TestStencilParity:
             vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask,
                                 engine="batched")
             op = BlockedOperator(uniform_config.stencil, uniform_decomp,
-                                 kernels=name)
+                                 kernels=KERNELS[name])
             x = vm.scatter(_rhs(uniform_config))
             vm.exchange(x)
             out = vm.zeros()
@@ -227,11 +257,11 @@ class TestBatchStencilParity:
         x = np.stack([_rhs(uniform_config, seed=j) for j in range(nrhs)],
                      axis=-1)
         ref = apply_stencil(stencil, x, kernels="numpy")
-        got = apply_stencil(stencil, x, kernels=backend)
+        got = apply_stencil(stencil, x, kernels=KERNELS[backend])
         _assert_close(backend, ref, got)
         for j in range(nrhs):
             column = apply_stencil(stencil, np.ascontiguousarray(x[..., j]),
-                                   kernels=backend)
+                                   kernels=KERNELS[backend])
             _assert_close(backend, column, got[..., j])
 
     @pytest.mark.parametrize("nrhs", [1, 2, 3, 8])
@@ -246,7 +276,8 @@ class TestBatchStencilParity:
 
         def matvec(name, field):
             vm = VirtualMachine(decomp, mask=config.mask, engine="batched")
-            op = BlockedOperator(config.stencil, decomp, kernels=name)
+            op = BlockedOperator(config.stencil, decomp,
+                                 kernels=KERNELS[name])
             src = vm.scatter(field)
             vm.exchange(src)
             out = vm.zeros(nrhs=src.nrhs)
@@ -270,7 +301,8 @@ class TestBatchStencilParity:
             case["land_blocks"], case["seed"])
         layout, h, nrhs = case["layout"], case["h"], case["nrhs"]
         tail = () if nrhs is None else (nrhs,)
-        backends = {"numpy": NumpyKernels(), "fused": FusedKernels()}
+        backends = {"numpy": NumpyKernels(), "fused": FusedKernels(),
+                    "fused-unbuilt": FusedKernels(native=False)}
         if layout == "global":
             coeffs, mask = config.stencil, config.mask
             shape = inner = config.shape
@@ -294,11 +326,12 @@ class TestBatchStencilParity:
 
         rng = np.random.default_rng(case["seed"])
         x = rng.standard_normal(shape + tail)
-        got = apply("fused", x)
-        assert np.array_equal(apply("numpy", x), got)
-        for j in range(nrhs or 0):
-            column = apply("fused", np.ascontiguousarray(x[..., j]))
-            assert np.array_equal(column, got[..., j])
+        got = apply("numpy", x)
+        for product in PRODUCTS:
+            assert np.array_equal(apply(product, x), got)
+            for j in range(nrhs or 0):
+                column = apply(product, np.ascontiguousarray(x[..., j]))
+                assert np.array_equal(column, got[..., j])
 
         # A NaN -- anywhere, on a land (or pad) cell, in a halo cell --
         # comes back where the reference puts it, in its own column.
@@ -312,24 +345,32 @@ class TestBatchStencilParity:
         poisoned = x.copy()
         poisoned[spot + (() if nrhs is None else (case["spot"] % nrhs,))] \
             = np.nan
-        ref, bad = apply("numpy", poisoned), apply("fused", poisoned)
-        if layout == "global" and spot[1] in (0, config.nx - 1):
-            # The global form stores a coupling that would wrap into the
-            # next grid row as 0.0 and multiplies a real cell with it:
-            # ``0.0 * nan`` reaches the opposite edge column, which the
-            # reference (zero border) leaves finite.  Nowhere else.
-            extra = np.isnan(bad) & ~np.isnan(ref)
-            assert not extra[:, 1:-1].any()
-            bad = np.where(extra, ref, bad)
-        assert np.array_equal(ref, bad, equal_nan=True)
+        ref = apply("numpy", poisoned)
+        for product in PRODUCTS:
+            bad = apply(product, poisoned)
+            if layout == "global" and spot[1] in (0, config.nx - 1):
+                # The global form stores a coupling that would wrap into
+                # the next grid row as 0.0 and multiplies a real cell
+                # with it (scipy's sweep and the native one alike):
+                # ``0.0 * nan`` reaches the opposite edge column, which
+                # the reference (zero border) leaves finite.  Nowhere
+                # else.
+                extra = np.isnan(bad) & ~np.isnan(ref)
+                assert not extra[:, 1:-1].any()
+                bad = np.where(extra, ref, bad)
+            assert np.array_equal(ref, bad, equal_nan=True)
 
     def test_out_need_not_fold_in_place(self, uniform_config,
                                         uniform_decomp):
-        """No ``out``, a strided window and the planar layout (trailing
+        """No ``out``, a contiguous one (the native sweep writes it
+        directly), a strided window and the planar layout (trailing
         ``(nx, nrhs)`` axes not adjacent in memory) all take the
-        result, global and stacked: the sweep writes a vector of its
-        own and copies once."""
-        backend = FusedKernels()
+        result, global and stacked, with and without the library."""
+        for backend in (FusedKernels(), FusedKernels(native=False)):
+            self._check_out_layouts(uniform_config, uniform_decomp, backend)
+
+    @staticmethod
+    def _check_out_layouts(uniform_config, uniform_decomp, backend):
         stencil = uniform_config.stencil
         x = np.stack([_rhs(uniform_config, seed=j) for j in range(2)],
                      axis=-1)
@@ -356,6 +397,9 @@ class TestBatchStencilParity:
                  out)),
         ]
         for ref, apply in applies:
+            whole = np.full(ref.shape, 7.0)
+            assert apply(whole) is whole
+            assert np.array_equal(whole, ref)
             frame = np.full(tuple(n + 2 for n in ref.shape), 7.0)
             window = frame[(slice(1, -1),) * ref.ndim]
             assert apply(window) is window
@@ -395,13 +439,12 @@ class TestBatchStencilParity:
                 src, vm.zeros(nrhs=8))
         assert len(backend._sweeps) == _MAX_FOLDED_SETS
 
-    def test_sweep_is_not_contracted(self):
-        """The one thing bit-parity rests on: scipy's DIA kernel rounds
-        the product before it adds.  With an inexact second product a
-        fused multiply-add shows: ``1 * (1 + 2**-26)`` is exact,
-        ``-(1 + 2**-27) * (1 + 2**-27)`` rounds to ``-(1 + 2**-26)``,
-        so multiply-then-add gives 0.0 and a contracted ``a * b + c``
-        gives ``-2**-54``."""
+    @staticmethod
+    def _contraction_probe(backend):
+        """With an inexact second product a fused multiply-add shows:
+        ``1 * (1 + 2**-26)`` is exact, ``-(1 + 2**-27) * (1 + 2**-27)``
+        rounds to ``-(1 + 2**-26)``, so multiply-then-add gives 0.0 and
+        a contracted ``a * b + c`` gives ``-2**-54``."""
         from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
 
         shape = (3, 3)
@@ -413,12 +456,161 @@ class TestBatchStencilParity:
         x[1, 1] = 1.0 + 2.0 ** -26
         x[2, 1] = 1.0 + 2.0 ** -27
         ref = apply_stencil(stencil, x, kernels="numpy")
-        got = apply_stencil(stencil, x, kernels=FusedKernels())
+        got = apply_stencil(stencil, x, kernels=backend)
         assert ref[1, 1] == 0.0
-        assert got[1, 1] == 0.0 and np.array_equal(ref, got), (
+        return got[1, 1], np.array_equal(ref, got)
+
+    def test_sweep_is_not_contracted(self):
+        """The one thing bit-parity rests on: scipy's DIA kernel rounds
+        the product before it adds."""
+        value, equal = self._contraction_probe(FusedKernels(native=False))
+        assert value == 0.0 and equal, (
             "this scipy build contracts a*b+c into a fused multiply-add "
-            f"(DIA sweep gave {got[1, 1]!r}, multiply-then-add gives 0.0): "
+            f"(DIA sweep gave {value!r}, multiply-then-add gives 0.0): "
             "the fused backend is no longer bit-identical to the reference")
+
+    @needs_native("dia_sweep")
+    def test_native_sweep_is_not_contracted(self):
+        """The same for ``native.c``: ``-ffp-contract=off`` held."""
+        value, equal = self._contraction_probe(FusedKernels())
+        assert value == 0.0 and equal, (
+            "the compiler contracted a*b+c in native.c's dia_sweep "
+            f"(gave {value!r}, multiply-then-add gives 0.0) and the "
+            "loader's self-test did not notice")
+
+
+class TestVectorKernels:
+    """The serial context's two vector kernels: the inner product in
+    numpy's pairwise order and runs of updates in one pass."""
+
+    GRIDS = ((120, 144), (160, 192), (320, 384))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pairwise_dot_matches_numpy_sum(self, backend):
+        """``float(np.sum(a * b * mask))`` bit for bit: every size
+        1..300, the three grid sizes, magnitudes over ten decades,
+        operands that are *not* zero where the mask is."""
+        kernels = KERNELS[backend]
+        rng = np.random.default_rng(5)
+        shapes = [(n,) for n in range(1, 301)] + list(self.GRIDS)
+        for shape in shapes:
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+            b = rng.standard_normal(shape)
+            mask = rng.integers(0, 2, shape).astype(np.float64)
+            got = kernels.masked_dot(a, b, mask, np.empty(shape))
+            assert isinstance(got, float)
+            assert got == float(np.sum(a * b * mask)), shape
+        # Read-only and strided operands take the numpy form.
+        frozen = a.copy()
+        frozen.flags.writeable = False
+        assert kernels.masked_dot(frozen, b, mask, np.empty(shape)) == got
+        half = (slice(None), slice(None, None, 2))
+        assert kernels.masked_dot(a[half], b[half], mask[half],
+                                  np.empty(a[half].shape)) \
+            == float(np.sum(a[half] * b[half] * mask[half]))
+
+    @needs_native("update_chain")
+    def test_update_chain_is_not_contracted(self):
+        """Each kind of step with the operands of
+        ``test_sweep_is_not_contracted``: the product is rounded before
+        the add."""
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        for step in ((0, -small, 0.0, "x", "y"), (1, 0.0, -small, "y", "x"),
+                     (2, -small, 1.0, "x", "y"), (2, 1.0, -small, "y", "x")):
+            v = {"x": np.full(2100, small), "y": np.full(2100, big)}
+            # Every form computes big - small * small into the target.
+            assert FusedKernels().update_chain(
+                [step[:3] + (v[step[3]], v[step[4]])])
+            assert not np.any(v[step[4]]), step
+
+    @staticmethod
+    def _chains(rng, shape, coeffs):
+        """The update runs of the four solvers that have one, over
+        fresh vectors; ``coeffs()`` draws a coefficient."""
+        v = {name: rng.standard_normal(shape) for name in "abcdefghijkl"}
+        alpha, beta = coeffs(), coeffs()
+        return v, {
+            "chrongear": [("xpay", v["a"], beta, v["c"]),
+                          ("xpay", v["b"], beta, v["d"]),
+                          ("axpy", alpha, v["c"], v["e"]),
+                          ("axpy", -alpha, v["d"], v["f"])],
+            "pcg": [("axpy", alpha, v["a"], v["b"]),
+                    ("axpy", -alpha, v["c"], v["d"])],
+            "pipecg": [("xpay", v["a"], beta, v["e"]),
+                       ("xpay", v["b"], beta, v["f"]),
+                       ("xpay", v["c"], beta, v["g"]),
+                       ("xpay", v["d"], beta, v["h"]),
+                       ("axpy", alpha, v["g"], v["i"]),
+                       ("axpy", -alpha, v["h"], v["j"]),
+                       ("axpy", -alpha, v["f"], v["c"]),
+                       ("axpy", -alpha, v["e"], v["d"])],
+            "pcsi": [("combine", alpha, v["a"], beta, v["b"]),
+                     ("axpy", 1.0, v["b"], v["c"])],
+        }
+
+    @pytest.mark.parametrize("product", PRODUCTS)
+    @pytest.mark.parametrize("layout", ["2d", "batch-shared",
+                                        "batch-per-column"])
+    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg", "pcsi"])
+    def test_update_chain_matches_calls(self, uniform_config, uniform_decomp,
+                                        solver, layout, product):
+        """``ctx.updates`` against the same steps called one by one on
+        the oracle: vectors and ledgers equal.  Later steps read what
+        earlier ones wrote (ChronGear's ``x += alpha s`` after ``s = r'
+        + beta s``); a batch with per-column coefficients is the calls
+        one by one on every backend."""
+        stencil = uniform_config.stencil
+        pre = make_preconditioner("diagonal", stencil)
+        shape = stencil.shape + (() if layout == "2d" else (3,))
+
+        def coeffs_for(rng):
+            if layout == "batch-per-column":
+                return lambda: rng.standard_normal(3)
+            return lambda: float(rng.standard_normal())
+
+        results = []
+        for kernels, one_by_one in (("numpy", True), (KERNELS[product], False)):
+            rng = np.random.default_rng(9)
+            ctx = SerialContext(stencil, pre, decomp=uniform_decomp,
+                                kernels=kernels)
+            vectors, chains = self._chains(rng, shape, coeffs_for(rng))
+            for _ in range(3):
+                if one_by_one:
+                    for kind, *args in chains[solver]:
+                        getattr(ctx, kind)(*args)
+                else:
+                    ctx.updates(*chains[solver])
+            results.append((vectors, ctx.ledger.snapshot()))
+        (ref, ref_ledger), (got, got_ledger) = results
+        for name in ref:
+            assert np.array_equal(ref[name], got[name]), name
+        assert ref_ledger == got_ledger
+
+    def test_updates_rejects_unknown_step(self, uniform_config):
+        from repro.core.errors import SolverError
+
+        stencil = uniform_config.stencil
+        ctx = SerialContext(stencil, make_preconditioner("diagonal", stencil))
+        v = np.zeros(stencil.shape)
+        with pytest.raises(SolverError, match="unknown update step"):
+            ctx.updates(("axpy", 1.0, v, v), ("scale", 2.0, v))
+
+    @needs_native("update_chain")
+    def test_update_chain_declines_what_it_cannot_run(self):
+        """Strided, read-only, mis-sized or offset-overlapping operands:
+        ``False``, and nothing was touched."""
+        kernels = FusedKernels()
+        base = np.arange(64.0)
+        x, y = base[:32], base[32:]
+        frozen = np.ones(32)
+        frozen.flags.writeable = False
+        for bad_x, bad_y in ((base[::2], y), (frozen, frozen),
+                             (x[:16], y), (base[8:40], x)):
+            before = base.copy()
+            assert not kernels.update_chain([(0, 2.0, 0.0, bad_x, bad_y)])
+            assert np.array_equal(base, before)
+        assert kernels.update_chain([(0, 2.0, 0.0, x, y)])
+        assert np.array_equal(y, np.arange(32.0, 64.0) + 2.0 * np.arange(32.0))
 
 
 class TestEVPParity:
@@ -433,7 +625,7 @@ class TestEVPParity:
         ref = evp_for_config(config, decomp=decomp,
                              kernels="numpy").apply_global(r)
         got = evp_for_config(config, decomp=decomp,
-                             kernels=backend).apply_global(r)
+                             kernels=KERNELS[backend]).apply_global(r)
         _assert_close(backend, ref, got)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -443,7 +635,7 @@ class TestEVPParity:
         bny, bnx = uniform_decomp.uniform_block_shape()
         r_stack = rng.standard_normal((uniform_decomp.num_active, bny, bnx))
         pres = {name: evp_for_config(uniform_config, decomp=uniform_decomp,
-                                     kernels=name)
+                                     kernels=KERNELS[name])
                 for name in {"numpy", backend}}
         _assert_close(backend,
                       pres["numpy"].apply_stack(r_stack),
@@ -458,7 +650,8 @@ class TestEVPParity:
               suppress_health_check=list(HealthCheck))
     def test_drawn_layouts(self, case):
         """Tile shape x stencil x width x layout: the skewed fused
-        program against the numpy reference sweep, bit for bit."""
+        programs (the native march and the ufunc one) against the numpy
+        reference sweep, bit for bit."""
         config = _config_with_land_blocks(
             case["ny"], case["nx"], case["mby"], case["mbx"],
             case["land_blocks"], case["seed"])
@@ -467,11 +660,6 @@ class TestEVPParity:
         options = dict(decomp=decomp, tile_size=case["tile_size"],
                        simplified=case["simplified"])
         ref = evp_for_config(config, kernels="numpy", **options)
-        # Built from the reference's cached influence payload: the
-        # arrays the artifact cache would hand back.
-        pre = evp_for_config(config, kernels="fused",
-                             influence_state=ref.influence_state(),
-                             **options)
         layout, nrhs = case["layout"], case["nrhs"]
         rank = case["rank"] % decomp.num_active
         block = decomp.active_blocks[rank]
@@ -505,55 +693,62 @@ class TestEVPParity:
 
         rng = np.random.default_rng(case["seed"])
         r = rng.standard_normal(shape + tail)
-        got = apply(pre, r)
-        assert np.array_equal(apply(ref, r), got)
-        # Cells no tile owns (eliminated blocks, pads) and land: 0.0.
-        assert not np.any(got[~mask.astype(bool)])
-        for j in range(nrhs or 0):
-            column = apply(pre, np.ascontiguousarray(r[..., j]))
-            assert np.array_equal(column, got[..., j])
+        for product in PRODUCTS:
+            # Built from the reference's cached influence payload: the
+            # arrays the artifact cache would hand back.
+            pre = evp_for_config(config, kernels=KERNELS[product],
+                                 influence_state=ref.influence_state(),
+                                 **options)
+            got = apply(pre, r)
+            assert np.array_equal(apply(ref, r), got)
+            # Cells no tile owns (eliminated blocks, pads) and land: 0.0.
+            assert not np.any(got[~mask.astype(bool)])
+            for j in range(nrhs or 0):
+                column = apply(pre, np.ascontiguousarray(r[..., j]))
+                assert np.array_equal(column, got[..., j])
 
-        # ``out=`` may be a strided window of a larger array.
-        frame = np.full(tuple(n + 2 for n in shape) + tail, 7.0)
-        inner = frame[(slice(1, -1),) * len(shape)]
-        assert apply(pre, r, out=inner) is inner
-        assert np.array_equal(inner, got)
-        assert np.count_nonzero(frame == 7.0) == frame.size - inner.size
+            # ``out=`` may be a strided window of a larger array.
+            frame = np.full(tuple(n + 2 for n in shape) + tail, 7.0)
+            inner = frame[(slice(1, -1),) * len(shape)]
+            assert apply(pre, r, out=inner) is inner
+            assert np.array_equal(inner, got)
+            assert np.count_nonzero(frame == 7.0) == frame.size - inner.size
 
-        # A non-finite value stays in its tile and its column.
-        tiles = [t for t in pre._tiles if layout != "block" or t[0] == rank]
-        cells = tile_cells(tiles[case["tile"] % len(tiles)])
-        poisoned = r.copy()
-        col = case["tile"] % (nrhs or 1)
-        spot = tuple(np.argwhere(cells)[0]) + (() if nrhs is None else (col,))
-        poisoned[spot] = case["poison"]
-        with np.errstate(all="ignore"):
-            bad = apply(pre, poisoned)
-            assert np.array_equal(apply(ref, poisoned), bad, equal_nan=True)
-        clean = np.ones(bad.shape, dtype=bool)
-        clean[cells if nrhs is None else (cells, col)] = False
-        assert np.array_equal(bad[clean], got[clean])
+            # A non-finite value stays in its tile and its column.
+            tiles = [t for t in pre._tiles if layout != "block" or t[0] == rank]
+            cells = tile_cells(tiles[case["tile"] % len(tiles)])
+            poisoned = r.copy()
+            col = case["tile"] % (nrhs or 1)
+            spot = tuple(np.argwhere(cells)[0]) + (() if nrhs is None else (col,))
+            poisoned[spot] = case["poison"]
+            with np.errstate(all="ignore"):
+                bad = apply(pre, poisoned)
+                assert np.array_equal(apply(ref, poisoned), bad, equal_nan=True)
+            clean = np.ones(bad.shape, dtype=bool)
+            clean[cells if nrhs is None else (cells, col)] = False
+            assert np.array_equal(bad[clean], got[clean])
 
     def test_working_set_keeps_one_width(self, uniform_config,
                                          uniform_decomp):
         """Widths 8, 3, 1 in turn leave one working set: one pair of
         buffers, one marching program and one ring scratch per shape
         group, one folded mask."""
-        pre = evp_for_config(uniform_config, decomp=uniform_decomp,
-                             tile_size=5, kernels="fused")
         r = np.random.default_rng(0).standard_normal(
             uniform_config.shape + (8,))
-        for nrhs in (8, 3, 1):
-            pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
-        y, x, views = pre._work
-        assert y.shape[1] == x.shape[1] == 1
-        assert len(pre._folded) == 1
-        for engine, (y_rows, x_rows) in views.items():
-            bound = engine._plan.bound
-            assert bound.y is y_rows and bound.x is x_rows
-            assert bound.f.shape == (engine.k, engine.batch)
-            assert len(engine._ring_multi[0]) == 1
-            assert engine._plan.own is None
+        for product in PRODUCTS:
+            pre = evp_for_config(uniform_config, decomp=uniform_decomp,
+                                 tile_size=5, kernels=KERNELS[product])
+            for nrhs in (8, 3, 1):
+                pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
+            y, x, views = pre._work
+            assert y.shape[1] == x.shape[1] == 1
+            assert len(pre._folded) == 1
+            for engine, (y_rows, x_rows) in views.items():
+                bound = engine._plan.bound
+                assert bound.y is y_rows and bound.x is x_rows
+                assert bound.f.shape == (engine.k, engine.batch)
+                assert len(engine._ring_multi[0]) == 1
+                assert engine._plan.own is None
         numpy_pre = evp_for_config(uniform_config, decomp=uniform_decomp,
                                    tile_size=5, kernels="numpy")
         for nrhs in (8, 3, 1):
@@ -567,7 +762,7 @@ class TestEVPParity:
                                                     uniform_decomp):
         """Cached artifacts must not depend on the consuming backend."""
         pres = {name: evp_for_config(uniform_config, decomp=uniform_decomp,
-                                     kernels=name)
+                                     kernels=KERNELS[name])
                 for name in BACKENDS}
         ref = pres["numpy"]
         for name, pre in pres.items():
@@ -581,16 +776,44 @@ class TestEVPParity:
 @pytest.mark.parametrize("precond", ["identity", "diagonal", "evp"])
 class TestSolveParity:
     """Full P-CSI solves: every backend against the numpy reference,
-    under both execution engines."""
+    under both execution engines -- and serial solves of all five
+    solvers, where the dot and the update chain run."""
+
+    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg",
+                                        "pcsi", "capcg"])
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_serial(self, uniform_config, uniform_decomp, backend, precond,
+                    solver, nrhs):
+        def solve(kernels):
+            pre = (evp_for_config(uniform_config, decomp=uniform_decomp,
+                                  kernels=kernels) if precond == "evp"
+                   else make_preconditioner(precond, uniform_config.stencil,
+                                            decomp=uniform_decomp,
+                                            kernels=kernels))
+            ctx = SerialContext(uniform_config.stencil, pre,
+                                decomp=uniform_decomp, kernels=kernels)
+            b = _rhs(uniform_config) if nrhs is None else np.stack(
+                [_rhs(uniform_config, seed=j) for j in range(nrhs)], axis=-1)
+            result = make_solver(solver, ctx, tol=1e-10,
+                                 max_iterations=3000).solve(b)
+            return result, ctx.ledger.snapshot()
+
+        (ref, ref_ledger), (got, got_ledger) = solve("numpy"), \
+            solve(KERNELS[backend])
+        assert ref.iterations == got.iterations
+        assert np.array_equal(ref.residual_history, got.residual_history)
+        assert ref_ledger == got_ledger
+        _assert_close(backend, ref.x, got.x)
 
     def _solve(self, config, decomp, engine, precond, backend):
         vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
+        kernels = KERNELS[backend]
         if precond == "evp":
-            pre = evp_for_config(config, decomp=decomp, kernels=backend)
+            pre = evp_for_config(config, decomp=decomp, kernels=kernels)
         else:
             pre = make_preconditioner(precond, config.stencil,
-                                      decomp=decomp, kernels=backend)
-        ctx = DistributedContext(config.stencil, pre, vm, kernels=backend)
+                                      decomp=decomp, kernels=kernels)
+        ctx = DistributedContext(config.stencil, pre, vm, kernels=kernels)
         solver = PCSISolver(ctx, tol=1e-10, max_iterations=3000)
         return solver.solve(_rhs(config))
 

@@ -9,6 +9,8 @@ decomposition.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.grid import test_config as make_test_config
 from repro.operators import apply_stencil
@@ -21,7 +23,9 @@ from repro.solvers import (
     PCGSolver,
     PCSISolver,
     SerialContext,
+    make_solver,
 )
+from tests.test_engine_conformance import _config_with_land_blocks
 
 
 def _solve_both(config, decomp, solver_cls, precond_kind, tol=1e-12,
@@ -145,3 +149,92 @@ class TestContextPrimitives:
         ctx.matvec(x)
         assert ctx.ledger.counts("computation").flops == \
             9 * small_decomp.max_block_points()
+
+
+# ----------------------------------------------------------------------
+# The invariant the serial context's unmasked dot rests on
+# ----------------------------------------------------------------------
+@st.composite
+def _reduction_cases(draw):
+    mby, mbx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return dict(
+        ny=mby * draw(st.integers(4, 8)) + draw(st.integers(0, mby - 1)),
+        nx=mbx * draw(st.integers(4, 8)) + draw(st.integers(0, mbx - 1)),
+        mby=mby, mbx=mbx,
+        land_blocks=sorted(draw(st.sets(st.integers(0, mby * mbx - 1),
+                                        max_size=(mby * mbx) // 3))),
+        seed=draw(st.integers(0, 20)),
+        solver=draw(st.sampled_from(
+            ("pcg", "chrongear", "pipecg", "pcsi", "capcg"))),
+        precond=draw(st.sampled_from(
+            ("diagonal", "evp", "cheby:2", "identity"))),
+        stacked=draw(st.booleans()),
+        nrhs=draw(st.sampled_from((None, 1, 3))),
+        warm=draw(st.booleans()),
+    )
+
+
+class TestReducedOperandsVanishOnLand:
+    """Every product a solver reduces is ``+-0`` off the mask.
+
+    The guarded loop ``np.where``-masks ``b`` and ``x0``, the operator's
+    land rows and every shipped ``M^-1`` are zero on land -- so for the
+    vectors solvers hand to ``dot`` / ``dot_pair`` / ``dot_block`` /
+    ``norm2`` (Lanczos included) the masking multiply changes no bit of
+    the sum.  That is what lets a reduction fold the mask into its one
+    pass, or (ROADMAP 3(b)) drop it from a partial sum, without moving
+    an iterate; the contexts' ``dot`` itself stays a *masked* product
+    for arbitrary vectors.
+    """
+
+    @given(case=_reduction_cases())
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_solves(self, case):
+        config = _config_with_land_blocks(
+            case["ny"], case["nx"], case["mby"], case["mbx"],
+            case["land_blocks"], case["seed"])
+        decomp = decompose(case["ny"], case["nx"], case["mby"], case["mbx"],
+                           mask=config.mask)
+        if case["precond"] == "evp":
+            pre = evp_for_config(config, decomp=decomp, tile_size=4)
+        else:
+            pre = make_preconditioner(case["precond"], config.stencil,
+                                      decomp=decomp)
+        if case["stacked"]:
+            vm = VirtualMachine(decomp, mask=config.mask, engine="batched")
+            ctx = DistributedContext(config.stencil, pre, vm)
+        else:
+            ctx = SerialContext(config.stencil, pre, decomp=decomp)
+        land = ~config.mask
+        pairs = [0]
+
+        def check(a, b):
+            product = ctx.to_global(a) * ctx.to_global(b)
+            assert not np.any(product[land]), "non-zero product on land"
+            pairs[0] += 1
+
+        def watched(name, operands):
+            plain = getattr(ctx, name)
+
+            def call(*args, **kwargs):
+                for a, b in operands(*args):
+                    check(a, b)
+                return plain(*args, **kwargs)
+
+            setattr(ctx, name, call)
+
+        watched("dot", lambda a, b: [(a, b)])
+        watched("dot_pair", lambda a1, b1, a2, b2: [(a1, b1), (a2, b2)])
+        watched("dot_block", lambda xs, ys: [(x, y) for x in xs for y in ys])
+        watched("norm2", lambda v: [(v, v)])
+
+        # Right-hand sides and warm starts that are *not* zero on land.
+        rng = np.random.default_rng(case["seed"])
+        tail = () if case["nrhs"] is None else (case["nrhs"],)
+        b = rng.standard_normal(config.shape + tail)
+        x0 = rng.standard_normal(config.shape + tail) if case["warm"] else None
+        solver = make_solver(case["solver"], ctx, tol=1e-8,
+                             max_iterations=400)
+        assert solver.solve(b, x0=x0).converged
+        assert pairs[0] > 0
