@@ -7,9 +7,11 @@ the reproduction:
   computation term), in its global, per-rank-local and stacked forms,
 * the EVP tile solve (the paper's ``14 n^2`` preconditioner apply):
   two marching sweeps plus the edge-residual evaluation,
-* the serial context's inner product (:meth:`~KernelBackend.masked_dot`)
-  and runs of vector updates (:meth:`~KernelBackend.update_chain`: the
-  paper's ``4 n^2`` for ChronGear's four recurrences).
+* the contexts' inner products (:meth:`~KernelBackend.masked_dot` for
+  one serial vector pair, :meth:`~KernelBackend.window_dots` for every
+  block and column of a stack or a batch) and runs of vector updates
+  (:meth:`~KernelBackend.update_chain`: the paper's ``4 n^2`` for
+  ChronGear's four recurrences).
 
 There are two implementations -- the ``numpy`` reference and the
 ``fused`` product -- and one contract: an implementation changes
@@ -74,7 +76,10 @@ class KernelBackend:
         bnx[, nrhs])`` interior stack (usually a strided view).
         ``(bny, bnx)`` is the stack's padded extent -- the largest
         block shape; coefficients are zero on the pad cells of smaller
-        tiles.
+        tiles.  Only ``out`` is written: an implementation that can
+        address the rows of ``out`` writes them in place, so the halo
+        and pad cells of the stack ``out`` is the interior of keep
+        their values.
         """
         raise NotImplementedError
 
@@ -136,7 +141,7 @@ class KernelBackend:
         self.evp_solve(engine, plan, y.reshape(shape), out=x.reshape(shape))
 
     # ------------------------------------------------------------------
-    # vector kernels of the serial context
+    # vector kernels: dots and runs of updates
     # ------------------------------------------------------------------
     def masked_dot(self, a, b, mask, scratch):
         """``sum(a * b * mask)`` over every element, as a Python float.
@@ -152,18 +157,48 @@ class KernelBackend:
         np.multiply(scratch, mask, out=scratch)
         return float(np.add.reduce(scratch, axis=None))
 
+    def window_dots(self, a, b, mask, extents=None):
+        """Masked dots of every block's window, for every column, in
+        one pass -- if this backend can.
+
+        ``a`` and ``b`` are float64 ``(blocks, rows, cols[, nrhs])``
+        arrays of one layout whose rows are contiguous (stacks, the
+        strided interiors of stacks, or a serial batch as one block),
+        ``mask`` the C-contiguous ``(blocks, rows, cols)`` ocean mask
+        as ``0.0`` / ``1.0`` and ``extents`` an int64 ``(blocks, 2)``
+        array of each block's exact window ``(ny, nx)`` -- ``None``
+        when every window is the whole ``(rows, cols)``; cells outside
+        a window (the pad of a ragged stack) are never read.  Returns
+        the ``(nrhs, blocks)`` partials (``nrhs = 1`` for 3-D
+        operands): per block and column the products ``(a * b) * mask``
+        of the window in row-major cell order, reduced with numpy's
+        pairwise blocking -- the bits of ``np.sum`` over a contiguous
+        copy of those products, which is what
+        :func:`repro.parallel.reduction.masked_partials_stacked` and
+        ``masked_column_partials_stacked`` compute in four passes.
+        ``None`` (the default: there is no fused form in numpy) sends
+        the caller to those.
+        """
+        return None
+
     def update_chain(self, steps):
         """Run consecutive vector updates in one pass, if this backend can.
 
-        ``steps`` is a list of ``(kind, a, b, x, y)`` over same-size
-        C-contiguous float64 arrays and float coefficients: ``kind`` 0
-        is ``y += a * x`` (axpy), 1 ``y = x + b * y`` (xpay), 2 ``y = a
-        * x + b * y`` (combine), each with the roundings of the
-        context's own numpy calls (``a * x`` and ``b * y`` rounded, then
-        one add).  A later step may read or update an earlier step's
-        ``y``.  Returns ``True`` when the chain ran; ``False`` (the
-        default: there is no fused form in numpy) when nothing was
-        touched and the caller runs the updates one by one.
+        ``steps`` is a list of ``(kind, a, b, x, y)`` over float64
+        arrays of one shape and one layout -- whole contiguous vectors,
+        or strided views made of contiguous rows such as the ``(p,
+        bny, bnx[, nrhs])`` interiors of stacks, in which case nothing
+        outside the views (halo and pad cells) is read or written.
+        ``a`` and ``b`` are floats, or ``(nrhs,)`` arrays holding one
+        coefficient per entry of the trailing axis (a batch whose
+        columns run their own recurrences).  ``kind`` 0 is ``y += a *
+        x`` (axpy), 1 ``y = x + b * y`` (xpay), 2 ``y = a * x + b * y``
+        (combine), each with the roundings of the context's own numpy
+        calls (``a * x`` and ``b * y`` rounded, then one add).  A later
+        step may read or update an earlier step's ``y``.  Returns
+        ``True`` when the chain ran; ``False`` (the default: there is
+        no fused form in numpy) when nothing was touched and the caller
+        runs the updates one by one.
         """
         return False
 

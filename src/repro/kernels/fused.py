@@ -76,22 +76,39 @@ to three cells on the opposite edge that the reference leaves finite;
 the stacked form has no such cells, its halo columns keep rows and
 blocks apart.)  The stacked form embeds the planes in the padded ``(p,
 bny + 2h, bnx + 2h)`` layout of the block stack (``W = bnx + 2h``):
-halo cells have all-zero rows whose results are never copied out, pad
-cells of ragged tiles keep their zero coefficients.  Cached per
-coefficient set (identity-keyed, the last ``_MAX_FOLDED_SETS`` sets):
-the single-RHS sweep and one batch width.  Bit-parity rests on the
-scipy build -- and the compiler building ``native.c`` under
-``-ffp-contract=off`` -- *not* contracting ``y += a * b`` into a fused
-multiply-add; ``test_sweep_is_not_contracted`` and
-``test_native_sweep_is_not_contracted`` in ``tests/test_kernels.py`` are
-the tripwires.
+halo cells have all-zero rows, pad cells of ragged tiles keep their
+zero coefficients.  **Planes once for stacks:** with ``dia_sweep`` the
+*single-RHS* ``data`` / ``offsets`` serve every batch width -- per cell
+one accumulator per column, the coefficient ``data[k, i + off_k]`` read
+once for all of them, the columns in compile-time groups of at most
+eight -- over the interior rows only and written straight into the
+rows of the output stack, so no ``nrhs``-fold planes are built, no
+padded result is allocated and no interior is copied out; every column
+still sees the single-RHS operation sequence.  Without the library the
+stack takes the folded form above (its halo rows computed, the interior
+copied out).  The serial global batch keeps its folded planes either
+way.  Cached per coefficient set (identity-keyed, the last
+``_MAX_FOLDED_SETS`` sets): the single-RHS sweep and one batch width.
+Bit-parity rests on the scipy build -- and the compiler building
+``native.c`` under ``-ffp-contract=off`` -- *not* contracting ``y += a
+* b`` into a fused multiply-add; ``test_sweep_is_not_contracted``,
+``test_native_sweep_is_not_contracted`` and
+``test_multivector_sweep_is_not_contracted`` in
+``tests/test_kernels.py`` are the tripwires.
 
-**The serial context's vector kernels.**  ``masked_dot`` is
-``sum(a * b * mask)`` in numpy's pairwise order with the products
+**The vector kernels, serial and stacked.**  ``native.c`` addresses a
+vector as a *row geometry* -- ``blocks`` x ``rows`` runs of contiguous
+doubles at two strides -- so one entry point serves a whole serial
+vector (one run), a serial batch, and the strided ``(p, bny, bnx[,
+nrhs])`` interior of a stack, whose halo and pad cells it never
+touches (:func:`repro.kernels.native.row_geometry`).  ``masked_dot``
+is ``sum(a * b * mask)`` in numpy's pairwise order with the products
 formed on the fly (``pairwise_dot``: one pass, no temporaries);
-``update_chain`` runs a solver's consecutive ``axpy`` / ``xpay`` /
-``combine`` steps chunk by chunk, so a chain's operands are read from
-memory once.
+``window_dots`` is the same entry point over every block's exact window
+and every column at once; ``update_chain`` runs a solver's consecutive
+``axpy`` / ``xpay`` / ``combine`` steps chunk by chunk, row by row, so a
+chain's operands are read from memory once, with scalar coefficients or
+one per column.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -108,7 +125,17 @@ from scipy.sparse import dia_array
 
 from repro.core.fields import NEIGHBOR_OFFSETS
 from repro.kernels.base import validate_evp_shapes
-from repro.kernels.native import STEP_FORMAT, Native, address, load
+from repro.kernels.native import (
+    CHAIN_FORMAT,
+    MAX_CHAIN_COLUMNS,
+    STEP_FORMAT,
+    Native,
+    address,
+    int64s,
+    load,
+    pointer,
+    row_geometry,
+)
 from repro.kernels.numpy_ref import NumpyKernels
 
 #: Center first, then the neighbors in ``NEIGHBOR_OFFSETS`` order: the
@@ -350,6 +377,28 @@ def _run(program):
         op(a, b, out=out)
 
 
+def _stack_rows(array):
+    """``(block_stride, row_stride)`` in elements of a float64 ``(blocks,
+    rows, cols[, n])`` array whose rows are contiguous runs of ``cols *
+    n`` doubles (a stack, or the interior of one); ``None`` otherwise."""
+    strides = array.strides
+    run = (8,) if array.ndim == 3 else (array.shape[3] * 8, 8)
+    if array.dtype != np.float64 or strides[2:] != run \
+            or strides[0] % 8 or strides[1] % 8:
+        return None
+    return strides[0] // 8, strides[1] // 8
+
+
+def _per_column(coeff, width, keep):
+    """Address of ``coeff`` as ``width`` float64 values, one per column
+    (kept alive in ``keep``); ``None`` when it is not that."""
+    coeff = np.ascontiguousarray(coeff, dtype=np.float64)
+    if coeff.shape != (width,) or width > MAX_CHAIN_COLUMNS:
+        return None
+    keep.append(coeff)
+    return coeff.ctypes.data
+
+
 class FusedKernels(NumpyKernels):
     """Fused backend (see module docstring).  What it does not override
     -- the per-rank oracle's ``stencil_apply_local`` -- is the
@@ -365,7 +414,8 @@ class FusedKernels(NumpyKernels):
         #: identity-revalidated.  A set keeps its single-RHS sweep and
         #: one batch width (widths only shrink within a solve; a service
         #: alternates 1 and its batch size), the backend the last few
-        #: sets.
+        #: sets.  A stack swept by ``native.c`` needs the single-RHS
+        #: slot only, whatever its width.
         self._sweeps = {}
         #: The loaded ``native.c`` (built on first use, not on import).
         self._lib = None if native else Native("not used")
@@ -390,7 +440,8 @@ class FusedKernels(NumpyKernels):
         """The cached sweep of ``coeffs`` at batch width ``n`` as ``(n,
         sweep, call)``; ``plane(coeffs, name)`` reads one coefficient
         array and ``call`` is ``dia_sweep`` bound to the sweep's own
-        ``data`` / ``offsets`` (``None`` without the library)."""
+        ``data`` / ``offsets`` (``None`` without the library), still to
+        be given the batch width, the rows to sweep, ``x`` and ``y``."""
         hit = self._sweeps.get(id(coeffs))
         if hit is None or hit["coeffs"] is not coeffs:
             self._sweeps.pop(id(coeffs), None)
@@ -410,6 +461,9 @@ class FusedKernels(NumpyKernels):
                     fn, sweep.shape[0], len(offsets), sweep.data.ctypes.data,
                     sweep.data.shape[1], offsets.ctypes.data)
                 call.offsets = offsets   # alive as long as the pointer
+                # One row: the whole flattened vector, a batch folded
+                # into it.
+                call.whole = int64s(1, 1, 1, sweep.shape[0], 0, 0, 0, 0, 0)
             hit[slot] = (n, sweep, call)
         return hit[slot]
 
@@ -424,7 +478,7 @@ class FusedKernels(NumpyKernels):
         if (out is None or out.shape != x.shape or out.dtype != x.dtype
                 or not out.flags.c_contiguous):
             out = np.empty(x.shape)
-        call(x.ctypes.data, address(out))
+        call(call.whole[0], x.ctypes.data, address(out))
         return out
 
     def stencil_apply(self, coeffs, x, out=None):
@@ -441,44 +495,108 @@ class FusedKernels(NumpyKernels):
         return out
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
-        entry = self._sweep(coeffs, operator.getitem, h,
-                            stack.shape[3] if stack.ndim == 4 else 1)
-        out[...] = self._matvec(entry, stack)[:, h:h + bny, h:h + bnx]
+        n = stack.shape[3] if stack.ndim == 4 else 1
+        call = None
+        # The compiled sweep trusts its geometry: hand it only a stack
+        # and an ``out`` of the documented shapes (anything else gets
+        # scipy's and numpy's shape errors below).
+        if self._native().dia_sweep is not None and stack.flags.c_contiguous \
+                and stack.dtype == np.float64 \
+                and stack.shape[1:3] == (bny + 2 * h, bnx + 2 * h) \
+                and out.shape == (stack.shape[0], bny, bnx) + stack.shape[3:]:
+            _, sweep, call = self._sweep(coeffs, operator.getitem, h, 1)
+            if sweep.shape[0] * n != stack.size:
+                call = None
+        if call is None:
+            entry = self._sweep(coeffs, operator.getitem, h, n)
+            out[...] = self._matvec(entry, stack)[:, h:h + bny, h:h + bnx]
+            return out
+        # The single-RHS planes serve every width: interior rows only,
+        # written where the caller wants them if its rows can be
+        # addressed (the interior of another stack can).
+        target = out
+        rows = _stack_rows(out) if out.flags.writeable else None
+        if rows is None:
+            target = np.empty(out.shape)
+            rows = _stack_rows(target)
+        width = bnx + 2 * h
+        rows = int64s(n, stack.shape[0], bny, bnx, h * width + h,
+                      (bny + 2 * h) * width, width, *rows)
+        call(rows[0], stack.ctypes.data, pointer(target))
+        if target is not out:
+            out[...] = target
         return out
 
     # ------------------------------------------------------------------
-    # the serial context's vector kernels
+    # vector kernels: dots and runs of updates
     # ------------------------------------------------------------------
     def masked_dot(self, a, b, mask, scratch):
         fn = self._native().pairwise_dot
         if fn is not None and a.shape == b.shape == mask.shape \
                 and a.dtype == b.dtype == mask.dtype == np.float64:
             try:
-                return fn(address(a), address(b), address(mask), a.size)
+                # One block, one row, one column: the whole vector.
+                rows = int64s(1, 1, a.size, 1, 0, 0)
+                return fn(rows[0], address(a), address(b), address(mask),
+                          0, 0)
             except (TypeError, ValueError):
                 pass   # read-only, strided or empty: numpy takes those
         return super().masked_dot(a, b, mask, scratch)
 
+    def window_dots(self, a, b, mask, extents=None):
+        fn = self._native().pairwise_dot
+        strides = _stack_rows(a)
+        if fn is None or strides is None or not (
+                a.shape == b.shape == mask.shape + a.shape[3:]
+                and a.strides == b.strides and b.dtype == mask.dtype == a.dtype
+                and mask.flags.c_contiguous and mask.size):
+            return None
+        out = np.empty((a.shape[3] if a.ndim == 4 else 1, mask.shape[0]))
+        rows = int64s(*mask.shape, out.shape[0], *strides)
+        try:
+            fn(rows[0], pointer(a), pointer(b), pointer(mask),
+               0 if extents is None else address(extents), address(out))
+        except (TypeError, ValueError):
+            return None   # read-only operands
+        return out
+
     def update_chain(self, steps):
         fn = self._native().update_chain
-        if fn is None:
+        first = steps[0][4]
+        shape, strides, width = first.shape, first.strides, first.shape[-1]
+        rows = row_geometry(shape, strides)
+        if fn is None or rows is None:
             return False
-        size, nbytes = steps[0][4].size, steps[0][4].nbytes
-        flat, spans = [], set()
+        flat, at, keep, ncols = [], {}, [], 1
         try:
-            for kind, a, b, x, y in steps:
-                if not (x.size == y.size == size
-                        and x.dtype == y.dtype == np.float64):
-                    return False
-                px, py = address(x), address(y)
-                spans.update((px, py))
-                flat += (kind, a, b, px, py)
+            # Chains name most vectors twice: check and address (the
+            # costly part of a step's set-up) each once.
+            for step in steps:
+                for v in step[3:]:
+                    if id(v) in at:
+                        continue
+                    if not (v.shape == shape and v.strides == strides
+                            and v.dtype == np.float64):
+                        return False   # not one shape and layout
+                    at[id(v)] = pointer(v)
         except (TypeError, ValueError):
-            return False   # read-only, strided or empty operands
-        spans = sorted(spans)
+            return False   # read-only operands
+        for kind, a, b, x, y in steps:
+            pa = pb = 0
+            if not isinstance(a, (float, int)):
+                a, pa, ncols = 0.0, _per_column(a, width, keep), width
+            if not isinstance(b, (float, int)):
+                b, pb, ncols = 0.0, _per_column(b, width, keep), width
+            if pa is None or pb is None:
+                return False
+            flat += (kind, a, b, pa, pb, at[id(x)], at[id(y)])
+        nbytes = ((rows[0] - 1) * rows[3] + (rows[1] - 1) * rows[4]
+                  + rows[2]) * 8
+        spans = sorted(set(at.values()))
         if any(q - p < nbytes for p, q in zip(spans, spans[1:])):
             return False   # arrays overlapping at an offset
-        fn(size, len(steps), struct.pack(STEP_FORMAT * len(steps), *flat))
+        fn(struct.pack(CHAIN_FORMAT + STEP_FORMAT * len(steps), *rows, ncols,
+                       len(steps), *flat))
         return True
 
     # ------------------------------------------------------------------

@@ -8,8 +8,17 @@
  * never -ffast-math (repro/kernels/native.py does, and self-tests every
  * entry point against numpy before adopting it).
  *
- * All arrays are C-contiguous float64; counts and offsets are int64 in
- * elements.  Nothing here allocates or keeps state.
+ * Vectors are float64 in one *row geometry*: `blocks` x `rows` runs of
+ * `run` contiguous doubles, a block `block_stride` and a row
+ * `row_stride` doubles after the previous one, addressed from the first
+ * run.  A whole contiguous vector is (1, 1, size); the interior of a
+ * (p, bny + 2h, bnx + 2h[, n]) stack is (p, bny, bnx * n) with strides
+ * (bny + 2h) * (bnx + 2h) * n and (bnx + 2h) * n, so halo and pad cells
+ * are neither read nor written.  `ncols` is the trailing batch width
+ * (columns interleaved inside a run).  Counts, strides and offsets are
+ * int64 in elements; a geometry travels as one pointer to its int64
+ * values (a ctypes call pays per argument).  Nothing here allocates or
+ * keeps state.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -23,158 +32,384 @@
  *
  * scipy's dia_matvec starts from y = 0.0 and runs one
  * `y[i] += data[k, i + off_k] * x[i + off_k]` loop per diagonal; the
- * same terms are added here per row, from 0.0, in diagonal order.
+ * same terms are added here per cell, from 0.0, in diagonal order.
+ * `data` / `offsets` are those of *one* right-hand side over `n` cells.
+ * A batch keeps its `ncols` columns interleaved per cell
+ * (x[i * ncols + c]); each column runs that sequence with the one
+ * coefficient data[k, i + off_k], W accumulators per cell, W fixed at
+ * compile time (a run-time loop over the columns is 2.3x slower at
+ * eight) and wider batches taken in column groups of at most eight.
+ * The cells to compute are the rows of a row geometry over the cell
+ * index and `y` points at the first row's output, with strides of its
+ * own in elements: g = {ncols, blocks, rows, cells per row, first
+ * cell, block_stride, row_stride, y_block_stride, y_row_stride}.
  * ------------------------------------------------------------------ */
 
-/* Rows where some diagonal leaves the vector: skip those terms. */
+/* Cells where some diagonal leaves the vector: one pass per diagonal
+ * over the cells it reaches (scipy's own loop order; per cell still
+ * 0.0 plus the terms in diagonal order). */
 static void sweep_checked(int64_t lo, int64_t hi, int64_t n, int64_t ndiag,
                           const double *data, int64_t stride,
-                          const int64_t *offsets, const double *x, double *y)
+                          const int64_t *offsets, int64_t ncols,
+                          const double *x, double *restrict y)
 {
-    for (int64_t i = lo; i < hi; i++) {
-        double acc = 0.0;
-        for (int64_t k = 0; k < ndiag; k++) {
-            int64_t j = i + offsets[k];
-            if (j >= 0 && j < n)
-                acc += data[k * stride + j] * x[j];
-        }
-        y[i] = acc;
+    for (int64_t e = 0; e < (hi - lo) * ncols; e++)
+        y[e] = 0.0;
+    for (int64_t k = 0; k < ndiag; k++) {
+        int64_t off = offsets[k];
+        int64_t from = lo > -off ? lo : -off, to = hi < n - off ? hi : n - off;
+        const double *d = data + k * stride + off, *xs = x + off * ncols;
+        if (ncols == 1)     /* the global form: vectorized along i */
+            for (int64_t i = from; i < to; i++)
+                y[i - lo] += d[i] * xs[i];
+        else
+            for (int64_t i = from; i < to; i++)
+                for (int64_t c = 0; c < ncols; c++)
+                    y[(i - lo) * ncols + c] += d[i] * xs[i * ncols + c];
     }
 }
 
-void dia_sweep(int64_t n, int64_t ndiag, const double *data, int64_t stride,
-               const int64_t *offsets, const double *x, double *restrict y)
+/* One column, every diagonal in reach: nine shifted coefficient and
+ * source streams, no branches, vectorized along the row. */
+static void sweep_single(int64_t lo, int64_t hi, const double *data,
+                         int64_t stride, const int64_t *offsets,
+                         const double *x, double *restrict y)
 {
-    int64_t lo = 0, hi = n;
-    for (int64_t k = 0; k < ndiag; k++) {
-        if (-offsets[k] > lo) lo = -offsets[k];
-        if (n - offsets[k] < hi) hi = n - offsets[k];
-    }
-    if (ndiag != 9 || lo >= hi) {
-        sweep_checked(0, n, n, ndiag, data, stride, offsets, x, y);
-        return;
-    }
-    sweep_checked(0, lo, n, ndiag, data, stride, offsets, x, y);
-    /* Between the first and the last row every diagonal reaches: nine
-     * shifted coefficient and source streams, no branches. */
     const int64_t o0 = offsets[0], o1 = offsets[1], o2 = offsets[2],
                   o3 = offsets[3], o4 = offsets[4], o5 = offsets[5],
                   o6 = offsets[6], o7 = offsets[7], o8 = offsets[8];
     const double *d0 = data, *d1 = d0 + stride, *d2 = d1 + stride,
                  *d3 = d2 + stride, *d4 = d3 + stride, *d5 = d4 + stride,
                  *d6 = d5 + stride, *d7 = d6 + stride, *d8 = d7 + stride;
+#define STREAM(k) acc += d##k[i + o##k] * x[i + o##k];
     for (int64_t i = lo; i < hi; i++) {
         double acc = 0.0;
-        acc += d0[i + o0] * x[i + o0];
-        acc += d1[i + o1] * x[i + o1];
-        acc += d2[i + o2] * x[i + o2];
-        acc += d3[i + o3] * x[i + o3];
-        acc += d4[i + o4] * x[i + o4];
-        acc += d5[i + o5] * x[i + o5];
-        acc += d6[i + o6] * x[i + o6];
-        acc += d7[i + o7] * x[i + o7];
-        acc += d8[i + o8] * x[i + o8];
-        y[i] = acc;
+        STREAM(0) STREAM(1) STREAM(2) STREAM(3) STREAM(4)
+        STREAM(5) STREAM(6) STREAM(7) STREAM(8)
+        y[i - lo] = acc;
     }
-    sweep_checked(hi, n, n, ndiag, data, stride, offsets, x, y);
+}
+
+/* W columns of a batch (x and y already point at the group's first
+ * column), every diagonal in reach. */
+#define SWEEP_WIDTH(W)                                                     \
+static void sweep_##W(int64_t lo, int64_t hi, const double *data,          \
+                      int64_t stride, const int64_t *offsets,              \
+                      int64_t ncols, const double *x, double *restrict y)  \
+{                                                                          \
+    for (int64_t i = lo; i < hi; i++, y += ncols) {                        \
+        double acc[W];                                                     \
+        for (int c = 0; c < W; c++)                                        \
+            acc[c] = 0.0;                                                  \
+        for (int k = 0; k < 9; k++) {                                      \
+            const double d = data[k * stride + i + offsets[k]];            \
+            const double *xs = x + (i + offsets[k]) * ncols;               \
+            for (int c = 0; c < W; c++)                                    \
+                acc[c] += d * xs[c];                                       \
+        }                                                                  \
+        for (int c = 0; c < W; c++)                                        \
+            y[c] = acc[c];                                                 \
+    }                                                                      \
+}
+SWEEP_WIDTH(1) SWEEP_WIDTH(2) SWEEP_WIDTH(3) SWEEP_WIDTH(4)
+SWEEP_WIDTH(5) SWEEP_WIDTH(6) SWEEP_WIDTH(7) SWEEP_WIDTH(8)
+
+typedef void sweep_fn(int64_t, int64_t, const double *, int64_t,
+                      const int64_t *, int64_t, const double *, double *);
+static sweep_fn *const SWEEPS[] = {sweep_1, sweep_2, sweep_3, sweep_4,
+                                   sweep_5, sweep_6, sweep_7, sweep_8};
+
+void dia_sweep(int64_t n, int64_t ndiag, const double *data, int64_t stride,
+               const int64_t *offsets, const int64_t *g, const double *x,
+               double *y)
+{
+    const int64_t ncols = g[0], blocks = g[1], rows = g[2], cells = g[3],
+                  first = g[4], block_stride = g[5], row_stride = g[6],
+                  y_block_stride = g[7], y_row_stride = g[8];
+    /* Between `lo` and `hi` every diagonal reaches. */
+    int64_t lo = 0, hi = n;
+    for (int64_t k = 0; k < ndiag; k++) {
+        if (-offsets[k] > lo) lo = -offsets[k];
+        if (n - offsets[k] < hi) hi = n - offsets[k];
+    }
+    if (ndiag != 9 || lo >= hi)
+        lo = hi = n;
+    for (int64_t b = 0; b < blocks; b++)
+        for (int64_t r = 0; r < rows; r++) {
+            int64_t start = first + b * block_stride + r * row_stride;
+            int64_t end = start + cells;
+            int64_t from = lo < start ? start : lo < end ? lo : end;
+            int64_t to = hi < from ? from : hi < end ? hi : end;
+            double *yr = y + b * y_block_stride + r * y_row_stride;
+            if (start < from)
+                sweep_checked(start, from, n, ndiag, data, stride, offsets,
+                              ncols, x, yr);
+            yr += (from - start) * ncols;
+            if (ncols == 1 && from < to)
+                sweep_single(from, to, data, stride, offsets, x, yr);
+            else if (from < to)
+                for (int64_t c = 0; c < ncols; c += 8)
+                    SWEEPS[ncols - c < 8 ? ncols - c - 1 : 7](
+                        from, to, data, stride, offsets, ncols, x + c,
+                        yr + c);
+            if (to < end)
+                sweep_checked(to, end, n, ndiag, data, stride, offsets,
+                              ncols, x, yr + (to - from) * ncols);
+        }
 }
 
 /* ------------------------------------------------------------------
- * 2. A chain of vector updates, chunk by chunk.
+ * 2. A chain of vector updates, chunk by chunk, row by row.
  *
  * Step s is one of (numpy's roundings, in numpy's order):
  *   axpy    (0)  t = a*x;          y = y + t
  *   xpay    (1)  t = b*y;          y = t + x
  *   combine (2)  t = b*y; u = a*x; y = t + u
  * Element i of a step reads only element i of its operands, so running
- * every step on one chunk before the next chunk is the same arithmetic
- * as running every step on the whole vector.  Operands of different
- * steps may be the same array (x of a later step is y of an earlier
- * one in ChronGear); they must not overlap at an offset.  A step is
- * the struct below: `struct.pack("qddPP", kind, a, b, x, y)`.
+ * every step on one chunk of one row before moving on is the same
+ * arithmetic as running every step on the whole vector, and what lies
+ * between the rows of the geometry is never touched.  Operands of
+ * different steps may be the same array (x of a later step is y of an
+ * earlier one in ChronGear); they must not overlap at an offset.  A
+ * step is `struct.pack("qddPPPP", kind, a, b, pa, pb, x, y)`: the
+ * coefficients are the doubles a, b or -- where pa / pb is not NULL --
+ * one value per column (`ncols` of them: a batch whose columns run
+ * their own recurrences), tiled along one chunk once per call.  Chunks
+ * start at a multiple of `ncols`, so one tiling serves them all; the
+ * caller keeps ncols <= CHUNK.  The whole call is one packed program:
+ * the geometry, ncols, the step count ("7q"), then the steps.
  * ------------------------------------------------------------------ */
 typedef struct {
     int64_t kind;
     double a, b;
+    const double *pa, *pb;
     const double *x;
     double *y;
 } update_step;
 
-void update_chain(int64_t n, int64_t nsteps, const update_step *steps)
+typedef struct {
+    int64_t blocks, rows, run, block_stride, row_stride, ncols, nsteps;
+    update_step steps[];
+} update_program;
+
+/* Steps whose tiled coefficients fit the stack at once; a longer chain
+ * runs in groups of this many. */
+#define MAX_STEPS 8
+
+#define STEP_LOOPS(A, B)                                                   \
+    if (kind == 0) {                                                       \
+        for (int64_t i = 0; i < m; i++) {                                  \
+            double t = (A) * xs[i];                                        \
+            ys[i] = ys[i] + t;                                             \
+        }                                                                  \
+    } else if (kind == 1) {                                                \
+        for (int64_t i = 0; i < m; i++) {                                  \
+            double t = (B) * ys[i];                                        \
+            ys[i] = t + xs[i];                                             \
+        }                                                                  \
+    } else {                                                               \
+        for (int64_t i = 0; i < m; i++) {                                  \
+            double t = (B) * ys[i];                                        \
+            double u = (A) * xs[i];                                        \
+            ys[i] = t + u;                                                 \
+        }                                                                  \
+    }
+
+static void chain_group(const update_program *p, int64_t nsteps,
+                        const update_step *steps)
 {
-    for (int64_t c = 0; c < n; c += CHUNK) {
-        int64_t m = n - c < CHUNK ? n - c : CHUNK;
-        for (int64_t s = 0; s < nsteps; s++) {
-            const double *xs = steps[s].x + c;
-            double *ys = steps[s].y + c;
-            double as = steps[s].a, bs = steps[s].b;
-            int64_t kind = steps[s].kind;
-            if (kind == 0) {
-                for (int64_t i = 0; i < m; i++) {
-                    double t = as * xs[i];
-                    ys[i] = ys[i] + t;
-                }
-            } else if (kind == 1) {
-                for (int64_t i = 0; i < m; i++) {
-                    double t = bs * ys[i];
-                    ys[i] = t + xs[i];
-                }
-            } else {
-                for (int64_t i = 0; i < m; i++) {
-                    double t = bs * ys[i];
-                    double u = as * xs[i];
-                    ys[i] = t + u;
-                }
-            }
+    const int64_t blocks = p->blocks, rows = p->rows, run = p->run,
+                  block_stride = p->block_stride, row_stride = p->row_stride,
+                  ncols = p->ncols;
+    int tiled = 0;
+    for (int64_t s = 0; s < nsteps; s++)
+        tiled |= steps[s].pa || steps[s].pb;
+    double tiles[tiled ? 2 * MAX_STEPS : 1][CHUNK];
+    int64_t chunk = run < CHUNK ? run : CHUNK - CHUNK % ncols;
+    for (int64_t s = 0; s < nsteps; s++) {
+        if (!steps[s].pa && !steps[s].pb)
+            continue;
+        for (int64_t i = 0; i < chunk; i++) {
+            tiles[2 * s][i] = steps[s].pa ? steps[s].pa[i % ncols]
+                                          : steps[s].a;
+            tiles[2 * s + 1][i] = steps[s].pb ? steps[s].pb[i % ncols]
+                                              : steps[s].b;
         }
     }
+    for (int64_t b = 0; b < blocks; b++)
+        for (int64_t r = 0; r < rows; r++)
+            for (int64_t c = 0; c < run; c += chunk) {
+                int64_t at = b * block_stride + r * row_stride + c;
+                int64_t m = run - c < chunk ? run - c : chunk;
+                for (int64_t s = 0; s < nsteps; s++) {
+                    const double *xs = steps[s].x + at;
+                    double *ys = steps[s].y + at;
+                    int64_t kind = steps[s].kind;
+                    if (steps[s].pa || steps[s].pb) {
+                        const double *va = tiles[2 * s],
+                                     *vb = tiles[2 * s + 1];
+                        STEP_LOOPS(va[i], vb[i])
+                    } else {
+                        const double a = steps[s].a, bb = steps[s].b;
+                        STEP_LOOPS(a, bb)
+                    }
+                }
+            }
+}
+
+void update_chain(const update_program *p)
+{
+    for (int64_t s = 0; s < p->nsteps; s += MAX_STEPS)
+        chain_group(p, p->nsteps - s < MAX_STEPS ? p->nsteps - s : MAX_STEPS,
+                    p->steps + s);
 }
 
 /* ------------------------------------------------------------------
- * 3. sum(a * b * w) with numpy's pairwise blocking, products formed on
- *    the fly (w is the land mask as 0.0 / 1.0).
+ * 3. Masked dots of windows: out[c, k] = sum over block k's window of
+ *    (a * b) * w in column c, with numpy's pairwise blocking.
  *
- * numpy's float add.reduce over a contiguous vector: fewer than 8
- * elements are summed in order; up to 128 go through 8 interleaved
- * accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus an
- * in-order tail; anything longer is split at n/2 rounded down to a
- * multiple of 8 and the halves are added.  The reduction starts from
- * the identity, so the result is 0.0 + that.  Each term is numpy's
- * `a * b * w`: the product rounded, then multiplied by the weight.
+ * a and b share a row geometry of `cols * ncols` doubles per row, g =
+ * {blocks, rows, cols, ncols, block_stride, row_stride}; w is the land
+ * mask as 0.0 / 1.0, contiguous (blocks, rows, cols); block
+ * k's window is its first extents[2k] rows x extents[2k + 1] cells
+ * (all of them when `extents` is NULL), so no pad cell of a ragged
+ * stack is read.  A window's products -- numpy's `a * b * w`: the
+ * product rounded, then multiplied by the weight -- are reduced in
+ * row-major cell order as numpy's float add.reduce reduces them stored
+ * contiguously: fewer than 8 terms in order; up to 128 through 8
+ * interleaved accumulators combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus an in-order tail; anything
+ * longer split at n/2 rounded down to a multiple of 8, the halves
+ * added; and 0.0 (the reduction's identity) plus that.  A leaf (<= 128
+ * cells) gathers its products column by column into a buffer in L1, up
+ * to eight columns a pass over the cells, and sums it there; one
+ * column of contiguous cells forms them on the fly.  Returns
+ * out[0, 0]; `out` may be NULL when that is all there is.
  * ------------------------------------------------------------------ */
-#define TERM(i) (a[i] * b[i] * w[i])
+#define LEAF 128
 
-static double pairwise(const double *a, const double *b, const double *w,
-                       int64_t n)
+typedef struct {
+    const double *a, *b, *w;   /* the window's first cell / mask value */
+    int64_t nx;                /* cells per window row */
+    int64_t row_stride;        /* of a and b, in elements */
+    int64_t w_stride;          /* of w, in cells */
+    int64_t ncols;
+} window;
+
+/* numpy's sum of n <= 128 terms. */
+#define LEAF_SUM(TERM)                                                     \
+    if (n < 8) {                                                           \
+        double res = -0.0;                                                 \
+        for (int64_t i = 0; i < n; i++)                                    \
+            res += TERM(i);                                                \
+        return res;                                                        \
+    }                                                                      \
+    double r[8], res;                                                      \
+    int64_t i;                                                             \
+    for (int j = 0; j < 8; j++)                                            \
+        r[j] = TERM(j);                                                    \
+    for (i = 8; i < n - (n % 8); i += 8)                                   \
+        for (int j = 0; j < 8; j++)                                        \
+            r[j] += TERM(i + j);                                           \
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])); \
+    for (; i < n; i++)                                                     \
+        res += TERM(i);                                                    \
+    return res;
+
+/* Products gathered into a buffer ... */
+static double leaf_sum(const double *p, int64_t n)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += TERM(i);
-        return res;
-    }
-    if (n <= 128) {
-        double r[8], res;
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = TERM(j);
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += TERM(i + j);
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += TERM(i);
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise(a, b, w, n2) + pairwise(a + n2, b + n2, w + n2, n - n2);
+#define BUFFERED(i) (p[i])
+    LEAF_SUM(BUFFERED)
 }
 
-double pairwise_dot(const double *a, const double *b, const double *w,
-                    int64_t n)
+/* ... or, for one column of cells that follow each other, formed on
+ * the fly. */
+static double leaf_dot(const double *a, const double *b, const double *w,
+                       int64_t n)
 {
-    return 0.0 + pairwise(a, b, w, n);
+#define PRODUCT(i) (a[i] * b[i] * w[i])
+    LEAF_SUM(PRODUCT)
+}
+
+/* One column of n cells that follow each other. */
+static double pairwise_row(const double *a, const double *b, const double *w,
+                           int64_t n)
+{
+    if (n <= LEAF)
+        return leaf_dot(a, b, w, n);
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_row(a, b, w, n2)
+           + pairwise_row(a + n2, b + n2, w + n2, n - n2);
+}
+
+/* res[c] = pairwise sum of cells [i0, i0 + n) for nc <= 8 columns. */
+static void pairwise(const window *v, int64_t i0, int64_t n, int nc,
+                     double *res)
+{
+    if (n > LEAF) {
+        double right[8];
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        pairwise(v, i0, n2, nc, res);
+        pairwise(v, i0 + n2, n - n2, nc, right);
+        for (int c = 0; c < nc; c++)
+            res[c] = res[c] + right[c];
+        return;
+    }
+    double buf[8 * LEAF];
+    int64_t r = i0 / v->nx, q = i0 % v->nx;
+    for (int64_t t = 0; t < n; r++, q = 0) {
+        int64_t take = v->nx - q < n - t ? v->nx - q : n - t;
+        const double *a = v->a + r * v->row_stride + q * v->ncols,
+                     *b = v->b + r * v->row_stride + q * v->ncols,
+                     *w = v->w + r * v->w_stride + q;
+        if (nc == 1)    /* a loop of one costs a width-1 stack 2x */
+            for (int64_t j = 0; j < take; j++)
+                buf[t + j] = a[j * v->ncols] * b[j * v->ncols] * w[j];
+        else
+            for (int64_t j = 0; j < take; j++, a += v->ncols, b += v->ncols)
+                for (int c = 0; c < nc; c++)
+                    buf[c * LEAF + t + j] = a[c] * b[c] * w[j];
+        t += take;
+    }
+    for (int c = 0; c < nc; c++)
+        res[c] = leaf_sum(buf + c * LEAF, n);
+}
+
+double pairwise_dot(const int64_t *g, const double *a, const double *b,
+                    const double *w, const int64_t *extents, double *out)
+{
+    const int64_t blocks = g[0], rows = g[1], cols = g[2], ncols = g[3],
+                  block_stride = g[4], row_stride = g[5];
+    double first = 0.0;
+    for (int64_t k = 0; k < blocks; k++) {
+        int64_t ny = extents ? extents[2 * k] : rows;
+        int64_t nx = extents ? extents[2 * k + 1] : cols;
+        window v = {a + k * block_stride, b + k * block_stride,
+                    w + k * rows * cols, nx, row_stride, cols, ncols};
+        if (nx == cols && row_stride == cols * ncols) {
+            v.nx = ny * nx;    /* rows follow each other: one long row */
+            ny = 1;
+        }
+        for (int64_t c = 0; c < ncols; c += 8, v.a += 8, v.b += 8) {
+            double res[8];
+            int nc = ncols - c < 8 ? (int)(ncols - c) : 8;
+            if (ncols == 1 && ny == 1)
+                res[0] = pairwise_row(v.a, v.b, v.w, v.nx);
+            else
+                pairwise(&v, 0, ny * v.nx, nc, res);
+            for (int j = 0; j < nc; j++) {
+                res[j] = 0.0 + res[j];
+                if (out)
+                    out[(c + j) * blocks + k] = res[j];
+            }
+            if (k == 0 && c == 0)
+                first = res[0];
+        }
+    }
+    return first;
 }
 
 /* ------------------------------------------------------------------

@@ -33,14 +33,18 @@ _FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 _I, _P = ctypes.c_int64, ctypes.c_void_p
 #: Entry point -> (restype, argtypes); pointers travel as addresses.
 _SIGNATURES = {
-    "dia_sweep": (None, (_I, _I, _P, _I, _P, _P, _P)),
-    "update_chain": (None, (_I, _I, _P)),
-    "pairwise_dot": (ctypes.c_double, (_P, _P, _P, _I)),
+    "dia_sweep": (None, (_I, _I, _P, _I, _P, _P, _P, _P)),
+    "update_chain": (None, (_P,)),
+    "pairwise_dot": (ctypes.c_double, (_P, _P, _P, _P, _P, _P)),
     "evp_march": (None, (_I, _P, _P, _P, _P, _P)),
     "evp_edges": (None, (_I, _I, _I, _P, _P, _P, _P, _P, _P)),
 }
-#: ``struct`` format of one ``update_chain`` step: kind, a, b, x, y.
-STEP_FORMAT = "qddPP"
+#: ``struct`` formats of an ``update_chain`` program: the row geometry,
+#: ``ncols`` and the step count, then per step kind, a, b, the
+#: per-column forms of a and b (0: use the double), x, y.
+CHAIN_FORMAT, STEP_FORMAT = "7q", "qddPPPP"
+#: ``native.c``'s ``CHUNK``: the widest batch a chain tiles coefficients for.
+MAX_CHAIN_COLUMNS = 1024
 
 
 def address(array):
@@ -48,6 +52,47 @@ def address(array):
     third of the cost of ``array.ctypes.data``; raises on any other
     array).  The caller keeps ``array`` alive across the native call."""
     return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+def pointer(array):
+    """:func:`address`, strided writable views (the interior of a
+    stack) included -- those at the price of ``array.ctypes.data``."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        if not array.flags.writeable:
+            raise
+        return array.ctypes.data
+
+
+@functools.lru_cache(maxsize=256)
+def int64s(*values):
+    """``(address, array)`` of these values as a C int64 array -- how a
+    geometry reaches ``native.c`` (one pointer: a ctypes call pays per
+    argument).  Hold the pair across the call; equal values share one
+    array."""
+    array = np.array(values, dtype=np.int64)
+    return array.ctypes.data, array
+
+
+@functools.lru_cache(maxsize=64)
+def row_geometry(shape, strides):
+    """``(blocks, rows, run, block_stride, row_stride)`` of a float64
+    array with this shape and these byte strides, in elements -- the
+    row geometry of ``native.c``: trailing axes that follow each other
+    in memory merge into the run, up to two strided axes remain outside
+    it (the interior of a ``(p, H, W[, n])`` stack: blocks and rows).
+    ``None`` for any other layout."""
+    run, k = 1, len(shape)
+    while k and (strides[k - 1] == run * 8 or shape[k - 1] == 1):
+        k -= 1
+        run *= shape[k]
+    outer = [(n, step) for n, step in zip(shape[:k], strides[:k]) if n != 1]
+    if len(outer) > 2 or not run or any(
+            step <= 0 or step % 8 for _, step in outer):
+        return None
+    (blocks, block_step), (rows, row_step) = [(1, 0)] * (2 - len(outer)) + outer
+    return blocks, rows, run, block_step // 8, row_step // 8
 
 
 class Native:
@@ -141,34 +186,116 @@ def load():
 
 # -- self-tests: each entry point against its numpy/scipy reference -----
 def _test_dia_sweep(fn, rng):
-    for n in (7, 150, 1031):
-        data, x, y = rng.standard_normal((9, n)), rng.standard_normal(n), np.empty(n)
-        offsets = np.array([0, 12, -12, 1, -1, 13, 11, -11, -13], dtype=np.int64)
-        fn(n, 9, address(data), n, address(offsets), address(x), address(y))
-        if not np.array_equal(y, dia_array((data, offsets), shape=(n, n)) @ x):
+    """Whole vectors (rows at both ends lose diagonals) at widths 1 / 2
+    / 8 / 11 against scipy column by column, then the rows of a stack
+    interior written in place: nothing between them is touched."""
+    offsets = np.array([0, 12, -12, 1, -1, 13, 11, -11, -13], dtype=np.int64)
+    for n, width in ((7, 1), (150, 1), (1031, 1), (150, 2), (1031, 8),
+                     (400, 11)):
+        data, x = rng.standard_normal((9, n)), rng.standard_normal((n, width))
+        sweep = dia_array((data, offsets), shape=(n, n))
+        ref = np.stack([sweep @ np.ascontiguousarray(x[:, c])
+                        for c in range(width)], axis=1)
+        y = np.empty((n, width))
+        fn(n, 9, address(data), n, address(offsets),
+           int64s(width, 1, 1, n, 0, 0, 0, 0, 0)[0], address(x), address(y))
+        if not np.array_equal(y, ref):
+            return False
+        if n < 400:
+            continue
+        blocks, rows, cells, first, block, row = 2, 3, 9, 40, 150, 13
+        y = np.full((n, width), 7.0)
+        fn(n, 9, address(data), n, address(offsets),
+           int64s(width, blocks, rows, cells, first, block, row,
+                  block * width, row * width)[0],
+           address(x), address(y) + first * width * 8)
+        swept = np.zeros(n, dtype=bool)
+        for b in range(blocks):
+            for r in range(rows):
+                at = first + b * block + r * row
+                swept[at:at + cells] = True
+        if not (np.array_equal(y[swept], ref[swept])
+                and np.all(y[~swept] == 7.0)):
             return False
     return True
 
 
 def _test_update_chain(fn, rng):
+    """ChronGear's chain (later steps read what earlier ones wrote) on
+    whole vectors with scalar coefficients, then on the interiors of
+    ``(p, H, W, n)`` stacks with one coefficient per column: halo cells
+    stay as they were."""
     n = 2500
     s, p, x, r, z, q = rng.standard_normal((6, n))
     got = [v.copy() for v in (s, p, x, r)]
-    steps = [(1, 0.0, 0.3, z, got[0]), (2, 0.7, -1.1, q, got[1]),
-             (0, 0.9, 0.0, got[0], got[2]), (0, -0.9, 0.0, got[1], got[3])]
-    fn(n, 4, struct.pack(STEP_FORMAT * 4, *(
-        v if i < 3 else address(v) for step in steps for i, v in enumerate(step))))
+    steps = [(1, 0.0, 0.3, 0, 0, address(z), address(got[0])),
+             (2, 0.7, -1.1, 0, 0, address(q), address(got[1])),
+             (0, 0.9, 0.0, 0, 0, address(got[0]), address(got[2])),
+             (0, -0.9, 0.0, 0, 0, address(got[1]), address(got[3]))]
+    fn(struct.pack(CHAIN_FORMAT + STEP_FORMAT * 4, 1, 1, n, 0, 0, 1, 4,
+                   *(v for step in steps for v in step)))
     s, p = z + 0.3 * s, -1.1 * p + 0.7 * q
-    return all(np.array_equal(a, b) for a, b in
-               zip(got, (s, p, x + 0.9 * s, r + -0.9 * p)))
+    if not all(np.array_equal(a, b) for a, b in
+               zip(got, (s, p, x + 0.9 * s, r + -0.9 * p))):
+        return False
+
+    shape, h = (3, 7, 9, 5), 2
+    inner = (slice(None), slice(h, -h), slice(h, -h))
+    alpha, beta = rng.standard_normal((2, shape[3]))
+    minus = -alpha
+    ref = dict(zip("spxrzq", rng.standard_normal((6,) + shape)))
+    got = {name: v.copy() for name, v in ref.items()}
+    first = ((h * shape[2] + h) * shape[3]) * 8
+    at = {name: address(v) + first for name, v in got.items()}
+    steps = [(1, 0.0, 0.0, 0, address(beta), at["z"], at["s"]),
+             (2, 0.0, 0.0, address(alpha), address(beta), at["q"], at["p"]),
+             (0, 0.0, 0.0, address(alpha), 0, at["s"], at["x"]),
+             (0, 0.0, 0.0, address(minus), 0, at["p"], at["r"])]
+    fn(struct.pack(CHAIN_FORMAT + STEP_FORMAT * 4, shape[0], shape[1] - 2 * h,
+                   (shape[2] - 2 * h) * shape[3],
+                   shape[1] * shape[2] * shape[3], shape[2] * shape[3],
+                   shape[3], 4, *(v for step in steps for v in step)))
+    s, p, x, r, z, q = (ref[name][inner] for name in "spxrzq")
+    s[...] = beta * s + z
+    p[...] = beta * p + alpha * q
+    x[...] = x + alpha * s
+    r[...] = r + minus * p
+    return all(np.array_equal(ref[name], got[name]) for name in ref)
 
 
 def _test_pairwise_dot(fn, rng):
+    """One window of every awkward length, then stacks of windows --
+    whole interiors and ragged extents -- at widths 1 / 3 / 8 against
+    ``np.sum`` over the contiguous planar copy of the products."""
     for n in (1, 7, 8, 9, 127, 128, 129, 300, 1000, 17280, 30720):
         a = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
         b, w = rng.standard_normal(n), rng.integers(0, 2, n).astype(float)
-        if fn(address(a), address(b), address(w), n) != float(np.sum(a * b * w)):
+        if fn(int64s(1, 1, n, 1, 0, 0)[0], address(a), address(b), address(w),
+              0, 0) != float(np.sum(a * b * w)):
             return False
+    p, ny, nx, h = 5, 18, 21, 2
+    mask = rng.integers(0, 2, (p, ny, nx)).astype(float)
+    ragged = np.array([(ny, nx), (ny - 1, nx), (ny, nx - 1), (3, 2),
+                       (ny - 1, nx - 1)], dtype=np.int64)
+    for width in (1, 3, 8):
+        shape = (p, ny + 2 * h, nx + 2 * h, width)
+        a, b = rng.standard_normal((2,) + shape)
+        a *= 10.0 ** rng.integers(-5, 5, shape)
+        inner = (slice(None), slice(h, -h), slice(h, -h))
+        first = (h * shape[2] + h) * width * 8
+        for extents in (None, ragged):
+            out = np.empty((width, p))
+            fn(int64s(p, ny, nx, width, shape[1] * shape[2] * width,
+                      shape[2] * width)[0],
+               address(a) + first, address(b) + first, address(mask),
+               0 if extents is None else address(extents), address(out))
+            for k in range(p):
+                wy, wx = (ny, nx) if extents is None else extents[k]
+                planar = np.ascontiguousarray(
+                    ((a[inner][k, :wy, :wx] * b[inner][k, :wy, :wx])
+                     * mask[k, :wy, :wx, None]).transpose(2, 0, 1))
+                if not np.array_equal(out[:, k], np.sum(planar, axis=(1, 2))):
+                    return False
     return True
 
 

@@ -7,7 +7,7 @@ neighboring blocks before the next operation can read them -- that is
 POP's ``update_halo`` (Algorithm 1 step 6 / Algorithm 2 step 10 of the
 paper).
 
-Two implementations are provided and tested against each other:
+Three implementations are provided and tested against each other:
 
 * :meth:`HaloExchanger.exchange` -- true point-to-point semantics: every
   block copies edge strips directly from each of its eight neighbors
@@ -16,8 +16,12 @@ Two implementations are provided and tested against each other:
 * :meth:`HaloExchanger.exchange_via_global` -- a bulk-synchronous
   shortcut that reassembles the global field and re-slices every block's
   padded window from it.  Semantically identical under BSP, considerably
-  faster in this in-process simulation, and used by default for large
-  block counts.
+  faster in this in-process simulation, and used by default for per-rank
+  fields.
+* :meth:`HaloExchanger.exchange_stacked` -- the batched engine's: halo
+  cells of a stack copied straight from their owners' interior cells
+  through two cell tables built once from the decomposition; nothing is
+  assembled and no owned cell moves.
 
 Out-of-domain halos (beyond the global grid edge, or adjacent to an
 eliminated all-land block) are filled with zeros: the closed lateral
@@ -50,9 +54,10 @@ class BlockField:
     Pad cells (and the part of a smaller block's north/east halo that
     falls inside the stack's interior window) may hold stale finite
     values after elementwise updates.  Nothing reads them: stencil and
-    mask coefficients are zero there, the halo exchange refreshes the
-    whole stack before every operator apply, and reductions, gathers,
-    checksums and checkpoints touch exact per-rank windows only.
+    mask coefficients are zero there, the halo exchange rewrites every
+    cell a rank does not own (pad cells with zero) before every
+    operator apply, and reductions, gathers, checksums and checkpoints
+    touch exact per-rank windows only.
 
     Attributes
     ----------
@@ -170,11 +175,8 @@ class HaloExchanger:
                 d: (n.rank if (n is not None and n.is_active) else None)
                 for d, n in neigh.items()
             })
-        # Lazily-built gather/scatter index maps for the stacked
-        # (structure-of-arrays) exchange, plus a reusable padded-global
-        # scratch buffer keyed by dtype.
-        self._stacked_maps = None
-        self._padded_scratch = {}
+        # Lazily-built cell tables of the stacked exchange.
+        self._stacked_tables = None
 
     # ------------------------------------------------------------------
     def scatter(self, global_field, dtype=None, stacked=False):
@@ -282,87 +284,71 @@ class HaloExchanger:
         return field
 
     # ------------------------------------------------------------------
-    def _stacked_index_maps(self):
-        """Flat index maps driving the stacked halo exchange.
+    def _halo_tables(self):
+        """``(dst, src, zero)``: flat cell indices into a ``(p, bny +
+        2h, bnx + 2h)`` stack driving the stacked halo exchange.
 
-        Returns ``(scatter_idx, gather_idx)`` into the flat padded
-        ``(ny + 2h, nx + 2h)`` global scratch, which carries two extra
-        trailing slots:
-
-        * ``scatter_idx`` -- shape ``(p, bny, bnx)``: for each stacked
-          interior point, its flat position in the scratch.  Points of a
-          slot beyond its block's real interior go to the last slot, a
-          dump nothing gathers from.
-        * ``gather_idx`` -- shape ``(p, bny + 2h, bnx + 2h)``: for each
-          stacked local point (halos included), its flat position in the
-          scratch.  Pad points read the second-to-last slot, which is
-          never written and so always zero.
-
-        Built once; both maps turn the two per-rank copy loops of
-        :meth:`exchange_via_global` into one fancy-indexing scatter and
-        one fancy-indexing gather over the whole stack.  On a uniform
-        decomposition there are no pad points and neither extra slot is
-        referenced.
+        ``dst`` lists every stack cell a rank does not own but some
+        rank does -- its halo ring inside the domain, including the
+        part of a smaller block's north/east halo that lies inside the
+        stack's interior window -- and ``src`` the owner's interior
+        cell it mirrors.  ``zero`` lists the cells nobody owns: halos
+        beyond the closed boundary or over an eliminated land block,
+        and the pad of ragged slots.  Owned cells appear in neither.
+        Built once, from the decomposition alone, through the same
+        padded global map :meth:`exchange_via_global` assembles values
+        in.
         """
-        if self._stacked_maps is None:
+        if self._stacked_tables is None:
             decomp = self.decomp
             h = decomp.halo_width
             bny, bnx = decomp.max_block_shape()
-            width = decomp.nx + 2 * h
-            p = decomp.num_active
-            zero_slot = (decomp.ny + 2 * h) * width
-            scatter_idx = np.full((p, bny, bnx), zero_slot + 1,
-                                  dtype=np.intp)
-            gather_idx = np.full((p, bny + 2 * h, bnx + 2 * h), zero_slot,
-                                 dtype=np.intp)
+            shape = (decomp.num_active, bny + 2 * h, bnx + 2 * h)
+            cells = np.arange(np.prod(shape), dtype=np.intp).reshape(shape)
+            owner = np.full((decomp.ny + 2 * h, decomp.nx + 2 * h), -1,
+                            dtype=np.intp)
             for rank, block in enumerate(decomp.active_blocks):
-                jj = np.arange(h + block.j0, h + block.j1)[:, None]
-                ii = np.arange(h + block.i0, h + block.i1)[None, :]
-                scatter_idx[rank, :block.ny, :block.nx] = jj * width + ii
-                jj = np.arange(block.j0, block.j1 + 2 * h)[:, None]
-                ii = np.arange(block.i0, block.i1 + 2 * h)[None, :]
-                gather_idx[rank, :block.ny + 2 * h, :block.nx + 2 * h] = \
-                    jj * width + ii
-            self._stacked_maps = (scatter_idx, gather_idx)
-        return self._stacked_maps
+                owner[h + block.j0:h + block.j1, h + block.i0:h + block.i1] \
+                    = cells[rank, h:h + block.ny, h:h + block.nx]
+            source = np.full(shape, -1, dtype=np.intp)
+            for rank, block in enumerate(decomp.active_blocks):
+                source[rank, :block.ny + 2 * h, :block.nx + 2 * h] = owner[
+                    block.j0:block.j1 + 2 * h, block.i0:block.i1 + 2 * h]
+            halo = source != cells
+            filled = halo & (source >= 0)
+            self._stacked_tables = (cells[filled], source[filled],
+                                    cells[halo & (source < 0)])
+        return self._stacked_tables
 
     def exchange_stacked(self, field):
-        """Stacked halo update: two fancy-indexing operations total.
+        """Stacked halo update: halo cells only, no global assembly.
 
-        Bit-identical to :meth:`exchange_via_global` (same values move
-        through the same padded global assembly), but the per-rank copy
-        loops are replaced by one scatter of all interiors into a reused
-        flat scratch and one gather of all padded windows out of it.
-        The gather rewrites the whole stack, so pad cells come out zero.
-        Requires a stacked :class:`BlockField`.
+        Every halo cell that has an owner is copied from the owner's
+        interior cell (``flat[dst] = flat[src]`` over the cell tables of
+        :meth:`_halo_tables`; a trailing batch axis rides along), and
+        every cell nobody owns -- closed boundary, eliminated
+        neighbours, pad of ragged slots, which elementwise updates may
+        have written -- is set to zero.  Owned cells are not touched:
+        the stack comes out bit-identical to
+        :meth:`exchange_via_global` followed by zeroing the pad, which
+        rewrites them with themselves.  Requires a stacked
+        :class:`BlockField`.
         """
         if not field.is_stacked:
             raise DecompositionError(
                 "exchange_stacked requires a stacked BlockField; "
                 "use exchange/exchange_via_global for per-rank fields"
             )
-        scatter_idx, gather_idx = self._stacked_index_maps()
-        dtype = field.stack.dtype
-        trailing = field.stack.shape[3:]
-        key = (dtype.str, trailing)
-        scratch = self._padded_scratch.get(key)
-        if scratch is None:
-            # Out-of-domain positions stay zero forever: the scatter
-            # below only ever writes interior positions (and the dump
-            # slot), so neither the border ring (the closed lateral
-            # boundary), the sites of eliminated land blocks nor the
-            # zero slot ever need re-zeroing.
-            decomp = self.decomp
-            h = decomp.halo_width
-            scratch = np.zeros(
-                ((decomp.ny + 2 * h) * (decomp.nx + 2 * h) + 2,) + trailing,
-                dtype=dtype)
-            self._padded_scratch[key] = scratch
-        scratch[scatter_idx] = field.interior_stack()
-        if scratch.ndim == 1:
-            np.take(scratch, gather_idx, out=field.stack)
-        else:
-            # Trailing-axis batch: one axis-0 take moves every column's
-            # halos at once.
-            np.take(scratch, gather_idx, axis=0, out=field.stack)
+        stack = field.stack
+        dst, src, zero = self._halo_tables()
+        if not stack.flags.c_contiguous:
+            # No flat view to index: a copy would swallow the update.
+            return self.exchange_via_global(field)
+        # Cells as rows of a flat view; one value per cell stays 1-D
+        # (fancy indexing a trailing axis of one is 2.5x slower).
+        tail = stack.shape[3:]
+        flat = stack.reshape((-1,) + (tail if tail != (1,) else ()))
+        flat[dst] = flat.take(src, axis=0)
+        if zero.size:
+            flat[zero] = 0.0
         return field

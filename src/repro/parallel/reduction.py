@@ -14,6 +14,14 @@ tree order, which is why running the same configuration on the same
 machine is bit-for-bit reproducible, while changing the rank count (or
 the solver!) is not.  That non-associativity is precisely what motivates
 the paper's section 6 ensemble-consistency machinery.
+
+The two ``*_stacked`` functions are the numpy form of the batched
+engine's local partials -- product, mask pass, (for a batch) planar
+transpose, ``np.sum`` -- and the definition of their bits.  The virtual
+machine asks its kernels' ``window_dots`` first
+(:meth:`repro.kernels.base.KernelBackend.window_dots`: the same
+products reduced in the same pairwise order in one compiled pass, no
+temporaries) and comes here when the kernels have no such form.
 """
 
 import math

@@ -434,8 +434,9 @@ class ResilienceRuntime:
             # same contiguous layout it had standalone, so the per-rank
             # pairwise summation order -- and hence the checksum -- is
             # unchanged.  This keeps the halo check O(1) numpy calls at
-            # the 256-rank strong-scaling limit the paper targets.
-            stack = np.stack(locals_)
+            # the 256-rank strong-scaling limit the paper targets.  A
+            # stacked field already is that stack.
+            stack = field.stack if field.is_stacked else np.stack(locals_)
             axes = (1, 2)
             return (stack[:, :h].sum(axis=axes)
                     + stack[:, -h:].sum(axis=axes)

@@ -20,7 +20,8 @@ Two engines execute these primitives:
 
 * ``"batched"`` -- the structure-of-arrays engine: per-rank tiles are
   stacked into one dense ``(p, bny + 2h, bnx + 2h)`` ndarray and every
-  primitive runs as a single vectorized numpy call over the stack.
+  primitive runs as one pass over the stack (a compiled kernel of
+  :mod:`repro.kernels`, or a few vectorized numpy calls).
   Runs every decomposition: ``p`` counts active ranks only (eliminated
   land blocks have no slot) and ragged tiles are zero-padded to the
   largest block shape (see :class:`~repro.parallel.halo.BlockField`).
@@ -37,6 +38,7 @@ not a cost-model change.
 import numpy as np
 
 from repro.core.errors import DecompositionError
+from repro.kernels import resolve_kernels
 from repro.parallel.events import EventLedger
 from repro.parallel.halo import BlockField, HaloExchanger
 from repro.parallel.reduction import (
@@ -98,13 +100,20 @@ class VirtualMachine:
             for block in decomp.active_blocks
         ]
         self._mask_stack = None
-        # Ragged decompositions only: per block shape, the ranks and
-        # their exact (ny, nx) mask windows (see masked_partials_stacked).
-        self._mask_groups = None
+        # Ragged decompositions only: every rank's exact (ny, nx)
+        # window, and per block shape the ranks and their mask windows
+        # (the kernels' window_dots / masked_partials_stacked).
+        self._extents = self._mask_groups = None
+        #: Kernels of the stacked reductions -- the shared fused
+        #: instance; a test substitutes the oracle by assignment.
+        self.kernels = resolve_kernels(None)
         if self.engine == "batched":
             self._mask_stack = decomp.stack_interiors(
                 self.mask.astype(np.float64))
             if not decomp.is_uniform:
+                self._extents = np.array(
+                    [(b.ny, b.nx) for b in decomp.active_blocks],
+                    dtype=np.int64)
                 self._mask_groups = [
                     (ranks, self._mask_stack[ranks, :ny, :nx])
                     for ranks, ny, nx in decomp.shape_groups()]
@@ -221,19 +230,32 @@ class VirtualMachine:
         if self.resilience is not None:
             self.resilience.on_rank_death(int(rank))
 
+    def _stacked_partials(self, a, b):
+        """Rank-ordered partials of a stacked pair, one list per column
+        (one list for scalar fields): a single kernel pass over every
+        block's exact window, or the reduction module's numpy form."""
+        ai, bi = a.interior_stack(), b.interior_stack()
+        partials = self.kernels.window_dots(ai, bi, self._mask_stack,
+                                            self._extents)
+        if partials is not None:
+            return partials.tolist()
+        if a.nrhs is None:
+            return [masked_partials_stacked(ai, bi, self._mask_stack,
+                                            self._mask_groups)]
+        return masked_column_partials_stacked(ai, bi, self._mask_stack,
+                                              self._mask_groups)
+
     def _column_partials(self, a, b):
         """Rank-ordered partials of every RHS column of a batched pair.
 
         ``nrhs`` lists, each bit-identical to the single-RHS partials
-        of that column: columns are reduced as *contiguous* chunks (one
-        planar transpose for the whole stack; per-column copies under
-        the per-rank oracle) so the pairwise summation blocking matches
-        the scalar reduction exactly.
+        of that column: a column's products are reduced window by
+        window in the order of a *contiguous* chunk (per-column copies
+        under the per-rank oracle) so the pairwise summation blocking
+        matches the scalar reduction exactly.
         """
         if self.is_batched and a.is_stacked and b.is_stacked:
-            return masked_column_partials_stacked(
-                a.interior_stack(), b.interior_stack(),
-                self._mask_stack, self._mask_groups)
+            return self._stacked_partials(a, b)
         return [
             [masked_local_dot(np.ascontiguousarray(a.interior(r)[..., j]),
                               np.ascontiguousarray(b.interior(r)[..., j]),
@@ -294,10 +316,7 @@ class VirtualMachine:
     def _pair_partials(self, a, b):
         """Rank-ordered partials of one scalar vector pair."""
         if self.is_batched and a.is_stacked and b.is_stacked:
-            return masked_partials_stacked(
-                a.interior_stack(), b.interior_stack(), self._mask_stack,
-                self._mask_groups,
-            )
+            return self._stacked_partials(a, b)[0]
         return [
             masked_local_dot(a.interior(r), b.interior(r),
                              self._mask_blocks[r])

@@ -52,7 +52,10 @@ from repro.kernels import resolve_kernels
 from repro.operators.blocked import BlockedOperator
 from repro.operators.stencil_op import MATVEC_FLOPS_PER_POINT, apply_stencil
 from repro.parallel.events import EventLedger
-from repro.parallel.reduction import binomial_tree_depth
+from repro.parallel.reduction import (
+    binomial_tree_depth,
+    masked_column_partials_stacked,
+)
 
 
 #: ``updates`` step -> (kernel chain kind, flop units per point, the
@@ -261,15 +264,52 @@ class SolverContext(abc.ABC):
         beta, y)``, ``("combine", a, x, b, y)`` -- and a later step may
         read or update what an earlier one wrote (ChronGear's ``x +=
         alpha s`` follows ``s = r' + beta s``).  The result and the
-        ledger records are those of the calls made one by one, which is
-        what this default does; a context may run the whole chain in
-        one pass over the vectors instead.
+        ledger records are those of the calls made one by one.  Where
+        every vector has a chain operand (``_chain_operand``) -- whole
+        serial vectors; stacked fields on the batched engine, whose
+        interior rows are all the chain touches -- and the kernels fuse
+        chains, the run is one pass over the vectors, with scalar
+        coefficients or one per column of a batch (a lockstep ChronGear
+        ensemble); otherwise (per-rank fields, kernels without a chain)
+        it is the calls themselves.
         """
+        if self._run_chain(steps, phase):
+            return
         for kind, *args in steps:
             if kind not in _CHAIN_STEPS:
                 raise SolverError(f"unknown update step {kind!r}; expected "
                                   f"one of {', '.join(_CHAIN_STEPS)}")
             getattr(self, kind)(*args, phase=phase)
+
+    #: ``_chain_operand(v)``: the array the kernels' update chain works
+    #: on for context vector ``v``, or ``None`` to send the run to the
+    #: one-by-one calls.  The attribute itself is ``None`` where vectors
+    #: are their own operands.
+    _chain_operand = None
+
+    def _run_chain(self, steps, phase):
+        """``steps`` as one :meth:`KernelBackend.update_chain` call over
+        the vectors' ``_chain_operand`` arrays, charged the sum of
+        what the steps charge one by one.  ``False``: nothing was
+        touched (a vector without a chain operand, an unknown step, or
+        kernels that cannot run this chain)."""
+        chain, units, operand = [], 0, self._chain_operand
+        for kind, *args in steps:
+            if kind not in _CHAIN_STEPS:
+                return False
+            code, cost, operands = _CHAIN_STEPS[kind]
+            a, b, x, y = operands(*args)
+            xs, ys = (x, y) if operand is None else (operand(x), operand(y))
+            if xs is None or ys is None:
+                return False
+            chain.append((code, a, b, xs, ys))
+            units += cost
+        if not self.kernels.update_chain(chain):
+            return False
+        # The kernels ran it, so every vector has the last one's shape.
+        self.ledger.record_flops(
+            phase, units * self._vec_width(y) * self.critical_points)
+        return True
 
     # -- topology ------------------------------------------------------
     @property
@@ -312,7 +352,6 @@ class SerialContext(SolverContext):
         # ``alpha * x`` afresh on every call in the solver hot loop; the
         # out=-based path reuses this buffer instead.
         self._scratch = None
-        self._planar = None
         if decomp is not None:
             if decomp.ny != stencil.shape[0] or decomp.nx != stencil.shape[1]:
                 raise SolverError(
@@ -371,18 +410,18 @@ class SerialContext(SolverContext):
     def _dot_columns(self, a, b):
         """Per-column masked dots of a multi-RHS pair, shape ``(nrhs,)``.
 
-        The product is formed in the batch layout, then masked *into* a
-        planar ``(nrhs, ny, nx)`` scratch, so each column is reduced as
-        one contiguous ``ny * nx`` chunk: the pairwise summation
-        blocking (and hence every bit of the result) matches the scalar
-        path exactly; a strided reduction over the batch layout could
-        legally re-block the accumulation.
+        The grid is one window of :meth:`KernelBackend.window_dots`:
+        each column's products ``(a * b) * mask`` are reduced in
+        row-major cell order with numpy's pairwise blocking, so every
+        bit matches the scalar path (a strided reduction over the batch
+        layout could legally re-block the accumulation).  Kernels
+        without that form take the stacked reduction's planar copy.
         """
-        prod = self._get_scratch(a)
-        np.multiply(a, b, out=prod)
-        planar = self._get_planar(a)
-        np.multiply(prod.transpose(2, 0, 1), self._mask_f, out=planar)
-        return np.sum(planar, axis=(1, 2))
+        a, b, mask = a[None], b[None], self._mask_f[None]
+        partials = self.kernels.window_dots(a, b, mask)
+        if partials is None:
+            partials = np.array(masked_column_partials_stacked(a, b, mask))
+        return partials[:, 0]
 
     def _dot(self, a, b):
         """Masked inner product of two 2-D vectors: one pass where the
@@ -465,13 +504,6 @@ class SerialContext(SolverContext):
             self._scratch = np.empty_like(like)
         return self._scratch
 
-    def _get_planar(self, like):
-        """``(nrhs, ny, nx)`` scratch for the column reductions."""
-        shape = like.shape[2:] + like.shape[:2]
-        if self._planar is None or self._planar.shape != shape:
-            self._planar = np.empty(shape)
-        return self._planar
-
     @staticmethod
     def _rows(coeffs, *vectors):
         """Operands of an elementwise update: batch vectors and their
@@ -515,29 +547,6 @@ class SerialContext(SolverContext):
         self.ledger.record_flops(phase, self._width(v) * self._critical)
         return v
 
-    def updates(self, *steps, phase="computation"):
-        """One pass over the vectors when the kernels fuse the chain:
-        scalar coefficients (a 2-D solve, or a batch whose columns share
-        them, as P-CSI's do) over whole contiguous vectors.  Anything
-        else -- per-column coefficients, kernels without a fused chain
-        -- is the calls one by one."""
-        chain, units = [], 0
-        for kind, *args in steps:
-            if kind not in _CHAIN_STEPS:
-                break
-            code, cost, operands = _CHAIN_STEPS[kind]
-            a, b, x, y = operands(*args)
-            if not (isinstance(a, float) and isinstance(b, float)
-                    and x.shape == y.shape):
-                break
-            chain.append((code, a, b, x, y))
-            units += cost * self._width(y)
-        else:
-            if self.kernels.update_chain(chain):
-                self.ledger.record_flops(phase, units * self._critical)
-                return
-        super().updates(*steps, phase=phase)
-
     # -- topology ------------------------------------------------------
     @property
     def num_ranks(self):
@@ -553,8 +562,12 @@ class DistributedContext(SolverContext):
     """Block-field context over a :class:`VirtualMachine`.
 
     Under the batched engine (``vm.engine == "batched"``, the default
-    for every decomposition) each operation runs as a single vectorized
-    numpy call over the stacked ``(p, bny, bnx)`` layout.  Under the
+    for every decomposition) each operation is one pass over the
+    stacked ``(p, bny, bnx)`` layout: runs of updates as one kernel
+    chain over the stacks' interior rows (:meth:`updates`), reductions
+    as one windowed dot, the matvec as one sweep, the halo update as
+    one copy of the halo cells -- or, where the kernels have no such
+    form, a few vectorized numpy calls with the same bits.  Under the
     per-rank parity oracle every operation really happens rank by rank:
     halo exchanges move strips between block arrays, reductions combine
     per-rank partials in rank order, and elementwise updates loop over
@@ -701,9 +714,19 @@ class DistributedContext(SolverContext):
             return coeffs, stacks
         return fold_update(coeffs, stacks)
 
-    # The per-rank loops below are the parity oracle: coefficients
-    # (scalars or ``(nrhs,)`` arrays) broadcast over the trailing axis.
+    def _chain_operand(self, v):
+        """A stacked field's interior rows (halo and pad cells stay out
+        of the chain); per-rank fields have no single array."""
+        return v.interior_stack() if self._batched(v) else None
+
+    # ``axpy`` / ``xpay`` / ``combine`` on stacked fields are chains of
+    # one; what follows the chain in each is the numpy form of the same
+    # update and, for per-rank fields, the parity oracle's loop:
+    # coefficients (scalars or ``(nrhs,)`` arrays) broadcast over the
+    # trailing axis.
     def axpy(self, alpha, x, y, phase="computation"):
+        if self._run_chain((("axpy", alpha, x, y),), phase):
+            return y
         rows = self._rows((alpha,), x, y)
         if rows is not None:
             (alpha,), (xi, yi) = rows
@@ -720,6 +743,8 @@ class DistributedContext(SolverContext):
         return y
 
     def xpay(self, x, beta, y, phase="computation"):
+        if self._run_chain((("xpay", x, beta, y),), phase):
+            return y
         rows = self._rows((beta,), x, y)
         if rows is not None:
             (beta,), (xi, yi) = rows
@@ -734,6 +759,8 @@ class DistributedContext(SolverContext):
         return y
 
     def combine(self, a, x, b, y, phase="computation"):
+        if self._run_chain((("combine", a, x, b, y),), phase):
+            return y
         rows = self._rows((a, b), x, y)
         if rows is not None:
             (a, b), (xi, yi) = rows

@@ -29,6 +29,17 @@ from repro.kernels.native import load as load_native
 from repro.operators import BlockedOperator, apply_stencil
 from repro.operators.stencil_op import apply_stencil_local
 from repro.parallel import VirtualMachine, decompose
+from repro.parallel.faults import HaloFault, ReductionFault
+from repro.parallel.halo import BlockField
+from repro.parallel.reduction import (
+    masked_column_partials_stacked,
+    masked_partials_stacked,
+)
+from repro.parallel.resilience import (
+    ResiliencePolicy,
+    ResilienceRuntime,
+    SDCDetectedError,
+)
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
@@ -140,6 +151,115 @@ def _stencil_cases(draw):
         where=draw(st.sampled_from(("any", "land", "halo"))),
         spot=draw(st.integers(0, 10_000)),
     )
+
+
+@st.composite
+def _stack_cases(draw):
+    """A block stack -- uniform, ragged, or ragged with whole blocks
+    eliminated as land -- a halo width, a batch width and where to
+    plant a NaN or an Inf: an interior, a halo or a pad cell."""
+    layout = draw(st.sampled_from(("uniform", "ragged", "eliminated")))
+    h = draw(st.sampled_from((1, 2)))
+    mby, mbx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ny = mby * draw(st.integers(h, 9))
+    nx = mbx * draw(st.integers(h, 9))
+    land_blocks = ()
+    if layout != "uniform":
+        ny += draw(st.integers(0, mby - 1))
+        nx += draw(st.integers(0, mbx - 1))
+    if layout == "eliminated":
+        land_blocks = draw(st.sets(st.integers(0, mby * mbx - 1),
+                                   max_size=(mby * mbx) // 3))
+    return dict(
+        ny=ny, nx=nx, mby=mby, mbx=mbx, h=h,
+        land_blocks=sorted(land_blocks),
+        nrhs=draw(st.sampled_from((None, 1, 2, 3, 8, 11))),
+        seed=draw(st.integers(0, 20)),
+        poison=draw(st.sampled_from((np.nan, np.inf))),
+        where=draw(st.sampled_from(("interior", "halo", "pad"))),
+        spot=draw(st.integers(0, 10_000)),
+    )
+
+
+class _Stack:
+    """The machine, the cell classes and the field factory of one
+    drawn :func:`_stack_cases` case."""
+
+    def __init__(self, case):
+        self.case = case
+        self.config = _config_with_land_blocks(
+            case["ny"], case["nx"], case["mby"], case["mbx"],
+            case["land_blocks"], case["seed"])
+        self.decomp = decompose(case["ny"], case["nx"], case["mby"],
+                                case["mbx"], mask=self.config.mask,
+                                halo_width=case["h"])
+        self.nrhs = case["nrhs"]
+        self.rng = np.random.default_rng(case["seed"])
+        h = case["h"]
+        probe = BlockField.zeros(self.decomp, stacked=True)
+        kind = np.full(probe.stack.shape, "pad", dtype=object)
+        for rank in range(self.decomp.num_active):
+            probe.local(rank)[...] = 1.0
+            probe.interior(rank)[...] = 2.0
+        kind[probe.stack == 1.0] = "halo"
+        kind[probe.stack == 2.0] = "interior"
+        #: ``"interior"`` / ``"halo"`` / ``"pad"`` per stack cell.
+        self.kind = kind
+        self.inner = (slice(None), slice(h, -h), slice(h, -h))
+
+    def machine(self, kernels, **kwargs):
+        vm = VirtualMachine(self.decomp, mask=self.config.mask, **kwargs)
+        assert vm.engine == "batched"
+        vm.kernels = kernels
+        return vm
+
+    def context(self, kernels, **kwargs):
+        pre = make_preconditioner("diagonal", self.config.stencil,
+                                  decomp=self.decomp, kernels=kernels)
+        return DistributedContext(self.config.stencil, pre,
+                                  self.machine(kernels, **kwargs),
+                                  kernels=kernels)
+
+    def stacks(self, count, poisoned=True):
+        """``count`` random stacks -- halo and pad cells random too --
+        the first carrying the drawn NaN / Inf in a cell of the drawn
+        class (anywhere when the stack has none of that class)."""
+        tail = () if self.nrhs is None else (self.nrhs,)
+        out = self.rng.standard_normal((count,) + self.kind.shape + tail)
+        if poisoned:
+            spots = np.argwhere(self.kind == self.case["where"])
+            if not len(spots):
+                spots = np.argwhere(self.kind != "")
+            spot = tuple(spots[self.case["spot"] % len(spots)])
+            out[0][spot + tuple(self.case["spot"] % n for n in tail)] \
+                = self.case["poison"]
+        return out
+
+    def fields(self, stacks, stacked=True):
+        """Block fields holding ``stacks``: stacked ones whole, per-rank
+        ones each rank's exact window."""
+        made = []
+        for stack in stacks:
+            field = BlockField.zeros(self.decomp, stacked=stacked,
+                                     nrhs=self.nrhs)
+            if stacked:
+                field.stack[...] = stack
+            for rank, window in enumerate(field.locals_):
+                window[...] = stack[rank][:window.shape[0], :window.shape[1]]
+            made.append(field)
+        return made
+
+
+class _RecordingKernels(FusedKernels):
+    """``FusedKernels`` that notes whether each update chain ran."""
+
+    def __init__(self, native):
+        super().__init__(native=native)
+        self.ran = []
+
+    def update_chain(self, steps):
+        self.ran.append(super().update_chain(steps))
+        return self.ran[-1]
 
 
 class TestRegistry:
@@ -479,6 +599,185 @@ class TestBatchStencilParity:
             "loader's self-test did not notice")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
+class TestStackedKernels:
+    """The batched engine's four loops on drawn stacks, three ways: the
+    numpy oracle, the product with the library, the product without
+    it.  Uniform / ragged / land-eliminated lattices x widths ``None``
+    / 1 / 2 / 3 / 8 / 11 x a NaN or Inf in an interior, halo or pad
+    cell; stacks are compared whole (``equal_nan``), halo and pad
+    cells included."""
+
+    DRAWN = dict(max_examples=150, deadline=None, derandomize=True,
+                 suppress_health_check=list(HealthCheck))
+
+    @staticmethod
+    def _products():
+        return {"fused": _RecordingKernels(native=True),
+                "fused-unbuilt": _RecordingKernels(native=False)}
+
+    @given(case=_stack_cases())
+    @settings(**DRAWN)
+    def test_drawn_chains(self, case):
+        """Every solver's run of updates as one chain against the calls
+        one by one on the oracle: whole stacks equal -- the chain
+        touches no halo or pad cell the calls do not -- and ledgers
+        equal; with the library the chain really ran, and for per-rank
+        fields it is declined and the calls run."""
+        stack = _Stack(case)
+        values = stack.stacks(12)
+        rng = np.random.default_rng(case["seed"] + 1)
+        shared = [float(rng.standard_normal()) for _ in range(2)]
+        own = shared if stack.nrhs is None else \
+            [rng.standard_normal(stack.nrhs) for _ in range(2)]
+
+        def run(kernels, stacked, one_by_one):
+            ctx = stack.context(kernels)
+            fields = dict(zip("abcdefghijkl",
+                              stack.fields(values, stacked=stacked)))
+            per_column = iter(own * 2)
+            _, chains = TestVectorKernels._chains(
+                None, None, lambda: next(per_column), vectors=fields)
+            # P-CSI's coefficients are the same for every column.
+            chains["pcsi"] = [("combine", shared[0], fields["a"],
+                               shared[1], fields["b"]),
+                              ("axpy", 1.0, fields["b"], fields["c"])]
+            for chain in chains.values():
+                if one_by_one:
+                    for kind, *args in chain:
+                        getattr(ctx, kind)(*args)
+                else:
+                    ctx.updates(*chain)
+            arrays = [array for f in fields.values()
+                      for array in ([f.stack] if stacked else f.locals_)]
+            return arrays, ctx.ledger.snapshot()
+
+        for stacked in (True, False):
+            ref, ref_ledger = run(NumpyKernels(), stacked, True)
+            for name, kernels in self._products().items():
+                got, got_ledger = run(kernels, stacked, False)
+                for want, have in zip(ref, got):
+                    assert np.array_equal(want, have, equal_nan=True), name
+                assert got_ledger == ref_ledger
+                # Stacked fields with the library: four chains, all run.
+                # Without it every chain (and then every step, a chain
+                # of one) is declined; per-rank fields are never offered.
+                if not stacked:
+                    assert kernels.ran == []
+                elif kernels.native_status().endswith(" loaded"):
+                    assert kernels.ran == [True] * 4
+                else:
+                    assert kernels.ran and not any(kernels.ran)
+
+    @given(case=_stack_cases())
+    @settings(**DRAWN)
+    def test_drawn_partials(self, case):
+        """``_pair_partials`` / ``_column_partials`` hand the fault
+        hooks the lists the reduction module computes -- ``==``, so the
+        same bits -- and a :class:`ReductionFault` poisons the same
+        entry of the same list whichever kernels produced it."""
+        stack = _Stack(case)
+        a, b = stack.fields(stack.stacks(2))
+        results = []
+        for kernels in (NumpyKernels(), *self._products().values()):
+            vm = stack.machine(kernels)
+            ai, bi = a.interior_stack(), b.interior_stack()
+            if stack.nrhs is None:
+                got = vm._pair_partials(a, b)
+                want = masked_partials_stacked(
+                    ai, bi, vm.mask_stack, vm._mask_groups)
+            else:
+                got = vm._column_partials(a, b)
+                want = masked_column_partials_stacked(
+                    ai, bi, vm.mask_stack, vm._mask_groups)
+            assert repr(got) == repr(want)    # NaN-proof ``==``
+            rank = case["spot"] % vm.num_ranks
+            entry = case["spot"] % (2 * (stack.nrhs or 1))
+            vm.inject(ReductionFault(rank=rank, value=-7.0, entry=entry))
+            results.append(np.array(vm.global_dot_pair(a, b, b, a)))
+        for got in results[1:]:
+            assert np.array_equal(results[0], got, equal_nan=True)
+
+    @given(case=_stack_cases())
+    @settings(**DRAWN)
+    def test_drawn_multivector_sweep(self, case):
+        """The planes-once sweep, written into the interior of another
+        stack, against the folded scipy sweep and the reference loop:
+        interiors equal, not one halo or pad cell of the output
+        written."""
+        stack = _Stack(case)
+        h = case["h"]
+        bny, bnx = stack.decomp.max_block_shape()
+        coeffs = BlockedOperator(stack.config.stencil,
+                                 stack.decomp)._get_stacked_coeffs()
+        (x,) = stack.stacks(1)
+        outs = []
+        for kernels in (NumpyKernels(), FusedKernels(),
+                        FusedKernels(native=False)):
+            out = np.full(x.shape, 7.0)
+            got = kernels.stencil_apply_stacked(coeffs, x, h, bny, bnx,
+                                                out[stack.inner])
+            assert got.base is out
+            ring = np.ones(x.shape, dtype=bool)
+            ring[stack.inner] = False
+            assert np.all(out[ring] == 7.0)
+            outs.append(out)
+        for got in outs[1:]:
+            assert np.array_equal(outs[0], got, equal_nan=True)
+
+    @needs_native("dia_sweep")
+    def test_multivector_sweep_is_not_contracted(self):
+        """``test_sweep_is_not_contracted``'s operands in every column
+        of a stack: each width's accumulators round the product before
+        they add."""
+        from repro.grid.stencil import COEFF_NAMES
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        coeffs = {name: np.zeros((1, 3, 3)) for name in COEFF_NAMES}
+        coeffs["c"][...] = 1.0
+        coeffs["n"][...] = -small
+        for width in range(1, 12):
+            x = np.zeros((1, 5, 5, width))
+            x[0, 2, 2], x[0, 3, 2] = big, small
+            out = np.empty((1, 3, 3, width))
+            FusedKernels().stencil_apply_stacked(coeffs, x, 1, 3, 3, out)
+            assert not np.any(out[0, 1, 1]), (
+                f"the compiler contracted a*b+c in native.c's width-"
+                f"{min(width, 8)} sweep: got {out[0, 1, 1]!r}, "
+                "multiply-then-add gives 0.0")
+
+    @given(case=_stack_cases())
+    @settings(**DRAWN)
+    def test_drawn_exchange(self, case):
+        """The halo-only exchange against the padded global assembly:
+        every rank's window equal, the pad -- which an update may have
+        written -- zero, owned cells untouched; and what a
+        :class:`HaloFault` corrupts after delivery is still seen by the
+        ABFT check that follows."""
+        stack = _Stack(case)
+        ctx = stack.context(NumpyKernels())
+        vm = ctx.vm
+        (values,) = stack.stacks(1)
+        got, want = stack.fields([values, values])
+        vm.exchanger.exchange_stacked(got)
+        vm.exchanger.exchange_via_global(want)
+        for rank in range(vm.num_ranks):
+            assert np.array_equal(got.local(rank), want.local(rank),
+                                  equal_nan=True)
+        assert not np.any(got.stack[stack.kind == "pad"])
+        owned = stack.kind == "interior"
+        assert np.array_equal(got.stack[owned], values[owned],
+                              equal_nan=True)
+
+        (finite,) = stack.fields(stack.stacks(1, poisoned=False))
+        vm.resilience = ResilienceRuntime(ResiliencePolicy(), ctx)
+        rank = case["spot"] % vm.num_ranks
+        vm.inject(HaloFault(rank=rank, value=case["poison"], at=1))
+        with pytest.raises(SDCDetectedError) as caught:
+            vm.exchange(finite)
+        assert caught.value.rank == rank
+
+
 class TestVectorKernels:
     """The serial context's two vector kernels: the inner product in
     numpy's pairwise order and runs of updates in one pass."""
@@ -524,10 +823,12 @@ class TestVectorKernels:
             assert not np.any(v[step[4]]), step
 
     @staticmethod
-    def _chains(rng, shape, coeffs):
+    def _chains(rng, shape, coeffs, vectors=None):
         """The update runs of the four solvers that have one, over
-        fresh vectors; ``coeffs()`` draws a coefficient."""
-        v = {name: rng.standard_normal(shape) for name in "abcdefghijkl"}
+        fresh vectors (or ``vectors``, named ``a`` .. ``l``);
+        ``coeffs()`` draws a coefficient."""
+        v = vectors or {name: rng.standard_normal(shape)
+                        for name in "abcdefghijkl"}
         alpha, beta = coeffs(), coeffs()
         return v, {
             "chrongear": [("xpay", v["a"], beta, v["c"]),
@@ -800,6 +1101,41 @@ class TestSolveParity:
 
         (ref, ref_ledger), (got, got_ledger) = solve("numpy"), \
             solve(KERNELS[backend])
+        assert ref.iterations == got.iterations
+        assert np.array_equal(ref.residual_history, got.residual_history)
+        assert ref_ledger == got_ledger
+        _assert_close(backend, ref.x, got.x)
+
+    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg",
+                                        "pcsi", "capcg"])
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_stacked(self, uniform_config, ragged_decomp, backend, precond,
+                     solver, nrhs):
+        """The batched engine on a ragged stack -- update chains with
+        per-column coefficients, windowed dots, the planes-once sweep,
+        the halo-only exchange -- against the oracle."""
+        # Identity has no stacked kernel of its own; the polynomial
+        # family (block-local sweeps on the padded stack) takes its slot.
+        precond = "cheby:2" if precond == "identity" else precond
+
+        def solve(kernels):
+            vm = VirtualMachine(ragged_decomp, mask=uniform_config.mask)
+            vm.kernels = kernels
+            pre = (evp_for_config(uniform_config, decomp=ragged_decomp,
+                                  kernels=kernels) if precond == "evp"
+                   else make_preconditioner(precond, uniform_config.stencil,
+                                            decomp=ragged_decomp,
+                                            kernels=kernels))
+            ctx = DistributedContext(uniform_config.stencil, pre, vm,
+                                     kernels=kernels)
+            b = _rhs(uniform_config) if nrhs is None else np.stack(
+                [_rhs(uniform_config, seed=j) for j in range(nrhs)], axis=-1)
+            result = make_solver(solver, ctx, tol=1e-10,
+                                 max_iterations=3000).solve(b)
+            return result, ctx.ledger.snapshot()
+
+        (ref, ref_ledger), (got, got_ledger) = \
+            solve(KERNELS["numpy"]), solve(KERNELS[backend])
         assert ref.iterations == got.iterations
         assert np.array_equal(ref.residual_history, got.residual_history)
         assert ref_ledger == got_ledger

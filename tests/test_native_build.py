@@ -3,9 +3,12 @@ build, load or verify it is quiet, visible, and changes no result.
 
 Every scenario runs ``resolve_kernels(None)`` in a fresh interpreter (the
 library is resolved once per process) with its own cache home: the
-serial ChronGear + EVP solve it makes -- the sweep, the update chain,
-the dot and both EVP entry points -- must equal the numpy oracle's bit
-for bit, emit no warning and nothing on stderr, and ``describe()`` /
+ChronGear + EVP solves it makes -- one serial, one of 8 right-hand
+sides on the batched engine's stacks: the sweep in its single- and
+multi-vector forms, the update chain with scalar and per-column
+coefficients, the dot of one vector and of stack windows, both EVP
+entry points -- must equal the numpy oracle's bit for bit, emit no
+warning and nothing on stderr, and ``describe()`` /
 ``native_status()`` must name what happened.
 """
 
@@ -36,26 +39,39 @@ import numpy as np
 from repro.grid import test_config
 from repro.kernels import resolve_kernels
 from repro.operators import apply_stencil
+from repro.parallel import VirtualMachine, decompose
 from repro.precond.evp import evp_for_config
-from repro.solvers import SerialContext, make_solver
+from repro.solvers import DistributedContext, SerialContext, make_solver
 
 config = test_config(24, 32, seed=3)
-b = apply_stencil(config.stencil, np.random.default_rng(1).standard_normal(
-    config.shape) * config.mask, kernels="numpy")
+rng = np.random.default_rng(1)
+b = np.stack([apply_stencil(config.stencil, rng.standard_normal(config.shape)
+                            * config.mask, kernels="numpy")
+              for _ in range(8)], axis=-1)
+decomp = decompose(24, 32, 2, 2, mask=config.mask)
 
-def solve(kernels):
-    pre = evp_for_config(config, tile_size=6, kernels=kernels)
-    ctx = SerialContext(config.stencil, pre, kernels=kernels)
-    return make_solver("chrongear", ctx, tol=1e-10).solve(b)
+def solve(kernels, stacked):
+    pre = evp_for_config(config, tile_size=6, kernels=kernels,
+                         decomp=decomp if stacked else None)
+    if stacked:
+        vm = VirtualMachine(decomp, mask=config.mask)
+        vm.kernels = resolve_kernels(kernels)
+        ctx = DistributedContext(config.stencil, pre, vm, kernels=kernels)
+    else:
+        ctx = SerialContext(config.stencil, pre, kernels=kernels)
+    return make_solver("chrongear", ctx, tol=1e-10).solve(
+        b if stacked else np.ascontiguousarray(b[..., 0]))
 
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     kernels = resolve_kernels(None)
-    ref, got = solve("numpy"), solve(None)
+    pairs = [(solve("numpy", stacked), solve(None, stacked))
+             for stacked in (False, True)]
 assert not caught, [str(w.message) for w in caught]
-assert got.converged and ref.iterations == got.iterations
-assert np.array_equal(ref.x, got.x)
-assert np.array_equal(ref.residual_history, got.residual_history)
+for ref, got in pairs:
+    assert got.converged and ref.iterations == got.iterations
+    assert np.array_equal(ref.x, got.x)
+    assert np.array_equal(ref.residual_history, got.residual_history)
 print(kernels.describe())
 print(kernels.native_status())
 """
@@ -143,20 +159,27 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
 
 
 @needs_compiler
-def test_failed_self_test_drops_one_entry_point_only(tmp_path):
+@pytest.mark.parametrize("failed", ["dia_sweep", "update_chain",
+                                    "pairwise_dot"])
+def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
+    """Each of the entry points the stacks share with the serial
+    vectors, failing alone: its loops go back to scipy / numpy, the
+    other four stay adopted, both solves keep their bits."""
     prelude = ("from repro.kernels import native\n"
-               "native._SELF_TESTS['pairwise_dot'] = lambda fn, rng: False\n")
+               f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)
     assert describe == "fused+native (bit-identical)"
-    assert status == "self-test failed: pairwise_dot"
+    assert status == f"self-test failed: {failed}"
     report = ("lib = native.load()\n"
               "print([n for n in native._SIGNATURES if getattr(lib, n)])\n")
     env = dict(os.environ, PYTHONPATH=str(SRC),
                XDG_CACHE_HOME=str(tmp_path / "cache"))
     out = subprocess.run([sys.executable, "-c", prelude + report], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str(["dia_sweep", "update_chain", "evp_march",
-                               "evp_edges"])
+    adopted = ["dia_sweep", "update_chain", "pairwise_dot", "evp_march",
+               "evp_edges"]
+    adopted.remove(failed)
+    assert out.strip() == str(adopted)
 
 
 @needs_compiler
