@@ -17,9 +17,10 @@ Commands
     ``--precond`` accepts the polynomial kinds ``cheby:D`` and
     ``ncheby:D[:K]``; ``--precond-degree`` / ``--newton-steps``
     override the suffix.
-    ``--engine {serial,perrank,batched}`` selects the execution
-    substrate; ``--inject-fault SPEC`` (repeatable) attaches
-    deterministic fault injectors to exercise the solver guardrails,
+    ``--engine {serial,batched}`` selects the serial context or the
+    virtual machine's batched engine; ``--inject-fault SPEC``
+    (repeatable) attaches deterministic fault injectors to exercise
+    the solver guardrails,
     and ``--max-recoveries`` / ``--fallback chrongear`` control the
     divergence recovery of the spectrally bounded solvers (P-CSI and
     CA-PCG).  ``--sstep N`` sets CA-PCG's batch depth (one Gram
@@ -598,9 +599,9 @@ def build_parser():
     p_solve.add_argument("--cores", type=int, nargs="*",
                          default=[470, 16875])
     p_solve.add_argument("--engine", default=None,
-                         choices=["serial", "perrank", "batched"],
-                         help="serial context or a virtual-machine "
-                              "execution engine (default: the persisted "
+                         choices=["serial", "batched"],
+                         help="serial context or the virtual machine's "
+                              "batched engine (default: the persisted "
                               "tuned choice if any, else serial)")
     p_solve.add_argument("--blocks", default="4,4",
                          help="block grid 'by,bx' for the virtual "
@@ -764,7 +765,7 @@ def build_parser():
                               "decomposition for engine solves "
                               "(default: 4,4)")
     p_serve.add_argument("--engine", default=None,
-                         choices=("serial", "perrank", "batched"),
+                         choices=("serial", "batched"),
                          help="default execution engine for requests "
                               "that omit one ('batched' amortizes "
                               "coalesced multi-RHS solves; default: "

@@ -301,9 +301,9 @@ def solve_key(config, solver, precond, tol, check_freq, max_iterations,
 def _decomposed_context(config, precond, engine, blocks, cache):
     """Build the execution context for a decomposed measured solve.
 
-    ``engine == "serial"`` runs the per-block serial loop over the
-    decomposition; ``"perrank"``/``"batched"`` run the virtual-machine
-    engines (the batched engine amortizes per-iteration fixed costs --
+    ``engine == "serial"`` runs the serial context with the
+    decomposition's event accounting; ``"batched"`` runs the virtual
+    machine's batched engine (it amortizes per-iteration fixed costs --
     halo exchanges, block-loop dispatch -- across multi-RHS columns,
     which is what the service's coalescer banks on).  The iterates are
     bit-identical across contexts (context-equivalence), so results
@@ -347,7 +347,7 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
     field or a ``(ny, nx, nrhs)`` multi-RHS batch.  The cache key digests
     its full content (see :func:`solve_key`).
 
-    ``engine`` (``"serial"``/``"perrank"``/``"batched"``) with
+    ``engine`` (``"serial"``/``"batched"``) with
     ``blocks=(by, bx)`` selects a decomposed context instead (see
     :func:`_decomposed_context`); the solver service uses the batched
     engine so coalesced multi-RHS batches amortize per-iteration fixed
@@ -370,8 +370,8 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
             "measure_solver: engine requires blocks=(by, bx)")
     if resilience is not None and engine in (None, "serial"):
         raise ConfigurationError(
-            "measure_solver: resilience requires a virtual-machine "
-            "engine ('perrank' or 'batched')")
+            "measure_solver: resilience requires the virtual "
+            "machine (engine 'batched')")
     key = solve_key(config, solver, precond, tol, check_freq,
                     max_iterations, rhs=rhs, engine=engine,
                     blocks=blocks, resilience=resilience,

@@ -232,8 +232,8 @@ class ResilienceRuntime:
         if vm is None:
             raise SolverError(
                 "resilience requires a distributed context over a "
-                "VirtualMachine (engine 'perrank' or 'batched'); the "
-                "serial context has no ranks to replicate")
+                "VirtualMachine; the serial context has no ranks to "
+                "replicate")
         self.policy = policy
         self.context = context
         self.vm = vm
@@ -256,9 +256,11 @@ class ResilienceRuntime:
         self._rowsum_stack = None
         self._bnorm = None
         self._state_words = None
-        # Uniform blocks let the ABFT sums run as one stacked reduction
-        # over exact interiors; ragged ones are summed rank by rank, so
-        # no check ever reads a pad cell of a stacked field.
+        # The ring checksums run one stacked reduction per block shape;
+        # the interior sums one over every rank when blocks are uniform
+        # and rank by rank when ragged (the stacked form would change
+        # their summation order).  No check sums a pad cell.
+        self._shape_groups = vm.decomp.shape_groups()
         self._uniform = vm.decomp.is_uniform
         self._intercepted = set()
 
@@ -427,29 +429,31 @@ class ResilienceRuntime:
         than as ``local - interior``.
         """
         h = self.vm.decomp.halo_width
-        locals_ = [field.local(rank) for rank in range(self.vm.num_ranks)]
-        if self._uniform:
-            # Uniform decomposition: one stacked reduction instead of a
-            # python loop over ranks.  Each rank's slice occupies the
-            # same contiguous layout it had standalone, so the per-rank
-            # pairwise summation order -- and hence the checksum -- is
-            # unchanged.  This keeps the halo check O(1) numpy calls at
-            # the 256-rank strong-scaling limit the paper targets.  A
-            # stacked field already is that stack.
-            stack = field.stack if field.is_stacked else np.stack(locals_)
+        groups = self._shape_groups
+        sums = None
+        for ranks, ny, nx in groups:
+            # One stacked reduction per block shape (one group when
+            # uniform): each rank's window keeps the exact layout of its
+            # local array -- a slot of the stack, or a standalone block
+            # stacked contiguously -- so the per-rank pairwise summation
+            # order, and hence the checksum, is that of the rank alone.
+            # No pad cell of a ragged stack is summed.
+            if field.is_stacked:
+                stack = field.stack if len(groups) == 1 else field.stack[ranks]
+                stack = stack[:, :ny + 2 * h, :nx + 2 * h]
+            else:
+                stack = np.stack([field.locals_[r] for r in ranks])
             axes = (1, 2)
-            return (stack[:, :h].sum(axis=axes)
-                    + stack[:, -h:].sum(axis=axes)
-                    + stack[:, h:-h, :h].sum(axis=axes)
-                    + stack[:, h:-h, -h:].sum(axis=axes))
-        sums = []
-        for local in locals_:
-            axes = (0, 1)
-            sums.append(local[:h].sum(axis=axes)
-                        + local[-h:].sum(axis=axes)
-                        + local[h:-h, :h].sum(axis=axes)
-                        + local[h:-h, -h:].sum(axis=axes))
-        return np.asarray(sums)
+            group = (stack[:, :h].sum(axis=axes)
+                     + stack[:, -h:].sum(axis=axes)
+                     + stack[:, h:-h, :h].sum(axis=axes)
+                     + stack[:, h:-h, -h:].sum(axis=axes))
+            if len(groups) == 1:
+                return group
+            if sums is None:
+                sums = np.empty((len(field.locals_),) + group.shape[1:])
+            sums[ranks] = group
+        return sums
 
     def pre_exchange(self, field):
         """Checksum the freshly exchanged halos (the sender's truth)."""

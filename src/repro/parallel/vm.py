@@ -16,23 +16,22 @@ Event accounting follows the bulk-synchronous convention documented in
 
 Execution engines
 -----------------
-Two engines execute these primitives:
+The product engine is ``"batched"`` (``engine="auto"``, the default,
+selects it): the structure-of-arrays engine.  Per-rank tiles are
+stacked into one dense ``(p, bny + 2h, bnx + 2h)`` ndarray and every
+primitive runs as one pass over the stack (a compiled kernel of
+:mod:`repro.kernels`, or a few vectorized numpy calls).  It runs every
+decomposition: ``p`` counts active ranks only (eliminated land blocks
+have no slot) and ragged tiles are zero-padded to the largest block
+shape (see :class:`~repro.parallel.halo.BlockField`).
 
-* ``"batched"`` -- the structure-of-arrays engine: per-rank tiles are
-  stacked into one dense ``(p, bny + 2h, bnx + 2h)`` ndarray and every
-  primitive runs as one pass over the stack (a compiled kernel of
-  :mod:`repro.kernels`, or a few vectorized numpy calls).
-  Runs every decomposition: ``p`` counts active ranks only (eliminated
-  land blocks have no slot) and ragged tiles are zero-padded to the
-  largest block shape (see :class:`~repro.parallel.halo.BlockField`).
-* ``"perrank"`` -- every operation is a Python-level loop over simulated
-  ranks.  Kept as the bit-identical parity oracle the batched engine is
-  tested against; it only runs when asked for by name.
-
-``engine="auto"`` (the default) and ``"batched"`` both select the
-batched engine.  Both engines produce bit-identical results and
-identical event-ledger streams -- the batching is an execution detail,
-not a cost-model change.
+``engine="perrank"`` is the test oracle, not a product choice: every
+operation is a Python-level loop over simulated ranks.  The
+conformance and parity suites (and the fault smoke benchmarks)
+construct it by name; no CLI option or service request selects it.
+Both engines produce bit-identical results and identical event-ledger
+streams -- the batching is an execution detail, not a cost-model
+change.
 """
 
 import numpy as np
@@ -71,8 +70,8 @@ class VirtualMachine:
         Python-level copies).  The direct point-to-point path remains
         available for validation.
     engine:
-        ``"auto"`` (default), ``"batched"`` or ``"perrank"`` -- see the
-        module docstring.
+        ``"auto"`` (default) or ``"batched"``; ``"perrank"`` builds the
+        test oracle -- see the module docstring.
     faults:
         Optional iterable of :class:`~repro.parallel.faults.FaultInjector`
         instances to attach (see :meth:`inject`).  Faults observe the
@@ -230,65 +229,64 @@ class VirtualMachine:
         if self.resilience is not None:
             self.resilience.on_rank_death(int(rank))
 
-    def _stacked_partials(self, a, b):
-        """Rank-ordered partials of a stacked pair, one list per column
-        (one list for scalar fields): a single kernel pass over every
-        block's exact window, or the reduction module's numpy form."""
-        ai, bi = a.interior_stack(), b.interior_stack()
-        partials = self.kernels.window_dots(ai, bi, self._mask_stack,
-                                            self._extents)
-        if partials is not None:
-            return partials.tolist()
-        if a.nrhs is None:
-            return [masked_partials_stacked(ai, bi, self._mask_stack,
-                                            self._mask_groups)]
-        return masked_column_partials_stacked(ai, bi, self._mask_stack,
-                                              self._mask_groups)
-
     def _column_partials(self, a, b):
-        """Rank-ordered partials of every RHS column of a batched pair.
+        """Rank-ordered partials of a pair, one list per RHS column (one
+        list for scalar fields).
 
-        ``nrhs`` lists, each bit-identical to the single-RHS partials
-        of that column: a column's products are reduced window by
-        window in the order of a *contiguous* chunk (per-column copies
-        under the per-rank oracle) so the pairwise summation blocking
-        matches the scalar reduction exactly.
+        Each list is bit-identical to the single-RHS partials of that
+        column.  Stacked fields take a single kernel pass over every
+        block's exact window, or the reduction module's numpy form; the
+        per-rank oracle reduces each column window by window on a
+        *contiguous* copy, so the pairwise summation blocking matches
+        the scalar reduction exactly.
         """
         if self.is_batched and a.is_stacked and b.is_stacked:
-            return self._stacked_partials(a, b)
-        return [
-            [masked_local_dot(np.ascontiguousarray(a.interior(r)[..., j]),
-                              np.ascontiguousarray(b.interior(r)[..., j]),
-                              self._mask_blocks[r])
-             for r in range(self.num_ranks)]
-            for j in range(a.nrhs)
-        ]
+            ai, bi = a.interior_stack(), b.interior_stack()
+            partials = self.kernels.window_dots(ai, bi, self._mask_stack,
+                                                self._extents)
+            if partials is not None:
+                return partials.tolist()
+            if a.nrhs is None:
+                return [masked_partials_stacked(ai, bi, self._mask_stack,
+                                                self._mask_groups)]
+            return masked_column_partials_stacked(ai, bi, self._mask_stack,
+                                                  self._mask_groups)
 
-    def _global_dot_multi(self, a, b, phase):
-        """Per-column masked inner products, one fused all-reduce.
+        def column(v, rank, j):
+            block = v.interior(rank)
+            return block if j is None else np.ascontiguousarray(block[..., j])
 
-        Returns an ``(nrhs,)`` array.  The ledger records a single
-        all-reduce carrying ``nrhs`` words -- the multi-RHS amortization
-        of reduction latency -- while flops scale with the batch width.
+        return [[masked_local_dot(column(a, r, j), column(b, r, j),
+                                  self._mask_blocks[r])
+                 for r in range(self.num_ranks)]
+                for j in ((None,) if a.nrhs is None else range(a.nrhs))]
+
+    def _allreduce(self, columns, phase):
+        """One fused all-reduce of ``columns`` -- an ordered list of
+        rank-ordered partial lists, one per reduced value -- returning
+        their global sums as a list of floats.
+
+        The ledger records a single all-reduce carrying one word per
+        list (the multi-RHS and Gram amortization of reduction latency)
+        while flops scale with the list count.  Every list passes
+        through the fault hooks, in order, under one reduction count,
+        and *before* the global sums, so a poisoned partial really
+        poisons its value (a ``ReductionFault`` with ``entry=k``
+        poisons exactly the k-th list).
         """
-        nrhs = a.nrhs
-        column_partials = self._column_partials(a, b)
-        self.ledger.record_flops("computation", nrhs * self._max_points)
-        self.ledger.record_flops(phase, nrhs * self._max_points)
-        self.ledger.record_allreduce(phase, words=nrhs)
+        words = len(columns)
+        # Paper convention (Eq. 2): the product-and-sum is computation
+        # (part of the 15 n^2), the masking multiply belongs to the
+        # reduction cost (the 2 n^2 of T_g).
+        self.ledger.record_flops("computation", words * self._max_points)
+        self.ledger.record_flops(phase, words * self._max_points)
+        self.ledger.record_allreduce(phase, words=words)
         if self.faults:
-            # One fused all-reduce = one logical reduction event; every
-            # column's payload passes through at the same count.  Hooks
-            # run *before* the global sums so a poisoned partial really
-            # poisons the reduced value.
             self._reductions += 1
             for fault in self.faults:
-                for partials in column_partials:
+                for partials in columns:
                     fault.on_reduction(partials, self._reductions)
-        out = np.empty(nrhs)
-        for j, partials in enumerate(column_partials):
-            out[j] = masked_global_sum_blocks(partials)
-        return out
+        return [masked_global_sum_blocks(partials) for partials in columns]
 
     def global_dot(self, a, b, phase="reduction"):
         """Masked global inner product with reduction-event accounting.
@@ -296,32 +294,10 @@ class VirtualMachine:
         The masking multiply plus local product-and-sum is ``~2 n^2``
         flops on the critical rank (paper Eq. 2); the all-reduce carries
         one word per rank.  Batched multi-RHS fields return an
-        ``(nrhs,)`` array from one fused all-reduce.
+        ``(nrhs,)`` array from one fused all-reduce of ``nrhs`` words.
         """
-        if a.nrhs is not None:
-            return self._global_dot_multi(a, b, phase)
-        partials = self._pair_partials(a, b)
-        # Paper convention (Eq. 2): the product-and-sum is computation
-        # (part of the 15 n^2), the masking multiply belongs to the
-        # reduction cost (the 2 n^2 of T_g).
-        self.ledger.record_flops("computation", self._max_points)
-        self.ledger.record_flops(phase, self._max_points)
-        self.ledger.record_allreduce(phase, words=1)
-        if self.faults:
-            self._reductions += 1
-            for fault in self.faults:
-                fault.on_reduction(partials, self._reductions)
-        return masked_global_sum_blocks(partials)
-
-    def _pair_partials(self, a, b):
-        """Rank-ordered partials of one scalar vector pair."""
-        if self.is_batched and a.is_stacked and b.is_stacked:
-            return self._stacked_partials(a, b)[0]
-        return [
-            masked_local_dot(a.interior(r), b.interior(r),
-                             self._mask_blocks[r])
-            for r in range(self.num_ranks)
-        ]
+        values = self._allreduce(self._column_partials(a, b), phase)
+        return values[0] if a.nrhs is None else np.array(values)
 
     def global_dot_block(self, xs, ys, phase="reduction"):
         """All pairwise masked inner products in **one** all-reduce.
@@ -329,44 +305,21 @@ class VirtualMachine:
         ``xs``/``ys`` are sequences of block fields; returns a
         ``(len(xs), len(ys))`` array (trailing ``(nrhs,)`` axis for
         multi-RHS fields) with ``out[i, j] = <xs[i], ys[j]>``.  Every
-        pair is reduced on the same contiguous per-column path as
+        pair is reduced on the same per-column path as
         :meth:`global_dot`, so each entry is bit-identical to a
         standalone reduction; the ledger records a **single** fused
         all-reduce carrying the whole Gram payload -- the
-        communication-avoiding s-step assembly.
+        communication-avoiding s-step assembly.  The fault hooks see
+        the lists in ``(i, j, column)`` order.
         """
         xs = list(xs)
         ys = list(ys)
+        values = self._allreduce(
+            [partials for a in xs for b in ys
+             for partials in self._column_partials(a, b)], phase)
         nrhs = xs[0].nrhs
-        w = nrhs or 1
         shape = (len(xs), len(ys)) + (() if nrhs is None else (nrhs,))
-        entries = []  # (index into out, partials) in reduction order
-        for i, a in enumerate(xs):
-            for j, b in enumerate(ys):
-                if nrhs is None:
-                    entries.append(((i, j), self._pair_partials(a, b)))
-                else:
-                    for c, partials in enumerate(
-                            self._column_partials(a, b)):
-                        entries.append(((i, j, c), partials))
-        n_words = len(xs) * len(ys) * w
-        self.ledger.record_flops("computation", n_words * self._max_points)
-        self.ledger.record_flops(phase, n_words * self._max_points)
-        self.ledger.record_allreduce(phase, words=n_words)
-        if self.faults:
-            # One fused all-reduce = one logical reduction event; every
-            # pair's payload passes through at the same count.  Hooks
-            # run *before* the global sums so a poisoned Gram entry
-            # really reaches the reduced matrix (a ReductionFault with
-            # ``entry=k`` poisons exactly the k-th pair here).
-            self._reductions += 1
-            for fault in self.faults:
-                for _, partials in entries:
-                    fault.on_reduction(partials, self._reductions)
-        out = np.empty(shape)
-        for index, partials in entries:
-            out[index] = masked_global_sum_blocks(partials)
-        return out
+        return np.array(values).reshape(shape)
 
     def global_dot_pair(self, a1, b1, a2, b2, phase="reduction"):
         """Two masked inner products fused into a single all-reduce.
@@ -374,43 +327,13 @@ class VirtualMachine:
         This is the heart of the ChronGear reformulation: rho and delta
         share one reduction (Algorithm 1 step 9).  Batched multi-RHS
         fields return a pair of ``(nrhs,)`` arrays from one fused
-        all-reduce of ``2 * nrhs`` words.
+        all-reduce of ``2 * nrhs`` words; the fault hooks see each
+        column's two lists together, column by column.
         """
-        if a1.nrhs is not None:
-            nrhs = a1.nrhs
-            out1 = np.empty(nrhs)
-            out2 = np.empty(nrhs)
-            column_partials = list(zip(self._column_partials(a1, b1),
-                                       self._column_partials(a2, b2)))
-            self.ledger.record_flops("computation",
-                                     2 * nrhs * self._max_points)
-            self.ledger.record_flops(phase, 2 * nrhs * self._max_points)
-            self.ledger.record_allreduce(phase, words=2 * nrhs)
-            if self.faults:
-                # Hooks run before the global sums so a poisoned
-                # partial really poisons the reduced values.
-                self._reductions += 1
-                for fault in self.faults:
-                    for p1, p2 in column_partials:
-                        fault.on_reduction(p1, self._reductions)
-                        fault.on_reduction(p2, self._reductions)
-            for j, (p1, p2) in enumerate(column_partials):
-                out1[j] = masked_global_sum_blocks(p1)
-                out2[j] = masked_global_sum_blocks(p2)
-            return out1, out2
-        partials1 = self._pair_partials(a1, b1)
-        partials2 = self._pair_partials(a2, b2)
-        self.ledger.record_flops("computation", 2 * self._max_points)
-        self.ledger.record_flops(phase, 2 * self._max_points)
-        self.ledger.record_allreduce(phase, words=2)
-        if self.faults:
-            # One fused all-reduce = one logical reduction event; both
-            # payload lists pass through each injector at the same count.
-            self._reductions += 1
-            for fault in self.faults:
-                fault.on_reduction(partials1, self._reductions)
-                fault.on_reduction(partials2, self._reductions)
-        return (
-            masked_global_sum_blocks(partials1),
-            masked_global_sum_blocks(partials2),
-        )
+        values = self._allreduce(
+            [partials for pair in zip(self._column_partials(a1, b1),
+                                      self._column_partials(a2, b2))
+             for partials in pair], phase)
+        if a1.nrhs is None:
+            return values[0], values[1]
+        return np.array(values[0::2]), np.array(values[1::2])

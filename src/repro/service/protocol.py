@@ -21,7 +21,7 @@ Request fields
                     :func:`repro.reporting.serialize.encode_array`)
                     or ``None`` for the deterministic reference RHS
 ``engine``          execution context: ``None`` (server default),
-                    ``"serial"``, ``"perrank"`` or ``"batched"`` --
+                    ``"serial"`` or ``"batched"`` --
                     the batched engine amortizes per-iteration fixed
                     costs across coalesced multi-RHS columns
 ``blocks``          ``[by, bx]`` decomposition for a decomposed
@@ -54,7 +54,7 @@ DEFAULT_SOLVER = "pcsi"
 DEFAULT_PRECOND = "diagonal"
 
 #: Execution engines a request may select (``None`` = server default).
-KNOWN_ENGINES = ("serial", "perrank", "batched")
+KNOWN_ENGINES = ("serial", "batched")
 
 
 class ProtocolError(ConfigurationError):

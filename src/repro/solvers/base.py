@@ -38,6 +38,22 @@ so later iterations do no work for it.  An in-iteration
 :class:`~repro.core.errors.BreakdownError` is a batch-level verdict
 (SPD violation) and fails every still-active column.
 
+One recurrence per column
+-------------------------
+A solver's coefficient step (ChronGear's ``beta``/``sigma``/``alpha``,
+PCG's, PipeCG's) is written once as scalar arithmetic on one column's
+floats and run by :func:`per_column` over every column -- a 2-D solve
+is one column.  The anomaly rule is therefore the same at every width:
+
+* an exact zero reduction (an exactly solved column) freezes that
+  column through zero coefficients; when every column is frozen the
+  iteration makes no update at all;
+* a non-finite reduction poisons only its own column, which the next
+  convergence check diagnoses as a non-finite residual (or a
+  resilience runtime rolls back);
+* a vanished denominator on a live, finite column is an SPD violation
+  and raises :class:`~repro.core.errors.BreakdownError` for the batch.
+
 Every abnormal stop produces a
 :class:`~repro.solvers.health.SolverDiagnosis` per failed column --
 carrying the last finite checked residual and the loop's event ledger
@@ -92,6 +108,7 @@ producing a non-reproducible run.  Snapshots from another
 """
 
 import abc
+import math
 
 import numpy as np
 
@@ -173,13 +190,18 @@ class _LoopState:
         return self
 
     def record_check(self, res_norms):
-        """Log one convergence check of the active columns."""
+        """Log one convergence check of the active columns.
+
+        A NaN norm is logged as the one ``math.nan`` object, so the
+        histories of two identical runs compare equal with ``==``.
+        """
         self.res_norms = res_norms
         self.checked_at = self.iterations
-        self.history.append((self.iterations, float(np.max(res_norms))))
+        k = self.iterations
+        self.history.append((k, _canonical_nan(float(np.max(res_norms)))))
         for pos, col in enumerate(self.active):
-            self.per_hist[col].append((self.iterations,
-                                       float(res_norms[pos])))
+            self.per_hist[col].append(
+                (k, _canonical_nan(float(res_norms[pos]))))
 
     def retire(self, positions, xg, conv=False, stag=False):
         """Freeze the active columns at ``positions`` into the outputs
@@ -880,6 +902,48 @@ class IterativeSolver(abc.ABC):
         """Masked residual 2-norm (one global reduction -- the
         convergence check the paper charges to all solvers)."""
         return self.context.norm2(state["r"], phase="reduction")
+
+
+def _canonical_nan(norm):
+    return math.nan if norm != norm else norm
+
+
+def per_column(step, *values, coefficients=2):
+    """Run a solver's scalar recurrence ``step`` once per column.
+
+    ``values`` are reduced inner products and recurrence state: floats
+    for a 2-D solve (one column), ``(w,)`` arrays for a batch, where a
+    non-array state entry (a batch's initial ``rho``) is every
+    column's.  ``step`` maps one column's floats to ``(live,
+    *outputs)``, the first ``coefficients`` outputs being update
+    coefficients.  Returns ``None`` when no column is live (every
+    column exactly solved: the iteration makes no update), else the
+    outputs -- floats for one column, ``(w,)`` arrays for a batch,
+    except that a batch one column wide hands its coefficients over as
+    floats, so its updates take the scalar chain.
+    """
+    if not isinstance(values[0], np.ndarray):
+        live, *outputs = step(*values)
+        return outputs if live else None
+    width = values[0].shape[0]
+    results = [step(*column) for column in zip(*(
+        v.tolist() if isinstance(v, np.ndarray) else (v,) * width
+        for v in values))]
+    if not any(result[0] for result in results):
+        return None
+    outputs = list(zip(*results))[1:]
+    return [out[0] if i < coefficients and width == 1 else np.array(out)
+            for i, out in enumerate(outputs)]
+
+
+def ieee_div(a, b):
+    """``a / b`` with numpy's IEEE result where Python raises: a
+    non-finite reduction over a vanished denominator gives NaN or
+    +-Inf, exactly as the same division on arrays does."""
+    if b != 0.0:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(a, b))
 
 
 def _add_events(base, delta):

@@ -53,7 +53,12 @@ guarded loop as :class:`~repro.core.errors.BreakdownError` /
 divergence diagnoses, and all recoverable: the shared
 :class:`~repro.solvers.spectral.SpectralBoundedSolver` policy widens
 the interval, re-estimates, retries, and optionally falls back to
-ChronGear.
+ChronGear.  The coordinate recurrence runs column by column
+(:meth:`CAPCGSolver._advance_coords`; a 2-D solve is one column), and a
+breakdown in any column -- non-finite coordinates included -- stays a
+batch verdict, because that recovery relies on it.  This is the one
+deliberate exception to the per-column anomaly rule of
+:mod:`repro.solvers.base`.
 
 **Checkpointing.**  Mid-block state is the basis itself: the loop
 ``state`` carries every basis column (``V``/``W``, lists of context
@@ -310,21 +315,17 @@ class CAPCGSolver(SpectralBoundedSolver):
     def _iterate(self, state, k):
         if state["jj"] >= self.sstep:
             self._rebuild(state)
-        if isinstance(state["rho"], np.ndarray):
-            self._dense_step_multi(state)
-        else:
-            self._dense_step(state)
+        self._dense_step(state)
         state["jj"] += 1
         state["synced"] = -1
 
     @staticmethod
     def _advance_coords(N, g, Bm, pc, zc, ac, rho):
-        """One CG step on contiguous coordinate vectors.
+        """One CG step on one column's contiguous coordinate vectors.
 
         Updates ``zc``/``ac`` in place, returns ``(pc_new, rho_new)``.
-        Shared verbatim by the scalar and per-column multi-RHS paths so
-        each batched column's coefficient stream is bit-identical to a
-        standalone solve.
+        Every column of every width runs it, so each batched column's
+        coefficient stream is bit-identical to a standalone solve.
         """
         pq = float(pc @ (N @ pc))
         if not np.isfinite(pq):
@@ -351,34 +352,26 @@ class CAPCGSolver(SpectralBoundedSolver):
         return zc + beta * pc, rho_new
 
     def _dense_step(self, state):
-        """One CG step in basis coordinates -- no communication."""
-        m = state["pc"].shape[0]
-        # ~5 m^2 dense flops, replicated on every rank (not critical-
-        # path scaling, but recorded for honesty).
-        self.context.ledger.record_flops("computation", 5 * m * m)
-        if state["rho"] == 0.0:
-            # Exact zero residual (M is SPD, so r^T M^-1 r = 0 iff
-            # r = 0): freeze until the convergence check confirms it.
-            return
-        state["pc"], state["rho"] = self._advance_coords(
-            state["N"], state["g"], self._B(state),
-            state["pc"], state["zc"], state["ac"], state["rho"])
-
-    def _dense_step_multi(self, state):
-        """Batched dense recurrences, one column per RHS.
+        """One CG step in basis coordinates -- no communication.
 
         Each live column runs :meth:`_advance_coords` on contiguous
-        per-column copies -- the exact scalar arithmetic, so every
-        column's iterate stays bit-identical to a standalone solve.  An
-        exactly solved column (``rho = 0``) freezes itself; a breakdown
-        in any column is a batch-level verdict, exactly as a standalone
-        solve of that column would fail.
+        per-column views; a 2-D solve is one column.  An exactly solved
+        column (``rho = 0``; M is SPD, so ``r^T M^-1 r = 0`` iff
+        ``r = 0``) freezes until the convergence check confirms it.  A
+        breakdown in any column is a batch-level verdict -- the
+        spectral recovery (widen the interval, rebuild) relies on it.
         """
         N, g = state["N"], state["g"]
-        Bm = self._B(state)
         pc, zc, ac = state["pc"], state["zc"], state["ac"]
-        rho = np.asarray(state["rho"], dtype=np.float64)
+        single = pc.ndim == 1
+        if single:
+            N, g, pc, zc, ac = (N[..., None], g[:, None], pc[:, None],
+                                zc[:, None], ac[:, None])
+        rho = np.atleast_1d(np.asarray(state["rho"], dtype=np.float64))
         m, w = pc.shape
+        Bm = self._B(state)
+        # ~5 m^2 dense flops per column, replicated on every rank (not
+        # critical-path scaling, but recorded for honesty).
         self.context.ledger.record_flops("computation", 5 * m * m * w)
 
         for j in range(w):
@@ -394,4 +387,4 @@ class CAPCGSolver(SpectralBoundedSolver):
             pc[:, j] = pcj
             zc[:, j] = zcj
             ac[:, j] = acj
-        state["rho"] = rho
+        state["rho"] = float(rho[0]) if single else rho

@@ -424,60 +424,41 @@ class SerialContext(SolverContext):
         return partials[:, 0]
 
     def _dot(self, a, b):
-        """Masked inner product of two 2-D vectors: one pass where the
-        kernels fuse the masking multiply into the sum."""
+        """Masked inner product of a pair: a float for 2-D vectors (one
+        pass where the kernels fuse the masking multiply into the sum),
+        an ``(nrhs,)`` array for a batch."""
+        if a.ndim == 3:
+            return self._dot_columns(a, b)
         return self.kernels.masked_dot(a, b, self._mask_f,
                                        self._get_scratch(a))
 
+    def _reduced(self, words, phase):
+        """Charge one fused all-reduce of ``words`` values: every
+        column, pair and Gram entry rides the same single reduction."""
+        self.ledger.record_flops("computation", words * self._critical)
+        self.ledger.record_flops(phase, words * self._critical)
+        self.ledger.record_allreduce(phase, words=words)
+
     def dot(self, a, b, phase="reduction"):
-        if a.ndim == 3:
-            value = self._dot_columns(a, b)
-            nrhs = a.shape[2]
-            self.ledger.record_flops("computation", nrhs * self._critical)
-            self.ledger.record_flops(phase, nrhs * self._critical)
-            # All columns' partials ride one fused all-reduce.
-            self.ledger.record_allreduce(phase, words=nrhs)
-            return value
         value = self._dot(a, b)
-        self.ledger.record_flops("computation", self._critical)
-        self.ledger.record_flops(phase, self._critical)
-        self.ledger.record_allreduce(phase, words=1)
+        self._reduced(self._width(a), phase)
         return value
 
     def dot_pair(self, a1, b1, a2, b2, phase="reduction"):
-        if a1.ndim == 3:
-            v1 = self._dot_columns(a1, b1)
-            v2 = self._dot_columns(a2, b2)
-            nrhs = a1.shape[2]
-            self.ledger.record_flops("computation", 2 * nrhs * self._critical)
-            self.ledger.record_flops(phase, 2 * nrhs * self._critical)
-            self.ledger.record_allreduce(phase, words=2 * nrhs)
-            return v1, v2
         v1 = self._dot(a1, b1)
         v2 = self._dot(a2, b2)
-        self.ledger.record_flops("computation", 2 * self._critical)
-        self.ledger.record_flops(phase, 2 * self._critical)
-        self.ledger.record_allreduce(phase, words=2)
+        self._reduced(2 * self._width(a1), phase)
         return v1, v2
 
     def dot_block(self, xs, ys, phase="reduction"):
         xs = list(xs)
         ys = list(ys)
-        multi = xs[0].ndim == 3
-        w = xs[0].shape[2] if multi else 1
-        shape = (len(xs), len(ys)) + ((w,) if multi else ())
-        out = np.empty(shape)
+        w = self._width(xs[0])
+        out = np.empty((len(xs), len(ys)) + xs[0].shape[2:])
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                if multi:
-                    out[i, j] = self._dot_columns(x, y)
-                else:
-                    out[i, j] = self._dot(x, y)
-        n_words = len(xs) * len(ys) * w
-        self.ledger.record_flops("computation", n_words * self._critical)
-        self.ledger.record_flops(phase, n_words * self._critical)
-        # The whole Gram block rides ONE fused all-reduce.
-        self.ledger.record_allreduce(phase, words=n_words)
+                out[i, j] = self._dot(x, y)
+        self._reduced(len(xs) * len(ys) * w, phase)
         return out
 
     # -- column stacking -----------------------------------------------

@@ -34,14 +34,16 @@ Algorithm (Ghysels & Vanroose 2014, preconditioned variant)::
 Per-iteration cost: one matvec, one preconditioner apply, 8 vector
 updates, 2 fused inner products -- more flops than ChronGear (the price
 of the overlap), fewer synchronization stalls.
+
+The coefficient step is scalar arithmetic on one column
+(:func:`_coefficients`) run over every column
+(:func:`~repro.solvers.base.per_column`).
 """
 
 import math
 
-import numpy as np
-
 from repro.core.errors import BreakdownError, SolverError
-from repro.solvers.base import IterativeSolver
+from repro.solvers.base import IterativeSolver, ieee_div, per_column
 
 
 class PipeCGSolver(IterativeSolver):
@@ -92,44 +94,14 @@ class PipeCGSolver(IterativeSolver):
         m = ctx.precond(w)
         n = ctx.matvec(m)
 
-        if isinstance(gamma, np.ndarray):
-            return self._iterate_multi(state, k, gamma, delta, m, n)
+        steps = per_column(_coefficients, gamma, delta,
+                           state["gamma"], state["alpha"])
+        if steps is None:
+            return  # every column exactly solved
+        alpha, beta, state["gamma"], state["alpha"] = steps
 
-        if not (math.isfinite(gamma) and math.isfinite(delta)):
-            raise BreakdownError(
-                f"PipeCG breakdown: non-finite reduction "
-                f"(gamma={gamma}, delta={delta}) -- iterate is poisoned")
-        if gamma == 0.0 and delta == 0.0:
-            return  # exact zero residual; already solved
-        if state["gamma"] is None:
-            beta = 0.0
-            alpha = gamma / delta
-        else:
-            if state["gamma"] == 0.0:
-                raise BreakdownError("PipeCG breakdown: gamma vanished")
-            beta = gamma / state["gamma"]
-            denom = delta - beta * gamma / state["alpha"]
-            if denom == 0.0:
-                raise BreakdownError(
-                    "PipeCG breakdown: denominator vanished")
-            alpha = gamma / denom
-
-        self._recurrences(state, m, n, alpha, beta)
-
-        state["gamma"] = gamma
-        state["alpha"] = alpha
-
-        if k % self.replace_freq == 0:
-            # Residual replacement: resynchronize the recursively
-            # updated vectors with their definitions.
-            state["r"] = ctx.residual(state["b"], state["x"])
-            state["u"] = ctx.precond(state["r"])
-            state["w"] = ctx.matvec(state["u"])
-
-    def _recurrences(self, state, m, n, alpha, beta):
-        """The eight vector recurrences as one run of updates."""
-        r, u, w = state["r"], state["u"], state["w"]
-        self.context.updates(
+        # The eight vector recurrences as one run of updates.
+        ctx.updates(
             ("xpay", n, beta, state["z"]),        # z = n + beta z
             ("xpay", m, beta, state["q"]),        # q = m + beta q
             ("xpay", u, beta, state["p"]),        # p = u + beta p
@@ -140,56 +112,40 @@ class PipeCGSolver(IterativeSolver):
             ("axpy", -alpha, state["z"], w),
         )
 
-    def _iterate_multi(self, state, k, gamma, delta, m, n):
-        """Batched recurrences, one ``(nrhs,)`` entry per column.
-
-        Live columns run the exact scalar coefficient arithmetic
-        elementwise, so each column's iterate is bit-identical to a
-        standalone solve; an exactly solved column (``gamma = delta =
-        0``) freezes its ``x``/``r`` through zero coefficients (the
-        auxiliary vectors keep updating, which is harmless), and a
-        non-finite reduction poisons only its own column, which the
-        next convergence check diagnoses.  A vanished ``gamma`` or
-        recurrence denominator on a live column is an SPD violation and
-        raises the same :class:`BreakdownError` the scalar path would.
-        """
-        ctx = self.context
-        noop = (gamma == 0.0) & (delta == 0.0)
-        live = ~noop
-        if state["gamma"] is None:
-            if bool(np.any(live & (delta == 0.0) & np.isfinite(gamma))):
-                raise BreakdownError(
-                    "PipeCG breakdown: denominator vanished")
-            beta = np.zeros_like(gamma)
-            alpha = np.where(live,
-                             gamma / np.where(live, delta, 1.0), 0.0)
-        else:
-            gamma_old = np.asarray(state["gamma"], dtype=np.float64)
-            alpha_old = np.asarray(state["alpha"], dtype=np.float64)
-            if bool(np.any(live & (gamma_old == 0.0)
-                           & np.isfinite(gamma))):
-                raise BreakdownError("PipeCG breakdown: gamma vanished")
-            beta = np.where(live,
-                            gamma / np.where(live, gamma_old, 1.0), 0.0)
-            # Live columns always carry alpha_old != 0 (a zero alpha
-            # would have tripped the gamma check one iteration earlier).
-            denom = delta - beta * gamma / np.where(live, alpha_old, 1.0)
-            if bool(np.any(live & (denom == 0.0) & np.isfinite(gamma))):
-                raise BreakdownError(
-                    "PipeCG breakdown: denominator vanished")
-            alpha = np.where(live,
-                             gamma / np.where(live, denom, 1.0), 0.0)
-
-        self._recurrences(state, m, n, alpha, beta)
-
-        if state["gamma"] is None:
-            state["gamma"] = gamma
-            state["alpha"] = alpha
-        else:
-            state["gamma"] = np.where(live, gamma, state["gamma"])
-            state["alpha"] = np.where(live, alpha, state["alpha"])
-
         if k % self.replace_freq == 0:
+            # Residual replacement: resynchronize the recursively
+            # updated vectors with their definitions.
             state["r"] = ctx.residual(state["b"], state["x"])
             state["u"] = ctx.precond(state["r"])
             state["w"] = ctx.matvec(state["u"])
+
+
+def _coefficients(gamma, delta, gamma_old, alpha_old):
+    """One column's ``(live, alpha, beta, gamma, alpha)``.
+
+    ``gamma_old`` is ``None`` before the first iteration.  An exactly
+    solved column (``gamma = delta = 0``) is frozen through zero
+    coefficients (its auxiliary vectors keep updating, which is
+    harmless); a non-finite reduction poisons only this column; a
+    vanished ``gamma_old`` or recurrence denominator on a live, finite
+    column is an SPD violation.
+    """
+    if gamma == 0.0 and delta == 0.0:
+        if gamma_old is None:
+            return False, 0.0, 0.0, gamma, 0.0
+        return False, 0.0, 0.0, gamma_old, alpha_old
+    finite = math.isfinite(gamma)
+    if gamma_old is None:
+        beta = 0.0
+        denom = delta
+    else:
+        if gamma_old == 0.0 and finite:
+            raise BreakdownError("PipeCG breakdown: gamma vanished")
+        beta = ieee_div(gamma, gamma_old)
+        # A live column always carries alpha_old != 0 (a zero alpha
+        # would have tripped the gamma check one iteration earlier).
+        denom = delta - ieee_div(beta * gamma, alpha_old)
+    if denom == 0.0 and finite:
+        raise BreakdownError("PipeCG breakdown: denominator vanished")
+    alpha = ieee_div(gamma, denom)
+    return True, alpha, beta, gamma, alpha

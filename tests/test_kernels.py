@@ -672,10 +672,10 @@ class TestStackedKernels:
     @given(case=_stack_cases())
     @settings(**DRAWN)
     def test_drawn_partials(self, case):
-        """``_pair_partials`` / ``_column_partials`` hand the fault
-        hooks the lists the reduction module computes -- ``==``, so the
-        same bits -- and a :class:`ReductionFault` poisons the same
-        entry of the same list whichever kernels produced it."""
+        """``_column_partials`` hands the fault hooks the lists the
+        reduction module computes -- ``==``, so the same bits -- and a
+        :class:`ReductionFault` poisons the same entry of the same list
+        whichever kernels produced it."""
         stack = _Stack(case)
         a, b = stack.fields(stack.stacks(2))
         results = []
@@ -683,7 +683,7 @@ class TestStackedKernels:
             vm = stack.machine(kernels)
             ai, bi = a.interior_stack(), b.interior_stack()
             if stack.nrhs is None:
-                got = vm._pair_partials(a, b)
+                got = vm._column_partials(a, b)[0]
                 want = masked_partials_stacked(
                     ai, bi, vm.mask_stack, vm._mask_groups)
             else:

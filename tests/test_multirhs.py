@@ -19,6 +19,7 @@ from repro.core.errors import ConvergenceError
 from repro.grid import test_config as make_test_config
 from repro.kernels import resolve_kernels
 from repro.parallel import VirtualMachine, decompose
+from repro.parallel.faults import ReductionFault
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
@@ -31,6 +32,7 @@ from repro.solvers import (
     SerialContext,
     SpectralBoundedSolver,
 )
+from repro.solvers.health import BREAKDOWN, NONFINITE_RESIDUAL
 
 SOLVERS = {"chrongear": ChronGearSolver, "pcg": PCGSolver,
            "pcsi": PCSISolver, "pipecg": PipeCGSolver,
@@ -232,6 +234,124 @@ class TestPerColumnDiagnosis:
         diags = res.extra["per_rhs_diagnosis"]
         for j in range(rhs_batch.shape[2]):
             assert diags[str(j)]["kind"] == "budget_exhausted"
+
+
+class _TamperedSerial(SerialContext):
+    """A serial context that overwrites one reduced value: the first
+    value of the ``at``-th reduction (counting ``dot`` and ``dot_pair``
+    calls, as the virtual machine counts reduction events), in
+    ``column`` (the value itself for a 2-D solve)."""
+
+    def __init__(self, *args, at, column, value, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tamper = (at, column, value)
+        self._count = 0
+
+    def _hit(self, v):
+        self._count += 1
+        at, column, value = self._tamper
+        if self._count != at:
+            return v
+        if isinstance(v, np.ndarray):
+            v = v.copy()
+            v[column] = value
+            return v
+        return value
+
+    def dot(self, a, b, phase="reduction"):
+        return self._hit(super().dot(a, b, phase=phase))
+
+    def dot_pair(self, a1, b1, a2, b2, phase="reduction"):
+        v1, v2 = super().dot_pair(a1, b1, a2, b2, phase=phase)
+        return self._hit(v1), v2
+
+
+class TestOneAnomalyRule:
+    """One anomaly rule at every width: a non-finite reduction poisons
+    only its own column (a 2-D solve is one column), which the next
+    check diagnoses; a vanished denominator on a live column is a
+    batch-wide breakdown."""
+
+    AT = 6          # an in-iteration reduction before the first check
+
+    @staticmethod
+    def _solve(cfg, engine, solver_name, b, column=None, value=None):
+        cls = SOLVERS[solver_name]
+        if engine == "serial":
+            kw = {} if column is None else {
+                "at": TestOneAnomalyRule.AT, "column": column,
+                "value": value}
+            ctx_cls = SerialContext if column is None else _TamperedSerial
+            ctx = ctx_cls(cfg.stencil, make_preconditioner(
+                "diagonal", cfg.stencil), **kw)
+        else:
+            decomp = decompose(24, 24, 2, 2, mask=cfg.stencil.mask)
+            faults = []
+            if column is not None:
+                # The fused reduction's lists run column by column; a
+                # dot_pair carries two per column, the first of them
+                # the value the recurrence divides by next.
+                per = 1 if solver_name == "pcg" else 2
+                ranks = [0] if value != value else range(decomp.num_active)
+                faults = [ReductionFault(rank=r, value=value,
+                                         entry=per * column,
+                                         at=TestOneAnomalyRule.AT)
+                          for r in ranks]
+            vm = VirtualMachine(decomp, mask=cfg.stencil.mask,
+                                faults=faults)
+            ctx = DistributedContext(cfg.stencil, make_preconditioner(
+                "diagonal", cfg.stencil, decomp=decomp), vm)
+        return cls(ctx, tol=1e-12, max_iterations=600,
+                   raise_on_failure=False).solve(b)
+
+    @staticmethod
+    def _rhs(rhs_batch, width):
+        return rhs_batch[..., 0] if width is None else rhs_batch[..., :width]
+
+    @pytest.mark.parametrize("solver_name", ["chrongear", "pcg", "pipecg"])
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_nonfinite_reduction_poisons_its_column(
+            self, cfg, rhs_batch, solver_name, engine, width):
+        b = self._rhs(rhs_batch, width)
+        column = 0 if width in (None, 1) else 1
+        res = self._solve(cfg, engine, solver_name, b, column=column,
+                          value=float("nan"))
+        if width is None:
+            assert res.diagnosis.kind == NONFINITE_RESIDUAL
+            assert res.diagnosis.iteration == 10
+            return
+        diags = res.extra["per_rhs_diagnosis"]
+        assert set(diags) == {str(column)}
+        assert diags[str(column)]["kind"] == NONFINITE_RESIDUAL
+        assert diags[str(column)]["iteration"] == 10
+        for j in range(width):
+            if j == column:
+                continue
+            clean = self._solve(cfg, engine, solver_name, b[..., j])
+            assert clean.converged
+            assert np.array_equal(res.x[..., j], clean.x)
+            assert res.extra["per_rhs_iterations"][j] == clean.iterations
+            assert res.extra["per_rhs_residual_norm"][j] == \
+                clean.residual_norm
+
+    @pytest.mark.parametrize("solver_name", ["chrongear", "pcg", "pipecg"])
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_vanished_denominator_is_batch_breakdown(
+            self, cfg, rhs_batch, solver_name, engine, width):
+        # An exact zero where the recurrence divides next, on one live
+        # column: the SPD violation every width reports for the batch.
+        b = self._rhs(rhs_batch, width)
+        column = 0 if width in (None, 1) else 1
+        res = self._solve(cfg, engine, solver_name, b, column=column,
+                          value=0.0)
+        assert res.diagnosis.kind == BREAKDOWN
+        assert res.diagnosis.iteration < 10
+        if width is not None:
+            diags = res.extra["per_rhs_diagnosis"]
+            assert set(diags) == {str(j) for j in range(width)}
+            assert {d["kind"] for d in diags.values()} == {BREAKDOWN}
 
 
 class TestBatchFailuresGetWhatScalarFailuresGet:

@@ -112,6 +112,96 @@ class TestVirtualMachine:
         assert red.flops == n
         assert red.allreduces == 1 and red.allreduce_words == 1
 
+        # Every reduction at every width, on a uniform and on a ragged,
+        # land-eliminated lattice, under both engines: the values, the
+        # ledger records and the partial lists the fault hooks see are
+        # those of the rank-by-rank, column-by-column definition.
+        rng = np.random.default_rng(5)
+        land = rng.random((13, 17)) > 0.2
+        land[:5, :6] = False                 # one all-land block
+        lattices = [(self.decomp, self.mask),
+                    (decompose(13, 17, 3, 3, halo_width=2, mask=land), land)]
+        assert not lattices[1][0].is_uniform
+        assert lattices[1][0].num_active < 9
+        for decomp, mask in lattices:
+            shape = (decomp.ny, decomp.nx)
+            for width in (None, 1, 3):
+                fields = [rng.standard_normal(
+                    shape + (() if width is None else (width,)))
+                    for _ in range(3)]
+                for engine in ("batched", "perrank"):
+                    self._check_reductions(decomp, mask, width, fields,
+                                           engine)
+
+    @staticmethod
+    def _check_reductions(decomp, mask, width, fields, engine):
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def on_exchange(self, field, count, vm):
+                pass
+
+            def on_reduction(self, partials, count):
+                self.seen.append((count, list(partials)))
+
+        recorder = Recorder()
+        vm = VirtualMachine(decomp, mask=mask, engine=engine,
+                            faults=[recorder])
+        mask_f = mask.astype(np.float64)
+        cols = [None] if width is None else list(range(width))
+
+        def partials(a, b, j):
+            out = []
+            for block in decomp.active_blocks:
+                ab = [v[block.slices] if j is None else v[block.slices][..., j]
+                      for v in (a, b)]
+                out.append(masked_local_dot(*ab, mask_f[block.slices]))
+            return out
+
+        def value(lists):
+            sums = [masked_global_sum_blocks(p) for p in lists]
+            return sums[0] if width is None else np.array(sums)
+
+        a, b, c = fields
+        fa, fb, fc = (vm.scatter(v) for v in fields)
+        n = vm.max_block_points
+        expected = []    # (lists the hooks see, value) per reduction
+
+        got = vm.global_dot(fa, fb)
+        lists = [partials(a, b, j) for j in cols]
+        expected.append(lists)
+        assert type(got) is type(value(lists))
+        assert np.array_equal(got, value(lists))
+
+        got1, got2 = vm.global_dot_pair(fa, fb, fc, fa, phase="overlap")
+        lists = [p for j in cols for p in (partials(a, b, j),
+                                           partials(c, a, j))]
+        expected.append(lists)
+        assert np.array_equal(got1, value(lists[0::2]))
+        assert np.array_equal(got2, value(lists[1::2]))
+
+        got = vm.global_dot_block([fa, fb], [fa, fb, fc])
+        lists = [partials(x, y, j) for x in (a, b) for y in (a, b, c)
+                 for j in cols]
+        expected.append(lists)
+        assert got.shape == (2, 3) + (() if width is None else (width,))
+        assert np.array_equal(got.ravel(), [masked_global_sum_blocks(p)
+                                            for p in lists])
+
+        assert recorder.seen == [(k + 1, lists)
+                                 for k, entries in enumerate(expected)
+                                 for lists in entries]
+        w = len(cols)
+        words = {"reduction": w + 6 * w, "overlap": 2 * w}
+        assert vm.ledger.counts("computation").flops == 9 * w * n
+        for phase, nwords in words.items():
+            counts = vm.ledger.counts(phase)
+            assert counts.flops == nwords * n
+            assert counts.allreduce_words == nwords
+        assert vm.ledger.counts("reduction").allreduces == 2
+        assert vm.ledger.counts("overlap").allreduces == 1
+
     def test_exchange_records_boundary_event(self):
         af = self.vm.scatter(self.a)
         self.vm.exchange(af)
