@@ -11,7 +11,10 @@ the reproduction:
   one serial vector pair, :meth:`~KernelBackend.window_dots` for every
   block and column of a stack or a batch) and runs of vector updates
   (:meth:`~KernelBackend.update_chain`: the paper's ``4 n^2`` for
-  ChronGear's four recurrences).
+  ChronGear's four recurrences),
+* whole spans of serial P-CSI + diagonal iterations, which need no
+  inner product between convergence checks
+  (:meth:`~KernelBackend.chebyshev_span`).
 
 There are two implementations -- the ``numpy`` reference and the
 ``fused`` product -- and one contract: an implementation changes
@@ -199,6 +202,25 @@ class KernelBackend:
         ``True`` when the chain ran; ``False`` (the default: there is
         no fused form in numpy) when nothing was touched and the caller
         runs the updates one by one.
+        """
+        return False
+
+    def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
+        """Run P-CSI iterations with a diagonal preconditioner in one
+        pass over memory, if this backend can.
+
+        ``weights`` is a sequence of ``(omega, c)`` pairs, one per
+        iteration, each of which updates whole global ``(ny, nx[,
+        nrhs])`` vectors in place: ``r' = r * inv_diag``, ``dx = (c *
+        dx) + (omega * r')``, ``x = x + (1.0 * dx)``, then ``r = b -
+        A x`` with ``A`` the stencil ``coeffs`` -- the roundings of the
+        preconditioner's multiply, the context's ``combine`` and
+        ``axpy`` and :meth:`stencil_apply` followed by a subtraction.
+        ``inv_diag`` is the ``(ny, nx)`` reciprocal diagonal, shared by
+        every column.  Returns ``True`` when the iterations ran (an
+        empty ``weights`` asks whether they would); ``False`` (the
+        default: there is no one-pass form in numpy) when nothing was
+        touched and the caller runs them one call at a time.
         """
         return False
 

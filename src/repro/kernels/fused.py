@@ -77,18 +77,20 @@ the stacked form has no such cells, its halo columns keep rows and
 blocks apart.)  The stacked form embeds the planes in the padded ``(p,
 bny + 2h, bnx + 2h)`` layout of the block stack (``W = bnx + 2h``):
 halo cells have all-zero rows, pad cells of ragged tiles keep their
-zero coefficients.  **Planes once for stacks:** with ``dia_sweep`` the
-*single-RHS* ``data`` / ``offsets`` serve every batch width -- per cell
-one accumulator per column, the coefficient ``data[k, i + off_k]`` read
-once for all of them, the columns in compile-time groups of at most
-eight -- over the interior rows only and written straight into the
-rows of the output stack, so no ``nrhs``-fold planes are built, no
-padded result is allocated and no interior is copied out; every column
-still sees the single-RHS operation sequence.  Without the library the
-stack takes the folded form above (its halo rows computed, the interior
-copied out).  The serial global batch keeps its folded planes either
-way.  Cached per coefficient set (identity-keyed, the last
-``_MAX_FOLDED_SETS`` sets): the single-RHS sweep and one batch width.
+zero coefficients.  **Planes once, at every width:** with ``dia_sweep``
+the *single-RHS* ``data`` / ``offsets`` serve every batch width, serial
+and stacked -- per cell one accumulator per column, the coefficient
+``data[k, i + off_k]`` read once for all of them, the columns in
+compile-time groups of at most eight (two columns as one vector of four
+cells x two) -- so no ``nrhs``-fold planes are built and a serial
+batch reads half the bytes at width two; a stack is swept over its
+interior rows only, written straight into the rows of the output
+stack, so no padded result is allocated and no interior is copied out.
+Every column still sees the single-RHS operation sequence.  Without the
+library a batch takes the folded form above (a stack's halo rows
+computed, the interior copied out).  Cached per coefficient set
+(identity-keyed, the last ``_MAX_FOLDED_SETS`` sets): the single-RHS
+sweep and, without the library, one batch width.
 Bit-parity rests on the scipy build -- and the compiler building
 ``native.c`` under ``-ffp-contract=off`` -- *not* contracting ``y += a
 * b`` into a fused multiply-add; ``test_sweep_is_not_contracted``,
@@ -108,7 +110,12 @@ formed on the fly (``pairwise_dot``: one pass, no temporaries);
 and every column at once; ``update_chain`` runs a solver's consecutive
 ``axpy`` / ``xpay`` / ``combine`` steps chunk by chunk, row by row, so a
 chain's operands are read from memory once, with scalar coefficients or
-one per column.
+one per column.  ``chebyshev_span`` runs a whole span of serial P-CSI +
+diagonal iterations as one ``native.c`` wavefront over the grid rows
+(the preconditioner multiply, the chain's two steps and a sweep row
+followed by the subtraction, iterations trailing each other by four
+rows) on the single-RHS sweep's ``data`` / ``offsets``; without it the
+context runs the iterations one call at a time.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -411,11 +418,11 @@ class FusedKernels(NumpyKernels):
     def __init__(self, native=True):
         #: DIA sweeps keyed by ``id(coeffs)``: ``{"coeffs": coeffs,
         #: "single": (1, sweep, call), "batch": (nrhs, sweep, call)}``,
-        #: identity-revalidated.  A set keeps its single-RHS sweep and
-        #: one batch width (widths only shrink within a solve; a service
-        #: alternates 1 and its batch size), the backend the last few
-        #: sets.  A stack swept by ``native.c`` needs the single-RHS
-        #: slot only, whatever its width.
+        #: identity-revalidated.  A set keeps its single-RHS sweep and,
+        #: on scipy, one batch width (widths only shrink within a solve;
+        #: a service alternates 1 and its batch size), the backend the
+        #: last few sets.  With ``native.c`` the single-RHS slot serves
+        #: every width.
         self._sweeps = {}
         #: The loaded ``native.c`` (built on first use, not on import).
         self._lib = None if native else Native("not used")
@@ -441,7 +448,9 @@ class FusedKernels(NumpyKernels):
         sweep, call)``; ``plane(coeffs, name)`` reads one coefficient
         array and ``call`` is ``dia_sweep`` bound to the sweep's own
         ``data`` / ``offsets`` (``None`` without the library), still to
-        be given the batch width, the rows to sweep, ``x`` and ``y``."""
+        be given the batch width, the rows to sweep, ``x`` and ``y``.
+        With the library every width asks for ``n = 1``
+        (:meth:`_width`)."""
         hit = self._sweeps.get(id(coeffs))
         if hit is None or hit["coeffs"] is not coeffs:
             self._sweeps.pop(id(coeffs), None)
@@ -461,24 +470,29 @@ class FusedKernels(NumpyKernels):
                     fn, sweep.shape[0], len(offsets), sweep.data.ctypes.data,
                     sweep.data.shape[1], offsets.ctypes.data)
                 call.offsets = offsets   # alive as long as the pointer
-                # One row: the whole flattened vector, a batch folded
-                # into it.
-                call.whole = int64s(1, 1, 1, sweep.shape[0], 0, 0, 0, 0, 0)
             hit[slot] = (n, sweep, call)
         return hit[slot]
+
+    def _width(self, n):
+        """The batch width to build a sweep for: ``dia_sweep`` runs every
+        width on the single-RHS planes, scipy needs them ``n``-fold."""
+        return n if self._native().dia_sweep is None else 1
 
     @staticmethod
     def _matvec(entry, x, out=None):
         """``sweep @ x`` in ``x``'s shape -- in ``out`` when the native
-        sweep can write there directly."""
+        sweep can write there directly.  ``x`` is the whole vector, its
+        batch columns interleaved per cell (one row of the geometry)."""
         _, sweep, call = entry
-        if call is None:
+        ncols, rest = divmod(x.size, sweep.shape[0])
+        if call is None or rest or not ncols:
             return (sweep @ x.reshape(-1)).reshape(x.shape)
         x = np.ascontiguousarray(x, dtype=np.float64)
         if (out is None or out.shape != x.shape or out.dtype != x.dtype
                 or not out.flags.c_contiguous):
             out = np.empty(x.shape)
-        call(call.whole[0], x.ctypes.data, address(out))
+        call(int64s(ncols, 1, 1, sweep.shape[0], 0, 0, 0, 0, 0)[0],
+             x.ctypes.data, address(out))
         return out
 
     def stencil_apply(self, coeffs, x, out=None):
@@ -487,7 +501,7 @@ class FusedKernels(NumpyKernels):
             # narrow runs the reference loop.
             return super().stencil_apply(coeffs, x, out)
         entry = self._sweep(coeffs, getattr, 0,
-                            x.shape[2] if x.ndim == 3 else 1)
+                            self._width(x.shape[2] if x.ndim == 3 else 1))
         y = self._matvec(entry, x, out)
         if out is None or y is out:
             return y
@@ -508,7 +522,7 @@ class FusedKernels(NumpyKernels):
             if sweep.shape[0] * n != stack.size:
                 call = None
         if call is None:
-            entry = self._sweep(coeffs, operator.getitem, h, n)
+            entry = self._sweep(coeffs, operator.getitem, h, self._width(n))
             out[...] = self._matvec(entry, stack)[:, h:h + bny, h:h + bnx]
             return out
         # The single-RHS planes serve every width: interior rows only,
@@ -597,6 +611,36 @@ class FusedKernels(NumpyKernels):
             return False   # arrays overlapping at an offset
         fn(struct.pack(CHAIN_FORMAT + STEP_FORMAT * len(steps), *rows, ncols,
                        len(steps), *flat))
+        return True
+
+    def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
+        fn = self._native().chebyshev_span
+        if fn is None or x.ndim not in (2, 3) or x.shape[1] < 3 \
+                or (x.ndim == 3 and x.shape[2] > MAX_CHAIN_COLUMNS) \
+                or not (b.shape == r.shape == dx.shape == x.shape
+                        and inv_diag.shape == x.shape[:2]) \
+                or any(v.dtype != np.float64 or not v.flags.c_contiguous
+                       for v in (inv_diag, b, r, dx, x)):
+            return False
+        # The single-RHS sweep, at every width; without ``dia_sweep``
+        # there is no ``call`` to read its operands from.
+        _, _, call = self._sweep(coeffs, getattr, 0, 1)
+        if call is None:
+            return False
+        try:
+            written = [address(v) for v in (r, dx, x)]
+        except (TypeError, ValueError):
+            return False   # read-only
+        spans = sorted(written + [b.ctypes.data])
+        if any(q - p < x.nbytes for p, q in zip(spans, spans[1:])):
+            return False   # vectors that overlap
+        if not weights:
+            return True
+        wc = np.array(weights, dtype=np.float64)
+        cells, ndiag, data, stride, offsets = call.args
+        fn(len(wc), address(wc),
+           int64s(cells, x.shape[1], x.size // cells, ndiag, stride)[0],
+           data, offsets, inv_diag.ctypes.data, b.ctypes.data, *written)
         return True
 
     # ------------------------------------------------------------------

@@ -42,7 +42,8 @@
  * The cells to compute are the rows of a row geometry over the cell
  * index and `y` points at the first row's output, with strides of its
  * own in elements: g = {ncols, blocks, rows, cells per row, first
- * cell, block_stride, row_stride, y_block_stride, y_row_stride}.
+ * cell, block_stride, row_stride, y_block_stride, y_row_stride}.  One
+ * row is sweep_row, which chebyshev_span (section 6) calls too.
  * ------------------------------------------------------------------ */
 
 /* Cells where some diagonal leaves the vector: one pass per diagonal
@@ -114,10 +115,76 @@ static void sweep_##W(int64_t lo, int64_t hi, const double *data,          \
 SWEEP_WIDTH(1) SWEEP_WIDTH(2) SWEEP_WIDTH(3) SWEEP_WIDTH(4)
 SWEEP_WIDTH(5) SWEEP_WIDTH(6) SWEEP_WIDTH(7) SWEEP_WIDTH(8)
 
+/* Two columns that are the whole batch: four cells x two columns are
+ * one vector of eight, each cell's coefficient duplicated across its
+ * pair -- per element still 0.0 plus the nine products in diagonal
+ * order, at 1.6x the speed of sweep_2's two lanes, which takes the
+ * remaining cells and a pair inside a wider batch. */
+typedef double cells4x2 __attribute__((vector_size(64)));
+
+static void sweep_pairs(int64_t lo, int64_t hi, const double *data,
+                        int64_t stride, const int64_t *offsets,
+                        int64_t ncols, const double *x, double *restrict y)
+{
+    for (; ncols == 2 && lo + 4 <= hi; lo += 4, y += 8) {
+        cells4x2 acc = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, xs;
+        for (int k = 0; k < 9; k++) {
+            const double *d = data + k * stride + lo + offsets[k];
+            cells4x2 c = {d[0], d[0], d[1], d[1], d[2], d[2], d[3], d[3]};
+            __builtin_memcpy(&xs, x + (lo + offsets[k]) * 2, sizeof xs);
+            acc += c * xs;
+        }
+        __builtin_memcpy(y, &acc, sizeof acc);
+    }
+    sweep_2(lo, hi, data, stride, offsets, ncols, x, y);
+}
+
 typedef void sweep_fn(int64_t, int64_t, const double *, int64_t,
                       const int64_t *, int64_t, const double *, double *);
-static sweep_fn *const SWEEPS[] = {sweep_1, sweep_2, sweep_3, sweep_4,
+static sweep_fn *const SWEEPS[] = {sweep_1, sweep_pairs, sweep_3, sweep_4,
                                    sweep_5, sweep_6, sweep_7, sweep_8};
+
+/* A DIA matrix over n cells; between lo and hi every diagonal reaches. */
+typedef struct {
+    int64_t n, ndiag, stride, lo, hi;
+    const double *data;
+    const int64_t *offsets;
+} dia_matrix;
+
+static dia_matrix dia_of(int64_t n, int64_t ndiag, const double *data,
+                         int64_t stride, const int64_t *offsets)
+{
+    dia_matrix a = {n, ndiag, stride, 0, n, data, offsets};
+    for (int64_t k = 0; k < ndiag; k++) {
+        if (-offsets[k] > a.lo) a.lo = -offsets[k];
+        if (n - offsets[k] < a.hi) a.hi = n - offsets[k];
+    }
+    if (ndiag != 9 || a.lo >= a.hi)
+        a.lo = a.hi = n;
+    return a;
+}
+
+/* y = A x on cells [start, end), written from y: the row code. */
+static void sweep_row(const dia_matrix *a, int64_t start, int64_t end,
+                      int64_t ncols, const double *x, double *y)
+{
+    int64_t from = a->lo < start ? start : a->lo < end ? a->lo : end;
+    int64_t to = a->hi < from ? from : a->hi < end ? a->hi : end;
+    if (start < from)
+        sweep_checked(start, from, a->n, a->ndiag, a->data, a->stride,
+                      a->offsets, ncols, x, y);
+    y += (from - start) * ncols;
+    if (ncols == 1 && from < to)
+        sweep_single(from, to, a->data, a->stride, a->offsets, x, y);
+    else if (from < to)
+        for (int64_t c = 0; c < ncols; c += 8)
+            SWEEPS[ncols - c < 8 ? ncols - c - 1 : 7](
+                from, to, a->data, a->stride, a->offsets, ncols, x + c,
+                y + c);
+    if (to < end)
+        sweep_checked(to, end, a->n, a->ndiag, a->data, a->stride,
+                      a->offsets, ncols, x, y + (to - from) * ncols);
+}
 
 void dia_sweep(int64_t n, int64_t ndiag, const double *data, int64_t stride,
                const int64_t *offsets, const int64_t *g, const double *x,
@@ -126,35 +193,12 @@ void dia_sweep(int64_t n, int64_t ndiag, const double *data, int64_t stride,
     const int64_t ncols = g[0], blocks = g[1], rows = g[2], cells = g[3],
                   first = g[4], block_stride = g[5], row_stride = g[6],
                   y_block_stride = g[7], y_row_stride = g[8];
-    /* Between `lo` and `hi` every diagonal reaches. */
-    int64_t lo = 0, hi = n;
-    for (int64_t k = 0; k < ndiag; k++) {
-        if (-offsets[k] > lo) lo = -offsets[k];
-        if (n - offsets[k] < hi) hi = n - offsets[k];
-    }
-    if (ndiag != 9 || lo >= hi)
-        lo = hi = n;
+    const dia_matrix a = dia_of(n, ndiag, data, stride, offsets);
     for (int64_t b = 0; b < blocks; b++)
         for (int64_t r = 0; r < rows; r++) {
             int64_t start = first + b * block_stride + r * row_stride;
-            int64_t end = start + cells;
-            int64_t from = lo < start ? start : lo < end ? lo : end;
-            int64_t to = hi < from ? from : hi < end ? hi : end;
-            double *yr = y + b * y_block_stride + r * y_row_stride;
-            if (start < from)
-                sweep_checked(start, from, n, ndiag, data, stride, offsets,
-                              ncols, x, yr);
-            yr += (from - start) * ncols;
-            if (ncols == 1 && from < to)
-                sweep_single(from, to, data, stride, offsets, x, yr);
-            else if (from < to)
-                for (int64_t c = 0; c < ncols; c += 8)
-                    SWEEPS[ncols - c < 8 ? ncols - c - 1 : 7](
-                        from, to, data, stride, offsets, ncols, x + c,
-                        yr + c);
-            if (to < end)
-                sweep_checked(to, end, n, ndiag, data, stride, offsets,
-                              ncols, x, yr + (to - from) * ncols);
+            sweep_row(&a, start, start + cells, ncols, x,
+                      y + b * y_block_stride + r * y_row_stride);
         }
 }
 
@@ -527,4 +571,75 @@ void evp_edges(int64_t k, int64_t bn, int64_t nterms, const int64_t *coef_off,
                 fe[i] = fe[i] + c0[i] * s0[i];
         }
     }
+}
+
+/* ------------------------------------------------------------------
+ * 6. A span of P-CSI iterations with a diagonal preconditioner, as one
+ *    wavefront over the grid rows of a whole vector.
+ *
+ * Iteration t (weights w = wc[2t], cw = wc[2t + 1]) is, per element,
+ *     r' = r * dinv;  dx = (cw * dx) + (w * r');  x = x + (1.0 * dx);
+ *     r = b - A x
+ * with the roundings of the diagonal preconditioner's multiply, the
+ * update chain's combine and axpy (section 2's step loops) and a
+ * dia_sweep row followed by numpy's subtraction.  The first three read
+ * element e only; residual row q reads x in rows q - 1 .. q + 1 and,
+ * through the zero couplings that wrap around the east and west edges,
+ * the last cell of row q - 2 and the first of row q + 2 (0.0 * x is
+ * NaN for a non-finite x).  So iteration t, reaching row j, updates row
+ * j and then writes residual row j - 2, and iteration t + 1 trails it
+ * by four rows, the iterations of one step in ascending order: every
+ * row is read with the values the one-iteration-at-a-time order gives
+ * it, and r, dx and x are updated in place.  Rows are `nx` cells of
+ * `ncols` interleaved columns; `dinv` holds one value per cell and
+ * `data` / `offsets` are the single-RHS sweep of A over the n cells;
+ * the caller keeps ncols <= CHUNK.  g = {n, nx, ncols, ndiag, stride}.
+ * ------------------------------------------------------------------ */
+void chebyshev_span(int64_t nsteps, const double *wc, const int64_t *g,
+                    const double *data, const int64_t *offsets,
+                    const double *dinv, const double *b, double *r,
+                    double *dx, double *x)
+{
+    const int64_t ncols = g[2], rows = g[0] / g[1], run = g[1] * ncols;
+    const int64_t chunk = CHUNK - CHUNK % ncols;
+    const dia_matrix a = dia_of(g[0], g[3], data, g[4], offsets);
+    double rp[CHUNK];
+    for (int64_t s = 0; s < rows + 2 + 4 * (nsteps - 1); s++)
+        for (int64_t it = 0; it < nsteps && 4 * it <= s; it++) {
+            const int64_t j = s - 4 * it, q = j - 2;
+            const double w = wc[2 * it], cw = wc[2 * it + 1];
+            for (int64_t e = 0; j < rows && e < run; e += chunk) {
+                const int64_t at = j * run + e;
+                const int64_t m = run - e < chunk ? run - e : chunk;
+                const double *rs = r + at, *dv = dinv + at / ncols;
+                if (ncols == 1)
+                    for (int64_t i = 0; i < m; i++)
+                        rp[i] = rs[i] * dv[i];
+                else if (ncols == 2)
+                    for (int64_t i = 0; i < m; i += 2, dv++) {
+                        rp[i] = rs[i] * dv[0];
+                        rp[i + 1] = rs[i + 1] * dv[0];
+                    }
+                else
+                    for (int64_t i = 0; i < m; dv++)
+                        for (int64_t c = 0; c < ncols; c++, i++)
+                            rp[i] = rs[i] * dv[0];
+                /* section 2's combine (dx), then its axpy (x) */
+                int64_t kind = 2;
+                const double *xs = rp;
+                double *ys = dx + at;
+                STEP_LOOPS(w, cw)
+                kind = 0;
+                xs = ys;
+                ys = x + at;
+                STEP_LOOPS(1.0, 0.0)
+            }
+            if (q < 0 || q >= rows)
+                continue;
+            double *rq = r + q * run;
+            const double *bq = b + q * run;
+            sweep_row(&a, q * g[1], (q + 1) * g[1], ncols, x, rq);
+            for (int64_t i = 0; i < run; i++)
+                rq[i] = bq[i] - rq[i];
+        }
 }

@@ -38,6 +38,7 @@ _SIGNATURES = {
     "pairwise_dot": (ctypes.c_double, (_P, _P, _P, _P, _P, _P)),
     "evp_march": (None, (_I, _P, _P, _P, _P, _P)),
     "evp_edges": (None, (_I, _I, _I, _P, _P, _P, _P, _P, _P)),
+    "chebyshev_span": (None, (_I, _P, _P, _P, _P, _P, _P, _P, _P, _P)),
 }
 #: ``struct`` formats of an ``update_chain`` program: the row geometry,
 #: ``ncols`` and the step count, then per step kind, a, b, the
@@ -335,6 +336,37 @@ def _test_evp_edges(fn, rng):
     return np.array_equal(f, ref)
 
 
+def _test_chebyshev_span(fn, rng):
+    """Spans of 1, 3 and 6 iterations at widths 1 / 2 / 3, on grids 3
+    to 11 cells wide with every coupling non-zero (the wrapping ones
+    included), against the iterations one at a time: the diagonal
+    multiply, ``combine``, ``axpy``, scipy's sweep and a subtraction."""
+    for ny, nx, width, steps in ((9, 3, 1, 6), (13, 11, 2, 6), (6, 11, 3, 1),
+                                 (20, 7, 1, 3), (4, 5, 2, 3)):
+        n = ny * nx
+        offsets = np.array([0, nx, -nx, 1, -1, nx + 1, nx - 1, 1 - nx,
+                            -1 - nx], dtype=np.int64)
+        data, dinv = rng.standard_normal((9, n)), rng.standard_normal(n)
+        b, r, dx, x = rng.standard_normal((4, n, width))
+        weights = rng.standard_normal((steps, 2))
+        sweep = dia_array((data, offsets), shape=(n, n))
+        ref_r, ref_dx, ref_x = r, dx, x
+        for w, c in weights:
+            ref_dx = c * ref_dx + w * (ref_r * dinv[:, None])
+            ref_x = ref_x + ref_dx
+            ref_r = b - np.stack([sweep @ np.ascontiguousarray(ref_x[:, k])
+                                  for k in range(width)], axis=1)
+        r, dx, x = r.copy(), dx.copy(), x.copy()
+        fn(steps, address(weights), int64s(n, nx, width, 9, n)[0],
+           address(data), address(offsets), address(dinv), address(b),
+           address(r), address(dx), address(x))
+        if not (np.array_equal(r, ref_r) and np.array_equal(dx, ref_dx)
+                and np.array_equal(x, ref_x)):
+            return False
+    return True
+
+
 _SELF_TESTS = {"dia_sweep": _test_dia_sweep, "update_chain": _test_update_chain,
                "pairwise_dot": _test_pairwise_dot,
-               "evp_march": _test_evp_march, "evp_edges": _test_evp_edges}
+               "evp_march": _test_evp_march, "evp_edges": _test_evp_edges,
+               "chebyshev_span": _test_chebyshev_span}

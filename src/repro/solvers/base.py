@@ -71,6 +71,19 @@ and local ``isfinite`` scans of data already in memory; they add no
 communication or ledger events, so modeled timings and engine parity
 are unaffected.
 
+Spans
+-----
+Nothing the loop does happens between a convergence check, a due
+checkpoint and the end of the budget, so before each call it asks the
+solver (:meth:`IterativeSolver._span`) how many iterations it may run
+up to the next such boundary, and hands them to one
+:meth:`IterativeSolver._iterate_span` call.  P-CSI answers up to
+``check_freq`` when its context runs the whole span as one kernel call
+(serial, diagonal preconditioner: a wavefront over memory, the same
+bits and ledger events as iteration by iteration); every other solver
+answers 1, and with a resilience runtime attached -- which hooks every
+matvec and may roll back at any iteration -- the loop does not ask.
+
 Checkpoint/restart
 ------------------
 ``solve`` accepts a :class:`~repro.core.checkpoint.CheckpointPolicy`
@@ -450,11 +463,14 @@ class IterativeSolver(abc.ABC):
                             solver_meta=self._snapshot_solver_meta())
 
         while loop.active.size and loop.iterations < self.max_iterations:
-            loop.iterations += 1
+            first = loop.iterations + 1
+            span = (1 if runtime is not None
+                    else self._span(state, first, checkpoint))
+            loop.iterations += span
             k = loop.iterations
             try:
                 try:
-                    self._iterate(state, k)
+                    self._iterate_span(state, first, span)
                 except BreakdownError as exc:
                     if runtime is not None and runtime.intercept(
                             "breakdown", k):
@@ -897,6 +913,28 @@ class IterativeSolver(abc.ABC):
         May raise :class:`~repro.core.errors.BreakdownError`; the
         guarded loop converts it into a diagnosed failure carrying the
         partial result."""
+
+    def _span(self, state, k, checkpoint):
+        """How many iterations, from ``k`` on, the loop hands to one
+        :meth:`_iterate_span` call (the span rule in the module
+        docstring).  One here: every iteration is its own call."""
+        return 1
+
+    def _until_boundary(self, k, checkpoint):
+        """Iterations from ``k`` up to and including the next one the
+        loop must stop after: a convergence check, a due checkpoint or
+        the last of the budget."""
+        for last in range(k, k + self.check_freq):
+            if (last % self.check_freq == 0 or last >= self.max_iterations
+                    or (checkpoint is not None and checkpoint.due(last))):
+                return last - k + 1
+
+    def _iterate_span(self, state, first, n):
+        """Iterations ``first .. first + n - 1``, one :meth:`_iterate`
+        each (a solver that can run a span in one call overrides
+        this)."""
+        for k in range(first, first + n):
+            self._iterate(state, k)
 
     def _residual_norm(self, state):
         """Masked residual 2-norm (one global reduction -- the

@@ -20,6 +20,10 @@ this small set of primitives:
                    where the context can fuse it
 ``scale``          ``v *= factor`` (1 unit/pt; P-CSI setup, Lanczos
                    normalization)
+``chebyshev_span`` P-CSI's iterations between two convergence checks:
+                   ``precond``, ``updates`` and ``residual`` per
+                   iteration, charged as those calls; one kernel call
+                   where the context can fuse the whole span
 ``sub``            ``out = a - b`` (folded into the matvec's cost --
                    the paper counts ``r = b - Bx`` as the 9 n^2 matvec)
 =================  ====================================================
@@ -56,6 +60,7 @@ from repro.parallel.reduction import (
     binomial_tree_depth,
     masked_column_partials_stacked,
 )
+from repro.precond.diagonal import DiagonalPreconditioner
 
 
 #: ``updates`` step -> (kernel chain kind, flop units per point, the
@@ -311,6 +316,40 @@ class SolverContext(abc.ABC):
             phase, units * self._vec_width(y) * self.critical_points)
         return True
 
+    # -- P-CSI spans ---------------------------------------------------
+    def chebyshev_span(self, b, r, dx, x, weights):
+        """P-CSI iterations, one per ``(omega, c)`` in ``weights``;
+        returns the new residual.
+
+        Each is ``r' = M^-1 r``, ``dx = omega r' + c dx``, ``x += dx``,
+        ``r = b - A x`` (paper Alg. 2, steps 6-10), updating ``dx`` and
+        ``x`` in place.  The result and the ledger records are those of
+        the :meth:`precond` / :meth:`updates` / :meth:`residual` calls
+        made one by one, which is what runs unless
+        :meth:`_chebyshev_kernel` takes the whole span.
+        """
+        if self._chebyshev_kernel(b, r, dx, x, weights):
+            return r
+        for omega, c in weights:
+            r_prime = self.precond(r)
+            self.updates(("combine", omega, r_prime, c, dx),
+                         ("axpy", 1.0, dx, x))
+            r = self.residual(b, x)
+        return r
+
+    def spans_chebyshev(self, b, r, dx, x):
+        """Whether :meth:`chebyshev_span` on these vectors runs as one
+        kernel call -- P-CSI asks before running more than one
+        iteration per call."""
+        return self._chebyshev_kernel(b, r, dx, x, ())
+
+    def _chebyshev_kernel(self, b, r, dx, x, weights):
+        """Run :meth:`chebyshev_span` as one kernel call, updating ``r``
+        in place too, and charge what the calls would; ``False`` when
+        nothing was touched (an empty ``weights``: whether it would
+        run).  Contexts without such a kernel answer ``False``."""
+        return False
+
     # -- topology ------------------------------------------------------
     @property
     @abc.abstractmethod
@@ -387,8 +426,11 @@ class SerialContext(SolverContext):
 
     # -- operator ------------------------------------------------------
     def matvec(self, x, out=None, phase="computation"):
-        w = self._width(x)
         out = apply_stencil(self.stencil, x, out=out, kernels=self.kernels)
+        self._charge_matvec(self._width(x), phase)
+        return out
+
+    def _charge_matvec(self, w, phase):
         self.ledger.record_flops(phase,
                                  w * MATVEC_FLOPS_PER_POINT * self._critical)
         # The halo-update *event* is recorded even for a 1-rank context
@@ -398,13 +440,29 @@ class SerialContext(SolverContext):
         # zero when p == 1.  A multi-RHS batch moves nrhs-fold payload in
         # the same single exchange.
         self.ledger.record_halo("boundary", words=w * self._halo_words)
-        return out
 
     def _sub(self, a, b, out):
         return np.subtract(a, b, out=out)
 
     def _apply_precond(self, r, out):
         return self.preconditioner.apply_global(r, out=out)
+
+    def _chebyshev_kernel(self, b, r, dx, x, weights):
+        """With a diagonal ``M``, the kernels' one-pass span; charged per
+        iteration exactly as ``precond``, a three-unit ``updates`` and
+        ``residual`` charge."""
+        pre = self.preconditioner
+        if not (isinstance(pre, DiagonalPreconditioner)
+                and self.kernels.chebyshev_span(
+                    self.stencil, pre.inv_diag, b, r, dx, x, weights)):
+            return False
+        w = self._width(x)
+        for _ in weights:
+            self.ledger.record_flops("preconditioning",
+                                     w * self._precond_flops())
+            self.ledger.record_flops("computation", 3 * w * self._critical)
+            self._charge_matvec(w, "computation")
+        return True
 
     # -- reductions ----------------------------------------------------
     def _dot_columns(self, a, b):

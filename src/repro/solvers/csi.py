@@ -17,6 +17,14 @@ Per-iteration event profile (diagonal M):
 * reduction: only at convergence checks (every ``check_freq``
   iterations).
 
+Because no iteration between two checks needs a global value, the
+iterations up to the next check (or due checkpoint, or the budget) are
+one :meth:`~repro.solvers.context.SolverContext.chebyshev_span` call:
+on a serial context with a diagonal ``M`` the kernels run them as one
+wavefront over memory, recording the same per-iteration events; every
+other context runs them one call at a time (see the guarded loop's
+span rule in :mod:`repro.solvers.base`).
+
 Trade-off: P-CSI needs somewhat more iterations than ChronGear for the
 same tolerance (Chebyshev is optimal for the *interval*, CG adapts to
 the discrete spectrum), so it loses at small core counts and wins big at
@@ -68,18 +76,33 @@ class PCSISolver(SpectralBoundedSolver):
             "extra": extra,
         }
 
+    def _span(self, state, k, checkpoint):
+        """Up to the next boundary when the context runs the span as
+        one kernel call (serial, diagonal ``M``), else one."""
+        if not self.context.spans_chebyshev(
+                state["b"], state["r"], state["dx"], state["x"]):
+            return 1
+        return self._until_boundary(k, checkpoint)
+
     def _iterate(self, state, k):
-        ctx = self.context
+        self._iterate_span(state, k, 1)
+
+    def _iterate_span(self, state, first, n):
+        """Iterations ``first .. first + n - 1``: the weights are
+        computed here one by one, exactly as a single iteration
+        computes its own, and the context runs the span (one call; the
+        same per-iteration ledger events however it runs it)."""
         alpha = state["alpha"]
         gamma = state["gamma"]
-        # step 5: the iterated Chebyshev weight
-        omega = 1.0 / (gamma - state["omega"] / (4.0 * alpha * alpha))
-        # step 6: preconditioning (block-local, no communication)
-        r_prime = ctx.precond(state["r"])
-        # step 7: dx = omega r' + (gamma omega - 1) dx; step 8: x += dx
-        ctx.updates(
-            ("combine", omega, r_prime, gamma * omega - 1.0, state["dx"]),
-            ("axpy", 1.0, state["dx"], state["x"]))
-        # steps 9-10: residual recompute (matvec) + halo update
-        state["r"] = ctx.residual(state["b"], state["x"])
+        omega = state["omega"]
+        weights = []
+        for _ in range(n):
+            # step 5: the iterated Chebyshev weight
+            omega = 1.0 / (gamma - omega / (4.0 * alpha * alpha))
+            weights.append((omega, gamma * omega - 1.0))
+        # steps 6-10: r' = M^-1 r (block-local, no communication);
+        # dx = omega r' + (gamma omega - 1) dx; x += dx; the residual
+        # recompute (matvec) + halo update
+        state["r"] = self.context.chebyshev_span(
+            state["b"], state["r"], state["dx"], state["x"], weights)
         state["omega"] = omega

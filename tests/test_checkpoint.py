@@ -27,7 +27,8 @@ from repro.core.checkpoint import (
 )
 from repro.core.errors import ConvergenceError
 from repro.grid import test_config as make_test_config
-from repro.kernels import resolve_kernels
+from repro.kernels import FusedKernels, resolve_kernels
+from repro.kernels.native import load as load_native
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
@@ -335,6 +336,133 @@ class TestSolverResume:
             _context(config, decomp, "serial", "numpy"), tol=1e-12,
             max_iterations=3000).solve(b, resume_from=fail_path)
         _assert_results_identical(full, resumed)
+
+
+def _spans(solver):
+    """Record the span length of every ``_iterate_span`` call."""
+    spans, plain = [], solver._iterate_span
+
+    def spy(state, first, n):
+        spans.append(n)
+        return plain(state, first, n)
+
+    solver._iterate_span = spy
+    return spans
+
+
+def _result_bits(result):
+    """What a span must not change: iterates, counts, histories,
+    ledgers, per-column accounting and the diagnosis."""
+    extra = {key: value for key, value in result.extra.items()
+             if key != "diagnosis"}
+    diagnosis = result.diagnosis.to_dict() if result.diagnosis else None
+    return (result.iterations, result.converged, result.residual_history,
+            result.events, result.setup_events, repr(extra), diagnosis)
+
+
+class TestPCSISpans:
+    """The guarded loop hands P-CSI + diagonal on a serial context the
+    iterations up to the next check, due checkpoint or budget end as
+    one span -- a ``native.c`` wavefront where it was adopted -- and
+    that changes no bit against one iteration a call
+    (``FusedKernels(native=False)``, the per-iteration calls); every
+    other case keeps spans of one."""
+
+    PRODUCTS = {"native": FusedKernels(), "calls": FusedKernels(native=False)}
+
+    @staticmethod
+    def _fused():
+        return load_native().chebyshev_span is not None
+
+    def _solve(self, config, kernels, b, tmp_path=None, x0=None,
+               resume_from=None, **kwargs):
+        ctx = _context(config, None, "serial", self.PRODUCTS[kernels])
+        kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
+        solver = make_solver("pcsi", ctx, raise_on_failure=False, **kwargs)
+        spans = _spans(solver)
+        policy = None if tmp_path is None else CheckpointPolicy(
+            str(tmp_path / kernels), every=7, keep=0)
+        result = solver.solve(b, x0=x0, checkpoint=policy,
+                              resume_from=resume_from)
+        return result, spans, policy
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_spans_stop_at_checks_checkpoints_and_budget(
+            self, tmp_path, config, width):
+        b = _rhs(config)
+        if width is not None:
+            b = np.stack([b, _rhs(config, seed=2)], axis=-1)
+        runs = {kernels: self._solve(config, kernels, b, tmp_path,
+                                     max_iterations=23)
+                for kernels in self.PRODUCTS}
+        (got, spans, policy), (ref, ref_spans, ref_policy) = runs.values()
+        assert got.diagnosis.kind == "budget_exhausted"
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert [os.path.basename(p) for p in policy.written] == \
+            [os.path.basename(p) for p in ref_policy.written]
+        assert ref_spans == [1] * 23
+        if self._fused():
+            # checkpoint 7, check 10, checkpoint 14, check 20,
+            # checkpoint 21, budget 23
+            assert spans == [7, 3, 4, 6, 1, 2]
+
+    def test_checkpoint_written_mid_span_resumes(self, tmp_path, config):
+        """A snapshot at iteration 7 of one iteration a call resumes
+        under spans (8 .. 10 is one), and the other way round, on the
+        uninterrupted run's bits."""
+        b = _rhs(config)
+        full, _, _ = self._solve(config, "calls", b)
+        for writer, reader in (("calls", "native"), ("native", "calls")):
+            _, _, policy = self._solve(config, writer, b, tmp_path / writer)
+            resumed, spans, _ = self._solve(
+                config, reader, b, resume_from=policy.written[0])
+            assert _result_bits(resumed) == _result_bits(full)
+            assert np.array_equal(resumed.x, full.x)
+            if self._fused() and reader == "native":
+                assert spans[0] == 3
+
+    def test_retired_column_compacts_to_width_one(self, config):
+        """Column 0 starts at its solution and retires at the first
+        check; column 1 runs on alone as a batch of width one."""
+        b = np.stack([_rhs(config), _rhs(config, seed=2)], axis=-1)
+        exact, _, _ = self._solve(config, "calls", b[..., 0], tol=1e-12)
+        x0 = np.zeros_like(b)
+        x0[..., 0] = exact.x
+        runs = [self._solve(config, kernels, b, x0=x0)
+                for kernels in self.PRODUCTS]
+        (got, spans, _), (ref, _, _) = runs
+        assert got.extra["per_rhs_iterations"][0] == 10
+        assert got.extra["per_rhs_iterations"][1] > 10
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        if self._fused():
+            assert set(spans) == {10}
+
+    def test_divergence_recovery_widens_with_the_same_bits(self, config):
+        b = _rhs(config)
+        runs = [self._solve(config, kernels, b, eig_bounds=(0.05, 0.9),
+                            max_recoveries=4, mu_backoff=2.0,
+                            max_iterations=5000)
+                for kernels in self.PRODUCTS]
+        (got, _, _), (ref, _, _) = runs
+        assert got.converged and got.extra["recoveries"] >= 1
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+
+    @pytest.mark.parametrize("case", ["evp", "perrank", "batched",
+                                      "resilience"])
+    def test_other_cases_keep_spans_of_one(self, config, decomp, case):
+        engine = "serial" if case == "evp" else (
+            "batched" if case == "resilience" else case)
+        ctx = _context(config, decomp, engine, "fused",
+                       precond="evp" if case == "evp" else "diagonal")
+        solver = make_solver("pcsi", ctx, tol=1e-10)
+        spans = _spans(solver)
+        result = solver.solve(
+            _rhs(config), resilience=True if case == "resilience" else None)
+        assert result.converged and set(spans) == {1}
+        assert len(spans) == result.iterations
 
 
 class TestStepperResume:

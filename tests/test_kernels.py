@@ -12,6 +12,7 @@ compiler the two are the same code and everything still runs; only the
 tests of the library itself skip, with the loader's reason.)
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import KernelError
+from repro.grid import pop_1deg
 from repro.grid import test_config as make_test_config
 from repro.kernels import FusedKernels, NumpyKernels, resolve_kernels
 from repro.kernels.native import load as load_native
@@ -532,32 +534,36 @@ class TestBatchStencilParity:
     def test_scratch_keeps_one_width(self, uniform_config, uniform_decomp):
         """What the backend keeps per coefficient set is its sweeps:
         columns retiring one by one (8, 7, ..., 1) with a single-RHS
-        apply in between leave one single-RHS sweep and one batch
-        width -- and the backend keeps only the last few sets."""
+        apply in between leave the single-RHS sweep -- all ``dia_sweep``
+        needs at any width -- and, on scipy, one batch width; the
+        backend keeps only the last few sets."""
         from repro.kernels.fused import _MAX_FOLDED_SETS
 
-        backend = FusedKernels()
         stencil = uniform_config.stencil
         x = np.stack([_rhs(uniform_config, seed=j) for j in range(8)],
                      axis=-1)
-        for nrhs in range(8, 0, -1):
-            apply_stencil(stencil, np.ascontiguousarray(x[..., :nrhs]),
-                          kernels=backend)
-            apply_stencil(stencil, np.ascontiguousarray(x[..., 0]),
-                          kernels=backend)
-        (held,) = backend._sweeps.values()
-        assert held["coeffs"] is stencil and len(held) == 3
-        # A width-1 batch is the single-RHS sweep: same flat layout.
-        assert held["single"][0] == 1 and held["batch"][0] == 2
-        assert held["batch"][1].shape == (2 * x[..., 0].size,) * 2
-
         vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask)
         src = vm.scatter(x)
         vm.exchange(src)
-        for _ in range(_MAX_FOLDED_SETS + 2):
-            BlockedOperator(stencil, uniform_decomp, kernels=backend).apply(
-                src, vm.zeros(nrhs=8))
-        assert len(backend._sweeps) == _MAX_FOLDED_SETS
+        for backend in (FusedKernels(), FusedKernels(native=False)):
+            for nrhs in range(8, 0, -1):
+                apply_stencil(stencil, np.ascontiguousarray(x[..., :nrhs]),
+                              kernels=backend)
+                apply_stencil(stencil, np.ascontiguousarray(x[..., 0]),
+                              kernels=backend)
+            (held,) = backend._sweeps.values()
+            assert held["coeffs"] is stencil and held["single"][0] == 1
+            if backend._native().dia_sweep is not None:
+                assert len(held) == 2
+            else:
+                # A width-1 batch is the single-RHS sweep: same layout.
+                assert len(held) == 3 and held["batch"][0] == 2
+                assert held["batch"][1].shape == (2 * x[..., 0].size,) * 2
+
+            for _ in range(_MAX_FOLDED_SETS + 2):
+                BlockedOperator(stencil, uniform_decomp,
+                                kernels=backend).apply(src, vm.zeros(nrhs=8))
+            assert len(backend._sweeps) == _MAX_FOLDED_SETS
 
     @staticmethod
     def _contraction_probe(backend):
@@ -597,6 +603,108 @@ class TestBatchStencilParity:
             "the compiler contracted a*b+c in native.c's dia_sweep "
             f"(gave {value!r}, multiply-then-add gives 0.0) and the "
             "loader's self-test did not notice")
+
+
+@functools.lru_cache(maxsize=None)
+def _span_config(grid):
+    """The drawn span grids, with land: four test grids and the 144 x
+    120 ``pop_1deg``."""
+    if grid == "pop":
+        return pop_1deg(scale=0.375)
+    return make_test_config(*grid, seed=2)
+
+
+@st.composite
+def _span_cases(draw):
+    """A grid, a batch width, a span length, weights, and NaN / Inf
+    planted in the first or last rows and columns of ``r``, ``x`` and
+    ``dx`` -- where the couplings that wrap around an edge read them."""
+    grid = draw(st.sampled_from(((3, 3), (4, 5), (17, 3), (17, 120), "pop")))
+    ny, nx = (144, 120) if grid == "pop" else grid
+    edge = st.tuples(
+        st.sampled_from(("r", "x", "dx")),
+        st.one_of(st.tuples(st.sampled_from((0, ny - 1)),
+                            st.integers(0, nx - 1)),
+                  st.tuples(st.integers(0, ny - 1),
+                            st.sampled_from((0, nx - 1)))),
+        st.sampled_from((np.nan, np.inf, -np.inf)))
+    return dict(
+        grid=grid, nrhs=draw(st.sampled_from((None, 1, 2, 3, 8, 11))),
+        steps=draw(st.sampled_from((1, 2, 7, 10))),
+        seed=draw(st.integers(0, 20)),
+        poison=draw(st.lists(edge, max_size=3)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
+class TestChebyshevSpan:
+    """``SolverContext.chebyshev_span`` on a serial context with a
+    diagonal preconditioner -- one ``native.c`` wavefront where the
+    library was adopted -- against the same iterations as one
+    ``precond`` / ``updates`` / ``residual`` call each on the scipy /
+    numpy floor: ``r``, ``dx``, ``x`` and the ledger equal, NaN and Inf
+    at the edges included (the sweep's wrapping zero couplings turn
+    them into NaN on the opposite edge, and a span must do so at the
+    same iterations)."""
+
+    @given(case=_span_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_spans(self, case):
+        config = _span_config(case["grid"])
+        stencil = config.stencil
+        rng = np.random.default_rng(case["seed"])
+        shape = stencil.shape + (() if case["nrhs"] is None
+                                 else (case["nrhs"],))
+        b, r, dx, x = (rng.standard_normal(shape) for _ in range(4))
+        vectors = {"r": r, "dx": dx, "x": x}
+        for name, (j, i), value in case["poison"]:
+            vectors[name][j, i] = value
+        weights = [(float(w), float(c)) for w, c in
+                   rng.uniform(0.5, 2.0, (case["steps"], 2)) * (1.0, -0.5)]
+        results = []
+        for kernels in (FusedKernels(), FusedKernels(native=False)):
+            pre = make_preconditioner("diagonal", stencil, kernels=kernels)
+            ctx = SerialContext(stencil, pre, kernels=kernels)
+            got = {name: v.copy() for name, v in vectors.items()}
+            fused = ctx.spans_chebyshev(b, got["r"], got["dx"], got["x"])
+            assert fused == (kernels._native().chebyshev_span is not None)
+            got["r"] = ctx.chebyshev_span(b, got["r"], got["dx"], got["x"],
+                                          weights)
+            results.append((got, ctx.ledger.snapshot()))
+        (span, span_ledger), (calls, calls_ledger) = results
+        for name in vectors:
+            assert np.array_equal(span[name], calls[name], equal_nan=True), \
+                name
+        assert span_ledger == calls_ledger
+
+    @needs_native("chebyshev_span")
+    def test_span_declines_what_it_cannot_run(self, uniform_config):
+        """Narrow grids, strided, read-only, mis-shaped or overlapping
+        vectors: ``False``, and nothing was touched."""
+        kernels = FusedKernels()
+        stencil = uniform_config.stencil
+        inv = make_preconditioner("diagonal", stencil).inv_diag
+        rng = np.random.default_rng(3)
+        b, r, dx, x = rng.standard_normal((4,) + stencil.shape)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        wide = rng.standard_normal(stencil.shape + (2,))
+        narrow = make_test_config(6, 2, seed=1)
+        for args in ((b, r, dx, wide[..., 0]), (b, r, dx, frozen),
+                     (b, r, dx, x[:, :-1]), (b, r, r, x)):
+            before = [v.copy() for v in args]
+            assert not kernels.chebyshev_span(stencil, inv, *args,
+                                              [(1.0, 0.5)])
+            assert all(np.array_equal(v, w) for v, w in zip(args, before))
+        vectors = np.zeros((4, 6, 2))
+        assert not kernels.chebyshev_span(
+            narrow.stencil, np.ones((6, 2)), *vectors, [(1.0, 0.5)])
+        assert not NumpyKernels().chebyshev_span(stencil, inv, b, r, dx, x,
+                                                 [(1.0, 0.5)])
+        assert kernels.chebyshev_span(stencil, inv, b, r, dx, x, ())
+        assert kernels.chebyshev_span(stencil, inv, b, r, dx, x,
+                                      [(1.0, 0.5)])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
@@ -821,6 +929,31 @@ class TestVectorKernels:
             assert FusedKernels().update_chain(
                 [step[:3] + (v[step[3]], v[step[4]])])
             assert not np.any(v[step[4]]), step
+
+    @needs_native("chebyshev_span")
+    def test_chebyshev_span_is_not_contracted(self):
+        """Both products of the ``dx`` update and the sweep's with the
+        operands of ``test_sweep_is_not_contracted``: each rounds
+        before its add, so ``dx`` and ``r`` come out 0.0 where a fused
+        multiply-add leaves ``+-2**-54``."""
+        from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        shape = (3, 3)
+        planes = {name: np.zeros(shape) for name in COEFF_NAMES}
+        planes["c"][...] = 1.0
+        planes["n"][...] = -small
+        stencil = StencilCoeffs(mask=np.ones(shape, dtype=bool), **planes)
+        inv = np.ones(shape)
+        for w, c, r_val, dx_val in ((-small, 1.0, small, big),
+                                    (1.0, -small, big, small)):
+            b, r, dx, x = np.zeros((4,) + shape)
+            r[1, 1], dx[1, 1], x[1, 1], x[2, 1] = r_val, dx_val, big, small
+            assert FusedKernels().chebyshev_span(stencil, inv, b, r, dx, x,
+                                                 [(w, c)])
+            assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
+                "the compiler contracted a*b+c in native.c's "
+                "chebyshev_span and the loader's self-test did not notice")
 
     @staticmethod
     def _chains(rng, shape, coeffs, vectors=None):

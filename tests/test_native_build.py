@@ -7,9 +7,10 @@ ChronGear + EVP solves it makes -- one serial, one of 8 right-hand
 sides on the batched engine's stacks: the sweep in its single- and
 multi-vector forms, the update chain with scalar and per-column
 coefficients, the dot of one vector and of stack windows, both EVP
-entry points -- must equal the numpy oracle's bit for bit, emit no
-warning and nothing on stderr, and ``describe()`` /
-``native_status()`` must name what happened.
+entry points -- must equal the numpy oracle's bit for bit, and a
+2-column serial P-CSI + diagonal solve (its spans) the per-iteration
+path's; none may emit a warning or anything on stderr, and
+``describe()`` / ``native_status()`` must name what happened.
 """
 
 import ctypes
@@ -37,9 +38,10 @@ import warnings
 import numpy as np
 {prelude}
 from repro.grid import test_config
-from repro.kernels import resolve_kernels
+from repro.kernels import FusedKernels, resolve_kernels
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
+from repro.precond.diagonal import DiagonalPreconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import DistributedContext, SerialContext, make_solver
 
@@ -62,16 +64,24 @@ def solve(kernels, stacked):
     return make_solver("chrongear", ctx, tol=1e-10).solve(
         b if stacked else np.ascontiguousarray(b[..., 0]))
 
+def pcsi(kernels):
+    pre = DiagonalPreconditioner(config.stencil, kernels=kernels)
+    ctx = SerialContext(config.stencil, pre, kernels=kernels)
+    return make_solver("pcsi", ctx, tol=1e-10).solve(
+        np.ascontiguousarray(b[..., :2]))
+
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     kernels = resolve_kernels(None)
     pairs = [(solve("numpy", stacked), solve(None, stacked))
              for stacked in (False, True)]
+    pairs.append((pcsi(FusedKernels(native=False)), pcsi(None)))
 assert not caught, [str(w.message) for w in caught]
 for ref, got in pairs:
     assert got.converged and ref.iterations == got.iterations
     assert np.array_equal(ref.x, got.x)
     assert np.array_equal(ref.residual_history, got.residual_history)
+    assert ref.events == got.events
 print(kernels.describe())
 print(kernels.native_status())
 """
@@ -160,11 +170,12 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
 
 @needs_compiler
 @pytest.mark.parametrize("failed", ["dia_sweep", "update_chain",
-                                    "pairwise_dot"])
+                                    "pairwise_dot", "chebyshev_span"])
 def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     """Each of the entry points the stacks share with the serial
-    vectors, failing alone: its loops go back to scipy / numpy, the
-    other four stay adopted, both solves keep their bits."""
+    vectors, and the serial P-CSI span, failing alone: its loops go
+    back to scipy / numpy (P-CSI to one iteration a call), the other
+    five stay adopted, every solve keeps its bits."""
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)
@@ -177,7 +188,7 @@ def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     out = subprocess.run([sys.executable, "-c", prelude + report], env=env,
                          capture_output=True, text=True, check=True).stdout
     adopted = ["dia_sweep", "update_chain", "pairwise_dot", "evp_march",
-               "evp_edges"]
+               "evp_edges", "chebyshev_span"]
     adopted.remove(failed)
     assert out.strip() == str(adopted)
 
