@@ -20,7 +20,8 @@ sequence -- ``np.array_equal`` results, pinned by
     loop is one pass over contiguous memory (see
     :mod:`repro.kernels.fused`), each loop run by one compiled function
     of ``native.c`` -- the stencil sweep, a chain of vector updates,
-    the masked dot, the EVP march and its edge residuals.  The C file
+    the masked dot, the EVP march, its edge residuals and the gather /
+    masked scatter around them.  The C file
     is built on first use with the system compiler and cached per user
     (:mod:`repro.kernels.native`); where it cannot be built, loaded or
     verified the same layouts run through scipy's DIA kernel and numpy

@@ -6,7 +6,9 @@ the reproduction:
 * the nine-point stencil matrix-vector product (the paper's ``9 n^2``
   computation term), in its global, per-rank-local and stacked forms,
 * the EVP tile solve (the paper's ``14 n^2`` preconditioner apply):
-  two marching sweeps plus the edge-residual evaluation,
+  two marching sweeps plus the edge-residual evaluation, and the
+  movement of a whole application in and out of the tiles
+  (:meth:`~KernelBackend.evp_gather` / :meth:`~KernelBackend.evp_scatter`),
 * the contexts' inner products (:meth:`~KernelBackend.masked_dot` for
   one serial vector pair, :meth:`~KernelBackend.window_dots` for every
   block and column of a stack or a batch) and runs of vector updates
@@ -104,8 +106,9 @@ class KernelBackend:
 
         ``y`` has shape ``(B, my, mx)`` or ``(B, my, mx, nrhs)`` for a
         multi-RHS batch; writes/returns ``x`` of the same shape.  Must
-        call ``engine.ring_correction`` for the ring update so the
-        correction stays backend-independent.
+        call ``engine.ring_correction`` (or its un-negated matmul,
+        ``engine.ring_rows``) for the ring update so the correction
+        stays backend-independent.
         """
         raise NotImplementedError
 
@@ -118,7 +121,8 @@ class KernelBackend:
         buffer (``x_size`` rows) that :meth:`evp_run` works on.  A
         caller that composes them with its own cell maps moves data in
         and out of the backend's layout with one ``take`` each way
-        (:class:`~repro.precond.evp.EVPBlockPreconditioner` does).
+        (:class:`~repro.precond.evp.EVPBlockPreconditioner` does,
+        where :meth:`evp_gather` / :meth:`evp_scatter` decline).
         The default is tile-major, the layout of :meth:`evp_solve`.
         """
         b, my, mx = engine.batch, engine.my, engine.mx
@@ -142,6 +146,37 @@ class KernelBackend:
         if nrhs is not None:
             shape += (nrhs,)
         self.evp_solve(engine, plan, y.reshape(shape), out=x.reshape(shape))
+
+    def evp_gather(self, layout, r, y):
+        """Copy every tile cell of ``r`` into the right-hand-side rows
+        ``y``, if this backend can.
+
+        ``layout`` is an :class:`EvpLayout`, ``r`` a float64 array in it
+        (any strides: a grid, a batch, the strided interior of a stack)
+        with ``n`` trailing batch columns or none (``n = 1``), ``y`` the
+        C-contiguous ``(rows, n)`` buffer whose ``y_rows`` slices the
+        group engines solve from, in the :meth:`evp_slots` layout.
+        Returns ``True`` when ``y`` was filled; ``False`` (the default:
+        there is no such kernel in numpy) when nothing was touched and
+        the caller takes the cells with its own maps.
+        """
+        return False
+
+    def evp_scatter(self, layout, x, out):
+        """``out = x[slot] * mask``, if this backend can.
+
+        ``x`` is the ``(rows, n)`` solution buffer whose ``x_rows``
+        slices the group engines solved into, ``out`` a writable
+        float64 array in ``layout`` (any strides, ``n`` trailing batch
+        columns or none).  Every tile cell gets its solution times
+        ``layout.mask`` -- the multiply that masks the preconditioner's
+        output -- and every cell no tile covers ``0.0``; nothing else
+        (the halo of a stack ``out`` is the interior of) is written.
+        Returns ``True`` when ``out`` was written; ``False`` (the
+        default) when nothing was touched and the caller takes the
+        solutions back and multiplies them by the mask.
+        """
+        return False
 
     # ------------------------------------------------------------------
     # vector kernels: dots and runs of updates
@@ -231,6 +266,34 @@ class KernelBackend:
 
     def __repr__(self):
         return f"<KernelBackend {self.name}>"
+
+
+class EvpLayout:
+    """Where the EVP tiles sit in one array layout: what
+    :meth:`KernelBackend.evp_gather` and :meth:`KernelBackend.evp_scatter`
+    move.
+
+    ``shape`` is the layout's cell shape, ``(ny, nx)`` (a grid) or ``(p,
+    bny, bnx)`` (stacked block interiors); an array in it may carry one
+    more, trailing axis of batch columns.  ``mask`` is the C-contiguous
+    float64 ``0.0`` / ``1.0`` plane of that shape.  ``groups`` lists,
+    per engine in buffer order, ``(engine, origins, y_rows, x_rows)``:
+    the int64 ``(B, 3)`` first cell ``(block, j, i)`` of each of the
+    engine's tiles (block 0 on a grid) and the slices of the shared
+    right-hand-side and solution buffers the engine works on; the
+    ``y_rows`` follow each other from row 0.  ``uncovered`` holds the
+    int64 runs ``(block, j, i, cells)`` of cells no tile covers.
+    ``compiled`` is the backend's, for tables it derives from the rest.
+    """
+
+    __slots__ = ("shape", "mask", "groups", "uncovered", "compiled")
+
+    def __init__(self, shape, mask, groups, uncovered):
+        self.shape = tuple(shape)
+        self.mask = mask
+        self.groups = groups
+        self.uncovered = uncovered
+        self.compiled = {}
 
 
 def validate_evp_shapes(engine, y):

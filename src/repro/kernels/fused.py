@@ -35,19 +35,38 @@ the ring are lines of constant stride through ``S`` (``J`` fixed, or
 Nothing is zero-filled between sweeps -- the sweep writes every
 interior cell before reading it and never writes the padding border.
 
-**One program for every width.**  A batch folds its ``nrhs`` into the
-tile axis (``B * nrhs`` innermost, coefficient rows repeated
-``nrhs``-fold), so single- and multi-RHS solves run the same program on
-longer rows and each column sees the single-RHS operation sequence.  A
-plan keeps one working set -- programs, repeated coefficients, three
-``(k, B * nrhs)`` scratch rows -- for the one width and pair of buffers
-it was last handed.
+**One program for every width.**  A batch keeps its ``nrhs`` columns
+interleaved per equation -- the state is ``S[J + I, J, tile, column]``,
+the packed right-hand sides ``(rows, B, nrhs)`` -- while the
+coefficient block and ``1/ne`` hold one value per (equation, tile):
+built once per engine (:meth:`_EvpPlan.tables`), the same arrays at
+every width.  ``evp_march`` and ``evp_edges`` read each coefficient
+once for all the columns, taken in compile-time groups of at most
+eight, so every column sees the single-RHS operation sequence and the
+coefficient traffic does not grow with the width.  The edge residuals
+come out as ``(nrhs, B, k)``, the order the ring correction's batched
+matmul reads, and the second march sets the ring from that matmul's
+product, negated: nothing is reshuffled around it.  Without the
+library the ufunc floor merges the tile and column axes and repeats
+the coefficient rows ``nrhs``-fold for itself.  A plan keeps one
+working set -- the calls bound to one pair of buffers, the residuals
+and their ring product -- for the width it was last handed.
 
 **Layout at the boundary.**  ``evp_slots`` publishes where each tile
-cell lives, so the preconditioner composes it with its own cell maps
-and moves a whole application in and out with one ``take`` each way
-(``EVPBlockPreconditioner._apply``); ``evp_solve`` does the same for a
-stand-alone tile-major batch.
+cell lives; ``evp_gather`` and ``evp_scatter`` move a whole
+application of the preconditioner in and out of that layout in one
+``native.c`` call each.  The gather copies the tile cells of ``r`` --
+whatever its strides: the grid, a batch, the strided interior of a
+stack -- into the packed rows in packed-row order, tiles innermost;
+the scatter writes ``state * mask`` back through ``out``'s strides and
+``0.0`` where no tile covers a cell.  Their tables (tile origins, row
+offsets, state rows, uncovered runs) are built once per layout and
+array geometry and cached on the layout
+(:class:`~repro.kernels.base.EvpLayout`); there is no
+grid-sized index array and no copy of a strided interior.  Where they
+were not adopted, ``EVPBlockPreconditioner._apply`` takes with its own
+cell maps and multiplies by the mask; ``evp_solve`` takes a
+stand-alone tile-major batch in and out the same way.
 
 **The stencil as one compiled sweep.**  The nine coefficient planes
 are stored once per coefficient set as a ``scipy.sparse.dia_array``
@@ -119,7 +138,7 @@ context runs the iterations one call at a time.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
-:meth:`EVPTileEngine.ring_correction`.
+:meth:`EVPTileEngine.ring_rows`.
 """
 
 import functools
@@ -154,6 +173,9 @@ _OFFSETS = ((0, 0),) + tuple(NEIGHBOR_OFFSETS.values())
 #: Coefficient sets whose sweeps stay cached (a long-lived process
 #: builds a new stacked set per distributed context).
 _MAX_FOLDED_SETS = 4
+#: Boundary programs an EVP layout keeps (one per kind and geometry of
+#: the arrays handed to it: a fresh ``out``, a stack interior, ...).
+_MAX_BOUNDARY_PROGRAMS = 8
 
 
 def _dia_sweep(planes, h, n):
@@ -188,20 +210,27 @@ def _dia_sweep(planes, h, n):
 
 
 class _EvpPlan:
-    """Skewed layout of one engine's tiles (width-independent part).
+    """Skewed layout of one engine's tiles and what of it is the same at
+    every batch width.
 
-    A padded tile cell ``(J, I)`` of tile ``pos`` lives in state slot
-    ``((J + I) * (my + 2) + J) * B + pos``; the equation centred on
-    interior cell ``(ty, tx)`` has its right-hand side and coefficients
-    in row ``row[ty, tx]`` of the packed ``(my * mx, B)`` arrays:
-    marched centres ordered by ``(ty + tx, ty)``, then the unmarched
-    north- and east-edge centres in ring order.  ``bound`` is the one
-    :class:`_EvpWorkingSet` (one width, one pair of buffers) and
-    ``own`` the buffers and index maps of a stand-alone
+    A padded tile cell ``(J, I)`` of tile ``pos`` lives in state row
+    ``(J + I) * (my + 2) + J`` (of ``B`` equations), equation ``pos``;
+    the equation centred on interior cell ``(ty, tx)`` has its
+    right-hand side and coefficients in row ``row[ty, tx]`` of the
+    packed ``(my * mx, B)`` arrays: marched centres ordered by ``(ty +
+    tx, ty)``, then the unmarched north- and east-edge centres in ring
+    order.  :meth:`tables` builds, once per engine on first use, the
+    coefficient block -- one ``B``-wide row per (term, packed row),
+    then NE of the edge equations --, ``1/ne`` of the marched ones and
+    the marching and edge steps (``programs``: the same as tables in
+    equations for ``native.c``), all valid at every width.  ``bound``
+    is the one :class:`_EvpWorkingSet` (one width, one pair of
+    buffers) and ``own`` the buffers and index maps of a stand-alone
     :meth:`EVPTileEngine.solve`, built on first use.
     """
 
-    __slots__ = ("shape", "ty", "tx", "steps", "bound", "own")
+    __slots__ = ("shape", "ty", "tx", "steps", "names", "block", "inv_ne",
+                 "march", "edges", "programs", "bound", "own")
 
     def __init__(self, engine):
         my, mx = engine.my, engine.mx
@@ -218,6 +247,8 @@ class _EvpPlan:
              [term for term in engine.terms
               if np.any(engine.coeffs[term[0]][:, ty, tx])])
             for ty, tx in engine._diagonals]
+        self.names = [name for name, _, _ in engine.terms]
+        self.block = None
         self.bound = None
         self.own = None
 
@@ -232,156 +263,222 @@ class _EvpPlan:
                 ((jj + ii + 2) * (my + 2) + jj + 1) * b + pos,
                 (my + mx + 3) * (my + 2) * b)
 
+    def state_rows(self):
+        """State row of every packed row's cell."""
+        my = self.shape[1]
+        return (self.ty + self.tx + 2) * (my + 2) + self.ty + 1
+
+    def lines(self, engine):
+        """The state rows the march and the edge residuals address, as
+        slices: ``(south, west, edges)`` -- the ring's two lines and, per
+        term (NE last), the source rows of the north and of the east
+        edge equations."""
+        my, mx = engine.my, engine.mx
+
+        def line(j, i, dj, di, count):
+            """``count`` cells from padded ``(j, i)`` stepping by
+            ``(dj, di)``: state rows a constant stride apart."""
+            start = (j + i) * (my + 2) + j
+            step = (dj + di) * (my + 2) + dj
+            return slice(start, start + step * count, step)
+
+        edges = [(line(my + dj, 1 + di, 0, 1, mx),
+                  line(1 + dj, mx + di, 1, 0, my - 1))
+                 for _, dj, di in list(engine.terms) + [("ne", 1, 1)]]
+        return line(1, 1, 0, 1, mx), line(2, 1, 1, 0, my - 1), edges
+
+    def tables(self, engine):
+        """Build the width-independent arrays (once)."""
+        if self.block is not None:
+            return
+        b, my, mx, k = engine.batch, engine.my, engine.mx, engine.k
+        rows, n_march = my * mx, (my - 1) * (mx - 1)
+        names = self.names
+
+        def packed(values, rows=slice(None)):
+            return values[:, self.ty[rows], self.tx[rows]].T
+
+        # One block of coefficient rows: a ``(my * mx, B)`` plane per
+        # marching term, then NE for the ``k`` unmarched equations.
+        block = np.empty((len(names) * rows + k, b))
+        for t, name in enumerate(names):
+            block[t * rows:(t + 1) * rows] = packed(engine.coeffs[name])
+        block[len(names) * rows:] = packed(engine.coeffs["ne"],
+                                           slice(n_march, None))
+        self.inv_ne = 1.0 / packed(engine.coeffs["ne"], slice(n_march))
+        self.block = block
+
+        # Per marched anti-diagonal: first equation row, length, target
+        # state row, (term, first source row) per term.
+        march, a = [], 0
+        for lo, d, length, terms in self.steps:
+            march.append((a, length, (d + 4) * (my + 2) + lo + 2,
+                          [(names.index(name),
+                            (d + 2 + dj + di) * (my + 2) + lo + 1 + dj)
+                           for name, dj, di in terms]))
+            a += length
+        self.march = march
+        #: Per edge term: first coefficient row, north and east sources.
+        south, west, sources = self.lines(engine)
+        first = [t * rows + n_march for t in range(len(names))]
+        self.edges = [(c, north, east) for c, (north, east)
+                      in zip(first + [len(names) * rows], sources)]
+
+        # The same as ``evp_march`` / ``evp_edges`` tables, in equations.
+        prog = [b, len(march), k, *_rows(south), *_rows(west)]
+        for a, length, target, terms in march:
+            prog += [length * b, a * b, target * b, len(terms)]
+            for t, src in terms:
+                prog += [(t * rows + a) * b, src * b]
+        self.programs = (
+            np.array(prog, dtype=np.int64),
+            np.array([c * b for c, _, _ in self.edges], dtype=np.int64),
+            np.array([row for _, north, east in self.edges
+                      for row in _rows(north) + _rows(east)], dtype=np.int64))
+
 
 class _EvpWorkingSet:
     """The marching programs of one engine over one pair of buffers.
 
     ``y`` is the packed right-hand side ``(my * mx * B, n)`` and ``x``
-    the skewed state ``(x_size, n)``; viewed with the tile and RHS axes
-    merged (``B * n`` innermost), every operand of the recurrence for
-    one anti-diagonal is a contiguous ``(L, B * n)`` slice.  The march
-    and the edge residuals each run as one call into ``lib`` (the
-    loaded ``native.c``) over tables of element offsets, or -- where
-    that entry point was not adopted -- as a flat list of ``(ufunc, a,
-    b, out)`` on prebuilt views of the same slices.  The coefficient
-    rows are repeated ``n``-fold once, here.
+    the skewed state ``(x_size, n)``; viewed as ``(rows, B, n)``, every
+    operand of the recurrence for one anti-diagonal is a contiguous
+    ``(L, B, n)`` slice and its coefficients an ``(L, B)`` slice of the
+    plan's block, one value per tile for every column.  The march (with
+    the ring set first) and the edge residuals each run as one call
+    into ``lib`` (the loaded ``native.c``) over the plan's programs, or
+    -- where that entry point was not adopted -- as a flat list of
+    ``(ufunc, a, b, out)`` on prebuilt views.  The residuals ``f`` are
+    ``(n, B, k)`` and their ring product ``ring`` ``(n, B, 1, k)``: the
+    operand and result of :meth:`EVPTileEngine.ring_rows`, which the
+    native march reads back negated, so nothing is reshuffled around
+    the matmul.
     """
 
-    __slots__ = ("y", "x", "march", "edges", "f", "f_tiles", "south",
-                 "west", "keep")
+    __slots__ = ("y", "x", "f", "ring", "march", "edges")
 
     def __init__(self, engine, plan, y, x, lib):
         b, my, mx, k = engine.batch, engine.my, engine.mx, engine.k
         n = y.shape[1]
-        bn = b * n
+        plan.tables(engine)
         self.y, self.x = y, x
-        rhs = y.reshape(my * mx, bn)
-        flat = x.reshape((my + mx + 3) * (my + 2), bn)
-        rows, n_march = my * mx, (my - 1) * (mx - 1)
-        names = [name for name, _, _ in engine.terms]
+        self.f = np.empty((n, b, k))
+        self.ring = np.empty((n, b, 1, k))
         if not (y.flags.c_contiguous and x.flags.c_contiguous):
             lib = Native("strided buffers")
-
-        def packed(values, rows=slice(None)):
-            return np.repeat(values[:, plan.ty[rows], plan.tx[rows]].T, n,
-                             axis=1)
-
-        def line(j, i, dj, di, count):
-            """``count`` cells from padded ``(j, i)`` stepping by
-            ``(dj, di)``: rows of ``flat`` a constant stride apart."""
-            start = (j + i) * (my + 2) + j
-            step = (dj + di) * (my + 2) + dj
-            return slice(start, start + step * count, step)
-
-        # One block of coefficient rows: a ``(my * mx, bn)`` plane per
-        # marching term, then NE for the ``k`` unmarched equations.
-        block = np.empty((len(names) * rows + k, bn))
-        for t, name in enumerate(names):
-            block[t * rows:(t + 1) * rows] = packed(engine.coeffs[name])
-        block[len(names) * rows:] = packed(engine.coeffs["ne"],
-                                           slice(n_march, None))
-        inv_ne = 1.0 / packed(engine.coeffs["ne"], slice(n_march))
-        acc, tmp, self.f = np.empty((3, k, bn))
-        self.keep = [block, inv_ne]
-
-        # Per marched anti-diagonal: first equation row, length, first
-        # target row of ``flat``, (term, first source row) per term.
-        steps, a = [], 0
-        for lo, d, length, terms in plan.steps:
-            steps.append((a, length, (d + 4) * (my + 2) + lo + 2,
-                          [(names.index(name),
-                            (d + 2 + dj + di) * (my + 2) + lo + 1 + dj)
-                           for name, dj, di in terms]))
-            a += length
-        if lib.evp_march is not None:
-            prog = []
-            for a, length, target, terms in steps:
-                prog += [length * bn, a * bn, target * bn, len(terms)]
-                for t, src in terms:
-                    prog += [(t * rows + a) * bn, src * bn]
-            prog = np.array(prog, dtype=np.int64)
-            self.keep.append(prog)
-            self.march = functools.partial(
-                lib.evp_march, len(steps), prog.ctypes.data,
-                block.ctypes.data, inv_ne.ctypes.data, rhs.ctypes.data,
-                flat.ctypes.data)
+        prog, offsets, sources = plan.programs
+        if lib.evp_march is None or lib.evp_edges is None:
+            block = _repeated(plan.block, n)
+            rhs, flat = y.reshape(my * mx, b * n), x.reshape(-1, b * n)
+        if lib.evp_march is None:
+            self.march = _ufunc_march(engine, plan, block, rhs, flat,
+                                      self.ring)
         else:
-            ops = []
-            for a, length, target, terms in steps:
-                cur = rhs[a:a + length]
-                for t, src in terms:
-                    ops.append((np.multiply,
-                                block[t * rows + a:t * rows + a + length],
-                                flat[src:src + length], tmp[:length]))
-                    ops.append((np.subtract, cur, tmp[:length], acc[:length]))
-                    cur = acc[:length]
-                ops.append((np.multiply, cur, inv_ne[a:a + length],
-                            flat[target:target + length]))
-            self.march = functools.partial(_run, ops)
-
-        # Unmarched equations: north edge west to east, then east edge
-        # south to north -- ``f = -y + sum(coeff * p)``, NE term last.
-        rhs_edge, f = rhs[n_march:], self.f
-        lines = [(line(my + dj, 1 + di, 0, 1, mx),
-                  line(1 + dj, mx + di, 1, 0, my - 1))
-                 for _, dj, di in list(engine.terms) + [("ne", 1, 1)]]
-        first = [t * rows + n_march for t in range(len(names))]
-        first.append(len(names) * rows)
-        if lib.evp_edges is not None:
-            ids = np.arange(flat.shape[0], dtype=np.int64)
-            src_rows = np.concatenate([ids[part] for pair in lines
-                                       for part in pair])
-            offsets = np.array(first, dtype=np.int64) * bn
-            self.keep += [src_rows, offsets]
+            march = functools.partial(
+                lib.evp_march, prog.ctypes.data, n, plan.block.ctypes.data,
+                plan.inv_ne.ctypes.data, y.ctypes.data, x.ctypes.data)
+            ring = self.ring.ctypes.data
+            self.march = lambda corrected: march(ring if corrected else 0)
+        if lib.evp_edges is None:
+            self.edges = _ufunc_edges(engine, plan, block, rhs, flat, self.f)
+        else:
+            geometry = np.array([k, b, n, len(offsets)], dtype=np.int64)
             self.edges = functools.partial(
-                lib.evp_edges, k, bn, len(lines), offsets.ctypes.data,
-                src_rows.ctypes.data, block.ctypes.data,
-                rhs_edge.ctypes.data, flat.ctypes.data, f.ctypes.data)
-        else:
-            ops = []
-            for c, (north, east) in zip(first, lines):
-                ops.append((np.multiply, block[c:c + mx], flat[north],
-                            tmp[:mx]))
-                ops.append((np.multiply, block[c + mx:c + k], flat[east],
-                            tmp[mx:]))
-                ops.append((np.add, f, tmp, f))
+                lib.evp_edges, geometry.ctypes.data,
+                offsets.ctypes.data, sources.ctypes.data,
+                plan.block.ctypes.data,
+                y.ctypes.data + (my - 1) * (mx - 1) * b * n * 8,
+                x.ctypes.data, self.f.ctypes.data)
+            self.edges.geometry = geometry   # alive as long as the pointer
 
-            def edges():
-                np.negative(rhs_edge, out=f)
-                _run(ops)
-
-            self.edges = edges
-        #: The residuals as ``ring_correction`` takes them, ``(B, k, n)``.
-        self.f_tiles = self.f.reshape(k, b, n).transpose(1, 0, 2)
-        self.south = flat[line(1, 1, 0, 1, mx)].reshape(mx, b, n)
-        self.west = flat[line(2, 1, 1, 0, my - 1)].reshape(my - 1, b, n)
-
-    def solve(self, engine, nrhs):
+    def solve(self, engine):
         """March from a zero ring, correct the ring, march again.
 
         Only ring cells are reset: every other interior cell is written
         by the sweep before anything reads it, and the padding border
         is never written, so it stays zero.
         """
-        self.south[...] = 0.0
-        self.west[...] = 0.0
-        self.march()
+        self.march(False)
         self.edges()
-        if nrhs is None:
-            # The single-RHS correction is a matmul on contiguous rows.
-            ring = engine.ring_correction(
-                np.ascontiguousarray(self.f_tiles[..., 0]))[..., None]
+        engine.ring_rows(self.f, self.ring)
+        self.march(True)
+
+
+def _ufunc_march(engine, plan, block, rhs, flat, ring):
+    """The march as ufunc calls on views of the right-hand sides and
+    states with the tile and column axes merged (``B * n`` innermost)
+    and the coefficient ``block`` repeated to match (see
+    :func:`_repeated`): ``march(corrected)`` sets the ring to 0.0 or to
+    ``-ring`` (the ring product) and marches."""
+    b, mx, k, rows = engine.batch, engine.mx, engine.k, engine.my * engine.mx
+    n = rhs.shape[1] // b
+    inv_ne = _repeated(plan.inv_ne, n)
+    acc, tmp = np.empty((2, k, b * n))
+    ops = []
+    for a, length, target, terms in plan.march:
+        cur = rhs[a:a + length]
+        for t, src in terms:
+            ops.append((np.multiply, block[t * rows + a:t * rows + a + length],
+                        flat[src:src + length], tmp[:length]))
+            ops.append((np.subtract, cur, tmp[:length], acc[:length]))
+            cur = acc[:length]
+        ops.append((np.multiply, cur, inv_ne[a:a + length],
+                    flat[target:target + length]))
+    south, west, _ = plan.lines(engine)
+    south = flat[south].reshape(-1, b, n)
+    west = flat[west].reshape(-1, b, n)
+    ring = ring[:, :, 0, :].transpose(2, 1, 0)
+
+    def march(corrected):
+        if corrected:
+            np.negative(ring[:mx], out=south)
+            np.negative(ring[mx:], out=west)
         else:
-            ring = engine.ring_correction(self.f_tiles)
-        mx = self.south.shape[0]
-        self.south[...] = ring[:, :mx].transpose(1, 0, 2)
-        self.west[...] = ring[:, mx:].transpose(1, 0, 2)
-        self.march()
+            south[...] = 0.0
+            west[...] = 0.0
+        _run(ops)
+
+    return march
+
+
+def _ufunc_edges(engine, plan, block, rhs, flat, f):
+    """The edge residuals as ufunc calls on the same views: north edge
+    west to east, then east edge south to north -- ``f = -y + sum(coeff
+    * p)``, NE term last -- in ``(k, B * n)`` rows, then moved into the
+    ``(n, B, k)`` order of ``f``."""
+    my, mx, k = engine.my, engine.mx, engine.k
+    acc, tmp = np.empty((2, k, rhs.shape[1]))
+    ops = []
+    for c, north, east in plan.edges:
+        ops.append((np.multiply, block[c:c + mx], flat[north], tmp[:mx]))
+        ops.append((np.multiply, block[c + mx:c + k], flat[east], tmp[mx:]))
+        ops.append((np.add, acc, tmp, acc))
+    rhs = rhs[(my - 1) * (mx - 1):]
+    rows = acc.reshape(k, engine.batch, -1).transpose(2, 1, 0)
+
+    def edges():
+        np.negative(rhs, out=acc)
+        _run(ops)
+        f[...] = rows
+
+    return edges
+
+
+def _repeated(values, n):
+    """``values`` with every element repeated ``n``-fold along its rows:
+    numpy runs one value broadcast over ``n`` columns at half the speed
+    of a row, so the ufunc floor pays this copy once per width."""
+    return np.repeat(values, n, axis=1) if n > 1 else values
 
 
 def _run(program):
     for op, a, b, out in program:
         op(a, b, out=out)
+
+
+def _rows(line):
+    """The rows of a slice, as a list."""
+    return list(range(line.start, line.stop, line.step))
 
 
 def _stack_rows(array):
@@ -394,6 +491,60 @@ def _stack_rows(array):
             or strides[0] % 8 or strides[1] % 8:
         return None
     return strides[0] // 8, strides[1] // 8
+
+
+def _cell_strides(layout, array, n):
+    """``(block, row, cell)`` strides in elements of a float64 array in
+    ``layout`` with ``n`` batch columns -- a trailing axis of them, its
+    elements adjacent, or none for ``n = 1``; ``None`` for anything
+    else."""
+    nd = len(layout.shape)
+    if array.dtype != np.float64 or array.shape[:nd] != layout.shape \
+            or array.shape[nd:] not in ((), (n,)) or (n > 1 and (
+                array.ndim == nd or array.strides[nd] != 8)) \
+            or any(step % 8 for step in array.strides[:nd]):
+        return None
+    return (0,) * (3 - nd) + tuple(step // 8 for step in array.strides[:nd])
+
+
+def _boundary(layout, kind, strides):
+    """The address of the ``evp_gather`` / ``evp_scatter`` program of
+    ``layout`` for arrays with these cell strides (see ``native.c``),
+    cached on the layout with the program; ``None`` where its engines
+    are not in this backend's skewed layout."""
+    key = (kind, strides)
+    hit = layout.compiled.get(key)
+    if hit is not None:
+        return hit[1]
+    mask = tuple(step // 8 for step in layout.mask.strides)
+    mask = (0,) * (3 - len(mask)) + mask
+    head, tables, first = [len(layout.groups)], [], 0
+    if kind == "scatter":
+        head += [len(layout.uncovered), strides[2]]
+    for engine, origins, y_rows, x_rows in layout.groups:
+        plan = engine._plan
+        if not isinstance(plan, _EvpPlan) or y_rows.start != first:
+            return None
+        first = y_rows.stop
+        b = len(origins)
+        offsets = plan.ty * strides[1] + plan.tx * strides[2]
+        head += [b, len(offsets)]
+        tables += [origins @ np.array(strides), offsets]
+        if kind == "scatter":
+            head.append(x_rows.start)
+            tables += [origins @ np.array(mask),
+                       plan.ty * mask[1] + plan.tx * mask[2],
+                       plan.state_rows()]
+    if kind == "scatter":
+        runs = layout.uncovered
+        tables.append(np.stack([runs[:, :3] @ np.array(strides), runs[:, 3]],
+                               axis=1).ravel())
+    prog = np.concatenate([np.array(head, dtype=np.int64)]
+                          + [t.astype(np.int64) for t in tables])
+    while len(layout.compiled) >= _MAX_BOUNDARY_PROGRAMS:
+        layout.compiled.pop(next(iter(layout.compiled)))
+    layout.compiled[key] = (prog, prog.ctypes.data)
+    return prog.ctypes.data
 
 
 def _per_column(coeff, width, keep):
@@ -657,7 +808,33 @@ class FusedKernels(NumpyKernels):
         if ws is None or ws.y is not y or ws.x is not x:
             ws = plan.bound = _EvpWorkingSet(engine, plan, y, x,
                                              self._native())
-        ws.solve(engine, nrhs)
+        ws.solve(engine)
+
+    def evp_gather(self, layout, r, y):
+        fn = self._native().evp_gather
+        n = y.shape[1]
+        strides = None if fn is None else _cell_strides(layout, r, n)
+        prog = None if strides is None else _boundary(layout, "gather",
+                                                      strides)
+        if prog is None:
+            return False
+        try:
+            source = pointer(r)
+        except (TypeError, ValueError):
+            source = r.ctypes.data   # read-only: only read
+        fn(prog, n, source, address(y))
+        return True
+
+    def evp_scatter(self, layout, x, out):
+        fn = self._native().evp_scatter
+        n = x.shape[1]
+        strides = None if fn is None else _cell_strides(layout, out, n)
+        prog = None if strides is None else _boundary(layout, "scatter",
+                                                      strides)
+        if prog is None or not out.flags.writeable:
+            return False
+        fn(prog, n, address(x), address(layout.mask), pointer(out))
+        return True
 
     def evp_solve(self, engine, plan, y, out=None):
         y = validate_evp_shapes(engine, y)

@@ -457,23 +457,33 @@ double pairwise_dot(const int64_t *g, const double *a, const double *b,
 }
 
 /* ------------------------------------------------------------------
- * 4. One EVP march over the skewed state S[J + I, J, tile].
+ * 4. One EVP march over the skewed state S[J + I, J, tile, column].
  *
- * `prog` holds, per anti-diagonal step,
+ * Everything is counted in *equations*: equation q is tile q % B of
+ * packed row q / B, with one coefficient per term and one 1/ne, and
+ * `ncols` interleaved columns of right-hand side and state
+ * (rhs[q * ncols + c], state[q * ncols + c]).  `prog` holds
+ *     B, nsteps, k, the k ring rows, then per anti-diagonal step
  *     count, row, target, nterms, (coef_off, src_off) x nterms
- * all in elements: the step solves `count` equations whose right-hand
- * sides (and 1/ne) start at `row`, reading term t's coefficients at
- * coef + coef_off and its sources at state + src_off -- contiguous
- * runs, because the tile axis is innermost -- and writes the north-east
- * unknowns at state + target:
+ * First the ring -- the south row west to east, then the west column
+ * northward, each a state row of B equations -- is set: to 0.0 where
+ * `ring` is NULL, else to -ring[(c * B + tile) * k + e], the ring
+ * correction's (ncols, B, k) product negated (exact).  A step then
+ * solves `count` equations whose right-hand sides (and 1/ne) start at
+ * `row`, reading term t's coefficients at coef + coef_off and its
+ * sources at state + src_off, and writes the north-east unknowns at
+ * state + target:
  *     cur = rhs; cur = cur - coef_t * src_t (t in order); out = cur/ne
  * as multiply-then-subtract and one multiply by the stored 1/ne, the
- * reference's sequence.  Terms are taken four at a time with `cur` in
- * a register (a loop over the terms inside the element loop does not
- * vectorize; one pass per term is bound by its loads and stores of
- * `cur`); the simplified stencil's four terms are one pass.  A step's
- * target diagonal lies beyond all its sources, so its chunks are
- * independent.
+ * reference's sequence.  One column: terms are taken four at a time
+ * with `cur` in a register, vectorized along the equations (a loop
+ * over the terms inside the equation loop does not vectorize; one pass
+ * per term is bound by its loads and stores of `cur`); the simplified
+ * stencil's four terms are one pass.  More columns: per equation every
+ * coefficient is read once for all of them, the columns in
+ * compile-time groups of at most eight held in registers across the
+ * terms.  A step's target diagonal lies beyond all its sources, so its
+ * equations are independent.
  * ------------------------------------------------------------------ */
 #define TERM_POINTERS(t)                                                   \
     const double *c0 = coef + terms[2 * (t)] + c,                          \
@@ -487,90 +497,281 @@ double pairwise_dot(const int64_t *g, const double *a, const double *b,
 #define FOUR_TERMS(op) (((v op c0[i] * s0[i]) op c1[i] * s1[i])            \
                         op c2[i] * s2[i]) op c3[i] * s3[i]
 
-void evp_march(int64_t nsteps, const int64_t *prog, const double *coef,
-               const double *inv_ne, const double *rhs, double *state)
+/* One column: the step's equations in chunks, four terms a pass. */
+static void march_single(int64_t count, int64_t row, int64_t target,
+                         int64_t nterms, const int64_t *terms,
+                         const double *coef, const double *inv_ne,
+                         const double *rhs, double *state)
 {
     double acc[CHUNK];
+    for (int64_t c = 0; c < count; c += CHUNK) {
+        int64_t m = count - c < CHUNK ? count - c : CHUNK;
+        const double *cur = rhs + row + c;
+        const double *inv = inv_ne + row + c;
+        double *restrict out = state + target + c;
+        int64_t t = 0;
+        for (; t + 4 < nterms; t += 4) {
+            TERM_POINTERS(t);
+            for (int64_t i = 0; i < m; i++) {
+                double v = cur[i];
+                acc[i] = FOUR_TERMS(-);
+            }
+            cur = acc;
+        }
+        if (t + 4 == nterms) {
+            TERM_POINTERS(t);
+            for (int64_t i = 0; i < m; i++) {
+                double v = cur[i];
+                v = FOUR_TERMS(-);
+                out[i] = v * inv[i];
+            }
+            continue;
+        }
+        for (; t < nterms; t++) {
+            const double *c0 = coef + terms[2 * t] + c;
+            const double *s0 = state + terms[2 * t + 1] + c;
+            for (int64_t i = 0; i < m; i++)
+                acc[i] = cur[i] - c0[i] * s0[i];
+            cur = acc;
+        }
+        for (int64_t i = 0; i < m; i++)
+            out[i] = cur[i] * inv[i];
+    }
+}
+
+/* W columns of a batch (rhs and state already point at the group's
+ * first column; rhs and inv_ne at the step's first equation): per
+ * chunk of equations, four terms a pass with the running values of the
+ * W columns in `acc`, each coefficient broadcast over them. */
+#define COLUMN_TERMS(t)                                                    \
+    const double *c0 = coef + terms[2 * (t)] + i0,                         \
+                 *c1 = coef + terms[2 * (t) + 2] + i0,                     \
+                 *c2 = coef + terms[2 * (t) + 4] + i0,                     \
+                 *c3 = coef + terms[2 * (t) + 6] + i0,                     \
+                 *s0 = state + (terms[2 * (t) + 1] + i0) * ncols,          \
+                 *s1 = state + (terms[2 * (t) + 3] + i0) * ncols,          \
+                 *s2 = state + (terms[2 * (t) + 5] + i0) * ncols,          \
+                 *s3 = state + (terms[2 * (t) + 7] + i0) * ncols
+#define COLUMN_FOUR(i, c)                                                  \
+    ((((cur[(i) * stride + (c)] - c0[i] * s0[(i) * ncols + (c)])           \
+       - c1[i] * s1[(i) * ncols + (c)]) - c2[i] * s2[(i) * ncols + (c)])   \
+     - c3[i] * s3[(i) * ncols + (c)])
+#define MARCH_WIDTH(W)                                                     \
+static void march_##W(int64_t count, int64_t target, int64_t nterms,      \
+                      const int64_t *terms, int64_t ncols,                \
+                      const double *coef, const double *inv_ne,           \
+                      const double *rhs, double *state)                   \
+{                                                                          \
+    double acc[CHUNK];                                                     \
+    for (int64_t i0 = 0; i0 < count; i0 += CHUNK / W) {                   \
+        const int64_t m = count - i0 < CHUNK / W ? count - i0 : CHUNK / W; \
+        const double *cur = rhs + i0 * ncols, *inv = inv_ne + i0;         \
+        double *out = state + (target + i0) * ncols;                       \
+        int64_t stride = ncols, t = 0;                                     \
+        for (; t + 4 < nterms; t += 4) {                                   \
+            COLUMN_TERMS(t);                                               \
+            for (int64_t i = 0; i < m; i++)                                \
+                for (int c = 0; c < W; c++)                                \
+                    acc[i * W + c] = COLUMN_FOUR(i, c);                    \
+            cur = acc;                                                     \
+            stride = W;                                                    \
+        }                                                                  \
+        if (t + 4 == nterms) {                                             \
+            COLUMN_TERMS(t);                                               \
+            for (int64_t i = 0; i < m; i++)                                \
+                for (int c = 0; c < W; c++)                                \
+                    out[i * ncols + c] = COLUMN_FOUR(i, c) * inv[i];       \
+            continue;                                                      \
+        }                                                                  \
+        for (; t < nterms; t++) {                                          \
+            const double *c0 = coef + terms[2 * t] + i0;                   \
+            const double *s0 = state + (terms[2 * t + 1] + i0) * ncols;    \
+            for (int64_t i = 0; i < m; i++)                                \
+                for (int c = 0; c < W; c++)                                \
+                    acc[i * W + c] = cur[i * stride + c]                   \
+                                     - c0[i] * s0[i * ncols + c];          \
+            cur = acc;                                                     \
+            stride = W;                                                    \
+        }                                                                  \
+        for (int64_t i = 0; i < m; i++)                                    \
+            for (int c = 0; c < W; c++)                                    \
+                out[i * ncols + c] = cur[i * stride + c] * inv[i];         \
+    }                                                                      \
+}
+MARCH_WIDTH(1) MARCH_WIDTH(2) MARCH_WIDTH(3) MARCH_WIDTH(4)
+MARCH_WIDTH(5) MARCH_WIDTH(6) MARCH_WIDTH(7) MARCH_WIDTH(8)
+
+typedef void march_fn(int64_t, int64_t, int64_t, const int64_t *, int64_t,
+                      const double *, const double *, const double *,
+                      double *);
+static march_fn *const MARCHES[] = {march_1, march_2, march_3, march_4,
+                                    march_5, march_6, march_7, march_8};
+
+void evp_march(const int64_t *prog, int64_t ncols, const double *coef,
+               const double *inv_ne, const double *rhs, double *state,
+               const double *ring)
+{
+    const int64_t b = prog[0], nsteps = prog[1], k = prog[2];
+    const int64_t *lines = prog + 3;
+    for (int64_t e = 0; e < k; e++) {
+        double *line = state + lines[e] * b * ncols;
+        if (!ring)
+            for (int64_t i = 0; i < b * ncols; i++)
+                line[i] = 0.0;
+        else
+            for (int64_t c = 0; c < ncols; c++)
+                for (int64_t pos = 0; pos < b; pos++)
+                    line[pos * ncols + c] = -ring[(c * b + pos) * k + e];
+    }
+    prog = lines + k;
     for (int64_t s = 0; s < nsteps; s++) {
         int64_t count = prog[0], row = prog[1], target = prog[2];
         int64_t nterms = prog[3];
         const int64_t *terms = prog + 4;
         prog = terms + 2 * nterms;
-        for (int64_t c = 0; c < count; c += CHUNK) {
-            int64_t m = count - c < CHUNK ? count - c : CHUNK;
-            const double *cur = rhs + row + c;
-            const double *inv = inv_ne + row + c;
-            double *restrict out = state + target + c;
-            int64_t t = 0;
-            for (; t + 4 < nterms; t += 4) {
-                TERM_POINTERS(t);
-                for (int64_t i = 0; i < m; i++) {
-                    double v = cur[i];
-                    acc[i] = FOUR_TERMS(-);
-                }
-                cur = acc;
-            }
-            if (t + 4 == nterms) {
-                TERM_POINTERS(t);
-                for (int64_t i = 0; i < m; i++) {
-                    double v = cur[i];
-                    v = FOUR_TERMS(-);
-                    out[i] = v * inv[i];
-                }
-                continue;
-            }
-            for (; t < nterms; t++) {
-                const double *c0 = coef + terms[2 * t] + c;
-                const double *s0 = state + terms[2 * t + 1] + c;
-                for (int64_t i = 0; i < m; i++)
-                    acc[i] = cur[i] - c0[i] * s0[i];
-                cur = acc;
-            }
-            for (int64_t i = 0; i < m; i++)
-                out[i] = cur[i] * inv[i];
+        if (ncols == 1) {
+            march_single(count, row, target, nterms, terms, coef, inv_ne,
+                         rhs, state);
+            continue;
         }
+        for (int64_t c = 0; c < ncols; c += 8)
+            MARCHES[ncols - c < 8 ? ncols - c - 1 : 7](
+                count, target, nterms, terms, ncols, coef, inv_ne + row,
+                rhs + row * ncols + c, state + c);
     }
 }
 
 /* ------------------------------------------------------------------
  * 5. Residuals of the k unmarched (north/east edge) equations:
  *     f = -rhs; f = f + coef_t * src_t (t in order, NE last)
- * Equation e of term t reads `bn` coefficients at
- * coef + coef_off[t] + e * bn and its sources in state row
- * src_rows[t * k + e] (rows of bn elements).  Four terms a pass, as in
- * the march.
+ * g = {k, B, ncols, nterms}; counted in equations as in the march.
+ * Edge equation e of tile `pos` reads term t's coefficient at
+ * coef + coef_off[t] + e * B + pos and its sources in state row
+ * src_rows[t * k + e] (rows of B equations); its right-hand side is
+ * rhs row e.  f is written as (ncols, B, k) -- f[(c * B + pos) * k + e]
+ * -- the order the ring correction's matmul reads.  One column: four
+ * terms a pass along a chunk of tiles, as in the march, every edge
+ * equation of the chunk before it is written out; more: the columns in
+ * compile-time groups of at most eight, one coefficient read for all.
  * ------------------------------------------------------------------ */
-void evp_edges(int64_t k, int64_t bn, int64_t nterms, const int64_t *coef_off,
+static void edges_single(int64_t k, int64_t b, int64_t nterms,
+                         const int64_t *coef_off, const int64_t *src_rows,
+                         const double *coef, const double *rhs,
+                         const double *state, double *restrict f)
+{
+    /* A chunk of tiles at a time, every edge equation of them in acc
+     * (acc[e * per + i]), then written out tile by tile. */
+    double acc[CHUNK];
+    const int64_t per = CHUNK / k;
+    for (int64_t p = 0; p < b; p += per) {
+        const int64_t m = b - p < per ? b - p : per;
+        for (int64_t e = 0; e < k; e++) {
+            const int64_t at = e * b + p;
+            double *restrict a = acc + e * per;
+            for (int64_t i = 0; i < m; i++)
+                a[i] = -rhs[at + i];
+            int64_t t = 0;
+            for (; t + 4 <= nterms; t += 4) {
+                const double *c0 = coef + coef_off[t] + at,
+                             *c1 = coef + coef_off[t + 1] + at,
+                             *c2 = coef + coef_off[t + 2] + at,
+                             *c3 = coef + coef_off[t + 3] + at,
+                             *s0 = state + src_rows[t * k + e] * b + p,
+                             *s1 = state + src_rows[(t + 1) * k + e] * b + p,
+                             *s2 = state + src_rows[(t + 2) * k + e] * b + p,
+                             *s3 = state + src_rows[(t + 3) * k + e] * b + p;
+                for (int64_t i = 0; i < m; i++) {
+                    double v = a[i];
+                    a[i] = FOUR_TERMS(+);
+                }
+            }
+            for (; t < nterms; t++) {
+                const double *c0 = coef + coef_off[t] + at;
+                const double *s0 = state + src_rows[t * k + e] * b + p;
+                for (int64_t i = 0; i < m; i++)
+                    a[i] = a[i] + c0[i] * s0[i];
+            }
+        }
+        for (int64_t i = 0; i < m; i++)
+            for (int64_t e = 0; e < k; e++)
+                f[(p + i) * k + e] = acc[e * per + i];
+    }
+}
+
+/* W columns (rhs, state and f already at the group's first column):
+ * per edge equation, a chunk of tiles at a time, four terms a pass. */
+#define EDGE_TERMS(t)                                                      \
+    const double *c0 = coef + coef_off[t] + at,                            \
+                 *c1 = coef + coef_off[(t) + 1] + at,                      \
+                 *c2 = coef + coef_off[(t) + 2] + at,                      \
+                 *c3 = coef + coef_off[(t) + 3] + at,                      \
+                 *s0 = state + (src_rows[(t) * k + e] * b + p) * ncols,    \
+                 *s1 = state + (src_rows[((t) + 1) * k + e] * b + p) * ncols, \
+                 *s2 = state + (src_rows[((t) + 2) * k + e] * b + p) * ncols, \
+                 *s3 = state + (src_rows[((t) + 3) * k + e] * b + p) * ncols
+#define EDGES_WIDTH(W)                                                     \
+static void edges_##W(int64_t k, int64_t b, int64_t nterms,               \
+                      const int64_t *coef_off, const int64_t *src_rows,   \
+                      int64_t ncols, const double *coef,                  \
+                      const double *rhs, const double *state,             \
+                      double *restrict f)                                 \
+{                                                                          \
+    double acc[CHUNK];                                                     \
+    for (int64_t e = 0; e < k; e++)                                        \
+        for (int64_t p = 0; p < b; p += CHUNK / W) {                       \
+            const int64_t m = b - p < CHUNK / W ? b - p : CHUNK / W;       \
+            const int64_t at = e * b + p;                                  \
+            for (int64_t i = 0; i < m; i++)                                \
+                for (int c = 0; c < W; c++)                                \
+                    acc[i * W + c] = -rhs[(at + i) * ncols + c];           \
+            int64_t t = 0;                                                 \
+            for (; t + 4 <= nterms; t += 4) {                              \
+                EDGE_TERMS(t);                                             \
+                for (int64_t i = 0; i < m; i++)                            \
+                    for (int c = 0; c < W; c++) {                          \
+                        const int64_t j = i * ncols + c;                   \
+                        acc[i * W + c] =                                   \
+                            (((acc[i * W + c] + c0[i] * s0[j])             \
+                              + c1[i] * s1[j]) + c2[i] * s2[j])            \
+                            + c3[i] * s3[j];                               \
+                    }                                                      \
+            }                                                              \
+            for (; t < nterms; t++) {                                      \
+                const double *c0 = coef + coef_off[t] + at;                \
+                const double *s0 =                                         \
+                    state + (src_rows[t * k + e] * b + p) * ncols;         \
+                for (int64_t i = 0; i < m; i++)                            \
+                    for (int c = 0; c < W; c++)                            \
+                        acc[i * W + c] = acc[i * W + c]                    \
+                                         + c0[i] * s0[i * ncols + c];      \
+            }                                                              \
+            for (int c = 0; c < W; c++)                                    \
+                for (int64_t i = 0; i < m; i++)                            \
+                    f[(c * b + p + i) * k + e] = acc[i * W + c];           \
+        }                                                                  \
+}
+EDGES_WIDTH(1) EDGES_WIDTH(2) EDGES_WIDTH(3) EDGES_WIDTH(4)
+EDGES_WIDTH(5) EDGES_WIDTH(6) EDGES_WIDTH(7) EDGES_WIDTH(8)
+
+typedef void edges_fn(int64_t, int64_t, int64_t, const int64_t *,
+                      const int64_t *, int64_t, const double *,
+                      const double *, const double *, double *);
+static edges_fn *const EDGES[] = {edges_1, edges_2, edges_3, edges_4,
+                                  edges_5, edges_6, edges_7, edges_8};
+
+void evp_edges(const int64_t *g, const int64_t *coef_off,
                const int64_t *src_rows, const double *coef,
                const double *rhs, const double *state, double *restrict f)
 {
-    for (int64_t e = 0; e < k; e++) {
-        double *fe = f + e * bn;
-        const double *re = rhs + e * bn;
-        for (int64_t v = 0; v < bn; v++)
-            fe[v] = -re[v];
-        int64_t t = 0;
-        for (; t + 4 <= nterms; t += 4) {
-            const double *c0 = coef + coef_off[t] + e * bn,
-                         *c1 = coef + coef_off[t + 1] + e * bn,
-                         *c2 = coef + coef_off[t + 2] + e * bn,
-                         *c3 = coef + coef_off[t + 3] + e * bn,
-                         *s0 = state + src_rows[t * k + e] * bn,
-                         *s1 = state + src_rows[(t + 1) * k + e] * bn,
-                         *s2 = state + src_rows[(t + 2) * k + e] * bn,
-                         *s3 = state + src_rows[(t + 3) * k + e] * bn;
-            for (int64_t i = 0; i < bn; i++) {
-                double v = fe[i];
-                fe[i] = FOUR_TERMS(+);
-            }
-        }
-        for (; t < nterms; t++) {
-            const double *c0 = coef + coef_off[t] + e * bn;
-            const double *s0 = state + src_rows[t * k + e] * bn;
-            for (int64_t i = 0; i < bn; i++)
-                fe[i] = fe[i] + c0[i] * s0[i];
-        }
+    const int64_t k = g[0], b = g[1], ncols = g[2], nterms = g[3];
+    if (ncols == 1 && k <= CHUNK) {
+        edges_single(k, b, nterms, coef_off, src_rows, coef, rhs, state, f);
+        return;
     }
+    for (int64_t c = 0; c < ncols; c += 8)
+        EDGES[ncols - c < 8 ? ncols - c - 1 : 7](
+            k, b, nterms, coef_off, src_rows, ncols, coef, rhs + c,
+            state + c, f + c * b * k);
 }
 
 /* ------------------------------------------------------------------
@@ -641,5 +842,128 @@ void chebyshev_span(int64_t nsteps, const double *wc, const int64_t *g,
             sweep_row(&a, q * g[1], (q + 1) * g[1], ncols, x, rq);
             for (int64_t i = 0; i < run; i++)
                 rq[i] = bq[i] - rq[i];
+        }
+}
+
+/* ------------------------------------------------------------------
+ * 7. The EVP boundary: a layout's tile cells into the packed
+ *    right-hand-side rows, and the solved states back out, masked.
+ *
+ * A layout is any array of cells holding `ncols` interleaved doubles
+ * each -- the global grid, a serial batch, the strided interior of a
+ * stack -- addressed by element offsets from its first cell.  A shape
+ * group of B tiles and R packed rows brings origins[B], each tile's
+ * first cell, and offsets[R], each packed row's cell relative to it:
+ * row `row` of tile `pos` is cell origins[pos] + offsets[row].
+ *
+ * evp_gather copies the cells into y in packed-row order, tiles
+ * innermost, a block of tiles at a time (a tile-major walk is slower at
+ * one column, a walk over all tiles per row spills a full grid out of
+ * cache), from
+ *     ngroups, (B, R) x ngroups, then per group origins, offsets.
+ * evp_scatter writes out[cell] = state * mask[cell] -- the multiply
+ * that masks the preconditioner's output -- for every tile cell in the
+ * same order, and 0.0 to the cells no tile covers, from
+ *     ngroups, nzero, cell stride, (B, R, first x row) x ngroups,
+ *     then per group origins, offsets, mask origins, mask offsets and
+ *     state rows (R), then (first cell, cells) x nzero.
+ * Row `row` of tile `pos` reads x row first + state_rows[row] * B + pos;
+ * mask offsets count the mask's own elements (one per cell).  The gather
+ * reads everything before the scatter writes, so `out` may be `r`.
+ * ------------------------------------------------------------------ */
+/* Tiles one pass over the packed rows moves: the cells and state rows
+ * they touch stay in cache from row to row (a pass over every tile
+ * evicts them on a full grid, one tile at a time wastes the rest of
+ * each state line). */
+#define GATHER_TILES 64
+#define SCATTER_TILES 16
+
+/* n doubles from s to d, n fixed at compile time where it is small (a
+ * loop of run-time length compiles to a call per cell). */
+#define COPY_CASE(W)                                                       \
+    case W:                                                                \
+        for (int64_t pos = p0; pos < p1; pos++) {                          \
+            const double *s = src + origins[pos];                          \
+            for (int c = 0; c < W; c++)                                    \
+                d[pos * W + c] = s[c];                                     \
+        }                                                                  \
+        break;
+#define SCALE_CASE(W)                                                      \
+    case W:                                                                \
+        for (int64_t pos = p0; pos < p1; pos++) {                          \
+            const double w = m[morigins[pos]];                             \
+            double *o = d + origins[pos];                                  \
+            for (int c = 0; c < W; c++)                                    \
+                o[c] = s[pos * W + c] * w;                                 \
+        }                                                                  \
+        break;
+
+void evp_gather(const int64_t *prog, int64_t ncols, const double *r,
+                double *restrict y)
+{
+    const int64_t ngroups = prog[0];
+    const int64_t *sizes = prog + 1, *at = prog + 1 + 2 * ngroups;
+    for (int64_t g = 0; g < ngroups; g++) {
+        const int64_t b = sizes[2 * g], rows = sizes[2 * g + 1];
+        const int64_t *origins = at, *offsets = at + b;
+        at += b + rows;
+        for (int64_t p0 = 0; p0 < b; p0 += GATHER_TILES) {
+            const int64_t p1 = b - p0 < GATHER_TILES ? b : p0 + GATHER_TILES;
+            for (int64_t row = 0; row < rows; row++) {
+                const double *src = r + offsets[row];
+                double *d = y + row * b * ncols;
+                switch (ncols) {
+                COPY_CASE(1) COPY_CASE(2) COPY_CASE(3) COPY_CASE(4)
+                COPY_CASE(5) COPY_CASE(6) COPY_CASE(7) COPY_CASE(8)
+                default:
+                    for (int64_t pos = p0; pos < p1; pos++) {
+                        const double *s = src + origins[pos];
+                        for (int64_t c = 0; c < ncols; c++)
+                            d[pos * ncols + c] = s[c];
+                    }
+                }
+            }
+        }
+        y += rows * b * ncols;
+    }
+}
+
+void evp_scatter(const int64_t *prog, int64_t ncols, const double *x,
+                 const double *mask, double *out)
+{
+    const int64_t ngroups = prog[0], nzero = prog[1], cell = prog[2];
+    const int64_t *sizes = prog + 3, *at = prog + 3 + 3 * ngroups;
+    for (int64_t g = 0; g < ngroups; g++) {
+        const int64_t b = sizes[3 * g], rows = sizes[3 * g + 1];
+        const double *state = x + sizes[3 * g + 2] * ncols;
+        const int64_t *origins = at, *offsets = origins + b,
+                      *morigins = offsets + rows, *moffsets = morigins + b,
+                      *slots = moffsets + rows;
+        at = slots + rows;
+        for (int64_t p0 = 0; p0 < b; p0 += SCATTER_TILES) {
+            const int64_t p1 = b - p0 < SCATTER_TILES ? b : p0 + SCATTER_TILES;
+            for (int64_t row = 0; row < rows; row++) {
+                const double *s = state + slots[row] * b * ncols;
+                const double *m = mask + moffsets[row];
+                double *d = out + offsets[row];
+                switch (ncols) {
+                SCALE_CASE(1) SCALE_CASE(2) SCALE_CASE(3) SCALE_CASE(4)
+                SCALE_CASE(5) SCALE_CASE(6) SCALE_CASE(7) SCALE_CASE(8)
+                default:
+                    for (int64_t pos = p0; pos < p1; pos++) {
+                        const double w = m[morigins[pos]];
+                        double *o = d + origins[pos];
+                        for (int64_t c = 0; c < ncols; c++)
+                            o[c] = s[pos * ncols + c] * w;
+                    }
+                }
+            }
+        }
+    }
+    for (int64_t z = 0; z < nzero; z++, at += 2)
+        for (int64_t i = 0; i < at[1]; i++) {
+            double *o = out + at[0] + i * cell;
+            for (int64_t c = 0; c < ncols; c++)
+                o[c] = 0.0;
         }
 }

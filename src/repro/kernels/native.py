@@ -36,9 +36,11 @@ _SIGNATURES = {
     "dia_sweep": (None, (_I, _I, _P, _I, _P, _P, _P, _P)),
     "update_chain": (None, (_P,)),
     "pairwise_dot": (ctypes.c_double, (_P, _P, _P, _P, _P, _P)),
-    "evp_march": (None, (_I, _P, _P, _P, _P, _P)),
-    "evp_edges": (None, (_I, _I, _I, _P, _P, _P, _P, _P, _P)),
+    "evp_march": (None, (_P, _I, _P, _P, _P, _P, _P)),
+    "evp_edges": (None, (_P, _P, _P, _P, _P, _P, _P)),
     "chebyshev_span": (None, (_I, _P, _P, _P, _P, _P, _P, _P, _P, _P)),
+    "evp_gather": (None, (_P, _I, _P, _P)),
+    "evp_scatter": (None, (_P, _I, _P, _P, _P)),
 }
 #: ``struct`` formats of an ``update_chain`` program: the row geometry,
 #: ``ncols`` and the step count, then per step kind, a, b, the
@@ -301,39 +303,129 @@ def _test_pairwise_dot(fn, rng):
 
 
 def _test_evp_march(fn, rng):
-    """Steps of 4, 5 and 8 terms (every grouping of the term loop),
-    longer than a chunk, the later ones reading the earlier targets."""
-    m = 1100
-    state, coef = rng.standard_normal(12 * m), rng.standard_normal(8 * m)
-    rhs, inv = rng.standard_normal((2, 3 * m))
-    ref, prog = state.copy(), []
-    for step, nterms in enumerate((4, 5, 8)):
-        row, target = step * m, (9 + step) * m
-        cur = rhs[row:row + m]
-        prog += [m, row, target, nterms]
-        for t in range(nterms):
-            src = (8 + step - t) % (9 + step) * m
-            cur = cur - coef[t * m:(t + 1) * m] * ref[src:src + m]
-            prog += [t * m, src]
-        ref[target:target + m] = cur * inv[row:row + m]
-    prog = np.array(prog, dtype=np.int64)
-    fn(3, address(prog), address(coef), address(inv), address(rhs),
-       address(state))
-    return np.array_equal(state, ref)
+    """Steps of 4, 5 and 8 terms (every grouping of the term loop), the
+    later ones reading the earlier targets and the first the ring, at
+    widths 1 / 3 / 8 / 11 (longer than a chunk of equations at 1 and
+    8): the ring set to ``-ring`` or, without one, to 0.0."""
+    b, k = 5, 3
+    for width, rows, with_ring in ((1, 220, True), (3, 30, False),
+                                   (8, 30, True), (11, 30, False)):
+        m = rows * b
+        lines = [12 * rows + 1, 12 * rows + 7, 13 * rows - 1]
+        state = rng.standard_normal((13 * m, width))
+        coef, inv = rng.standard_normal(8 * m), rng.standard_normal(3 * m)
+        rhs = rng.standard_normal((3 * m, width))
+        ring = rng.standard_normal((width, b, k))
+        ref, prog = state.copy(), [b, 3, k, *lines]
+        for e, line in enumerate(lines):
+            ref[line * b:(line + 1) * b] = (-ring[:, :, e].T if with_ring
+                                            else 0.0)
+        for step, nterms in enumerate((4, 5, 8)):
+            row, target = step * m, (9 + step) * m
+            cur = rhs[row:row + m]
+            prog += [m, row, target, nterms]
+            for t in range(nterms):
+                src = (12 if t == 0 else (8 + step - t) % (9 + step)) * m
+                cur = cur - coef[t * m:(t + 1) * m, None] * ref[src:src + m]
+                prog += [t * m, src]
+            ref[target:target + m] = cur * inv[row:row + m, None]
+        prog = np.array(prog, dtype=np.int64)
+        fn(address(prog), width, address(coef), address(inv), address(rhs),
+           address(state), address(ring) if with_ring else 0)
+        if not np.array_equal(state, ref):
+            return False
+    return True
 
 
 def _test_evp_edges(fn, rng):
-    k, bn, nterms = 3, 1100, 9
-    coef = rng.standard_normal((nterms, k, bn))
-    state, rhs = rng.standard_normal((6, bn)), rng.standard_normal((k, bn))
-    rows = rng.integers(0, 6, (nterms, k))
-    offsets = np.arange(nterms, dtype=np.int64) * k * bn
-    ref, f = -rhs, np.empty((k, bn))
-    for t in range(nterms):
-        ref = ref + coef[t] * state[rows[t]]
-    fn(k, bn, nterms, address(offsets), address(rows), address(coef),
-       address(rhs), address(state), address(f))
-    return np.array_equal(f, ref)
+    """Nine terms at widths 1 (more tiles than a chunk) / 3 / 8 / 11,
+    the residuals written as ``(width, B, k)``."""
+    k, nterms = 3, 9
+    for width, b in ((1, 1100), (3, 7), (8, 5), (11, 6)):
+        coef = rng.standard_normal((nterms, k, b))
+        state = rng.standard_normal((6, b, width))
+        rhs = rng.standard_normal((k, b, width))
+        rows = rng.integers(0, 6, (nterms, k)).astype(np.int64)
+        offsets = np.arange(nterms, dtype=np.int64) * k * b
+        ref, f = -rhs, np.empty((width, b, k))
+        for t in range(nterms):
+            ref = ref + coef[t][..., None] * state[rows[t]]
+        fn(int64s(k, b, width, nterms)[0], address(offsets), address(rows),
+           address(coef), address(rhs), address(state), address(f))
+        if not np.array_equal(f, ref.transpose(2, 1, 0)):
+            return False
+    return True
+
+
+def _boundary_case(rng, width):
+    """Two shape groups of tiles over a layout of cells ``cs`` doubles
+    apart (``width`` used, one gap), every tile cell distinct, and the
+    cells past them left for zero runs."""
+    cs, groups, base = width + 1, [], 0
+    for b, rows in ((3, 50), (130, 2)):
+        cells = base + np.arange(b)[:, None] * rows + rng.permutation(rows)
+        groups.append((b, rows, cells))
+        base += b * rows
+    return cs, groups, base
+
+
+def _test_evp_gather(fn, rng):
+    """Packed rows of two groups from cells with a gap between them, at
+    widths 1 / 2 / 8 / 11."""
+    for width in (1, 2, 8, 11):
+        cs, groups, total = _boundary_case(rng, width)
+        r = rng.standard_normal(total * cs)
+        prog, ref = [len(groups)], []
+        for b, rows, cells in groups:
+            prog += [b, rows]
+        for b, rows, cells in groups:
+            prog += list(cells[:, 0] * cs) + list((cells[0] - cells[0, 0]) * cs)
+            ref.append(r.reshape(total, cs)[cells.T.ravel(), :width])
+        y = np.empty((sum(b * rows for b, rows, _ in groups), width))
+        prog = np.array(prog, dtype=np.int64)
+        fn(address(prog), width, address(r), address(y))
+        if not np.array_equal(y, np.concatenate(ref)):
+            return False
+    return True
+
+
+def _test_evp_scatter(fn, rng):
+    """States of two groups, masked with 0.0 / 1.0 (NaN and Inf among
+    the states), into cells with a gap between them, plus two zero
+    runs; nothing else is written.  Widths 1 / 2 / 8 / 11."""
+    for width in (1, 2, 8, 11):
+        cs, groups, total = _boundary_case(rng, width)
+        zeros = [(total, 3), (total + 5, 2)]
+        cells = total + 8
+        mask = rng.integers(0, 2, cells).astype(float)
+        prog, first = [len(groups), len(zeros), cs], 0
+        for b, rows, _ in groups:
+            prog += [b, rows, first]
+            first += 2 * b * rows
+        x = rng.standard_normal((first, width))
+        x[rng.integers(0, first, 20)] = np.inf
+        x[rng.integers(0, first, 20)] = np.nan
+        out = np.full(cells * cs, 7.0)
+        ref = out.copy().reshape(cells, cs)
+        first = 0
+        for b, rows, tile_cells in groups:
+            slots = rng.permutation(2 * rows)[:rows]
+            prog += (list(tile_cells[:, 0] * cs)
+                     + list((tile_cells[0] - tile_cells[0, 0]) * cs)
+                     + list(tile_cells[:, 0])
+                     + list(tile_cells[0] - tile_cells[0, 0]) + list(slots))
+            state = x[first + slots[:, None] * b + np.arange(b)]
+            with np.errstate(invalid="ignore"):
+                ref[tile_cells.T, :width] = state * mask[tile_cells.T, None]
+            first += 2 * b * rows
+        for start, count in zeros:
+            prog += [start * cs, count]
+            ref[start:start + count, :width] = 0.0
+        prog = np.array(prog, dtype=np.int64)
+        fn(address(prog), width, address(x), address(mask), address(out))
+        if not np.array_equal(out, ref.ravel(), equal_nan=True):
+            return False
+    return True
 
 
 def _test_chebyshev_span(fn, rng):
@@ -369,4 +461,5 @@ def _test_chebyshev_span(fn, rng):
 _SELF_TESTS = {"dia_sweep": _test_dia_sweep, "update_chain": _test_update_chain,
                "pairwise_dot": _test_pairwise_dot,
                "evp_march": _test_evp_march, "evp_edges": _test_evp_edges,
-               "chebyshev_span": _test_chebyshev_span}
+               "chebyshev_span": _test_chebyshev_span,
+               "evp_gather": _test_evp_gather, "evp_scatter": _test_evp_scatter}

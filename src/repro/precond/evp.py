@@ -52,6 +52,7 @@ from repro.core.cache import CACHE_FORMAT_VERSION, decomp_signature, digest_of
 from repro.core.errors import SolverError
 from repro.grid.stencil import build_stencil
 from repro.kernels import resolve_kernels
+from repro.kernels.base import EvpLayout
 from repro.parallel.decomposition import _split_extent
 from repro.precond.base import Preconditioner
 
@@ -147,11 +148,8 @@ class EVPTileEngine:
         if self._w is None:
             self._build_influence()
         # Pre-transposed correction factors: the ring update is one
-        # batched BLAS matmul ``f @ R^T`` (see :meth:`ring_correction`).
+        # batched BLAS matmul ``f @ R^T`` (see :meth:`ring_rows`).
         self._rT = np.ascontiguousarray(np.swapaxes(self._r, 1, 2))
-        self._ring_scratch = np.empty((self.batch, 1, self.k))
-        #: Scratch pair of the multi-RHS ring correction (one width).
-        self._ring_multi = None
         self._plan = self.kernels.prepare_evp(self)
 
     # ------------------------------------------------------------------
@@ -410,44 +408,38 @@ class EVPTileEngine:
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
+    def ring_rows(self, f, out):
+        """``out[c, i, 0] = f[c, i] @ R_i^T`` for every column ``c`` and
+        tile ``i``: the ring correction before its negation.
+
+        ``f`` is a C-contiguous ``(n, B, k)`` array of edge residuals and
+        ``out`` an ``(n, B, 1, k)`` array.  One gufunc matmul over the
+        ``(n, B)`` batch of ``(1, k) @ (k, k)`` slices against the
+        pre-transposed LU-derived factors; each slice is the contiguous
+        row vector a single right-hand side's tile gives the same inner
+        kernel, so every column's ring is bit-identical to its
+        standalone solve.  (One fused ``(k, k) @ (k, n)`` gemm would be
+        faster still but could legally reorder the per-element
+        accumulation.)  Shared by every kernel backend -- the correction
+        is part of the engine's backend-independent setup, which is what
+        keeps solver iterates bit-identical across the deterministic
+        backends and cached influence payloads valid under all of them.
+        """
+        np.matmul(f[:, :, None, :], self._rT, out=out)
+        return out
+
     def ring_correction(self, f):
         """The ring update ``-W^-1 F`` from the edge residuals ``F``.
 
-        One batched BLAS matmul against the pre-transposed LU-derived
-        factors (``ring_i = -(f @ R^T)_i``), negated in place.  Shared
-        by every kernel backend -- the correction is part of the
-        engine's backend-independent setup, which is what keeps solver
-        iterates bit-identical across the deterministic backends and
-        cached influence payloads valid under all of them.  Returns a
-        reused ``(B, k)`` scratch view; consume it before the next call.
-
-        A ``(B, k, nrhs)`` multi-RHS batch is corrected as one gufunc
-        matmul over an ``(nrhs, B)`` batch of the *same* ``(1, k) @
-        (k, k)`` slices the single-RHS path runs -- the batched matmul
-        applies the identical inner kernel to each 2-D slice, so each
-        column's ring is bit-identical to its standalone solve.  (One
-        fused ``(k, k) @ (k, nrhs)`` gemm would be faster still but
-        could legally reorder the per-element accumulation.)  Returns a
-        fresh ``(B, k, nrhs)`` array in that case.
+        ``f`` is ``(B, k)`` or, for a multi-RHS batch, ``(B, k, nrhs)``;
+        returns a fresh array of the same layout: :meth:`ring_rows`,
+        negated (exactly).
         """
-        if f.ndim == 3:
-            nrhs = f.shape[2]
-            if self._ring_multi is None or len(self._ring_multi[0]) != nrhs:
-                self._ring_multi = (np.empty((nrhs, f.shape[0], 1, self.k)),
-                                    np.empty((nrhs, f.shape[0], self.k)))
-            rows, cols = self._ring_multi
-            # (nrhs, B, k): column-major over the batch so every slice
-            # is the contiguous row vector the single path sees.
-            cols[...] = np.moveaxis(f, 2, 0)
-            np.matmul(cols[:, :, None, :], self._rT, out=rows)
-            np.negative(rows, out=rows)
-            out = np.empty((f.shape[0], self.k, nrhs), dtype=f.dtype)
-            out[...] = rows[:, :, 0, :].transpose(1, 2, 0)
-            return out
-        np.matmul(f[:, None, :], self._rT, out=self._ring_scratch)
-        ring = self._ring_scratch[:, 0, :]
-        np.negative(ring, out=ring)
-        return ring
+        cols = np.ascontiguousarray(f[None] if f.ndim == 2
+                                    else np.moveaxis(f, 2, 0))
+        ring = -self.ring_rows(cols, np.empty(cols.shape[:2] + (1, self.k)))
+        return ring[0, :, 0] if f.ndim == 2 else np.moveaxis(ring[:, :, 0],
+                                                             0, 2)
 
     def solve(self, y, out=None):
         """Solve ``B_i x_i = y_i`` for every tile in the batch.
@@ -576,8 +568,11 @@ class EVPBlockPreconditioner(Preconditioner):
                 slice(self._x_size, self._x_size + x_size)))
             self._y_size += y_size
             self._x_size += x_size
-        #: Compiled cell maps per layout (global, stack, a rank's block).
+        #: Per layout (global, stack, a rank's block): where the tiles
+        #: sit (:meth:`_compile`) and, once a take needs them, its cell
+        #: maps (:meth:`_cell_maps`).
         self._maps = {}
+        self._takes = {}
         #: The buffers and each engine's views of them, for one width.
         self._work = None
         self._rank_solve_flops = self._accumulate_rank_flops(
@@ -685,16 +680,15 @@ class EVPBlockPreconditioner(Preconditioner):
     # application
     # ------------------------------------------------------------------
     def _compile(self, key):
-        """Cell maps of one layout: where every tile cell sits in it.
+        """Where every tile cell sits in one layout.
 
         ``key`` is ``None`` (the global grid), ``"stack"`` (stacked rank
-        interiors) or a rank (its block interior).  Returns ``(y_dst,
-        y_src, x_idx, engines, mask)``: the solve reads layout cell
-        ``y_src[i]`` into right-hand-side row ``y_dst[i]`` (``None``:
-        row ``i``, every row is some tile's) and cell ``c`` reads its
-        solution back from row ``x_idx[c]``, the zero row when no tile
-        covers it (eliminated land blocks, pad cells of ragged stacks).
-        A rank's map names only its own tiles; the others solve zeros.
+        interiors) or a rank (its block interior).  Returns ``(layout,
+        engines, windows)``: the :class:`EvpLayout` the kernels move
+        cells by -- without ``groups`` for a rank, whose map names only
+        its own tiles (the others solve zeros) --, the engines with a
+        tile in it and, per buffer group, the ``(pos, window)`` of those
+        tiles.
         """
         blocks = None if self.decomp is None else self.decomp.active_blocks
         if key is None:
@@ -705,34 +699,68 @@ class EVPBlockPreconditioner(Preconditioner):
         else:
             shape = (blocks[key].ny, blocks[key].nx)
             mask = self._mask_f[blocks[key].slices]
-        cell = np.arange(int(np.prod(shape)), dtype=np.intp).reshape(shape)
-        x_idx = np.full(shape, self._x_size, dtype=np.intp)
-        dst, src, engines = [], [], []
-        for group, engine, y_rows, x_rows in self._layout:
-            y_slot, x_slot, _ = engine.slots()
-            for pos, tidx in enumerate(self._groups[group]):
-                rank, j0, j1, i0, i1 = self._tiles[tidx]
+        covered = np.zeros(shape, dtype=bool)
+        engines, groups, windows = [], [], []
+        for (my, mx), engine, y_rows, x_rows in self._layout:
+            picked, origins = [], []
+            for pos, tidx in enumerate(self._groups[(my, mx)]):
+                rank, j0, _, i0, _ = self._tiles[tidx]
                 if key is None:
-                    window = (slice(j0, j1), slice(i0, i1))
+                    origin = (0, j0, i0)
                 elif key == "stack" or key == rank:
                     b = blocks[rank]
-                    window = (slice(j0 - b.j0, j1 - b.j0),
-                              slice(i0 - b.i0, i1 - b.i0))
-                    if key == "stack":
-                        window = (rank,) + window
+                    origin = (rank if key == "stack" else 0,
+                              j0 - b.j0, i0 - b.i0)
                 else:
                     continue
+                window = (slice(origin[1], origin[1] + my),
+                          slice(origin[2], origin[2] + mx))
+                if key == "stack":
+                    window = (rank,) + window
+                covered[window] = True
+                picked.append((pos, window))
+                origins.append(origin)
+            if picked:
+                engines.append(engine)
+            windows.append(picked)
+            groups.append((engine, np.array(origins, dtype=np.int64),
+                           y_rows, x_rows))
+        whole = all(len(origins) == engine.batch
+                    for engine, origins, _, _ in groups)
+        layout = EvpLayout(shape, np.ascontiguousarray(mask),
+                           groups if whole else None, _runs(~covered))
+        return layout, engines, windows
+
+    def _cell_maps(self, key):
+        """The cell maps of a layout, for numpy's takes: ``(y_dst,
+        y_src, x_idx)``.  The solve reads layout cell ``y_src[i]`` into
+        right-hand-side row ``y_dst[i]`` (``None``: row ``i``, every row
+        is some tile's) and cell ``c`` reads its solution back from row
+        ``x_idx[c]``, the zero row when no tile covers it (eliminated
+        land blocks, pad cells of ragged stacks).  Built on first use:
+        a layout the kernels gather and scatter never needs them.
+        """
+        maps = self._takes.get(key)
+        if maps is not None:
+            return maps
+        layout, _, windows = self._maps[key]
+        cell = np.arange(int(np.prod(layout.shape)),
+                         dtype=np.intp).reshape(layout.shape)
+        x_idx = np.full(layout.shape, self._x_size, dtype=np.intp)
+        dst, src = [], []
+        for (_, engine, y_rows, x_rows), picked in zip(self._layout, windows):
+            y_slot, x_slot, _ = engine.slots()
+            for pos, window in picked:
                 x_idx[window] = x_rows.start + x_slot[pos]
                 dst.append(y_rows.start + y_slot[pos].ravel())
                 src.append(cell[window].ravel())
-                if engine not in engines:
-                    engines.append(engine)
         dst, src = np.concatenate(dst), np.concatenate(src)
         if dst.size == self._y_size:
             y_src = np.empty_like(src)
             y_src[dst] = src
             dst, src = None, y_src
-        return dst, src, x_idx, engines, mask
+        maps = self._takes[key] = (dst, src, x_idx)
+        return maps
 
     def _working_set(self, n):
         """Buffers ``(y, x)`` of width ``n`` plus each engine's views.
@@ -749,24 +777,33 @@ class EVPBlockPreconditioner(Preconditioner):
         return self._work
 
     def _apply(self, key, r, out):
-        """Take ``r`` into the engines' layout, solve, take ``out`` back."""
+        """Gather ``r`` into the engines' layout, solve, scatter the
+        masked solutions into ``out`` -- where the kernels cannot (no
+        library, a rank's own block), take the cells in and out with
+        the layout's cell maps and multiply by the mask."""
         if key not in self._maps:
             self._maps[key] = self._compile(key)
-        y_dst, y_src, x_idx, engines, mask = self._maps[key]
-        nrhs = r.shape[-1] if r.ndim > x_idx.ndim else None
+        layout, engines, _ = self._maps[key]
+        boundary = layout.groups is not None
+        nrhs = r.shape[-1] if r.ndim > len(layout.shape) else None
         y, x, views = self._working_set(nrhs or 1)
-        rows = r.reshape(-1, nrhs or 1)
-        if y_dst is None:
-            np.take(rows, y_src, axis=0, out=y, mode="clip")
-        else:
-            y.fill(0.0)
-            y[y_dst] = rows[y_src]
+        if not (boundary and self.kernels.evp_gather(layout, r, y)):
+            y_dst, y_src, _ = self._cell_maps(key)
+            rows = r.reshape(-1, nrhs or 1)
+            if y_dst is None:
+                np.take(rows, y_src, axis=0, out=y, mode="clip")
+            else:
+                y.fill(0.0)
+                y[y_dst] = rows[y_src]
         for engine in engines:
             engine.solve_slots(*views[engine], nrhs)
         if out is None:
             out = np.empty(r.shape)
-        np.take(x if nrhs else x[:, 0], x_idx, axis=0, out=out, mode="clip")
-        return self._times(out, mask, out, key)
+        if boundary and self.kernels.evp_scatter(layout, x, out):
+            return out
+        np.take(x if nrhs else x[:, 0], self._cell_maps(key)[2], axis=0,
+                out=out, mode="clip")
+        return self._times(out, layout.mask, out, key)
 
     def apply_global(self, r, out=None):
         return self._apply(None, r, out)
@@ -840,6 +877,18 @@ def _dense_tile_apply(coeffs, x):
     for name, (dj, di) in offsets.items():
         out = out + coeffs[name] * xp[:, 1 + dj:1 + dj + my, 1 + di:1 + di + mx]
     return out
+
+
+def _runs(cells):
+    """Runs of ``True`` along the last axis of a 2-D or 3-D boolean
+    array, as an int64 ``(m, 4)`` array of ``(block, j, i, cells)``
+    (block 0 for 2-D)."""
+    rows = cells.reshape(-1, cells.shape[-1])
+    edges = np.diff(np.pad(rows, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, start = np.nonzero(edges == 1)
+    _, stop = np.nonzero(edges == -1)
+    block, j = divmod(row, cells.shape[-2])
+    return np.stack([block, j, start, stop - start], axis=1).astype(np.int64)
 
 
 def _influence_for_shape(state, shape):

@@ -130,6 +130,36 @@ def _evp_cases(draw):
 
 
 @st.composite
+def _boundary_cases(draw):
+    """A layout the EVP boundary moves cells in -- the global grid (a
+    serial batch at a width; blocks eliminated as land leave cells no
+    tile covers), the strided interior of a block stack, a ragged stack
+    with land blocks eliminated, a stack interior updated in place --,
+    tile sides 1..12, a stencil, a batch width and the non-finite
+    values to plant in a tile's first and last rows."""
+    layout = draw(st.sampled_from(("global", "stack", "ragged", "inplace")))
+    mby, mbx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    side = 1 if layout == "global" else 2   # a block holds the halo
+    ny = mby * draw(st.integers(side, 14))
+    nx = mbx * draw(st.integers(side, 14))
+    land_blocks = ()
+    if layout in ("global", "ragged"):
+        ny += draw(st.integers(0, mby - 1))
+        nx += draw(st.integers(0, mbx - 1))
+        land_blocks = draw(st.sets(st.integers(0, mby * mbx - 1),
+                                   max_size=(mby * mbx) // 3))
+    return dict(
+        layout=layout, ny=ny, nx=nx, mby=mby, mbx=mbx,
+        land_blocks=sorted(land_blocks), seed=draw(st.integers(0, 20)),
+        tile_size=draw(st.integers(1, 12)), simplified=draw(st.booleans()),
+        nrhs=draw(st.sampled_from((None, 1, 2, 3, 8, 11))),
+        tile=draw(st.integers(0, 50)), column=draw(st.integers(0, 10)),
+        poison=draw(st.sampled_from(((np.nan, np.inf), (np.inf, -np.inf),
+                                     (-np.inf, np.nan)))),
+    )
+
+
+@st.composite
 def _stencil_cases(draw):
     """A grid (sides 1..24, single rows and columns included), a layout
     -- the global grid, a uniform block stack, or a ragged stack with
@@ -1162,26 +1192,117 @@ class TestEVPParity:
             clean[cells if nrhs is None else (cells, col)] = False
             assert np.array_equal(bad[clean], got[clean])
 
+    @given(case=_boundary_cases())
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_boundary(self, case):
+        """Gather -> tile solves -> masked scatter on every layout the
+        preconditioner hands the kernels, NaN / Inf in the first and last
+        rows of a tile: the library's apply equals the numpy / scipy
+        floor's and the reference's, bit for bit; the pad cells of a
+        ragged stack come back 0.0 and the halo of an output stack is
+        not touched."""
+        config = _config_with_land_blocks(
+            case["ny"], case["nx"], case["mby"], case["mbx"],
+            case["land_blocks"], case["seed"])
+        decomp = decompose(case["ny"], case["nx"], case["mby"], case["mbx"],
+                           mask=config.mask)
+        options = dict(decomp=decomp, tile_size=case["tile_size"],
+                       simplified=case["simplified"])
+        ref = evp_for_config(config, kernels="numpy", **options)
+        floor, fused = (
+            evp_for_config(config, kernels=KERNELS[name],
+                           influence_state=ref.influence_state(), **options)
+            for name in ("fused-unbuilt", "fused"))
+        nrhs, layout = case["nrhs"], case["layout"]
+        tail = () if nrhs is None else (nrhs,)
+        col = () if nrhs is None else (case["column"] % nrhs,)
+        rng = np.random.default_rng(case["seed"])
+        trank, j0, j1, i0, i1 = ref._tiles[case["tile"] % len(ref._tiles)]
+        if layout == "global":
+            r = rng.standard_normal(config.shape + tail)
+            at = (j0, i0)
+        else:
+            vm = VirtualMachine(decomp, mask=config.mask)
+            source, target = vm.zeros(nrhs=nrhs), vm.zeros(nrhs=nrhs)
+            target.stack[...] = 7.0
+            r = source.interior_stack()
+            r[...] = rng.standard_normal(r.shape)
+            block = decomp.active_blocks[trank]
+            at = (trank, j0 - block.j0, i0 - block.i0)
+        first, last = rng.integers(0, i1 - i0, 2)
+        r[at[:-2] + (at[-2], at[-1] + first) + col] = case["poison"][0]
+        r[at[:-2] + (at[-2] + j1 - j0 - 1, at[-1] + last) + col] = \
+            case["poison"][1]
+        given_r = r.copy()
+
+        def apply(pre, v, out=None):
+            if layout == "global":
+                return pre.apply_global(v, out=out)
+            return pre.apply_stack(v, out=out)
+
+        with np.errstate(all="ignore"):
+            expect = [apply(pre, given_r.copy()) for pre in (ref, floor)]
+            if layout == "global":
+                got = apply(fused, r)
+            else:
+                out = r if layout == "inplace" else target.interior_stack()
+                got = apply(fused, r, out=out)
+                assert got is out
+        for want in expect:
+            assert np.array_equal(got, want, equal_nan=True)
+        lib = load_native()
+        if lib.evp_gather is not None and lib.evp_scatter is not None:
+            # The library moved the cells (no take maps were built).
+            key = None if layout == "global" else "stack"
+            assert fused._maps[key][0].compiled and key not in fused._takes
+        if layout == "global":
+            covered = np.zeros(config.shape, dtype=bool)
+            for _, a, b, c, d in ref._tiles:
+                covered[a:b, c:d] = True
+            assert not np.any(got[~covered])
+        if layout in ("stack", "ragged"):
+            h = decomp.halo_width
+            halo = np.ones(target.stack.shape, dtype=bool)
+            halo[:, h:-h, h:-h] = False
+            assert np.all(target.stack[halo] == 7.0)
+        if layout != "global":
+            for rank, block in enumerate(decomp.active_blocks):
+                assert not np.any(got[rank, block.ny:])
+                assert not np.any(got[rank, :, block.nx:])
+
     def test_working_set_keeps_one_width(self, uniform_config,
                                          uniform_decomp):
         """Widths 8, 3, 1 in turn leave one working set: one pair of
         buffers, one marching program and one ring scratch per shape
-        group, one folded mask."""
+        group, and one coefficient block per engine -- the same object
+        at every width, no row of it wider than the engine's tiles.  The
+        mask is repeated for no width where the scatter masks."""
         r = np.random.default_rng(0).standard_normal(
             uniform_config.shape + (8,))
         for product in PRODUCTS:
+            kernels = KERNELS[product]
             pre = evp_for_config(uniform_config, decomp=uniform_decomp,
-                                 tile_size=5, kernels=KERNELS[product])
+                                 tile_size=5, kernels=kernels)
+            blocks = None
             for nrhs in (8, 3, 1):
                 pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
+                if blocks is None:
+                    blocks = {engine: engine._plan.block
+                              for engine in pre._engines.values()}
+                for engine, block in blocks.items():
+                    assert engine._plan.block is block
+                    assert block.shape[1] == engine.batch
+                    assert engine._plan.inv_ne.shape[1] == engine.batch
             y, x, views = pre._work
             assert y.shape[1] == x.shape[1] == 1
-            assert len(pre._folded) == 1
+            scatters = kernels._native().evp_scatter is not None
+            assert len(pre._folded) == (0 if scatters else 1)
             for engine, (y_rows, x_rows) in views.items():
                 bound = engine._plan.bound
                 assert bound.y is y_rows and bound.x is x_rows
-                assert bound.f.shape == (engine.k, engine.batch)
-                assert len(engine._ring_multi[0]) == 1
+                assert bound.f.shape == (1, engine.batch, engine.k)
+                assert bound.ring.shape == (1, engine.batch, 1, engine.k)
                 assert engine._plan.own is None
         numpy_pre = evp_for_config(uniform_config, decomp=uniform_decomp,
                                    tile_size=5, kernels="numpy")

@@ -33,6 +33,7 @@ from repro.solvers import (
     SpectralBoundedSolver,
 )
 from repro.solvers.health import BREAKDOWN, NONFINITE_RESIDUAL
+from tests.test_engine_conformance import _config_with_land_blocks
 
 SOLVERS = {"chrongear": ChronGearSolver, "pcg": PCGSolver,
            "pcsi": PCSISolver, "pipecg": PipeCGSolver,
@@ -192,6 +193,51 @@ class TestRaggedConvergence:
         assert res.iterations == 0 and res.converged
         assert res.extra["zero_rhs"] is True
         assert res.extra["per_rhs_iterations"] == [0, 0, 0]
+
+
+class TestEightColumnEVP:
+    """ChronGear + EVP on 8 columns of the batched engine -- the stacked
+    gather, the width-8 march and masked scatter, and the width-7
+    working set once a column retires -- equals eight solo solves, on a
+    ragged lattice with a land block eliminated or kept."""
+
+    @pytest.mark.parametrize("eliminate_land", [False, True])
+    def test_columns_equal_their_solo_solves(self, eliminate_land):
+        config = _config_with_land_blocks(26, 22, 3, 2, [1], seed=3)
+        decomp = decompose(26, 22, 3, 2, mask=config.mask,
+                           eliminate_land=eliminate_land)
+        assert decomp.num_active == (5 if eliminate_land else 6)
+        rng = np.random.default_rng(8)
+        b = np.stack([np.where(config.mask,
+                               rng.standard_normal(config.shape), 0.0)
+                      for _ in range(8)], axis=-1)
+
+        def solver():
+            pre = evp_for_config(config, decomp=decomp, tile_size=5)
+            vm = VirtualMachine(decomp, mask=config.mask)
+            return ChronGearSolver(
+                DistributedContext(config.stencil, pre, vm), tol=1e-12,
+                max_iterations=600, raise_on_failure=False)
+
+        # Column 3 starts from its solution: it retires at the first
+        # check and the other seven run on (compaction 8 -> 7).
+        x0 = np.zeros_like(b)
+        x0[..., 3] = solver().solve(b[..., 3]).x
+        batch = solver().solve(b, x0=x0)
+        solo = [solver().solve(b[..., j], x0=x0[..., j]) for j in range(8)]
+        iterations = batch.extra["per_rhs_iterations"]
+        assert iterations[3] < min(iterations[:3] + iterations[4:])
+        for j, single in enumerate(solo):
+            assert np.array_equal(batch.x[..., j], single.x)
+            assert iterations[j] == single.iterations
+            assert batch.extra["per_rhs_residual_norm"][j] == \
+                single.residual_norm
+        # A batch logs its worst running column per check: the largest
+        # of the solo histories that reach that check.
+        for k, worst in batch.residual_history:
+            assert worst == max(value for single in solo
+                                for at, value in single.residual_history
+                                if at == k)
 
 
 class TestPerColumnDiagnosis:

@@ -6,10 +6,12 @@ library is resolved once per process) with its own cache home: the
 ChronGear + EVP solves it makes -- one serial, one of 8 right-hand
 sides on the batched engine's stacks: the sweep in its single- and
 multi-vector forms, the update chain with scalar and per-column
-coefficients, the dot of one vector and of stack windows, both EVP
-entry points -- must equal the numpy oracle's bit for bit, and a
-2-column serial P-CSI + diagonal solve (its spans) the per-iteration
-path's; none may emit a warning or anything on stderr, and
+coefficients, the dot of one vector and of stack windows, the EVP
+march, edge residuals, gather and masked scatter -- must equal the
+numpy oracle's bit for bit, a width-8 EVP apply on the strided
+interior of a stack the numpy / scipy floor's, and a 2-column serial
+P-CSI + diagonal solve (its spans) the per-iteration path's; none may
+emit a warning or anything on stderr, and
 ``describe()`` / ``native_status()`` must name what happened.
 """
 
@@ -70,13 +72,24 @@ def pcsi(kernels):
     return make_solver("pcsi", ctx, tol=1e-10).solve(
         np.ascontiguousarray(b[..., :2]))
 
+def stacked_apply(kernels):
+    pre = evp_for_config(config, tile_size=6, kernels=kernels, decomp=decomp)
+    vm = VirtualMachine(decomp, mask=config.mask)
+    r, out = vm.zeros(nrhs=8), vm.zeros(nrhs=8)
+    r.interior_stack()[...] = np.random.default_rng(2).standard_normal(
+        r.interior_stack().shape)
+    pre.apply_stack(r.interior_stack(), out=out.interior_stack())
+    return out.stack
+
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     kernels = resolve_kernels(None)
     pairs = [(solve("numpy", stacked), solve(None, stacked))
              for stacked in (False, True)]
     pairs.append((pcsi(FusedKernels(native=False)), pcsi(None)))
+    applies = [stacked_apply(k) for k in (FusedKernels(native=False), None)]
 assert not caught, [str(w.message) for w in caught]
+assert np.array_equal(*applies)
 for ref, got in pairs:
     assert got.converged and ref.iterations == got.iterations
     assert np.array_equal(ref.x, got.x)
@@ -170,12 +183,16 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
 
 @needs_compiler
 @pytest.mark.parametrize("failed", ["dia_sweep", "update_chain",
-                                    "pairwise_dot", "chebyshev_span"])
+                                    "pairwise_dot", "chebyshev_span",
+                                    "evp_gather", "evp_scatter",
+                                    "evp_march", "evp_edges"])
 def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     """Each of the entry points the stacks share with the serial
-    vectors, and the serial P-CSI span, failing alone: its loops go
-    back to scipy / numpy (P-CSI to one iteration a call), the other
-    five stay adopted, every solve keeps its bits."""
+    vectors, the serial P-CSI span and each EVP entry point failing
+    alone: its loops go back to scipy / numpy (P-CSI to one iteration a
+    call, the EVP boundary to takes and the mask multiply), the others
+    stay adopted, every solve and the stacked width-8 apply keep their
+    bits."""
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)
@@ -188,7 +205,7 @@ def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     out = subprocess.run([sys.executable, "-c", prelude + report], env=env,
                          capture_output=True, text=True, check=True).stdout
     adopted = ["dia_sweep", "update_chain", "pairwise_dot", "evp_march",
-               "evp_edges", "chebyshev_span"]
+               "evp_edges", "chebyshev_span", "evp_gather", "evp_scatter"]
     adopted.remove(failed)
     assert out.strip() == str(adopted)
 
