@@ -38,7 +38,11 @@ class BreakdownError(SolverError):
     non-finite inner products); the shared convergence loop converts it
     into a diagnosed :class:`ConvergenceError` that carries the partial
     result, so callers never see a bare breakdown from ``solve``.
+    ``iteration`` is the iteration that broke down where a solver runs
+    several per call (``None``: the last one the loop handed over).
     """
+
+    iteration = None
 
 
 class ConvergenceError(SolverError):

@@ -16,7 +16,9 @@ the reproduction:
   ChronGear's four recurrences),
 * whole spans of serial P-CSI + diagonal iterations, which need no
   inner product between convergence checks
-  (:meth:`~KernelBackend.chebyshev_span`).
+  (:meth:`~KernelBackend.chebyshev_span`), and serial ChronGear +
+  diagonal iterations as one pass each
+  (:meth:`~KernelBackend.chrongear_span`).
 
 There are two implementations -- the ``numpy`` reference and the
 ``fused`` product -- and one contract: an implementation changes
@@ -258,6 +260,28 @@ class KernelBackend:
         touched and the caller runs them one call at a time.
         """
         return False
+
+    def chrongear_span(self, coeffs, inv_diag, x, r, s, p):
+        """A one-pass runner for ChronGear iterations with a diagonal
+        preconditioner on these vectors, if this backend has one.
+
+        ``x``, ``r``, ``s`` and ``p`` are whole global ``(ny, nx[,
+        nrhs])`` vectors, updated in place.  The runner is called as
+        ``run(step, head)``: with ``step = (alpha, beta)`` (floats, or
+        ``(nrhs,)`` arrays) it first runs ``s = r' + beta s``, ``p = z +
+        beta p``, ``x += alpha s``, ``r += (-alpha) p`` with the
+        previous head's ``r'`` and ``z``; with ``head`` it then forms
+        ``r' = r * inv_diag``, ``z = A r'`` and returns ``(rho, delta)
+        = (<r, r'>, <z, r'>)`` -- the roundings of the preconditioner's
+        multiply, :meth:`update_chain`, :meth:`stencil_apply` and
+        :meth:`masked_dot` (per column for a batch), the dots weighed
+        by ``inv_diag != 0``, which the caller vouches is the ocean
+        mask.  ``run.flush()`` makes ``x`` whole after the last call
+        (a runner may keep an ``x`` update for the call that follows).
+        ``None`` (the default: there is no one-pass form in numpy) sends
+        the caller to one call per step.
+        """
+        return None
 
     # ------------------------------------------------------------------
     def describe(self):

@@ -134,7 +134,12 @@ diagonal iterations as one ``native.c`` wavefront over the grid rows
 (the preconditioner multiply, the chain's two steps and a sweep row
 followed by the subtraction, iterations trailing each other by four
 rows) on the single-RHS sweep's ``data`` / ``offsets``; without it the
-context runs the iterations one call at a time.
+context runs the iterations one call at a time.  ``chrongear_span``
+hands a serial ChronGear + diagonal context a runner that makes each
+iteration one ``native.c`` pass: iteration ``k``'s four recurrences
+with iteration ``k + 1``'s preconditioner multiply, sweep row and both
+dots, whose pairwise leaves are summed as their cells become final.
+Both spans share one operand check (``_diagonal_span``).
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -152,13 +157,22 @@ from scipy.sparse import dia_array
 from repro.core.fields import NEIGHBOR_OFFSETS
 from repro.kernels.base import validate_evp_shapes
 from repro.kernels.native import (
+    CHAIN,
     CHAIN_FORMAT,
+    HEAD,
+    HELD,
+    HOLD,
     MAX_CHAIN_COLUMNS,
+    MAX_DEPTH,
+    SPAN_ROWS,
     STEP_FORMAT,
     Native,
     address,
+    chrongear_program,
     int64s,
+    is_symmetric,
     load,
+    pairwise_leaves,
     pointer,
     row_geometry,
 )
@@ -557,6 +571,67 @@ def _per_column(coeff, width, keep):
     return coeff.ctypes.data
 
 
+class _ChronGearSpan:
+    """``native.c``'s ChronGear span on one set of vectors: its program
+    (geometry, sweep, addresses) packed once, its ``z``, window, stacks
+    and coefficient slots kept.  ``run(step, head)`` is one call:
+    ``step`` the ``(alpha, beta)`` of the iteration whose four
+    recurrences it runs (floats, or ``(nrhs,)`` arrays) or ``None``,
+    ``head`` whether the next iteration's ``r' = M^-1 r``, ``z = A r'``
+    and dots follow; returns ``(rho, delta)`` -- floats for 2-D vectors,
+    ``(nrhs,)`` arrays for a batch -- when they do.  A chain followed by
+    a head keeps its ``x`` update for the next call, which applies it
+    with its own (one pass over ``x`` for two iterations):
+    :meth:`flush` before ``x`` is read."""
+
+    def __init__(self, fn, operands, inv_diag, vectors):
+        (_, sweep, call), addresses = operands
+        x = vectors[0]
+        cells, ndiag, data, stride, offsets = call.args
+        symmetric = getattr(call, "symmetric", None)
+        if symmetric is None:   # once per sweep
+            symmetric = call.symmetric = is_symmetric(sweep.data,
+                                                      call.offsets)
+        self.width = None if x.ndim == 2 else x.shape[2]
+        ncols = self.width or 1
+        self.z = np.empty_like(x)
+        self._scratch = (np.empty(2 * SPAN_ROWS * x.shape[1] * ncols),
+                         np.empty(2 * ncols * MAX_DEPTH))
+        self.coef, self.dots = np.empty(3 * ncols), np.empty(2 * ncols)
+        self.held = False
+        # Everything it addresses stays alive with it.
+        leaves = pairwise_leaves(cells)
+        self._operands = (sweep, call, inv_diag, leaves, vectors)
+        self.program = chrongear_program(
+            cells, x.shape[1], ncols,
+            (ndiag, stride, int(symmetric), data, offsets),
+            leaves, inv_diag.ctypes.data,
+            [*addresses, address(self.z)],
+            [address(v) for v in (*self._scratch, self.coef, self.dots)])
+        self._call = functools.partial(fn, self.program.ctypes.data)
+
+    def __call__(self, step, head):
+        mode = (HEAD if head else 0) | (HELD if self.held else 0)
+        if step is not None:
+            n = self.width or 1
+            self.coef[:n], self.coef[n:2 * n] = step
+            # A call follows that can apply the x update with its own.
+            mode |= CHAIN | (HOLD if head else 0)
+        self._call(mode)
+        self.held = bool(mode & HOLD)
+        if not head:
+            return None
+        if self.width is None:
+            return self.dots.tolist()
+        return self.dots[:self.width].copy(), self.dots[self.width:].copy()
+
+    def flush(self):
+        """Apply a kept ``x`` update: ``x`` is whole after this."""
+        if self.held:
+            self._call(HELD)
+            self.held = False
+
+
 class FusedKernels(NumpyKernels):
     """Fused backend (see module docstring).  What it does not override
     -- the per-rank oracle's ``stencil_apply_local`` -- is the
@@ -764,35 +839,60 @@ class FusedKernels(NumpyKernels):
                        len(steps), *flat))
         return True
 
-    def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
-        fn = self._native().chebyshev_span
+    def _diagonal_span(self, fn, coeffs, inv_diag, written, read=()):
+        """The operand check both diagonal spans share: ``(entry,
+        addresses of written)`` -- ``entry`` the single-RHS sweep
+        :meth:`_sweep` caches -- when ``fn`` was adopted and the vectors
+        are whole C-contiguous float64 ``(ny, nx[, nrhs])`` arrays of
+        one shape, at most ``MAX_CHAIN_COLUMNS`` wide on a grid at least
+        three wide, that do not overlap, with ``written`` writable;
+        ``None`` otherwise."""
+        x = written[0]
+        vectors = (*written, *read)
         if fn is None or x.ndim not in (2, 3) or x.shape[1] < 3 \
                 or (x.ndim == 3 and x.shape[2] > MAX_CHAIN_COLUMNS) \
-                or not (b.shape == r.shape == dx.shape == x.shape
-                        and inv_diag.shape == x.shape[:2]) \
+                or inv_diag.shape != x.shape[:2] \
+                or any(v.shape != x.shape for v in vectors) \
                 or any(v.dtype != np.float64 or not v.flags.c_contiguous
-                       for v in (inv_diag, b, r, dx, x)):
-            return False
+                       for v in (inv_diag, *vectors)):
+            return None
         # The single-RHS sweep, at every width; without ``dia_sweep``
         # there is no ``call`` to read its operands from.
-        _, _, call = self._sweep(coeffs, getattr, 0, 1)
-        if call is None:
-            return False
+        entry = self._sweep(coeffs, getattr, 0, 1)
+        if entry[2] is None:
+            return None
         try:
-            written = [address(v) for v in (r, dx, x)]
+            written = [address(v) for v in written]
         except (TypeError, ValueError):
-            return False   # read-only
-        spans = sorted(written + [b.ctypes.data])
+            return None   # read-only
+        spans = sorted(written + [v.ctypes.data for v in read])
         if any(q - p < x.nbytes for p, q in zip(spans, spans[1:])):
-            return False   # vectors that overlap
+            return None   # vectors that overlap
+        return entry, written
+
+    def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
+        fn = self._native().chebyshev_span
+        operands = self._diagonal_span(fn, coeffs, inv_diag, (x, r, dx),
+                                       (b,))
+        if operands is None:
+            return False
         if not weights:
             return True
+        (_, _, call), (x_at, r_at, dx_at) = operands
         wc = np.array(weights, dtype=np.float64)
         cells, ndiag, data, stride, offsets = call.args
         fn(len(wc), address(wc),
            int64s(cells, x.shape[1], x.size // cells, ndiag, stride)[0],
-           data, offsets, inv_diag.ctypes.data, b.ctypes.data, *written)
+           data, offsets, inv_diag.ctypes.data, b.ctypes.data, r_at, dx_at,
+           x_at)
         return True
+
+    def chrongear_span(self, coeffs, inv_diag, x, r, s, p):
+        fn = self._native().chrongear_span
+        operands = self._diagonal_span(fn, coeffs, inv_diag, (x, r, s, p))
+        if operands is None:
+            return None
+        return _ChronGearSpan(fn, operands, inv_diag, (x, r, s, p))
 
     # ------------------------------------------------------------------
     # EVP tile solves

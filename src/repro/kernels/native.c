@@ -43,7 +43,8 @@
  * index and `y` points at the first row's output, with strides of its
  * own in elements: g = {ncols, blocks, rows, cells per row, first
  * cell, block_stride, row_stride, y_block_stride, y_row_stride}.  One
- * row is sweep_row, which chebyshev_span (section 6) calls too.
+ * row is sweep_row, which chebyshev_span and chrongear_span (sections 6
+ * and 8) call too.
  * ------------------------------------------------------------------ */
 
 /* Cells where some diagonal leaves the vector: one pass per diagonal
@@ -70,19 +71,21 @@ static void sweep_checked(int64_t lo, int64_t hi, int64_t n, int64_t ndiag,
     }
 }
 
-/* One column, every diagonal in reach: nine shifted coefficient and
+/* One column, every diagonal in reach: nine coefficient streams (row
+ * i's coefficient of diagonal k at streams[k][i]) and nine shifted
  * source streams, no branches, vectorized along the row. */
-static void sweep_single(int64_t lo, int64_t hi, const double *data,
-                         int64_t stride, const int64_t *offsets,
-                         const double *x, double *restrict y)
+static void sweep_single(int64_t lo, int64_t hi,
+                         const double *const *streams,
+                         const int64_t *offsets, const double *x,
+                         double *restrict y)
 {
     const int64_t o0 = offsets[0], o1 = offsets[1], o2 = offsets[2],
                   o3 = offsets[3], o4 = offsets[4], o5 = offsets[5],
                   o6 = offsets[6], o7 = offsets[7], o8 = offsets[8];
-    const double *d0 = data, *d1 = d0 + stride, *d2 = d1 + stride,
-                 *d3 = d2 + stride, *d4 = d3 + stride, *d5 = d4 + stride,
-                 *d6 = d5 + stride, *d7 = d6 + stride, *d8 = d7 + stride;
-#define STREAM(k) acc += d##k[i + o##k] * x[i + o##k];
+    const double *d0 = streams[0], *d1 = streams[1], *d2 = streams[2],
+                 *d3 = streams[3], *d4 = streams[4], *d5 = streams[5],
+                 *d6 = streams[6], *d7 = streams[7], *d8 = streams[8];
+#define STREAM(k) acc += d##k[i] * x[i + o##k];
     for (int64_t i = lo; i < hi; i++) {
         double acc = 0.0;
         STREAM(0) STREAM(1) STREAM(2) STREAM(3) STREAM(4)
@@ -144,24 +147,42 @@ typedef void sweep_fn(int64_t, int64_t, const double *, int64_t,
 static sweep_fn *const SWEEPS[] = {sweep_1, sweep_pairs, sweep_3, sweep_4,
                                    sweep_5, sweep_6, sweep_7, sweep_8};
 
-/* A DIA matrix over n cells; between lo and hi every diagonal reaches. */
+/* A DIA matrix over n cells; between lo and hi every diagonal reaches,
+ * and a single column reads row i's coefficient of diagonal k at
+ * streams[k][i]: data[k, i + off_k]. */
 typedef struct {
     int64_t n, ndiag, stride, lo, hi;
     const double *data;
     const int64_t *offsets;
+    const double *streams[9];
 } dia_matrix;
 
 static dia_matrix dia_of(int64_t n, int64_t ndiag, const double *data,
                          int64_t stride, const int64_t *offsets)
 {
-    dia_matrix a = {n, ndiag, stride, 0, n, data, offsets};
+    dia_matrix a = {n, ndiag, stride, 0, n, data, offsets, {0}};
     for (int64_t k = 0; k < ndiag; k++) {
         if (-offsets[k] > a.lo) a.lo = -offsets[k];
         if (n - offsets[k] < a.hi) a.hi = n - offsets[k];
     }
     if (ndiag != 9 || a.lo >= a.hi)
         a.lo = a.hi = n;
+    for (int64_t k = 0; ndiag == 9 && k < 9; k++)
+        a.streams[k] = data + k * stride + offsets[k];
     return a;
+}
+
+/* A symmetric matrix read from half its planes: row i's coefficient on
+ * a diagonal -o < 0 is A[i, i - o] = A[i - o, i], diagonal +o's at
+ * column i, data[k', i] -- the same value, so the same products, when A
+ * is symmetric bit for bit, which the caller has checked.  The single
+ * column's interior then streams five planes instead of nine. */
+static void dia_mirror(dia_matrix *a)
+{
+    for (int64_t k = 0; a->lo < a->hi && k < 9; k++)
+        for (int64_t m = 0; a->offsets[k] < 0 && m < 9; m++)
+            if (a->offsets[m] == -a->offsets[k])
+                a->streams[k] = a->data + m * a->stride;
 }
 
 /* y = A x on cells [start, end), written from y: the row code. */
@@ -175,7 +196,7 @@ static void sweep_row(const dia_matrix *a, int64_t start, int64_t end,
                       a->offsets, ncols, x, y);
     y += (from - start) * ncols;
     if (ncols == 1 && from < to)
-        sweep_single(from, to, a->data, a->stride, a->offsets, x, y);
+        sweep_single(from, to, a->streams, a->offsets, x, y);
     else if (from < to)
         for (int64_t c = 0; c < ncols; c += 8)
             SWEEPS[ncols - c < 8 ? ncols - c - 1 : 7](
@@ -966,4 +987,306 @@ void evp_scatter(const int64_t *prog, int64_t ncols, const double *x,
             for (int64_t c = 0; c < ncols; c++)
                 o[c] = 0.0;
         }
+}
+
+/* ------------------------------------------------------------------
+ * 8. ChronGear with a diagonal preconditioner, one pass per iteration.
+ *
+ * One call runs, row by row over a whole vector, the four recurrences
+ * of the iteration whose coefficients it is handed (the chain, mode &
+ * 1) and then the head of the next iteration (mode & 2):
+ *     chain:  r' = r * dinv;  s = (beta * s) + r';  p = (beta * p) + z;
+ *             x = x + (alpha * s);  r = r + ((-alpha) * p)
+ *     head:   r' = r * dinv;  z = A r';  rho = <r, r'>;  delta = <z, r'>
+ * with the roundings of the diagonal preconditioner's multiply, section
+ * 2's xpay and axpy, a dia_sweep row and masked_dot, each column with
+ * its own alpha and beta.  A span of n iterations is n + 1 calls: a
+ * head, n - 1 chains with heads, a chain; the coefficients are formed
+ * between the calls from the heads' dots.  A chain with a head after it
+ * may keep its x update (SPAN_HOLD below) for the next call to apply.
+ *
+ * Reaching row j, a call updates row j (the chain reads z row j, the
+ * previous head's) and writes its r' into a window of rows, then sweeps
+ * z row j - 2.  That row reads r' in rows j - 3 .. j - 1 and, through
+ * the zero couplings that wrap around the east and west edges, the last
+ * cell of row j - 4 and the first of row j (section 6), all of them
+ * already this call's; its old z was read at step j - 2.  The window
+ * holds the last SPAN_ROWS rows twice over (row j in slots j % 5 and
+ * j % 5 + 5), so the five rows a sweep reads follow each other.  The
+ * chain recomputes the previous head's r' from r -- the same product of
+ * the same operands -- so no r' vector exists.
+ *
+ * The dots are numpy's pairwise sums over the cells in order: leaves of
+ * at most LEAF cells (`leaves` holds each leaf's end and the merges
+ * that follow it in the tree, n/2 rounded down to a multiple of 8 a
+ * split, as in section 3), formed as soon as their cells are final --
+ * after row j for rho, after sweep row q for delta -- and pushed on a
+ * per-column stack that is merged (left + right) as the tree says; the
+ * result is 0.0 plus the root.  A product is a * r', which has the bits
+ * of masked_dot's (a * r') * w: the caller hands dinv in only where the
+ * mask w is 0.0 exactly where dinv is, so there r' = r * 0.0 is +-0.0 or
+ * NaN, a * r' too, and times 0.0 keeps its sign or NaN; times 1.0 keeps
+ * anything.  No mask is read.
+ *
+ * Vectors hold `ncols` columns interleaved per cell (ncols <= CHUNK),
+ * dinv one value per cell; the caller keeps the vectors apart and sizes
+ * the scratch, and sets `symmetric` only for a matrix symmetric bit for
+ * bit, whose single-column sweep then reads half the planes
+ * (dia_mirror).
+ * ------------------------------------------------------------------ */
+#define SPAN_ROWS 5
+/* Depth of a pairwise tree over more cells than memory holds. */
+#define MAX_DEPTH 64
+
+typedef struct {
+    int64_t n, nx, ncols, ndiag, stride, nleaves, symmetric;
+    const double *data;
+    const int64_t *offsets, *leaves;   /* leaves: (end, merges) each */
+    const double *dinv;
+    double *x, *r, *s, *p, *z;
+    double *window;                    /* 2 * SPAN_ROWS rows */
+    double *stacks;                    /* 2 dots x ncols x MAX_DEPTH */
+    double *coef;                      /* alpha, beta, held alpha */
+    double *dots;                      /* rho[ncols], delta[ncols] */
+} chrongear_program;
+
+/* What a call runs (mode bits): the handed iteration's recurrences,
+ * the next iteration's head; HOLD keeps the chain's x update for the
+ * next call (which has s and s' both in hand: x = (x + held * s) +
+ * alpha * s', the same two roundings in the same order, one pass over
+ * x for two iterations), HELD says a kept update comes first. */
+#define SPAN_CHAIN 1
+#define SPAN_HEAD 2
+#define SPAN_HOLD 4
+#define SPAN_HELD 8
+
+/* One run of m elements from the vectors' element `at`, the flags and
+ * the coefficient form fixed at compile time: with `tiled`, element i's
+ * alpha, beta, -alpha and held alpha are coef[k][i] and its reciprocal
+ * diagonal dd[i] (a batch, spread over the columns); without, coef[k][0]
+ * and dd[i] (one column). */
+static inline __attribute__((always_inline)) void
+span_run(const chrongear_program *g, int64_t at, int64_t m, int flags,
+         int tiled, const double *restrict dd, const double *const *coef,
+         double *restrict w0, double *restrict w1)
+{
+    const double *restrict ta = coef[0], *restrict tb = coef[1],
+                           *restrict tm = coef[2], *restrict th = coef[3],
+                           *restrict z = g->z + at;
+    double *restrict x = g->x + at, *restrict r = g->r + at,
+           *restrict s = g->s + at, *restrict p = g->p + at;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t c = tiled ? i : 0;
+        if (flags & SPAN_HELD) {
+            const double t = th[c] * s[i];
+            x[i] = x[i] + t;
+        }
+        if (flags & SPAN_CHAIN) {
+            const double rp = r[i] * dd[i];
+            double t = tb[c] * s[i];
+            s[i] = t + rp;
+            t = tb[c] * p[i];
+            p[i] = t + z[i];
+            if (!(flags & SPAN_HOLD)) {
+                t = ta[c] * s[i];
+                x[i] = x[i] + t;
+            }
+            t = tm[c] * p[i];
+            r[i] = r[i] + t;
+        }
+        if (flags & SPAN_HEAD) {
+            const double v = r[i] * dd[i];
+            w0[i] = v;
+            w1[i] = v;
+        }
+    }
+}
+
+#define SPAN_CASE(F, TILED)                                                \
+    case F:                                                                \
+        span_run(g, at, m, F, TILED, dd, coef, w0, w1);                    \
+        break;
+/* The flag combinations a runner makes: a chain alone (the last),
+ * a head alone (the first, or after an iteration that updated nothing),
+ * both with HOLD, any of them after a HOLD, and a flush. */
+#define SPAN_CASES(TILED)                                                  \
+    switch (flags) {                                                       \
+    SPAN_CASE(1, TILED) SPAN_CASE(2, TILED) SPAN_CASE(7, TILED)            \
+    SPAN_CASE(8, TILED) SPAN_CASE(9, TILED) SPAN_CASE(10, TILED)           \
+    SPAN_CASE(15, TILED)                                                   \
+    }
+
+/* One column: a row of cells, scalar coefficients. */
+static void span_single(const chrongear_program *g, int64_t at, int64_t m,
+                        int flags, const double *const *coef,
+                        double *w0, double *w1)
+{
+    const double *dd = g->dinv + at;
+    SPAN_CASES(0)
+}
+
+#define SPREAD_CASE(W)                                                     \
+    case W:                                                                \
+        for (int64_t k = 0; k < m; k += W, d++)                            \
+            for (int c = 0; c < W; c++)                                    \
+                dd[k + c] = d[0];                                          \
+        break;
+
+/* More columns: a chunk of elements from `at` (a cell boundary), the
+ * coefficients tiled along a chunk and the reciprocal diagonal spread
+ * over the columns first. */
+static void span_columns(const chrongear_program *g, int64_t at, int64_t m,
+                         int flags, const double *const *coef, double *w0,
+                         double *w1)
+{
+    double dd[CHUNK];
+    const double *d = g->dinv + at / g->ncols;
+    switch (g->ncols) {   /* a loop of run-time length is 2x slower */
+    SPREAD_CASE(2) SPREAD_CASE(3) SPREAD_CASE(4) SPREAD_CASE(5)
+    SPREAD_CASE(6) SPREAD_CASE(7) SPREAD_CASE(8)
+    default:
+        for (int64_t k = 0; k < m; d++)
+            for (int64_t c = 0; c < g->ncols; c++, k++)
+                dd[k] = d[0];
+    }
+    SPAN_CASES(1)
+}
+
+/* numpy's leaf of u * (v * d) over n cells of one column. */
+#define SPAN_TERM(k) (u[k] * (v[k] * dd[k]))
+static double span_leaf(const double *u, const double *v, const double *dd,
+                        int64_t n)
+{
+    LEAF_SUM(SPAN_TERM)
+}
+
+/* The same for W <= 4 columns at once (u and v at the group's first
+ * column, cell t's at t * ncols): each column's LEAF_SUM, the eight
+ * accumulators vectors over the columns -- no products stored; wider
+ * groups spill the accumulators.  A batch runs in groups of four. */
+#define SPAN_TERMS(k) (u[(k) * ncols + c] * (v[(k) * ncols + c] * dd[k]))
+#define LEAF_COLUMNS(W)                                                    \
+static void leaf_##W(const double *u, const double *v, const double *dd,   \
+                     int64_t n, int64_t ncols, double *res)                \
+{                                                                          \
+    double acc[8][W];                                                      \
+    int64_t i = 0;                                                         \
+    if (n < 8) {                                                           \
+        for (int c = 0; c < W; c++)                                        \
+            res[c] = -0.0;                                                 \
+        for (; i < n; i++)                                                 \
+            for (int c = 0; c < W; c++)                                    \
+                res[c] += SPAN_TERMS(i);                                   \
+        return;                                                            \
+    }                                                                      \
+    for (int j = 0; j < 8; j++)                                            \
+        for (int c = 0; c < W; c++)                                        \
+            acc[j][c] = SPAN_TERMS(j);                                     \
+    for (i = 8; i < n - (n % 8); i += 8)                                   \
+        for (int j = 0; j < 8; j++)                                        \
+            for (int c = 0; c < W; c++)                                    \
+                acc[j][c] += SPAN_TERMS(i + j);                            \
+    for (int c = 0; c < W; c++)                                            \
+        res[c] = ((acc[0][c] + acc[1][c]) + (acc[2][c] + acc[3][c]))       \
+                 + ((acc[4][c] + acc[5][c]) + (acc[6][c] + acc[7][c]));    \
+    for (; i < n; i++)                                                     \
+        for (int c = 0; c < W; c++)                                        \
+            res[c] += SPAN_TERMS(i);                                       \
+}
+LEAF_COLUMNS(1) LEAF_COLUMNS(2) LEAF_COLUMNS(3) LEAF_COLUMNS(4)
+
+typedef void leaf_fn(const double *, const double *, const double *, int64_t,
+                     int64_t, double *);
+static leaf_fn *const LEAVES[] = {leaf_1, leaf_2, leaf_3, leaf_4};
+
+typedef struct {
+    int64_t next, depth;   /* the next leaf; values on the stack */
+    double *stack;         /* column c's at stack[c * MAX_DEPTH] */
+} span_dot;
+
+/* Every leaf of <u, r'> whose cells end by cell `done`, pushed and
+ * merged in tree order. */
+static void span_dots(const chrongear_program *g, const double *u,
+                      int64_t done, span_dot *dot)
+{
+    const int64_t ncols = g->ncols;
+    for (; dot->next < g->nleaves && g->leaves[2 * dot->next] <= done;
+         dot->next++) {
+        const int64_t hi = g->leaves[2 * dot->next];
+        const int64_t lo = dot->next ? g->leaves[2 * dot->next - 2] : 0;
+        double *top = dot->stack + dot->depth++;
+        if (ncols == 1)
+            top[0] = span_leaf(u + lo, g->r + lo, g->dinv + lo, hi - lo);
+        else
+            for (int64_t c0 = 0; c0 < ncols; c0 += 4) {
+                double res[4];
+                const int64_t nc = ncols - c0 < 4 ? ncols - c0 : 4;
+                LEAVES[nc - 1](u + lo * ncols + c0, g->r + lo * ncols + c0,
+                               g->dinv + lo, hi - lo, ncols, res);
+                for (int64_t c = 0; c < nc; c++)
+                    top[(c0 + c) * MAX_DEPTH] = res[c];
+            }
+        for (int64_t k = 0; k < g->leaves[2 * dot->next + 1]; k++) {
+            dot->depth--;
+            for (int64_t c = 0; c < ncols; c++) {
+                double *col = dot->stack + c * MAX_DEPTH + dot->depth;
+                col[-1] = col[-1] + col[0];
+            }
+        }
+    }
+}
+
+void chrongear_span(chrongear_program *g, int64_t mode)
+{
+    const int64_t nx = g->nx, ncols = g->ncols, rows = g->n / nx;
+    const int64_t run = nx * ncols, chunk = CHUNK - CHUNK % ncols;
+    const int flags = (int)mode, head = (flags & SPAN_HEAD) != 0;
+    dia_matrix a = dia_of(g->n, g->ndiag, g->data, g->stride, g->offsets);
+    if (g->symmetric)
+        dia_mirror(&a);
+    span_dot rho = {0, 0, g->stacks},
+             delta = {0, 0, g->stacks + ncols * MAX_DEPTH};
+    /* alpha, beta, -alpha, held alpha: one value, or tiled for a batch */
+    double *alpha = g->coef, *held = g->coef + 2 * ncols;
+    double minus = -alpha[0];
+    const double *coef[4] = {alpha, g->coef + ncols, &minus, held};
+    double tiles[ncols > 1 ? 4 : 1][CHUNK];
+    for (int64_t k = 0; ncols > 1 && k < chunk; k++) {
+        tiles[0][k] = alpha[k % ncols];
+        tiles[1][k] = g->coef[ncols + k % ncols];
+        tiles[2][k] = -tiles[0][k];
+        tiles[3][k] = held[k % ncols];
+    }
+    if (ncols > 1)
+        for (int k = 0; k < 4; k++)
+            coef[k] = tiles[k];
+    for (int64_t j = 0; j < rows + (head ? 2 : 0); j++) {
+        if (j < rows) {
+            double *w0 = g->window + (j % SPAN_ROWS) * run;
+            double *w1 = w0 + SPAN_ROWS * run;
+            if (ncols == 1)
+                span_single(g, j * run, run, flags, coef, w0, w1);
+            else
+                for (int64_t e = 0; e < run; e += chunk)
+                    span_columns(g, j * run + e,
+                                 run - e < chunk ? run - e : chunk, flags,
+                                 coef, w0 + e, w1 + e);
+            if (head)
+                span_dots(g, g->r, (j + 1) * nx, &rho);
+        }
+        const int64_t q = j - 2;
+        if (!head || q < 0)
+            continue;
+        /* rows q - 2 .. q + 2 from slot (q - 2) mod SPAN_ROWS on */
+        const int64_t first = (q + SPAN_ROWS - 2) % SPAN_ROWS;
+        sweep_row(&a, q * nx, (q + 1) * nx, ncols,
+                  g->window + (first - (q - 2)) * run, g->z + q * run);
+        span_dots(g, g->z, (q + 1) * nx, &delta);
+    }
+    for (int64_t c = 0; head && c < ncols; c++) {
+        g->dots[c] = 0.0 + rho.stack[c * MAX_DEPTH];
+        g->dots[ncols + c] = 0.0 + delta.stack[c * MAX_DEPTH];
+    }
+    for (int64_t c = 0; (flags & SPAN_HOLD) && c < ncols; c++)
+        held[c] = alpha[c];
 }

@@ -41,6 +41,7 @@ _SIGNATURES = {
     "chebyshev_span": (None, (_I, _P, _P, _P, _P, _P, _P, _P, _P, _P)),
     "evp_gather": (None, (_P, _I, _P, _P)),
     "evp_scatter": (None, (_P, _I, _P, _P, _P)),
+    "chrongear_span": (None, (_P, _I)),
 }
 #: ``struct`` formats of an ``update_chain`` program: the row geometry,
 #: ``ncols`` and the step count, then per step kind, a, b, the
@@ -48,6 +49,14 @@ _SIGNATURES = {
 CHAIN_FORMAT, STEP_FORMAT = "7q", "qddPPPP"
 #: ``native.c``'s ``CHUNK``: the widest batch a chain tiles coefficients for.
 MAX_CHAIN_COLUMNS = 1024
+#: ``native.c``'s ``SPAN_ROWS`` and ``MAX_DEPTH``: the rows of ``r'`` a
+#: ChronGear span keeps (twice over) and the values per column of its
+#: pairwise stacks.
+SPAN_ROWS, MAX_DEPTH = 5, 64
+#: Mode bits of a ChronGear span call: the handed iteration's four
+#: recurrences, the next iteration's head, keep the chain's ``x`` update
+#: for the next call, apply the kept one first.
+CHAIN, HEAD, HOLD, HELD = 1, 2, 4, 8
 
 
 def address(array):
@@ -96,6 +105,56 @@ def row_geometry(shape, strides):
         return None
     (blocks, block_step), (rows, row_step) = [(1, 0)] * (2 - len(outer)) + outer
     return blocks, rows, run, block_step // 8, row_step // 8
+
+
+@functools.lru_cache(maxsize=16)
+def pairwise_leaves(n):
+    """numpy's pairwise sum of ``n`` terms as its leaves, in order: an
+    int64 ``(leaves, 2)`` array of each leaf's end and the merges that
+    follow it (left + right, innermost first) -- how ``chrongear_span``
+    sums a dot whose terms become final row by row.  A leaf has at most
+    128 terms; a longer run splits at ``n / 2`` rounded down to a
+    multiple of 8."""
+    out = []
+
+    def walk(lo, count):
+        if count <= 128:
+            out.append([lo + count, 0])
+            return
+        half = count // 2
+        half -= half % 8
+        walk(lo, half)
+        walk(lo + half, count - half)
+        out[-1][1] += 1
+
+    walk(0, n)
+    return np.array(out, dtype=np.int64)
+
+
+def chrongear_program(n, nx, ncols, sweep, leaves, dinv, vectors, scratch):
+    """The int64 words of ``native.c``'s ``chrongear_program``: the
+    geometry, the sweep's ``(ndiag, stride, symmetric, data, offsets)``,
+    the leaves, then the addresses of ``dinv``, ``x`` / ``r`` / ``s`` /
+    ``p`` / ``z`` and the window, stacks, coefficients and dots."""
+    ndiag, stride, symmetric, data, offsets = sweep
+    return np.array([n, nx, ncols, ndiag, stride, len(leaves), symmetric,
+                     data, offsets, leaves.ctypes.data, dinv, *vectors,
+                     *scratch], dtype=np.uint64).view(np.int64)
+
+
+def is_symmetric(data, offsets):
+    """Whether the DIA matrix ``(data, offsets)`` is symmetric bit for
+    bit: every diagonal ``-o`` holds diagonal ``+o``'s values ``o``
+    columns earlier (``A[i, i - o] == A[i - o, i]``, compared as bits,
+    so ``-0.0`` is not ``0.0``)."""
+    n = data.shape[1]
+    index = {int(o): k for k, o in enumerate(offsets)}
+    for o, k in index.items():
+        if o < 0 and (-o not in index or -o >= n or not np.array_equal(
+                data[k, :n + o].view(np.int64),
+                data[index[-o], -o:].view(np.int64))):
+            return False
+    return True
 
 
 class Native:
@@ -458,8 +517,99 @@ def _test_chebyshev_span(fn, rng):
     return True
 
 
+def _test_chrongear_span(fn, rng):
+    """Spans of 1 to 4 iterations at widths 1 / 2 / 3 / 8 / 11, on grids
+    3 to 11 cells wide (one sum of a single leaf, the rest trees) with
+    every coupling non-zero (the wrapping ones included) -- some of them
+    symmetric, read from half the planes at width 1 -- land where
+    ``dinv`` is 0.0 and NaN / +-Inf planted in the first and last grid
+    column, against the iterations one at a time: the diagonal
+    multiply, scipy's sweep, ``np.sum`` of the masked products per
+    column and the chain's four steps with drawn coefficients, an
+    iteration that updates nothing among them, ``x`` updates kept and
+    applied as ``_ChronGearSpan`` keeps them.  NaN and Inf go into
+    column 0 only, so the others stay finite."""
+    for ny, nx, width, steps, symmetric in (
+            (9, 3, 1, 4, True), (13, 11, 2, 3, False), (6, 11, 3, 2, True),
+            (40, 7, 8, 2, False), (4, 5, 11, 1, False), (30, 11, 1, 3, False),
+            (25, 9, 1, 4, True)):
+        n = ny * nx
+        offsets = np.array([0, nx, -nx, 1, -1, nx + 1, nx - 1, 1 - nx,
+                            -1 - nx], dtype=np.int64)
+        data = rng.standard_normal((9, n))
+        for up, down in ((1, 2), (3, 4), (6, 7), (5, 8)) if symmetric else ():
+            # diagonal -o holds diagonal +o's values o columns earlier
+            o = offsets[up]
+            data[down, :n - o] = data[up, o:]
+        dinv = rng.standard_normal(n) * (rng.random(n) < 0.8)
+        x, r, s, p = rng.standard_normal((4, n, width))
+        if nx == 3 or width > 1:   # column 0 only: the others stay finite
+            for j, value in zip(rng.integers(0, ny, 3),
+                                (np.nan, np.inf, -np.inf)):
+                r[j * nx + rng.choice((0, nx - 1)), 0] = value
+        coef = rng.standard_normal((steps, 2, width))
+        sweep = dia_array((data, offsets), shape=(n, n))
+        ref = [v.copy() for v in (x, r, s, p)]
+        got = [v.copy() for v in (x, r, s, p)]
+        z = np.empty((n, width))
+        window = np.empty(2 * SPAN_ROWS * nx * width)
+        stacks = np.empty(2 * width * MAX_DEPTH)
+        coefs, dots = np.empty(3 * width), np.empty(2 * width)
+        leaves = pairwise_leaves(n)
+        prog = chrongear_program(
+            n, nx, width,
+            (9, n, int(symmetric), address(data), address(offsets)), leaves,
+            address(dinv), [address(v) for v in got] + [address(z)],
+            [address(v) for v in (window, stacks, coefs, dots)])
+        held = False
+
+        def call(step, head):
+            nonlocal held
+            mode = (HEAD if head else 0) | (HELD if held else 0)
+            if step is not None:
+                coefs[:2 * width] = step.ravel()
+                mode |= CHAIN | (HOLD if head else 0)
+            fn(prog.ctypes.data, mode)
+            held = bool(mode & HOLD)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            for t in range(steps + 1):
+                rx, rr, rs, rq = ref
+                if t:
+                    step = None if t == 2 else coef[t - 1]
+                    if step is not None:
+                        alpha, beta = step
+                        rp = rr * dinv[:, None]
+                        rs[...] = beta * rs + rp
+                        rq[...] = beta * rq + rz
+                        rx[...] = rx + alpha * rs
+                        rr[...] = rr + -alpha * rq
+                    if step is not None or t < steps:
+                        call(step, t < steps)
+                else:
+                    call(None, True)
+                if t == steps:
+                    break
+                rp = rr * dinv[:, None]
+                rz = np.stack([sweep @ np.ascontiguousarray(rp[:, c])
+                               for c in range(width)], axis=1)
+                weight = (dinv != 0.0).astype(float)[:, None]
+                want = [np.sum(np.ascontiguousarray((a * rp * weight)[:, c]))
+                        for a in (rr, rz) for c in range(width)]
+                if not (np.array_equal(dots, want, equal_nan=True)
+                        and np.array_equal(z, rz, equal_nan=True)):
+                    return False
+            if held:
+                fn(prog.ctypes.data, HELD)
+        if not all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(got, ref)):
+            return False
+    return True
+
+
 _SELF_TESTS = {"dia_sweep": _test_dia_sweep, "update_chain": _test_update_chain,
                "pairwise_dot": _test_pairwise_dot,
                "evp_march": _test_evp_march, "evp_edges": _test_evp_edges,
                "chebyshev_span": _test_chebyshev_span,
-               "evp_gather": _test_evp_gather, "evp_scatter": _test_evp_scatter}
+               "evp_gather": _test_evp_gather, "evp_scatter": _test_evp_scatter,
+               "chrongear_span": _test_chrongear_span}

@@ -105,11 +105,12 @@ class EventLedger:
         bucket.halo_exchanges += int(exchanges)
         bucket.halo_words += int(words)
 
-    def record_allreduce(self, phase, words=1):
-        """Record one global reduction of ``words`` words per rank."""
+    def record_allreduce(self, phase, words=1, count=1):
+        """Record ``count`` global reductions of ``words`` words per
+        rank each."""
         bucket = self._bucket(phase)
-        bucket.allreduces += 1
-        bucket.allreduce_words += int(words)
+        bucket.allreduces += int(count)
+        bucket.allreduce_words += int(count) * int(words)
 
     def merge(self, phases):
         """Add a per-phase ``{name: EventCounts}`` mapping into the ledger.

@@ -77,10 +77,15 @@ Nothing the loop does happens between a convergence check, a due
 checkpoint and the end of the budget, so before each call it asks the
 solver (:meth:`IterativeSolver._span`) how many iterations it may run
 up to the next such boundary, and hands them to one
-:meth:`IterativeSolver._iterate_span` call.  P-CSI answers up to
-``check_freq`` when its context runs the whole span as one kernel call
-(serial, diagonal preconditioner: a wavefront over memory, the same
-bits and ledger events as iteration by iteration); every other solver
+:meth:`IterativeSolver._iterate_span` call.  On a serial context with a
+diagonal preconditioner P-CSI and ChronGear answer up to
+``check_freq``: P-CSI's context runs the whole span as one kernel call
+(a wavefront over memory), ChronGear's each iteration as one kernel
+pass with the coefficients formed in between -- the same bits and
+ledger events as iteration by iteration.  A breakdown inside a span
+stops the loop's count at the iteration that broke down
+(``BreakdownError.iteration``), its head charged and its recurrences
+not, as one iteration a call would.  Every other solver and context
 answers 1, and with a resilience runtime attached -- which hooks every
 matvec and may roll back at any iteration -- the loop does not ask.
 
@@ -472,6 +477,9 @@ class IterativeSolver(abc.ABC):
                 try:
                     self._iterate_span(state, first, span)
                 except BreakdownError as exc:
+                    # A span stops at the iteration that broke down.
+                    if exc.iteration is not None:
+                        loop.iterations = k = exc.iteration
                     if runtime is not None and runtime.intercept(
                             "breakdown", k):
                         # A transient corruption often presents as a

@@ -18,6 +18,18 @@ Per-iteration event profile (the paper's Eq. 2, diagonal M):
 
 Steps 10-12 are scalar arithmetic on one column (:func:`_coefficients`)
 run over every column (:func:`~repro.solvers.base.per_column`).
+
+The iterations up to the next convergence check (or due checkpoint, or
+the budget's end) are one
+:meth:`~repro.solvers.context.SolverContext.chrongear_span` call, the
+coefficients still formed here between the iterations.  No iteration
+can run ahead of its predecessor's reduction, but on a serial context
+with a diagonal ``M`` each one is a single ``native.c`` pass over memory
+that runs iteration ``k``'s four recurrences together with iteration
+``k + 1``'s preconditioner multiply, stencil sweep and both dots,
+recording the same per-iteration events; every other context runs the
+steps one call at a time (see the guarded loop's span rule in
+:mod:`repro.solvers.base`).
 """
 
 import math
@@ -44,30 +56,43 @@ class ChronGearSolver(IterativeSolver):
             "b": b,
         }
 
+    def _span(self, state, k, checkpoint):
+        """Up to the next boundary when the context runs each iteration
+        as one kernel pass (serial, diagonal ``M``), else one."""
+        if not self.context.spans_chrongear(
+                state["x"], state["r"], state["s"], state["p"]):
+            return 1
+        return self._until_boundary(k, checkpoint)
+
     def _iterate(self, state, k):
-        ctx = self.context
-        # step 4: r' = M^-1 r_{k-1}
-        r_prime = ctx.precond(state["r"])
-        # step 5-6: z = B r' followed by the halo update
-        z = ctx.matvec(r_prime)
-        # steps 7-9: fused global reduction for rho and delta
-        rho, delta = ctx.dot_pair(state["r"], r_prime, z, r_prime)
-        # steps 10-12: the scalar recurrences, one column at a time
-        steps = per_column(_coefficients, rho, delta,
-                           state["rho"], state["sigma"])
-        if steps is None:
-            # Every column is exactly solved (zero RHS or an exact
-            # initial guess): leave the state untouched so the next
-            # convergence check reports success.
-            return
-        alpha, beta, state["rho"], state["sigma"] = steps
-        # steps 13-16: the four vector recurrences, one run of updates
-        ctx.updates(
-            ("xpay", r_prime, beta, state["s"]),       # s = r' + beta s
-            ("xpay", z, beta, state["p"]),             # p = z + beta p
-            ("axpy", alpha, state["s"], state["x"]),   # x += alpha s
-            ("axpy", -alpha, state["p"], state["r"]),  # r -= alpha p
-        )
+        self._iterate_span(state, k, 1)
+
+    def _iterate_span(self, state, first, n):
+        """Iterations ``first .. first + n - 1`` as one context call:
+        steps 4-9 (``r' = M^-1 r``, ``z = B r'`` and its halo update,
+        the fused reduction of ``rho`` and ``delta``) and 13-16 (the
+        four vector recurrences) run there, steps 10-12 here, one
+        column at a time.  A breakdown names its own iteration."""
+        iterations = iter(range(first, first + n))
+
+        def coefficients(rho, delta):
+            k = next(iterations)
+            try:
+                steps = per_column(_coefficients, rho, delta,
+                                   state["rho"], state["sigma"])
+            except BreakdownError as exc:
+                exc.iteration = k
+                raise
+            if steps is None:
+                # Every column is exactly solved (zero RHS or an exact
+                # initial guess): leave the state untouched so the next
+                # convergence check reports success.
+                return None
+            alpha, beta, state["rho"], state["sigma"] = steps
+            return alpha, beta
+
+        self.context.chrongear_span(state["x"], state["r"], state["s"],
+                                    state["p"], n, coefficients)
 
 
 def _coefficients(rho, delta, rho_old, sigma_old):

@@ -24,6 +24,11 @@ this small set of primitives:
                    ``precond``, ``updates`` and ``residual`` per
                    iteration, charged as those calls; one kernel call
                    where the context can fuse the whole span
+``chrongear_span`` ChronGear's iterations between two convergence
+                   checks: ``precond``, ``matvec``, ``dot_pair``, the
+                   solver's coefficients, ``updates`` per iteration,
+                   charged as those calls; one kernel pass per
+                   iteration where the context can fuse them
 ``sub``            ``out = a - b`` (folded into the matvec's cost --
                    the paper counts ``r = b - Bx`` as the 9 n^2 matvec)
 =================  ====================================================
@@ -70,6 +75,10 @@ _CHAIN_STEPS = {
     "xpay": (1, 1, lambda x, beta, y: (0.0, beta, x, y)),
     "combine": (2, 2, lambda a, x, b, y: (a, b, x, y)),
 }
+
+
+#: The primitives the diagonal spans run inside one kernel call.
+_SPANNED = ("precond", "matvec", "residual", "dot_pair", "updates")
 
 
 def _is_one(alpha):
@@ -350,6 +359,36 @@ class SolverContext(abc.ABC):
         run).  Contexts without such a kernel answer ``False``."""
         return False
 
+    # -- ChronGear spans -------------------------------------------------
+    def chrongear_span(self, x, r, s, p, n, coefficients):
+        """``n`` ChronGear iterations on ``x``, ``r``, ``s``, ``p`` in
+        place (paper Alg. 1, steps 4-16).
+
+        Each is ``r' = M^-1 r``, ``z = A r'``, ``(rho, delta) = (<r,
+        r'>, <z, r'>)`` in one reduction, then ``coefficients(rho,
+        delta)`` -- the solver's scalar steps, which may raise -- gives
+        ``(alpha, beta)`` or ``None`` (no update), then ``s = r' + beta
+        s``, ``p = z + beta p``, ``x += alpha s``, ``r -= alpha p``.  The
+        result and the ledger records are those of the :meth:`precond` /
+        :meth:`matvec` / :meth:`dot_pair` / :meth:`updates` calls made
+        one by one, which is what runs here.
+        """
+        for _ in range(n):
+            r_prime = self.precond(r)
+            z = self.matvec(r_prime)
+            step = coefficients(*self.dot_pair(r, r_prime, z, r_prime))
+            if step is None:
+                continue
+            alpha, beta = step
+            self.updates(("xpay", r_prime, beta, s), ("xpay", z, beta, p),
+                         ("axpy", alpha, s, x), ("axpy", -alpha, p, r))
+
+    def spans_chrongear(self, x, r, s, p):
+        """Whether :meth:`chrongear_span` on these vectors runs as one
+        kernel pass per iteration -- ChronGear asks before running more
+        than one iteration per call.  Here: no."""
+        return False
+
     # -- topology ------------------------------------------------------
     @property
     @abc.abstractmethod
@@ -391,6 +430,11 @@ class SerialContext(SolverContext):
         # ``alpha * x`` afresh on every call in the solver hot loop; the
         # out=-based path reuses this buffer instead.
         self._scratch = None
+        #: The last ChronGear runner (or ``None``) with what it was
+        #: asked for, and whether the ocean mask is where ``inv_diag`` is
+        #: non-zero, with the preconditioner that says so.
+        self._chrongear = ((None,) * 6, None)
+        self._dinv_mask = (None, False)
         if decomp is not None:
             if decomp.ny != stencil.shape[0] or decomp.nx != stencil.shape[1]:
                 raise SolverError(
@@ -447,14 +491,26 @@ class SerialContext(SolverContext):
     def _apply_precond(self, r, out):
         return self.preconditioner.apply_global(r, out=out)
 
+    def _diagonal_span(self, kernel, *vectors):
+        """``kernel(stencil, inv_diag, *vectors)`` -- one of the kernels'
+        diagonal spans, which check that they adopted their entry point
+        and that the vectors are C-contiguous and apart -- when ``M`` is
+        diagonal and the primitives a span replaces are this class's
+        own (a subclass that overrides one keeps its calls); ``None``
+        otherwise.  The gate both spans share."""
+        pre = self.preconditioner
+        if not isinstance(pre, DiagonalPreconditioner) or any(
+                getattr(type(self), name) is not getattr(SerialContext, name)
+                for name in _SPANNED):
+            return None
+        return kernel(self.stencil, pre.inv_diag, *vectors)
+
     def _chebyshev_kernel(self, b, r, dx, x, weights):
         """With a diagonal ``M``, the kernels' one-pass span; charged per
         iteration exactly as ``precond``, a three-unit ``updates`` and
         ``residual`` charge."""
-        pre = self.preconditioner
-        if not (isinstance(pre, DiagonalPreconditioner)
-                and self.kernels.chebyshev_span(
-                    self.stencil, pre.inv_diag, b, r, dx, x, weights)):
+        if not self._diagonal_span(self.kernels.chebyshev_span,
+                                   b, r, dx, x, weights):
             return False
         w = self._width(x)
         for _ in weights:
@@ -463,6 +519,68 @@ class SerialContext(SolverContext):
             self.ledger.record_flops("computation", 3 * w * self._critical)
             self._charge_matvec(w, "computation")
         return True
+
+    def _chrongear_kernel(self, x, r, s, p):
+        """The kernels' ChronGear runner for these vectors (kept while
+        they are the same arrays), or ``None``.  Its dots read no mask,
+        which gives ``dot_pair``'s bits only where the mask is exactly
+        where ``inv_diag`` is non-zero (checked once per
+        preconditioner)."""
+        pre = self.preconditioner
+        key, run = self._chrongear
+        if all(a is b for a, b in zip(key, (pre, self.kernels, x, r, s, p))):
+            return run
+        if self._dinv_mask[0] is not pre:
+            self._dinv_mask = (pre, isinstance(pre, DiagonalPreconditioner)
+                               and np.array_equal(pre.inv_diag != 0.0,
+                                                  self.mask))
+        run = (self._diagonal_span(self.kernels.chrongear_span, x, r, s, p)
+               if self._dinv_mask[1] else None)
+        self._chrongear = ((pre, self.kernels, x, r, s, p), run)
+        return run
+
+    def spans_chrongear(self, x, r, s, p):
+        return self._chrongear_kernel(x, r, s, p) is not None
+
+    def chrongear_span(self, x, r, s, p, n, coefficients):
+        """With a diagonal ``M``, ``n + 1`` kernel passes -- a head, each
+        iteration's recurrences fused with the next head, the last
+        recurrences -- charged per iteration exactly as ``precond``,
+        ``matvec``, ``dot_pair`` and a four-unit ``updates`` charge."""
+        run = self._chrongear_kernel(x, r, s, p)
+        if run is None:
+            return super().chrongear_span(x, r, s, p, n, coefficients)
+        heads = chains = 0
+        try:
+            dots = run(None, True)
+            for t in range(n):
+                heads += 1
+                step = coefficients(*dots)
+                last = t == n - 1
+                chains += step is not None
+                if step is not None or not last:
+                    dots = run(step, not last)
+        finally:
+            run.flush()
+            # What ran -- up to the head of a breakdown -- as the calls
+            # would have charged it, once per span.
+            self._charge_chrongear(self._width(x), heads, chains)
+
+    def _charge_chrongear(self, w, heads, chains):
+        """``heads`` times what ``precond``, ``matvec`` and ``dot_pair``
+        charge, ``chains`` times a four-unit ``updates``."""
+        if not heads:
+            return
+        ledger, units = self.ledger, w * self._critical
+        ledger.record_flops("preconditioning",
+                            heads * w * self._precond_flops())
+        ledger.record_flops("computation",
+                            (heads * (MATVEC_FLOPS_PER_POINT + 2)
+                             + chains * 4) * units)
+        ledger.record_halo("boundary", words=heads * w * self._halo_words,
+                           exchanges=heads)
+        ledger.record_flops("reduction", heads * 2 * units)
+        ledger.record_allreduce("reduction", words=2 * w, count=heads)
 
     # -- reductions ----------------------------------------------------
     def _dot_columns(self, a, b):

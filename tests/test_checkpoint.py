@@ -8,6 +8,7 @@ and a checkpoint that cannot guarantee that (corrupt, wrong version,
 wrong producer, wrong right-hand side) must be refused loudly.
 """
 
+import functools
 import json
 import os
 
@@ -26,6 +27,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.errors import ConvergenceError
+from repro.grid import pop_1deg
 from repro.grid import test_config as make_test_config
 from repro.kernels import FusedKernels, resolve_kernels
 from repro.kernels.native import load as load_native
@@ -453,16 +455,175 @@ class TestPCSISpans:
     @pytest.mark.parametrize("case", ["evp", "perrank", "batched",
                                       "resilience"])
     def test_other_cases_keep_spans_of_one(self, config, decomp, case):
+        """P-CSI's and ChronGear's spans alike: one iteration a call on
+        EVP, the distributed contexts and under a resilience runtime."""
         engine = "serial" if case == "evp" else (
             "batched" if case == "resilience" else case)
-        ctx = _context(config, decomp, engine, "fused",
-                       precond="evp" if case == "evp" else "diagonal")
-        solver = make_solver("pcsi", ctx, tol=1e-10)
+        for name in ("pcsi", "chrongear"):
+            ctx = _context(config, decomp, engine, "fused",
+                           precond="evp" if case == "evp" else "diagonal")
+            solver = make_solver(name, ctx, tol=1e-10)
+            spans = _spans(solver)
+            result = solver.solve(
+                _rhs(config),
+                resilience=True if case == "resilience" else None)
+            assert result.converged and set(spans) == {1}, name
+            assert len(spans) == result.iterations, name
+
+
+#: The three ``pop_1deg`` grids of the serial ChronGear rows.
+POP_GRIDS = {"144x120": 0.375, "192x160": 0.5, "384x320": 1.0}
+
+
+@functools.lru_cache(maxsize=None)
+def _pop(grid):
+    return pop_1deg(scale=POP_GRIDS[grid])
+
+
+def _batch_rhs(config, width):
+    """``width`` right-hand sides (a 2-D one for ``None``)."""
+    if width is None:
+        return _rhs(config)
+    return np.stack([_rhs(config, seed=1 + c) for c in range(width)],
+                    axis=-1)
+
+
+class TestChronGearSpans:
+    """The guarded loop hands ChronGear + diagonal on a serial context
+    the iterations up to the next check, due checkpoint or budget end as
+    one span -- one ``native.c`` pass per iteration where it was
+    adopted, the coefficients formed in between -- and that changes no
+    bit against one iteration a call (``FusedKernels(native=False)``):
+    iterates, iteration counts, residual histories, events, per-column
+    iterations and diagnoses, on the three ``pop_1deg`` grids at every
+    width."""
+
+    PRODUCTS = {"native": FusedKernels(), "calls": FusedKernels(native=False)}
+
+    @staticmethod
+    def _fused():
+        return load_native().chrongear_span is not None
+
+    def _solve(self, config, kernels, b, tmp_path=None, x0=None,
+               resume_from=None, poison=None, **kwargs):
+        ctx = _context(config, None, "serial", self.PRODUCTS[kernels])
+        kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
+        solver = make_solver("chrongear", ctx, raise_on_failure=False,
+                             **kwargs)
         spans = _spans(solver)
-        result = solver.solve(
-            _rhs(config), resilience=True if case == "resilience" else None)
-        assert result.converged and set(spans) == {1}
-        assert len(spans) == result.iterations
+        if poison is not None:
+            spanned = solver._iterate_span
+
+            def poisoned(state, first, n):
+                if first == 11:
+                    poison(state["r"])
+                spanned(state, first, n)
+
+            solver._iterate_span = poisoned
+        policy = None if tmp_path is None else CheckpointPolicy(
+            str(tmp_path / kernels), every=7, keep=0)
+        result = solver.solve(b, x0=x0, checkpoint=policy,
+                              resume_from=resume_from)
+        return result, spans, policy
+
+    def _both(self, config, b, **kwargs):
+        """The two products' solves, checked equal; the spans ran."""
+        (got, spans, _), (ref, ref_spans, _) = [
+            self._solve(config, kernels, b, **kwargs)
+            for kernels in self.PRODUCTS]
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x, equal_nan=True)
+        assert set(ref_spans) == {1}
+        return got, spans
+
+    @pytest.mark.parametrize("width", [None, 1, 2, 3, 8, 11])
+    @pytest.mark.parametrize("grid", list(POP_GRIDS))
+    def test_pop_grids_match_the_calls(self, grid, width):
+        got, spans = self._both(_pop(grid), _batch_rhs(_pop(grid), width),
+                                max_iterations=25)
+        assert got.diagnosis.kind == "budget_exhausted"
+        if self._fused():
+            assert spans == [10, 10, 5]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("width", [None, 2, 11])
+    def test_nonfinite_edges_match_the_calls(self, width):
+        """NaN, +Inf and -Inf in the first and last grid column of the
+        residual before iteration 11 (column 0 of a batch): the sweep's
+        wrapping couplings carry them across, the poisoned column
+        retires ``nonfinite_residual`` at the check at 20 and the
+        others run on."""
+        config = _pop("144x120")
+
+        def poison(r):
+            column = r if r.ndim == 2 else r[..., 0]
+            column[5, 0], column[40, -1], column[70, 0] = \
+                np.nan, np.inf, -np.inf
+
+        got, spans = self._both(config, _batch_rhs(config, width),
+                                poison=poison, max_iterations=40)
+        assert got.diagnosis.kind == "nonfinite_residual"
+        if width is not None:
+            assert got.extra["per_rhs_iterations"][0] == 20
+            assert got.extra["per_rhs_iterations"][1] == 40
+        if self._fused():
+            assert set(spans) == {10}
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_exactly_solved_column_freezes(self, width):
+        """``b = A x0`` exactly: ``rho = delta = 0``, so the iteration
+        updates nothing (one column) or freezes that column (a batch)
+        and the first check says converged."""
+        config = _pop("144x120")
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal(config.shape) * config.mask
+        exact = apply_stencil(config.stencil, x0)
+        b, start = exact, x0
+        if width is not None:
+            b = np.stack([exact, _rhs(config)], axis=-1)
+            start = np.stack([x0, np.zeros(config.shape)], axis=-1)
+        got, spans = self._both(config, b, x0=start, max_iterations=60)
+        iterations = got.extra.get("per_rhs_iterations",
+                                   [got.iterations])
+        assert iterations[0] == 10
+        if self._fused():
+            assert spans[0] == 10
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_spans_stop_at_checks_checkpoints_and_budget(
+            self, tmp_path, width):
+        config = _pop("144x120")
+        b = _batch_rhs(config, width)
+        runs = {kernels: self._solve(config, kernels, b, tmp_path,
+                                     max_iterations=23)
+                for kernels in self.PRODUCTS}
+        (got, spans, policy), (ref, ref_spans, ref_policy) = runs.values()
+        assert got.diagnosis.kind == "budget_exhausted"
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert [os.path.basename(p) for p in policy.written] == \
+            [os.path.basename(p) for p in ref_policy.written]
+        assert ref_spans == [1] * 23
+        if self._fused():
+            # checkpoint 7, check 10, checkpoint 14, check 20,
+            # checkpoint 21, budget 23
+            assert spans == [7, 3, 4, 6, 1, 2]
+
+    def test_checkpoint_written_mid_span_resumes(self, tmp_path):
+        """A snapshot at iteration 7 of one iteration a call resumes
+        under spans (8 .. 10 is one), and the other way round, on the
+        uninterrupted run's bits."""
+        config = _pop("144x120")
+        b = _rhs(config)
+        full, _, _ = self._solve(config, "calls", b)
+        for writer, reader in (("calls", "native"), ("native", "calls")):
+            _, _, policy = self._solve(config, writer, b, tmp_path / writer)
+            resumed, spans, _ = self._solve(
+                config, reader, b, resume_from=policy.written[0])
+            assert _result_bits(resumed) == _result_bits(full)
+            assert np.array_equal(resumed.x, full.x)
+            if self._fused() and reader == "native":
+                assert spans[0] == 3
 
 
 class TestStepperResume:

@@ -645,14 +645,15 @@ def _span_config(grid):
 
 
 @st.composite
-def _span_cases(draw):
-    """A grid, a batch width, a span length, weights, and NaN / Inf
-    planted in the first or last rows and columns of ``r``, ``x`` and
-    ``dx`` -- where the couplings that wrap around an edge read them."""
+def _span_cases(draw, names=("r", "x", "dx")):
+    """A grid, a batch width, a span length, a seed, and NaN / Inf
+    planted in the first or last rows and columns of the vectors
+    ``names`` -- where the couplings that wrap around an edge read
+    them."""
     grid = draw(st.sampled_from(((3, 3), (4, 5), (17, 3), (17, 120), "pop")))
     ny, nx = (144, 120) if grid == "pop" else grid
     edge = st.tuples(
-        st.sampled_from(("r", "x", "dx")),
+        st.sampled_from(names),
         st.one_of(st.tuples(st.sampled_from((0, ny - 1)),
                             st.integers(0, nx - 1)),
                   st.tuples(st.integers(0, ny - 1),
@@ -735,6 +736,97 @@ class TestChebyshevSpan:
         assert kernels.chebyshev_span(stencil, inv, b, r, dx, x, ())
         assert kernels.chebyshev_span(stencil, inv, b, r, dx, x,
                                       [(1.0, 0.5)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
+class TestChronGearSpan:
+    """``SolverContext.chrongear_span`` on a serial context with a
+    diagonal preconditioner -- one ``native.c`` pass per iteration where
+    the library was adopted -- against the same iterations as one
+    ``precond`` / ``matvec`` / ``dot_pair`` / ``updates`` call each on
+    the scipy / numpy floor: ``x``, ``r``, ``s``, ``p``, every
+    iteration's ``rho`` and ``delta`` and the ledger equal, NaN and Inf
+    at the edges and an iteration that updates nothing included."""
+
+    @given(case=_span_cases(("r", "x", "s", "p")),
+           idle=st.integers(-1, 9))
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_spans(self, case, idle):
+        config = _span_config(case["grid"])
+        stencil = config.stencil
+        rng = np.random.default_rng(case["seed"])
+        width = case["nrhs"]
+        shape = stencil.shape + (() if width is None else (width,))
+        vectors = {name: rng.standard_normal(shape) for name in "xrsp"}
+        for name, (j, i), value in case["poison"]:
+            vectors[name][j, i] = value
+        drawn = rng.uniform(0.5, 2.0, (case["steps"], 2, width or 1))
+        drawn[:, 1] *= 0.3
+
+        def coefficients(seen):
+            """The solver's step, drawn: ``(alpha, beta)`` as
+            ``per_column`` hands them over, ``None`` at ``idle``."""
+            def step(rho, delta):
+                seen.append((rho, delta))
+                if len(seen) - 1 == idle:
+                    return None
+                alpha, beta = drawn[len(seen) - 1]
+                if (width or 1) == 1:
+                    return float(alpha[0]), float(beta[0])
+                return alpha, beta
+            return step
+
+        results = []
+        for kernels in (FusedKernels(), FusedKernels(native=False)):
+            pre = make_preconditioner("diagonal", stencil, kernels=kernels)
+            ctx = SerialContext(stencil, pre, kernels=kernels)
+            got = {name: v.copy() for name, v in vectors.items()}
+            args = [got[name] for name in "xrsp"]
+            assert ctx.spans_chrongear(*args) == (
+                kernels._native().chrongear_span is not None)
+            seen = []
+            ctx.chrongear_span(*args, case["steps"], coefficients(seen))
+            results.append((got, seen, ctx.ledger.snapshot()))
+        (span, span_seen, span_ledger), (calls, calls_seen, calls_ledger) = \
+            results
+        for name in vectors:
+            assert np.array_equal(span[name], calls[name], equal_nan=True), \
+                name
+        assert len(span_seen) == len(calls_seen) == case["steps"]
+        for got, want in zip(span_seen, calls_seen):
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert np.array_equal(got, want, equal_nan=True)
+        assert span_ledger == calls_ledger
+
+    @needs_native("chrongear_span")
+    def test_span_declines_what_it_cannot_run(self, uniform_config):
+        """Narrow grids, strided, read-only, mis-shaped or overlapping
+        vectors, the numpy kernels, and a mask that is not where the
+        reciprocal diagonal is non-zero: no runner, today's calls."""
+        kernels = FusedKernels()
+        stencil = uniform_config.stencil
+        pre = make_preconditioner("diagonal", stencil)
+        inv = pre.inv_diag
+        rng = np.random.default_rng(3)
+        x, r, s, p = rng.standard_normal((4,) + stencil.shape)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        wide = rng.standard_normal(stencil.shape + (2,))
+        narrow = make_test_config(6, 2, seed=1)
+        for args in ((wide[..., 0], r, s, p), (frozen, r, s, p),
+                     (x[:, :-1], r, s, p), (x, r, r, p)):
+            assert kernels.chrongear_span(stencil, inv, *args) is None
+        assert kernels.chrongear_span(narrow.stencil, np.ones((6, 2)),
+                                      *np.zeros((4, 6, 2))) is None
+        assert NumpyKernels().chrongear_span(stencil, inv, x, r, s, p) is None
+        assert kernels.chrongear_span(stencil, inv, x, r, s, p) is not None
+        ctx = SerialContext(stencil, pre, kernels=kernels)
+        assert ctx.spans_chrongear(x, r, s, p)
+        ctx = SerialContext(stencil, pre, kernels=kernels)
+        ctx.mask = ctx.mask.copy()
+        ctx.mask[0, 0] = not ctx.mask[0, 0]
+        assert not ctx.spans_chrongear(x, r, s, p)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
@@ -984,6 +1076,44 @@ class TestVectorKernels:
             assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
                 "the compiler contracted a*b+c in native.c's "
                 "chebyshev_span and the loader's self-test did not notice")
+
+    @needs_native("chrongear_span")
+    def test_chrongear_span_is_not_contracted(self):
+        """Each product of the four recurrences with the operands of
+        ``test_sweep_is_not_contracted``, on a symmetric stencil (five
+        planes) and an unsymmetric one (nine): each rounds before its
+        add, so the vector updated comes out 0.0 where a fused
+        multiply-add leaves ``+-2**-54``."""
+        from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        shape = (3, 3)
+
+        def stencil(c, n):
+            planes = {name: np.zeros(shape) for name in COEFF_NAMES}
+            planes["c"][...], planes["n"][...] = c, n
+            return StencilCoeffs(mask=np.ones(shape, dtype=bool), **planes)
+
+        # (stencil, r at (1, 1) and (2, 1), alpha, beta, what vanishes):
+        # s = (-small * small) + r' and p = (-small * small) + z with
+        # r' = z = big; x = big + (-small * small) with s = r' = small;
+        # r = big + (-small * small) with p = z = small (north of it).
+        cases = ((stencil(1.0, 0.0), big, 0.0, 0.0, -small, "sp"),
+                 (stencil(1.0, 0.0), small, 0.0, -small, 0.0, "x"),
+                 (stencil(0.0, 1.0), big, small, small, 0.0, "r"))
+        for coeffs, r11, r21, alpha, beta, vanish in cases:
+            x, r, s, p = np.zeros((4,) + shape)
+            r[1, 1], r[2, 1] = r11, r21
+            s[1, 1] = p[1, 1] = small
+            x[1, 1] = big
+            run = FusedKernels().chrongear_span(coeffs, np.ones(shape),
+                                                x, r, s, p)
+            run(None, True)
+            run((alpha, beta), False)
+            got = {"x": x, "r": r, "s": s, "p": p}
+            assert all(got[name][1, 1] == 0.0 for name in vanish), (
+                "the compiler contracted a*b+c in native.c's "
+                "chrongear_span and the loader's self-test did not notice")
 
     @staticmethod
     def _chains(rng, shape, coeffs, vectors=None):

@@ -9,8 +9,9 @@ multi-vector forms, the update chain with scalar and per-column
 coefficients, the dot of one vector and of stack windows, the EVP
 march, edge residuals, gather and masked scatter -- must equal the
 numpy oracle's bit for bit, a width-8 EVP apply on the strided
-interior of a stack the numpy / scipy floor's, and a 2-column serial
-P-CSI + diagonal solve (its spans) the per-iteration path's; none may
+interior of a stack the numpy / scipy floor's, and 2-column serial
+P-CSI and ChronGear + diagonal solves (their spans) the per-iteration
+path's; none may
 emit a warning or anything on stderr, and
 ``describe()`` / ``native_status()`` must name what happened.
 """
@@ -66,10 +67,10 @@ def solve(kernels, stacked):
     return make_solver("chrongear", ctx, tol=1e-10).solve(
         b if stacked else np.ascontiguousarray(b[..., 0]))
 
-def pcsi(kernels):
+def diagonal(name, kernels):
     pre = DiagonalPreconditioner(config.stencil, kernels=kernels)
     ctx = SerialContext(config.stencil, pre, kernels=kernels)
-    return make_solver("pcsi", ctx, tol=1e-10).solve(
+    return make_solver(name, ctx, tol=1e-10).solve(
         np.ascontiguousarray(b[..., :2]))
 
 def stacked_apply(kernels):
@@ -86,7 +87,8 @@ with warnings.catch_warnings(record=True) as caught:
     kernels = resolve_kernels(None)
     pairs = [(solve("numpy", stacked), solve(None, stacked))
              for stacked in (False, True)]
-    pairs.append((pcsi(FusedKernels(native=False)), pcsi(None)))
+    pairs += [(diagonal(name, FusedKernels(native=False)),
+               diagonal(name, None)) for name in ("pcsi", "chrongear")]
     applies = [stacked_apply(k) for k in (FusedKernels(native=False), None)]
 assert not caught, [str(w.message) for w in caught]
 assert np.array_equal(*applies)
@@ -185,14 +187,15 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
 @pytest.mark.parametrize("failed", ["dia_sweep", "update_chain",
                                     "pairwise_dot", "chebyshev_span",
                                     "evp_gather", "evp_scatter",
-                                    "evp_march", "evp_edges"])
+                                    "evp_march", "evp_edges",
+                                    "chrongear_span"])
 def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     """Each of the entry points the stacks share with the serial
-    vectors, the serial P-CSI span and each EVP entry point failing
-    alone: its loops go back to scipy / numpy (P-CSI to one iteration a
-    call, the EVP boundary to takes and the mask multiply), the others
-    stay adopted, every solve and the stacked width-8 apply keep their
-    bits."""
+    vectors, the serial P-CSI and ChronGear spans and each EVP entry
+    point failing alone: its loops go back to scipy / numpy (P-CSI and
+    ChronGear to one iteration a call, the EVP boundary to takes and
+    the mask multiply), the others stay adopted, every solve and the
+    stacked width-8 apply keep their bits."""
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)
@@ -205,7 +208,8 @@ def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     out = subprocess.run([sys.executable, "-c", prelude + report], env=env,
                          capture_output=True, text=True, check=True).stdout
     adopted = ["dia_sweep", "update_chain", "pairwise_dot", "evp_march",
-               "evp_edges", "chebyshev_span", "evp_gather", "evp_scatter"]
+               "evp_edges", "chebyshev_span", "evp_gather", "evp_scatter",
+               "chrongear_span"]
     adopted.remove(failed)
     assert out.strip() == str(adopted)
 

@@ -21,6 +21,8 @@ import pytest
 
 from repro.core.errors import BreakdownError, ConvergenceError, SolverError
 from repro.grid import test_config as make_test_config
+from repro.kernels import FusedKernels
+from repro.kernels.native import load as load_native
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
@@ -301,14 +303,67 @@ class TestDivergenceDetector:
 
 
 class TestBreakdownConversion:
-    def test_iterate_breakdown_is_diagnosed(self, config):
+    @staticmethod
+    def _explode_at_3(monkeypatch):
+        """ChronGear's coefficient step raises at iteration 3 -- inside
+        the span of iterations 1 .. 10 where the context runs one."""
+        from repro.solvers import chrongear
+
+        calls, step = [], chrongear._coefficients
+
+        def exploding(*column):
+            calls.append(column)
+            if len(calls) == 3:
+                raise BreakdownError("synthetic breakdown")
+            return step(*column)
+
+        monkeypatch.setattr(chrongear, "_coefficients", exploding)
+
+    def _diagnosed(self, config, monkeypatch, kernels):
+        self._explode_at_3(monkeypatch)
+        pre = make_preconditioner("diagonal", config.stencil, kernels=kernels)
+        ctx = SerialContext(config.stencil, pre, kernels=kernels)
+        solver = ChronGearSolver(ctx, tol=1e-13)
+        spans, spanned = [], solver._iterate_span
+        solver._iterate_span = lambda state, first, n: (
+            spans.append(n), spanned(state, first, n))
+        with pytest.raises(ConvergenceError) as err:
+            solver.solve(_rhs(config))
+        assert err.value.diagnosis.kind == "breakdown"
+        assert err.value.iterations == 3
+        assert "synthetic breakdown" in err.value.diagnosis.message
+        return err.value.result, spans
+
+    def test_iterate_breakdown_is_diagnosed(self, config, monkeypatch):
+        """A breakdown at iteration 3 of a span stops the count at 3:
+        the head of 3 charged, its recurrences not -- the result of
+        one iteration a call, bit for bit."""
+        result, spans = self._diagnosed(config, monkeypatch, FusedKernels())
+        monkeypatch.undo()
+        ref, ref_spans = self._diagnosed(config, monkeypatch,
+                                         FusedKernels(native=False))
+        if load_native().chrongear_span is not None:
+            assert spans == [10]
+        assert ref_spans == [1, 1, 1]
+        assert result.events == ref.events
+        assert result.residual_history == ref.residual_history
+        assert np.array_equal(result.x, ref.x)
+        assert ref.events["reduction"].allreduces == 3
+
+    def test_iterate_breakdown_is_diagnosed_spans_of_one(self, config,
+                                                         monkeypatch):
+        """The same on one iteration a call, raised before iteration 3
+        starts: its head is not charged either."""
         class ExplodingSolver(ChronGearSolver):
             name = "exploding"
 
-            def _iterate(self, state, k):
-                if k == 3:
+            def _span(self, state, k, checkpoint):
+                return 1
+
+            def _iterate_span(self, state, first, n):
+                if first == 3:
                     raise BreakdownError("synthetic breakdown")
-                super()._iterate(state, k)
+                super()._iterate_span(state, first, n)
 
         ctx = _context("serial", config, None)
         with pytest.raises(ConvergenceError) as err:
@@ -316,6 +371,7 @@ class TestBreakdownConversion:
         assert err.value.diagnosis.kind == "breakdown"
         assert err.value.iterations == 3
         assert "synthetic breakdown" in err.value.diagnosis.message
+        assert err.value.result.events["reduction"].allreduces == 2
 
 
 class TestPickling:
