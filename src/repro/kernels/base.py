@@ -16,9 +16,12 @@ the reproduction:
   ChronGear's four recurrences),
 * whole spans of serial P-CSI + diagonal iterations, which need no
   inner product between convergence checks
-  (:meth:`~KernelBackend.chebyshev_span`), and serial ChronGear +
+  (:meth:`~KernelBackend.chebyshev_span`), serial ChronGear +
   diagonal iterations as one pass each
-  (:meth:`~KernelBackend.chrongear_span`).
+  (:meth:`~KernelBackend.chrongear_span`), and P-CSI + block-EVP
+  iterations, serial or on the batched engine's stacks, as one call
+  each (:meth:`~KernelBackend.evp_span`, whose halo copy
+  :meth:`~KernelBackend.halo_copy` also serves the stacked exchange).
 
 There are two implementations -- the ``numpy`` reference and the
 ``fused`` product -- and one contract: an implementation changes
@@ -282,6 +285,44 @@ class KernelBackend:
         the caller to one call per step.
         """
         return None
+
+    def evp_span(self, coeffs, h, layout, work, halo, b, r, dx, x):
+        """A runner for P-CSI iterations with the block EVP
+        preconditioner on these vectors, one call each, if this backend
+        has one.
+
+        ``b``, ``r``, ``dx`` and ``x`` are whole global ``(ny, nx[,
+        nrhs])`` arrays (``h = 0``, ``coeffs`` the ``StencilCoeffs``) or
+        whole ``(p, bny + 2h, bnx + 2h[, nrhs])`` stacks of the batched
+        engine (``coeffs`` the stacked planes, ``halo`` the halo copy's
+        ``(dst, src, zero)`` int64 cell tables, see
+        :meth:`halo_copy`); ``layout`` is the preconditioner's
+        :class:`EvpLayout` of their cells (a stack's interiors) and
+        ``work`` its ``(y, x)`` buffers of this width.  ``run.run(weights)``
+        runs one iteration per ``(w, c)`` in place: ``r' = M^-1 r``
+        (gather, march, edge residuals, the engines' ring matmul, march,
+        masked scatter), ``dx = (c * dx) + (w * r')``, ``x = x + (1.0 *
+        dx)``, the halo copy of ``x`` on a stack, ``r = b - A x`` over
+        the interior rows -- the bits of :meth:`evp_gather`,
+        ``evp_run``, :meth:`evp_scatter`, :meth:`update_chain`,
+        :meth:`halo_copy` and :meth:`stencil_apply` /
+        :meth:`stencil_apply_stacked` followed by a subtraction, called
+        one by one.  ``None`` (the default: there is no one-call form in
+        numpy) sends the caller to those calls.
+        """
+        return None
+
+    def halo_copy(self, stack, tables):
+        """The batched engine's halo update of ``stack``, if this
+        backend can: with ``tables = (dst, src, zero)`` int64 cell
+        indices into a C-contiguous ``(p, bny + 2h, bnx + 2h[, nrhs])``
+        float64 stack, every cell ``dst[i]`` gets cell ``src[i]``'s
+        ``nrhs`` values and every cell ``zero[i]`` zeros -- numpy's
+        ``flat[dst] = flat[src]; flat[zero] = 0.0`` (no source cell is
+        among the others).  Returns ``True`` when it ran; ``False`` (the
+        default) when nothing was touched and the caller indexes with
+        numpy."""
+        return False
 
     # ------------------------------------------------------------------
     def describe(self):

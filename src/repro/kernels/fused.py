@@ -139,13 +139,21 @@ hands a serial ChronGear + diagonal context a runner that makes each
 iteration one ``native.c`` pass: iteration ``k``'s four recurrences
 with iteration ``k + 1``'s preconditioner multiply, sweep row and both
 dots, whose pairwise leaves are summed as their cells become final.
-Both spans share one operand check (``_diagonal_span``).
+``evp_step`` runs a P-CSI + block-EVP iteration -- serial, or on the
+batched engine's stacks -- as one call on each side of the ring
+correction's BLAS matmul (:class:`_EvpSpan`): the corrected march, the
+masked scatter consumed by the ``dx`` / ``x`` chain, the halo copy of
+``x``, ``b - A x`` over the interior rows, then the next gather, zero-ring
+march and edge residuals; its halo copy alone is
+:meth:`FusedKernels.halo_copy`, the stacked exchange's.  The three spans
+share one operand check (``_span_operands``).
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
 :meth:`EVPTileEngine.ring_rows`.
 """
 
+import ctypes
 import functools
 import math
 import operator
@@ -159,6 +167,10 @@ from repro.kernels.base import validate_evp_shapes
 from repro.kernels.native import (
     CHAIN,
     CHAIN_FORMAT,
+    EVP_HALO,
+    EVP_HEAD,
+    EVP_TAIL,
+    HALO_FORMAT,
     HEAD,
     HELD,
     HOLD,
@@ -166,6 +178,8 @@ from repro.kernels.native import (
     MAX_DEPTH,
     SPAN_ROWS,
     STEP_FORMAT,
+    EvpGroup,
+    EvpProgram,
     Native,
     address,
     chrongear_program,
@@ -522,14 +536,14 @@ def _cell_strides(layout, array, n):
 
 
 def _boundary(layout, kind, strides):
-    """The address of the ``evp_gather`` / ``evp_scatter`` program of
-    ``layout`` for arrays with these cell strides (see ``native.c``),
-    cached on the layout with the program; ``None`` where its engines
-    are not in this backend's skewed layout."""
+    """``(program, address)`` of the ``evp_gather`` / ``evp_scatter``
+    program of ``layout`` for arrays with these cell strides (see
+    ``native.c``), cached on the layout; ``None`` where its engines are
+    not in this backend's skewed layout."""
     key = (kind, strides)
     hit = layout.compiled.get(key)
     if hit is not None:
-        return hit[1]
+        return hit
     mask = tuple(step // 8 for step in layout.mask.strides)
     mask = (0,) * (3 - len(mask)) + mask
     head, tables, first = [len(layout.groups)], [], 0
@@ -557,8 +571,12 @@ def _boundary(layout, kind, strides):
                           + [t.astype(np.int64) for t in tables])
     while len(layout.compiled) >= _MAX_BOUNDARY_PROGRAMS:
         layout.compiled.pop(next(iter(layout.compiled)))
-    layout.compiled[key] = (prog, prog.ctypes.data)
-    return prog.ctypes.data
+    hit = layout.compiled[key] = (prog, prog.ctypes.data)
+    return hit
+
+
+#: The halo tables of a grid: nothing to copy.
+_NO_CELLS = np.zeros(0, dtype=np.int64)
 
 
 def _per_column(coeff, width, keep):
@@ -630,6 +648,90 @@ class _ChronGearSpan:
         if self.held:
             self._call(HELD)
             self.held = False
+
+
+class _EvpSpan:
+    """``native.c``'s ``evp_step`` on one set of vectors in one layout:
+    its program -- the halo copy's tables, every shape group's march and
+    edge operands, the boundary programs, the sweep and its rows, the
+    vectors' first cells -- packed once, each group's edge residuals
+    ``f`` and ring product kept.  ``run(weights)`` is a span of P-CSI
+    iterations, one ``(w, c)`` each, as ``len(weights) + 1`` calls: a
+    head, the tails fused with the next heads, a last tail; after every
+    head each group's ring product is formed by
+    :meth:`~repro.precond.evp.EVPTileEngine.ring_rows`, the per-slice
+    BLAS matmul of the one-by-one path, for the next tail to read."""
+
+    def __init__(self, fn, operands, layout, work, halo, h, vectors):
+        (_, sweep, call), (x_at, r_at, dx_at) = operands
+        b, _, _, x = vectors
+        lead = 2 if h == 0 else 3
+        n = x.shape[lead] if x.ndim > lead else 1
+        p, height, width = (1,) * (3 - lead) + x.shape[:lead]
+        inner = x[(slice(None),) * (lead - 2)
+                  + (slice(h, height - h), slice(h, width - h))]
+        strides = _cell_strides(layout, inner, n)
+        hits = None if strides is None or work[0].shape[1] != n else [
+            _boundary(layout, kind, strides) for kind in ("gather", "scatter")]
+        if hits is None or None in hits:
+            self.program = None   # not this layout, or not the skewed one
+            return
+        y, state = work
+        groups = (EvpGroup * len(layout.groups))()
+        self.weights = np.empty(2)
+        self._rings, keep = [], [hits, work, halo, vectors, sweep, call]
+        for group, (engine, _, y_rows, x_rows) in zip(groups, layout.groups):
+            plan = engine._plan
+            plan.tables(engine)
+            march, coef_off, src_rows = plan.programs
+            f = np.empty((n, engine.batch, engine.k))
+            ring = np.empty((n, engine.batch, 1, engine.k))
+            edges = np.array([engine.k, engine.batch, n, len(coef_off)],
+                             dtype=np.int64)
+            rhs = address(y) + y_rows.start * n * 8
+            group.march, group.coef = march.ctypes.data, plan.block.ctypes.data
+            group.inv_ne, group.rhs = plan.inv_ne.ctypes.data, rhs
+            group.state = address(state) + x_rows.start * n * 8
+            group.ring, group.edges = address(ring), address(edges)
+            group.coef_off = coef_off.ctypes.data
+            group.src_rows = src_rows.ctypes.data
+            group.edge_rhs = rhs + ((engine.my - 1) * (engine.mx - 1)
+                                    * engine.batch * n * 8)
+            group.f = address(f)
+            self._rings.append((engine, f, ring))
+            keep += [plan, edges]
+        rows = np.array([n, p, height - 2 * h, width - 2 * h, h * width + h,
+                         height * width, width, height * width * n,
+                         width * n], dtype=np.int64)
+        dst, src, zero = halo
+        first = (h * width + h) * n * 8
+        cells, ndiag, data, stride, offsets = call.args
+        self.program = EvpProgram(
+            n, len(dst), len(zero), dst.ctypes.data, src.ctypes.data,
+            zero.ctypes.data, x_at, len(groups), ctypes.addressof(groups),
+            hits[0][1], hits[1][1], layout.mask.ctypes.data, address(y),
+            address(state), cells, ndiag, stride, data, offsets,
+            rows.ctypes.data, b.ctypes.data + first, r_at + first,
+            dx_at + first, x_at + first, self.weights.ctypes.data)
+        # Everything the program addresses stays alive with it.
+        self._keep = (keep, groups, rows, layout)
+        self._call = functools.partial(fn, ctypes.addressof(self.program))
+
+    def run(self, weights):
+        last = len(weights) - 1
+        self._step(None, True)
+        for t, step in enumerate(weights):
+            self._step(step, t < last)
+
+    def _step(self, step, head):
+        mode = EVP_HEAD if head else 0
+        if step is not None:
+            self.weights[0], self.weights[1] = step
+            mode |= EVP_TAIL
+        self._call(mode)
+        if head:
+            for engine, f, ring in self._rings:
+                engine.ring_rows(f, ring)
 
 
 class FusedKernels(NumpyKernels):
@@ -839,27 +941,33 @@ class FusedKernels(NumpyKernels):
                        len(steps), *flat))
         return True
 
-    def _diagonal_span(self, fn, coeffs, inv_diag, written, read=()):
-        """The operand check both diagonal spans share: ``(entry,
-        addresses of written)`` -- ``entry`` the single-RHS sweep
-        :meth:`_sweep` caches -- when ``fn`` was adopted and the vectors
-        are whole C-contiguous float64 ``(ny, nx[, nrhs])`` arrays of
-        one shape, at most ``MAX_CHAIN_COLUMNS`` wide on a grid at least
-        three wide, that do not overlap, with ``written`` writable;
-        ``None`` otherwise."""
+    def _span_operands(self, fn, coeffs, h, written, read=()):
+        """The operand check every span shares: ``(entry, addresses of
+        written)`` -- ``entry`` the single-RHS sweep :meth:`_sweep`
+        caches for ``coeffs`` on a layout with halo ``h`` (0: the global
+        grid, ``coeffs`` a ``StencilCoeffs``; else stacked planes) --
+        when ``fn`` was adopted and the vectors are whole C-contiguous
+        float64 arrays of one shape -- ``(ny, nx[, nrhs])`` grids or
+        ``(p, bny + 2h, bnx + 2h[, nrhs])`` stacks -- with rows of at
+        least three cells and at most ``MAX_CHAIN_COLUMNS`` columns,
+        that do not overlap, with ``written`` writable; ``None``
+        otherwise."""
         x = written[0]
         vectors = (*written, *read)
-        if fn is None or x.ndim not in (2, 3) or x.shape[1] < 3 \
-                or (x.ndim == 3 and x.shape[2] > MAX_CHAIN_COLUMNS) \
-                or inv_diag.shape != x.shape[:2] \
+        lead = 2 if h == 0 else 3
+        if fn is None or x.ndim not in (lead, lead + 1) \
+                or x.shape[lead - 1] < 3 \
+                or (x.ndim > lead and x.shape[lead] > MAX_CHAIN_COLUMNS) \
                 or any(v.shape != x.shape for v in vectors) \
                 or any(v.dtype != np.float64 or not v.flags.c_contiguous
-                       for v in (inv_diag, *vectors)):
+                       for v in vectors):
             return None
         # The single-RHS sweep, at every width; without ``dia_sweep``
         # there is no ``call`` to read its operands from.
-        entry = self._sweep(coeffs, getattr, 0, 1)
-        if entry[2] is None:
+        entry = self._sweep(coeffs, getattr if h == 0 else operator.getitem,
+                            h, 1)
+        ncols = x.shape[lead] if x.ndim > lead else 1
+        if entry[2] is None or entry[1].shape[0] * ncols != x.size:
             return None
         try:
             written = [address(v) for v in written]
@@ -869,6 +977,15 @@ class FusedKernels(NumpyKernels):
         if any(q - p < x.nbytes for p, q in zip(spans, spans[1:])):
             return None   # vectors that overlap
         return entry, written
+
+    def _diagonal_span(self, fn, coeffs, inv_diag, written, read=()):
+        """:meth:`_span_operands` on the grid, ``inv_diag`` one
+        C-contiguous float64 value per cell."""
+        x = written[0]
+        if inv_diag.shape != x.shape[:2] or inv_diag.dtype != np.float64 \
+                or not inv_diag.flags.c_contiguous:
+            return None
+        return self._span_operands(fn, coeffs, 0, written, read)
 
     def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
         fn = self._native().chebyshev_span
@@ -893,6 +1010,33 @@ class FusedKernels(NumpyKernels):
         if operands is None:
             return None
         return _ChronGearSpan(fn, operands, inv_diag, (x, r, s, p))
+
+    def evp_span(self, coeffs, h, layout, work, halo, b, r, dx, x):
+        fn = self._native().evp_step
+        if layout.groups is None:
+            return None
+        operands = self._span_operands(fn, coeffs, h, (x, r, dx), (b,))
+        if operands is None:
+            return None
+        if halo is None:
+            halo = (_NO_CELLS,) * 3
+        run = _EvpSpan(fn, operands, layout, work, halo, h, (b, r, dx, x))
+        return None if run.program is None else run
+
+    def halo_copy(self, stack, tables):
+        fn = self._native().evp_step
+        if fn is None or stack.dtype != np.float64 \
+                or not stack.flags.c_contiguous:
+            return False
+        try:
+            at = address(stack)
+        except (TypeError, ValueError):
+            return False   # read-only or empty
+        dst, src, zero = tables
+        fn(struct.pack(HALO_FORMAT, stack.shape[3] if stack.ndim == 4 else 1,
+                       len(dst), len(zero), dst.ctypes.data, src.ctypes.data,
+                       zero.ctypes.data, at), EVP_HALO)
+        return True
 
     # ------------------------------------------------------------------
     # EVP tile solves
@@ -922,7 +1066,7 @@ class FusedKernels(NumpyKernels):
             source = pointer(r)
         except (TypeError, ValueError):
             source = r.ctypes.data   # read-only: only read
-        fn(prog, n, source, address(y))
+        fn(prog[1], n, source, address(y))
         return True
 
     def evp_scatter(self, layout, x, out):
@@ -933,7 +1077,7 @@ class FusedKernels(NumpyKernels):
                                                       strides)
         if prog is None or not out.flags.writeable:
             return False
-        fn(prog, n, address(x), address(layout.mask), pointer(out))
+        fn(prog[1], n, address(x), address(layout.mask), pointer(out))
         return True
 
     def evp_solve(self, engine, plan, y, out=None):

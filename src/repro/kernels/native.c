@@ -43,8 +43,8 @@
  * index and `y` points at the first row's output, with strides of its
  * own in elements: g = {ncols, blocks, rows, cells per row, first
  * cell, block_stride, row_stride, y_block_stride, y_row_stride}.  One
- * row is sweep_row, which chebyshev_span and chrongear_span (sections 6
- * and 8) call too.
+ * row is sweep_row, which chebyshev_span, chrongear_span and evp_step
+ * (sections 6, 8 and 9) call too.
  * ------------------------------------------------------------------ */
 
 /* Cells where some diagonal leaves the vector: one pass per diagonal
@@ -1289,4 +1289,202 @@ void chrongear_span(chrongear_program *g, int64_t mode)
     }
     for (int64_t c = 0; (flags & SPAN_HOLD) && c < ncols; c++)
         held[c] = alpha[c];
+}
+
+/* ------------------------------------------------------------------
+ * 9. P-CSI with the block EVP preconditioner, one call per iteration,
+ *    and the halo copy of a block stack.
+ *
+ * An iteration is r' = M^-1 r (gather, march from a zero ring, edge
+ * residuals f, the ring correction -- a BLAS matmul per slice, run by
+ * the caller -- march from the corrected ring, masked scatter), then
+ * dx = (c * dx) + (w * r'), x = x + (1.0 * dx), the halo copy of x
+ * (stacks), r = b - A x.  A call runs the TAIL of one iteration (mode
+ * EVP_TAIL: from the corrected march on) and then the HEAD of the next
+ * (EVP_HEAD: up to f), so a span of n iterations is n + 1 calls with the
+ * ring matmul between them.  The phases run in this order over the
+ * whole layout, each through the code of its own entry point:
+ *     TAIL  every group's evp_march from -ring; the scatter of section 7
+ *           with each cell's state * mask consumed at once by section
+ *           2's combine (dx) and axpy (x) -- cells no tile covers take
+ *           r' = 0.0, the value the scatter writes there; the halo copy
+ *           of x; every row of the geometry swept into r (sweep_row)
+ *           and subtracted from b, numpy's b - Ax
+ *     HEAD  evp_gather of r into the packed rows; every group's
+ *           evp_march from a zero ring and evp_edges into f
+ * so every value is the one the entry points called one by one give.
+ * The residual reads x only after all of x is updated and copied, so
+ * no row lags another.
+ *
+ * The halo copy (EVP_HALO alone: only the first seven words of the
+ * program are read) sets stack cell dst[i] to cell src[i] and cell
+ * zero[i] to 0.0, `ncols` doubles a cell -- numpy's flat[dst] =
+ * flat[src]; flat[zero] = 0.0, the source cells never among the others.
+ * On a grid there is nothing to copy (ndst = nzero = 0) and `stack` is x.
+ * `b`, `r`, `dx` and `x` point at the first cell of the layout the
+ * boundary programs and the geometry address (a stack's first interior
+ * cell); the sweep reads x through `stack`, by cell index.
+ * ------------------------------------------------------------------ */
+typedef struct {
+    const int64_t *march;              /* evp_march's program */
+    const double *coef, *inv_ne, *rhs;
+    double *state;
+    const double *ring;                /* the ring matmul's (ncols, B, 1, k) */
+    const int64_t *edges, *coef_off, *src_rows;   /* evp_edges' tables */
+    const double *edge_rhs;
+    double *f;
+} evp_group;
+
+typedef struct {
+    /* the halo copy */
+    int64_t ncols, ndst, nzero;
+    const int64_t *dst, *src, *zero;
+    double *stack;
+    /* the preconditioner */
+    int64_t ngroups;
+    const evp_group *groups;
+    const int64_t *gather, *scatter;   /* section 7's programs */
+    const double *mask;
+    double *rhs, *state;               /* every group's rows and states */
+    /* the residual: A over n cells, dia_sweep's row geometry */
+    int64_t n, ndiag, stride;
+    const double *data;
+    const int64_t *offsets, *rows;
+    const double *b;
+    double *r, *dx, *x;
+    const double *weights;             /* w, c of the TAIL's iteration */
+} evp_program;
+
+#define EVP_TAIL 1
+#define EVP_HEAD 2
+#define EVP_HALO 4
+
+/* One tile cell of every column: r' = state * mask, then the chain. */
+#define CHAIN_CELLS(W)                                                     \
+    for (int64_t pos = p0; pos < p1; pos++) {                              \
+        const double wm = m[morigins[pos]];                                \
+        double *d = dxr + origins[pos], *o = xr + origins[pos];            \
+        for (int64_t c = 0; c < (W); c++) {                                \
+            const double rp = s[pos * (W) + c] * wm;                       \
+            const double t = cw * d[c], u = w * rp;                        \
+            d[c] = t + u;                                                  \
+            const double v = 1.0 * d[c];                                   \
+            o[c] = o[c] + v;                                               \
+        }                                                                  \
+    }
+#define CHAIN_CASE(W)                                                      \
+    case W:                                                                \
+        CHAIN_CELLS(W)                                                     \
+        break;
+
+static void scatter_chain(const evp_program *p)
+{
+    const int64_t *prog = p->scatter, ncols = p->ncols;
+    const int64_t ngroups = prog[0], nzero = prog[1], cell = prog[2];
+    const int64_t *sizes = prog + 3, *at = prog + 3 + 3 * ngroups;
+    const double w = p->weights[0], cw = p->weights[1];
+    for (int64_t g = 0; g < ngroups; g++) {
+        const int64_t b = sizes[3 * g], rows = sizes[3 * g + 1];
+        const double *state = p->state + sizes[3 * g + 2] * ncols;
+        const int64_t *origins = at, *offsets = origins + b,
+                      *morigins = offsets + rows, *moffsets = morigins + b,
+                      *slots = moffsets + rows;
+        at = slots + rows;
+        for (int64_t p0 = 0; p0 < b; p0 += SCATTER_TILES) {
+            const int64_t p1 = b - p0 < SCATTER_TILES ? b : p0 + SCATTER_TILES;
+            for (int64_t row = 0; row < rows; row++) {
+                const double *s = state + slots[row] * b * ncols;
+                const double *m = p->mask + moffsets[row];
+                double *dxr = p->dx + offsets[row], *xr = p->x + offsets[row];
+                switch (ncols) {
+                CHAIN_CASE(1) CHAIN_CASE(2) CHAIN_CASE(3) CHAIN_CASE(4)
+                CHAIN_CASE(5) CHAIN_CASE(6) CHAIN_CASE(7) CHAIN_CASE(8)
+                default:
+                    CHAIN_CELLS(ncols)
+                }
+            }
+        }
+    }
+    for (int64_t z = 0; z < nzero; z++, at += 2)
+        for (int64_t i = 0; i < at[1]; i++) {
+            double *d = p->dx + at[0] + i * cell, *o = p->x + at[0] + i * cell;
+            for (int64_t c = 0; c < ncols; c++) {
+                const double t = cw * d[c], u = w * 0.0;
+                d[c] = t + u;
+                const double v = 1.0 * d[c];
+                o[c] = o[c] + v;
+            }
+        }
+}
+
+static void halo_copy(const evp_program *p)
+{
+    const int64_t n = p->ncols;
+    double *s = p->stack;
+    if (n == 1) {
+        for (int64_t i = 0; i < p->ndst; i++)
+            s[p->dst[i]] = s[p->src[i]];
+        for (int64_t i = 0; i < p->nzero; i++)
+            s[p->zero[i]] = 0.0;
+        return;
+    }
+    for (int64_t i = 0; i < p->ndst; i++) {
+        double *d = s + p->dst[i] * n;
+        const double *from = s + p->src[i] * n;
+        for (int64_t c = 0; c < n; c++)
+            d[c] = from[c];
+    }
+    for (int64_t i = 0; i < p->nzero; i++) {
+        double *d = s + p->zero[i] * n;
+        for (int64_t c = 0; c < n; c++)
+            d[c] = 0.0;
+    }
+}
+
+/* r = b - A x over the rows of the geometry, a row at a time. */
+static void residual_rows(const evp_program *p)
+{
+    const int64_t *g = p->rows;
+    const int64_t ncols = g[0], blocks = g[1], rows = g[2], cells = g[3],
+                  first = g[4], block_stride = g[5], row_stride = g[6],
+                  y_block_stride = g[7], y_row_stride = g[8];
+    const dia_matrix a = dia_of(p->n, p->ndiag, p->data, p->stride,
+                                p->offsets);
+    for (int64_t bk = 0; bk < blocks; bk++)
+        for (int64_t q = 0; q < rows; q++) {
+            const int64_t start = first + bk * block_stride + q * row_stride;
+            const int64_t at = bk * y_block_stride + q * y_row_stride;
+            double *rq = p->r + at;
+            const double *bq = p->b + at;
+            sweep_row(&a, start, start + cells, ncols, p->stack, rq);
+            for (int64_t i = 0; i < cells * ncols; i++)
+                rq[i] = bq[i] - rq[i];
+        }
+}
+
+void evp_step(const evp_program *p, int64_t mode)
+{
+    const int64_t ncols = p->ncols;
+    if (mode & EVP_TAIL) {
+        for (int64_t g = 0; g < p->ngroups; g++) {
+            const evp_group *e = p->groups + g;
+            evp_march(e->march, ncols, e->coef, e->inv_ne, e->rhs, e->state,
+                      e->ring);
+        }
+        scatter_chain(p);
+    }
+    if (mode & (EVP_TAIL | EVP_HALO))
+        halo_copy(p);
+    if (mode & EVP_TAIL)
+        residual_rows(p);
+    if (mode & EVP_HEAD) {
+        evp_gather(p->gather, ncols, p->r, p->rhs);
+        for (int64_t g = 0; g < p->ngroups; g++) {
+            const evp_group *e = p->groups + g;
+            evp_march(e->march, ncols, e->coef, e->inv_ne, e->rhs, e->state,
+                      NULL);
+            evp_edges(e->edges, e->coef_off, e->src_rows, e->coef,
+                      e->edge_rhs, e->state, e->f);
+        }
+    }
 }

@@ -42,6 +42,7 @@ _SIGNATURES = {
     "evp_gather": (None, (_P, _I, _P, _P)),
     "evp_scatter": (None, (_P, _I, _P, _P, _P)),
     "chrongear_span": (None, (_P, _I)),
+    "evp_step": (None, (_P, _I)),
 }
 #: ``struct`` formats of an ``update_chain`` program: the row geometry,
 #: ``ncols`` and the step count, then per step kind, a, b, the
@@ -57,6 +58,38 @@ SPAN_ROWS, MAX_DEPTH = 5, 64
 #: recurrences, the next iteration's head, keep the chain's ``x`` update
 #: for the next call, apply the kept one first.
 CHAIN, HEAD, HOLD, HELD = 1, 2, 4, 8
+#: Mode bits of an ``evp_step`` call: the tail of one P-CSI + EVP
+#: iteration, the head of the next, the halo copy alone.
+EVP_TAIL, EVP_HEAD, EVP_HALO = 1, 2, 4
+#: ``struct`` format of the halo copy's program: ``ncols``, the table
+#: lengths, then the ``dst`` / ``src`` / ``zero`` tables and the stack.
+HALO_FORMAT = "3q4P"
+
+
+class EvpGroup(ctypes.Structure):
+    """``native.c``'s ``evp_group``: one shape group's ``evp_march`` and
+    ``evp_edges`` operands."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "march", "coef", "inv_ne", "rhs", "state", "ring", "edges",
+        "coef_off", "src_rows", "edge_rhs", "f")]
+
+
+class EvpProgram(ctypes.Structure):
+    """``native.c``'s ``evp_program`` (section 9): the halo copy, the
+    preconditioner's groups and boundary programs, the residual's sweep
+    and row geometry, the four vectors and the weights slot."""
+
+    _fields_ = ([("ncols", _I), ("ndst", _I), ("nzero", _I)]
+                + [(name, ctypes.c_void_p)
+                   for name in ("dst", "src", "zero", "stack")]
+                + [("ngroups", _I)]
+                + [(name, ctypes.c_void_p) for name in (
+                    "groups", "gather", "scatter", "mask", "rhs", "state")]
+                + [("n", _I), ("ndiag", _I), ("stride", _I)]
+                + [(name, ctypes.c_void_p) for name in (
+                    "data", "offsets", "rows", "b", "r", "dx", "x",
+                    "weights")])
 
 
 def address(array):
@@ -607,9 +640,232 @@ def _test_chrongear_span(fn, rng):
     return True
 
 
+def _step_layout(rng, width, stacked):
+    """A layout for ``_test_evp_step``: a ragged ``(3, 9, 11)`` stack
+    with halo 2 -- interior windows 5x7, 4x7 and 5x6; half the cells
+    outside them copied from drawn owned cells, the rest zeroed, as
+    beside an eliminated block and on the pad -- or a ``(9, 11)`` grid;
+    tiles of two shapes, the cells between them uncovered; drawn
+    vectors with NaN / +-Inf in edge cells of ``r``, ``x`` and ``dx``
+    (column 0)."""
+    h = 2 if stacked else 0
+    p, ny, nx = (3, 5, 7) if stacked else (1, 9, 11)
+    shape = (p, ny + 2 * h, nx + 2 * h)
+    tiles = {(3, 4): [(0, 0, 0), (1, 1, 3)] if stacked
+             else [(0, 0, 0), (0, 4, 6)],
+             (2, 3): [(0, 3, 0), (2, 0, 3), (2, 3, 0)] if stacked
+             else [(0, 0, 5), (0, 7, 0), (0, 7, 8)]}
+    vectors = {name: rng.standard_normal(shape + (width,))
+               for name in ("b", "r", "dx", "x")}
+    for name in ("r", "dx", "x"):
+        for value, i in zip((np.nan, np.inf, -np.inf), (0, nx - 1, 0)):
+            vectors[name][rng.integers(p), h + rng.integers(ny), h + i, 0] \
+                = value
+    halo = [np.zeros(0, dtype=np.int64)] * 3
+    if stacked:
+        owned = np.zeros(shape, dtype=bool)
+        for blk, (by, bx) in enumerate([(5, 7), (4, 7), (5, 6)]):
+            owned[blk, h:h + by, h:h + bx] = True
+        cells = np.arange(owned.size, dtype=np.int64).reshape(shape)
+        others = rng.permutation(cells[~owned])
+        half = others.size // 2
+        halo = [others[:half], rng.choice(cells[owned], half), others[half:]]
+    return h, shape, tiles, vectors, halo
+
+
+def _step_group(rng, origins, tile, width):
+    """One shape group of tiles at ``origins``: its packed rows' cells
+    (drawn order), an ``evp_march`` program of three steps (4, 5 and 8
+    terms) over drawn state rows, ``evp_edges`` tables of three edge
+    rows and six terms, and the buffers they name."""
+    b, rows = len(origins), tile[0] * tile[1]
+    k, marched = 3, rows - 3
+    lengths = [marched // 3, marched // 3, marched - 2 * (marched // 3)]
+    size = rows + 2                       # state rows; 2 never written
+    prog, first = [b, 3, k, *range(k)], 0
+    for length, nterms in zip(lengths, (4, 5, 8)):
+        target = k + first
+        prog += [length * b, first * b, target * b, nterms]
+        for _ in range(nterms):
+            src = rng.integers(0, size - length)
+            while target - length < src < target + length:
+                src = rng.integers(0, size - length)
+            prog += [rng.integers(0, 40 - length) * b, src * b]
+        first += length
+    order = rng.permutation(rows)
+    return dict(
+        b=b, k=k, rows=rows, marched=marched, size=size,
+        origins=np.array(origins, dtype=np.int64),
+        cells=np.stack([order // tile[1], order % tile[1]], axis=1),
+        coef=rng.standard_normal(40 * b),
+        inv_ne=rng.standard_normal(marched * b),
+        march=np.array(prog, dtype=np.int64),
+        edges=np.array([k, b, width, 6], dtype=np.int64),
+        coef_off=rng.integers(0, 40 - k, 6).astype(np.int64) * b,
+        src_rows=rng.integers(0, size, 6 * k).astype(np.int64),
+        slots=rng.permutation(size)[:rows].astype(np.int64),
+        f=np.empty((width, b, k)), ring=np.empty((width, b, 1, k)),
+        rt=rng.standard_normal((b, k, k)))
+
+
+def _march_reference(prog, coef, inv_ne, rhs, state, ring):
+    """``evp_march`` in numpy on ``(equations, width)`` rows."""
+    b, nsteps, k = prog[:3]
+    at = 3 + k
+    for e, line in enumerate(prog[3:at]):
+        state[line * b:(line + 1) * b] = (0.0 if ring is None
+                                          else -ring[:, :, 0, e].T)
+    for _ in range(nsteps):
+        count, row, target, nterms = prog[at:at + 4]
+        terms, at = prog[at + 4:at + 4 + 2 * nterms], at + 4 + 2 * nterms
+        cur = rhs[row:row + count]
+        for c, src in zip(terms[0::2], terms[1::2]):
+            cur = cur - coef[c:c + count, None] * state[src:src + count]
+        state[target:target + count] = cur * inv_ne[row:row + count, None]
+
+
+def _edges_reference(group, rhs, state):
+    """``evp_edges`` in numpy, as ``(width, B, k)``."""
+    b, k = group["b"], group["k"]
+    f = np.empty_like(group["f"])
+    for e in range(k):
+        acc = -rhs[e * b:(e + 1) * b]
+        for t, c in enumerate(group["coef_off"]):
+            src = group["src_rows"][t * k + e] * b
+            acc = acc + (group["coef"][c + e * b:c + (e + 1) * b, None]
+                         * state[src:src + b])
+        f[:, :, e] = acc.T
+    return f
+
+
+def _test_evp_step(fn, rng):
+    """A head, a tail with a head and a tail -- a span of two P-CSI +
+    EVP iterations -- on a ragged stack with halo 2 at widths 1 / 2 / 3
+    / 8 / 11 and on a grid at width 1, tiles of two shapes, NaN / +-Inf
+    in edge cells, against the pieces in numpy one by one: the gather,
+    the march, the edges, the masked scatter, ``combine``, ``axpy``, the
+    halo copy, scipy's sweep and ``b - Ax``; the ring matmul between the
+    calls is shared.  Vectors are compared whole, halo and pad cells
+    included."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return all(_evp_step_case(fn, rng, width, stacked)
+                   for width, stacked in ((1, True), (2, True), (3, True),
+                                          (8, True), (11, True), (1, False)))
+
+
+def _evp_step_case(fn, rng, width, stacked):
+    """One case of ``_test_evp_step``: ``True`` when every call matched."""
+    h, shape, tiles, vectors, halo = _step_layout(rng, width, stacked)
+    p, height, row = shape
+    ny, nx = height - 2 * h, row - 2 * h
+    cell = np.array([height * row, row, 1]) * width    # in elements
+    first = (h * row + h) * width                      # the first cell
+    inner = (slice(None), slice(h, h + ny), slice(h, h + nx))
+    mask = (rng.random((p, ny, nx)) < 0.8).astype(float)
+    groups = [_step_group(rng, origins, tile, width)
+              for tile, origins in tiles.items()]
+    gather, scatter = [len(groups)], [len(groups), 0, width]
+    covered = np.zeros((p, ny, nx), dtype=bool)
+    gather_tables, scatter_tables, y_rows, x_rows = [], [], 0, 0
+    for g in groups:
+        offsets = g["cells"] @ cell[1:]
+        gather += [g["b"], g["rows"]]
+        gather_tables += [g["origins"] @ cell, offsets]
+        scatter += [g["b"], g["rows"], x_rows]
+        scatter_tables += [g["origins"] @ cell, offsets,
+                           g["origins"] @ np.array([ny * nx, nx, 1]),
+                           g["cells"] @ np.array([nx, 1]), g["slots"]]
+        g["y"], g["x"] = y_rows, x_rows
+        y_rows += g["rows"] * g["b"]
+        x_rows += g["size"] * g["b"]
+        for blk, oj, oi in g["origins"]:
+            covered[blk, oj + g["cells"][:, 0], oi + g["cells"][:, 1]] = True
+    runs = [(c @ cell, 1) for c in np.argwhere(~covered)]
+    scatter[1] = len(runs)
+    gather = np.concatenate([gather] + gather_tables).astype(np.int64)
+    scatter = np.concatenate([scatter] + scatter_tables
+                             + [np.ravel(runs)]).astype(np.int64)
+    y = np.empty((y_rows, width))
+    state = rng.standard_normal((x_rows, width))
+    n = p * height * row
+    offsets = np.array([0, row, -row, 1, -1, row + 1, row - 1, 1 - row,
+                        -1 - row], dtype=np.int64)
+    data = rng.standard_normal((9, n))
+    geometry = np.array([width, p, ny, nx, h * row + h, height * row, row,
+                         cell[0], cell[1]], dtype=np.int64)
+    weights = np.empty(2)
+    ref = {name: v.copy() for name, v in vectors.items()}
+    got = {name: v.copy() for name, v in vectors.items()}
+    ref_y, ref_state = y.copy(), state.copy()
+
+    def at(array, elements=0):
+        return address(array) + elements * 8 if array.size else 0
+
+    structs = (EvpGroup * len(groups))()
+    for s, g in zip(structs, groups):
+        s.march, s.coef, s.inv_ne = (at(g["march"]), at(g["coef"]),
+                                     at(g["inv_ne"]))
+        s.rhs, s.state = at(y, g["y"] * width), at(state, g["x"] * width)
+        s.ring, s.edges = at(g["ring"]), at(g["edges"])
+        s.coef_off, s.src_rows = at(g["coef_off"]), at(g["src_rows"])
+        s.edge_rhs = s.rhs + g["marched"] * g["b"] * width * 8
+        s.f = at(g["f"])
+    prog = EvpProgram(
+        width, len(halo[0]), len(halo[2]), *(at(t) for t in halo),
+        at(got["x"]), len(groups), ctypes.addressof(structs), at(gather),
+        at(scatter), at(mask), at(y), at(state), n, 9, n, at(data),
+        at(offsets), at(geometry),
+        *(at(got[name], first) for name in ("b", "r", "dx", "x")),
+        at(weights))
+    sweep = dia_array((data, offsets), shape=(n, n))
+    for step in (None, (0.7, -0.4), (1.3, 0.2)):
+        tail, head = step is not None, step != (1.3, 0.2)
+        for g in groups if tail else ():
+            rows = ref_state[g["x"]:g["x"] + g["size"] * g["b"]]
+            _march_reference(g["march"], g["coef"], g["inv_ne"],
+                             ref_y[g["y"]:g["y"] + g["rows"] * g["b"]],
+                             rows, g["ring"])
+            g["out"] = rows[g["slots"][:, None] * g["b"] + np.arange(g["b"])]
+        if tail:
+            rp = np.zeros((p, ny, nx, width))
+            for g in groups:
+                for pos, (blk, oj, oi) in enumerate(g["origins"]):
+                    j, i = oj + g["cells"][:, 0], oi + g["cells"][:, 1]
+                    rp[blk, j, i] = g["out"][:, pos] * mask[blk, j, i, None]
+            weights[:] = step
+            dx, x = ref["dx"][inner], ref["x"][inner]
+            dx[...] = step[1] * dx + step[0] * rp
+            x[...] = x + 1.0 * dx
+            flat = ref["x"].reshape(-1, width)
+            flat[halo[0]] = flat[halo[1]]
+            flat[halo[2]] = 0.0
+            ax = np.stack([sweep @ np.ascontiguousarray(flat[:, c])
+                           for c in range(width)], axis=1)
+            ref["r"][inner] = ref["b"][inner] - ax.reshape(shape + (width,))[
+                inner]
+        for g in groups if head else ():
+            rhs = ref_y[g["y"]:g["y"] + g["rows"] * g["b"]]
+            for pos, (blk, oj, oi) in enumerate(g["origins"]):
+                rhs[pos::g["b"]] = ref["r"][inner][
+                    blk, oj + g["cells"][:, 0], oi + g["cells"][:, 1]]
+            rows = ref_state[g["x"]:g["x"] + g["size"] * g["b"]]
+            _march_reference(g["march"], g["coef"], g["inv_ne"], rhs, rows,
+                             None)
+            g["want"] = _edges_reference(g, rhs[g["marched"] * g["b"]:], rows)
+        fn(ctypes.addressof(prog),
+           (EVP_TAIL if tail else 0) | (EVP_HEAD if head else 0))
+        for g in groups if head else ():
+            if not np.array_equal(g["f"], g["want"], equal_nan=True):
+                return False
+            np.matmul(g["f"][:, :, None, :], g["rt"], out=g["ring"])
+    return all(np.array_equal(got[name], ref[name], equal_nan=True)
+               for name in ref)
+
+
 _SELF_TESTS = {"dia_sweep": _test_dia_sweep, "update_chain": _test_update_chain,
                "pairwise_dot": _test_pairwise_dot,
                "evp_march": _test_evp_march, "evp_edges": _test_evp_edges,
                "chebyshev_span": _test_chebyshev_span,
                "evp_gather": _test_evp_gather, "evp_scatter": _test_evp_scatter,
-               "chrongear_span": _test_chrongear_span}
+               "chrongear_span": _test_chrongear_span,
+               "evp_step": _test_evp_step}

@@ -20,8 +20,9 @@ Three implementations are provided and tested against each other:
   fields.
 * :meth:`HaloExchanger.exchange_stacked` -- the batched engine's: halo
   cells of a stack copied straight from their owners' interior cells
-  through two cell tables built once from the decomposition; nothing is
-  assembled and no owned cell moves.
+  through cell tables built once from the decomposition (one compiled
+  loop where the kernels have it, numpy fancy indexing otherwise);
+  nothing is assembled and no owned cell moves.
 
 Out-of-domain halos (beyond the global grid edge, or adjacent to an
 eliminated all-land block) are filled with zeros: the closed lateral
@@ -284,9 +285,9 @@ class HaloExchanger:
         return field
 
     # ------------------------------------------------------------------
-    def _halo_tables(self):
-        """``(dst, src, zero)``: flat cell indices into a ``(p, bny +
-        2h, bnx + 2h)`` stack driving the stacked halo exchange.
+    def halo_tables(self):
+        """``(dst, src, zero)``: flat int64 cell indices into a ``(p,
+        bny + 2h, bnx + 2h)`` stack driving the stacked halo exchange.
 
         ``dst`` lists every stack cell a rank does not own but some
         rank does -- its halo ring inside the domain, including the
@@ -304,13 +305,13 @@ class HaloExchanger:
             h = decomp.halo_width
             bny, bnx = decomp.max_block_shape()
             shape = (decomp.num_active, bny + 2 * h, bnx + 2 * h)
-            cells = np.arange(np.prod(shape), dtype=np.intp).reshape(shape)
+            cells = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
             owner = np.full((decomp.ny + 2 * h, decomp.nx + 2 * h), -1,
-                            dtype=np.intp)
+                            dtype=np.int64)
             for rank, block in enumerate(decomp.active_blocks):
                 owner[h + block.j0:h + block.j1, h + block.i0:h + block.i1] \
                     = cells[rank, h:h + block.ny, h:h + block.nx]
-            source = np.full(shape, -1, dtype=np.intp)
+            source = np.full(shape, -1, dtype=np.int64)
             for rank, block in enumerate(decomp.active_blocks):
                 source[rank, :block.ny + 2 * h, :block.nx + 2 * h] = owner[
                     block.j0:block.j1 + 2 * h, block.i0:block.i1 + 2 * h]
@@ -320,12 +321,14 @@ class HaloExchanger:
                                     cells[halo & (source < 0)])
         return self._stacked_tables
 
-    def exchange_stacked(self, field):
+    def exchange_stacked(self, field, kernels=None):
         """Stacked halo update: halo cells only, no global assembly.
 
         Every halo cell that has an owner is copied from the owner's
         interior cell (``flat[dst] = flat[src]`` over the cell tables of
-        :meth:`_halo_tables`; a trailing batch axis rides along), and
+        :meth:`halo_tables`; a trailing batch axis rides along -- one
+        :meth:`~repro.kernels.base.KernelBackend.halo_copy` of
+        ``kernels`` where it runs, numpy's fancy indexing otherwise), and
         every cell nobody owns -- closed boundary, eliminated
         neighbours, pad of ragged slots, which elementwise updates may
         have written -- is set to zero.  Owned cells are not touched:
@@ -340,10 +343,12 @@ class HaloExchanger:
                 "use exchange/exchange_via_global for per-rank fields"
             )
         stack = field.stack
-        dst, src, zero = self._halo_tables()
+        tables = dst, src, zero = self.halo_tables()
         if not stack.flags.c_contiguous:
             # No flat view to index: a copy would swallow the update.
             return self.exchange_via_global(field)
+        if kernels is not None and kernels.halo_copy(stack, tables):
+            return field
         # Cells as rows of a flat view; one value per cell stays 1-D
         # (fancy indexing a trailing axis of one is 2.5x slower).
         tail = stack.shape[3:]

@@ -190,7 +190,7 @@ class VirtualMachine:
         which is exactly the amortization batched solves buy.
         """
         if self.is_batched and field.is_stacked:
-            self.exchanger.exchange_stacked(field)
+            self.exchanger.exchange_stacked(field, self.kernels)
         elif self.fast_exchange:
             self.exchanger.exchange_via_global(field)
         else:

@@ -762,6 +762,20 @@ class EVPBlockPreconditioner(Preconditioner):
         maps = self._takes[key] = (dst, src, x_idx)
         return maps
 
+    def span_operands(self, stacked, n):
+        """What a one-call P-CSI iteration needs of ``M``: the
+        :class:`~repro.kernels.base.EvpLayout` of the global grid or,
+        with ``stacked``, of the stacked rank interiors, and the ``(y,
+        x)`` buffers of :meth:`_working_set` at width ``n``."""
+        y, x, _ = self._working_set(n)
+        return self._mapped("stack" if stacked else None)[0], (y, x)
+
+    def _mapped(self, key):
+        """:meth:`_compile` of ``key``, once."""
+        if key not in self._maps:
+            self._maps[key] = self._compile(key)
+        return self._maps[key]
+
     def _working_set(self, n):
         """Buffers ``(y, x)`` of width ``n`` plus each engine's views.
 
@@ -781,9 +795,7 @@ class EVPBlockPreconditioner(Preconditioner):
         masked solutions into ``out`` -- where the kernels cannot (no
         library, a rank's own block), take the cells in and out with
         the layout's cell maps and multiply by the mask."""
-        if key not in self._maps:
-            self._maps[key] = self._compile(key)
-        layout, engines, _ = self._maps[key]
+        layout, engines, _ = self._mapped(key)
         boundary = layout.groups is not None
         nrhs = r.shape[-1] if r.ndim > len(layout.shape) else None
         y, x, views = self._working_set(nrhs or 1)

@@ -82,8 +82,10 @@ diagonal preconditioner P-CSI and ChronGear answer up to
 ``check_freq``: P-CSI's context runs the whole span as one kernel call
 (a wavefront over memory), ChronGear's each iteration as one kernel
 pass with the coefficients formed in between -- the same bits and
-ledger events as iteration by iteration.  A breakdown inside a span
-stops the loop's count at the iteration that broke down
+ledger events as iteration by iteration.  P-CSI with the block EVP
+preconditioner answers up to ``check_freq`` too, serially and on the
+batched engine's stacks: one kernel call per iteration.  A breakdown
+inside a span stops the loop's count at the iteration that broke down
 (``BreakdownError.iteration``), its head charged and its recurrences
 not, as one iteration a call would.  Every other solver and context
 answers 1, and with a resilience runtime attached -- which hooks every

@@ -23,7 +23,10 @@ this small set of primitives:
 ``chebyshev_span`` P-CSI's iterations between two convergence checks:
                    ``precond``, ``updates`` and ``residual`` per
                    iteration, charged as those calls; one kernel call
-                   where the context can fuse the whole span
+                   for the whole span where the context can fuse it
+                   (serial, diagonal ``M``), one per iteration with the
+                   block EVP ``M`` (serial, or the batched engine's
+                   stacks)
 ``chrongear_span`` ChronGear's iterations between two convergence
                    checks: ``precond``, ``matvec``, ``dot_pair``, the
                    solver's coefficients, ``updates`` per iteration,
@@ -66,6 +69,7 @@ from repro.parallel.reduction import (
     masked_column_partials_stacked,
 )
 from repro.precond.diagonal import DiagonalPreconditioner
+from repro.precond.evp import EVPBlockPreconditioner
 
 
 #: ``updates`` step -> (kernel chain kind, flop units per point, the
@@ -77,7 +81,7 @@ _CHAIN_STEPS = {
 }
 
 
-#: The primitives the diagonal spans run inside one kernel call.
+#: The primitives the spans run inside kernel calls.
 _SPANNED = ("precond", "matvec", "residual", "dot_pair", "updates")
 
 
@@ -353,11 +357,29 @@ class SolverContext(abc.ABC):
         return self._chebyshev_kernel(b, r, dx, x, ())
 
     def _chebyshev_kernel(self, b, r, dx, x, weights):
-        """Run :meth:`chebyshev_span` as one kernel call, updating ``r``
-        in place too, and charge what the calls would; ``False`` when
+        """Run :meth:`chebyshev_span` in kernel calls, updating ``r`` in
+        place too, and charge what the calls would; ``False`` when
         nothing was touched (an empty ``weights``: whether it would
         run).  Contexts without such a kernel answer ``False``."""
         return False
+
+    def _charge_chebyshev(self, w, n, halo_words):
+        """``n`` times what ``precond``, a three-unit ``updates`` and
+        ``residual`` charge at width ``w``, one boundary event of ``w *
+        halo_words`` words each."""
+        if not n:
+            return
+        ledger = self.ledger
+        ledger.record_flops("preconditioning", n * w * self._precond_flops())
+        ledger.record_flops("computation", n * (3 + MATVEC_FLOPS_PER_POINT)
+                            * w * self.critical_points)
+        ledger.record_halo("boundary", words=n * w * halo_words, exchanges=n)
+
+    def _spans_own(self, cls):
+        """Whether the primitives the spans replace are ``cls``'s own (a
+        subclass that overrides one keeps its calls)."""
+        return all(getattr(type(self), name) is getattr(cls, name)
+                   for name in _SPANNED)
 
     # -- ChronGear spans -------------------------------------------------
     def chrongear_span(self, x, r, s, p, n, coefficients):
@@ -430,10 +452,11 @@ class SerialContext(SolverContext):
         # ``alpha * x`` afresh on every call in the solver hot loop; the
         # out=-based path reuses this buffer instead.
         self._scratch = None
-        #: The last ChronGear runner (or ``None``) with what it was
-        #: asked for, and whether the ocean mask is where ``inv_diag`` is
-        #: non-zero, with the preconditioner that says so.
+        #: The last ChronGear and P-CSI + EVP runners (or ``None``) with
+        #: what they were asked for, and whether the ocean mask is where
+        #: ``inv_diag`` is non-zero, with the preconditioner that says so.
         self._chrongear = ((None,) * 6, None)
+        self._evp = ((None,) * 6, None)
         self._dinv_mask = (None, False)
         if decomp is not None:
             if decomp.ny != stencil.shape[0] or decomp.nx != stencil.shape[1]:
@@ -491,34 +514,51 @@ class SerialContext(SolverContext):
     def _apply_precond(self, r, out):
         return self.preconditioner.apply_global(r, out=out)
 
-    def _diagonal_span(self, kernel, *vectors):
-        """``kernel(stencil, inv_diag, *vectors)`` -- one of the kernels'
-        diagonal spans, which check that they adopted their entry point
-        and that the vectors are C-contiguous and apart -- when ``M`` is
-        diagonal and the primitives a span replaces are this class's
-        own (a subclass that overrides one keeps its calls); ``None``
-        otherwise.  The gate both spans share."""
-        pre = self.preconditioner
-        if not isinstance(pre, DiagonalPreconditioner) or any(
-                getattr(type(self), name) is not getattr(SerialContext, name)
-                for name in _SPANNED):
+    def _span(self, kernel, operands, *vectors):
+        """``kernel(stencil, *operands, *vectors)`` -- one of the
+        kernels' spans, which check that they adopted their entry point
+        and that the vectors are C-contiguous and apart -- when ``M``
+        gave ``operands`` and the primitives a span replaces are this
+        class's own; ``None`` otherwise.  The gate every span shares."""
+        if operands is None or not self._spans_own(SerialContext):
             return None
-        return kernel(self.stencil, pre.inv_diag, *vectors)
+        return kernel(self.stencil, *operands, *vectors)
+
+    def _diagonal(self):
+        """A diagonal ``M``'s operand of the spans: ``(inv_diag,)``."""
+        pre = self.preconditioner
+        return ((pre.inv_diag,) if isinstance(pre, DiagonalPreconditioner)
+                else None)
 
     def _chebyshev_kernel(self, b, r, dx, x, weights):
-        """With a diagonal ``M``, the kernels' one-pass span; charged per
-        iteration exactly as ``precond``, a three-unit ``updates`` and
-        ``residual`` charge."""
-        if not self._diagonal_span(self.kernels.chebyshev_span,
-                                   b, r, dx, x, weights):
-            return False
-        w = self._width(x)
-        for _ in weights:
-            self.ledger.record_flops("preconditioning",
-                                     w * self._precond_flops())
-            self.ledger.record_flops("computation", 3 * w * self._critical)
-            self._charge_matvec(w, "computation")
+        """With a diagonal ``M``, the kernels' one-pass span; else, with
+        the block EVP ``M``, one kernel call per iteration
+        (:meth:`_evp_runner`).  Charged per iteration exactly as
+        ``precond``, a three-unit ``updates`` and ``residual`` charge."""
+        if not self._span(self.kernels.chebyshev_span, self._diagonal(),
+                          b, r, dx, x, weights):
+            run = self._evp_runner(b, r, dx, x)
+            if run is None:
+                return False
+            if weights:
+                run.run(weights)
+        self._charge_chebyshev(self._width(x), len(weights), self._halo_words)
         return True
+
+    def _evp_runner(self, b, r, dx, x):
+        """The kernels' P-CSI + EVP runner for these vectors on the
+        global grid (kept while they are the same arrays), or ``None``."""
+        pre = self.preconditioner
+        key, run = self._evp
+        if all(a is c for a, c in zip(key, (pre, self.kernels, b, r, dx, x))):
+            return run
+        run = None
+        if isinstance(pre, EVPBlockPreconditioner):
+            layout, work = pre.span_operands(False, self._width(x))
+            run = self._span(self.kernels.evp_span, (0, layout, work, None),
+                             b, r, dx, x)
+        self._evp = ((pre, self.kernels, b, r, dx, x), run)
+        return run
 
     def _chrongear_kernel(self, x, r, s, p):
         """The kernels' ChronGear runner for these vectors (kept while
@@ -534,8 +574,8 @@ class SerialContext(SolverContext):
             self._dinv_mask = (pre, isinstance(pre, DiagonalPreconditioner)
                                and np.array_equal(pre.inv_diag != 0.0,
                                                   self.mask))
-        run = (self._diagonal_span(self.kernels.chrongear_span, x, r, s, p)
-               if self._dinv_mask[1] else None)
+        run = (self._span(self.kernels.chrongear_span, self._diagonal(),
+                          x, r, s, p) if self._dinv_mask[1] else None)
         self._chrongear = ((pre, self.kernels, x, r, s, p), run)
         return run
 
@@ -742,6 +782,9 @@ class DistributedContext(SolverContext):
         # Scratch stack for the batched axpy/combine (avoids a fresh
         # ``alpha * x`` temporary per call in the solver hot loop).
         self._scratch = None
+        #: The last P-CSI + EVP runner (or ``None``) with what it was
+        #: asked for.
+        self._evp = ((None,) * 6, None)
 
     def _batched(self, *fields):
         return self.vm.is_batched and all(f.is_stacked for f in fields)
@@ -815,6 +858,45 @@ class DistributedContext(SolverContext):
             self.preconditioner.apply_block(rank, r.interior(rank),
                                             out=out.interior(rank))
         return out
+
+    def _chebyshev_kernel(self, b, r, dx, x, weights):
+        """With the block EVP ``M`` on the batched engine's stacks, one
+        kernel call per iteration (:meth:`_evp_runner`), charged per
+        iteration exactly as ``precond``, a three-unit ``updates`` and
+        ``residual`` charge -- one boundary event of ``w * halo_words``
+        each."""
+        run = self._evp_runner(b, r, dx, x)
+        if run is None:
+            return False
+        if weights:
+            run.run(weights)
+        self._charge_chebyshev(self._vec_width(x), len(weights),
+                               self.decomp.halo_words_per_exchange())
+        return True
+
+    def _evp_runner(self, b, r, dx, x):
+        """The kernels' P-CSI + EVP runner on these fields' stacks (kept
+        while they are the same arrays), or ``None``: only stacked
+        fields on the batched engine, with no resilience runtime (which
+        hooks every matvec) and no fault injector (which hooks every
+        exchange) attached, and primitives this class's own."""
+        pre, vm = self.preconditioner, self.vm
+        if vm.resilience is not None or vm.faults \
+                or not self._batched(b, r, dx, x) \
+                or not isinstance(pre, EVPBlockPreconditioner) \
+                or pre.decomp is None \
+                or not self._spans_own(DistributedContext):
+            return None
+        stacks = (b.stack, r.stack, dx.stack, x.stack)
+        key, run = self._evp
+        if all(a is c for a, c in zip(key, (pre, self.kernels, *stacks))):
+            return run
+        layout, work = pre.span_operands(True, x.nrhs or 1)
+        run = self.kernels.evp_span(
+            self.operator._get_stacked_coeffs(), self.decomp.halo_width,
+            layout, work, vm.exchanger.halo_tables(), *stacks)
+        self._evp = ((pre, self.kernels, *stacks), run)
+        return run
 
     # -- reductions ----------------------------------------------------
     def dot(self, a, b, phase="reduction"):

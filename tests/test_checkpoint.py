@@ -32,7 +32,11 @@ from repro.grid import test_config as make_test_config
 from repro.kernels import FusedKernels, resolve_kernels
 from repro.kernels.native import load as load_native
 from repro.operators import apply_stencil
-from repro.parallel import VirtualMachine, decompose
+from repro.parallel import (
+    VirtualMachine,
+    decompose,
+    decomposition_for_core_count,
+)
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
@@ -456,7 +460,10 @@ class TestPCSISpans:
                                       "resilience"])
     def test_other_cases_keep_spans_of_one(self, config, decomp, case):
         """P-CSI's and ChronGear's spans alike: one iteration a call on
-        EVP, the distributed contexts and under a resilience runtime."""
+        the distributed contexts with a diagonal ``M`` and under a
+        resilience runtime.  Serial EVP: P-CSI spans up to each check
+        (one ``evp_step`` call an iteration, where it was adopted),
+        ChronGear one iteration a call."""
         engine = "serial" if case == "evp" else (
             "batched" if case == "resilience" else case)
         for name in ("pcsi", "chrongear"):
@@ -467,8 +474,15 @@ class TestPCSISpans:
             result = solver.solve(
                 _rhs(config),
                 resilience=True if case == "resilience" else None)
-            assert result.converged and set(spans) == {1}, name
-            assert len(spans) == result.iterations, name
+            spanned = (case == "evp" and name == "pcsi"
+                       and load_native().evp_step is not None)
+            assert result.converged, name
+            if spanned:
+                assert set(spans) == {solver.check_freq}
+                assert sum(spans) == result.iterations
+            else:
+                assert set(spans) == {1}, name
+                assert len(spans) == result.iterations, name
 
 
 #: The three ``pop_1deg`` grids of the serial ChronGear rows.
@@ -624,6 +638,196 @@ class TestChronGearSpans:
             assert np.array_equal(resumed.x, full.x)
             if self._fused() and reader == "native":
                 assert spans[0] == 3
+
+
+#: The batched lattices of ``TestEVPSpans`` over ``pop_1deg`` at
+#: 144x120: 8x6 uniform blocks, 7x5 ragged ones, and the 48-core lattice
+#: with two land blocks eliminated (46 active).
+EVP_LATTICES = {
+    "uniform": lambda c: decompose(c.ny, c.nx, 8, 6, mask=c.mask,
+                                   eliminate_land=False),
+    "ragged": lambda c: decompose(c.ny, c.nx, 7, 5, mask=c.mask,
+                                  eliminate_land=False),
+    "eliminated": lambda c: decomposition_for_core_count(
+        c.ny, c.nx, 48, mask=c.mask, eliminate_land=True),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(name):
+    config = _pop("144x120")
+    decomp = EVP_LATTICES[name](config)
+    assert decomp.is_uniform == (name != "ragged")
+    assert (decomp.num_active < decomp.num_blocks) == (name == "eliminated")
+    return decomp
+
+
+@functools.lru_cache(maxsize=None)
+def _evp(grid, lattice, kernels):
+    """One EVP preconditioner per grid, lattice and kernels: the
+    influence matrices are the expensive part of a solve here."""
+    decomp = None if lattice is None else _lattice(lattice)
+    return evp_for_config(_pop(grid), decomp=decomp,
+                          kernels=TestEVPSpans.PRODUCTS[kernels])
+
+
+class TestEVPSpans:
+    """P-CSI + block EVP -- serial, or on the batched engine's stacks --
+    runs each iteration of a span as one ``native.c`` call where
+    ``evp_step`` was adopted, and the guarded loop hands it the
+    iterations up to the next check, due checkpoint or budget end; that
+    changes no bit against one iteration a call
+    (``FusedKernels(native=False)``), nor, on the stacks, against the
+    per-rank oracle: iterates, iteration counts, residual histories,
+    events, per-column iterations and diagnoses, on the three
+    ``pop_1deg`` grids and on uniform, ragged and land-eliminated
+    lattices at every width."""
+
+    PRODUCTS = {"native": FusedKernels(), "calls": FusedKernels(native=False)}
+
+    @staticmethod
+    def _fused():
+        return load_native().evp_step is not None
+
+    def _solve(self, kernels, b, grid="144x120", lattice=None,
+               engine="batched", tmp_path=None, resume_from=None,
+               poison=None, **kwargs):
+        config = _pop(grid)
+        pre = _evp(grid, lattice, "native" if engine == "perrank"
+                   else kernels)
+        if lattice is None:
+            ctx = SerialContext(config.stencil, pre,
+                                kernels=self.PRODUCTS[kernels])
+        else:
+            vm = VirtualMachine(_lattice(lattice), mask=config.mask,
+                                engine=engine)
+            ctx = DistributedContext(config.stencil, pre, vm,
+                                     kernels=self.PRODUCTS[kernels])
+        kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
+        solver = make_solver("pcsi", ctx, raise_on_failure=False, **kwargs)
+        spans = _spans(solver)
+        if poison is not None:
+            spanned = solver._iterate_span
+
+            def poisoned(state, first, n):
+                if first == 11:
+                    poison(state["r"])
+                spanned(state, first, n)
+
+            solver._iterate_span = poisoned
+        policy = None if tmp_path is None else CheckpointPolicy(
+            str(tmp_path / f"{kernels}-{engine}"), every=7, keep=0)
+        result = solver.solve(b, checkpoint=policy, resume_from=resume_from)
+        return result, spans, policy
+
+    def _both(self, b, oracle=False, **kwargs):
+        """The products' solves (and the per-rank oracle's), checked
+        equal; the spans ran."""
+        (got, spans, _), (ref, ref_spans, _) = [
+            self._solve(kernels, b, **kwargs) for kernels in self.PRODUCTS]
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x, equal_nan=True)
+        assert set(ref_spans) == {1}
+        if oracle:
+            slow, slow_spans, _ = self._solve("native", b, engine="perrank",
+                                              **kwargs)
+            assert _result_bits(got) == _result_bits(slow)
+            assert np.array_equal(got.x, slow.x, equal_nan=True)
+            assert set(slow_spans) == {1}
+        return got, spans
+
+    @pytest.mark.parametrize("width", [None, 1, 2, 3, 8])
+    @pytest.mark.parametrize("grid", list(POP_GRIDS))
+    def test_pop_grids_match_the_calls(self, grid, width):
+        got, spans = self._both(_batch_rhs(_pop(grid), width), grid=grid,
+                                max_iterations=25)
+        assert got.diagnosis.kind == "budget_exhausted"
+        if self._fused():
+            assert spans == [10, 10, 5]
+
+    @pytest.mark.parametrize("width", [None, 1, 2, 3, 8])
+    @pytest.mark.parametrize("lattice", list(EVP_LATTICES))
+    def test_lattices_match_the_calls_and_the_oracle(self, lattice, width):
+        got, spans = self._both(_batch_rhs(_pop("144x120"), width),
+                                oracle=True, lattice=lattice,
+                                max_iterations=25)
+        assert got.diagnosis.kind == "budget_exhausted"
+        if self._fused():
+            assert spans == [10, 10, 5]
+
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("lattice", [None, "eliminated"])
+    def test_spans_stop_at_checks_checkpoints_and_budget(
+            self, tmp_path, lattice, width):
+        b = _batch_rhs(_pop("144x120"), width)
+        runs = {kernels: self._solve(kernels, b, lattice=lattice,
+                                     tmp_path=tmp_path, max_iterations=23)
+                for kernels in self.PRODUCTS}
+        (got, spans, policy), (ref, ref_spans, ref_policy) = runs.values()
+        assert got.diagnosis.kind == "budget_exhausted"
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert [os.path.basename(p) for p in policy.written] == \
+            [os.path.basename(p) for p in ref_policy.written]
+        assert ref_spans == [1] * 23
+        if self._fused():
+            # checkpoint 7, check 10, checkpoint 14, check 20,
+            # checkpoint 21, budget 23
+            assert spans == [7, 3, 4, 6, 1, 2]
+
+    @pytest.mark.parametrize("lattice", [None, "ragged"])
+    def test_checkpoint_written_mid_span_resumes(self, tmp_path, lattice):
+        """A snapshot at iteration 7 of one iteration a call resumes
+        under spans (8 .. 10 is one), and the other way round, on the
+        uninterrupted run's bits."""
+        b = _rhs(_pop("144x120"))
+        full, _, _ = self._solve("calls", b, lattice=lattice)
+        for writer, reader in (("calls", "native"), ("native", "calls")):
+            _, _, policy = self._solve(writer, b, lattice=lattice,
+                                       tmp_path=tmp_path / writer)
+            resumed, spans, _ = self._solve(
+                reader, b, lattice=lattice, resume_from=policy.written[0])
+            assert _result_bits(resumed) == _result_bits(full)
+            assert np.array_equal(resumed.x, full.x)
+            if self._fused() and reader == "native":
+                assert spans[0] == 3
+
+    @pytest.mark.parametrize("lattice", [None, "eliminated"])
+    def test_divergence_recovery_widens_with_the_same_bits(self, lattice):
+        got, _ = self._both(_rhs(_pop("144x120")), lattice=lattice,
+                            eig_bounds=(0.05, 0.9), max_recoveries=4,
+                            mu_backoff=2.0, max_iterations=5000)
+        assert got.converged and got.extra["recoveries"] >= 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("lattice", [None, "ragged", "eliminated"])
+    def test_nonfinite_edges_match_the_calls(self, lattice, width):
+        """NaN, +Inf and -Inf in cells on block edges (the grid's first
+        and last columns serially) of the residual before iteration 11,
+        column 0 of a batch: the poisoned column retires
+        ``nonfinite_residual`` at the check at 20 and the others run
+        on."""
+        def poison(r):
+            if lattice is None:
+                column = r if r.ndim == 2 else r[..., 0]
+                column[5, 0], column[40, -1], column[70, 0] = \
+                    np.nan, np.inf, -np.inf
+                return
+            for rank, value in zip((0, 3, 7), (np.nan, np.inf, -np.inf)):
+                block = r.interior(rank)
+                block = block if block.ndim == 2 else block[..., 0]
+                block[2, 0], block[-1, -1] = value, value
+
+        got, spans = self._both(_batch_rhs(_pop("144x120"), width),
+                                lattice=lattice, poison=poison,
+                                max_iterations=40)
+        assert got.diagnosis.kind == "nonfinite_residual"
+        if width is not None:
+            assert got.extra["per_rhs_iterations"][0] == 20
+            assert got.extra["per_rhs_iterations"][1] == 40
+        if self._fused():
+            assert set(spans) == {10}
 
 
 class TestStepperResume:

@@ -829,6 +829,144 @@ class TestChronGearSpan:
         assert not ctx.spans_chrongear(x, r, s, p)
 
 
+@st.composite
+def _evp_span_extras(draw):
+    """What an EVP span draws beside its layout: a tile size, a stencil,
+    a span length, the vector that carries the planted NaN / Inf and
+    the weights' seed."""
+    return dict(tile_size=draw(st.integers(1, 12)),
+                simplified=draw(st.booleans()),
+                steps=draw(st.sampled_from((1, 2, 7))),
+                target=draw(st.sampled_from(("r", "x", "dx"))),
+                seed=draw(st.integers(0, 20)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
+class TestEVPSpan:
+    """``SolverContext.chebyshev_span`` with the block EVP preconditioner
+    -- one ``native.c`` call per iteration where ``evp_step`` was adopted
+    -- against the same iterations as one ``precond`` / ``updates`` /
+    ``residual`` call each on the scipy / numpy floor: ``r``, ``dx``,
+    ``x`` and the ledger equal, on drawn grids and on drawn uniform,
+    ragged and land-eliminated stacks (whole stacks, halo and pad cells
+    included, and ``r``'s interior rows; there the numpy oracle too),
+    NaN and Inf planted at the
+    edges, in halos and on the pad.  (On a grid a non-finite value at an
+    edge reaches the opposite edge through the global sweep's wrapping
+    zero couplings, which the oracle does not have.)"""
+
+    KERNELS = (FusedKernels(), FusedKernels(native=False))
+
+    @staticmethod
+    def _weights(seed, steps):
+        rng = np.random.default_rng(seed)
+        return [(float(w), float(c)) for w, c in
+                rng.uniform(0.5, 2.0, (steps, 2)) * (1.0, -0.5)]
+
+    @staticmethod
+    def _check(results, fused):
+        (span, span_ledger, ran), *rest = results
+        assert ran == fused
+        for got, ledger, calls in rest:
+            assert not calls
+            for name in span:
+                assert np.array_equal(span[name], got[name], equal_nan=True), \
+                    name
+            assert ledger == span_ledger
+
+    @given(case=_span_cases(), extra=_evp_span_extras())
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_grids(self, case, extra):
+        config = _span_config(case["grid"])
+        rng = np.random.default_rng(case["seed"])
+        shape = config.shape + (() if case["nrhs"] is None
+                                else (case["nrhs"],))
+        b, r, dx, x = (rng.standard_normal(shape) for _ in range(4))
+        vectors = {"r": r, "dx": dx, "x": x}
+        for name, (j, i), value in case["poison"]:
+            vectors[name][j, i] = value
+        weights = self._weights(extra["seed"], extra["steps"])
+        results = []
+        for kernels in self.KERNELS:
+            pre = evp_for_config(config, tile_size=extra["tile_size"],
+                                 simplified=extra["simplified"],
+                                 kernels=kernels)
+            ctx = SerialContext(config.stencil, pre, kernels=kernels)
+            got = {name: v.copy() for name, v in vectors.items()}
+            ran = ctx.spans_chebyshev(b, got["r"], got["dx"], got["x"])
+            got["r"] = ctx.chebyshev_span(b, got["r"], got["dx"], got["x"],
+                                          weights)
+            results.append((got, ctx.ledger.snapshot(), ran))
+        self._check(results, load_native().evp_step is not None)
+
+    @given(case=_stack_cases(), extra=_evp_span_extras())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_stacks(self, case, extra):
+        stack = _Stack(case)
+        names = ["r", "b", "dx", "x"]
+        first = names.index(extra["target"])
+        names[0], names[first] = names[first], names[0]
+        values = dict(zip(names, stack.stacks(4)))
+        weights = self._weights(extra["seed"], extra["steps"])
+        results = []
+        for kernels in self.KERNELS + (NumpyKernels(),):
+            pre = evp_for_config(stack.config, decomp=stack.decomp,
+                                 tile_size=extra["tile_size"],
+                                 simplified=extra["simplified"],
+                                 kernels=kernels)
+            ctx = DistributedContext(stack.config.stencil, pre,
+                                     stack.machine(kernels), kernels=kernels)
+            b, r, dx, x = stack.fields([values[name]
+                                        for name in ("b", "r", "dx", "x")])
+            ran = ctx.spans_chebyshev(b, r, dx, x)
+            r = ctx.chebyshev_span(b, r, dx, x, weights)
+            # ``r`` on the interior rows, the cells a residual writes:
+            # the calls hand back a fresh field, a span updates ``r``.
+            results.append(({"r": r.interior_stack(), "dx": dx.stack,
+                             "x": x.stack}, ctx.ledger.snapshot(), ran))
+        self._check(results, load_native().evp_step is not None)
+
+    @needs_native("evp_step")
+    def test_span_declines_what_it_cannot_run(self, uniform_config,
+                                              uniform_decomp):
+        """Strided, read-only, mis-shaped or overlapping vectors, the
+        numpy kernels, per-rank fields, a fault injector or a resilience
+        runtime: no runner, today's calls."""
+        kernels = FusedKernels()
+        config, decomp = uniform_config, uniform_decomp
+        pre = evp_for_config(config, kernels=kernels)
+        layout, work = pre.span_operands(False, 1)
+        rng = np.random.default_rng(3)
+        b, r, dx, x = rng.standard_normal((4,) + config.shape)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        wide = rng.standard_normal(config.shape + (2,))
+        for args in ((b, r, dx, wide[..., 0]), (b, r, dx, frozen),
+                     (b, r, dx, x[:, :-1]), (b, r, r, x), (b, r, dx, wide)):
+            assert kernels.evp_span(config.stencil, 0, layout, work, None,
+                                    *args) is None
+        assert NumpyKernels().evp_span(config.stencil, 0, layout, work,
+                                       None, b, r, dx, x) is None
+        assert kernels.evp_span(config.stencil, 0, layout, work, None,
+                                b, r, dx, x) is not None
+
+        def spans(**machine):
+            pre = evp_for_config(config, decomp=decomp, kernels=kernels)
+            vm = VirtualMachine(decomp, mask=config.mask, **machine)
+            ctx = DistributedContext(config.stencil, pre, vm,
+                                     kernels=kernels)
+            return ctx, ctx.spans_chebyshev(*(vm.zeros() for _ in range(4)))
+
+        assert spans()[1]
+        assert not spans(engine="perrank")[1]
+        assert not spans(faults=[HaloFault(rank=0, value=np.nan, at=1)])[1]
+        ctx, _ = spans()
+        ctx.vm.resilience = ResilienceRuntime(ResiliencePolicy(), ctx)
+        assert not ctx.spans_chebyshev(*(ctx.vm.zeros() for _ in range(4)))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
 class TestStackedKernels:
     """The batched engine's four loops on drawn stacks, three ways: the
@@ -976,6 +1114,26 @@ class TestStackedKernels:
                 f"{min(width, 8)} sweep: got {out[0, 1, 1]!r}, "
                 "multiply-then-add gives 0.0")
 
+    @given(case=_stack_cases(), width=st.sampled_from((None, 1, 3, 8)))
+    @settings(**DRAWN)
+    def test_drawn_halo_copy(self, case, width):
+        """The stacked exchange's halo copy -- ``native.c`` where it was
+        adopted, numpy's fancy indexing on the floor -- byte for byte
+        the padded global assembly with the pad zeroed, as
+        ``exchange_stacked`` promises."""
+        stack = _Stack(dict(case, nrhs=width))
+        vm = stack.machine(NumpyKernels())
+        (values,) = stack.stacks(1)
+        want, native, floor = stack.fields([values] * 3)
+        vm.exchanger.exchange_via_global(want)
+        want.stack[stack.kind == "pad"] = 0.0
+        ran = FusedKernels().halo_copy(native.stack,
+                                       vm.exchanger.halo_tables())
+        assert ran == (load_native().evp_step is not None)
+        vm.exchanger.exchange_stacked(floor)
+        for got in (native, floor) if ran else (floor,):
+            assert got.stack.tobytes() == want.stack.tobytes()
+
     @given(case=_stack_cases())
     @settings(**DRAWN)
     def test_drawn_exchange(self, case):
@@ -1114,6 +1272,35 @@ class TestVectorKernels:
             assert all(got[name][1, 1] == 0.0 for name in vanish), (
                 "the compiler contracted a*b+c in native.c's "
                 "chrongear_span and the loader's self-test did not notice")
+
+    @needs_native("evp_step")
+    def test_evp_span_is_not_contracted(self):
+        """``evp_step``'s ``dx`` products and the sweep's with the
+        operands of ``test_sweep_is_not_contracted``, with 1x1 EVP tiles
+        of centre 1.0 (``M^-1 r = r`` exactly): each rounds before its
+        add, so ``dx`` and ``r`` come out 0.0 where a fused
+        multiply-add leaves ``+-2**-54``."""
+        from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
+        from repro.precond.evp import EVPBlockPreconditioner
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        shape = (3, 3)
+        planes = {name: np.zeros(shape) for name in COEFF_NAMES}
+        planes["c"][...] = 1.0
+        planes["n"][...] = -small
+        stencil = StencilCoeffs(mask=np.ones(shape, dtype=bool), **planes)
+        kernels = FusedKernels()
+        pre = EVPBlockPreconditioner(stencil, tile_size=1, kernels=kernels)
+        ctx = SerialContext(stencil, pre, kernels=kernels)
+        for w, c, r_val, dx_val in ((-small, 1.0, small, big),
+                                    (1.0, -small, big, small)):
+            b, r, dx, x = np.zeros((4,) + shape)
+            r[1, 1], dx[1, 1], x[1, 1], x[2, 1] = r_val, dx_val, big, small
+            assert ctx.spans_chebyshev(b, r, dx, x)
+            ctx.chebyshev_span(b, r, dx, x, [(w, c)])
+            assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
+                "the compiler contracted a*b+c in native.c's evp_step and "
+                "the loader's self-test did not notice")
 
     @staticmethod
     def _chains(rng, shape, coeffs, vectors=None):

@@ -9,9 +9,10 @@ multi-vector forms, the update chain with scalar and per-column
 coefficients, the dot of one vector and of stack windows, the EVP
 march, edge residuals, gather and masked scatter -- must equal the
 numpy oracle's bit for bit, a width-8 EVP apply on the strided
-interior of a stack the numpy / scipy floor's, and 2-column serial
-P-CSI and ChronGear + diagonal solves (their spans) the per-iteration
-path's; none may
+interior of a stack the numpy / scipy floor's, 2-column serial
+P-CSI and ChronGear + diagonal solves (their spans) and P-CSI + EVP
+solves, serial and on the stacks (one call an iteration), the
+per-iteration path's; none may
 emit a warning or anything on stderr, and
 ``describe()`` / ``native_status()`` must name what happened.
 """
@@ -73,6 +74,17 @@ def diagonal(name, kernels):
     return make_solver(name, ctx, tol=1e-10).solve(
         np.ascontiguousarray(b[..., :2]))
 
+def evp_pcsi(kernels, stacked):
+    pre = evp_for_config(config, tile_size=6, kernels=kernels,
+                         decomp=decomp if stacked else None)
+    if stacked:
+        vm = VirtualMachine(decomp, mask=config.mask)
+        ctx = DistributedContext(config.stencil, pre, vm, kernels=kernels)
+    else:
+        ctx = SerialContext(config.stencil, pre, kernels=kernels)
+    return make_solver("pcsi", ctx, tol=1e-10).solve(
+        np.ascontiguousarray(b[..., :2]))
+
 def stacked_apply(kernels):
     pre = evp_for_config(config, tile_size=6, kernels=kernels, decomp=decomp)
     vm = VirtualMachine(decomp, mask=config.mask)
@@ -89,6 +101,8 @@ with warnings.catch_warnings(record=True) as caught:
              for stacked in (False, True)]
     pairs += [(diagonal(name, FusedKernels(native=False)),
                diagonal(name, None)) for name in ("pcsi", "chrongear")]
+    pairs += [(evp_pcsi(FusedKernels(native=False), stacked),
+               evp_pcsi(None, stacked)) for stacked in (False, True)]
     applies = [stacked_apply(k) for k in (FusedKernels(native=False), None)]
 assert not caught, [str(w.message) for w in caught]
 assert np.array_equal(*applies)
@@ -188,14 +202,16 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
                                     "pairwise_dot", "chebyshev_span",
                                     "evp_gather", "evp_scatter",
                                     "evp_march", "evp_edges",
-                                    "chrongear_span"])
+                                    "chrongear_span", "evp_step"])
 def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     """Each of the entry points the stacks share with the serial
-    vectors, the serial P-CSI and ChronGear spans and each EVP entry
-    point failing alone: its loops go back to scipy / numpy (P-CSI and
-    ChronGear to one iteration a call, the EVP boundary to takes and
-    the mask multiply), the others stay adopted, every solve and the
-    stacked width-8 apply keep their bits."""
+    vectors, the serial P-CSI and ChronGear spans, each EVP entry point
+    and the P-CSI + EVP step failing alone: its loops go back to scipy
+    / numpy (P-CSI and ChronGear to one iteration a call, the EVP
+    boundary to takes and the mask multiply, the P-CSI + EVP iteration
+    and the stacked halo copy to today's calls and fancy indexing), the
+    others stay adopted, every solve and the stacked width-8 apply keep
+    their bits."""
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)
@@ -209,7 +225,7 @@ def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
                          capture_output=True, text=True, check=True).stdout
     adopted = ["dia_sweep", "update_chain", "pairwise_dot", "evp_march",
                "evp_edges", "chebyshev_span", "evp_gather", "evp_scatter",
-               "chrongear_span"]
+               "chrongear_span", "evp_step"]
     adopted.remove(failed)
     assert out.strip() == str(adopted)
 
