@@ -14,14 +14,11 @@ the reproduction:
   block and column of a stack or a batch) and runs of vector updates
   (:meth:`~KernelBackend.update_chain`: the paper's ``4 n^2`` for
   ChronGear's four recurrences),
-* whole spans of serial P-CSI + diagonal iterations, which need no
-  inner product between convergence checks
-  (:meth:`~KernelBackend.chebyshev_span`), serial ChronGear +
-  diagonal iterations as one pass each
-  (:meth:`~KernelBackend.chrongear_span`), and P-CSI + block-EVP
-  iterations, serial or on the batched engine's stacks, as one call
-  each (:meth:`~KernelBackend.evp_span`, whose halo copy
-  :meth:`~KernelBackend.halo_copy` also serves the stacked exchange).
+* the runners of the solvers' fused spans
+  (:meth:`~KernelBackend.span_runner`): a span of iterations as
+  kernel calls, each in place of the primitive calls
+  :data:`repro.solvers.context.SPANS` declares for it, and the stacked
+  exchange's halo copy (:meth:`~KernelBackend.halo_copy`).
 
 There are two implementations -- the ``numpy`` reference and the
 ``fused`` product -- and one contract: an implementation changes
@@ -245,70 +242,38 @@ class KernelBackend:
         """
         return False
 
-    def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
-        """Run P-CSI iterations with a diagonal preconditioner in one
-        pass over memory, if this backend can.
+    def span_runner(self, kind, coeffs, h, halo, m, vectors):
+        """A runner for the span ``kind`` on these vectors, if this
+        backend has one; ``None`` (the default: numpy has no fused form)
+        sends the caller to the primitive calls the span replaces, whose
+        roundings and order a runner keeps.
 
-        ``weights`` is a sequence of ``(omega, c)`` pairs, one per
-        iteration, each of which updates whole global ``(ny, nx[,
-        nrhs])`` vectors in place: ``r' = r * inv_diag``, ``dx = (c *
-        dx) + (omega * r')``, ``x = x + (1.0 * dx)``, then ``r = b -
-        A x`` with ``A`` the stencil ``coeffs`` -- the roundings of the
-        preconditioner's multiply, the context's ``combine`` and
-        ``axpy`` and :meth:`stencil_apply` followed by a subtraction.
-        ``inv_diag`` is the ``(ny, nx)`` reciprocal diagonal, shared by
-        every column.  Returns ``True`` when the iterations ran (an
-        empty ``weights`` asks whether they would); ``False`` (the
-        default: there is no one-pass form in numpy) when nothing was
-        touched and the caller runs them one call at a time.
-        """
-        return False
+        ``vectors`` are the span loop's, updated in place: whole global
+        ``(ny, nx[, nrhs])`` arrays (``h = 0``, ``coeffs`` the
+        ``StencilCoeffs``) or whole ``(p, bny + 2h, bnx + 2h[, nrhs])``
+        stacks of the batched engine (``coeffs`` the stacked planes,
+        ``halo`` the ``(dst, src, zero)`` tables of :meth:`halo_copy`).
+        ``m`` is ``M``'s part
+        (:meth:`~repro.precond.base.Preconditioner.span_operands`):
+        ``("diagonal", inv_diag)``, ``r' = r * inv_diag``, or ``("evp",
+        layout, (y, x))``, the gather, marches, ring matmul and masked
+        scatter of the block EVP apply in ``layout`` on those buffers.
 
-    def chrongear_span(self, coeffs, inv_diag, x, r, s, p):
-        """A one-pass runner for ChronGear iterations with a diagonal
-        preconditioner on these vectors, if this backend has one.
-
-        ``x``, ``r``, ``s`` and ``p`` are whole global ``(ny, nx[,
-        nrhs])`` vectors, updated in place.  The runner is called as
-        ``run(step, head)``: with ``step = (alpha, beta)`` (floats, or
-        ``(nrhs,)`` arrays) it first runs ``s = r' + beta s``, ``p = z +
-        beta p``, ``x += alpha s``, ``r += (-alpha) p`` with the
-        previous head's ``r'`` and ``z``; with ``head`` it then forms
-        ``r' = r * inv_diag``, ``z = A r'`` and returns ``(rho, delta)
-        = (<r, r'>, <z, r'>)`` -- the roundings of the preconditioner's
-        multiply, :meth:`update_chain`, :meth:`stencil_apply` and
-        :meth:`masked_dot` (per column for a batch), the dots weighed
-        by ``inv_diag != 0``, which the caller vouches is the ocean
-        mask.  ``run.flush()`` makes ``x`` whole after the last call
-        (a runner may keep an ``x`` update for the call that follows).
-        ``None`` (the default: there is no one-pass form in numpy) sends
-        the caller to one call per step.
-        """
-        return None
-
-    def evp_span(self, coeffs, h, layout, work, halo, b, r, dx, x):
-        """A runner for P-CSI iterations with the block EVP
-        preconditioner on these vectors, one call each, if this backend
-        has one.
-
-        ``b``, ``r``, ``dx`` and ``x`` are whole global ``(ny, nx[,
-        nrhs])`` arrays (``h = 0``, ``coeffs`` the ``StencilCoeffs``) or
-        whole ``(p, bny + 2h, bnx + 2h[, nrhs])`` stacks of the batched
-        engine (``coeffs`` the stacked planes, ``halo`` the halo copy's
-        ``(dst, src, zero)`` int64 cell tables, see
-        :meth:`halo_copy`); ``layout`` is the preconditioner's
-        :class:`EvpLayout` of their cells (a stack's interiors) and
-        ``work`` its ``(y, x)`` buffers of this width.  ``run.run(weights)``
-        runs one iteration per ``(w, c)`` in place: ``r' = M^-1 r``
-        (gather, march, edge residuals, the engines' ring matmul, march,
-        masked scatter), ``dx = (c * dx) + (w * r')``, ``x = x + (1.0 *
-        dx)``, the halo copy of ``x`` on a stack, ``r = b - A x`` over
-        the interior rows -- the bits of :meth:`evp_gather`,
-        ``evp_run``, :meth:`evp_scatter`, :meth:`update_chain`,
-        :meth:`halo_copy` and :meth:`stencil_apply` /
-        :meth:`stencil_apply_stacked` followed by a subtraction, called
-        one by one.  ``None`` (the default: there is no one-call form in
-        numpy) sends the caller to those calls.
+        * ``"chebyshev"``, ``vectors = (b, r, dx, x)``:
+          ``run.run(weights)`` runs one P-CSI iteration per ``(omega,
+          c)``: ``r' = M^-1 r``, ``dx = (c * dx) + (omega * r')``, ``x =
+          x + (1.0 * dx)``, the halo copy of ``x`` on a stack, ``r = b -
+          A x`` over the interior rows.
+        * ``"chrongear"``, ``vectors = (x, r, s, p)``: ``run(step,
+          head)`` with ``step = (alpha, beta)`` (floats, or ``(nrhs,)``
+          arrays) first runs ``s = r' + beta s``, ``p = z + beta p``, ``x
+          += alpha s``, ``r += (-alpha) p`` with the previous head's
+          ``r'`` and ``z``; with ``head`` it then forms ``r' = M^-1 r``,
+          ``z = A r'`` and returns ``(rho, delta) = (<r, r'>, <z,
+          r'>)``, per column for a batch, the dots weighed by ``M``'s
+          operands where the caller vouches they are the ocean mask.
+          ``run.flush()`` makes ``x`` whole after the last call (a runner
+          may keep an ``x`` update for the call that follows).
         """
         return None
 

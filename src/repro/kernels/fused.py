@@ -129,24 +129,23 @@ formed on the fly (``pairwise_dot``: one pass, no temporaries);
 and every column at once; ``update_chain`` runs a solver's consecutive
 ``axpy`` / ``xpay`` / ``combine`` steps chunk by chunk, row by row, so a
 chain's operands are read from memory once, with scalar coefficients or
-one per column.  ``chebyshev_span`` runs a whole span of serial P-CSI +
-diagonal iterations as one ``native.c`` wavefront over the grid rows
-(the preconditioner multiply, the chain's two steps and a sweep row
-followed by the subtraction, iterations trailing each other by four
-rows) on the single-RHS sweep's ``data`` / ``offsets``; without it the
-context runs the iterations one call at a time.  ``chrongear_span``
-hands a serial ChronGear + diagonal context a runner that makes each
-iteration one ``native.c`` pass: iteration ``k``'s four recurrences
-with iteration ``k + 1``'s preconditioner multiply, sweep row and both
-dots, whose pairwise leaves are summed as their cells become final.
-``evp_step`` runs a P-CSI + block-EVP iteration -- serial, or on the
-batched engine's stacks -- as one call on each side of the ring
-correction's BLAS matmul (:class:`_EvpSpan`): the corrected march, the
-masked scatter consumed by the ``dx`` / ``x`` chain, the halo copy of
-``x``, ``b - A x`` over the interior rows, then the next gather, zero-ring
-march and edge residuals; its halo copy alone is
-:meth:`FusedKernels.halo_copy`, the stacked exchange's.  The three spans
-share one operand check (``_span_operands``).
+one per column.
+
+**Spans.**  :meth:`FusedKernels.span_runner` picks a runner by ``(span
+kind, M's kind)`` (``_SPAN_RUNNERS``) after one operand check
+(``_span_operands``); each packs its program once per vector set.
+``_ChebyshevSpan``: a whole span of serial P-CSI + diagonal iterations
+as one ``chebyshev_span`` wavefront over the grid rows (multiply, the
+chain's two steps, a sweep row and the subtraction; iterations four rows
+apart) on the single-RHS sweep's ``data`` / ``offsets``.
+``_ChronGearSpan``: each serial ChronGear + diagonal iteration as one
+``chrongear_span`` pass -- iteration ``k``'s recurrences with ``k +
+1``'s multiply, sweep row and both dots, pairwise leaves summed as their
+cells become final.  ``_EvpSpan``: a P-CSI + block-EVP iteration, serial
+or stacked, as one ``evp_step`` call on each side of the ring matmul --
+corrected march, masked scatter into the ``dx`` / ``x`` chain, halo copy
+of ``x`` (alone: :meth:`FusedKernels.halo_copy`, the stacked
+exchange's), ``b - A x``, then the next gather, march and edges.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -589,6 +588,28 @@ def _per_column(coeff, width, keep):
     return coeff.ctypes.data
 
 
+class _ChebyshevSpan:
+    """``native.c``'s P-CSI + diagonal wavefront on one set of vectors,
+    its geometry packed once: ``run(weights)`` is a whole span, one
+    ``(omega, c)`` per iteration, as one call."""
+
+    def __init__(self, fn, operands, m, h, halo, vectors):
+        (_, sweep, call), (x_at, r_at, dx_at) = operands
+        (inv_diag,), (b, _, _, x) = m, vectors
+        cells, ndiag, data, stride, offsets = call.args
+        self.program = np.array([cells, x.shape[1], x.size // cells, ndiag,
+                                 stride], dtype=np.int64)
+        # Everything it addresses stays alive with it.
+        self._keep = (sweep, call, inv_diag, vectors)
+        self._fn = fn
+        self._args = (self.program.ctypes.data, data, offsets,
+                      inv_diag.ctypes.data, b.ctypes.data, r_at, dx_at, x_at)
+
+    def run(self, weights):
+        wc = np.array(weights, dtype=np.float64)
+        self._fn(len(wc), address(wc), *self._args)
+
+
 class _ChronGearSpan:
     """``native.c``'s ChronGear span on one set of vectors: its program
     (geometry, sweep, addresses) packed once, its ``z``, window, stacks
@@ -602,9 +623,9 @@ class _ChronGearSpan:
     with its own (one pass over ``x`` for two iterations):
     :meth:`flush` before ``x`` is read."""
 
-    def __init__(self, fn, operands, inv_diag, vectors):
+    def __init__(self, fn, operands, m, h, halo, vectors):
         (_, sweep, call), addresses = operands
-        x = vectors[0]
+        (inv_diag,), x = m, vectors[0]
         cells, ndiag, data, stride, offsets = call.args
         symmetric = getattr(call, "symmetric", None)
         if symmetric is None:   # once per sweep
@@ -662,15 +683,18 @@ class _EvpSpan:
     :meth:`~repro.precond.evp.EVPTileEngine.ring_rows`, the per-slice
     BLAS matmul of the one-by-one path, for the next tail to read."""
 
-    def __init__(self, fn, operands, layout, work, halo, h, vectors):
+    def __init__(self, fn, operands, m, h, halo, vectors):
         (_, sweep, call), (x_at, r_at, dx_at) = operands
-        b, _, _, x = vectors
+        (layout, work), (b, _, _, x) = m, vectors
+        if halo is None:
+            halo = (_NO_CELLS,) * 3
         lead = 2 if h == 0 else 3
         n = x.shape[lead] if x.ndim > lead else 1
         p, height, width = (1,) * (3 - lead) + x.shape[:lead]
         inner = x[(slice(None),) * (lead - 2)
                   + (slice(h, height - h), slice(h, width - h))]
-        strides = _cell_strides(layout, inner, n)
+        strides = (None if layout.groups is None
+                   else _cell_strides(layout, inner, n))
         hits = None if strides is None or work[0].shape[1] != n else [
             _boundary(layout, kind, strides) for kind in ("gather", "scatter")]
         if hits is None or None in hits:
@@ -732,6 +756,20 @@ class _EvpSpan:
         if head:
             for engine, f, ring in self._rings:
                 engine.ring_rows(f, ring)
+
+
+#: ``(span kind, M's kind)`` -> ``(native.c entry point, runner)``.
+_SPAN_RUNNERS = {
+    ("chebyshev", "diagonal"): ("chebyshev_span", _ChebyshevSpan),
+    ("chebyshev", "evp"): ("evp_step", _EvpSpan),
+    ("chrongear", "diagonal"): ("chrongear_span", _ChronGearSpan),
+}
+
+#: Span kind -> its loop's vectors split into ``(written, read)``.
+_SPAN_VECTORS = {
+    "chebyshev": lambda b, r, dx, x: ((x, r, dx), (b,)),
+    "chrongear": lambda x, r, s, p: ((x, r, s, p), ()),
+}
 
 
 class FusedKernels(NumpyKernels):
@@ -941,7 +979,17 @@ class FusedKernels(NumpyKernels):
                        len(steps), *flat))
         return True
 
-    def _span_operands(self, fn, coeffs, h, written, read=()):
+    def span_runner(self, kind, coeffs, h, halo, m, vectors):
+        entry, runner = _SPAN_RUNNERS.get((kind, m[0]), (None, None))
+        fn = None if entry is None else getattr(self._native(), entry)
+        operands = self._span_operands(fn, coeffs, h, m,
+                                       *_SPAN_VECTORS[kind](*vectors))
+        if operands is None:
+            return None
+        run = runner(fn, operands, m[1:], h, halo, vectors)
+        return None if run.program is None else run
+
+    def _span_operands(self, fn, coeffs, h, m, written, read=()):
         """The operand check every span shares: ``(entry, addresses of
         written)`` -- ``entry`` the single-RHS sweep :meth:`_sweep`
         caches for ``coeffs`` on a layout with halo ``h`` (0: the global
@@ -950,8 +998,9 @@ class FusedKernels(NumpyKernels):
         float64 arrays of one shape -- ``(ny, nx[, nrhs])`` grids or
         ``(p, bny + 2h, bnx + 2h[, nrhs])`` stacks -- with rows of at
         least three cells and at most ``MAX_CHAIN_COLUMNS`` columns,
-        that do not overlap, with ``written`` writable; ``None``
-        otherwise."""
+        that do not overlap, with ``written`` writable, and a diagonal
+        ``M``'s ``inv_diag`` one C-contiguous float64 value per grid
+        cell; ``None`` otherwise."""
         x = written[0]
         vectors = (*written, *read)
         lead = 2 if h == 0 else 3
@@ -961,6 +1010,10 @@ class FusedKernels(NumpyKernels):
                 or any(v.shape != x.shape for v in vectors) \
                 or any(v.dtype != np.float64 or not v.flags.c_contiguous
                        for v in vectors):
+            return None
+        if m[0] == "diagonal" and (
+                m[1].shape != x.shape[:2] or m[1].dtype != np.float64
+                or not m[1].flags.c_contiguous):
             return None
         # The single-RHS sweep, at every width; without ``dia_sweep``
         # there is no ``call`` to read its operands from.
@@ -977,51 +1030,6 @@ class FusedKernels(NumpyKernels):
         if any(q - p < x.nbytes for p, q in zip(spans, spans[1:])):
             return None   # vectors that overlap
         return entry, written
-
-    def _diagonal_span(self, fn, coeffs, inv_diag, written, read=()):
-        """:meth:`_span_operands` on the grid, ``inv_diag`` one
-        C-contiguous float64 value per cell."""
-        x = written[0]
-        if inv_diag.shape != x.shape[:2] or inv_diag.dtype != np.float64 \
-                or not inv_diag.flags.c_contiguous:
-            return None
-        return self._span_operands(fn, coeffs, 0, written, read)
-
-    def chebyshev_span(self, coeffs, inv_diag, b, r, dx, x, weights):
-        fn = self._native().chebyshev_span
-        operands = self._diagonal_span(fn, coeffs, inv_diag, (x, r, dx),
-                                       (b,))
-        if operands is None:
-            return False
-        if not weights:
-            return True
-        (_, _, call), (x_at, r_at, dx_at) = operands
-        wc = np.array(weights, dtype=np.float64)
-        cells, ndiag, data, stride, offsets = call.args
-        fn(len(wc), address(wc),
-           int64s(cells, x.shape[1], x.size // cells, ndiag, stride)[0],
-           data, offsets, inv_diag.ctypes.data, b.ctypes.data, r_at, dx_at,
-           x_at)
-        return True
-
-    def chrongear_span(self, coeffs, inv_diag, x, r, s, p):
-        fn = self._native().chrongear_span
-        operands = self._diagonal_span(fn, coeffs, inv_diag, (x, r, s, p))
-        if operands is None:
-            return None
-        return _ChronGearSpan(fn, operands, inv_diag, (x, r, s, p))
-
-    def evp_span(self, coeffs, h, layout, work, halo, b, r, dx, x):
-        fn = self._native().evp_step
-        if layout.groups is None:
-            return None
-        operands = self._span_operands(fn, coeffs, h, (x, r, dx), (b,))
-        if operands is None:
-            return None
-        if halo is None:
-            halo = (_NO_CELLS,) * 3
-        run = _EvpSpan(fn, operands, layout, work, halo, h, (b, r, dx, x))
-        return None if run.program is None else run
 
     def halo_copy(self, stack, tables):
         fn = self._native().evp_step

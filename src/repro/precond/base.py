@@ -88,6 +88,19 @@ class Preconditioner(abc.ABC):
                              out=out[rank, :ny, :nx])
         return out
 
+    def span_operands(self, stacked, n, mask=None):
+        """``M``'s part of a fused span
+        (:data:`repro.solvers.context.SPANS`): ``(kind, *operands)``,
+        whose ``kind`` picks the kernels' runner
+        (:meth:`~repro.kernels.base.KernelBackend.span_runner`), for the
+        global grid or, with ``stacked``, the batched engine's stacked
+        rank interiors, at batch width ``n``.  ``mask`` is the context's
+        ocean mask when the span's dots weigh cells by ``M``'s operands
+        instead (a span that replaces ``dot_pair``).  ``None`` (the
+        default): ``M`` has no part in a span, which runs as its
+        primitive calls."""
+        return None
+
     # ------------------------------------------------------------------
     # checkpoint hooks
     # ------------------------------------------------------------------

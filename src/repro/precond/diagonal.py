@@ -30,6 +30,9 @@ class DiagonalPreconditioner(Preconditioner):
         safe = np.where(diag > 0.0, diag, 1.0)
         self._inv_diag = np.where(self.mask, 1.0 / safe, 0.0)
         self._inv_diag_stack = None
+        #: The last mask :meth:`span_operands` was handed, and whether it
+        #: is exactly where ``inv_diag`` is non-zero.
+        self._ocean = (None, False)
 
     @property
     def inv_diag(self):
@@ -51,6 +54,19 @@ class DiagonalPreconditioner(Preconditioner):
         if self._inv_diag_stack is None:
             self._inv_diag_stack = self.decomp.stack_interiors(self._inv_diag)
         return self._times(r_stack, self._inv_diag_stack, out, "stack")
+
+    def span_operands(self, stacked, n, mask=None):
+        """``("diagonal", inv_diag)`` on the global grid.  A span's dots
+        weigh cells by ``inv_diag != 0``, which gives the masked dots'
+        bits only where that is exactly ``mask`` (checked once per
+        mask)."""
+        if stacked:
+            return None
+        if mask is not None and self._ocean[0] is not mask:
+            self._ocean = (mask, np.array_equal(self._inv_diag != 0.0, mask))
+        if mask is not None and not self._ocean[1]:
+            return None
+        return "diagonal", self._inv_diag
 
     def apply_flops(self, rank=None):
         """One multiply per point: the paper's ``T_p = n^2 theta``."""

@@ -762,13 +762,16 @@ class EVPBlockPreconditioner(Preconditioner):
         maps = self._takes[key] = (dst, src, x_idx)
         return maps
 
-    def span_operands(self, stacked, n):
-        """What a one-call P-CSI iteration needs of ``M``: the
+    def span_operands(self, stacked, n, mask=None):
+        """``("evp", layout, (y, x))``: the
         :class:`~repro.kernels.base.EvpLayout` of the global grid or,
-        with ``stacked``, of the stacked rank interiors, and the ``(y,
-        x)`` buffers of :meth:`_working_set` at width ``n``."""
+        with ``stacked``, of the stacked rank interiors (which needs a
+        decomposition), and the buffers of :meth:`_working_set` at
+        width ``n``."""
+        if stacked and self.decomp is None:
+            return None
         y, x, _ = self._working_set(n)
-        return self._mapped("stack" if stacked else None)[0], (y, x)
+        return "evp", self._mapped("stack" if stacked else None)[0], (y, x)
 
     def _mapped(self, key):
         """:meth:`_compile` of ``key``, once."""

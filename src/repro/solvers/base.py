@@ -77,19 +77,18 @@ Nothing the loop does happens between a convergence check, a due
 checkpoint and the end of the budget, so before each call it asks the
 solver (:meth:`IterativeSolver._span`) how many iterations it may run
 up to the next such boundary, and hands them to one
-:meth:`IterativeSolver._iterate_span` call.  On a serial context with a
-diagonal preconditioner P-CSI and ChronGear answer up to
-``check_freq``: P-CSI's context runs the whole span as one kernel call
-(a wavefront over memory), ChronGear's each iteration as one kernel
-pass with the coefficients formed in between -- the same bits and
-ledger events as iteration by iteration.  P-CSI with the block EVP
-preconditioner answers up to ``check_freq`` too, serially and on the
-batched engine's stacks: one kernel call per iteration.  A breakdown
-inside a span stops the loop's count at the iteration that broke down
-(``BreakdownError.iteration``), its head charged and its recurrences
-not, as one iteration a call would.  Every other solver and context
-answers 1, and with a resilience runtime attached -- which hooks every
-matvec and may roll back at any iteration -- the loop does not ask.
+:meth:`IterativeSolver._iterate_span` call.  A solver that declares a
+span kind (``_SPAN``; :data:`~repro.solvers.context.SPANS`) answers up
+to ``check_freq`` when its context runs that span in kernel calls --
+P-CSI with a diagonal ``M`` serially, or with the block EVP ``M``
+serially or on the batched engine's stacks; ChronGear with a diagonal
+``M`` serially -- with the same bits and ledger events as iteration by
+iteration.  A breakdown inside a span stops the loop's count at the
+iteration that broke down (``BreakdownError.iteration``), its head
+charged and its recurrences not, as one iteration a call would.  Every
+other solver and context answers 1, and with a resilience runtime
+attached -- which hooks every matvec and may roll back at any
+iteration -- the loop does not ask.
 
 Checkpoint/restart
 ------------------
@@ -289,6 +288,11 @@ class IterativeSolver(abc.ABC):
 
     #: Name used in experiment tables; subclasses override.
     name = "iterative"
+
+    #: ``(kind, *state keys)``: the :data:`~repro.solvers.context.SPANS`
+    #: kind of this solver's iterations and the state vectors its span
+    #: loop takes, in order; ``None``: every iteration is its own call.
+    _SPAN = None
 
     #: Consecutive above-threshold, still-growing checks that confirm
     #: divergence (one spike at a check boundary is not a verdict).
@@ -927,8 +931,14 @@ class IterativeSolver(abc.ABC):
     def _span(self, state, k, checkpoint):
         """How many iterations, from ``k`` on, the loop hands to one
         :meth:`_iterate_span` call (the span rule in the module
-        docstring).  One here: every iteration is its own call."""
-        return 1
+        docstring): up to the next boundary when the context runs this
+        solver's declared :attr:`_SPAN` in kernel calls, else one."""
+        if self._SPAN is None:
+            return 1
+        kind, *names = self._SPAN
+        if not self.context.spans(kind, *(state[name] for name in names)):
+            return 1
+        return self._until_boundary(k, checkpoint)
 
     def _until_boundary(self, k, checkpoint):
         """Iterations from ``k`` up to and including the next one the

@@ -21,14 +21,15 @@ run over every column (:func:`~repro.solvers.base.per_column`).
 
 The iterations up to the next convergence check (or due checkpoint, or
 the budget's end) are one
-:meth:`~repro.solvers.context.SolverContext.chrongear_span` call, the
+:meth:`~repro.solvers.context.SolverContext.chrongear_span` call -- the
+span kind ``chrongear`` of :data:`~repro.solvers.context.SPANS` -- the
 coefficients still formed here between the iterations.  No iteration
 can run ahead of its predecessor's reduction, but on a serial context
 with a diagonal ``M`` each one is a single ``native.c`` pass over memory
 that runs iteration ``k``'s four recurrences together with iteration
 ``k + 1``'s preconditioner multiply, stencil sweep and both dots,
-recording the same per-iteration events; every other context runs the
-steps one call at a time (see the guarded loop's span rule in
+recording the same per-iteration events; every other configuration
+makes the primitive calls (see the guarded loop's span rule in
 :mod:`repro.solvers.base`).
 """
 
@@ -42,6 +43,7 @@ class ChronGearSolver(IterativeSolver):
     """Preconditioned CG with fused reductions (POP's default)."""
 
     name = "chrongear"
+    _SPAN = ("chrongear", "x", "r", "s", "p")
 
     def _setup(self, b, x):
         ctx = self.context
@@ -55,14 +57,6 @@ class ChronGearSolver(IterativeSolver):
             "rho": 1.0, "sigma": 0.0,
             "b": b,
         }
-
-    def _span(self, state, k, checkpoint):
-        """Up to the next boundary when the context runs each iteration
-        as one kernel pass (serial, diagonal ``M``), else one."""
-        if not self.context.spans_chrongear(
-                state["x"], state["r"], state["s"], state["p"]):
-            return 1
-        return self._until_boundary(k, checkpoint)
 
     def _iterate(self, state, k):
         self._iterate_span(state, k, 1)

@@ -20,18 +20,11 @@ this small set of primitives:
                    where the context can fuse it
 ``scale``          ``v *= factor`` (1 unit/pt; P-CSI setup, Lanczos
                    normalization)
-``chebyshev_span`` P-CSI's iterations between two convergence checks:
-                   ``precond``, ``updates`` and ``residual`` per
-                   iteration, charged as those calls; one kernel call
-                   for the whole span where the context can fuse it
-                   (serial, diagonal ``M``), one per iteration with the
-                   block EVP ``M`` (serial, or the batched engine's
-                   stacks)
+``chebyshev_span`` P-CSI's iterations between two convergence checks
+                   (``SPANS["chebyshev"]``)
 ``chrongear_span`` ChronGear's iterations between two convergence
-                   checks: ``precond``, ``matvec``, ``dot_pair``, the
-                   solver's coefficients, ``updates`` per iteration,
-                   charged as those calls; one kernel pass per
-                   iteration where the context can fuse them
+                   checks, the solver's coefficients formed in between
+                   (``SPANS["chrongear"]``)
 ``sub``            ``out = a - b`` (folded into the matvec's cost --
                    the paper counts ``r = b - Bx`` as the 9 n^2 matvec)
 =================  ====================================================
@@ -48,6 +41,18 @@ Two interchangeable implementations exist:
   :class:`~repro.parallel.vm.VirtualMachine`: real halo exchanges, real
   per-rank arithmetic, real rank-ordered reductions.  Used to validate
   the substrate and the communication accounting.
+
+A *span* runs a declared sequence of these primitives -- what one
+iteration of a solver calls between two convergence checks -- for
+several iterations at once.  :data:`SPANS` declares each span kind by
+the primitives one iteration replaces, and everything else follows from
+that declaration: the gate (a context whose class overrides a spanned
+primitive keeps its calls), ``M``'s part
+(:meth:`~repro.precond.base.Preconditioner.span_operands`), the
+kernels' runner (:meth:`~repro.kernels.base.KernelBackend.span_runner`,
+cached per vector set) and the ledger charge -- the declared primitives'
+own charges, times the iterations that ran.  Where no runner is
+available the span loop makes the primitive calls themselves.
 
 The test suite asserts both contexts drive every solver to (near)
 identical iterates, and that their event ledgers agree exactly on
@@ -68,8 +73,6 @@ from repro.parallel.reduction import (
     binomial_tree_depth,
     masked_column_partials_stacked,
 )
-from repro.precond.diagonal import DiagonalPreconditioner
-from repro.precond.evp import EVPBlockPreconditioner
 
 
 #: ``updates`` step -> (kernel chain kind, flop units per point, the
@@ -81,8 +84,27 @@ _CHAIN_STEPS = {
 }
 
 
+#: Span kind -> the primitives one iteration replaces, ``(head,
+#: chain)``, each a run of ``(primitive, units)``; ``units`` scales the
+#: primitive's charge per column: an ``updates`` run's flop units per
+#: point, ``dot_pair``'s two words, else 1.  A chain runs only when the
+#: solver's coefficients say so (ChronGear's recurrences, which a
+#: breakdown skips); a P-CSI iteration is all head.
+SPANS = {
+    "chebyshev": ((("precond", 1), ("updates", 3), ("residual", 1)), ()),
+    "chrongear": ((("precond", 1), ("matvec", 1), ("dot_pair", 2)),
+                  (("updates", 4),)),
+}
+
+#: Spanned primitive -> the helper it charges through, which charges a
+#: span's ``n`` calls of it at once: ``helper(units * w, n)``.
+_CHARGES = {"precond": "_charge_precond", "matvec": "_charge_matvec",
+            "residual": "_charge_matvec", "dot_pair": "_charge_allreduce",
+            "updates": "_charge_updates"}
+
 #: The primitives the spans run inside kernel calls.
-_SPANNED = ("precond", "matvec", "residual", "dot_pair", "updates")
+_SPANNED = {name for runs in SPANS.values() for run in runs
+            for name, _ in run}
 
 
 def _is_one(alpha):
@@ -111,6 +133,9 @@ class SolverContext(abc.ABC):
         #: during a batched solve so :meth:`new_vector` allocates the
         #: active column count (it shrinks as columns converge).
         self.nrhs = None
+        #: The last span runner (or ``None``): ``(kind, (M, kernels,
+        #: *arrays), runner)``.
+        self._runner = (None, (), None)
 
     # -- vectors -------------------------------------------------------
     @abc.abstractmethod
@@ -151,8 +176,7 @@ class SolverContext(abc.ABC):
     def precond(self, r, out=None, phase="preconditioning"):
         """``out = M^-1 r``."""
         out = self._apply_precond(r, out)
-        self.ledger.record_flops(phase,
-                                 self._vec_width(r) * self._precond_flops())
+        self._charge_precond(self._vec_width(r), phase=phase)
         return out
 
     def _vec_width(self, v):
@@ -325,63 +349,120 @@ class SolverContext(abc.ABC):
         if not self.kernels.update_chain(chain):
             return False
         # The kernels ran it, so every vector has the last one's shape.
-        self.ledger.record_flops(
-            phase, units * self._vec_width(y) * self.critical_points)
+        self._charge_updates(units * self._vec_width(y), phase=phase)
         return True
 
-    # -- P-CSI spans ---------------------------------------------------
+    # -- charges: each primitive's, shared with the spans ---------------
+    def _charge_precond(self, w, n=1, phase="preconditioning"):
+        """``n`` applications of ``M`` at width ``w``."""
+        self.ledger.record_flops(phase, n * w * self._precond_flops())
+
+    def _charge_matvec(self, w, n=1, phase="computation", exchanged=False):
+        """``n`` matvecs at width ``w``, each with its halo update: one
+        boundary event of ``w * halo_words`` words -- unless the virtual
+        machine's exchange ``exchanged`` it already."""
+        self.ledger.record_flops(
+            phase, n * w * MATVEC_FLOPS_PER_POINT * self.critical_points)
+        # The halo-update *event* is recorded even for a 1-rank context
+        # (with zero payload): event counts are the solver's algorithmic
+        # signature, and experiment sweeps rescale the payload to each
+        # target decomposition.  The machine model prices halo events at
+        # zero when p == 1.  A multi-RHS batch moves nrhs-fold payload in
+        # the same single exchange.
+        if not exchanged:
+            self.ledger.record_halo("boundary", words=n * w * self._halo_words,
+                                    exchanges=n)
+
+    def _charge_allreduce(self, words, n=1, phase="reduction"):
+        """``n`` fused all-reduces of ``words`` values: every column, pair
+        and Gram entry rides the same single reduction."""
+        flops = n * words * self.critical_points
+        self.ledger.record_flops("computation", flops)
+        self.ledger.record_flops(phase, flops)
+        self.ledger.record_allreduce(phase, words=words, count=n)
+
+    def _charge_updates(self, units, n=1, phase="computation"):
+        """``n`` runs of updates of ``units`` flop units per point."""
+        self.ledger.record_flops(phase, n * units * self.critical_points)
+
+    def _charge_span(self, kind, w, heads, chains=0):
+        """What ``heads`` iterations of span ``kind`` -- ``chains`` of
+        them with their chain -- charge as the declared primitives."""
+        for part, n in zip(SPANS[kind], (heads, chains)):
+            if n:
+                for name, units in part:
+                    getattr(self, _CHARGES[name])(units * w, n)
+
+    # -- spans -----------------------------------------------------------
+    def spans(self, kind, *vectors):
+        """Whether the span loop of ``kind`` on these vectors runs in
+        kernel calls -- a solver asks before handing it more than one
+        iteration."""
+        return self._span_runner(kind, vectors) is not None
+
+    def _span_layout(self, vectors):
+        """``(arrays, coeffs, h, halo)``: what the kernels' runners work
+        on for these vectors (see
+        :meth:`~repro.kernels.base.KernelBackend.span_runner`), or
+        ``None``: this context runs no span."""
+        return None
+
+    def _spans_own(self):
+        """Whether the primitives the spans replace are those of the
+        class that lays the spans out (a subclass that overrides one
+        keeps its calls)."""
+        cls = type(self)
+        own = next(c for c in cls.__mro__ if "_span_layout" in vars(c))
+        return all(getattr(cls, name) is getattr(own, name)
+                   for name in _SPANNED)
+
+    def _span_runner(self, kind, vectors):
+        """The kernels' runner of span ``kind`` on these vectors (kept
+        while they are the same arrays), or ``None``."""
+        layout = self._span_layout(vectors)
+        if layout is None:
+            return None
+        arrays, coeffs, h, halo = layout
+        key = (self.preconditioner, self.kernels, *arrays)
+        cached_kind, cached, run = self._runner
+        if cached_kind == kind and len(cached) == len(key) \
+                and all(a is b for a, b in zip(cached, key)):
+            return run
+        m = run = None
+        if self._spans_own():
+            # Dots a span replaces read M's operands, not the mask.
+            mask = (self.mask if any(name == "dot_pair" for part in SPANS[kind]
+                                     for name, _ in part) else None)
+            m = self.preconditioner.span_operands(
+                h > 0, self._vec_width(vectors[0]), mask)
+        if m is not None:
+            run = self.kernels.span_runner(kind, coeffs, h, halo, m, arrays)
+        self._runner = (kind, key, run)
+        return run
+
     def chebyshev_span(self, b, r, dx, x, weights):
         """P-CSI iterations, one per ``(omega, c)`` in ``weights``;
         returns the new residual.
 
         Each is ``r' = M^-1 r``, ``dx = omega r' + c dx``, ``x += dx``,
         ``r = b - A x`` (paper Alg. 2, steps 6-10), updating ``dx`` and
-        ``x`` in place.  The result and the ledger records are those of
-        the :meth:`precond` / :meth:`updates` / :meth:`residual` calls
-        made one by one, which is what runs unless
-        :meth:`_chebyshev_kernel` takes the whole span.
+        ``x`` in place -- in the kernels' runner (``r`` updated in place
+        too) or as the primitive calls, with the same bits and ledger
+        records.
         """
-        if self._chebyshev_kernel(b, r, dx, x, weights):
+        run = self._span_runner("chebyshev", (b, r, dx, x))
+        if run is None:
+            for omega, c in weights:
+                r_prime = self.precond(r)
+                self.updates(("combine", omega, r_prime, c, dx),
+                             ("axpy", 1.0, dx, x))
+                r = self.residual(b, x)
             return r
-        for omega, c in weights:
-            r_prime = self.precond(r)
-            self.updates(("combine", omega, r_prime, c, dx),
-                         ("axpy", 1.0, dx, x))
-            r = self.residual(b, x)
+        if weights:
+            run.run(weights)
+        self._charge_span("chebyshev", self._vec_width(x), len(weights))
         return r
 
-    def spans_chebyshev(self, b, r, dx, x):
-        """Whether :meth:`chebyshev_span` on these vectors runs as one
-        kernel call -- P-CSI asks before running more than one
-        iteration per call."""
-        return self._chebyshev_kernel(b, r, dx, x, ())
-
-    def _chebyshev_kernel(self, b, r, dx, x, weights):
-        """Run :meth:`chebyshev_span` in kernel calls, updating ``r`` in
-        place too, and charge what the calls would; ``False`` when
-        nothing was touched (an empty ``weights``: whether it would
-        run).  Contexts without such a kernel answer ``False``."""
-        return False
-
-    def _charge_chebyshev(self, w, n, halo_words):
-        """``n`` times what ``precond``, a three-unit ``updates`` and
-        ``residual`` charge at width ``w``, one boundary event of ``w *
-        halo_words`` words each."""
-        if not n:
-            return
-        ledger = self.ledger
-        ledger.record_flops("preconditioning", n * w * self._precond_flops())
-        ledger.record_flops("computation", n * (3 + MATVEC_FLOPS_PER_POINT)
-                            * w * self.critical_points)
-        ledger.record_halo("boundary", words=n * w * halo_words, exchanges=n)
-
-    def _spans_own(self, cls):
-        """Whether the primitives the spans replace are ``cls``'s own (a
-        subclass that overrides one keeps its calls)."""
-        return all(getattr(type(self), name) is getattr(cls, name)
-                   for name in _SPANNED)
-
-    # -- ChronGear spans -------------------------------------------------
     def chrongear_span(self, x, r, s, p, n, coefficients):
         """``n`` ChronGear iterations on ``x``, ``r``, ``s``, ``p`` in
         place (paper Alg. 1, steps 4-16).
@@ -390,26 +471,40 @@ class SolverContext(abc.ABC):
         r'>, <z, r'>)`` in one reduction, then ``coefficients(rho,
         delta)`` -- the solver's scalar steps, which may raise -- gives
         ``(alpha, beta)`` or ``None`` (no update), then ``s = r' + beta
-        s``, ``p = z + beta p``, ``x += alpha s``, ``r -= alpha p``.  The
-        result and the ledger records are those of the :meth:`precond` /
-        :meth:`matvec` / :meth:`dot_pair` / :meth:`updates` calls made
-        one by one, which is what runs here.
+        s``, ``p = z + beta p``, ``x += alpha s``, ``r -= alpha p`` -- as
+        the primitive calls or, with the kernels' runner, ``n + 1``
+        kernel passes: a head, each iteration's recurrences fused with
+        the next head, the last recurrences.  The same bits and ledger
+        records either way: the runner's heads and chains are counted
+        and charged once, in ``finally``, so a breakdown leaves its
+        head charged and its chain not.
         """
-        for _ in range(n):
-            r_prime = self.precond(r)
-            z = self.matvec(r_prime)
-            step = coefficients(*self.dot_pair(r, r_prime, z, r_prime))
-            if step is None:
-                continue
-            alpha, beta = step
-            self.updates(("xpay", r_prime, beta, s), ("xpay", z, beta, p),
-                         ("axpy", alpha, s, x), ("axpy", -alpha, p, r))
-
-    def spans_chrongear(self, x, r, s, p):
-        """Whether :meth:`chrongear_span` on these vectors runs as one
-        kernel pass per iteration -- ChronGear asks before running more
-        than one iteration per call.  Here: no."""
-        return False
+        run = self._span_runner("chrongear", (x, r, s, p))
+        if run is None:
+            for _ in range(n):
+                r_prime = self.precond(r)
+                z = self.matvec(r_prime)
+                step = coefficients(*self.dot_pair(r, r_prime, z, r_prime))
+                if step is None:
+                    continue
+                alpha, beta = step
+                self.updates(("xpay", r_prime, beta, s),
+                             ("xpay", z, beta, p),
+                             ("axpy", alpha, s, x), ("axpy", -alpha, p, r))
+            return
+        heads = chains = 0
+        try:
+            dots = run(None, True)
+            for t in range(n):
+                heads += 1
+                step = coefficients(*dots)
+                last = t == n - 1
+                chains += step is not None
+                if step is not None or not last:
+                    dots = run(step, not last)
+        finally:
+            run.flush()
+            self._charge_span("chrongear", self._vec_width(x), heads, chains)
 
     # -- topology ------------------------------------------------------
     @property
@@ -452,12 +547,6 @@ class SerialContext(SolverContext):
         # ``alpha * x`` afresh on every call in the solver hot loop; the
         # out=-based path reuses this buffer instead.
         self._scratch = None
-        #: The last ChronGear and P-CSI + EVP runners (or ``None``) with
-        #: what they were asked for, and whether the ocean mask is where
-        #: ``inv_diag`` is non-zero, with the preconditioner that says so.
-        self._chrongear = ((None,) * 6, None)
-        self._evp = ((None,) * 6, None)
-        self._dinv_mask = (None, False)
         if decomp is not None:
             if decomp.ny != stencil.shape[0] or decomp.nx != stencil.shape[1]:
                 raise SolverError(
@@ -494,19 +583,8 @@ class SerialContext(SolverContext):
     # -- operator ------------------------------------------------------
     def matvec(self, x, out=None, phase="computation"):
         out = apply_stencil(self.stencil, x, out=out, kernels=self.kernels)
-        self._charge_matvec(self._width(x), phase)
+        self._charge_matvec(self._width(x), phase=phase)
         return out
-
-    def _charge_matvec(self, w, phase):
-        self.ledger.record_flops(phase,
-                                 w * MATVEC_FLOPS_PER_POINT * self._critical)
-        # The halo-update *event* is recorded even for a 1-rank context
-        # (with zero payload): event counts are the solver's algorithmic
-        # signature, and experiment sweeps rescale the payload to each
-        # target decomposition.  The machine model prices halo events at
-        # zero when p == 1.  A multi-RHS batch moves nrhs-fold payload in
-        # the same single exchange.
-        self.ledger.record_halo("boundary", words=w * self._halo_words)
 
     def _sub(self, a, b, out):
         return np.subtract(a, b, out=out)
@@ -514,113 +592,9 @@ class SerialContext(SolverContext):
     def _apply_precond(self, r, out):
         return self.preconditioner.apply_global(r, out=out)
 
-    def _span(self, kernel, operands, *vectors):
-        """``kernel(stencil, *operands, *vectors)`` -- one of the
-        kernels' spans, which check that they adopted their entry point
-        and that the vectors are C-contiguous and apart -- when ``M``
-        gave ``operands`` and the primitives a span replaces are this
-        class's own; ``None`` otherwise.  The gate every span shares."""
-        if operands is None or not self._spans_own(SerialContext):
-            return None
-        return kernel(self.stencil, *operands, *vectors)
-
-    def _diagonal(self):
-        """A diagonal ``M``'s operand of the spans: ``(inv_diag,)``."""
-        pre = self.preconditioner
-        return ((pre.inv_diag,) if isinstance(pre, DiagonalPreconditioner)
-                else None)
-
-    def _chebyshev_kernel(self, b, r, dx, x, weights):
-        """With a diagonal ``M``, the kernels' one-pass span; else, with
-        the block EVP ``M``, one kernel call per iteration
-        (:meth:`_evp_runner`).  Charged per iteration exactly as
-        ``precond``, a three-unit ``updates`` and ``residual`` charge."""
-        if not self._span(self.kernels.chebyshev_span, self._diagonal(),
-                          b, r, dx, x, weights):
-            run = self._evp_runner(b, r, dx, x)
-            if run is None:
-                return False
-            if weights:
-                run.run(weights)
-        self._charge_chebyshev(self._width(x), len(weights), self._halo_words)
-        return True
-
-    def _evp_runner(self, b, r, dx, x):
-        """The kernels' P-CSI + EVP runner for these vectors on the
-        global grid (kept while they are the same arrays), or ``None``."""
-        pre = self.preconditioner
-        key, run = self._evp
-        if all(a is c for a, c in zip(key, (pre, self.kernels, b, r, dx, x))):
-            return run
-        run = None
-        if isinstance(pre, EVPBlockPreconditioner):
-            layout, work = pre.span_operands(False, self._width(x))
-            run = self._span(self.kernels.evp_span, (0, layout, work, None),
-                             b, r, dx, x)
-        self._evp = ((pre, self.kernels, b, r, dx, x), run)
-        return run
-
-    def _chrongear_kernel(self, x, r, s, p):
-        """The kernels' ChronGear runner for these vectors (kept while
-        they are the same arrays), or ``None``.  Its dots read no mask,
-        which gives ``dot_pair``'s bits only where the mask is exactly
-        where ``inv_diag`` is non-zero (checked once per
-        preconditioner)."""
-        pre = self.preconditioner
-        key, run = self._chrongear
-        if all(a is b for a, b in zip(key, (pre, self.kernels, x, r, s, p))):
-            return run
-        if self._dinv_mask[0] is not pre:
-            self._dinv_mask = (pre, isinstance(pre, DiagonalPreconditioner)
-                               and np.array_equal(pre.inv_diag != 0.0,
-                                                  self.mask))
-        run = (self._span(self.kernels.chrongear_span, self._diagonal(),
-                          x, r, s, p) if self._dinv_mask[1] else None)
-        self._chrongear = ((pre, self.kernels, x, r, s, p), run)
-        return run
-
-    def spans_chrongear(self, x, r, s, p):
-        return self._chrongear_kernel(x, r, s, p) is not None
-
-    def chrongear_span(self, x, r, s, p, n, coefficients):
-        """With a diagonal ``M``, ``n + 1`` kernel passes -- a head, each
-        iteration's recurrences fused with the next head, the last
-        recurrences -- charged per iteration exactly as ``precond``,
-        ``matvec``, ``dot_pair`` and a four-unit ``updates`` charge."""
-        run = self._chrongear_kernel(x, r, s, p)
-        if run is None:
-            return super().chrongear_span(x, r, s, p, n, coefficients)
-        heads = chains = 0
-        try:
-            dots = run(None, True)
-            for t in range(n):
-                heads += 1
-                step = coefficients(*dots)
-                last = t == n - 1
-                chains += step is not None
-                if step is not None or not last:
-                    dots = run(step, not last)
-        finally:
-            run.flush()
-            # What ran -- up to the head of a breakdown -- as the calls
-            # would have charged it, once per span.
-            self._charge_chrongear(self._width(x), heads, chains)
-
-    def _charge_chrongear(self, w, heads, chains):
-        """``heads`` times what ``precond``, ``matvec`` and ``dot_pair``
-        charge, ``chains`` times a four-unit ``updates``."""
-        if not heads:
-            return
-        ledger, units = self.ledger, w * self._critical
-        ledger.record_flops("preconditioning",
-                            heads * w * self._precond_flops())
-        ledger.record_flops("computation",
-                            (heads * (MATVEC_FLOPS_PER_POINT + 2)
-                             + chains * 4) * units)
-        ledger.record_halo("boundary", words=heads * w * self._halo_words,
-                           exchanges=heads)
-        ledger.record_flops("reduction", heads * 2 * units)
-        ledger.record_allreduce("reduction", words=2 * w, count=heads)
+    def _span_layout(self, vectors):
+        """The vectors themselves, on the global grid."""
+        return vectors, self.stencil, 0, None
 
     # -- reductions ----------------------------------------------------
     def _dot_columns(self, a, b):
@@ -648,22 +622,15 @@ class SerialContext(SolverContext):
         return self.kernels.masked_dot(a, b, self._mask_f,
                                        self._get_scratch(a))
 
-    def _reduced(self, words, phase):
-        """Charge one fused all-reduce of ``words`` values: every
-        column, pair and Gram entry rides the same single reduction."""
-        self.ledger.record_flops("computation", words * self._critical)
-        self.ledger.record_flops(phase, words * self._critical)
-        self.ledger.record_allreduce(phase, words=words)
-
     def dot(self, a, b, phase="reduction"):
         value = self._dot(a, b)
-        self._reduced(self._width(a), phase)
+        self._charge_allreduce(self._width(a), phase=phase)
         return value
 
     def dot_pair(self, a1, b1, a2, b2, phase="reduction"):
         v1 = self._dot(a1, b1)
         v2 = self._dot(a2, b2)
-        self._reduced(2 * self._width(a1), phase)
+        self._charge_allreduce(2 * self._width(a1), phase=phase)
         return v1, v2
 
     def dot_block(self, xs, ys, phase="reduction"):
@@ -674,7 +641,7 @@ class SerialContext(SolverContext):
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 out[i, j] = self._dot(x, y)
-        self._reduced(len(xs) * len(ys) * w, phase)
+        self._charge_allreduce(len(xs) * len(ys) * w, phase=phase)
         return out
 
     # -- column stacking -----------------------------------------------
@@ -779,12 +746,10 @@ class DistributedContext(SolverContext):
         self.operator = BlockedOperator(stencil, vm.decomp,
                                         kernels=self.kernels)
         self._critical = vm.max_block_points
+        self._halo_words = vm.decomp.halo_words_per_exchange()
         # Scratch stack for the batched axpy/combine (avoids a fresh
         # ``alpha * x`` temporary per call in the solver hot loop).
         self._scratch = None
-        #: The last P-CSI + EVP runner (or ``None``) with what it was
-        #: asked for.
-        self._evp = ((None,) * 6, None)
 
     def _batched(self, *fields):
         return self.vm.is_batched and all(f.is_stacked for f in fields)
@@ -828,8 +793,7 @@ class DistributedContext(SolverContext):
         if out is None:
             out = self.vm.zeros(nrhs=x.nrhs)
         self.operator.apply(x, out)
-        self.ledger.record_flops(phase,
-                                 w * MATVEC_FLOPS_PER_POINT * self._critical)
+        self._charge_matvec(w, phase=phase, exchanged=True)
         resilience = self.vm.resilience
         if resilience is not None:
             resilience.on_matvec(x, out)
@@ -859,44 +823,18 @@ class DistributedContext(SolverContext):
                                             out=out.interior(rank))
         return out
 
-    def _chebyshev_kernel(self, b, r, dx, x, weights):
-        """With the block EVP ``M`` on the batched engine's stacks, one
-        kernel call per iteration (:meth:`_evp_runner`), charged per
-        iteration exactly as ``precond``, a three-unit ``updates`` and
-        ``residual`` charge -- one boundary event of ``w * halo_words``
-        each."""
-        run = self._evp_runner(b, r, dx, x)
-        if run is None:
-            return False
-        if weights:
-            run.run(weights)
-        self._charge_chebyshev(self._vec_width(x), len(weights),
-                               self.decomp.halo_words_per_exchange())
-        return True
-
-    def _evp_runner(self, b, r, dx, x):
-        """The kernels' P-CSI + EVP runner on these fields' stacks (kept
-        while they are the same arrays), or ``None``: only stacked
-        fields on the batched engine, with no resilience runtime (which
-        hooks every matvec) and no fault injector (which hooks every
-        exchange) attached, and primitives this class's own."""
-        pre, vm = self.preconditioner, self.vm
+    def _span_layout(self, vectors):
+        """The stacks of fields on the batched engine, with no resilience
+        runtime (which hooks every matvec) and no fault injector (which
+        hooks every exchange) attached; per-rank fields have no single
+        array."""
+        vm = self.vm
         if vm.resilience is not None or vm.faults \
-                or not self._batched(b, r, dx, x) \
-                or not isinstance(pre, EVPBlockPreconditioner) \
-                or pre.decomp is None \
-                or not self._spans_own(DistributedContext):
+                or not self._batched(*vectors):
             return None
-        stacks = (b.stack, r.stack, dx.stack, x.stack)
-        key, run = self._evp
-        if all(a is c for a, c in zip(key, (pre, self.kernels, *stacks))):
-            return run
-        layout, work = pre.span_operands(True, x.nrhs or 1)
-        run = self.kernels.evp_span(
-            self.operator._get_stacked_coeffs(), self.decomp.halo_width,
-            layout, work, vm.exchanger.halo_tables(), *stacks)
-        self._evp = ((pre, self.kernels, *stacks), run)
-        return run
+        return ([v.stack for v in vectors],
+                self.operator._get_stacked_coeffs(), self.decomp.halo_width,
+                vm.exchanger.halo_tables())
 
     # -- reductions ----------------------------------------------------
     def dot(self, a, b, phase="reduction"):

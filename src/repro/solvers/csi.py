@@ -19,14 +19,13 @@ Per-iteration event profile (diagonal M):
 
 Because no iteration between two checks needs a global value, the
 iterations up to the next check (or due checkpoint, or the budget) are
-one :meth:`~repro.solvers.context.SolverContext.chebyshev_span` call,
-recording the same per-iteration events however it runs: on a serial
-context with a diagonal ``M`` the kernels run them as one wavefront
-over memory; with the block EVP ``M`` -- serial, or on the batched
-engine's stacked fields without a resilience runtime or fault injector
--- as one kernel call per iteration, the ring correction's matmul
-between the calls; every other context runs them one call at a time
-(see the guarded loop's span rule in :mod:`repro.solvers.base`).
+one :meth:`~repro.solvers.context.SolverContext.chebyshev_span` call --
+the span kind ``chebyshev`` of :data:`~repro.solvers.context.SPANS` --
+recording the same per-iteration events however it runs: with a
+diagonal ``M`` on a serial context as one wavefront over memory, with
+the block EVP ``M`` (serial, or on the batched engine's stacks) as one
+kernel call per iteration, otherwise one primitive call at a time (see
+the guarded loop's span rule in :mod:`repro.solvers.base`).
 
 Trade-off: P-CSI needs somewhat more iterations than ChronGear for the
 same tolerance (Chebyshev is optimal for the *interval*, CG adapts to
@@ -51,6 +50,7 @@ class PCSISolver(SpectralBoundedSolver):
     """
 
     name = "pcsi"
+    _SPAN = ("chebyshev", "b", "r", "dx", "x")
 
     # ------------------------------------------------------------------
     def _setup(self, b, x):
@@ -78,15 +78,6 @@ class PCSISolver(SpectralBoundedSolver):
             "alpha": alpha, "gamma": gamma, "omega": omega0,
             "extra": extra,
         }
-
-    def _span(self, state, k, checkpoint):
-        """Up to the next boundary when the context runs the span in
-        kernel calls (serial with a diagonal ``M``, or the block EVP
-        ``M`` serially or on stacks), else one."""
-        if not self.context.spans_chebyshev(
-                state["b"], state["r"], state["dx"], state["x"]):
-            return 1
-        return self._until_boundary(k, checkpoint)
 
     def _iterate(self, state, k):
         self._iterate_span(state, k, 1)

@@ -45,6 +45,7 @@ from repro.solvers import (
     SerialContext,
     make_solver,
 )
+from repro.solvers.context import SPANS
 
 ENVELOPE_KEY = "__checkpoint__"
 
@@ -456,26 +457,38 @@ class TestPCSISpans:
         assert _result_bits(got) == _result_bits(ref)
         assert np.array_equal(got.x, ref.x)
 
+    #: Per declared span kind: the solver that declares it and the
+    #: cases below that span, with the ``native.c`` entry point each
+    #: needs.
+    SPANNING = {
+        "chebyshev": ("pcsi", {"evp": "evp_step", "evp_batched": "evp_step"}),
+        "chrongear": ("chrongear", {}),
+    }
+
     @pytest.mark.parametrize("case", ["evp", "perrank", "batched",
-                                      "resilience"])
+                                      "resilience", "evp_batched"])
     def test_other_cases_keep_spans_of_one(self, config, decomp, case):
-        """P-CSI's and ChronGear's spans alike: one iteration a call on
-        the distributed contexts with a diagonal ``M`` and under a
-        resilience runtime.  Serial EVP: P-CSI spans up to each check
-        (one ``evp_step`` call an iteration, where it was adopted),
-        ChronGear one iteration a call."""
-        engine = "serial" if case == "evp" else (
-            "batched" if case == "resilience" else case)
-        for name in ("pcsi", "chrongear"):
+        """Every declared span kind (``SPANS``; a kind without a row in
+        ``SPANNING`` fails): one iteration a call on the distributed
+        contexts with a diagonal ``M`` and under a resilience runtime.
+        P-CSI + EVP, serially and on the batched engine's stacks, spans
+        up to each check (one ``evp_step`` call an iteration, where it
+        was adopted); ChronGear + EVP one iteration a call."""
+        engine = {"evp": "serial", "resilience": "batched",
+                  "evp_batched": "batched"}.get(case, case)
+        for kind in SPANS:
+            name, spanning = self.SPANNING[kind]
             ctx = _context(config, decomp, engine, "fused",
-                           precond="evp" if case == "evp" else "diagonal")
+                           precond="evp" if case.startswith("evp")
+                           else "diagonal")
             solver = make_solver(name, ctx, tol=1e-10)
+            assert solver._SPAN[0] == kind
             spans = _spans(solver)
             result = solver.solve(
                 _rhs(config),
                 resilience=True if case == "resilience" else None)
-            spanned = (case == "evp" and name == "pcsi"
-                       and load_native().evp_step is not None)
+            spanned = (case in spanning
+                       and getattr(load_native(), spanning[case]) is not None)
             assert result.converged, name
             if spanned:
                 assert set(spans) == {solver.check_freq}

@@ -698,7 +698,7 @@ class TestChebyshevSpan:
             pre = make_preconditioner("diagonal", stencil, kernels=kernels)
             ctx = SerialContext(stencil, pre, kernels=kernels)
             got = {name: v.copy() for name, v in vectors.items()}
-            fused = ctx.spans_chebyshev(b, got["r"], got["dx"], got["x"])
+            fused = ctx.spans("chebyshev", b, got["r"], got["dx"], got["x"])
             assert fused == (kernels._native().chebyshev_span is not None)
             got["r"] = ctx.chebyshev_span(b, got["r"], got["dx"], got["x"],
                                           weights)
@@ -722,20 +722,23 @@ class TestChebyshevSpan:
         frozen.flags.writeable = False
         wide = rng.standard_normal(stencil.shape + (2,))
         narrow = make_test_config(6, 2, seed=1)
+        diagonal = ("diagonal", inv)
         for args in ((b, r, dx, wide[..., 0]), (b, r, dx, frozen),
                      (b, r, dx, x[:, :-1]), (b, r, r, x)):
             before = [v.copy() for v in args]
-            assert not kernels.chebyshev_span(stencil, inv, *args,
-                                              [(1.0, 0.5)])
+            assert kernels.span_runner("chebyshev", stencil, 0, None,
+                                       diagonal, args) is None
             assert all(np.array_equal(v, w) for v, w in zip(args, before))
         vectors = np.zeros((4, 6, 2))
-        assert not kernels.chebyshev_span(
-            narrow.stencil, np.ones((6, 2)), *vectors, [(1.0, 0.5)])
-        assert not NumpyKernels().chebyshev_span(stencil, inv, b, r, dx, x,
-                                                 [(1.0, 0.5)])
-        assert kernels.chebyshev_span(stencil, inv, b, r, dx, x, ())
-        assert kernels.chebyshev_span(stencil, inv, b, r, dx, x,
-                                      [(1.0, 0.5)])
+        assert kernels.span_runner("chebyshev", narrow.stencil, 0, None,
+                                   ("diagonal", np.ones((6, 2))),
+                                   tuple(vectors)) is None
+        assert NumpyKernels().span_runner("chebyshev", stencil, 0, None,
+                                          diagonal, (b, r, dx, x)) is None
+        run = kernels.span_runner("chebyshev", stencil, 0, None, diagonal,
+                                  (b, r, dx, x))
+        assert run is not None
+        run.run([(1.0, 0.5)])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
@@ -783,7 +786,7 @@ class TestChronGearSpan:
             ctx = SerialContext(stencil, pre, kernels=kernels)
             got = {name: v.copy() for name, v in vectors.items()}
             args = [got[name] for name in "xrsp"]
-            assert ctx.spans_chrongear(*args) == (
+            assert ctx.spans("chrongear", *args) == (
                 kernels._native().chrongear_span is not None)
             seen = []
             ctx.chrongear_span(*args, case["steps"], coefficients(seen))
@@ -814,19 +817,24 @@ class TestChronGearSpan:
         frozen.flags.writeable = False
         wide = rng.standard_normal(stencil.shape + (2,))
         narrow = make_test_config(6, 2, seed=1)
+        diagonal = ("diagonal", inv)
         for args in ((wide[..., 0], r, s, p), (frozen, r, s, p),
                      (x[:, :-1], r, s, p), (x, r, r, p)):
-            assert kernels.chrongear_span(stencil, inv, *args) is None
-        assert kernels.chrongear_span(narrow.stencil, np.ones((6, 2)),
-                                      *np.zeros((4, 6, 2))) is None
-        assert NumpyKernels().chrongear_span(stencil, inv, x, r, s, p) is None
-        assert kernels.chrongear_span(stencil, inv, x, r, s, p) is not None
+            assert kernels.span_runner("chrongear", stencil, 0, None,
+                                       diagonal, args) is None
+        assert kernels.span_runner("chrongear", narrow.stencil, 0, None,
+                                   ("diagonal", np.ones((6, 2))),
+                                   tuple(np.zeros((4, 6, 2)))) is None
+        assert NumpyKernels().span_runner("chrongear", stencil, 0, None,
+                                          diagonal, (x, r, s, p)) is None
+        assert kernels.span_runner("chrongear", stencil, 0, None, diagonal,
+                                   (x, r, s, p)) is not None
         ctx = SerialContext(stencil, pre, kernels=kernels)
-        assert ctx.spans_chrongear(x, r, s, p)
+        assert ctx.spans("chrongear", x, r, s, p)
         ctx = SerialContext(stencil, pre, kernels=kernels)
         ctx.mask = ctx.mask.copy()
         ctx.mask[0, 0] = not ctx.mask[0, 0]
-        assert not ctx.spans_chrongear(x, r, s, p)
+        assert not ctx.spans("chrongear", x, r, s, p)
 
 
 @st.composite
@@ -894,7 +902,7 @@ class TestEVPSpan:
                                  kernels=kernels)
             ctx = SerialContext(config.stencil, pre, kernels=kernels)
             got = {name: v.copy() for name, v in vectors.items()}
-            ran = ctx.spans_chebyshev(b, got["r"], got["dx"], got["x"])
+            ran = ctx.spans("chebyshev", b, got["r"], got["dx"], got["x"])
             got["r"] = ctx.chebyshev_span(b, got["r"], got["dx"], got["x"],
                                           weights)
             results.append((got, ctx.ledger.snapshot(), ran))
@@ -920,7 +928,7 @@ class TestEVPSpan:
                                      stack.machine(kernels), kernels=kernels)
             b, r, dx, x = stack.fields([values[name]
                                         for name in ("b", "r", "dx", "x")])
-            ran = ctx.spans_chebyshev(b, r, dx, x)
+            ran = ctx.spans("chebyshev", b, r, dx, x)
             r = ctx.chebyshev_span(b, r, dx, x, weights)
             # ``r`` on the interior rows, the cells a residual writes:
             # the calls hand back a fresh field, a span updates ``r``.
@@ -937,7 +945,7 @@ class TestEVPSpan:
         kernels = FusedKernels()
         config, decomp = uniform_config, uniform_decomp
         pre = evp_for_config(config, kernels=kernels)
-        layout, work = pre.span_operands(False, 1)
+        evp = pre.span_operands(False, 1)
         rng = np.random.default_rng(3)
         b, r, dx, x = rng.standard_normal((4,) + config.shape)
         frozen = x.copy()
@@ -945,26 +953,26 @@ class TestEVPSpan:
         wide = rng.standard_normal(config.shape + (2,))
         for args in ((b, r, dx, wide[..., 0]), (b, r, dx, frozen),
                      (b, r, dx, x[:, :-1]), (b, r, r, x), (b, r, dx, wide)):
-            assert kernels.evp_span(config.stencil, 0, layout, work, None,
-                                    *args) is None
-        assert NumpyKernels().evp_span(config.stencil, 0, layout, work,
-                                       None, b, r, dx, x) is None
-        assert kernels.evp_span(config.stencil, 0, layout, work, None,
-                                b, r, dx, x) is not None
+            assert kernels.span_runner("chebyshev", config.stencil, 0, None,
+                                       evp, args) is None
+        assert NumpyKernels().span_runner("chebyshev", config.stencil, 0,
+                                          None, evp, (b, r, dx, x)) is None
+        assert kernels.span_runner("chebyshev", config.stencil, 0, None, evp,
+                                   (b, r, dx, x)) is not None
 
         def spans(**machine):
             pre = evp_for_config(config, decomp=decomp, kernels=kernels)
             vm = VirtualMachine(decomp, mask=config.mask, **machine)
             ctx = DistributedContext(config.stencil, pre, vm,
                                      kernels=kernels)
-            return ctx, ctx.spans_chebyshev(*(vm.zeros() for _ in range(4)))
+            return ctx, ctx.spans("chebyshev", *(vm.zeros() for _ in range(4)))
 
         assert spans()[1]
         assert not spans(engine="perrank")[1]
         assert not spans(faults=[HaloFault(rank=0, value=np.nan, at=1)])[1]
         ctx, _ = spans()
         ctx.vm.resilience = ResilienceRuntime(ResiliencePolicy(), ctx)
-        assert not ctx.spans_chebyshev(*(ctx.vm.zeros() for _ in range(4)))
+        assert not ctx.spans("chebyshev", *(ctx.vm.zeros() for _ in range(4)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
@@ -1229,8 +1237,10 @@ class TestVectorKernels:
                                     (1.0, -small, big, small)):
             b, r, dx, x = np.zeros((4,) + shape)
             r[1, 1], dx[1, 1], x[1, 1], x[2, 1] = r_val, dx_val, big, small
-            assert FusedKernels().chebyshev_span(stencil, inv, b, r, dx, x,
-                                                 [(w, c)])
+            run = FusedKernels().span_runner("chebyshev", stencil, 0, None,
+                                             ("diagonal", inv), (b, r, dx, x))
+            assert run is not None
+            run.run([(w, c)])
             assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
                 "the compiler contracted a*b+c in native.c's "
                 "chebyshev_span and the loader's self-test did not notice")
@@ -1264,8 +1274,9 @@ class TestVectorKernels:
             r[1, 1], r[2, 1] = r11, r21
             s[1, 1] = p[1, 1] = small
             x[1, 1] = big
-            run = FusedKernels().chrongear_span(coeffs, np.ones(shape),
-                                                x, r, s, p)
+            run = FusedKernels().span_runner("chrongear", coeffs, 0, None,
+                                             ("diagonal", np.ones(shape)),
+                                             (x, r, s, p))
             run(None, True)
             run((alpha, beta), False)
             got = {"x": x, "r": r, "s": s, "p": p}
@@ -1296,7 +1307,7 @@ class TestVectorKernels:
                                     (1.0, -small, big, small)):
             b, r, dx, x = np.zeros((4,) + shape)
             r[1, 1], dx[1, 1], x[1, 1], x[2, 1] = r_val, dx_val, big, small
-            assert ctx.spans_chebyshev(b, r, dx, x)
+            assert ctx.spans("chebyshev", b, r, dx, x)
             ctx.chebyshev_span(b, r, dx, x, [(w, c)])
             assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
                 "the compiler contracted a*b+c in native.c's evp_step and "
