@@ -20,13 +20,14 @@ sequence -- ``np.array_equal`` results, pinned by
     loop is one pass over contiguous memory (see
     :mod:`repro.kernels.fused`), each loop run by one compiled function
     of ``native.c`` -- the stencil sweep, a chain of vector updates,
-    the masked dot, the EVP march, its edge residuals and the gather /
-    masked scatter around them.  The C file
+    the masked dot, the EVP march, its edge residuals, the gather /
+    masked scatter around them and the solvers' spans.  The C file
     is built on first use with the system compiler and cached per user
-    (:mod:`repro.kernels.native`); where it cannot be built, loaded or
-    verified the same layouts run through scipy's DIA kernel and numpy
-    ufuncs, silently, and :meth:`FusedKernels.describe` says which:
-    ``fused+native (bit-identical)`` or ``fused (bit-identical)``.
+    (:mod:`repro.kernels.native`).  Each loop is native or reference:
+    where an entry point cannot be built, loaded or verified, its loop
+    runs the ``numpy`` method it overrides, silently, and
+    :meth:`FusedKernels.describe` says which: ``fused+native
+    (bit-identical)`` or ``fused (bit-identical)``.
 
 Because the implementations agree bit for bit there is nothing to
 select: no command-line flag, no environment variable, no ``auto``.

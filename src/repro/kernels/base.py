@@ -99,7 +99,8 @@ class KernelBackend:
         Called once per :class:`~repro.precond.evp.EVPTileEngine` after
         its influence matrices exist.  The returned object is opaque to
         the engine and passed back verbatim.  ``None`` (the default)
-        means the backend needs no precompiled state.
+        means the backend needs no precompiled state: tile-major slots
+        and the engine's reference sweep.
         """
         return None
 
@@ -125,7 +126,9 @@ class KernelBackend:
         and out of the backend's layout with one ``take`` each way
         (:class:`~repro.precond.evp.EVPBlockPreconditioner` does,
         where :meth:`evp_gather` / :meth:`evp_scatter` decline).
-        The default is tile-major, the layout of :meth:`evp_solve`.
+        The default -- the reference's, and the fused kernels' where
+        ``native.c``'s march was not adopted -- is tile-major, the
+        layout of :meth:`evp_solve`.
         """
         b, my, mx = engine.batch, engine.my, engine.mx
         slot = np.arange(b * my * mx, dtype=np.intp).reshape(b, my, mx)
@@ -134,15 +137,15 @@ class KernelBackend:
     def evp_run(self, engine, plan, y, x, nrhs):
         """:meth:`evp_solve` on buffers in the :meth:`evp_slots` layout.
 
-        ``y`` is ``(B * my * mx, n)`` and ``x`` ``(x_size, n)``, zero
-        when first passed and written by nothing else in between;
-        ``nrhs`` is ``None`` (``n == 1``) for a single right-hand side.
-        Rows of ``x`` no slot names are left untouched.  A backend may
-        compile programs over the two array objects -- the fused
-        kernels bind either ufunc calls on views of them or, where
-        ``native.c`` was adopted, tables of offsets into them for
-        ``evp_march`` / ``evp_edges`` -- so a caller passes the same
-        objects for as long as it keeps a width.
+        ``y`` is ``(B * my * mx, n)`` and ``x`` ``(x_size, n)``, both
+        C-contiguous, zero when first passed and written by nothing else
+        in between; ``nrhs`` is ``None`` (``n == 1``) for a single
+        right-hand side.  Rows of ``x`` no slot names are left
+        untouched.  A backend may compile programs over the two array
+        objects -- the fused kernels bind ``native.c``'s ``evp_march``
+        / ``evp_edges`` to their addresses -- so a caller passes the
+        same objects for as long as it keeps a width.  The default is
+        the reference: :meth:`evp_solve` on the tile-major buffers.
         """
         shape = (engine.batch, engine.my, engine.mx)
         if nrhs is not None:

@@ -5,10 +5,11 @@ Same arithmetic as the numpy reference -- bit for bit -- executed on
 data laid out so that every operand of every hot loop is a contiguous
 slice: no index arrays, no per-step allocations, inner loops as long as
 the problem allows.  On those layouts each loop is one function of
-``native.c`` (:mod:`repro.kernels.native` builds and verifies it); an
-entry point that was not adopted leaves its loop on the scipy / numpy
-form described below, which performs the same operations in more
-passes.
+``native.c`` (:mod:`repro.kernels.native` builds and verifies it).
+There is no third form: a loop whose entry point was not adopted (no
+compiler, a failed build or self-test) or that declines the operands
+it is handed runs the reference method it overrides
+(:class:`~repro.kernels.numpy_ref.NumpyKernels`, the base class).
 
 **EVP marching on a skewed, tile-innermost layout.**  The recurrence
 solves the equation centred on ``(j, i)`` for its north-east unknown,
@@ -27,11 +28,11 @@ right-hand sides and coefficients packed in rows ordered by
 and a step is ``multiply``/``subtract`` in the reference's term order
 plus one ``multiply`` by ``1/ne`` written straight into the target
 slice -- in ``evp_march`` a loop over the slice with the running value
-in a register, otherwise ufunc calls on prebuilt views.  The reference
-gathers the same values with fancy indexing and applies the same
-operations in the same order, so the state is bit-identical.  The unmarched north/east equations and
+in a register.  The reference gathers the same values with fancy
+indexing and applies the same operations in the same order, so the
+state is bit-identical.  The unmarched north/east equations and
 the ring are lines of constant stride through ``S`` (``J`` fixed, or
-``J`` and ``D`` advancing together): strided views, still no indices.
+``J`` and ``D`` advancing together): rows a fixed step apart.
 Nothing is zero-filled between sweeps -- the sweep writes every
 interior cell before reading it and never writes the padding border.
 
@@ -46,11 +47,13 @@ eight, so every column sees the single-RHS operation sequence and the
 coefficient traffic does not grow with the width.  The edge residuals
 come out as ``(nrhs, B, k)``, the order the ring correction's batched
 matmul reads, and the second march sets the ring from that matmul's
-product, negated: nothing is reshuffled around it.  Without the
-library the ufunc floor merges the tile and column axes and repeats
-the coefficient rows ``nrhs``-fold for itself.  A plan keeps one
+product, negated: nothing is reshuffled around it.  A plan keeps one
 working set -- the calls bound to one pair of buffers, the residuals
-and their ring product -- for the width it was last handed.
+and their ring product -- for the width it was last handed.  There is
+a plan only where both ``evp_march`` and ``evp_edges`` were adopted;
+otherwise :meth:`FusedKernels.prepare_evp` returns the reference's
+``None``, and the engines keep tile-major slots and march with
+:meth:`~repro.precond.evp.EVPTileEngine._march`.
 
 **Layout at the boundary.**  ``evp_slots`` publishes where each tile
 cell lives; ``evp_gather`` and ``evp_scatter`` move a whole
@@ -65,57 +68,44 @@ array geometry and cached on the layout
 (:class:`~repro.kernels.base.EvpLayout`); there is no
 grid-sized index array and no copy of a strided interior.  Where they
 were not adopted, ``EVPBlockPreconditioner._apply`` takes with its own
-cell maps and multiplies by the mask; ``evp_solve`` takes a
-stand-alone tile-major batch in and out the same way.
+cell maps and multiplies by the mask.  A stand-alone
+:meth:`~repro.precond.evp.EVPTileEngine.solve` is the reference's.
 
 **The stencil as one compiled sweep.**  The nine coefficient planes
-are stored once per coefficient set as a ``scipy.sparse.dia_array``
-over the *flattened* vector layout.  ``dia_sweep`` reads that array's
-own ``data`` / ``offsets`` and makes one pass over ``y``: per row,
+are stored once per coefficient set in DIA form over the *flattened*
+vector layout: ``data`` row ``k`` is plane ``k`` of ``_COEFF_ORDER``
+written at a shift of its neighbor's flat offset ``off_k = dj * W +
+di``.  ``dia_sweep`` makes one pass over ``y``: per cell and column,
 ``acc = 0.0; acc += data[k, i + off_k] * x[i + off_k]`` in diagonal
-order.  Without it a matvec is ``sweep @ x.reshape(-1)``: scipy's DIA
-kernel starts from ``y = 0.0`` and runs one such loop per stored
-diagonal, in the order the diagonals were given -- nine passes over
-``y``, the same sum per element.  Row ``k`` of ``data``
-is plane ``k`` of ``_COEFF_ORDER`` written at a shift of its neighbor's
-flat offset ``off_k = (dj * W + di) * nrhs`` and repeated ``nrhs``-fold
-along the row -- a batch's trailing axis is folded into the grid row, so
-it is the same 1-D sweep on longer rows and every column sees the
-single-RHS operation sequence.  Each output element therefore receives
-the reference's nine rounded products through the reference's eight
-rounded adds in the reference's order.  Two things differ, neither in
-value: the first term is ``0.0 + c * x`` instead of ``c * x`` (equal
-for every IEEE value; only ``-0.0`` comes back as ``+0.0``), and in the
-global form (``W = nx``, no padding, no copy of ``x``) the couplings
-that leave the domain -- or would wrap into the next grid row -- are
-stored as zero and multiply a real cell, where the reference multiplies
-the zero border: both add ``0.0`` for finite ``x``.  (A NaN or Inf in
-the first or last grid column reaches, through such a ``0.0 * x``, up
-to three cells on the opposite edge that the reference leaves finite;
-the stacked form has no such cells, its halo columns keep rows and
-blocks apart.)  The stacked form embeds the planes in the padded ``(p,
-bny + 2h, bnx + 2h)`` layout of the block stack (``W = bnx + 2h``):
-halo cells have all-zero rows, pad cells of ragged tiles keep their
-zero coefficients.  **Planes once, at every width:** with ``dia_sweep``
-the *single-RHS* ``data`` / ``offsets`` serve every batch width, serial
-and stacked -- per cell one accumulator per column, the coefficient
-``data[k, i + off_k]`` read once for all of them, the columns in
-compile-time groups of at most eight (two columns as one vector of four
-cells x two) -- so no ``nrhs``-fold planes are built and a serial
-batch reads half the bytes at width two; a stack is swept over its
-interior rows only, written straight into the rows of the output
-stack, so no padded result is allocated and no interior is copied out.
-Every column still sees the single-RHS operation sequence.  Without the
-library a batch takes the folded form above (a stack's halo rows
-computed, the interior copied out).  Cached per coefficient set
-(identity-keyed, the last ``_MAX_FOLDED_SETS`` sets): the single-RHS
-sweep and, without the library, one batch width.
-Bit-parity rests on the scipy build -- and the compiler building
-``native.c`` under ``-ffp-contract=off`` -- *not* contracting ``y += a
-* b`` into a fused multiply-add; ``test_sweep_is_not_contracted``,
+order, so each output element receives the reference's nine rounded
+products through the reference's eight rounded adds in the reference's
+order.  Two things differ, neither in value: the first term is ``0.0 +
+c * x`` instead of ``c * x`` (equal for every IEEE value; only ``-0.0``
+comes back as ``+0.0``), and in the global form (``W = nx``, no
+padding, no copy of ``x``) the couplings that leave the domain -- or
+would wrap into the next grid row -- are stored as zero and multiply a
+real cell, where the reference multiplies the zero border: both add
+``0.0`` for finite ``x``.  (A NaN or Inf in the first or last grid
+column reaches, through such a ``0.0 * x``, up to three cells on the
+opposite edge that the reference leaves finite; the stacked form has no
+such cells, its halo columns keep rows and blocks apart.)  The stacked
+form embeds the planes in the padded ``(p, bny + 2h, bnx + 2h)``
+layout of the block stack (``W = bnx + 2h``): halo cells have all-zero
+rows, pad cells of ragged tiles keep their zero coefficients.
+**Planes once, at every width:** the single-RHS ``data`` serve every
+batch width, serial and stacked -- per cell one accumulator per column,
+the coefficient read once for all of them, the columns in compile-time
+groups of at most eight -- and a stack is swept over its interior rows
+only, written straight into the rows of the output stack.  The sweep is
+cached per coefficient set (identity-keyed, the last ``_MAX_SWEEPS``
+sets).  A grid narrower than three cells (east and north-west would
+share a diagonal) runs the reference.  Bit-parity rests on the compiler
+building ``native.c`` under ``-ffp-contract=off`` *not* contracting
+``acc += a * b`` into a fused multiply-add;
 ``test_native_sweep_is_not_contracted`` and
-``test_multivector_sweep_is_not_contracted`` in
-``tests/test_kernels.py`` are the tripwires.
+``test_multivector_sweep_is_not_contracted`` in ``tests/test_kernels.py``
+are the tripwires (``test_sweep_is_not_contracted`` guards the
+self-test's scipy reference).
 
 **The vector kernels, serial and stacked.**  ``native.c`` addresses a
 vector as a *row geometry* -- ``blocks`` x ``rows`` runs of contiguous
@@ -159,10 +149,8 @@ import operator
 import struct
 
 import numpy as np
-from scipy.sparse import dia_array
 
 from repro.core.fields import NEIGHBOR_OFFSETS
-from repro.kernels.base import validate_evp_shapes
 from repro.kernels.native import (
     CHAIN,
     CHAIN_FORMAT,
@@ -179,7 +167,6 @@ from repro.kernels.native import (
     STEP_FORMAT,
     EvpGroup,
     EvpProgram,
-    Native,
     address,
     chrongear_program,
     int64s,
@@ -199,41 +186,42 @@ _OFFSETS = ((0, 0),) + tuple(NEIGHBOR_OFFSETS.values())
 
 #: Coefficient sets whose sweeps stay cached (a long-lived process
 #: builds a new stacked set per distributed context).
-_MAX_FOLDED_SETS = 4
+_MAX_SWEEPS = 4
 #: Boundary programs an EVP layout keeps (one per kind and geometry of
 #: the arrays handed to it: a fresh ``out``, a stack interior, ...).
 _MAX_BOUNDARY_PROGRAMS = 8
 
 
-def _dia_sweep(planes, h, n):
-    """``A`` as a DIA operator over a flattened ``(..., H, W, n)`` layout.
+def _dia_sweep(planes, h):
+    """``A`` in DIA form over a flattened ``(..., H, W)`` layout:
+    ``(data, offsets)``, a ``(9, cells)`` float64 array and its int64
+    diagonal offsets.
 
     ``planes`` are the nine ``(..., H - 2h, W - 2h)`` coefficient
-    arrays in ``_COEFF_ORDER``, ``h`` the halo width of the layout
-    (0: the global grid) and ``n`` its trailing batch width.  Diagonal
-    ``k`` holds, at column ``i + off_k``, the coefficient with which
-    row ``i`` reads its neighbor ``off_k = (dj * W + di) * n`` further
-    on: the plane is written once, through a view of the data buffer
-    that starts ``off_k`` late.  Only rows whose neighbor lies inside
-    their own ``(H, W)`` cell block are written -- with a halo, every
-    interior row -- so no write leaves the row's own diagonal.
+    arrays in ``_COEFF_ORDER`` and ``h`` the halo width of the layout
+    (0: the global grid).  Row ``k`` holds, at column ``i + off_k``,
+    the coefficient with which cell ``i`` reads its neighbor ``off_k =
+    dj * W + di`` further on: the plane is written once, through a view
+    of the buffer that starts ``off_k`` late.  Only cells whose
+    neighbor lies inside their own ``(H, W)`` cell block are written --
+    with a halo, every interior cell -- so no write leaves the row's own
+    diagonal.
     """
     *lead, bny, bnx = planes[0].shape
     rows, width = bny + 2 * h, bnx + 2 * h
-    size = math.prod(lead) * rows * width * n
-    reach = (width + 1) * n
+    size = math.prod(lead) * rows * width
+    reach = width + 1
     buf = np.zeros(9 * size + 2 * reach)
     offsets = []
     for k, (plane, (dj, di)) in enumerate(zip(planes, _OFFSETS)):
-        offsets.append((dj * width + di) * n)
+        offsets.append(dj * width + di)
         start = reach + k * size + offsets[-1]
-        slot = buf[start:start + size].reshape(*lead, rows, width, n)
+        slot = buf[start:start + size].reshape(*lead, rows, width)
         j0, j1 = max(h, -dj), rows - max(h, dj)
         i0, i1 = max(h, -di), width - max(h, di)
-        slot[..., j0:j1, i0:i1, :] = plane[..., j0 - h:j1 - h,
-                                           i0 - h:i1 - h, None]
-    data = buf[reach:reach + 9 * size].reshape(9, size)
-    return dia_array((data, offsets), shape=(size, size))
+        slot[..., j0:j1, i0:i1] = plane[..., j0 - h:j1 - h, i0 - h:i1 - h]
+    return (buf[reach:reach + 9 * size].reshape(9, size),
+            np.array(offsets, dtype=np.int64))
 
 
 class _EvpPlan:
@@ -249,15 +237,13 @@ class _EvpPlan:
     order.  :meth:`tables` builds, once per engine on first use, the
     coefficient block -- one ``B``-wide row per (term, packed row),
     then NE of the edge equations --, ``1/ne`` of the marched ones and
-    the marching and edge steps (``programs``: the same as tables in
-    equations for ``native.c``), all valid at every width.  ``bound``
-    is the one :class:`_EvpWorkingSet` (one width, one pair of
-    buffers) and ``own`` the buffers and index maps of a stand-alone
-    :meth:`EVPTileEngine.solve`, built on first use.
+    the marching and edge programs of ``native.c``, all valid at every
+    width.  ``bound`` is the one :class:`_EvpWorkingSet` (one width,
+    one pair of buffers).
     """
 
     __slots__ = ("shape", "ty", "tx", "steps", "names", "block", "inv_ne",
-                 "march", "edges", "programs", "bound", "own")
+                 "programs", "bound")
 
     def __init__(self, engine):
         my, mx = engine.my, engine.mx
@@ -277,7 +263,6 @@ class _EvpPlan:
         self.names = [name for name, _, _ in engine.terms]
         self.block = None
         self.bound = None
-        self.own = None
 
     def slots(self):
         """``(y_slot, x_slot, x_size)`` of :meth:`KernelBackend.evp_slots`."""
@@ -335,51 +320,44 @@ class _EvpPlan:
         self.inv_ne = 1.0 / packed(engine.coeffs["ne"], slice(n_march))
         self.block = block
 
-        # Per marched anti-diagonal: first equation row, length, target
-        # state row, (term, first source row) per term.
-        march, a = [], 0
-        for lo, d, length, terms in self.steps:
-            march.append((a, length, (d + 4) * (my + 2) + lo + 2,
-                          [(names.index(name),
-                            (d + 2 + dj + di) * (my + 2) + lo + 1 + dj)
-                           for name, dj, di in terms]))
-            a += length
-        self.march = march
-        #: Per edge term: first coefficient row, north and east sources.
+        # ``evp_march``: per marched anti-diagonal its length, first
+        # equation, target state row and (coefficient row, first source
+        # row) per term, in equations.
         south, west, sources = self.lines(engine)
+        prog, a = [b, len(self.steps), k, *_rows(south), *_rows(west)], 0
+        for lo, d, length, terms in self.steps:
+            prog += [length * b, a * b, ((d + 4) * (my + 2) + lo + 2) * b,
+                     len(terms)]
+            for name, dj, di in terms:
+                prog += [(names.index(name) * rows + a) * b,
+                         ((d + 2 + dj + di) * (my + 2) + lo + 1 + dj) * b]
+            a += length
+        # ``evp_edges``: per term (NE last) its first coefficient row, and
+        # the north and east source rows.
         first = [t * rows + n_march for t in range(len(names))]
-        self.edges = [(c, north, east) for c, (north, east)
-                      in zip(first + [len(names) * rows], sources)]
-
-        # The same as ``evp_march`` / ``evp_edges`` tables, in equations.
-        prog = [b, len(march), k, *_rows(south), *_rows(west)]
-        for a, length, target, terms in march:
-            prog += [length * b, a * b, target * b, len(terms)]
-            for t, src in terms:
-                prog += [(t * rows + a) * b, src * b]
         self.programs = (
             np.array(prog, dtype=np.int64),
-            np.array([c * b for c, _, _ in self.edges], dtype=np.int64),
-            np.array([row for _, north, east in self.edges
+            np.array([c * b for c in first + [len(names) * rows]],
+                     dtype=np.int64),
+            np.array([row for north, east in sources
                       for row in _rows(north) + _rows(east)], dtype=np.int64))
 
 
 class _EvpWorkingSet:
-    """The marching programs of one engine over one pair of buffers.
+    """``native.c``'s marching programs of one engine over one pair of
+    buffers.
 
     ``y`` is the packed right-hand side ``(my * mx * B, n)`` and ``x``
-    the skewed state ``(x_size, n)``; viewed as ``(rows, B, n)``, every
-    operand of the recurrence for one anti-diagonal is a contiguous
-    ``(L, B, n)`` slice and its coefficients an ``(L, B)`` slice of the
-    plan's block, one value per tile for every column.  The march (with
-    the ring set first) and the edge residuals each run as one call
-    into ``lib`` (the loaded ``native.c``) over the plan's programs, or
-    -- where that entry point was not adopted -- as a flat list of
-    ``(ufunc, a, b, out)`` on prebuilt views.  The residuals ``f`` are
-    ``(n, B, k)`` and their ring product ``ring`` ``(n, B, 1, k)``: the
-    operand and result of :meth:`EVPTileEngine.ring_rows`, which the
-    native march reads back negated, so nothing is reshuffled around
-    the matmul.
+    the skewed state ``(x_size, n)``, both C-contiguous; viewed as
+    ``(rows, B, n)``, every operand of the recurrence for one
+    anti-diagonal is a contiguous ``(L, B, n)`` slice and its
+    coefficients an ``(L, B)`` slice of the plan's block, one value per
+    tile for every column.  The march (with the ring set first) and the
+    edge residuals each run as one ``evp_march`` / ``evp_edges`` call
+    over the plan's programs.  The residuals ``f`` are ``(n, B, k)``
+    and their ring product ``ring`` ``(n, B, 1, k)``: the operand and
+    result of :meth:`EVPTileEngine.ring_rows`, which the second march
+    reads back negated, so nothing is reshuffled around the matmul.
     """
 
     __slots__ = ("y", "x", "f", "ring", "march", "edges")
@@ -391,32 +369,20 @@ class _EvpWorkingSet:
         self.y, self.x = y, x
         self.f = np.empty((n, b, k))
         self.ring = np.empty((n, b, 1, k))
-        if not (y.flags.c_contiguous and x.flags.c_contiguous):
-            lib = Native("strided buffers")
         prog, offsets, sources = plan.programs
-        if lib.evp_march is None or lib.evp_edges is None:
-            block = _repeated(plan.block, n)
-            rhs, flat = y.reshape(my * mx, b * n), x.reshape(-1, b * n)
-        if lib.evp_march is None:
-            self.march = _ufunc_march(engine, plan, block, rhs, flat,
-                                      self.ring)
-        else:
-            march = functools.partial(
-                lib.evp_march, prog.ctypes.data, n, plan.block.ctypes.data,
-                plan.inv_ne.ctypes.data, y.ctypes.data, x.ctypes.data)
-            ring = self.ring.ctypes.data
-            self.march = lambda corrected: march(ring if corrected else 0)
-        if lib.evp_edges is None:
-            self.edges = _ufunc_edges(engine, plan, block, rhs, flat, self.f)
-        else:
-            geometry = np.array([k, b, n, len(offsets)], dtype=np.int64)
-            self.edges = functools.partial(
-                lib.evp_edges, geometry.ctypes.data,
-                offsets.ctypes.data, sources.ctypes.data,
-                plan.block.ctypes.data,
-                y.ctypes.data + (my - 1) * (mx - 1) * b * n * 8,
-                x.ctypes.data, self.f.ctypes.data)
-            self.edges.geometry = geometry   # alive as long as the pointer
+        march = functools.partial(
+            lib.evp_march, prog.ctypes.data, n, plan.block.ctypes.data,
+            plan.inv_ne.ctypes.data, y.ctypes.data, x.ctypes.data)
+        ring = self.ring.ctypes.data
+        self.march = lambda corrected: march(ring if corrected else 0)
+        geometry = np.array([k, b, n, len(offsets)], dtype=np.int64)
+        self.edges = functools.partial(
+            lib.evp_edges, geometry.ctypes.data,
+            offsets.ctypes.data, sources.ctypes.data,
+            plan.block.ctypes.data,
+            y.ctypes.data + (my - 1) * (mx - 1) * b * n * 8,
+            x.ctypes.data, self.f.ctypes.data)
+        self.edges.geometry = geometry   # alive as long as the pointer
 
     def solve(self, engine):
         """March from a zero ring, correct the ring, march again.
@@ -429,78 +395,6 @@ class _EvpWorkingSet:
         self.edges()
         engine.ring_rows(self.f, self.ring)
         self.march(True)
-
-
-def _ufunc_march(engine, plan, block, rhs, flat, ring):
-    """The march as ufunc calls on views of the right-hand sides and
-    states with the tile and column axes merged (``B * n`` innermost)
-    and the coefficient ``block`` repeated to match (see
-    :func:`_repeated`): ``march(corrected)`` sets the ring to 0.0 or to
-    ``-ring`` (the ring product) and marches."""
-    b, mx, k, rows = engine.batch, engine.mx, engine.k, engine.my * engine.mx
-    n = rhs.shape[1] // b
-    inv_ne = _repeated(plan.inv_ne, n)
-    acc, tmp = np.empty((2, k, b * n))
-    ops = []
-    for a, length, target, terms in plan.march:
-        cur = rhs[a:a + length]
-        for t, src in terms:
-            ops.append((np.multiply, block[t * rows + a:t * rows + a + length],
-                        flat[src:src + length], tmp[:length]))
-            ops.append((np.subtract, cur, tmp[:length], acc[:length]))
-            cur = acc[:length]
-        ops.append((np.multiply, cur, inv_ne[a:a + length],
-                    flat[target:target + length]))
-    south, west, _ = plan.lines(engine)
-    south = flat[south].reshape(-1, b, n)
-    west = flat[west].reshape(-1, b, n)
-    ring = ring[:, :, 0, :].transpose(2, 1, 0)
-
-    def march(corrected):
-        if corrected:
-            np.negative(ring[:mx], out=south)
-            np.negative(ring[mx:], out=west)
-        else:
-            south[...] = 0.0
-            west[...] = 0.0
-        _run(ops)
-
-    return march
-
-
-def _ufunc_edges(engine, plan, block, rhs, flat, f):
-    """The edge residuals as ufunc calls on the same views: north edge
-    west to east, then east edge south to north -- ``f = -y + sum(coeff
-    * p)``, NE term last -- in ``(k, B * n)`` rows, then moved into the
-    ``(n, B, k)`` order of ``f``."""
-    my, mx, k = engine.my, engine.mx, engine.k
-    acc, tmp = np.empty((2, k, rhs.shape[1]))
-    ops = []
-    for c, north, east in plan.edges:
-        ops.append((np.multiply, block[c:c + mx], flat[north], tmp[:mx]))
-        ops.append((np.multiply, block[c + mx:c + k], flat[east], tmp[mx:]))
-        ops.append((np.add, acc, tmp, acc))
-    rhs = rhs[(my - 1) * (mx - 1):]
-    rows = acc.reshape(k, engine.batch, -1).transpose(2, 1, 0)
-
-    def edges():
-        np.negative(rhs, out=acc)
-        _run(ops)
-        f[...] = rows
-
-    return edges
-
-
-def _repeated(values, n):
-    """``values`` with every element repeated ``n``-fold along its rows:
-    numpy runs one value broadcast over ``n`` columns at half the speed
-    of a row, so the ufunc floor pays this copy once per width."""
-    return np.repeat(values, n, axis=1) if n > 1 else values
-
-
-def _run(program):
-    for op, a, b, out in program:
-        op(a, b, out=out)
 
 
 def _rows(line):
@@ -594,7 +488,7 @@ class _ChebyshevSpan:
     ``(omega, c)`` per iteration, as one call."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
-        (_, sweep, call), (x_at, r_at, dx_at) = operands
+        (sweep, _, call), (x_at, r_at, dx_at) = operands
         (inv_diag,), (b, _, _, x) = m, vectors
         cells, ndiag, data, stride, offsets = call.args
         self.program = np.array([cells, x.shape[1], x.size // cells, ndiag,
@@ -624,13 +518,12 @@ class _ChronGearSpan:
     :meth:`flush` before ``x`` is read."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
-        (_, sweep, call), addresses = operands
+        (sweep, diagonals, call), addresses = operands
         (inv_diag,), x = m, vectors[0]
         cells, ndiag, data, stride, offsets = call.args
         symmetric = getattr(call, "symmetric", None)
         if symmetric is None:   # once per sweep
-            symmetric = call.symmetric = is_symmetric(sweep.data,
-                                                      call.offsets)
+            symmetric = call.symmetric = is_symmetric(sweep, diagonals)
         self.width = None if x.ndim == 2 else x.shape[2]
         ncols = self.width or 1
         self.z = np.empty_like(x)
@@ -684,7 +577,7 @@ class _EvpSpan:
     BLAS matmul of the one-by-one path, for the next tail to read."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
-        (_, sweep, call), (x_at, r_at, dx_at) = operands
+        (sweep, _, call), (x_at, r_at, dx_at) = operands
         (layout, work), (b, _, _, x) = m, vectors
         if halo is None:
             halo = (_NO_CELLS,) * 3
@@ -773,25 +666,21 @@ _SPAN_VECTORS = {
 
 
 class FusedKernels(NumpyKernels):
-    """Fused backend (see module docstring).  What it does not override
-    -- the per-rank oracle's ``stencil_apply_local`` -- is the
-    reference.  ``native=False`` (tests only) keeps every loop on its
-    numpy/scipy form, the code that runs where ``native.c`` cannot be
-    built."""
+    """Fused backend (see module docstring).  Each loop is its
+    ``native.c`` entry point or, where that was not adopted or declines
+    the operands, the reference method it overrides; what it does not
+    override -- the per-rank oracle's ``stencil_apply_local`` -- is the
+    reference."""
 
     name = "fused"
 
-    def __init__(self, native=True):
-        #: DIA sweeps keyed by ``id(coeffs)``: ``{"coeffs": coeffs,
-        #: "single": (1, sweep, call), "batch": (nrhs, sweep, call)}``,
-        #: identity-revalidated.  A set keeps its single-RHS sweep and,
-        #: on scipy, one batch width (widths only shrink within a solve;
-        #: a service alternates 1 and its batch size), the backend the
-        #: last few sets.  With ``native.c`` the single-RHS slot serves
-        #: every width.
+    def __init__(self):
+        #: DIA sweeps keyed by ``id(coeffs)``: ``(coeffs, data, offsets,
+        #: call)``, identity-revalidated, the last few sets.  The
+        #: single-RHS planes serve every batch width.
         self._sweeps = {}
         #: The loaded ``native.c`` (built on first use, not on import).
-        self._lib = None if native else Native("not used")
+        self._lib = None
 
     def _native(self):
         if self._lib is None:
@@ -809,66 +698,44 @@ class FusedKernels(NumpyKernels):
     # ------------------------------------------------------------------
     # nine-point stencil: one compiled DIA sweep, reference MAC order
     # ------------------------------------------------------------------
-    def _sweep(self, coeffs, plane, h, n):
-        """The cached sweep of ``coeffs`` at batch width ``n`` as ``(n,
-        sweep, call)``; ``plane(coeffs, name)`` reads one coefficient
-        array and ``call`` is ``dia_sweep`` bound to the sweep's own
-        ``data`` / ``offsets`` (``None`` without the library), still to
-        be given the batch width, the rows to sweep, ``x`` and ``y``.
-        With the library every width asks for ``n = 1``
-        (:meth:`_width`)."""
+    def _sweep(self, coeffs, plane, h):
+        """The cached sweep of ``coeffs`` on a layout with halo ``h`` as
+        ``(data, offsets, call)`` -- ``plane(coeffs, name)`` reads one
+        coefficient array and ``call`` is ``dia_sweep`` bound to ``data``
+        / ``offsets``, still to be given the rows to sweep, ``x`` and
+        ``y`` -- or ``None`` where ``dia_sweep`` was not adopted."""
+        fn = self._native().dia_sweep
+        if fn is None:
+            return None
         hit = self._sweeps.get(id(coeffs))
-        if hit is None or hit["coeffs"] is not coeffs:
+        if hit is None or hit[0] is not coeffs:
             self._sweeps.pop(id(coeffs), None)
-            hit = self._sweeps[id(coeffs)] = {"coeffs": coeffs}
-            while len(self._sweeps) > _MAX_FOLDED_SETS:
-                self._sweeps.pop(next(iter(self._sweeps)), None)
-        slot = "single" if n == 1 else "batch"
-        if hit.get(slot, (0,))[0] != n:
-            # Release the other width before building: peak is one sweep.
-            hit.pop(slot, None)
-            sweep = _dia_sweep(
-                [plane(coeffs, name) for name in _COEFF_ORDER], h, n)
-            call, fn = None, self._native().dia_sweep
-            if fn is not None and sweep.data.flags.c_contiguous:
-                offsets = sweep.offsets.astype(np.int64)
-                call = functools.partial(
-                    fn, sweep.shape[0], len(offsets), sweep.data.ctypes.data,
-                    sweep.data.shape[1], offsets.ctypes.data)
-                call.offsets = offsets   # alive as long as the pointer
-            hit[slot] = (n, sweep, call)
-        return hit[slot]
-
-    def _width(self, n):
-        """The batch width to build a sweep for: ``dia_sweep`` runs every
-        width on the single-RHS planes, scipy needs them ``n``-fold."""
-        return n if self._native().dia_sweep is None else 1
-
-    @staticmethod
-    def _matvec(entry, x, out=None):
-        """``sweep @ x`` in ``x``'s shape -- in ``out`` when the native
-        sweep can write there directly.  ``x`` is the whole vector, its
-        batch columns interleaved per cell (one row of the geometry)."""
-        _, sweep, call = entry
-        ncols, rest = divmod(x.size, sweep.shape[0])
-        if call is None or rest or not ncols:
-            return (sweep @ x.reshape(-1)).reshape(x.shape)
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if (out is None or out.shape != x.shape or out.dtype != x.dtype
-                or not out.flags.c_contiguous):
-            out = np.empty(x.shape)
-        call(int64s(ncols, 1, 1, sweep.shape[0], 0, 0, 0, 0, 0)[0],
-             x.ctypes.data, address(out))
-        return out
+            data, offsets = _dia_sweep(
+                [plane(coeffs, name) for name in _COEFF_ORDER], h)
+            call = functools.partial(fn, data.shape[1], len(offsets),
+                                     data.ctypes.data, data.shape[1],
+                                     offsets.ctypes.data)
+            hit = self._sweeps[id(coeffs)] = (coeffs, data, offsets, call)
+            while len(self._sweeps) > _MAX_SWEEPS:
+                self._sweeps.pop(next(iter(self._sweeps)))
+        return hit[1:]
 
     def stencil_apply(self, coeffs, x, out=None):
-        if x.shape[1] < 3:
-            # East and north-west would share a diagonal: a grid this
-            # narrow runs the reference loop.
+        # East and north-west would share a diagonal on a grid narrower
+        # than three cells.
+        entry = self._sweep(coeffs, getattr, 0) if x.shape[1] >= 3 else None
+        if entry is None or not x.size or x.size % entry[0].shape[1]:
             return super().stencil_apply(coeffs, x, out)
-        entry = self._sweep(coeffs, getattr, 0,
-                            self._width(x.shape[2] if x.ndim == 3 else 1))
-        y = self._matvec(entry, x, out)
+        cells = entry[0].shape[1]
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = out
+        if (out is None or out.shape != x.shape or out.dtype != x.dtype
+                or not out.flags.c_contiguous):
+            y = np.empty(x.shape)
+        # ``x`` is the whole vector, its batch columns interleaved per
+        # cell: one row of the geometry.
+        entry[2](int64s(x.size // cells, 1, 1, cells, 0, 0, 0, 0, 0)[0],
+                 x.ctypes.data, address(y))
         if out is None or y is out:
             return y
         out[...] = y
@@ -876,21 +743,16 @@ class FusedKernels(NumpyKernels):
 
     def stencil_apply_stacked(self, coeffs, stack, h, bny, bnx, out):
         n = stack.shape[3] if stack.ndim == 4 else 1
-        call = None
+        entry = None
         # The compiled sweep trusts its geometry: hand it only a stack
-        # and an ``out`` of the documented shapes (anything else gets
-        # scipy's and numpy's shape errors below).
-        if self._native().dia_sweep is not None and stack.flags.c_contiguous \
-                and stack.dtype == np.float64 \
+        # and an ``out`` of the documented shapes.
+        if stack.flags.c_contiguous and stack.dtype == np.float64 \
                 and stack.shape[1:3] == (bny + 2 * h, bnx + 2 * h) \
                 and out.shape == (stack.shape[0], bny, bnx) + stack.shape[3:]:
-            _, sweep, call = self._sweep(coeffs, operator.getitem, h, 1)
-            if sweep.shape[0] * n != stack.size:
-                call = None
-        if call is None:
-            entry = self._sweep(coeffs, operator.getitem, h, self._width(n))
-            out[...] = self._matvec(entry, stack)[:, h:h + bny, h:h + bnx]
-            return out
+            entry = self._sweep(coeffs, operator.getitem, h)
+        if entry is None or entry[0].shape[1] * n != stack.size:
+            return super().stencil_apply_stacked(coeffs, stack, h, bny, bnx,
+                                                 out)
         # The single-RHS planes serve every width: interior rows only,
         # written where the caller wants them if its rows can be
         # addressed (the interior of another stack can).
@@ -902,7 +764,7 @@ class FusedKernels(NumpyKernels):
         width = bnx + 2 * h
         rows = int64s(n, stack.shape[0], bny, bnx, h * width + h,
                       (bny + 2 * h) * width, width, *rows)
-        call(rows[0], stack.ctypes.data, pointer(target))
+        entry[2](rows[0], stack.ctypes.data, pointer(target))
         if target is not out:
             out[...] = target
         return out
@@ -1015,12 +877,11 @@ class FusedKernels(NumpyKernels):
                 m[1].shape != x.shape[:2] or m[1].dtype != np.float64
                 or not m[1].flags.c_contiguous):
             return None
-        # The single-RHS sweep, at every width; without ``dia_sweep``
-        # there is no ``call`` to read its operands from.
+        # The single-RHS sweep, at every width.
         entry = self._sweep(coeffs, getattr if h == 0 else operator.getitem,
-                            h, 1)
+                            h)
         ncols = x.shape[lead] if x.ndim > lead else 1
-        if entry[2] is None or entry[1].shape[0] * ncols != x.size:
+        if entry is None or entry[0].shape[1] * ncols != x.size:
             return None
         try:
             written = [address(v) for v in written]
@@ -1050,12 +911,19 @@ class FusedKernels(NumpyKernels):
     # EVP tile solves
     # ------------------------------------------------------------------
     def prepare_evp(self, engine):
+        lib = self._native()
+        if lib.evp_march is None or lib.evp_edges is None:
+            return None   # the reference's tile-major slots and march
         return _EvpPlan(engine)
 
     def evp_slots(self, engine, plan):
+        if plan is None:
+            return super().evp_slots(engine, plan)
         return plan.slots()
 
     def evp_run(self, engine, plan, y, x, nrhs):
+        if plan is None:
+            return super().evp_run(engine, plan, y, x, nrhs)
         ws = plan.bound
         if ws is None or ws.y is not y or ws.x is not x:
             ws = plan.bound = _EvpWorkingSet(engine, plan, y, x,
@@ -1087,23 +955,3 @@ class FusedKernels(NumpyKernels):
             return False
         fn(prog[1], n, address(x), address(layout.mask), pointer(out))
         return True
-
-    def evp_solve(self, engine, plan, y, out=None):
-        y = validate_evp_shapes(engine, y)
-        nrhs = y.shape[3] if y.ndim == 4 else None
-        n = nrhs or 1
-        if plan.own is None or plan.own[0].shape[1] != n:
-            y_slot, x_slot, x_size = plan.slots()
-            # Tile-major cell behind every packed right-hand-side row.
-            y_src = np.empty(y_slot.size, dtype=np.intp)
-            y_src[y_slot.ravel()] = np.arange(y_slot.size)
-            plan.own = (np.empty((y_slot.size, n)), np.zeros((x_size, n)),
-                        y_src, x_slot)
-        yb, xb, y_src, x_slot = plan.own
-        np.take(y.reshape(-1, n), y_src, axis=0, out=yb, mode="clip")
-        self.evp_run(engine, plan, yb, xb, nrhs)
-        if out is None:
-            out = np.empty_like(y)
-        np.take(xb if nrhs else xb[:, 0], x_slot, axis=0, out=out,
-                mode="clip")
-        return out

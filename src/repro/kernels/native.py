@@ -11,8 +11,9 @@ inputs -- that is what catches a compiler that contracts ``a * b + c``
 or a numpy that changes its summation order, where a version check
 would not.  Nothing here raises and nothing warns: no compiler, a
 failed build, an unwritable cache or a failed self-test leave the
-caller (:class:`~repro.kernels.fused.FusedKernels`) on its numpy/scipy
-code, and :attr:`Native.status` says which.
+caller (:class:`~repro.kernels.fused.FusedKernels`) on the numpy
+reference for that entry point's loop, and :attr:`Native.status` says
+which.
 """
 
 import ctypes
@@ -193,8 +194,8 @@ def is_symmetric(data, offsets):
 class Native:
     """What :func:`load` found: ``status`` (``<path> loaded``, ``no
     compiler``, ``build failed: ...``, ``self-test failed: <entry
-    points>``, ``not used``) and one attribute per entry point -- the
-    ``ctypes`` function, or ``None`` where it was not adopted."""
+    points>``) and one attribute per entry point -- the ``ctypes``
+    function, or ``None`` where it was not adopted."""
 
     def __init__(self, status, functions=None):
         self.status = status

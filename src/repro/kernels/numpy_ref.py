@@ -5,7 +5,8 @@ slice-multiply-accumulate passes (the global form is the local one on a
 zero-bordered copy, :meth:`KernelBackend.stencil_apply`), the EVP solve
 as the engine's reference marching sweep (`EVPTileEngine._march`) with
 per-step fancy indexing.  The fused kernels are validated against this
-one, bit for bit.
+one, bit for bit, and run it for every loop whose ``native.c`` entry
+point was not adopted.
 
 The coefficient application order (center, compass, corners -- the
 module-level tuple in :mod:`repro.operators.blocked`) is part of the
@@ -17,7 +18,8 @@ Multi-RHS batches ride a trailing ``nrhs`` axis: the slice programs are
 unchanged except that the 2-D coefficient arrays gain an explicit
 trailing broadcast axis, so every element of every column sees exactly
 the operation sequence the single-RHS path performs -- batched results
-are bit-identical per column.
+are bit-identical per column.  The EVP sweep always runs on such an
+axis: a single right-hand side is one column.
 """
 
 import numpy as np
@@ -72,20 +74,20 @@ class NumpyKernels(KernelBackend):
     # EVP tile solves
     # ------------------------------------------------------------------
     def evp_solve(self, engine, plan, y, out=None):
-        """March -> edge residuals -> ring correction -> march again."""
+        """March -> edge residuals -> ring correction -> march again, on
+        the columns of a trailing axis (one for a 3-D ``y``)."""
         y = validate_evp_shapes(engine, y)
-        b, my, mx = engine.batch, engine.my, engine.mx
-        trailing = y.shape[3:]
-        march = engine._march_multi if trailing else engine._march
-        edges = engine._edge_residuals_multi if trailing else engine._edge_residuals
-        p = np.zeros((b, my + 2, mx + 2) + trailing)
-        march(p, y)
-        f = edges(p, y)
-        ring = engine.ring_correction(f)
-        p2 = np.zeros((b, my + 2, mx + 2) + trailing)
-        p2[:, engine._ring_rows, engine._ring_cols] = ring
-        march(p2, y)
-        x = p2[:, 1:my + 1, 1:mx + 1]
+        cols = y if y.ndim == 4 else y[..., None]
+        my, mx = engine.my, engine.mx
+        p = np.zeros((engine.batch, my + 2, mx + 2, cols.shape[3]))
+        engine._march(p, cols)
+        ring = engine.ring_correction(engine._edge_residuals(p, cols))
+        p.fill(0.0)
+        p[:, engine._ring_rows, engine._ring_cols] = ring
+        engine._march(p, cols)
+        x = p[:, 1:my + 1, 1:mx + 1]
+        if y.ndim == 3:
+            x = x[..., 0]
         if out is None:
             return x.copy()
         out[...] = x

@@ -181,12 +181,6 @@ class EVPTileEngine:
     # ------------------------------------------------------------------
     # marching
     # ------------------------------------------------------------------
-    def _coeff_view(self, name, extra_axis):
-        """Coefficient array, with a broadcast axis inserted when the
-        state carries an extra leading dimension (W construction)."""
-        arr = self.coeffs[name]
-        return arr[:, None] if extra_axis else arr
-
     def _build_march_steps(self):
         """Precompute, per anti-diagonal, flat indices and pre-gathered
         coefficient values.
@@ -219,52 +213,20 @@ class EVPTileEngine:
     def _march(self, p, y):
         """Fill ``p`` northeastward from its ring values.
 
-        ``p`` has shape ``(B, my+2, mx+2)``, ``(B, k, my+2, mx+2)``
-        (during influence-matrix construction, with the coefficients
-        broadcast over the unit-vector axis) or ``(B, my+2, mx+2, nrhs)``
-        (a multi-RHS solve batch on a trailing axis); the ring must
-        already be set and everything else zero.  ``y`` matches ``p``'s
-        layout with ``(my, mx)`` in place of the padded extents.
-
-        The solve-path branches gather into a per-length scratch buffer
-        and update it in place -- one reused ``(B, L[, nrhs])`` buffer
-        per anti-diagonal length instead of a fresh allocation per step
-        -- without changing any operation's order or rounding.  The
-        multi-RHS batch uses the dedicated :meth:`_march_multi` (the
-        trailing-axis layout cannot be told apart from the influence
-        layout by shape alone on 3x3 tiles).
+        ``p`` is ``(B, my+2, mx+2, n)`` and ``y`` ``(B, my, mx, n)``:
+        ``n`` columns -- one for a single right-hand side, ``nrhs`` for a
+        batch, the ``k`` unit ring vectors while the influence matrix is
+        built.  The ``(B, L)`` coefficients broadcast over the columns,
+        so every column runs the single-RHS elementwise sequence.  The
+        ring must already be set and everything else zero.  Each step
+        gathers into a reused ``(B, L, n)`` scratch buffer per
+        anti-diagonal length and updates it in place.
         """
-        extra = p.ndim == 4
-        lead = p.shape[:-2]
-        pf = p.reshape(lead + ((self.my + 2) * (self.mx + 2),))
-        yf = y.reshape(lead + (self.my * self.mx,))
+        n = p.shape[3]
+        pf = p.reshape(self.batch, (self.my + 2) * (self.mx + 2), n)
+        yf = y.reshape(self.batch, self.my * self.mx, n)
         for y_src, inv_ne, target, terms in self._march_steps:
-            if extra:
-                rhs = np.array(yf[..., y_src])
-                for vals, p_src in terms:
-                    rhs -= vals[:, None] * pf[..., p_src]
-                pf[..., target] = rhs * inv_ne[:, None]
-            else:
-                rhs = self._rhs_scratch(y_src.shape[0])
-                np.take(yf, y_src, axis=1, out=rhs)
-                for vals, p_src in terms:
-                    np.subtract(rhs, vals * pf[:, p_src], out=rhs)
-                np.multiply(rhs, inv_ne, out=rhs)
-                pf[:, target] = rhs
-        return p
-
-    def _march_multi(self, p, y):
-        """Multi-RHS marching sweep over ``(B, my+2, mx+2, nrhs)``.
-
-        The ``(B, L)`` coefficients broadcast over the trailing axis, so
-        every column runs the exact single-RHS elementwise sequence --
-        the batched sweep is bit-identical per column.
-        """
-        nrhs = p.shape[3]
-        pf = p.reshape(p.shape[0], (self.my + 2) * (self.mx + 2), nrhs)
-        yf = y.reshape(y.shape[0], self.my * self.mx, nrhs)
-        for y_src, inv_ne, target, terms in self._march_steps:
-            rhs = self._rhs_scratch(y_src.shape[0], nrhs)
+            rhs = self._rhs_scratch(y_src.shape[0], n)
             np.take(yf, y_src, axis=1, out=rhs)
             for vals, p_src in terms:
                 np.subtract(rhs, vals[..., None] * pf[:, p_src], out=rhs)
@@ -272,87 +234,46 @@ class EVPTileEngine:
             pf[:, target] = rhs
         return p
 
-    def _rhs_scratch(self, length, nrhs=None):
-        """The reused ``(B, length[, nrhs])`` right-hand-side buffer."""
-        if self._march_scratch[0] != nrhs:
+    def _rhs_scratch(self, length, n):
+        """The reused ``(B, length, n)`` right-hand-side buffer."""
+        if self._march_scratch[0] != n:
             # Widths only shrink within a solve: keep the current one.
-            self._march_scratch = (nrhs, {})
+            self._march_scratch = (n, {})
         pool = self._march_scratch[1]
         buf = pool.get(length)
         if buf is None:
-            shape = (self.batch, length)
-            if nrhs is not None:
-                shape += (nrhs,)
-            buf = pool[length] = np.empty(shape)
+            buf = pool[length] = np.empty((self.batch, length, n))
         return buf
 
     def _edge_residuals(self, p, y):
-        """Residuals of the unmarched (north/east edge) equations.
+        """Residuals of the unmarched (north/east edge) equations of the
+        states ``p`` (see :meth:`_march`): ``(B, k, n)``.
 
         Order: north edge west-to-east (``mx`` values), then east edge
-        south-to-north excluding the NE corner (``my - 1`` values).
+        south-to-north excluding the NE corner (``my - 1`` values); per
+        equation ``-y`` plus each term's product, NE last, the
+        coefficients broadcast over the columns.
         """
         my, mx = self.my, self.mx
-        extra = p.ndim == 4
-        lead = p.shape[:-2]
-        f = np.empty(lead + (self.k,), dtype=p.dtype)
-        views = [(self._coeff_view(name, extra), dj, di)
-                 for name, dj, di in self.terms]
-        ne = self._coeff_view("ne", extra)
+        f = np.empty((self.batch, self.k, p.shape[3]))
+        terms = list(self.terms) + [("ne", 1, 1)]
 
         # north edge: centers (my-1, tx) for tx in [0, mx)
         ty = my - 1
-        acc = -np.array(y[..., ty, :])
-        for coeff, dj, di in views:
-            acc = acc + coeff[..., ty, :] * p[..., ty + 1 + dj, 1 + di:1 + di + mx]
-        # include the NE term (coefficient may be nonzero for tx < mx-1)
-        acc = acc + ne[..., ty, :] * p[..., ty + 2, 2:2 + mx]
-        f[..., :mx] = acc
+        acc = -y[:, ty]
+        for name, dj, di in terms:
+            acc = acc + (self.coeffs[name][:, ty, :, None]
+                         * p[:, ty + 1 + dj, 1 + di:1 + di + mx])
+        f[:, :mx] = acc
 
         if my > 1:
             # east edge: centers (ty, mx-1) for ty in [0, my-1)
             tx = mx - 1
-            acc = -np.array(y[..., :my - 1, tx])
-            for coeff, dj, di in views:
-                acc = acc + (coeff[..., :my - 1, tx]
-                             * p[..., 1 + dj:1 + dj + my - 1, tx + 1 + di])
-            acc = acc + ne[..., :my - 1, tx] * p[..., 2:2 + my - 1, tx + 2]
-            f[..., mx:] = acc
-        return f
-
-    def _edge_residuals_multi(self, p, y):
-        """Edge residuals for a multi-RHS batch ``(B, my+2, mx+2, nrhs)``.
-
-        Same accumulation order as :meth:`_edge_residuals` with the 2-D
-        coefficients broadcast over the trailing RHS axis, so each
-        column's residuals are bit-identical to its single-RHS pass.
-        Returns ``(B, k, nrhs)``.
-        """
-        my, mx = self.my, self.mx
-        nrhs = p.shape[3]
-        f = np.empty((p.shape[0], self.k, nrhs), dtype=p.dtype)
-        views = [(self._coeff_view(name, False), dj, di)
-                 for name, dj, di in self.terms]
-        ne = self._coeff_view("ne", False)
-
-        # north edge: centers (my-1, tx) for tx in [0, mx)
-        ty = my - 1
-        acc = -np.array(y[:, ty, :, :])
-        for coeff, dj, di in views:
-            acc = acc + (coeff[:, ty, :, None]
-                         * p[:, ty + 1 + dj, 1 + di:1 + di + mx, :])
-        acc = acc + ne[:, ty, :, None] * p[:, ty + 2, 2:2 + mx, :]
-        f[:, :mx, :] = acc
-
-        if my > 1:
-            # east edge: centers (ty, mx-1) for ty in [0, my-1)
-            tx = mx - 1
-            acc = -np.array(y[:, :my - 1, tx, :])
-            for coeff, dj, di in views:
-                acc = acc + (coeff[:, :my - 1, tx, None]
-                             * p[:, 1 + dj:1 + dj + my - 1, tx + 1 + di, :])
-            acc = acc + ne[:, :my - 1, tx, None] * p[:, 2:2 + my - 1, tx + 2, :]
-            f[:, mx:, :] = acc
+            acc = -y[:, :my - 1, tx]
+            for name, dj, di in terms:
+                acc = acc + (self.coeffs[name][:, :my - 1, tx, None]
+                             * p[:, 1 + dj:my + dj, tx + 1 + di])
+            f[:, mx:] = acc
         return f
 
     # ------------------------------------------------------------------
@@ -361,9 +282,10 @@ class EVPTileEngine:
     def _build_influence(self):
         """March the ``k`` unit ring vectors and factor the response.
 
-        The state carries an extra axis of size ``k`` (one marching
-        system per unit ring vector); coefficients broadcast across it,
-        so the memory cost is one ``(B, k, my+2, mx+2)`` array.
+        The unit vectors are ``k`` columns of one march (see
+        :meth:`_march`), so the memory cost is one ``(B, my+2, mx+2, k)``
+        state, and their edge residuals are ``W``: row ``i`` an edge
+        equation, column ``j`` its response to unit ring vector ``j``.
 
         The correction operator is obtained by LU-solving ``W X = I``
         (``np.linalg.solve`` runs one batched getrf/getrs -- a Doolittle
@@ -375,14 +297,13 @@ class EVPTileEngine:
         pseudo-inverse as before.
         """
         b, k, my, mx = self.batch, self.k, self.my, self.mx
-        p = np.zeros((b, k, my + 2, mx + 2))
-        unit = np.arange(k)
-        p[:, unit, self._ring_rows[unit], self._ring_cols[unit]] = 1.0
-        y = np.zeros((b, k, my, mx))
+        p = np.zeros((b, my + 2, mx + 2, k))
+        p[:, self._ring_rows, self._ring_cols, np.arange(k)] = 1.0
+        y = np.zeros((b, my, mx, k))
         self._march(p, y)
-        f = self._edge_residuals(p, y)  # (B, k_unit, k_edge)
-        # Column j of W is the edge response to unit ring vector j.
-        self._w = np.swapaxes(f, 1, 2).copy()
+        self._w = self._edge_residuals(p, y)
+        # Solves march at their own widths: keep no k-wide scratch.
+        self._march_scratch = (None, {})
         # (k, k) would be read as a stack of vectors under numpy's
         # solve broadcasting; expand to an explicit (B, k, k) identity.
         identity = np.broadcast_to(np.eye(k), (b, k, k))
@@ -429,17 +350,12 @@ class EVPTileEngine:
         return out
 
     def ring_correction(self, f):
-        """The ring update ``-W^-1 F`` from the edge residuals ``F``.
-
-        ``f`` is ``(B, k)`` or, for a multi-RHS batch, ``(B, k, nrhs)``;
-        returns a fresh array of the same layout: :meth:`ring_rows`,
-        negated (exactly).
-        """
-        cols = np.ascontiguousarray(f[None] if f.ndim == 2
-                                    else np.moveaxis(f, 2, 0))
+        """The ring update ``-W^-1 F`` from the ``(B, k, n)`` edge
+        residuals ``F`` of :meth:`_edge_residuals`: a fresh array of the
+        same layout, :meth:`ring_rows` negated (exactly)."""
+        cols = np.ascontiguousarray(np.moveaxis(f, 2, 0))
         ring = -self.ring_rows(cols, np.empty(cols.shape[:2] + (1, self.k)))
-        return ring[0, :, 0] if f.ndim == 2 else np.moveaxis(ring[:, :, 0],
-                                                             0, 2)
+        return np.moveaxis(ring[:, :, 0], 0, 2)
 
     def solve(self, y, out=None):
         """Solve ``B_i x_i = y_i`` for every tile in the batch.

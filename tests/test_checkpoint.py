@@ -29,7 +29,7 @@ from repro.core.checkpoint import (
 from repro.core.errors import ConvergenceError
 from repro.grid import pop_1deg
 from repro.grid import test_config as make_test_config
-from repro.kernels import FusedKernels, resolve_kernels
+from repro.kernels import resolve_kernels
 from repro.kernels.native import load as load_native
 from repro.operators import apply_stencil
 from repro.parallel import (
@@ -68,22 +68,45 @@ def _rhs(config, seed=1):
                          rng.standard_normal(config.shape) * config.mask)
 
 
-def _context(config, decomp, engine, kernels_name, precond="diagonal"):
+class CallsSerialContext(SerialContext):
+    """A serial context that overrides ``precond``, a primitive every
+    span replaces: the span gate (``_spans_own``) then keeps the
+    primitive calls -- one iteration a call, on the same kernels."""
+
+    def precond(self, r, out=None, phase="preconditioning"):
+        return super().precond(r, out, phase)
+
+
+class CallsDistributedContext(DistributedContext):
+    """:class:`CallsSerialContext` on the distributed context."""
+
+    def precond(self, r, out=None, phase="preconditioning"):
+        return super().precond(r, out, phase)
+
+
+#: Whether a context runs spans -> its (serial, distributed) classes.
+CONTEXTS = {"native": (SerialContext, DistributedContext),
+            "calls": (CallsSerialContext, CallsDistributedContext)}
+
+
+def _context(config, decomp, engine, kernels_name, precond="diagonal",
+             spans="native"):
     kernels = resolve_kernels(kernels_name)
+    serial, distributed = CONTEXTS[spans]
     if engine == "serial":
         if precond == "evp":
             pre = evp_for_config(config, kernels=kernels)
         else:
             pre = make_preconditioner(precond, config.stencil,
                                       kernels=kernels)
-        return SerialContext(config.stencil, pre, kernels=kernels)
+        return serial(config.stencil, pre, kernels=kernels)
     vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
     if precond == "evp":
         pre = evp_for_config(config, decomp=decomp, kernels=kernels)
     else:
         pre = make_preconditioner(precond, config.stencil, decomp=decomp,
                                   kernels=kernels)
-    return DistributedContext(config.stencil, pre, vm, kernels=kernels)
+    return distributed(config.stencil, pre, vm, kernels=kernels)
 
 
 def _assert_results_identical(a, b):
@@ -371,11 +394,11 @@ class TestPCSISpans:
     """The guarded loop hands P-CSI + diagonal on a serial context the
     iterations up to the next check, due checkpoint or budget end as
     one span -- a ``native.c`` wavefront where it was adopted -- and
-    that changes no bit against one iteration a call
-    (``FusedKernels(native=False)``, the per-iteration calls); every
-    other case keeps spans of one."""
+    that changes no bit against one iteration a call (the same kernels
+    through :class:`CallsSerialContext`, the per-iteration calls);
+    every other case keeps spans of one."""
 
-    PRODUCTS = {"native": FusedKernels(), "calls": FusedKernels(native=False)}
+    PRODUCTS = CONTEXTS
 
     @staticmethod
     def _fused():
@@ -383,7 +406,7 @@ class TestPCSISpans:
 
     def _solve(self, config, kernels, b, tmp_path=None, x0=None,
                resume_from=None, **kwargs):
-        ctx = _context(config, None, "serial", self.PRODUCTS[kernels])
+        ctx = _context(config, None, "serial", "fused", spans=kernels)
         kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
         solver = make_solver("pcsi", ctx, raise_on_failure=False, **kwargs)
         spans = _spans(solver)
@@ -520,12 +543,12 @@ class TestChronGearSpans:
     the iterations up to the next check, due checkpoint or budget end as
     one span -- one ``native.c`` pass per iteration where it was
     adopted, the coefficients formed in between -- and that changes no
-    bit against one iteration a call (``FusedKernels(native=False)``):
-    iterates, iteration counts, residual histories, events, per-column
-    iterations and diagnoses, on the three ``pop_1deg`` grids at every
-    width."""
+    bit against one iteration a call (the same kernels through
+    :class:`CallsSerialContext`): iterates, iteration counts, residual
+    histories, events, per-column iterations and diagnoses, on the
+    three ``pop_1deg`` grids at every width."""
 
-    PRODUCTS = {"native": FusedKernels(), "calls": FusedKernels(native=False)}
+    PRODUCTS = CONTEXTS
 
     @staticmethod
     def _fused():
@@ -533,7 +556,7 @@ class TestChronGearSpans:
 
     def _solve(self, config, kernels, b, tmp_path=None, x0=None,
                resume_from=None, poison=None, **kwargs):
-        ctx = _context(config, None, "serial", self.PRODUCTS[kernels])
+        ctx = _context(config, None, "serial", "fused", spans=kernels)
         kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
         solver = make_solver("chrongear", ctx, raise_on_failure=False,
                              **kwargs)
@@ -676,12 +699,11 @@ def _lattice(name):
 
 
 @functools.lru_cache(maxsize=None)
-def _evp(grid, lattice, kernels):
-    """One EVP preconditioner per grid, lattice and kernels: the
-    influence matrices are the expensive part of a solve here."""
+def _evp(grid, lattice):
+    """One EVP preconditioner per grid and lattice: the influence
+    matrices are the expensive part of a solve here."""
     decomp = None if lattice is None else _lattice(lattice)
-    return evp_for_config(_pop(grid), decomp=decomp,
-                          kernels=TestEVPSpans.PRODUCTS[kernels])
+    return evp_for_config(_pop(grid), decomp=decomp)
 
 
 class TestEVPSpans:
@@ -689,14 +711,14 @@ class TestEVPSpans:
     runs each iteration of a span as one ``native.c`` call where
     ``evp_step`` was adopted, and the guarded loop hands it the
     iterations up to the next check, due checkpoint or budget end; that
-    changes no bit against one iteration a call
-    (``FusedKernels(native=False)``), nor, on the stacks, against the
-    per-rank oracle: iterates, iteration counts, residual histories,
-    events, per-column iterations and diagnoses, on the three
-    ``pop_1deg`` grids and on uniform, ragged and land-eliminated
-    lattices at every width."""
+    changes no bit against one iteration a call (the same kernels
+    through :class:`CallsSerialContext` / :class:`CallsDistributedContext`),
+    nor, on the stacks, against the per-rank oracle: iterates,
+    iteration counts, residual histories, events, per-column iterations
+    and diagnoses, on the three ``pop_1deg`` grids and on uniform,
+    ragged and land-eliminated lattices at every width."""
 
-    PRODUCTS = {"native": FusedKernels(), "calls": FusedKernels(native=False)}
+    PRODUCTS = CONTEXTS
 
     @staticmethod
     def _fused():
@@ -706,16 +728,14 @@ class TestEVPSpans:
                engine="batched", tmp_path=None, resume_from=None,
                poison=None, **kwargs):
         config = _pop(grid)
-        pre = _evp(grid, lattice, "native" if engine == "perrank"
-                   else kernels)
+        pre = _evp(grid, lattice)
+        serial, distributed = self.PRODUCTS[kernels]
         if lattice is None:
-            ctx = SerialContext(config.stencil, pre,
-                                kernels=self.PRODUCTS[kernels])
+            ctx = serial(config.stencil, pre)
         else:
             vm = VirtualMachine(_lattice(lattice), mask=config.mask,
                                 engine=engine)
-            ctx = DistributedContext(config.stencil, pre, vm,
-                                     kernels=self.PRODUCTS[kernels])
+            ctx = distributed(config.stencil, pre, vm)
         kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
         solver = make_solver("pcsi", ctx, raise_on_failure=False, **kwargs)
         spans = _spans(solver)

@@ -6,10 +6,11 @@ everywhere (same IEEE operation sequence, different dispatch).  The
 parity matrix below holds ``fused`` to the reference across stencil
 matvecs, EVP preconditioner applies, and full distributed solves under
 both execution engines and both mask regimes -- twice: with the
-compiled loops of ``native.c`` and with ``native=False``, the numpy /
-scipy code that runs where the library cannot be built.  (Without a
-compiler the two are the same code and everything still runs; only the
-tests of the library itself skip, with the loader's reason.)
+compiled loops of ``native.c`` and as the product runs where the
+library was not built, every loop declining to the reference it
+overrides.  (Without a compiler the two are the same code and
+everything still runs; only the tests of the library itself skip, with
+the loader's reason.)
 """
 
 import functools
@@ -27,6 +28,7 @@ from repro.core.errors import KernelError
 from repro.grid import pop_1deg
 from repro.grid import test_config as make_test_config
 from repro.kernels import FusedKernels, NumpyKernels, resolve_kernels
+from repro.kernels.native import Native
 from repro.kernels.native import load as load_native
 from repro.operators import BlockedOperator, apply_stencil
 from repro.operators.stencil_op import apply_stencil_local
@@ -50,13 +52,23 @@ from repro.solvers import (
     SerialContext,
     make_solver,
 )
+from tests.test_checkpoint import CallsDistributedContext, CallsSerialContext
 from tests.test_engine_conformance import _config_with_land_blocks
+
+
+class _Unbuilt(FusedKernels):
+    """The product on a machine where ``native.c`` was not built: every
+    loop declines to the reference method it overrides."""
+
+    def _native(self):
+        return Native("no compiler")
+
 
 #: The oracle, the product with the library, the product without it;
 #: each must match the reference bit for bit.
 KERNELS = {"numpy": resolve_kernels("numpy"),
            "fused": resolve_kernels("fused"),
-           "fused-unbuilt": FusedKernels(native=False)}
+           "fused-unbuilt": _Unbuilt()}
 BACKENDS = list(KERNELS)
 PRODUCTS = BACKENDS[1:]
 
@@ -285,8 +297,8 @@ class _Stack:
 class _RecordingKernels(FusedKernels):
     """``FusedKernels`` that notes whether each update chain ran."""
 
-    def __init__(self, native):
-        super().__init__(native=native)
+    def __init__(self):
+        super().__init__()
         self.ran = []
 
     def update_chain(self, steps):
@@ -330,9 +342,6 @@ class TestRegistry:
             "fused+native (bit-identical)" if load_native().loaded
             else "fused (bit-identical)")
         assert fused.native_status() == load_native().status
-        unbuilt = FusedKernels(native=False)
-        assert unbuilt.describe() == "fused (bit-identical)"
-        assert unbuilt.native_status() == "not used"
 
     def test_cli_rejects_unknown_backend(self):
         """There is no ``--kernels`` flag: any value is a usage error."""
@@ -454,7 +463,7 @@ class TestBatchStencilParity:
         layout, h, nrhs = case["layout"], case["h"], case["nrhs"]
         tail = () if nrhs is None else (nrhs,)
         backends = {"numpy": NumpyKernels(), "fused": FusedKernels(),
-                    "fused-unbuilt": FusedKernels(native=False)}
+                    "fused-unbuilt": _Unbuilt()}
         if layout == "global":
             coeffs, mask = config.stencil, config.mask
             shape = inner = config.shape
@@ -503,7 +512,7 @@ class TestBatchStencilParity:
             if layout == "global" and spot[1] in (0, config.nx - 1):
                 # The global form stores a coupling that would wrap into
                 # the next grid row as 0.0 and multiplies a real cell
-                # with it (scipy's sweep and the native one alike):
+                # with it (the native sweep; not the reference):
                 # ``0.0 * nan`` reaches the opposite edge column, which
                 # the reference (zero border) leaves finite.  Nowhere
                 # else.
@@ -518,7 +527,7 @@ class TestBatchStencilParity:
         directly), a strided window and the planar layout (trailing
         ``(nx, nrhs)`` axes not adjacent in memory) all take the
         result, global and stacked, with and without the library."""
-        for backend in (FusedKernels(), FusedKernels(native=False)):
+        for backend in (FusedKernels(), _Unbuilt()):
             self._check_out_layouts(uniform_config, uniform_decomp, backend)
 
     @staticmethod
@@ -561,13 +570,14 @@ class TestBatchStencilParity:
             apply(np.moveaxis(planar, 0, -1))
             assert np.array_equal(np.moveaxis(planar, 0, -1), ref)
 
+    @needs_native("dia_sweep")
     def test_scratch_keeps_one_width(self, uniform_config, uniform_decomp):
-        """What the backend keeps per coefficient set is its sweeps:
+        """What the backend keeps per coefficient set is its sweep:
         columns retiring one by one (8, 7, ..., 1) with a single-RHS
-        apply in between leave the single-RHS sweep -- all ``dia_sweep``
-        needs at any width -- and, on scipy, one batch width; the
-        backend keeps only the last few sets."""
-        from repro.kernels.fused import _MAX_FOLDED_SETS
+        apply in between leave the single-RHS planes -- all
+        ``dia_sweep`` needs at any width; the backend keeps only the
+        last few sets."""
+        from repro.kernels.fused import _MAX_SWEEPS
 
         stencil = uniform_config.stencil
         x = np.stack([_rhs(uniform_config, seed=j) for j in range(8)],
@@ -575,25 +585,20 @@ class TestBatchStencilParity:
         vm = VirtualMachine(uniform_decomp, mask=uniform_config.mask)
         src = vm.scatter(x)
         vm.exchange(src)
-        for backend in (FusedKernels(), FusedKernels(native=False)):
-            for nrhs in range(8, 0, -1):
-                apply_stencil(stencil, np.ascontiguousarray(x[..., :nrhs]),
-                              kernels=backend)
-                apply_stencil(stencil, np.ascontiguousarray(x[..., 0]),
-                              kernels=backend)
-            (held,) = backend._sweeps.values()
-            assert held["coeffs"] is stencil and held["single"][0] == 1
-            if backend._native().dia_sweep is not None:
-                assert len(held) == 2
-            else:
-                # A width-1 batch is the single-RHS sweep: same layout.
-                assert len(held) == 3 and held["batch"][0] == 2
-                assert held["batch"][1].shape == (2 * x[..., 0].size,) * 2
+        backend = FusedKernels()
+        for nrhs in range(8, 0, -1):
+            apply_stencil(stencil, np.ascontiguousarray(x[..., :nrhs]),
+                          kernels=backend)
+            apply_stencil(stencil, np.ascontiguousarray(x[..., 0]),
+                          kernels=backend)
+        (held,) = backend._sweeps.values()
+        assert held[0] is stencil
+        assert held[1].shape == (9, x[..., 0].size)
 
-            for _ in range(_MAX_FOLDED_SETS + 2):
-                BlockedOperator(stencil, uniform_decomp,
-                                kernels=backend).apply(src, vm.zeros(nrhs=8))
-            assert len(backend._sweeps) == _MAX_FOLDED_SETS
+        for _ in range(_MAX_SWEEPS + 2):
+            BlockedOperator(stencil, uniform_decomp,
+                            kernels=backend).apply(src, vm.zeros(nrhs=8))
+        assert len(backend._sweeps) == _MAX_SWEEPS
 
     @staticmethod
     def _contraction_probe(backend):
@@ -617,13 +622,20 @@ class TestBatchStencilParity:
         return got[1, 1], np.array_equal(ref, got)
 
     def test_sweep_is_not_contracted(self):
-        """The one thing bit-parity rests on: scipy's DIA kernel rounds
-        the product before it adds."""
-        value, equal = self._contraction_probe(FusedKernels(native=False))
-        assert value == 0.0 and equal, (
+        """What the ``dia_sweep`` self-test's reference rests on:
+        scipy's DIA kernel rounds the product before it adds (row 0 is
+        ``1 * (1 + 2**-26) + -(1 + 2**-27) * (1 + 2**-27)``)."""
+        from scipy.sparse import dia_array
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        sweep = dia_array((np.array([[1.0, 1.0], [0.0, -small]]), [0, 1]),
+                          shape=(2, 2))
+        value = (sweep @ np.array([big, small]))[0]
+        assert value == 0.0, (
             "this scipy build contracts a*b+c into a fused multiply-add "
             f"(DIA sweep gave {value!r}, multiply-then-add gives 0.0): "
-            "the fused backend is no longer bit-identical to the reference")
+            "native.c's sweep self-test no longer checks the reference's "
+            "roundings")
 
     @needs_native("dia_sweep")
     def test_native_sweep_is_not_contracted(self):
@@ -672,11 +684,11 @@ class TestChebyshevSpan:
     """``SolverContext.chebyshev_span`` on a serial context with a
     diagonal preconditioner -- one ``native.c`` wavefront where the
     library was adopted -- against the same iterations as one
-    ``precond`` / ``updates`` / ``residual`` call each on the scipy /
-    numpy floor: ``r``, ``dx``, ``x`` and the ledger equal, NaN and Inf
-    at the edges included (the sweep's wrapping zero couplings turn
-    them into NaN on the opposite edge, and a span must do so at the
-    same iterations)."""
+    ``precond`` / ``updates`` / ``residual`` call each, on the same
+    kernels through :class:`CallsSerialContext`: ``r``, ``dx``, ``x``
+    and the ledger equal, NaN and Inf at the edges included (the
+    sweep's wrapping zero couplings turn them into NaN on the opposite
+    edge, and a span must do so at the same iterations)."""
 
     @given(case=_span_cases())
     @settings(max_examples=100, deadline=None, derandomize=True,
@@ -694,12 +706,14 @@ class TestChebyshevSpan:
         weights = [(float(w), float(c)) for w, c in
                    rng.uniform(0.5, 2.0, (case["steps"], 2)) * (1.0, -0.5)]
         results = []
-        for kernels in (FusedKernels(), FusedKernels(native=False)):
+        kernels = FusedKernels()
+        for context in (SerialContext, CallsSerialContext):
             pre = make_preconditioner("diagonal", stencil, kernels=kernels)
-            ctx = SerialContext(stencil, pre, kernels=kernels)
+            ctx = context(stencil, pre, kernels=kernels)
             got = {name: v.copy() for name, v in vectors.items()}
             fused = ctx.spans("chebyshev", b, got["r"], got["dx"], got["x"])
-            assert fused == (kernels._native().chebyshev_span is not None)
+            assert fused == (context is SerialContext and
+                             kernels._native().chebyshev_span is not None)
             got["r"] = ctx.chebyshev_span(b, got["r"], got["dx"], got["x"],
                                           weights)
             results.append((got, ctx.ledger.snapshot()))
@@ -746,10 +760,11 @@ class TestChronGearSpan:
     """``SolverContext.chrongear_span`` on a serial context with a
     diagonal preconditioner -- one ``native.c`` pass per iteration where
     the library was adopted -- against the same iterations as one
-    ``precond`` / ``matvec`` / ``dot_pair`` / ``updates`` call each on
-    the scipy / numpy floor: ``x``, ``r``, ``s``, ``p``, every
-    iteration's ``rho`` and ``delta`` and the ledger equal, NaN and Inf
-    at the edges and an iteration that updates nothing included."""
+    ``precond`` / ``matvec`` / ``dot_pair`` / ``updates`` call each, on
+    the same kernels through :class:`CallsSerialContext`: ``x``, ``r``,
+    ``s``, ``p``, every iteration's ``rho`` and ``delta`` and the ledger
+    equal, NaN and Inf at the edges and an iteration that updates
+    nothing included."""
 
     @given(case=_span_cases(("r", "x", "s", "p")),
            idle=st.integers(-1, 9))
@@ -781,13 +796,15 @@ class TestChronGearSpan:
             return step
 
         results = []
-        for kernels in (FusedKernels(), FusedKernels(native=False)):
+        kernels = FusedKernels()
+        for context in (SerialContext, CallsSerialContext):
             pre = make_preconditioner("diagonal", stencil, kernels=kernels)
-            ctx = SerialContext(stencil, pre, kernels=kernels)
+            ctx = context(stencil, pre, kernels=kernels)
             got = {name: v.copy() for name, v in vectors.items()}
             args = [got[name] for name in "xrsp"]
             assert ctx.spans("chrongear", *args) == (
-                kernels._native().chrongear_span is not None)
+                context is SerialContext
+                and kernels._native().chrongear_span is not None)
             seen = []
             ctx.chrongear_span(*args, case["steps"], coefficients(seen))
             results.append((got, seen, ctx.ledger.snapshot()))
@@ -854,8 +871,10 @@ class TestEVPSpan:
     """``SolverContext.chebyshev_span`` with the block EVP preconditioner
     -- one ``native.c`` call per iteration where ``evp_step`` was adopted
     -- against the same iterations as one ``precond`` / ``updates`` /
-    ``residual`` call each on the scipy / numpy floor: ``r``, ``dx``,
-    ``x`` and the ledger equal, on drawn grids and on drawn uniform,
+    ``residual`` call each, on the same kernels through
+    :class:`CallsSerialContext` / :class:`CallsDistributedContext`:
+    ``r``, ``dx``, ``x`` and the ledger equal, on drawn grids and on
+    drawn uniform,
     ragged and land-eliminated stacks (whole stacks, halo and pad cells
     included, and ``r``'s interior rows; there the numpy oracle too),
     NaN and Inf planted at the
@@ -863,7 +882,9 @@ class TestEVPSpan:
     edge reaches the opposite edge through the global sweep's wrapping
     zero couplings, which the oracle does not have.)"""
 
-    KERNELS = (FusedKernels(), FusedKernels(native=False))
+    #: The span's context and the calls' context, serial and stacked.
+    CONTEXTS = ((SerialContext, DistributedContext),
+                (CallsSerialContext, CallsDistributedContext))
 
     @staticmethod
     def _weights(seed, steps):
@@ -896,11 +917,12 @@ class TestEVPSpan:
             vectors[name][j, i] = value
         weights = self._weights(extra["seed"], extra["steps"])
         results = []
-        for kernels in self.KERNELS:
+        kernels = FusedKernels()
+        for context, _ in self.CONTEXTS:
             pre = evp_for_config(config, tile_size=extra["tile_size"],
                                  simplified=extra["simplified"],
                                  kernels=kernels)
-            ctx = SerialContext(config.stencil, pre, kernels=kernels)
+            ctx = context(config.stencil, pre, kernels=kernels)
             got = {name: v.copy() for name, v in vectors.items()}
             ran = ctx.spans("chebyshev", b, got["r"], got["dx"], got["x"])
             got["r"] = ctx.chebyshev_span(b, got["r"], got["dx"], got["x"],
@@ -919,13 +941,16 @@ class TestEVPSpan:
         values = dict(zip(names, stack.stacks(4)))
         weights = self._weights(extra["seed"], extra["steps"])
         results = []
-        for kernels in self.KERNELS + (NumpyKernels(),):
+        fused = FusedKernels()
+        for kernels, (_, context) in ((fused, self.CONTEXTS[0]),
+                                      (fused, self.CONTEXTS[1]),
+                                      (NumpyKernels(), self.CONTEXTS[0])):
             pre = evp_for_config(stack.config, decomp=stack.decomp,
                                  tile_size=extra["tile_size"],
                                  simplified=extra["simplified"],
                                  kernels=kernels)
-            ctx = DistributedContext(stack.config.stencil, pre,
-                                     stack.machine(kernels), kernels=kernels)
+            ctx = context(stack.config.stencil, pre,
+                          stack.machine(kernels), kernels=kernels)
             b, r, dx, x = stack.fields([values[name]
                                         for name in ("b", "r", "dx", "x")])
             ran = ctx.spans("chebyshev", b, r, dx, x)
@@ -977,9 +1002,8 @@ class TestEVPSpan:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
 class TestStackedKernels:
-    """The batched engine's four loops on drawn stacks, three ways: the
-    numpy oracle, the product with the library, the product without
-    it.  Uniform / ragged / land-eliminated lattices x widths ``None``
+    """The batched engine's four loops on drawn stacks against the numpy
+    oracle.  Uniform / ragged / land-eliminated lattices x widths ``None``
     / 1 / 2 / 3 / 8 / 11 x a NaN or Inf in an interior, halo or pad
     cell; stacks are compared whole (``equal_nan``), halo and pad
     cells included."""
@@ -989,8 +1013,7 @@ class TestStackedKernels:
 
     @staticmethod
     def _products():
-        return {"fused": _RecordingKernels(native=True),
-                "fused-unbuilt": _RecordingKernels(native=False)}
+        return {"fused": _RecordingKernels()}
 
     @given(case=_stack_cases())
     @settings(**DRAWN)
@@ -1078,9 +1101,8 @@ class TestStackedKernels:
     @settings(**DRAWN)
     def test_drawn_multivector_sweep(self, case):
         """The planes-once sweep, written into the interior of another
-        stack, against the folded scipy sweep and the reference loop:
-        interiors equal, not one halo or pad cell of the output
-        written."""
+        stack, against the reference loop: interiors equal, not one halo
+        or pad cell of the output written."""
         stack = _Stack(case)
         h = case["h"]
         bny, bnx = stack.decomp.max_block_shape()
@@ -1088,8 +1110,7 @@ class TestStackedKernels:
                                  stack.decomp)._get_stacked_coeffs()
         (x,) = stack.stacks(1)
         outs = []
-        for kernels in (NumpyKernels(), FusedKernels(),
-                        FusedKernels(native=False)):
+        for kernels in (NumpyKernels(), FusedKernels()):
             out = np.full(x.shape, 7.0)
             got = kernels.stencil_apply_stacked(coeffs, x, h, bny, bnx,
                                                 out[stack.inner])
@@ -1126,20 +1147,20 @@ class TestStackedKernels:
     @settings(**DRAWN)
     def test_drawn_halo_copy(self, case, width):
         """The stacked exchange's halo copy -- ``native.c`` where it was
-        adopted, numpy's fancy indexing on the floor -- byte for byte
+        adopted, numpy's fancy indexing otherwise -- byte for byte
         the padded global assembly with the pad zeroed, as
         ``exchange_stacked`` promises."""
         stack = _Stack(dict(case, nrhs=width))
         vm = stack.machine(NumpyKernels())
         (values,) = stack.stacks(1)
-        want, native, floor = stack.fields([values] * 3)
+        want, native, indexed = stack.fields([values] * 3)
         vm.exchanger.exchange_via_global(want)
         want.stack[stack.kind == "pad"] = 0.0
         ran = FusedKernels().halo_copy(native.stack,
                                        vm.exchanger.halo_tables())
         assert ran == (load_native().evp_step is not None)
-        vm.exchanger.exchange_stacked(floor)
-        for got in (native, floor) if ran else (floor,):
+        vm.exchanger.exchange_stacked(indexed)
+        for got in (native, indexed) if ran else (indexed,):
             assert got.stack.tobytes() == want.stack.tobytes()
 
     @given(case=_stack_cases())
@@ -1526,8 +1547,8 @@ class TestEVPParity:
     def test_drawn_boundary(self, case):
         """Gather -> tile solves -> masked scatter on every layout the
         preconditioner hands the kernels, NaN / Inf in the first and last
-        rows of a tile: the library's apply equals the numpy / scipy
-        floor's and the reference's, bit for bit; the pad cells of a
+        rows of a tile: the library's apply equals the reference's, bit
+        for bit; the pad cells of a
         ragged stack come back 0.0 and the halo of an output stack is
         not touched."""
         config = _config_with_land_blocks(
@@ -1538,10 +1559,9 @@ class TestEVPParity:
         options = dict(decomp=decomp, tile_size=case["tile_size"],
                        simplified=case["simplified"])
         ref = evp_for_config(config, kernels="numpy", **options)
-        floor, fused = (
-            evp_for_config(config, kernels=KERNELS[name],
-                           influence_state=ref.influence_state(), **options)
-            for name in ("fused-unbuilt", "fused"))
+        fused = evp_for_config(config, kernels="fused",
+                               influence_state=ref.influence_state(),
+                               **options)
         nrhs, layout = case["nrhs"], case["layout"]
         tail = () if nrhs is None else (nrhs,)
         col = () if nrhs is None else (case["column"] % nrhs,)
@@ -1570,15 +1590,14 @@ class TestEVPParity:
             return pre.apply_stack(v, out=out)
 
         with np.errstate(all="ignore"):
-            expect = [apply(pre, given_r.copy()) for pre in (ref, floor)]
+            want = apply(ref, given_r.copy())
             if layout == "global":
                 got = apply(fused, r)
             else:
                 out = r if layout == "inplace" else target.interior_stack()
                 got = apply(fused, r, out=out)
                 assert got is out
-        for want in expect:
-            assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want, equal_nan=True)
         lib = load_native()
         if lib.evp_gather is not None and lib.evp_scatter is not None:
             # The library moved the cells (no take maps were built).
@@ -1604,42 +1623,44 @@ class TestEVPParity:
         """Widths 8, 3, 1 in turn leave one working set: one pair of
         buffers, one marching program and one ring scratch per shape
         group, and one coefficient block per engine -- the same object
-        at every width, no row of it wider than the engine's tiles.  The
-        mask is repeated for no width where the scatter masks."""
+        at every width, no row of it wider than the engine's tiles --
+        where the library marches; one scratch width where the
+        reference does.  The mask is repeated for no width where the
+        scatter masks."""
         r = np.random.default_rng(0).standard_normal(
             uniform_config.shape + (8,))
-        for product in PRODUCTS:
-            kernels = KERNELS[product]
+        for backend in BACKENDS:
+            kernels = KERNELS[backend]
             pre = evp_for_config(uniform_config, decomp=uniform_decomp,
                                  tile_size=5, kernels=kernels)
             blocks = None
             for nrhs in (8, 3, 1):
                 pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
                 if blocks is None:
-                    blocks = {engine: engine._plan.block
+                    blocks = {engine: getattr(engine._plan, "block", None)
                               for engine in pre._engines.values()}
                 for engine, block in blocks.items():
+                    if block is None:
+                        assert engine._plan is None
+                        continue
                     assert engine._plan.block is block
                     assert block.shape[1] == engine.batch
                     assert engine._plan.inv_ne.shape[1] == engine.batch
             y, x, views = pre._work
             assert y.shape[1] == x.shape[1] == 1
-            scatters = kernels._native().evp_scatter is not None
+            scatters = isinstance(kernels, FusedKernels) \
+                and kernels._native().evp_scatter is not None
             assert len(pre._folded) == (0 if scatters else 1)
             for engine, (y_rows, x_rows) in views.items():
+                if engine._plan is None:
+                    width, pool = engine._march_scratch
+                    assert width == 1
+                    assert all(buf.shape[2] == 1 for buf in pool.values())
+                    continue
                 bound = engine._plan.bound
                 assert bound.y is y_rows and bound.x is x_rows
                 assert bound.f.shape == (1, engine.batch, engine.k)
                 assert bound.ring.shape == (1, engine.batch, 1, engine.k)
-                assert engine._plan.own is None
-        numpy_pre = evp_for_config(uniform_config, decomp=uniform_decomp,
-                                   tile_size=5, kernels="numpy")
-        for nrhs in (8, 3, 1):
-            numpy_pre.apply_global(np.ascontiguousarray(r[..., :nrhs]))
-        for engine in numpy_pre._engines.values():
-            width, pool = engine._march_scratch
-            assert width == 1
-            assert all(buf.shape[2] == 1 for buf in pool.values())
 
     def test_influence_matrices_backend_independent(self, uniform_config,
                                                     uniform_decomp):

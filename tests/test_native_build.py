@@ -1,4 +1,4 @@
-"""``native.c`` is an accelerator with a floor under it: failure to
+"""``native.c`` is an accelerator over the numpy reference: failure to
 build, load or verify it is quiet, visible, and changes no result.
 
 Every scenario runs ``resolve_kernels(None)`` in a fresh interpreter (the
@@ -8,12 +8,11 @@ sides on the batched engine's stacks: the sweep in its single- and
 multi-vector forms, the update chain with scalar and per-column
 coefficients, the dot of one vector and of stack windows, the EVP
 march, edge residuals, gather and masked scatter -- must equal the
-numpy oracle's bit for bit, a width-8 EVP apply on the strided
-interior of a stack the numpy / scipy floor's, 2-column serial
-P-CSI and ChronGear + diagonal solves (their spans) and P-CSI + EVP
-solves, serial and on the stacks (one call an iteration), the
-per-iteration path's; none may
-emit a warning or anything on stderr, and
+numpy oracle's bit for bit, and so must a width-8 EVP apply on the
+strided interior of a stack, 2-column serial P-CSI and ChronGear +
+diagonal solves (their spans) and P-CSI + EVP solves, serial and on
+the stacks (one call an iteration); none may emit a warning or
+anything on stderr, and
 ``describe()`` / ``native_status()`` must name what happened.
 """
 
@@ -42,7 +41,7 @@ import warnings
 import numpy as np
 {prelude}
 from repro.grid import test_config
-from repro.kernels import FusedKernels, resolve_kernels
+from repro.kernels import resolve_kernels
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
 from repro.precond.diagonal import DiagonalPreconditioner
@@ -99,11 +98,11 @@ with warnings.catch_warnings(record=True) as caught:
     kernels = resolve_kernels(None)
     pairs = [(solve("numpy", stacked), solve(None, stacked))
              for stacked in (False, True)]
-    pairs += [(diagonal(name, FusedKernels(native=False)),
-               diagonal(name, None)) for name in ("pcsi", "chrongear")]
-    pairs += [(evp_pcsi(FusedKernels(native=False), stacked),
-               evp_pcsi(None, stacked)) for stacked in (False, True)]
-    applies = [stacked_apply(k) for k in (FusedKernels(native=False), None)]
+    pairs += [(diagonal(name, "numpy"), diagonal(name, None))
+              for name in ("pcsi", "chrongear")]
+    pairs += [(evp_pcsi("numpy", stacked), evp_pcsi(None, stacked))
+              for stacked in (False, True)]
+    applies = [stacked_apply(k) for k in ("numpy", None)]
 assert not caught, [str(w.message) for w in caught]
 assert np.array_equal(*applies)
 for ref, got in pairs:
@@ -206,12 +205,13 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
 def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     """Each of the entry points the stacks share with the serial
     vectors, the serial P-CSI and ChronGear spans, each EVP entry point
-    and the P-CSI + EVP step failing alone: its loops go back to scipy
-    / numpy (P-CSI and ChronGear to one iteration a call, the EVP
-    boundary to takes and the mask multiply, the P-CSI + EVP iteration
-    and the stacked halo copy to today's calls and fancy indexing), the
-    others stay adopted, every solve and the stacked width-8 apply keep
-    their bits."""
+    and the P-CSI + EVP step failing alone: each loop goes to the
+    reference (P-CSI and ChronGear to one iteration a call, the EVP
+    march and edges to the engine's own sweep, the EVP boundary to takes
+    and the mask multiply, the P-CSI + EVP iteration and the stacked
+    halo copy to the primitive calls and fancy indexing), the others
+    stay adopted, every solve and the stacked width-8 apply keep their
+    bits."""
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)

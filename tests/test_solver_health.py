@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.errors import BreakdownError, ConvergenceError, SolverError
 from repro.grid import test_config as make_test_config
-from repro.kernels import FusedKernels
 from repro.kernels.native import load as load_native
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
@@ -39,6 +38,7 @@ from repro.solvers import (
     SerialContext,
     SolverDiagnosis,
 )
+from tests.test_checkpoint import CallsSerialContext
 
 ALL_SOLVERS = [ChronGearSolver, PCSISolver, PCGSolver, PipeCGSolver]
 CONTEXTS = ("serial", "perrank", "batched")
@@ -319,10 +319,10 @@ class TestBreakdownConversion:
 
         monkeypatch.setattr(chrongear, "_coefficients", exploding)
 
-    def _diagnosed(self, config, monkeypatch, kernels):
+    def _diagnosed(self, config, monkeypatch, context):
         self._explode_at_3(monkeypatch)
-        pre = make_preconditioner("diagonal", config.stencil, kernels=kernels)
-        ctx = SerialContext(config.stencil, pre, kernels=kernels)
+        pre = make_preconditioner("diagonal", config.stencil)
+        ctx = context(config.stencil, pre)
         solver = ChronGearSolver(ctx, tol=1e-13)
         spans, spanned = [], solver._iterate_span
         solver._iterate_span = lambda state, first, n: (
@@ -338,10 +338,10 @@ class TestBreakdownConversion:
         """A breakdown at iteration 3 of a span stops the count at 3:
         the head of 3 charged, its recurrences not -- the result of
         one iteration a call, bit for bit."""
-        result, spans = self._diagnosed(config, monkeypatch, FusedKernels())
+        result, spans = self._diagnosed(config, monkeypatch, SerialContext)
         monkeypatch.undo()
         ref, ref_spans = self._diagnosed(config, monkeypatch,
-                                         FusedKernels(native=False))
+                                         CallsSerialContext)
         if load_native().chrongear_span is not None:
             assert spans == [10]
         assert ref_spans == [1, 1, 1]
