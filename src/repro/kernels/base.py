@@ -259,8 +259,10 @@ class KernelBackend:
         ``m`` is ``M``'s part
         (:meth:`~repro.precond.base.Preconditioner.span_operands`):
         ``("diagonal", inv_diag)``, ``r' = r * inv_diag``, or ``("evp",
-        layout, (y, x))``, the gather, marches, ring matmul and masked
-        scatter of the block EVP apply in ``layout`` on those buffers.
+        layout, (y, x), dots)``, the gather, marches, ring matmul and
+        masked scatter of the block EVP apply in ``layout`` on those
+        buffers (``dots``: the weights and block windows of a span's
+        dots).
 
         * ``"chebyshev"``, ``vectors = (b, r, dx, x)``:
           ``run.run(weights)`` runs one P-CSI iteration per ``(omega,
@@ -274,7 +276,9 @@ class KernelBackend:
           ``r'`` and ``z``; with ``head`` it then forms ``r' = M^-1 r``,
           ``z = A r'`` and returns ``(rho, delta) = (<r, r'>, <z,
           r'>)``, per column for a batch, the dots weighed by ``M``'s
-          operands where the caller vouches they are the ocean mask.
+          operands where the caller vouches they are the ocean mask (on
+          a stack: per block, then summed in block order, the virtual
+          machine's reduction).
           ``run.flush()`` makes ``x`` whole after the last call (a runner
           may keep an ``x`` update for the call that follows).
         """

@@ -131,11 +131,15 @@ apart) on the single-RHS sweep's ``data`` / ``offsets``.
 ``_ChronGearSpan``: each serial ChronGear + diagonal iteration as one
 ``chrongear_span`` pass -- iteration ``k``'s recurrences with ``k +
 1``'s multiply, sweep row and both dots, pairwise leaves summed as their
-cells become final.  ``_EvpSpan``: a P-CSI + block-EVP iteration, serial
-or stacked, as one ``evp_step`` call on each side of the ring matmul --
+cells become final.  ``_EvpSpan``, serial or stacked, one ``evp_step``
+call on each side of the ring matmul: a P-CSI + block-EVP iteration --
 corrected march, masked scatter into the ``dx`` / ``x`` chain, halo copy
 of ``x`` (alone: :meth:`FusedKernels.halo_copy`, the stacked
-exchange's), ``b - A x``, then the next gather, march and edges.
+exchange's), ``b - A x``, then the next gather, march and edges -- or a
+ChronGear + block-EVP one -- the recurrences with the next gather,
+march and edges, then the corrected march, the masked scatter into a
+kept ``r'``, its halo copy, ``z = A r'`` and both dots block by
+block.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -154,8 +158,10 @@ from repro.core.fields import NEIGHBOR_OFFSETS
 from repro.kernels.native import (
     CHAIN,
     CHAIN_FORMAT,
+    EVP_CHAIN,
     EVP_HALO,
     EVP_HEAD,
+    EVP_HELD,
     EVP_TAIL,
     HALO_FORMAT,
     HEAD,
@@ -569,16 +575,31 @@ class _EvpSpan:
     its program -- the halo copy's tables, every shape group's march and
     edge operands, the boundary programs, the sweep and its rows, the
     vectors' first cells -- packed once, each group's edge residuals
-    ``f`` and ring product kept.  ``run(weights)`` is a span of P-CSI
-    iterations, one ``(w, c)`` each, as ``len(weights) + 1`` calls: a
-    head, the tails fused with the next heads, a last tail; after every
-    head each group's ring product is formed by
+    ``f`` and ring product kept.  After every head each group's ring
+    product is formed by
     :meth:`~repro.precond.evp.EVPTileEngine.ring_rows`, the per-slice
-    BLAS matmul of the one-by-one path, for the next tail to read."""
+    BLAS matmul of the one-by-one path, for the next tail to read.
+
+    The span kind only picks the modes and what is kept: ``M``'s
+    operands bring the dots' weights and windows for a span that
+    replaces ``dot_pair`` (ChronGear's), ``None`` for P-CSI's.
+
+    * P-CSI (vectors ``b, r, dx, x``): ``run(weights)`` is a span of
+      iterations, one ``(w, c)`` each, as ``len(weights) + 1`` calls: a
+      head, the tails fused with the next heads, a last tail.
+    * ChronGear (vectors ``x, r, s, p``; ``r'`` and ``z`` kept): each
+      ``__call__(step, head)`` is the recurrences of ``step`` (``(alpha,
+      beta)``, floats or ``(nrhs,)`` arrays, or ``None``) with the next
+      head in one call, then -- with ``head`` -- that head's tail in a
+      second, returning its ``(rho, delta)`` as
+      :class:`_ChronGearSpan` does; every other chain a head follows
+      keeps its ``x`` update for the next call to apply with its own:
+      :meth:`flush` before ``x`` is read."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
-        (sweep, _, call), (x_at, r_at, dx_at) = operands
-        (layout, work), (b, _, _, x) = m, vectors
+        (sweep, _, call), at = operands
+        layout, work, dots = m
+        x = vectors[-1] if dots is None else vectors[0]
         if halo is None:
             halo = (_NO_CELLS,) * 3
         lead = 2 if h == 0 else 3
@@ -595,8 +616,7 @@ class _EvpSpan:
             return
         y, state = work
         groups = (EvpGroup * len(layout.groups))()
-        self.weights = np.empty(2)
-        self._rings, keep = [], [hits, work, halo, vectors, sweep, call]
+        self._rings, keep = [], [hits, work, halo, vectors, sweep, call, dots]
         for group, (engine, _, y_rows, x_rows) in zip(groups, layout.groups):
             plan = engine._plan
             plan.tables(engine)
@@ -623,39 +643,85 @@ class _EvpSpan:
         dst, src, zero = halo
         first = (h * width + h) * n * 8
         cells, ndiag, data, stride, offsets = call.args
+        if dots is None:
+            (x_at, r_at, dx_at), b = at, vectors[0]
+            # the sweep reads x; b, r, dx, x from their first cells
+            stack = x_at
+            own = (b.ctypes.data + first, r_at + first, dx_at + first,
+                   x_at + first)
+            self.weights = np.empty(2)
+            extension = ()
+        else:
+            # r' is swept, so its halo copy must find the cells a fresh
+            # zero stack has where no table writes.
+            self.rp, self.z = np.zeros_like(x), np.empty_like(x)
+            self.coef, self.dots = np.empty(3 * n), np.empty(2 * n)
+            self.width = None if x.ndim == lead else n
+            self.held, self.weights = False, None
+            weights, extents = dots
+            x_at, r_at, s_at, p_at = at
+            stack, own = address(self.rp), (0, r_at + first, 0, x_at + first)
+            extension = (
+                s_at + first, p_at + first, address(self.rp) + first,
+                address(self.z) + first, address(self.coef),
+                address(self.dots), weights.ctypes.data,
+                0 if extents is None else extents.ctypes.data)
         self.program = EvpProgram(
             n, len(dst), len(zero), dst.ctypes.data, src.ctypes.data,
-            zero.ctypes.data, x_at, len(groups), ctypes.addressof(groups),
+            zero.ctypes.data, stack, len(groups), ctypes.addressof(groups),
             hits[0][1], hits[1][1], layout.mask.ctypes.data, address(y),
             address(state), cells, ndiag, stride, data, offsets,
-            rows.ctypes.data, b.ctypes.data + first, r_at + first,
-            dx_at + first, x_at + first, self.weights.ctypes.data)
+            rows.ctypes.data, *own,
+            0 if self.weights is None else self.weights.ctypes.data,
+            *extension)
         # Everything the program addresses stays alive with it.
         self._keep = (keep, groups, rows, layout)
         self._call = functools.partial(fn, ctypes.addressof(self.program))
 
     def run(self, weights):
         last = len(weights) - 1
-        self._step(None, True)
+        self._step(EVP_HEAD)
         for t, step in enumerate(weights):
-            self._step(step, t < last)
-
-    def _step(self, step, head):
-        mode = EVP_HEAD if head else 0
-        if step is not None:
             self.weights[0], self.weights[1] = step
-            mode |= EVP_TAIL
+            self._step(EVP_TAIL | (EVP_HEAD if t < last else 0))
+
+    def __call__(self, step, head):
+        mode = (EVP_HEAD if head else 0) | (EVP_HELD if self.held else 0)
+        if step is not None:
+            n = self.width or 1
+            self.coef[:n], self.coef[n:2 * n] = step
+            mode |= EVP_CHAIN
+        self._step(mode)
+        # evp_step keeps a chain's x update when a head follows and none
+        # was kept: x is read and written every other iteration.
+        self.held = bool(mode & EVP_CHAIN) and head and not self.held
+        if not head:
+            return None
+        self._call(EVP_TAIL)
+        if self.width is None:
+            return self.dots.tolist()
+        return self.dots[:self.width].copy(), self.dots[self.width:].copy()
+
+    def flush(self):
+        """Apply a kept ``x`` update: ``x`` is whole after this."""
+        if self.held:
+            self._call(EVP_HELD)
+            self.held = False
+
+    def _step(self, mode):
         self._call(mode)
-        if head:
+        if mode & EVP_HEAD:
             for engine, f, ring in self._rings:
                 engine.ring_rows(f, ring)
 
 
-#: ``(span kind, M's kind)`` -> ``(native.c entry point, runner)``.
+#: ``(span kind, M's kind)`` -> ``(native.c entry point, runner)``; one
+#: runner serves both EVP kinds.
 _SPAN_RUNNERS = {
     ("chebyshev", "diagonal"): ("chebyshev_span", _ChebyshevSpan),
     ("chebyshev", "evp"): ("evp_step", _EvpSpan),
     ("chrongear", "diagonal"): ("chrongear_span", _ChronGearSpan),
+    ("chrongear", "evp"): ("evp_step", _EvpSpan),
 }
 
 #: Span kind -> its loop's vectors split into ``(written, read)``.

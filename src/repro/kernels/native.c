@@ -1292,38 +1292,59 @@ void chrongear_span(chrongear_program *g, int64_t mode)
 }
 
 /* ------------------------------------------------------------------
- * 9. P-CSI with the block EVP preconditioner, one call per iteration,
- *    and the halo copy of a block stack.
+ * 9. P-CSI or ChronGear with the block EVP preconditioner, in calls
+ *    split at the ring matmul, and the halo copy of a block stack.
  *
- * An iteration is r' = M^-1 r (gather, march from a zero ring, edge
+ * An iteration's r' = M^-1 r is gather, march from a zero ring, edge
  * residuals f, the ring correction -- a BLAS matmul per slice, run by
- * the caller -- march from the corrected ring, masked scatter), then
- * dx = (c * dx) + (w * r'), x = x + (1.0 * dx), the halo copy of x
- * (stacks), r = b - A x.  A call runs the TAIL of one iteration (mode
- * EVP_TAIL: from the corrected march on) and then the HEAD of the next
- * (EVP_HEAD: up to f), so a span of n iterations is n + 1 calls with the
- * ring matmul between them.  The phases run in this order over the
- * whole layout, each through the code of its own entry point:
- *     TAIL  every group's evp_march from -ring; the scatter of section 7
- *           with each cell's state * mask consumed at once by section
- *           2's combine (dx) and axpy (x) -- cells no tile covers take
- *           r' = 0.0, the value the scatter writes there; the halo copy
- *           of x; every row of the geometry swept into r (sweep_row)
- *           and subtracted from b, numpy's b - Ax
+ * the caller --, march from the corrected ring, masked scatter.  The
+ * HEAD of an iteration (mode EVP_HEAD) runs up to f, its TAIL (EVP_TAIL)
+ * from the corrected march on, so the matmul falls between two calls.
+ * The phases run in this order over the whole layout, each through the
+ * code of its own entry point, so every value is the one the entry
+ * points called one by one give:
+ *     CHAIN ChronGear's recurrences of the iteration whose alpha and
+ *           beta are in the coefficient slots (EVP_CHAIN), after the x
+ *           update a previous call kept (EVP_HELD): section 2's steps
+ *               s = (beta * s) + r';  p = (beta * p) + z;
+ *               x = x + (alpha * s);  r = r + ((-alpha) * p)
+ *           over the rows of the geometry, each column with its own
+ *           coefficients.  A chain a head follows keeps its x update
+ *           for the next call unless it applies a kept one itself, and
+ *           the next call applies it with its own (x = (x + held * s) +
+ *           alpha * s', the same two roundings in the same order): one
+ *           pass over x for two iterations.
+ *     TAIL  every group's evp_march from -ring; then for P-CSI the
+ *           scatter of section 7 with each cell's state * mask consumed
+ *           at once by section 2's combine (dx) and axpy (x) -- cells no
+ *           tile covers take r' = 0.0, the value the scatter writes
+ *           there --, the halo copy of x and every row of the geometry
+ *           swept into r (sweep_row) and subtracted from b, numpy's
+ *           b - Ax; for ChronGear evp_scatter into r', the halo copy of
+ *           r', and block by block its rows swept into z followed by
+ *           the block's <r, r'> and <z, r'> (pairwise_dot over its
+ *           window, the weights w, as window_dots forms them), the
+ *           blocks' sums added to 0.0 in block order, the virtual
+ *           machine's reduction (a grid is one block: masked_dot's
+ *           bits).
  *     HEAD  evp_gather of r into the packed rows; every group's
- *           evp_march from a zero ring and evp_edges into f
- * so every value is the one the entry points called one by one give.
- * The residual reads x only after all of x is updated and copied, so
- * no row lags another.
+ *           evp_march from a zero ring and evp_edges into f.
+ * A P-CSI span of n iterations is n + 1 calls: a head, n - 1 tails
+ * with the next heads, a tail.  A ChronGear iteration is a chain (or
+ * none) with the next head, then that head's tail; its coefficients
+ * are formed from the tail's dots between the calls.  The residual
+ * and z read their source only after all of it is final, so no row
+ * lags another.
  *
  * The halo copy (EVP_HALO alone: only the first seven words of the
  * program are read) sets stack cell dst[i] to cell src[i] and cell
  * zero[i] to 0.0, `ncols` doubles a cell -- numpy's flat[dst] =
  * flat[src]; flat[zero] = 0.0, the source cells never among the others.
- * On a grid there is nothing to copy (ndst = nzero = 0) and `stack` is x.
- * `b`, `r`, `dx` and `x` point at the first cell of the layout the
- * boundary programs and the geometry address (a stack's first interior
- * cell); the sweep reads x through `stack`, by cell index.
+ * On a grid there is nothing to copy (ndst = nzero = 0).  `stack` is
+ * the stack the sweep reads by cell index -- x for P-CSI, r' for
+ * ChronGear -- and the vectors point at the first cell of the layout
+ * the boundary programs and the geometry address (a stack's first
+ * interior cell).  A program with z NULL is P-CSI's.
  * ------------------------------------------------------------------ */
 typedef struct {
     const int64_t *march;              /* evp_march's program */
@@ -1353,11 +1374,20 @@ typedef struct {
     const double *b;
     double *r, *dx, *x;
     const double *weights;             /* w, c of the TAIL's iteration */
+    /* ChronGear: the vectors, alpha, beta and held alpha (ncols each),
+     * rho and delta (ncols each), the dots' weights (one per cell of
+     * the layout) and every block's window (NULL: whole blocks) */
+    double *s, *p, *rp, *z;
+    double *coef, *dots;
+    const double *w;
+    const int64_t *extents;
 } evp_program;
 
 #define EVP_TAIL 1
 #define EVP_HEAD 2
 #define EVP_HALO 4
+#define EVP_CHAIN 8
+#define EVP_HELD 16
 
 /* One tile cell of every column: r' = state * mask, then the chain. */
 #define CHAIN_CELLS(W)                                                     \
@@ -1462,20 +1492,100 @@ static void residual_rows(const evp_program *p)
         }
 }
 
+/* ChronGear's recurrences as one section 2 chain over the rows of the
+ * geometry (rows that follow each other are one run); a chain a head
+ * follows keeps its x update when none is kept yet. */
+static void recurrences(const evp_program *g, int64_t mode)
+{
+    const int hold = (mode & EVP_CHAIN) && (mode & EVP_HEAD)
+                     && !(mode & EVP_HELD);
+    const int64_t *rows = g->rows, n = g->ncols, run = rows[3] * n;
+    const int64_t merged = rows[8] == run;
+    const update_program geometry = {
+        rows[1], merged ? 1 : rows[2], merged ? rows[2] * run : run,
+        rows[7], rows[8], n, 0};
+    const double *alpha = g->coef, *beta = g->coef + n;
+    double *held = g->coef + 2 * n, minus[n];
+    for (int64_t c = 0; c < n; c++)
+        minus[c] = -alpha[c];
+    /* one coefficient per column for a batch, the double for one */
+    const int tiled = n > 1;
+    update_step steps[5];
+    int64_t k = 0;
+    if (mode & EVP_HELD)
+        steps[k++] = (update_step){0, held[0], 0.0, tiled ? held : NULL,
+                                   NULL, g->s, g->x};
+    if (mode & EVP_CHAIN) {
+        steps[k++] = (update_step){1, 0.0, beta[0], NULL,
+                                   tiled ? beta : NULL, g->rp, g->s};
+        steps[k++] = (update_step){1, 0.0, beta[0], NULL,
+                                   tiled ? beta : NULL, g->z, g->p};
+        if (!hold)
+            steps[k++] = (update_step){0, alpha[0], 0.0,
+                                       tiled ? alpha : NULL, NULL, g->s,
+                                       g->x};
+        steps[k++] = (update_step){0, minus[0], 0.0, tiled ? minus : NULL,
+                                   NULL, g->p, g->r};
+    }
+    chain_group(&geometry, k, steps);
+    for (int64_t c = 0; hold && c < n; c++)
+        held[c] = alpha[c];
+}
+
+/* z = A r' and the two dots, block by block. */
+static void sweep_dots(const evp_program *g)
+{
+    const int64_t *rows = g->rows;
+    const int64_t ncols = rows[0], blocks = rows[1], nrows = rows[2],
+                  cells = rows[3], first = rows[4], block_stride = rows[5],
+                  row_stride = rows[6], y_block = rows[7], y_row = rows[8];
+    const dia_matrix a = dia_of(g->n, g->ndiag, g->data, g->stride,
+                                g->offsets);
+    /* one block's window, pairwise_dot's geometry */
+    const int64_t window[6] = {1, nrows, cells, ncols, y_block, y_row};
+    double *rho = g->dots, *delta = g->dots + ncols, part[2 * ncols];
+    for (int64_t c = 0; c < 2 * ncols; c++)
+        g->dots[c] = 0.0;
+    for (int64_t bk = 0; bk < blocks; bk++) {
+        const int64_t at = bk * y_block;
+        for (int64_t q = 0; q < nrows; q++) {
+            const int64_t start = first + bk * block_stride + q * row_stride;
+            sweep_row(&a, start, start + cells, ncols, g->stack,
+                      g->z + at + q * y_row);
+        }
+        const double *w = g->w + bk * nrows * cells;
+        const int64_t *extents = g->extents ? g->extents + 2 * bk : NULL;
+        pairwise_dot(window, g->r + at, g->rp + at, w, extents, part);
+        pairwise_dot(window, g->z + at, g->rp + at, w, extents,
+                     part + ncols);
+        for (int64_t c = 0; c < ncols; c++) {
+            rho[c] = rho[c] + part[c];
+            delta[c] = delta[c] + part[ncols + c];
+        }
+    }
+}
+
 void evp_step(const evp_program *p, int64_t mode)
 {
     const int64_t ncols = p->ncols;
+    if (mode & (EVP_CHAIN | EVP_HELD))
+        recurrences(p, mode);
     if (mode & EVP_TAIL) {
         for (int64_t g = 0; g < p->ngroups; g++) {
             const evp_group *e = p->groups + g;
             evp_march(e->march, ncols, e->coef, e->inv_ne, e->rhs, e->state,
                       e->ring);
         }
-        scatter_chain(p);
+        if (p->z)
+            evp_scatter(p->scatter, ncols, p->state, p->mask, p->rp);
+        else
+            scatter_chain(p);
     }
     if (mode & (EVP_TAIL | EVP_HALO))
         halo_copy(p);
-    if (mode & EVP_TAIL)
+    if ((mode & EVP_TAIL) && p->z)
+        sweep_dots(p);
+    else if (mode & EVP_TAIL)
         residual_rows(p);
     if (mode & EVP_HEAD) {
         evp_gather(p->gather, ncols, p->r, p->rhs);

@@ -59,9 +59,11 @@ SPAN_ROWS, MAX_DEPTH = 5, 64
 #: recurrences, the next iteration's head, keep the chain's ``x`` update
 #: for the next call, apply the kept one first.
 CHAIN, HEAD, HOLD, HELD = 1, 2, 4, 8
-#: Mode bits of an ``evp_step`` call: the tail of one P-CSI + EVP
-#: iteration, the head of the next, the halo copy alone.
-EVP_TAIL, EVP_HEAD, EVP_HALO = 1, 2, 4
+#: Mode bits of an ``evp_step`` call: the tail of one EVP iteration
+#: (P-CSI's or ChronGear's, by the program), the head of the next, the
+#: halo copy alone, ChronGear's four recurrences (their ``x`` update kept
+#: when a head follows and none is kept yet), the kept ``x`` update first.
+EVP_TAIL, EVP_HEAD, EVP_HALO, EVP_CHAIN, EVP_HELD = 1, 2, 4, 8, 16
 #: ``struct`` format of the halo copy's program: ``ncols``, the table
 #: lengths, then the ``dst`` / ``src`` / ``zero`` tables and the stack.
 HALO_FORMAT = "3q4P"
@@ -78,8 +80,11 @@ class EvpGroup(ctypes.Structure):
 
 class EvpProgram(ctypes.Structure):
     """``native.c``'s ``evp_program`` (section 9): the halo copy, the
-    preconditioner's groups and boundary programs, the residual's sweep
-    and row geometry, the four vectors and the weights slot."""
+    preconditioner's groups and boundary programs, the sweep and its row
+    geometry, P-CSI's four vectors and weights slot, then ChronGear's
+    extension -- ``s``, ``p``, the kept ``r'`` and ``z``, the
+    coefficient and dot slots, the dots' weights and block windows --
+    left NULL by a P-CSI program."""
 
     _fields_ = ([("ncols", _I), ("ndst", _I), ("nzero", _I)]
                 + [(name, ctypes.c_void_p)
@@ -90,7 +95,8 @@ class EvpProgram(ctypes.Structure):
                 + [("n", _I), ("ndiag", _I), ("stride", _I)]
                 + [(name, ctypes.c_void_p) for name in (
                     "data", "offsets", "rows", "b", "r", "dx", "x",
-                    "weights")])
+                    "weights", "s", "p", "rp", "z", "coef", "dots", "w",
+                    "extents")])
 
 
 def address(array):
@@ -641,13 +647,13 @@ def _test_chrongear_span(fn, rng):
     return True
 
 
-def _step_layout(rng, width, stacked):
+def _step_layout(rng, width, stacked, names, poisoned):
     """A layout for ``_test_evp_step``: a ragged ``(3, 9, 11)`` stack
     with halo 2 -- interior windows 5x7, 4x7 and 5x6; half the cells
     outside them copied from drawn owned cells, the rest zeroed, as
     beside an eliminated block and on the pad -- or a ``(9, 11)`` grid;
     tiles of two shapes, the cells between them uncovered; drawn
-    vectors with NaN / +-Inf in edge cells of ``r``, ``x`` and ``dx``
+    vectors ``names`` with NaN / +-Inf in edge cells of ``poisoned``
     (column 0)."""
     h = 2 if stacked else 0
     p, ny, nx = (3, 5, 7) if stacked else (1, 9, 11)
@@ -656,22 +662,23 @@ def _step_layout(rng, width, stacked):
              else [(0, 0, 0), (0, 4, 6)],
              (2, 3): [(0, 3, 0), (2, 0, 3), (2, 3, 0)] if stacked
              else [(0, 0, 5), (0, 7, 0), (0, 7, 8)]}
-    vectors = {name: rng.standard_normal(shape + (width,))
-               for name in ("b", "r", "dx", "x")}
-    for name in ("r", "dx", "x"):
+    vectors = {name: rng.standard_normal(shape + (width,)) for name in names}
+    for name in poisoned:
         for value, i in zip((np.nan, np.inf, -np.inf), (0, nx - 1, 0)):
             vectors[name][rng.integers(p), h + rng.integers(ny), h + i, 0] \
                 = value
     halo = [np.zeros(0, dtype=np.int64)] * 3
+    windows = None
     if stacked:
+        windows = np.array([(5, 7), (4, 7), (5, 6)], dtype=np.int64)
         owned = np.zeros(shape, dtype=bool)
-        for blk, (by, bx) in enumerate([(5, 7), (4, 7), (5, 6)]):
+        for blk, (by, bx) in enumerate(windows):
             owned[blk, h:h + by, h:h + bx] = True
         cells = np.arange(owned.size, dtype=np.int64).reshape(shape)
         others = rng.permutation(cells[~owned])
         half = others.size // 2
         halo = [others[:half], rng.choice(cells[owned], half), others[half:]]
-    return h, shape, tiles, vectors, halo
+    return h, shape, tiles, vectors, halo, windows
 
 
 def _step_group(rng, origins, tile, width):
@@ -740,127 +747,264 @@ def _edges_reference(group, rhs, state):
 
 
 def _test_evp_step(fn, rng):
-    """A head, a tail with a head and a tail -- a span of two P-CSI +
-    EVP iterations -- on a ragged stack with halo 2 at widths 1 / 2 / 3
-    / 8 / 11 and on a grid at width 1, tiles of two shapes, NaN / +-Inf
-    in edge cells, against the pieces in numpy one by one: the gather,
-    the march, the edges, the masked scatter, ``combine``, ``axpy``, the
-    halo copy, scipy's sweep and ``b - Ax``; the ring matmul between the
-    calls is shared.  Vectors are compared whole, halo and pad cells
-    included."""
+    """On a ragged stack with halo 2 at widths 1 / 2 / 3 / 8 / 11 and on
+    a grid, tiles of two shapes, NaN / +-Inf in edge cells, against the
+    pieces in numpy one by one (the ring matmul between the calls is
+    shared; vectors are compared whole, halo and pad cells included):
+
+    * a span of two P-CSI iterations -- a head, a tail with a head and
+      a tail -- against the gather, the march, the edges, the masked
+      scatter, ``combine``, ``axpy``, the halo copy, scipy's sweep and
+      ``b - Ax``;
+    * spans of 1 to 4 ChronGear iterations -- each a chain (the first
+      none, one that updates nothing among them) with the next head,
+      then its tail -- with drawn coefficients, ``x`` updates kept and
+      applied as ``_EvpSpan`` keeps them (every other chain a head
+      follows), against the same boundary pieces, the halo copy and
+      sweep of ``r'``, ``np.sum`` of every block window's products per
+      column added in block order, and the chain's four steps."""
     with np.errstate(invalid="ignore", over="ignore"):
         return all(_evp_step_case(fn, rng, width, stacked)
                    for width, stacked in ((1, True), (2, True), (3, True),
-                                          (8, True), (11, True), (1, False)))
+                                          (8, True), (11, True), (1, False))
+                   ) and all(
+            _chrongear_step_case(fn, rng, width, stacked, steps)
+            for width, stacked, steps in (
+                (1, True, 1), (2, True, 3), (3, True, 2), (8, True, 4),
+                (11, True, 2), (1, False, 4), (3, False, 2)))
 
 
-def _evp_step_case(fn, rng, width, stacked):
-    """One case of ``_test_evp_step``: ``True`` when every call matched."""
-    h, shape, tiles, vectors, halo = _step_layout(rng, width, stacked)
-    p, height, row = shape
-    ny, nx = height - 2 * h, row - 2 * h
-    cell = np.array([height * row, row, 1]) * width    # in elements
-    first = (h * row + h) * width                      # the first cell
-    inner = (slice(None), slice(h, h + ny), slice(h, h + nx))
-    mask = (rng.random((p, ny, nx)) < 0.8).astype(float)
-    groups = [_step_group(rng, origins, tile, width)
-              for tile, origins in tiles.items()]
-    gather, scatter = [len(groups)], [len(groups), 0, width]
-    covered = np.zeros((p, ny, nx), dtype=bool)
-    gather_tables, scatter_tables, y_rows, x_rows = [], [], 0, 0
-    for g in groups:
-        offsets = g["cells"] @ cell[1:]
-        gather += [g["b"], g["rows"]]
-        gather_tables += [g["origins"] @ cell, offsets]
-        scatter += [g["b"], g["rows"], x_rows]
-        scatter_tables += [g["origins"] @ cell, offsets,
-                           g["origins"] @ np.array([ny * nx, nx, 1]),
-                           g["cells"] @ np.array([nx, 1]), g["slots"]]
-        g["y"], g["x"] = y_rows, x_rows
-        y_rows += g["rows"] * g["b"]
-        x_rows += g["size"] * g["b"]
-        for blk, oj, oi in g["origins"]:
-            covered[blk, oj + g["cells"][:, 0], oi + g["cells"][:, 1]] = True
-    runs = [(c @ cell, 1) for c in np.argwhere(~covered)]
-    scatter[1] = len(runs)
-    gather = np.concatenate([gather] + gather_tables).astype(np.int64)
-    scatter = np.concatenate([scatter] + scatter_tables
-                             + [np.ravel(runs)]).astype(np.int64)
-    y = np.empty((y_rows, width))
-    state = rng.standard_normal((x_rows, width))
-    n = p * height * row
-    offsets = np.array([0, row, -row, 1, -1, row + 1, row - 1, 1 - row,
-                        -1 - row], dtype=np.int64)
-    data = rng.standard_normal((9, n))
-    geometry = np.array([width, p, ny, nx, h * row + h, height * row, row,
-                         cell[0], cell[1]], dtype=np.int64)
-    weights = np.empty(2)
-    ref = {name: v.copy() for name, v in vectors.items()}
-    got = {name: v.copy() for name, v in vectors.items()}
-    ref_y, ref_state = y.copy(), state.copy()
+class _StepCase:
+    """The operands of one ``_test_evp_step`` case: the layout, its
+    shape groups and boundary programs, the sweep, drawn vectors
+    ``names`` (``ref`` and ``got`` copies) and the pieces in numpy."""
 
+    def __init__(self, rng, width, stacked, names, poisoned):
+        h, shape, tiles, vectors, self.halo, self.windows = _step_layout(
+            rng, width, stacked, names, poisoned)
+        p, height, row = shape
+        ny, nx = height - 2 * h, row - 2 * h
+        self.width = width
+        cell = np.array([height * row, row, 1]) * width    # in elements
+        self.first = (h * row + h) * width                 # the first cell
+        self.inner = (slice(None), slice(h, h + ny), slice(h, h + nx))
+        self.mask = (rng.random((p, ny, nx)) < 0.8).astype(float)
+        self.groups = groups = [_step_group(rng, origins, tile, width)
+                                for tile, origins in tiles.items()]
+        gather, scatter = [len(groups)], [len(groups), 0, width]
+        covered = np.zeros((p, ny, nx), dtype=bool)
+        gather_tables, scatter_tables, y_rows, x_rows = [], [], 0, 0
+        for g in groups:
+            offsets = g["cells"] @ cell[1:]
+            gather += [g["b"], g["rows"]]
+            gather_tables += [g["origins"] @ cell, offsets]
+            scatter += [g["b"], g["rows"], x_rows]
+            scatter_tables += [g["origins"] @ cell, offsets,
+                               g["origins"] @ np.array([ny * nx, nx, 1]),
+                               g["cells"] @ np.array([nx, 1]), g["slots"]]
+            g["y"], g["x"] = y_rows, x_rows
+            y_rows += g["rows"] * g["b"]
+            x_rows += g["size"] * g["b"]
+            for blk, oj, oi in g["origins"]:
+                covered[blk, oj + g["cells"][:, 0],
+                        oi + g["cells"][:, 1]] = True
+        runs = [(c @ cell, 1) for c in np.argwhere(~covered)]
+        scatter[1] = len(runs)
+        self.gather = np.concatenate(
+            [gather] + gather_tables).astype(np.int64)
+        self.scatter = np.concatenate(
+            [scatter] + scatter_tables + [np.ravel(runs)]).astype(np.int64)
+        self.y = np.empty((y_rows, width))
+        self.state = rng.standard_normal((x_rows, width))
+        n = p * height * row
+        self.offsets = np.array([0, row, -row, 1, -1, row + 1, row - 1,
+                                 1 - row, -1 - row], dtype=np.int64)
+        self.data = rng.standard_normal((9, n))
+        self.sweep = dia_array((self.data, self.offsets), shape=(n, n))
+        self.geometry = np.array([width, p, ny, nx, h * row + h,
+                                  height * row, row, cell[0], cell[1]],
+                                 dtype=np.int64)
+        self.ref = {name: v.copy() for name, v in vectors.items()}
+        self.got = {name: v.copy() for name, v in vectors.items()}
+        self.ref_y, self.ref_state = self.y.copy(), self.state.copy()
+        self.structs = (EvpGroup * len(groups))()
+        for st, g in zip(self.structs, groups):
+            st.march, st.coef, st.inv_ne = (self.at(g["march"]),
+                                            self.at(g["coef"]),
+                                            self.at(g["inv_ne"]))
+            st.rhs = self.at(self.y, g["y"] * width)
+            st.state = self.at(self.state, g["x"] * width)
+            st.ring, st.edges = self.at(g["ring"]), self.at(g["edges"])
+            st.coef_off = self.at(g["coef_off"])
+            st.src_rows = self.at(g["src_rows"])
+            st.edge_rhs = st.rhs + g["marched"] * g["b"] * width * 8
+            st.f = self.at(g["f"])
+
+    @staticmethod
     def at(array, elements=0):
         return address(array) + elements * 8 if array.size else 0
 
-    structs = (EvpGroup * len(groups))()
-    for s, g in zip(structs, groups):
-        s.march, s.coef, s.inv_ne = (at(g["march"]), at(g["coef"]),
-                                     at(g["inv_ne"]))
-        s.rhs, s.state = at(y, g["y"] * width), at(state, g["x"] * width)
-        s.ring, s.edges = at(g["ring"]), at(g["edges"])
-        s.coef_off, s.src_rows = at(g["coef_off"]), at(g["src_rows"])
-        s.edge_rhs = s.rhs + g["marched"] * g["b"] * width * 8
-        s.f = at(g["f"])
-    prog = EvpProgram(
-        width, len(halo[0]), len(halo[2]), *(at(t) for t in halo),
-        at(got["x"]), len(groups), ctypes.addressof(structs), at(gather),
-        at(scatter), at(mask), at(y), at(state), n, 9, n, at(data),
-        at(offsets), at(geometry),
-        *(at(got[name], first) for name in ("b", "r", "dx", "x")),
-        at(weights))
-    sweep = dia_array((data, offsets), shape=(n, n))
+    def program(self, stack, vectors, *extension):
+        """The ``EvpProgram``: the sweep reads ``stack``; ``vectors`` are
+        ``b``, ``r``, ``dx``, ``x`` and the weights slot."""
+        return EvpProgram(
+            self.width, len(self.halo[0]), len(self.halo[2]),
+            *(self.at(t) for t in self.halo), stack, len(self.groups),
+            ctypes.addressof(self.structs), self.at(self.gather),
+            self.at(self.scatter), self.at(self.mask), self.at(self.y),
+            self.at(self.state), self.data.shape[1], 9, self.data.shape[1],
+            self.at(self.data), self.at(self.offsets),
+            self.at(self.geometry), *vectors, *extension)
+
+    def cell(self, name):
+        """The first cell of ``got[name]``."""
+        return self.at(self.got[name], self.first)
+
+    def tail(self):
+        """Every group's corrected march and the masked scatter: ``r'``
+        over the interior."""
+        rp = np.zeros(self.mask.shape + (self.width,))
+        for g in self.groups:
+            rows = self.ref_state[g["x"]:g["x"] + g["size"] * g["b"]]
+            _march_reference(g["march"], g["coef"], g["inv_ne"],
+                             self.ref_y[g["y"]:g["y"] + g["rows"] * g["b"]],
+                             rows, g["ring"])
+            out = rows[g["slots"][:, None] * g["b"] + np.arange(g["b"])]
+            for pos, (blk, oj, oi) in enumerate(g["origins"]):
+                j, i = oj + g["cells"][:, 0], oi + g["cells"][:, 1]
+                rp[blk, j, i] = out[:, pos] * self.mask[blk, j, i, None]
+        return rp
+
+    def swept(self, name):
+        """The halo copy of ``ref[name]``, then its sweep (whole)."""
+        flat = self.ref[name].reshape(-1, self.width)
+        flat[self.halo[0]] = flat[self.halo[1]]
+        flat[self.halo[2]] = 0.0
+        return np.stack([self.sweep @ np.ascontiguousarray(flat[:, c])
+                         for c in range(self.width)],
+                        axis=1).reshape(self.ref[name].shape)
+
+    def head(self):
+        """The gather of ``ref["r"]``, the march from a zero ring and the
+        edges, as each group's wanted ``f``."""
+        for g in self.groups:
+            rhs = self.ref_y[g["y"]:g["y"] + g["rows"] * g["b"]]
+            for pos, (blk, oj, oi) in enumerate(g["origins"]):
+                rhs[pos::g["b"]] = self.ref["r"][self.inner][
+                    blk, oj + g["cells"][:, 0], oi + g["cells"][:, 1]]
+            rows = self.ref_state[g["x"]:g["x"] + g["size"] * g["b"]]
+            _march_reference(g["march"], g["coef"], g["inv_ne"], rhs, rows,
+                             None)
+            g["want"] = _edges_reference(g, rhs[g["marched"] * g["b"]:],
+                                         rows)
+
+    def ring(self):
+        """Whether every group's ``f`` is as wanted; then its ring
+        product, as the caller forms it."""
+        for g in self.groups:
+            if not np.array_equal(g["f"], g["want"], equal_nan=True):
+                return False
+            np.matmul(g["f"][:, :, None, :], g["rt"], out=g["ring"])
+        return True
+
+    def matches(self):
+        return all(np.array_equal(self.got[name], self.ref[name],
+                                  equal_nan=True) for name in self.ref)
+
+
+def _evp_step_case(fn, rng, width, stacked):
+    """One P-CSI case of ``_test_evp_step``: ``True`` when every call
+    matched."""
+    case = _StepCase(rng, width, stacked, ("b", "r", "dx", "x"),
+                     ("r", "dx", "x"))
+    ref, inner = case.ref, case.inner
+    weights = np.empty(2)
+    prog = case.program(case.cell("x") - case.first * 8,
+                        [case.cell(name) for name in ("b", "r", "dx", "x")]
+                        + [case.at(weights)])
     for step in (None, (0.7, -0.4), (1.3, 0.2)):
         tail, head = step is not None, step != (1.3, 0.2)
-        for g in groups if tail else ():
-            rows = ref_state[g["x"]:g["x"] + g["size"] * g["b"]]
-            _march_reference(g["march"], g["coef"], g["inv_ne"],
-                             ref_y[g["y"]:g["y"] + g["rows"] * g["b"]],
-                             rows, g["ring"])
-            g["out"] = rows[g["slots"][:, None] * g["b"] + np.arange(g["b"])]
         if tail:
-            rp = np.zeros((p, ny, nx, width))
-            for g in groups:
-                for pos, (blk, oj, oi) in enumerate(g["origins"]):
-                    j, i = oj + g["cells"][:, 0], oi + g["cells"][:, 1]
-                    rp[blk, j, i] = g["out"][:, pos] * mask[blk, j, i, None]
+            rp = case.tail()
             weights[:] = step
             dx, x = ref["dx"][inner], ref["x"][inner]
             dx[...] = step[1] * dx + step[0] * rp
             x[...] = x + 1.0 * dx
-            flat = ref["x"].reshape(-1, width)
-            flat[halo[0]] = flat[halo[1]]
-            flat[halo[2]] = 0.0
-            ax = np.stack([sweep @ np.ascontiguousarray(flat[:, c])
-                           for c in range(width)], axis=1)
-            ref["r"][inner] = ref["b"][inner] - ax.reshape(shape + (width,))[
-                inner]
-        for g in groups if head else ():
-            rhs = ref_y[g["y"]:g["y"] + g["rows"] * g["b"]]
-            for pos, (blk, oj, oi) in enumerate(g["origins"]):
-                rhs[pos::g["b"]] = ref["r"][inner][
-                    blk, oj + g["cells"][:, 0], oi + g["cells"][:, 1]]
-            rows = ref_state[g["x"]:g["x"] + g["size"] * g["b"]]
-            _march_reference(g["march"], g["coef"], g["inv_ne"], rhs, rows,
-                             None)
-            g["want"] = _edges_reference(g, rhs[g["marched"] * g["b"]:], rows)
+            ref["r"][inner] = ref["b"][inner] - case.swept("x")[inner]
+        if head:
+            case.head()
         fn(ctypes.addressof(prog),
            (EVP_TAIL if tail else 0) | (EVP_HEAD if head else 0))
-        for g in groups if head else ():
-            if not np.array_equal(g["f"], g["want"], equal_nan=True):
+        if head and not case.ring():
+            return False
+    return case.matches()
+
+
+def _chrongear_step_case(fn, rng, width, stacked, steps):
+    """One ChronGear case of ``_test_evp_step``: ``True`` when every
+    call matched."""
+    case = _StepCase(rng, width, stacked, ("x", "r", "s", "p", "rp", "z"),
+                     ("r", "x", "s", "p"))
+    ref, inner = case.ref, case.inner
+    coef, dots = np.empty(3 * width), np.empty(2 * width)
+    prog = case.program(
+        case.cell("rp") - case.first * 8,
+        (0, case.cell("r"), 0, case.cell("x"), 0),
+        *(case.cell(name) for name in ("s", "p", "rp", "z")),
+        case.at(coef), case.at(dots), case.at(case.mask),
+        0 if case.windows is None else case.at(case.windows))
+    drawn = rng.standard_normal((steps, 2, width))
+    windows = (case.windows if case.windows is not None
+               else [case.mask.shape[1:]])
+    held = False
+
+    def call(step, head):
+        """A chain (or none) with the next head, then its tail."""
+        nonlocal held
+        mode = (EVP_HEAD if head else 0) | (EVP_HELD if held else 0)
+        if step is not None:
+            coef[:2 * width] = step.ravel()
+            mode |= EVP_CHAIN
+        fn(ctypes.addressof(prog), mode)
+        held = bool(mode & EVP_CHAIN) and head and not held
+        if head:
+            if not case.ring():
                 return False
-            np.matmul(g["f"][:, :, None, :], g["rt"], out=g["ring"])
-    return all(np.array_equal(got[name], ref[name], equal_nan=True)
-               for name in ref)
+            fn(ctypes.addressof(prog), EVP_TAIL)
+        return True
+
+    for t in range(steps + 1):
+        step = None if t in (0, max(2, steps - 1)) else drawn[t - 1]
+        if step is not None:
+            alpha, beta = step
+            rx, rr, rs, rq = (ref[name][inner] for name in "xrsp")
+            rs[...] = beta * rs + ref["rp"][inner]
+            rq[...] = beta * rq + ref["z"][inner]
+            rx[...] = rx + alpha * rs
+            rr[...] = rr + -alpha * rq
+        if t < steps:
+            case.head()
+        if (step is not None or t < steps) and not call(step, t < steps):
+            return False
+        if t == steps:
+            break
+        ref["rp"][inner] = case.tail()
+        ref["z"][inner] = case.swept("rp")[inner]
+        want = []
+        for a in (ref["r"], ref["z"]):
+            sums = [0.0] * width
+            for blk, (wy, wx) in enumerate(windows):
+                products = ((a[inner][blk, :wy, :wx] * ref["rp"][inner][
+                    blk, :wy, :wx]) * case.mask[blk, :wy, :wx, None])
+                for c in range(width):
+                    sums[c] += float(np.sum(np.ascontiguousarray(
+                        products[..., c])))
+            want += sums
+        if not np.array_equal(dots, want, equal_nan=True):
+            return False
+    if held:
+        fn(ctypes.addressof(prog), EVP_HELD)
+    return case.matches()
 
 
 _SELF_TESTS = {"dia_sweep": _test_dia_sweep, "update_chain": _test_update_chain,

@@ -491,6 +491,9 @@ class EVPBlockPreconditioner(Preconditioner):
         self._takes = {}
         #: The buffers and each engine's views of them, for one width.
         self._work = None
+        #: The last mask :meth:`span_operands` was handed, and whether it
+        #: is this preconditioner's.
+        self._ocean = (None, False)
         self._rank_solve_flops = self._accumulate_rank_flops(
             EVPTileEngine.solve_flops_per_tile)
         self._rank_setup_flops = self._accumulate_rank_flops(
@@ -679,15 +682,33 @@ class EVPBlockPreconditioner(Preconditioner):
         return maps
 
     def span_operands(self, stacked, n, mask=None):
-        """``("evp", layout, (y, x))``: the
+        """``("evp", layout, (y, x), dots)``: the
         :class:`~repro.kernels.base.EvpLayout` of the global grid or,
         with ``stacked``, of the stacked rank interiors (which needs a
-        decomposition), and the buffers of :meth:`_working_set` at
-        width ``n``."""
+        decomposition), the buffers of :meth:`_working_set` at width
+        ``n``, and -- for a span whose dots weigh cells by ``mask`` --
+        their ``(weights, extents)``: the layout's 0.0 / 1.0 mask, which
+        is ``mask``'s weights where ``mask`` is this preconditioner's
+        (checked once per mask; another declines), and every rank's
+        ``(ny, nx)`` window on a ragged stack (``None``: whole blocks).
+        ``dots`` is ``None`` without a ``mask``."""
         if stacked and self.decomp is None:
             return None
+        if mask is not None and self._ocean[0] is not mask:
+            self._ocean = (mask, np.array_equal(mask, self.mask))
+        if mask is not None and not self._ocean[1]:
+            return None
         y, x, _ = self._working_set(n)
-        return "evp", self._mapped("stack" if stacked else None)[0], (y, x)
+        layout = self._mapped("stack" if stacked else None)[0]
+        dots = None
+        if mask is not None:
+            extents = None
+            if stacked and not self.decomp.is_uniform:
+                extents = np.array([(b.ny, b.nx)
+                                    for b in self.decomp.active_blocks],
+                                   dtype=np.int64)
+            dots = (layout.mask, extents)
+        return "evp", layout, (y, x), dots
 
     def _mapped(self, key):
         """:meth:`_compile` of ``key``, once."""

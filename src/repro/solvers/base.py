@@ -82,7 +82,8 @@ span kind (``_SPAN``; :data:`~repro.solvers.context.SPANS`) answers up
 to ``check_freq`` when its context runs that span in kernel calls --
 P-CSI with a diagonal ``M`` serially, or with the block EVP ``M``
 serially or on the batched engine's stacks; ChronGear with a diagonal
-``M`` serially -- with the same bits and ledger events as iteration by
+``M`` serially, or with the block EVP ``M`` serially or on the stacks --
+with the same bits and ledger events as iteration by
 iteration.  A breakdown inside a span stops the loop's count at the
 iteration that broke down (``BreakdownError.iteration``), its head
 charged and its recurrences not, as one iteration a call would.  Every

@@ -27,7 +27,10 @@ coefficients still formed here between the iterations.  No iteration
 can run ahead of its predecessor's reduction, but on a serial context
 with a diagonal ``M`` each one is a single ``native.c`` pass over memory
 that runs iteration ``k``'s four recurrences together with iteration
-``k + 1``'s preconditioner multiply, stencil sweep and both dots,
+``k + 1``'s preconditioner multiply, stencil sweep and both dots, and
+with the block EVP ``M`` -- serially or on the batched engine's stacks
+-- two ``native.c`` calls around the ring matmul (the recurrences with
+the next EVP head, then its tail, the sweep of ``r'`` and both dots),
 recording the same per-iteration events; every other configuration
 makes the primitive calls (see the guarded loop's span rule in
 :mod:`repro.solvers.base`).

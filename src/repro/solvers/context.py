@@ -24,7 +24,9 @@ this small set of primitives:
                    (``SPANS["chebyshev"]``)
 ``chrongear_span`` ChronGear's iterations between two convergence
                    checks, the solver's coefficients formed in between
-                   (``SPANS["chrongear"]``)
+                   (``SPANS["chrongear"]``; a diagonal ``M`` serially,
+                   the block EVP ``M`` serially or on the batched
+                   engine's stacks)
 ``sub``            ``out = a - b`` (folded into the matvec's cost --
                    the paper counts ``r = b - Bx`` as the 9 n^2 matvec)
 =================  ====================================================
@@ -400,6 +402,11 @@ class SolverContext(abc.ABC):
         iteration."""
         return self._span_runner(kind, vectors) is not None
 
+    @property
+    def _dot_mask(self):
+        """The ocean mask this context's dots weigh cells by."""
+        return self.mask
+
     def _span_layout(self, vectors):
         """``(arrays, coeffs, h, halo)``: what the kernels' runners work
         on for these vectors (see
@@ -431,8 +438,9 @@ class SolverContext(abc.ABC):
         m = run = None
         if self._spans_own():
             # Dots a span replaces read M's operands, not the mask.
-            mask = (self.mask if any(name == "dot_pair" for part in SPANS[kind]
-                                     for name, _ in part) else None)
+            mask = (self._dot_mask if any(name == "dot_pair"
+                                          for part in SPANS[kind]
+                                          for name, _ in part) else None)
             m = self.preconditioner.span_operands(
                 h > 0, self._vec_width(vectors[0]), mask)
         if m is not None:
@@ -837,6 +845,10 @@ class DistributedContext(SolverContext):
                 vm.exchanger.halo_tables())
 
     # -- reductions ----------------------------------------------------
+    @property
+    def _dot_mask(self):
+        return self.vm.mask
+
     def dot(self, a, b, phase="reduction"):
         return self.vm.global_dot(a, b, phase=phase)
 

@@ -485,7 +485,8 @@ class TestPCSISpans:
     #: needs.
     SPANNING = {
         "chebyshev": ("pcsi", {"evp": "evp_step", "evp_batched": "evp_step"}),
-        "chrongear": ("chrongear", {}),
+        "chrongear": ("chrongear", {"evp": "evp_step",
+                                    "evp_batched": "evp_step"}),
     }
 
     @pytest.mark.parametrize("case", ["evp", "perrank", "batched",
@@ -494,9 +495,9 @@ class TestPCSISpans:
         """Every declared span kind (``SPANS``; a kind without a row in
         ``SPANNING`` fails): one iteration a call on the distributed
         contexts with a diagonal ``M`` and under a resilience runtime.
-        P-CSI + EVP, serially and on the batched engine's stacks, spans
-        up to each check (one ``evp_step`` call an iteration, where it
-        was adopted); ChronGear + EVP one iteration a call."""
+        P-CSI + EVP and ChronGear + EVP, serially and on the batched
+        engine's stacks, span up to each check (``evp_step`` calls, where
+        it was adopted)."""
         engine = {"evp": "serial", "resilience": "batched",
                   "evp_batched": "batched"}.get(case, case)
         for kind in SPANS:
@@ -709,10 +710,11 @@ def _evp(grid, lattice):
 class TestEVPSpans:
     """P-CSI + block EVP -- serial, or on the batched engine's stacks --
     runs each iteration of a span as one ``native.c`` call where
-    ``evp_step`` was adopted, and the guarded loop hands it the
-    iterations up to the next check, due checkpoint or budget end; that
-    changes no bit against one iteration a call (the same kernels
-    through :class:`CallsSerialContext` / :class:`CallsDistributedContext`),
+    ``evp_step`` was adopted (ChronGear + EVP as two, the coefficients
+    formed in between), and the guarded loop hands it the iterations up
+    to the next check, due checkpoint or budget end; that changes no bit
+    against one iteration a call (the same kernels through
+    :class:`CallsSerialContext` / :class:`CallsDistributedContext`),
     nor, on the stacks, against the per-rank oracle: iterates,
     iteration counts, residual histories, events, per-column iterations
     and diagnoses, on the three ``pop_1deg`` grids and on uniform,
@@ -726,7 +728,7 @@ class TestEVPSpans:
 
     def _solve(self, kernels, b, grid="144x120", lattice=None,
                engine="batched", tmp_path=None, resume_from=None,
-               poison=None, **kwargs):
+               poison=None, solver="pcsi", x0=None, **kwargs):
         config = _pop(grid)
         pre = _evp(grid, lattice)
         serial, distributed = self.PRODUCTS[kernels]
@@ -737,7 +739,7 @@ class TestEVPSpans:
                                 engine=engine)
             ctx = distributed(config.stencil, pre, vm)
         kwargs = {"tol": 1e-10, "check_freq": 10, **kwargs}
-        solver = make_solver("pcsi", ctx, raise_on_failure=False, **kwargs)
+        solver = make_solver(solver, ctx, raise_on_failure=False, **kwargs)
         spans = _spans(solver)
         if poison is not None:
             spanned = solver._iterate_span
@@ -750,7 +752,8 @@ class TestEVPSpans:
             solver._iterate_span = poisoned
         policy = None if tmp_path is None else CheckpointPolicy(
             str(tmp_path / f"{kernels}-{engine}"), every=7, keep=0)
-        result = solver.solve(b, checkpoint=policy, resume_from=resume_from)
+        result = solver.solve(b, x0=x0, checkpoint=policy,
+                              resume_from=resume_from)
         return result, spans, policy
 
     def _both(self, b, oracle=False, **kwargs):
@@ -862,6 +865,137 @@ class TestEVPSpans:
         if self._fused():
             assert set(spans) == {10}
 
+
+    # -- ChronGear + EVP: two calls an iteration ---------------------------
+    @pytest.mark.parametrize("width", [None, 1, 2, 3, 8])
+    @pytest.mark.parametrize("lattice", [None] + list(EVP_LATTICES))
+    def test_chrongear_matches_the_calls_and_the_oracle(self, lattice,
+                                                        width):
+        got, spans = self._both(_batch_rhs(_pop("144x120"), width),
+                                oracle=lattice is not None, lattice=lattice,
+                                solver="chrongear", max_iterations=25)
+        assert got.diagnosis.kind == "budget_exhausted"
+        if self._fused():
+            assert spans == [10, 10, 5]
+
+    @pytest.mark.parametrize("lattice", [None, "ragged"])
+    def test_chrongear_retired_column_compacts_to_width_seven(self,
+                                                              lattice):
+        """Column 0 of eight starts at its solution and retires at the
+        first check; the other seven run on as a batch of width seven,
+        on a fresh working set."""
+        b = _batch_rhs(_pop("144x120"), 8)
+        exact, _, _ = self._solve("calls", np.ascontiguousarray(b[..., 0]),
+                                  lattice=lattice, solver="chrongear",
+                                  tol=1e-12)
+        x0 = np.zeros_like(b)
+        x0[..., 0] = exact.x
+        got, spans = self._both(b, lattice=lattice, solver="chrongear",
+                                x0=x0, max_iterations=30)
+        assert got.extra["per_rhs_iterations"][0] == 10
+        assert min(got.extra["per_rhs_iterations"][1:]) > 10
+        if self._fused():
+            assert spans == [10, 10, 10]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("lattice", [None, "eliminated"])
+    def test_chrongear_nonfinite_edges_match_the_calls(self, lattice,
+                                                       width):
+        """NaN, +Inf and -Inf in edge cells of the residual before
+        iteration 11, as for P-CSI: the poisoned column retires
+        ``nonfinite_residual`` at the check at 20, the others run on."""
+        def poison(r):
+            if lattice is None:
+                column = r if r.ndim == 2 else r[..., 0]
+                column[5, 0], column[40, -1], column[70, 0] = \
+                    np.nan, np.inf, -np.inf
+                return
+            for rank, value in zip((0, 3, 7), (np.nan, np.inf, -np.inf)):
+                block = r.interior(rank)
+                block = block if block.ndim == 2 else block[..., 0]
+                block[2, 0], block[-1, -1] = value, value
+
+        got, spans = self._both(_batch_rhs(_pop("144x120"), width),
+                                lattice=lattice, poison=poison,
+                                solver="chrongear", max_iterations=40)
+        assert got.diagnosis.kind == "nonfinite_residual"
+        if width is not None:
+            assert got.extra["per_rhs_iterations"][0] == 20
+            assert got.extra["per_rhs_iterations"][1] == 40
+        if self._fused():
+            assert set(spans) == {10}
+
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("lattice", [None, "uniform"])
+    def test_chrongear_breakdown_inside_a_span(self, monkeypatch, lattice,
+                                               width):
+        """The coefficient step of iteration 14 raises (column by column
+        on a batch): the count stops at 14, its head charged and its
+        recurrences not, as one iteration a call."""
+        from repro.core.errors import BreakdownError
+        from repro.solvers import chrongear
+
+        step, calls = chrongear._coefficients, []
+
+        def exploding(*column):
+            calls.append(column)
+            if len(calls) == 13 * (width or 1) + 1:
+                raise BreakdownError("synthetic breakdown")
+            return step(*column)
+
+        monkeypatch.setattr(chrongear, "_coefficients", exploding)
+        results = []
+        for kernels in self.PRODUCTS:
+            calls.clear()
+            results.append(self._solve(kernels,
+                                       _batch_rhs(_pop("144x120"), width),
+                                       lattice=lattice, solver="chrongear",
+                                       max_iterations=40))
+        (got, spans, _), (ref, ref_spans, _) = results
+        assert got.diagnosis.kind == "breakdown"
+        assert got.iterations == 14
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert ref_spans == [1] * 14
+        if self._fused():
+            assert spans == [10, 10]
+
+    @pytest.mark.parametrize("lattice", [None, "ragged"])
+    def test_chrongear_checkpoints_stop_spans_and_resume(self, tmp_path,
+                                                         lattice):
+        """Due checkpoints end spans as checks do; a snapshot at
+        iteration 7 of one iteration a call resumes under spans (8 ..
+        10 is one), and the other way round, on the uninterrupted run's
+        bits."""
+        b = _batch_rhs(_pop("144x120"), 2)
+        runs = {kernels: self._solve(kernels, b, lattice=lattice,
+                                     solver="chrongear",
+                                     tmp_path=tmp_path / "stops",
+                                     max_iterations=23)
+                for kernels in self.PRODUCTS}
+        (got, spans, policy), (ref, ref_spans, ref_policy) = runs.values()
+        assert got.diagnosis.kind == "budget_exhausted"
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert [os.path.basename(p) for p in policy.written] == \
+            [os.path.basename(p) for p in ref_policy.written]
+        assert ref_spans == [1] * 23
+        if self._fused():
+            assert spans == [7, 3, 4, 6, 1, 2]
+        full, _, _ = self._solve("calls", b, lattice=lattice,
+                                 solver="chrongear")
+        for writer, reader in (("calls", "native"), ("native", "calls")):
+            _, _, policy = self._solve(writer, b, lattice=lattice,
+                                       solver="chrongear",
+                                       tmp_path=tmp_path / writer)
+            resumed, spans, _ = self._solve(
+                reader, b, lattice=lattice, solver="chrongear",
+                resume_from=policy.written[0])
+            assert _result_bits(resumed) == _result_bits(full)
+            assert np.array_equal(resumed.x, full.x)
+            if self._fused() and reader == "native":
+                assert spans[0] == 3
 
 class TestStepperResume:
     def _build(self, config):

@@ -868,19 +868,21 @@ def _evp_span_extras(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
 class TestEVPSpan:
-    """``SolverContext.chebyshev_span`` with the block EVP preconditioner
-    -- one ``native.c`` call per iteration where ``evp_step`` was adopted
-    -- against the same iterations as one ``precond`` / ``updates`` /
-    ``residual`` call each, on the same kernels through
+    """``SolverContext.chebyshev_span`` and ``chrongear_span`` with the
+    block EVP preconditioner -- one ``native.c`` call per P-CSI
+    iteration, two per ChronGear iteration, where ``evp_step`` was
+    adopted -- against the same iterations as one ``precond`` /
+    ``updates`` / ``residual`` (``precond`` / ``matvec`` / ``dot_pair``
+    / ``updates``) call each, on the same kernels through
     :class:`CallsSerialContext` / :class:`CallsDistributedContext`:
-    ``r``, ``dx``, ``x`` and the ledger equal, on drawn grids and on
-    drawn uniform,
-    ragged and land-eliminated stacks (whole stacks, halo and pad cells
-    included, and ``r``'s interior rows; there the numpy oracle too),
-    NaN and Inf planted at the
-    edges, in halos and on the pad.  (On a grid a non-finite value at an
-    edge reaches the opposite edge through the global sweep's wrapping
-    zero couplings, which the oracle does not have.)"""
+    the vectors, every ChronGear iteration's ``rho`` and ``delta`` and
+    the ledger equal, on drawn grids and on drawn uniform, ragged and
+    land-eliminated stacks (whole stacks, halo and pad cells included,
+    and P-CSI's ``r`` on its interior rows; there the numpy oracle too),
+    NaN and Inf planted at the edges, in halos and on the pad.  (On a
+    grid a non-finite value at an edge reaches the opposite edge through
+    the global sweep's wrapping zero couplings, which the oracle does
+    not have.)"""
 
     #: The span's context and the calls' context, serial and stacked.
     CONTEXTS = ((SerialContext, DistributedContext),
@@ -960,6 +962,141 @@ class TestEVPSpan:
             results.append(({"r": r.interior_stack(), "dx": dx.stack,
                              "x": x.stack}, ctx.ledger.snapshot(), ran))
         self._check(results, load_native().evp_step is not None)
+
+    @staticmethod
+    def _chrongear(context, vectors, steps, seed, idle):
+        """``chrongear_span`` over ``vectors`` (``x, r, s, p``) with the
+        solver's step drawn -- ``(alpha, beta)`` as ``per_column`` hands
+        them over, ``None`` at iteration ``idle`` --: the dots each
+        iteration saw and whether the context ran a span."""
+        x = vectors[0]
+        width = (x.nrhs if isinstance(context, DistributedContext)
+                 else None if x.ndim == 2 else x.shape[-1])
+        drawn = np.random.default_rng(seed).uniform(
+            0.5, 2.0, (steps, 2, width or 1))
+        drawn[:, 1] *= 0.3
+        seen = []
+
+        def step(rho, delta):
+            seen.append((rho, delta))
+            if len(seen) - 1 == idle:
+                return None
+            alpha, beta = drawn[len(seen) - 1]
+            if (width or 1) == 1:
+                return float(alpha[0]), float(beta[0])
+            return alpha, beta
+
+        ran = context.spans("chrongear", *vectors)
+        context.chrongear_span(*vectors, steps, step)
+        return seen, ran
+
+    @staticmethod
+    def _check_chrongear(results, fused):
+        (span, span_seen, span_ledger, ran), *rest = results
+        assert ran == fused
+        for got, seen, ledger, calls in rest:
+            assert not calls
+            for name in span:
+                assert np.array_equal(span[name], got[name], equal_nan=True), \
+                    name
+            assert len(seen) == len(span_seen)
+            for mine, want in zip(span_seen, seen):
+                assert [type(v) for v in mine] == [type(v) for v in want]
+                assert np.array_equal(mine, want, equal_nan=True)
+            assert ledger == span_ledger
+
+    @given(case=_span_cases(("r", "x", "s", "p")), extra=_evp_span_extras(),
+           idle=st.integers(-1, 7))
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_chrongear_grids(self, case, extra, idle):
+        config = _span_config(case["grid"])
+        rng = np.random.default_rng(case["seed"])
+        shape = config.shape + (() if case["nrhs"] is None
+                                else (case["nrhs"],))
+        vectors = {name: rng.standard_normal(shape) for name in "xrsp"}
+        for name, (j, i), value in case["poison"]:
+            vectors[name][j, i] = value
+        results = []
+        kernels = FusedKernels()
+        for context, _ in self.CONTEXTS:
+            pre = evp_for_config(config, tile_size=extra["tile_size"],
+                                 simplified=extra["simplified"],
+                                 kernels=kernels)
+            ctx = context(config.stencil, pre, kernels=kernels)
+            got = {name: v.copy() for name, v in vectors.items()}
+            seen, ran = self._chrongear(
+                ctx, [got[name] for name in "xrsp"],
+                extra["steps"], extra["seed"], idle)
+            results.append((got, seen, ctx.ledger.snapshot(), ran))
+        self._check_chrongear(results, load_native().evp_step is not None)
+
+    @given(case=_stack_cases(), extra=_evp_span_extras(),
+           idle=st.integers(-1, 7))
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    def test_drawn_chrongear_stacks(self, case, extra, idle):
+        stack = _Stack(case)
+        names = ["x", "r", "s", "p"]
+        target = {"r": "r", "x": "x", "dx": "s"}[extra["target"]]
+        first = names.index(target)
+        names[0], names[first] = names[first], names[0]
+        values = dict(zip(names, stack.stacks(4)))
+        results = []
+        fused = FusedKernels()
+        for kernels, (_, context) in ((fused, self.CONTEXTS[0]),
+                                      (fused, self.CONTEXTS[1]),
+                                      (NumpyKernels(), self.CONTEXTS[0])):
+            pre = evp_for_config(stack.config, decomp=stack.decomp,
+                                 tile_size=extra["tile_size"],
+                                 simplified=extra["simplified"],
+                                 kernels=kernels)
+            ctx = context(stack.config.stencil, pre,
+                          stack.machine(kernels), kernels=kernels)
+            fields = stack.fields([values[name] for name in "xrsp"])
+            seen, ran = self._chrongear(ctx, fields, extra["steps"],
+                                        extra["seed"], idle)
+            results.append(({name: f.stack for name, f in zip("xrsp", fields)},
+                            seen, ctx.ledger.snapshot(), ran))
+        self._check_chrongear(results, load_native().evp_step is not None)
+
+    @needs_native("evp_step")
+    def test_chrongear_span_declines_another_mask(self, uniform_config,
+                                                  uniform_decomp):
+        """ChronGear's dots weigh cells by ``M``'s mask: a context whose
+        dots weigh by another one, the numpy kernels, the per-rank
+        engine, a fault injector or a resilience runtime run the
+        primitive calls."""
+        config, decomp = uniform_config, uniform_decomp
+        kernels = FusedKernels()
+        rng = np.random.default_rng(3)
+        vectors = tuple(rng.standard_normal((4,) + config.shape))
+        pre = evp_for_config(config, kernels=kernels)
+        assert SerialContext(config.stencil, pre,
+                             kernels=kernels).spans("chrongear", *vectors)
+        ctx = SerialContext(config.stencil, pre, kernels=kernels)
+        ctx.mask = ctx.mask.copy()
+        ctx.mask[0, 0] = not ctx.mask[0, 0]
+        assert not ctx.spans("chrongear", *vectors)
+        assert NumpyKernels().span_runner(
+            "chrongear", config.stencil, 0, None,
+            pre.span_operands(False, 1, ctx.mask), vectors) is None
+
+        def spans(mask, resilience=False, **machine):
+            pre = evp_for_config(config, decomp=decomp, kernels=kernels)
+            vm = VirtualMachine(decomp, mask=mask, **machine)
+            ctx = DistributedContext(config.stencil, pre, vm,
+                                     kernels=kernels)
+            if resilience:
+                vm.resilience = ResilienceRuntime(ResiliencePolicy(), ctx)
+            return ctx.spans("chrongear", *(vm.zeros() for _ in range(4)))
+
+        assert spans(config.mask)
+        assert not spans(config.mask, engine="perrank")
+        assert not spans(config.mask,
+                         faults=[HaloFault(rank=0, value=np.nan, at=1)])
+        assert not spans(config.mask, resilience=True)
+        assert not spans(np.ones(config.shape, dtype=bool))
 
     @needs_native("evp_step")
     def test_span_declines_what_it_cannot_run(self, uniform_config,
@@ -1333,6 +1470,59 @@ class TestVectorKernels:
             assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
                 "the compiler contracted a*b+c in native.c's evp_step and "
                 "the loader's self-test did not notice")
+
+    @needs_native("evp_step")
+    def test_evp_chrongear_span_is_not_contracted(self):
+        """``evp_step``'s ChronGear products with the operands of
+        ``test_sweep_is_not_contracted``, ``M^-1 r = r`` exactly (1x1 EVP
+        tiles of centre 1.0): each product of the four recurrences, on a
+        symmetric ``A`` and an unsymmetric one as in
+        ``test_chrongear_span_is_not_contracted``, and the sweep into
+        ``z`` round before their adds, so the vector updated and ``z``
+        come out 0.0 where a fused multiply-add leaves ``+-2**-54``.  (A
+        dot's product reaches its add through the 0.0 / 1.0 weight, where
+        a contraction rounds the same; the self-test covers the dots.)"""
+        from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
+        from repro.precond.evp import EVPBlockPreconditioner
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        shape = (3, 3)
+
+        def stencil(c, n):
+            planes = {name: np.zeros(shape) for name in COEFF_NAMES}
+            planes["c"][...], planes["n"][...] = c, n
+            return StencilCoeffs(mask=np.ones(shape, dtype=bool), **planes)
+
+        kernels = FusedKernels()
+        pre = EVPBlockPreconditioner(stencil(1.0, -small), tile_size=1,
+                                     kernels=kernels)
+        m = pre.span_operands(False, 1, pre.mask)
+        # (A, r at (1, 1) and (2, 1), alpha, beta, what vanishes), as in
+        # test_chrongear_span_is_not_contracted; then A's north coupling
+        # -small: z = big + (-small * small) at (1, 1).
+        cases = ((stencil(1.0, 0.0), big, 0.0, 0.0, -small, "sp"),
+                 (stencil(1.0, 0.0), small, 0.0, -small, 0.0, "x"),
+                 (stencil(0.0, 1.0), big, small, small, 0.0, "r"),
+                 (stencil(1.0, -small), big, small, 0.0, 0.0, "z"))
+        for coeffs, r11, r21, alpha, beta, vanish in cases:
+            x, r, s, p = np.zeros((4,) + shape)
+            r[1, 1], r[2, 1] = r11, r21
+            s[1, 1] = p[1, 1] = small
+            x[1, 1] = big
+            run = kernels.span_runner("chrongear", coeffs, 0, None, m,
+                                      (x, r, s, p))
+            run(None, True)
+            if vanish == "z":
+                assert run.z[1, 1] == 0.0, (
+                    "the compiler contracted a*b+c in native.c's "
+                    "evp_step sweep and the loader's self-test did not "
+                    "notice")
+                continue
+            run((alpha, beta), False)
+            got = {"x": x, "r": r, "s": s, "p": p}
+            assert all(got[name][1, 1] == 0.0 for name in vanish), (
+                "the compiler contracted a*b+c in native.c's evp_step "
+                "recurrences and the loader's self-test did not notice")
 
     @staticmethod
     def _chains(rng, shape, coeffs, vectors=None):

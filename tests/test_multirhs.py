@@ -196,9 +196,11 @@ class TestRaggedConvergence:
 
 
 class TestEightColumnEVP:
-    """ChronGear + EVP on 8 columns of the batched engine -- the stacked
-    gather, the width-8 march and masked scatter, and the width-7
-    working set once a column retires -- equals eight solo solves, on a
+    """ChronGear + EVP on 8 columns of the batched engine -- with the
+    library, each iteration two ``evp_step`` calls over the stacks (the
+    stacked gather, the width-8 march and masked scatter, the sweep of
+    ``r'`` and both dots per block window) and, once a column retires,
+    a width-7 working set and runner -- equals eight solo solves, on a
     ragged lattice with a land block eliminated or kept."""
 
     @pytest.mark.parametrize("eliminate_land", [False, True])

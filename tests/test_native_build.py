@@ -4,11 +4,14 @@ build, load or verify it is quiet, visible, and changes no result.
 Every scenario runs ``resolve_kernels(None)`` in a fresh interpreter (the
 library is resolved once per process) with its own cache home: the
 ChronGear + EVP solves it makes -- one serial, one of 8 right-hand
-sides on the batched engine's stacks: the sweep in its single- and
-multi-vector forms, the update chain with scalar and per-column
-coefficients, the dot of one vector and of stack windows, the EVP
-march, edge residuals, gather and masked scatter -- must equal the
-numpy oracle's bit for bit, and so must a width-8 EVP apply on the
+sides on the batched engine's stacks, each iteration two ``evp_step``
+calls where the library's sweep, EVP march and edges and ``evp_step``
+were adopted and otherwise the primitive calls (the sweep in its
+single- and multi-vector forms, the update chain with scalar and
+per-column coefficients, the dot of one vector and of stack windows,
+the EVP march, edge residuals, gather and masked scatter), which the
+script checks by the span lengths -- must equal the numpy oracle's bit
+for bit, and so must a width-8 EVP apply on the
 strided interior of a stack, 2-column serial P-CSI and ChronGear +
 diagonal solves (their spans) and P-CSI + EVP solves, serial and on
 the stacks (one call an iteration); none may emit a warning or
@@ -42,6 +45,7 @@ import numpy as np
 {prelude}
 from repro.grid import test_config
 from repro.kernels import resolve_kernels
+from repro.kernels.native import load
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
 from repro.precond.diagonal import DiagonalPreconditioner
@@ -64,8 +68,18 @@ def solve(kernels, stacked):
         ctx = DistributedContext(config.stencil, pre, vm, kernels=kernels)
     else:
         ctx = SerialContext(config.stencil, pre, kernels=kernels)
-    return make_solver("chrongear", ctx, tol=1e-10).solve(
-        b if stacked else np.ascontiguousarray(b[..., 0]))
+    solver = make_solver("chrongear", ctx, tol=1e-10)
+    spans, plain = set(), solver._iterate_span
+    solver._iterate_span = lambda state, first, n: (
+        spans.add(n), plain(state, first, n))
+    result = solver.solve(b if stacked else np.ascontiguousarray(b[..., 0]))
+    # ChronGear + EVP spans up to each check where its entry points were
+    # adopted, else runs one iteration a call
+    lib = load()
+    spanned = kernels is None and all(getattr(lib, name) for name in (
+        "evp_step", "dia_sweep", "evp_march", "evp_edges"))
+    assert spans == ({{solver.check_freq}} if spanned else {{1}}), spans
+    return result
 
 def diagonal(name, kernels):
     pre = DiagonalPreconditioner(config.stencil, kernels=kernels)
@@ -205,12 +219,13 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
 def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     """Each of the entry points the stacks share with the serial
     vectors, the serial P-CSI and ChronGear spans, each EVP entry point
-    and the P-CSI + EVP step failing alone: each loop goes to the
-    reference (P-CSI and ChronGear to one iteration a call, the EVP
-    march and edges to the engine's own sweep, the EVP boundary to takes
-    and the mask multiply, the P-CSI + EVP iteration and the stacked
-    halo copy to the primitive calls and fancy indexing), the others
-    stay adopted, every solve and the stacked width-8 apply keep their
+    and the EVP step failing alone: each loop goes to the reference
+    (P-CSI and ChronGear to one iteration a call, the EVP march and
+    edges to the engine's own sweep, the EVP boundary to takes and the
+    mask multiply, the P-CSI + EVP and ChronGear + EVP iterations and
+    the stacked halo copy to the primitive calls -- one iteration a
+    call, as the script checks -- and fancy indexing), the others stay
+    adopted, every solve and the stacked width-8 apply keep their
     bits."""
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
