@@ -15,8 +15,10 @@ Further sections extend the contract to the resilience layer:
   :class:`~repro.parallel.resilience.ResiliencePolicy`, which must
   recover *bit-identically* to an undisturbed solve on both engines;
 * **replication_overhead** -- buddy replication at the default
-  interval on a 16x16-block P-CSI+EVP solve must cost < 5 % of the
-  solve wall clock (self-timed by the runtime);
+  interval on a 16x16-block P-CSI+EVP solve on the per-rank engine must
+  cost < 5 % of the solve wall clock (self-timed by the runtime); the
+  batched engine's fraction of the same solve is recorded beside it,
+  not gated;
 * **pipeline** -- the infrastructure injectors (``worker_crash``,
   ``slow_rank``, ``cache_corrupt``) run against a live ``run_all``
   pipeline, which must complete with zero failed steps (retry, pool
@@ -265,22 +267,26 @@ REPLICATION_BUDGET = 0.05
 def _replication_overhead(config):
     """Measure resilience cost on the 16x16-block P-CSI+EVP solve.
 
-    Two self-timed fractions, both held under ``REPLICATION_BUDGET``:
-    replication alone (``abft: False`` -- deep copies of the loop
-    state every ``replicate_every`` iterations) and the full default
-    policy (replication + halo checksums + row-sum matvec checks +
-    residual cross-checks).  The runtime self-times its own work, so
-    the fraction does not compare two noisy wall clocks; each policy
-    still runs twice and keeps the lower fraction to damp scheduler
-    jitter in the denominator.
+    Two self-timed fractions on the per-rank engine, both held under
+    ``REPLICATION_BUDGET``: replication alone (``abft: False`` -- deep
+    copies of the loop state every ``replicate_every`` iterations) and
+    the full default policy (replication + halo checksums + row-sum
+    matvec checks + residual cross-checks).  The runtime self-times its
+    own work, so the fraction does not compare two noisy wall clocks;
+    each policy still runs twice and keeps the lower fraction to damp
+    scheduler jitter in the denominator.
+
+    The full policy's fraction on the batched engine is recorded too
+    (``batched_abft_overhead``) but not gated: there the iterations run
+    as fused spans, a far smaller denominator for the same checks.
     """
     decomp = decompose(config.ny, config.nx, 16, 16, mask=config.mask)
     rng = np.random.default_rng(1)
     b = apply_stencil(config.stencil,
                       rng.standard_normal(config.shape) * config.mask)
 
-    def run(resilience):
-        vm = VirtualMachine(decomp, mask=config.mask, engine="perrank")
+    def run(resilience, engine):
+        vm = VirtualMachine(decomp, mask=config.mask, engine=engine)
         pre = evp_for_config(config, decomp=decomp)
         ctx = DistributedContext(config.stencil, pre, vm)
         solver = PCSISolver(ctx, tol=1e-12, max_iterations=3000)
@@ -288,10 +294,10 @@ def _replication_overhead(config):
         result = solver.solve(b, resilience=resilience)
         return result, time.perf_counter() - start
 
-    def best_of_two(resilience):
+    def best_of_two(resilience, engine="perrank"):
         best = None
         for _ in range(2):
-            result, total = run(resilience)
+            result, total = run(resilience, engine)
             summary = result.extra["resilience"]
             frac = (summary["seconds"] / total
                     if total > 0 else float("inf"))
@@ -301,6 +307,7 @@ def _replication_overhead(config):
 
     result, summary, overhead, total = best_of_two({"abft": False})
     abft_result, abft_summary, abft_overhead, _ = best_of_two(True)
+    batched_result, _, batched_overhead, _ = best_of_two(True, "batched")
     record = {
         "engine": "perrank",
         "blocks": "16x16",
@@ -312,8 +319,10 @@ def _replication_overhead(config):
         "budget": REPLICATION_BUDGET,
         "abft_overhead": abft_overhead,
         "abft_counters": dict(abft_summary["counters"]),
+        "batched_abft_overhead": batched_overhead,
     }
-    if not result.converged or not abft_result.converged:
+    if not (result.converged and abft_result.converged
+            and batched_result.converged):
         record["violation"] = "replicated solve did not converge"
     elif summary["counters"]["replications"] < 1:
         record["violation"] = \
@@ -530,7 +539,8 @@ def main(argv=None):
         status = record.get(
             "violation",
             f"{record['overhead']:.2%} of solve "
-            f"(abft: {record['abft_overhead']:.2%})")
+            f"(abft: {record['abft_overhead']:.2%}; batched, not gated: "
+            f"{record['batched_abft_overhead']:.2%})")
         print(f"  {'replication-overhead[perrank]':44s} {status}")
         if "violation" in record:
             violations.append(

@@ -586,7 +586,10 @@ class _EvpSpan:
 
     * P-CSI (vectors ``b, r, dx, x``): ``run(weights)`` is a span of
       iterations, one ``(w, c)`` each, as ``len(weights) + 1`` calls: a
-      head, the tails fused with the next heads, a last tail.
+      head, the tails fused with the next heads, a last tail.  With a
+      ``check``, each tail is followed by ``check(ax)``: ``ax`` is the
+      stack :attr:`ax` holding that tail's ``A x`` on its interior rows
+      when ``check.due()`` said so before the call, else ``None``.
     * ChronGear (vectors ``x, r, s, p``; ``r'`` and ``z`` kept): each
       ``__call__(step, head)`` is the recurrences of ``step`` (``(alpha,
       beta)``, floats or ``(nrhs,)`` arrays, or ``None``) with the next
@@ -594,7 +597,10 @@ class _EvpSpan:
       second, returning its ``(rho, delta)`` as
       :class:`_ChronGearSpan` does; every other chain a head follows
       keeps its ``x`` update for the next call to apply with its own:
-      :meth:`flush` before ``x`` is read."""
+      :meth:`flush` before ``x`` is read.
+
+    :attr:`swept` is the stack each tail's halo copy and sweep read --
+    ``x`` for P-CSI, ``r'`` for ChronGear."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
         (sweep, _, call), at = operands
@@ -646,10 +652,11 @@ class _EvpSpan:
         if dots is None:
             (x_at, r_at, dx_at), b = at, vectors[0]
             # the sweep reads x; b, r, dx, x from their first cells
-            stack = x_at
+            stack, self.swept = x_at, x
             own = (b.ctypes.data + first, r_at + first, dx_at + first,
                    x_at + first)
             self.weights = np.empty(2)
+            self.ax, self._first = None, first
             extension = ()
         else:
             # r' is swept, so its halo copy must find the cells a fresh
@@ -661,6 +668,7 @@ class _EvpSpan:
             weights, extents = dots
             x_at, r_at, s_at, p_at = at
             stack, own = address(self.rp), (0, r_at + first, 0, x_at + first)
+            self.swept = self.rp
             extension = (
                 s_at + first, p_at + first, address(self.rp) + first,
                 address(self.z) + first, address(self.coef),
@@ -678,12 +686,18 @@ class _EvpSpan:
         self._keep = (keep, groups, rows, layout)
         self._call = functools.partial(fn, ctypes.addressof(self.program))
 
-    def run(self, weights):
+    def run(self, weights, check=None):
         last = len(weights) - 1
         self._step(EVP_HEAD)
         for t, step in enumerate(weights):
             self.weights[0], self.weights[1] = step
+            keep = check is not None and check.due()
+            if keep and self.ax is None:
+                self.ax = np.zeros_like(self.swept)
+            self.program.ax = address(self.ax) + self._first if keep else None
             self._step(EVP_TAIL | (EVP_HEAD if t < last else 0))
+            if check is not None:
+                check(self.ax if keep else None)
 
     def __call__(self, step, head):
         mode = (EVP_HEAD if head else 0) | (EVP_HELD if self.held else 0)

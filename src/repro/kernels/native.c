@@ -1320,13 +1320,14 @@ void chrongear_span(chrongear_program *g, int64_t mode)
  *           tile covers take r' = 0.0, the value the scatter writes
  *           there --, the halo copy of x and every row of the geometry
  *           swept into r (sweep_row) and subtracted from b, numpy's
- *           b - Ax; for ChronGear evp_scatter into r', the halo copy of
- *           r', and block by block its rows swept into z followed by
- *           the block's <r, r'> and <z, r'> (pairwise_dot over its
- *           window, the weights w, as window_dots forms them), the
- *           blocks' sums added to 0.0 in block order, the virtual
- *           machine's reduction (a grid is one block: masked_dot's
- *           bits).
+ *           b - Ax -- swept into ax instead where the program names
+ *           one, so that A x is kept for a check to read; for ChronGear
+ *           evp_scatter into r', the halo copy of r', and block by
+ *           block its rows swept into z followed by the block's <r, r'>
+ *           and <z, r'> (pairwise_dot over its window, the weights w, as
+ *           window_dots forms them), the blocks' sums added to 0.0 in
+ *           block order, the virtual machine's reduction (a grid is one
+ *           block: masked_dot's bits).
  *     HEAD  evp_gather of r into the packed rows; every group's
  *           evp_march from a zero ring and evp_edges into f.
  * A P-CSI span of n iterations is n + 1 calls: a head, n - 1 tails
@@ -1381,6 +1382,8 @@ typedef struct {
     double *coef, *dots;
     const double *w;
     const int64_t *extents;
+    /* P-CSI: where the next TAIL keeps A x (NULL: nowhere) */
+    double *ax;
 } evp_program;
 
 #define EVP_TAIL 1
@@ -1471,7 +1474,8 @@ static void halo_copy(const evp_program *p)
     }
 }
 
-/* r = b - A x over the rows of the geometry, a row at a time. */
+/* r = b - A x over the rows of the geometry, a row at a time, A x
+ * kept in ax where the program names one. */
 static void residual_rows(const evp_program *p)
 {
     const int64_t *g = p->rows;
@@ -1484,11 +1488,11 @@ static void residual_rows(const evp_program *p)
         for (int64_t q = 0; q < rows; q++) {
             const int64_t start = first + bk * block_stride + q * row_stride;
             const int64_t at = bk * y_block_stride + q * y_row_stride;
-            double *rq = p->r + at;
+            double *rq = p->r + at, *aq = p->ax ? p->ax + at : rq;
             const double *bq = p->b + at;
-            sweep_row(&a, start, start + cells, ncols, p->stack, rq);
+            sweep_row(&a, start, start + cells, ncols, p->stack, aq);
             for (int64_t i = 0; i < cells * ncols; i++)
-                rq[i] = bq[i] - rq[i];
+                rq[i] = bq[i] - aq[i];
         }
 }
 

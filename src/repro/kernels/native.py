@@ -84,7 +84,8 @@ class EvpProgram(ctypes.Structure):
     geometry, P-CSI's four vectors and weights slot, then ChronGear's
     extension -- ``s``, ``p``, the kept ``r'`` and ``z``, the
     coefficient and dot slots, the dots' weights and block windows --
-    left NULL by a P-CSI program."""
+    left NULL by a P-CSI program, and last where a P-CSI tail keeps
+    ``A x`` (NULL: nowhere)."""
 
     _fields_ = ([("ncols", _I), ("ndst", _I), ("nzero", _I)]
                 + [(name, ctypes.c_void_p)
@@ -96,7 +97,7 @@ class EvpProgram(ctypes.Structure):
                 + [(name, ctypes.c_void_p) for name in (
                     "data", "offsets", "rows", "b", "r", "dx", "x",
                     "weights", "s", "p", "rp", "z", "coef", "dots", "w",
-                    "extents")])
+                    "extents", "ax")])
 
 
 def address(array):
@@ -753,9 +754,9 @@ def _test_evp_step(fn, rng):
     shared; vectors are compared whole, halo and pad cells included):
 
     * a span of two P-CSI iterations -- a head, a tail with a head and
-      a tail -- against the gather, the march, the edges, the masked
-      scatter, ``combine``, ``axpy``, the halo copy, scipy's sweep and
-      ``b - Ax``;
+      a tail, the last keeping ``A x`` -- against the gather, the march,
+      the edges, the masked scatter, ``combine``, ``axpy``, the halo
+      copy, scipy's sweep (the kept ``A x``) and ``b - Ax``;
     * spans of 1 to 4 ChronGear iterations -- each a chain (the first
       none, one that updates nothing among them) with the next head,
       then its tail -- with drawn coefficients, ``x`` updates kept and
@@ -915,7 +916,7 @@ class _StepCase:
 def _evp_step_case(fn, rng, width, stacked):
     """One P-CSI case of ``_test_evp_step``: ``True`` when every call
     matched."""
-    case = _StepCase(rng, width, stacked, ("b", "r", "dx", "x"),
+    case = _StepCase(rng, width, stacked, ("b", "r", "dx", "x", "ax"),
                      ("r", "dx", "x"))
     ref, inner = case.ref, case.inner
     weights = np.empty(2)
@@ -930,7 +931,12 @@ def _evp_step_case(fn, rng, width, stacked):
             dx, x = ref["dx"][inner], ref["x"][inner]
             dx[...] = step[1] * dx + step[0] * rp
             x[...] = x + 1.0 * dx
-            ref["r"][inner] = ref["b"][inner] - case.swept("x")[inner]
+            ax = case.swept("x")[inner]
+            ref["r"][inner] = ref["b"][inner] - ax
+            # the last tail keeps A x; the first leaves ``ax`` alone
+            prog.ax = None if head else case.cell("ax")
+            if not head:
+                ref["ax"][inner] = ax
         if head:
             case.head()
         fn(ctypes.addressof(prog),

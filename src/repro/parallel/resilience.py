@@ -45,6 +45,7 @@ import time
 import numpy as np
 
 from repro.core.errors import SolverError
+from repro.parallel.halo import BlockField
 
 __all__ = [
     "ResilienceEvent",
@@ -52,6 +53,7 @@ __all__ = [
     "SDCDetectedError",
     "ResiliencePolicy",
     "ResilienceRuntime",
+    "SpanChecks",
     "buddy_of",
 ]
 
@@ -63,13 +65,15 @@ class ResilienceEvent(SolverError):
     guarded convergence loop catches it, rolls the solve back to the
     last verified replica and resumes.  ``rank`` names the failed rank
     when known; ``detail`` carries structured context for the recovery
-    diagnosis.
+    diagnosis.  ``iteration`` is set by a check that failed inside a
+    span of several iterations: the one it failed in.
     """
 
     def __init__(self, message, rank=None, detail=None):
         super().__init__(message)
         self.rank = rank
         self.detail = dict(detail or {})
+        self.iteration = None
 
 
 class RankLostError(ResilienceEvent):
@@ -254,7 +258,7 @@ class ResilienceRuntime:
         self._matvecs = 0
         self._rowsum = None
         self._rowsum_stack = None
-        self._bnorm = None
+        self._bnorms = {}
         self._state_words = None
         # The ring checksums run one stacked reduction per block shape;
         # the interior sums one over every rank when blocks are uniform
@@ -330,7 +334,7 @@ class ResilienceRuntime:
             # where the recurrence residual *is* ``b - A x`` by
             # construction -- cross-checking it against itself would
             # spend a matvec to learn nothing.
-            self.crosscheck_residual(state)
+            self.crosscheck_residual(state, meta["active"])
         self.capture(state, meta, solver_meta=solver_meta)
 
     # ------------------------------------------------------------------
@@ -501,8 +505,9 @@ class ResilienceRuntime:
         t0 = time.perf_counter()
         rowsum = self._ensure_rowsum()
         lhs = self._interior_sum(y)
-        rhs = self._weighted_sum(rowsum, x)
-        scale = self._weighted_sum(rowsum, x, absolute=True)
+        xs = self._interior_stack(x)
+        rhs = self._weighted_sum(rowsum, xs, x.nrhs)
+        scale = self._weighted_sum(rowsum, xs, x.nrhs, absolute=True)
         self.counters["rowsum_checks"] += 1
         self.vm.ledger.record_allreduce("resilience", words=2)
         self.seconds += time.perf_counter() - t0
@@ -516,14 +521,21 @@ class ResilienceRuntime:
                 detail={"check": "matvec_rowsum",
                         "error": _finite_or_none(np.max(err))})
 
-    def crosscheck_residual(self, state):
+    def rowsum_due(self):
+        """Whether the next operator apply gets the row-sum check."""
+        return (self.policy.abft
+                and (self._matvecs + 1) % self.policy.abft_every == 0)
+
+    def crosscheck_residual(self, state, active):
         """Verify the recurrence residual against ``b - A x``.
 
         A bit flipped into any vector the recurrence is built from
         breaks the agreement between the recurrence residual and the
         directly recomputed one.  Runs at replication boundaries only
         (one extra matvec per capture); its cost is re-charged to the
-        ``"resilience"`` ledger phase.
+        ``"resilience"`` ledger phase.  ``active`` names the original
+        columns the state's columns hold: each column's drift is bounded
+        by that column's own ``||b||``.
         """
         ctx = self.context
         ledger = self.vm.ledger
@@ -543,10 +555,13 @@ class ResilienceRuntime:
         else:
             diff = ctx._sub(true_r, state["r"], out=true_r)
             dnorm = np.asarray(ctx.norm2(diff))
-        if self._bnorm is None:
-            # ``b`` is loop-invariant: one reduction for the whole solve.
-            self._bnorm = np.asarray(ctx.norm2(state["b"]))
-        bnorm = self._bnorm
+        active = [int(col) for col in active]
+        if not self._bnorms.keys() >= set(active):
+            # A column's ``b`` is loop-invariant: one reduction serves
+            # the whole solve, however many columns retire after it.
+            self._bnorms.update(zip(active, np.atleast_1d(
+                ctx.norm2(state["b"]))))
+        bnorm = np.array([self._bnorms[col] for col in active])
         ledger.transfer(snap, "resilience")
         self.counters["residual_crosschecks"] += 1
         self.seconds += time.perf_counter() - t0
@@ -579,7 +594,14 @@ class ResilienceRuntime:
         return self._rowsum
 
     def _interior_stack(self, field):
-        """Interiors stacked over ranks, or ``None`` when non-uniform."""
+        """``(stack, interiors)``: on uniform blocks the interiors
+        stacked over ranks as one C-contiguous array -- a stacked
+        field's interior rows copied, the very array ``np.stack`` of the
+        rank interiors builds, so every sum over it is the same -- and
+        ``None``; else ``None`` and the rank interiors, summed rank by
+        rank."""
+        if self._uniform and field.is_stacked:
+            return np.ascontiguousarray(field.interior_stack()), None
         interiors = [field.interior(rank)
                      for rank in range(self.vm.num_ranks)]
         if self._uniform:
@@ -597,10 +619,10 @@ class ResilienceRuntime:
             total = total + a.sum(axis=(0, 1))
         return total
 
-    def _weighted_sum(self, rowsum, field, absolute=False):
-        """``dot(A 1, field)`` per column, from the cached row sums."""
-        width = field.nrhs
-        stack, interiors = self._interior_stack(field)
+    def _weighted_sum(self, rowsum, stacked, width, absolute=False):
+        """``dot(A 1, field)`` per column, from the cached row sums and
+        the field's :meth:`_interior_stack` (``width`` its ``nrhs``)."""
+        stack, interiors = stacked
         if stack is not None and self._rowsum_stack is not None:
             w = self._rowsum_stack
             if width is not None:
@@ -631,3 +653,58 @@ class ResilienceRuntime:
             "last_capture_iteration": self._last_capture,
             "recoveries": list(self.recoveries),
         }
+
+
+class SpanChecks:
+    """The runtime's checks inside a span of several iterations, made
+    where the primitive calls make them.
+
+    An iteration's matvec exchanges the halo of the vector it sweeps
+    (``swept``, a stack: P-CSI's ``x``, ChronGear's ``r'``) and applies
+    the operator to it; the calls check the exchange's checksums
+    (:meth:`ResilienceRuntime.pre_exchange` then
+    :meth:`~ResilienceRuntime.post_exchange`) and then the apply
+    (:meth:`~ResilienceRuntime.on_matvec`).  A span calls this object
+    once per iteration, after that iteration's halo copy and sweep, with
+    the sweep's product -- a stack, read only when :meth:`due` said so
+    before the sweep.
+
+    A check that fails raises with its iteration (counted from
+    ``first``); ``passed`` counts the iterations whose checks passed,
+    and ``cut`` says where the failed one stopped -- ``"halo"`` (its
+    halo update made, its apply not) or ``"matvec"`` (both) -- so the
+    span charges what the calls had charged by then.
+    """
+
+    def __init__(self, runtime, swept, first):
+        self.runtime = runtime
+        self._decomp = runtime.vm.decomp
+        self._swept = BlockField.from_stack(self._decomp, swept)
+        self._product = (None, None)
+        self.first, self.passed, self.cut = first, 0, None
+
+    def due(self):
+        """Whether the next iteration's apply gets the row-sum check."""
+        return self.runtime.rowsum_due()
+
+    def __call__(self, product):
+        runtime, swept = self.runtime, self._swept
+        try:
+            self.cut = "halo"
+            runtime.post_exchange(swept, runtime.pre_exchange(swept))
+            self.cut = "matvec"
+            runtime.on_matvec(swept, self._field(product))
+        except ResilienceEvent as event:
+            event.iteration = self.first + self.passed
+            raise
+        self.cut = None
+        self.passed += 1
+
+    def _field(self, stack):
+        """``stack`` as a block field (the last one kept)."""
+        if stack is None:
+            return None
+        if self._product[0] is not stack:
+            self._product = (stack, BlockField.from_stack(self._decomp,
+                                                          stack))
+        return self._product[1]

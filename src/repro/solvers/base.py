@@ -87,9 +87,12 @@ with the same bits and ledger events as iteration by
 iteration.  A breakdown inside a span stops the loop's count at the
 iteration that broke down (``BreakdownError.iteration``), its head
 charged and its recurrences not, as one iteration a call would.  Every
-other solver and context answers 1, and with a resilience runtime
-attached -- which hooks every matvec and may roll back at any
-iteration -- the loop does not ask.
+other solver and context answers 1.  A resilience runtime attached to
+the batched engine does not stop a span: its halo and row-sum checks
+run inside it after each iteration's halo copy and sweep, where the
+calls run them, and one that fails raises with the iteration it failed
+in (``ResilienceEvent.iteration``), which the rollback records, that
+iteration charged as far as the check.
 
 Checkpoint/restart
 ------------------
@@ -476,8 +479,7 @@ class IterativeSolver(abc.ABC):
 
         while loop.active.size and loop.iterations < self.max_iterations:
             first = loop.iterations + 1
-            span = (1 if runtime is not None
-                    else self._span(state, first, checkpoint))
+            span = self._span(state, first, checkpoint)
             loop.iterations += span
             k = loop.iterations
             try:
@@ -513,6 +515,9 @@ class IterativeSolver(abc.ABC):
             except ResilienceEvent as event:
                 if runtime is None:
                     raise
+                if event.iteration is not None:
+                    # A span stops at the iteration whose check failed.
+                    loop.iterations = k = event.iteration
                 restored = runtime.rollback(event, k)
                 if restored is None:
                     self._fail_active(

@@ -89,7 +89,7 @@ class ChronGearSolver(IterativeSolver):
             return alpha, beta
 
         self.context.chrongear_span(state["x"], state["r"], state["s"],
-                                    state["p"], n, coefficients)
+                                    state["p"], n, coefficients, first)
 
 
 def _coefficients(rho, delta, rho_old, sigma_old):

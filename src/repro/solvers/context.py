@@ -75,6 +75,7 @@ from repro.parallel.reduction import (
     binomial_tree_depth,
     masked_column_partials_stacked,
 )
+from repro.parallel.resilience import SpanChecks
 
 
 #: ``updates`` step -> (kernel chain kind, flop units per point, the
@@ -359,12 +360,16 @@ class SolverContext(abc.ABC):
         """``n`` applications of ``M`` at width ``w``."""
         self.ledger.record_flops(phase, n * w * self._precond_flops())
 
-    def _charge_matvec(self, w, n=1, phase="computation", exchanged=False):
+    def _charge_matvec(self, w, n=1, phase="computation", exchanged=False,
+                       applied=True):
         """``n`` matvecs at width ``w``, each with its halo update: one
         boundary event of ``w * halo_words`` words -- unless the virtual
-        machine's exchange ``exchanged`` it already."""
-        self.ledger.record_flops(
-            phase, n * w * MATVEC_FLOPS_PER_POINT * self.critical_points)
+        machine's exchange ``exchanged`` it already -- and, unless a
+        check stopped them between the two, the stencil's flops
+        (``applied``)."""
+        if applied:
+            self.ledger.record_flops(
+                phase, n * w * MATVEC_FLOPS_PER_POINT * self.critical_points)
         # The halo-update *event* is recorded even for a 1-rank context
         # (with zero payload): event counts are the solver's algorithmic
         # signature, and experiment sweeps rescale the payload to each
@@ -387,13 +392,26 @@ class SolverContext(abc.ABC):
         """``n`` runs of updates of ``units`` flop units per point."""
         self.ledger.record_flops(phase, n * units * self.critical_points)
 
-    def _charge_span(self, kind, w, heads, chains=0):
+    def _charge_span(self, kind, w, heads, chains=0, cut=None):
         """What ``heads`` iterations of span ``kind`` -- ``chains`` of
-        them with their chain -- charge as the declared primitives."""
+        them with their chain -- charge as the declared primitives.
+
+        ``cut``: one more head stopped by a check in its swept primitive
+        (the one charged as a matvec) -- ``"halo"`` after that
+        primitive's halo update, ``"matvec"`` after its apply -- is
+        charged as far as the calls had charged it then.
+        """
         for part, n in zip(SPANS[kind], (heads, chains)):
             if n:
                 for name, units in part:
                     getattr(self, _CHARGES[name])(units * w, n)
+        if cut is None:
+            return
+        for name, units in SPANS[kind][0]:
+            if _CHARGES[name] == "_charge_matvec":
+                self._charge_matvec(units * w, applied=cut == "matvec")
+                return
+            getattr(self, _CHARGES[name])(units * w)
 
     # -- spans -----------------------------------------------------------
     def spans(self, kind, *vectors):
@@ -423,6 +441,13 @@ class SolverContext(abc.ABC):
         return all(getattr(cls, name) is getattr(own, name)
                    for name in _SPANNED)
 
+    def _span_checks(self, run, first):
+        """The checks a span of ``run`` makes iteration by iteration
+        where its calls would make them (iterations numbered from
+        ``first``; :class:`~repro.parallel.resilience.SpanChecks`), or
+        ``None``: nothing checks this context's iterations."""
+        return None
+
     def _span_runner(self, kind, vectors):
         """The kernels' runner of span ``kind`` on these vectors (kept
         while they are the same arrays), or ``None``."""
@@ -448,15 +473,16 @@ class SolverContext(abc.ABC):
         self._runner = (kind, key, run)
         return run
 
-    def chebyshev_span(self, b, r, dx, x, weights):
-        """P-CSI iterations, one per ``(omega, c)`` in ``weights``;
-        returns the new residual.
+    def chebyshev_span(self, b, r, dx, x, weights, first=1):
+        """P-CSI iterations ``first, first + 1, ...``, one per ``(omega,
+        c)`` in ``weights``; returns the new residual.
 
         Each is ``r' = M^-1 r``, ``dx = omega r' + c dx``, ``x += dx``,
         ``r = b - A x`` (paper Alg. 2, steps 6-10), updating ``dx`` and
         ``x`` in place -- in the kernels' runner (``r`` updated in place
         too) or as the primitive calls, with the same bits and ledger
-        records.
+        records.  A resilience check that fails inside the runner
+        raises, as the calls' would, with the iteration it failed in.
         """
         run = self._span_runner("chebyshev", (b, r, dx, x))
         if run is None:
@@ -466,14 +492,22 @@ class SolverContext(abc.ABC):
                              ("axpy", 1.0, dx, x))
                 r = self.residual(b, x)
             return r
-        if weights:
-            run.run(weights)
-        self._charge_span("chebyshev", self._vec_width(x), len(weights))
+        checks = self._span_checks(run, first)
+        if checks is None:
+            if weights:
+                run.run(weights)
+            self._charge_span("chebyshev", self._vec_width(x), len(weights))
+            return r
+        try:
+            run.run(weights, checks)
+        finally:
+            self._charge_span("chebyshev", self._vec_width(x), checks.passed,
+                              cut=checks.cut)
         return r
 
-    def chrongear_span(self, x, r, s, p, n, coefficients):
-        """``n`` ChronGear iterations on ``x``, ``r``, ``s``, ``p`` in
-        place (paper Alg. 1, steps 4-16).
+    def chrongear_span(self, x, r, s, p, n, coefficients, first=1):
+        """``n`` ChronGear iterations, ``first`` the first of them, on
+        ``x``, ``r``, ``s``, ``p`` in place (paper Alg. 1, steps 4-16).
 
         Each is ``r' = M^-1 r``, ``z = A r'``, ``(rho, delta) = (<r,
         r'>, <z, r'>)`` in one reduction, then ``coefficients(rho,
@@ -485,7 +519,9 @@ class SolverContext(abc.ABC):
         the next head, the last recurrences.  The same bits and ledger
         records either way: the runner's heads and chains are counted
         and charged once, in ``finally``, so a breakdown leaves its
-        head charged and its chain not.
+        head charged and its chain not, and a resilience check that
+        fails after a head's sweep leaves that head charged as far as
+        the check.
         """
         run = self._span_runner("chrongear", (x, r, s, p))
         if run is None:
@@ -501,9 +537,12 @@ class SolverContext(abc.ABC):
                              ("axpy", alpha, s, x), ("axpy", -alpha, p, r))
             return
         heads = chains = 0
+        checks = self._span_checks(run, first)
         try:
             dots = run(None, True)
             for t in range(n):
+                if checks is not None:
+                    checks(run.z)
                 heads += 1
                 step = coefficients(*dots)
                 last = t == n - 1
@@ -512,7 +551,8 @@ class SolverContext(abc.ABC):
                     dots = run(step, not last)
         finally:
             run.flush()
-            self._charge_span("chrongear", self._vec_width(x), heads, chains)
+            self._charge_span("chrongear", self._vec_width(x), heads, chains,
+                              cut=None if checks is None else checks.cut)
 
     # -- topology ------------------------------------------------------
     @property
@@ -832,17 +872,24 @@ class DistributedContext(SolverContext):
         return out
 
     def _span_layout(self, vectors):
-        """The stacks of fields on the batched engine, with no resilience
-        runtime (which hooks every matvec) and no fault injector (which
-        hooks every exchange) attached; per-rank fields have no single
-        array."""
+        """The stacks of fields on the batched engine, with no fault
+        injector (which hooks every exchange) attached; per-rank fields
+        have no single array.  A resilience runtime's checks run inside
+        the span (:meth:`_span_checks`)."""
         vm = self.vm
-        if vm.resilience is not None or vm.faults \
-                or not self._batched(*vectors):
+        if vm.faults or not self._batched(*vectors):
             return None
         return ([v.stack for v in vectors],
                 self.operator._get_stacked_coeffs(), self.decomp.halo_width,
                 vm.exchanger.halo_tables())
+
+    def _span_checks(self, run, first):
+        """The attached resilience runtime's checks on the stack ``run``
+        sweeps, or ``None`` without a runtime."""
+        runtime = self.vm.resilience
+        if runtime is None:
+            return None
+        return SpanChecks(runtime, run.swept, first)
 
     # -- reductions ----------------------------------------------------
     @property

@@ -99,5 +99,5 @@ class PCSISolver(SpectralBoundedSolver):
         # dx = omega r' + (gamma omega - 1) dx; x += dx; the residual
         # recompute (matvec) + halo update
         state["r"] = self.context.chebyshev_span(
-            state["b"], state["r"], state["dx"], state["x"], weights)
+            state["b"], state["r"], state["dx"], state["x"], weights, first)
         state["omega"] = omega

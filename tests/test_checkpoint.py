@@ -484,22 +484,27 @@ class TestPCSISpans:
     #: cases below that span, with the ``native.c`` entry point each
     #: needs.
     SPANNING = {
-        "chebyshev": ("pcsi", {"evp": "evp_step", "evp_batched": "evp_step"}),
+        "chebyshev": ("pcsi", {"evp": "evp_step", "evp_batched": "evp_step",
+                               "evp_guarded": "evp_step"}),
         "chrongear": ("chrongear", {"evp": "evp_step",
-                                    "evp_batched": "evp_step"}),
+                                    "evp_batched": "evp_step",
+                                    "evp_guarded": "evp_step"}),
     }
 
     @pytest.mark.parametrize("case", ["evp", "perrank", "batched",
-                                      "resilience", "evp_batched"])
+                                      "resilience", "evp_batched",
+                                      "evp_guarded"])
     def test_other_cases_keep_spans_of_one(self, config, decomp, case):
         """Every declared span kind (``SPANS``; a kind without a row in
         ``SPANNING`` fails): one iteration a call on the distributed
-        contexts with a diagonal ``M`` and under a resilience runtime.
-        P-CSI + EVP and ChronGear + EVP, serially and on the batched
-        engine's stacks, span up to each check (``evp_step`` calls, where
-        it was adopted)."""
+        contexts with a diagonal ``M``, with or without a resilience
+        runtime.  P-CSI + EVP and ChronGear + EVP, serially and on the
+        batched engine's stacks -- there with a resilience runtime too --
+        span up to each check (``evp_step`` calls, where it was
+        adopted)."""
         engine = {"evp": "serial", "resilience": "batched",
-                  "evp_batched": "batched"}.get(case, case)
+                  "evp_batched": "batched",
+                  "evp_guarded": "batched"}.get(case, case)
         for kind in SPANS:
             name, spanning = self.SPANNING[kind]
             ctx = _context(config, decomp, engine, "fused",
@@ -510,7 +515,8 @@ class TestPCSISpans:
             spans = _spans(solver)
             result = solver.solve(
                 _rhs(config),
-                resilience=True if case == "resilience" else None)
+                resilience=(True if case in ("resilience", "evp_guarded")
+                            else None))
             spanned = (case in spanning
                        and getattr(load_native(), spanning[case]) is not None)
             assert result.converged, name
@@ -728,7 +734,8 @@ class TestEVPSpans:
 
     def _solve(self, kernels, b, grid="144x120", lattice=None,
                engine="batched", tmp_path=None, resume_from=None,
-               poison=None, solver="pcsi", x0=None, **kwargs):
+               poison=None, solver="pcsi", x0=None, resilience=None,
+               **kwargs):
         config = _pop(grid)
         pre = _evp(grid, lattice)
         serial, distributed = self.PRODUCTS[kernels]
@@ -753,7 +760,11 @@ class TestEVPSpans:
         policy = None if tmp_path is None else CheckpointPolicy(
             str(tmp_path / f"{kernels}-{engine}"), every=7, keep=0)
         result = solver.solve(b, x0=x0, checkpoint=policy,
-                              resume_from=resume_from)
+                              resume_from=resume_from, resilience=resilience)
+        if resilience is not None:
+            # The runtime's self-timed seconds are a wall clock: the one
+            # entry of its summary two runs cannot share.
+            result.extra["resilience"]["seconds"] = 0.0
         return result, spans, policy
 
     def _both(self, b, oracle=False, **kwargs):
@@ -996,6 +1007,94 @@ class TestEVPSpans:
             assert np.array_equal(resumed.x, full.x)
             if self._fused() and reader == "native":
                 assert spans[0] == 3
+
+    # -- under a resilience runtime --------------------------------------
+    #: Where the spans of a 45-iteration budget stop: at the checks, and
+    #: with a snapshot every 7 iterations at those too.
+    GUARDED_SPANS = {False: [10, 10, 10, 10, 5],
+                     True: [7, 3, 4, 6, 1, 7, 2, 5, 5, 2, 3]}
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize("solver,width", [
+        ("pcsi", None), ("chrongear", None), ("chrongear", 1),
+        ("chrongear", 3), ("chrongear", 8)])
+    @pytest.mark.parametrize("lattice", list(EVP_LATTICES))
+    def test_guarded_matches_the_calls(self, tmp_path, lattice, solver,
+                                       width, checkpoint):
+        """Buddy replication + ABFT (``resilience=True``) no longer stops
+        a span: the halo checksums and the row-sum checks run inside it
+        where the calls run them, and iterates, histories, ledger and
+        the runtime's summary -- counters, captures, everything but its
+        wall clock -- are the calls' bit for bit, with snapshots due
+        every 7 iterations or none."""
+        got, spans = self._both(
+            _batch_rhs(_pop("144x120"), width), lattice=lattice,
+            solver=solver, resilience=True, max_iterations=45,
+            tmp_path=tmp_path if checkpoint else None)
+        counters = got.extra["resilience"]["counters"]
+        assert counters["halo_checks"] >= 45
+        assert counters["rowsum_checks"] >= 11
+        assert counters["residual_crosschecks"] == 4
+        assert counters["rollbacks"] == 0
+        if self._fused():
+            assert spans == self.GUARDED_SPANS[checkpoint]
+
+    @pytest.mark.parametrize("check", ["halo", "rowsum"])
+    @pytest.mark.parametrize("solver,width", [("pcsi", None),
+                                              ("chrongear", None),
+                                              ("chrongear", 3)])
+    @pytest.mark.parametrize("lattice", ["uniform", "ragged"])
+    def test_guarded_check_failing_mid_span(self, monkeypatch, lattice,
+                                            solver, width, check):
+        """A check that fails once inside a span -- the halo checksum of
+        iteration 14 (the 15th exchange: the cross-check at 10 makes
+        one) or the row-sum check of iteration 15 (every fourth apply)
+        -- is detected at that iteration, as one iteration a call
+        detects it: the same recovery document (iteration, message,
+        resumed from 10), ledger and runtime summary, and the replay
+        ends on the undisturbed run's ``x``."""
+        from repro.parallel.resilience import ResilienceRuntime
+
+        calls = []
+        name = "ring_checksums" if check == "halo" else "_interior_sum"
+        plain = getattr(ResilienceRuntime, name)
+        # The post-delivery checksum of the 15th exchange, the lhs of the
+        # 4th row-sum check.
+        due = 30 if check == "halo" else 4
+
+        def faulty(runtime, field):
+            value = plain(runtime, field)
+            calls.append(None)
+            if len(calls) == due:
+                value = value + (1.0 if check == "halo" else np.nan)
+            return value
+
+        b = _batch_rhs(_pop("144x120"), width)
+        clean, _, _ = self._solve("native", b, lattice=lattice,
+                                  solver=solver, resilience=True,
+                                  max_iterations=45)
+        monkeypatch.setattr(ResilienceRuntime, name, faulty)
+        results = []
+        for kernels in self.PRODUCTS:
+            calls.clear()
+            results.append(self._solve(kernels, b, lattice=lattice,
+                                       solver=solver, resilience=True,
+                                       max_iterations=45))
+        (got, spans, _), (ref, ref_spans, _) = results
+        summary = got.extra["resilience"]
+        (doc,) = summary["recoveries"]
+        assert doc["iteration"] == (14 if check == "halo" else 15)
+        assert doc["data"]["resumed_from_iteration"] == 10
+        assert doc["data"]["check"] == ("halo_checksum" if check == "halo"
+                                        else "matvec_rowsum")
+        assert summary["counters"]["rollbacks"] == 1
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert np.array_equal(got.x, clean.x)
+        assert set(ref_spans) == {1}
+        if self._fused():
+            assert spans == [10, 10, 10, 10, 10, 5]
+
 
 class TestStepperResume:
     def _build(self, config):

@@ -1065,8 +1065,8 @@ class TestEVPSpan:
                                                   uniform_decomp):
         """ChronGear's dots weigh cells by ``M``'s mask: a context whose
         dots weigh by another one, the numpy kernels, the per-rank
-        engine, a fault injector or a resilience runtime run the
-        primitive calls."""
+        engine or a fault injector run the primitive calls; a resilience
+        runtime's checks run inside the span."""
         config, decomp = uniform_config, uniform_decomp
         kernels = FusedKernels()
         rng = np.random.default_rng(3)
@@ -1095,15 +1095,16 @@ class TestEVPSpan:
         assert not spans(config.mask, engine="perrank")
         assert not spans(config.mask,
                          faults=[HaloFault(rank=0, value=np.nan, at=1)])
-        assert not spans(config.mask, resilience=True)
+        assert spans(config.mask, resilience=True)
         assert not spans(np.ones(config.shape, dtype=bool))
 
     @needs_native("evp_step")
     def test_span_declines_what_it_cannot_run(self, uniform_config,
                                               uniform_decomp):
         """Strided, read-only, mis-shaped or overlapping vectors, the
-        numpy kernels, per-rank fields, a fault injector or a resilience
-        runtime: no runner, today's calls."""
+        numpy kernels, per-rank fields or a fault injector: no runner,
+        today's calls.  A resilience runtime keeps the runner: its
+        checks run inside the span."""
         kernels = FusedKernels()
         config, decomp = uniform_config, uniform_decomp
         pre = evp_for_config(config, kernels=kernels)
@@ -1134,7 +1135,70 @@ class TestEVPSpan:
         assert not spans(faults=[HaloFault(rank=0, value=np.nan, at=1)])[1]
         ctx, _ = spans()
         ctx.vm.resilience = ResilienceRuntime(ResiliencePolicy(), ctx)
-        assert not ctx.spans("chebyshev", *(ctx.vm.zeros() for _ in range(4)))
+        assert ctx.spans("chebyshev", *(ctx.vm.zeros() for _ in range(4)))
+
+    @needs_native("evp_step")
+    @pytest.mark.parametrize("lattice", ["uniform", "ragged"])
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_kept_ax_is_the_stacked_apply(self, uniform_config, lattice,
+                                          nrhs):
+        """A P-CSI span asked to keep ``A x`` on some iterations hands
+        each of them the stacked stencil apply of that iteration's ``x``
+        (its halos just copied) -- the operand the calls' row-sum check
+        reads -- on the interior rows, and the span's vectors are those
+        of a span that keeps none."""
+        config = uniform_config
+        decomp = decompose(config.ny, config.nx,
+                           *((4, 4) if lattice == "uniform" else (5, 7)),
+                           mask=config.mask)
+        kernels = FusedKernels()
+        pre = evp_for_config(config, decomp=decomp, kernels=kernels)
+        rng = np.random.default_rng(5)
+        values = [rng.standard_normal(config.shape + (() if nrhs is None
+                                                      else (nrhs,)))
+                  for _ in range(4)]
+        weights = TestEVPSpan._weights(7, 5)
+        runs = []
+        for keeps in ((False,) * 5, (True, False, True, True, False)):
+            vm = VirtualMachine(decomp, mask=config.mask)
+            ctx = DistributedContext(config.stencil, pre, vm,
+                                     kernels=kernels)
+            b, r, dx, x = (vm.scatter(v) for v in values)
+            kept = _KeepEveryAx(keeps, ctx, x)
+            ctx._span_runner("chebyshev", (b, r, dx, x)).run(weights, kept)
+            assert len(kept.products) == sum(keeps)
+            for ax, want in zip(kept.products, kept.applied):
+                assert np.array_equal(
+                    ax[:, decomp.halo_width:-decomp.halo_width,
+                       decomp.halo_width:-decomp.halo_width],
+                    want.interior_stack(), equal_nan=True)
+            runs.append([v.stack for v in (r, dx, x)])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
+
+class _KeepEveryAx:
+    """A stand-in for :class:`~repro.parallel.resilience.SpanChecks`
+    handed to a P-CSI runner: it asks for ``A x`` on the iterations
+    ``keeps`` says (all without it), copies what it is handed and, given
+    a context and its ``x``, the stacked apply of ``x`` as it is then."""
+
+    def __init__(self, keeps=None, ctx=None, x=None):
+        self.keeps, self.ctx, self.x = keeps, ctx, x
+        self.products, self.applied, self.calls = [], [], 0
+
+    def due(self):
+        return self.keeps is None or self.keeps[self.calls]
+
+    def __call__(self, ax):
+        self.calls += 1
+        if ax is None:
+            return
+        self.products.append(ax.copy())
+        if self.ctx is not None:
+            out = self.ctx.vm.zeros(nrhs=self.x.nrhs)
+            self.ctx.operator.apply(self.x, out)
+            self.applied.append(out)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
@@ -1447,8 +1511,9 @@ class TestVectorKernels:
         """``evp_step``'s ``dx`` products and the sweep's with the
         operands of ``test_sweep_is_not_contracted``, with 1x1 EVP tiles
         of centre 1.0 (``M^-1 r = r`` exactly): each rounds before its
-        add, so ``dx`` and ``r`` come out 0.0 where a fused
-        multiply-add leaves ``+-2**-54``."""
+        add, so ``dx``, ``r`` and the ``A x`` a tail keeps for a row-sum
+        check come out 0.0 where a fused multiply-add leaves
+        ``+-2**-54``."""
         from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
         from repro.precond.evp import EVPBlockPreconditioner
 
@@ -1470,6 +1535,17 @@ class TestVectorKernels:
             assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
                 "the compiler contracted a*b+c in native.c's evp_step and "
                 "the loader's self-test did not notice")
+        # The tail that keeps A x sweeps into it, then subtracts.
+        b, r, dx, x = np.zeros((4,) + shape)
+        x[1, 1], x[2, 1] = big, small
+        kept = _KeepEveryAx()
+        kernels.span_runner("chebyshev", stencil, 0, None,
+                            pre.span_operands(False, 1),
+                            (b, r, dx, x)).run([(1.0, 1.0)], kept)
+        (ax,) = kept.products
+        assert ax[1, 1] == 0.0 and r[1, 1] == 0.0, (
+            "the compiler contracted a*b+c in native.c's evp_step and the "
+            "loader's self-test did not notice")
 
     @needs_native("evp_step")
     def test_evp_chrongear_span_is_not_contracted(self):

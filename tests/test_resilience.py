@@ -32,6 +32,7 @@ from repro.parallel import (
     parse_fault_spec,
 )
 from repro.parallel.faults import FaultInjector
+from repro.parallel.resilience import ResilienceRuntime, SDCDetectedError
 from repro.precond import make_preconditioner
 from repro.solvers import (
     BREAKDOWN,
@@ -353,6 +354,60 @@ class TestMultiRHS:
         assert summary["counters"]["rank_deaths"] == 1
         assert summary["counters"]["sdc_detected"] >= 1
         assert result.extra["per_rhs_converged"] == [True] * 3
+
+
+    def test_crosscheck_after_columns_retire(self, config, decomp):
+        """Columns 1 and 0/2 converge at 70 and 80: the cross-checks
+        after the first retirement run on a batch of two, then one --
+        each column's drift against its own ``||b||``, the batch's
+        first reduction of ``b`` reused -- and the guarded batch ends
+        as the unguarded one, with no rollback."""
+        y, x = np.indices(config.shape)
+        smooth = apply_stencil(config.stencil, np.sin(y / 10.0)
+                               * np.cos(x / 12.0) * config.mask)
+        B = np.stack([smooth, _rhs(config), 3.0 * smooth], axis=-1)
+        reference = _make_solver("batched", config, decomp).solve(B)
+        result = _make_solver("batched", config, decomp).solve(
+            B, resilience=True)
+        assert result.extra["per_rhs_iterations"] == [80, 70, 80]
+        assert np.array_equal(result.x, reference.x)
+        counters = result.extra["resilience"]["counters"]
+        assert counters["residual_crosschecks"] == 7
+        assert counters["rollbacks"] == 0
+
+    def test_crosscheck_bounds_each_column_by_its_own_b(self, config,
+                                                        decomp):
+        """Three columns, ``||b||`` a thousand times apart, then column
+        2 alone: a drift within column 2's bound passes although it is
+        far past column 0's, one past it is detected, and neither call
+        reduces ``b`` again."""
+        solver = _make_solver("batched", config, decomp)
+        ctx = solver.context
+        runtime = ResilienceRuntime(ResiliencePolicy(), ctx)
+        B = np.stack([1e-3 * _rhs(config), _rhs(config, seed=2),
+                      1e3 * _rhs(config, seed=3)], axis=-1)
+        b = ctx.from_global(B)
+        x = ctx.from_global(np.zeros_like(B))
+        norms = ctx.norm2(b)
+        runtime.crosscheck_residual({"b": b, "x": x, "r": ctx.copy(b)},
+                                    np.arange(3))
+        bound = runtime.policy.crosscheck_tol * (norms[2] + 1.0)
+        assert bound > 1e3 * runtime.policy.crosscheck_tol * (norms[0] + 1.0)
+        alone = {name: ctx.compact(v, [2]) for name, v in
+                 (("b", b), ("x", x), ("r", b))}
+        ledger = ctx.ledger
+        for drift, fails in ((0.5 * bound, False), (2.0 * bound, True)):
+            alone["r"] = ctx.copy(alone["b"])
+            alone["r"].interior(5)[2, 3, 0] += drift
+            before = ledger.counts("resilience").allreduces
+            if fails:
+                with pytest.raises(SDCDetectedError):
+                    runtime.crosscheck_residual(alone, np.array([2]))
+            else:
+                runtime.crosscheck_residual(alone, np.array([2]))
+            # the drift norm's reduction, none for ``b``
+            assert ledger.counts("resilience").allreduces == before + 1
+        assert runtime.counters["residual_crosschecks"] == 3
 
 
 class TestCAPCGGramPoison:
