@@ -201,8 +201,7 @@ class KernelBackend:
         return float(np.add.reduce(scratch, axis=None))
 
     def window_dots(self, a, b, mask, extents=None):
-        """Masked dots of every block's window, for every column, in
-        one pass -- if this backend can.
+        """Masked dots of every block's window, for every column.
 
         ``a`` and ``b`` are float64 ``(blocks, rows, cols[, nrhs])``
         arrays of one layout whose rows are contiguous (stacks, the
@@ -216,16 +215,12 @@ class KernelBackend:
         operands): per block and column the products ``(a * b) * mask``
         of the window in row-major cell order, reduced with numpy's
         pairwise blocking -- the bits of ``np.sum`` over a contiguous
-        copy of those products, which is what
-        :func:`repro.parallel.reduction.masked_partials_stacked` and
-        ``masked_column_partials_stacked`` compute in four passes.
-        ``None`` (the default: there is no fused form in numpy) sends
-        the caller to those.
+        copy of those products, which is how the reference forms them.
         """
-        return None
+        raise NotImplementedError
 
     def update_chain(self, steps):
-        """Run consecutive vector updates in one pass, if this backend can.
+        """Run consecutive vector updates, in order.
 
         ``steps`` is a list of ``(kind, a, b, x, y)`` over float64
         arrays of one shape and one layout -- whole contiguous vectors,
@@ -236,14 +231,13 @@ class KernelBackend:
         coefficient per entry of the trailing axis (a batch whose
         columns run their own recurrences).  ``kind`` 0 is ``y += a *
         x`` (axpy), 1 ``y = x + b * y`` (xpay), 2 ``y = a * x + b * y``
-        (combine), each with the roundings of the context's own numpy
-        calls (``a * x`` and ``b * y`` rounded, then one add).  A later
-        step may read or update an earlier step's ``y``.  Returns
-        ``True`` when the chain ran; ``False`` (the default: there is
-        no fused form in numpy) when nothing was touched and the caller
-        runs the updates one by one.
+        (combine), each as numpy's in-place calls round it: ``b * y``
+        into ``y`` first, then ``a * x`` rounded and one add.  A later
+        step may read or update an earlier step's ``y``.  Operands numpy
+        would refuse (read-only, of shapes that do not broadcast) raise
+        as numpy does.
         """
-        return False
+        raise NotImplementedError
 
     def span_runner(self, kind, coeffs, h, halo, m, vectors):
         """A runner for the span ``kind`` on these vectors, if this
@@ -285,16 +279,13 @@ class KernelBackend:
         return None
 
     def halo_copy(self, stack, tables):
-        """The batched engine's halo update of ``stack``, if this
-        backend can: with ``tables = (dst, src, zero)`` int64 cell
-        indices into a C-contiguous ``(p, bny + 2h, bnx + 2h[, nrhs])``
-        float64 stack, every cell ``dst[i]`` gets cell ``src[i]``'s
-        ``nrhs`` values and every cell ``zero[i]`` zeros -- numpy's
-        ``flat[dst] = flat[src]; flat[zero] = 0.0`` (no source cell is
-        among the others).  Returns ``True`` when it ran; ``False`` (the
-        default) when nothing was touched and the caller indexes with
-        numpy."""
-        return False
+        """The batched engine's halo update of ``stack``: with ``tables
+        = (dst, src, zero)`` int64 cell indices into a C-contiguous
+        ``(p, bny + 2h, bnx + 2h[, nrhs])`` float64 stack, every cell
+        ``dst[i]`` gets cell ``src[i]``'s ``nrhs`` values and every cell
+        ``zero[i]`` zeros -- numpy's ``flat[dst] = flat[src]; flat[zero]
+        = 0.0`` (no source cell is among the others)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def describe(self):

@@ -868,21 +868,28 @@ class FusedKernels(NumpyKernels):
     def window_dots(self, a, b, mask, extents=None):
         fn = self._native().pairwise_dot
         strides = _stack_rows(a)
-        if fn is None or strides is None or not (
+        if fn is not None and strides is not None and (
                 a.shape == b.shape == mask.shape + a.shape[3:]
                 and a.strides == b.strides and b.dtype == mask.dtype == a.dtype
                 and mask.flags.c_contiguous and mask.size):
-            return None
-        out = np.empty((a.shape[3] if a.ndim == 4 else 1, mask.shape[0]))
-        rows = int64s(*mask.shape, out.shape[0], *strides)
-        try:
-            fn(rows[0], pointer(a), pointer(b), pointer(mask),
-               0 if extents is None else address(extents), address(out))
-        except (TypeError, ValueError):
-            return None   # read-only operands
-        return out
+            out = np.empty((a.shape[3] if a.ndim == 4 else 1, mask.shape[0]))
+            rows = int64s(*mask.shape, out.shape[0], *strides)
+            try:
+                fn(rows[0], pointer(a), pointer(b), pointer(mask),
+                   0 if extents is None else address(extents), address(out))
+                return out
+            except (TypeError, ValueError):
+                pass   # read-only operands: numpy takes those
+        return super().window_dots(a, b, mask, extents)
 
     def update_chain(self, steps):
+        if not self._native_chain(steps):
+            super().update_chain(steps)
+
+    def _native_chain(self, steps):
+        """:meth:`update_chain` as one ``native.c`` call: ``False`` where
+        it was not adopted or the operands are not one shape and row
+        layout of writable, non-overlapping arrays (nothing touched)."""
         fn = self._native().update_chain
         first = steps[0][4]
         shape, strides, width = first.shape, first.strides, first.shape[-1]
@@ -974,18 +981,19 @@ class FusedKernels(NumpyKernels):
 
     def halo_copy(self, stack, tables):
         fn = self._native().evp_step
-        if fn is None or stack.dtype != np.float64 \
-                or not stack.flags.c_contiguous:
-            return False
-        try:
-            at = address(stack)
-        except (TypeError, ValueError):
-            return False   # read-only or empty
+        at = None
+        if fn is not None and stack.dtype == np.float64 \
+                and stack.flags.c_contiguous:
+            try:
+                at = address(stack)
+            except (TypeError, ValueError):
+                pass   # read-only or empty: numpy takes those
+        if at is None:
+            return super().halo_copy(stack, tables)
         dst, src, zero = tables
         fn(struct.pack(HALO_FORMAT, stack.shape[3] if stack.ndim == 4 else 1,
                        len(dst), len(zero), dst.ctypes.data, src.ctypes.data,
                        zero.ctypes.data, at), EVP_HALO)
-        return True
 
     # ------------------------------------------------------------------
     # EVP tile solves

@@ -20,10 +20,16 @@ trailing broadcast axis, so every element of every column sees exactly
 the operation sequence the single-RHS path performs -- batched results
 are bit-identical per column.  The EVP sweep always runs on such an
 axis: a single right-hand side is one column.
+
+The vector kernels are the contexts' numpy calls: a chain of updates
+step by step (``y *= b``, then ``y += a * x``), the windowed dots as
+product, mask pass and ``np.sum`` per block shape, the halo copy as one
+``take`` and one zero fill over the stack's flat cells.
 """
 
 import numpy as np
 
+from repro.core.fields import fold_update
 from repro.kernels.base import KernelBackend, validate_evp_shapes
 
 
@@ -71,6 +77,49 @@ class NumpyKernels(KernelBackend):
         return out
 
     # ------------------------------------------------------------------
+    # vector kernels
+    # ------------------------------------------------------------------
+    def window_dots(self, a, b, mask, extents=None):
+        # Pairwise summation blocks by element count, so each window is
+        # reduced on its own -- summing a padded slot would change the
+        # bits although the pad adds zeros -- and by ``np.sum``, not
+        # ``einsum``, which accumulates serially.
+        out = np.empty((a.shape[3] if a.ndim == 4 else 1, mask.shape[0]))
+        for blocks, ny, nx in _windows(mask.shape, extents):
+            prod = a[blocks, :ny, :nx] * b[blocks, :ny, :nx]
+            if prod.ndim == 4:
+                prod = prod.transpose(3, 0, 1, 2)
+            # Planar ``(nrhs, blocks, ny, nx)``: every (column, block)
+            # window contiguous, as a standalone product would be.
+            masked = np.empty(prod.shape)
+            np.multiply(prod, mask[blocks, :ny, :nx], out=masked)
+            out[:, blocks] = np.sum(masked, axis=(-2, -1))
+        return out
+
+    def update_chain(self, steps):
+        for kind, a, b, x, y in steps:
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                (a, b), (x, y) = fold_update((a, b), (x, y))
+            if kind:
+                y *= b
+            if kind == 1:
+                y += x
+            else:
+                y += a * x
+
+    def halo_copy(self, stack, tables):
+        if not stack.flags.c_contiguous:
+            raise ValueError("halo_copy needs a C-contiguous stack")
+        dst, src, zero = tables
+        # Cells as rows of a flat view; one value per cell stays 1-D
+        # (fancy indexing a trailing axis of one is 2.5x slower).
+        tail = stack.shape[3:]
+        flat = stack.reshape((-1,) + (tail if tail != (1,) else ()))
+        flat[dst] = flat.take(src, axis=0)
+        if zero.size:
+            flat[zero] = 0.0
+
+    # ------------------------------------------------------------------
     # EVP tile solves
     # ------------------------------------------------------------------
     def evp_solve(self, engine, plan, y, out=None):
@@ -92,3 +141,14 @@ class NumpyKernels(KernelBackend):
             return x.copy()
         out[...] = x
         return out
+
+
+def _windows(shape, extents):
+    """``(blocks, ny, nx)`` per window shape of a ``(blocks, rows,
+    cols)`` layout: the blocks (a slice, or an index array) whose
+    window is ``(ny, nx)``."""
+    if extents is None:
+        return [(slice(None), shape[1], shape[2])]
+    shapes, which = np.unique(extents, axis=0, return_inverse=True)
+    return [(np.flatnonzero(which.ravel() == k), int(ny), int(nx))
+            for k, (ny, nx) in enumerate(shapes)]

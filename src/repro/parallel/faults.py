@@ -607,12 +607,3 @@ def _parse_value(raw):
         return raw
     return value
 
-
-def nonfinite_summary(field):
-    """Per-rank non-finite counts of a block field (diagnostic aid)."""
-    out = {}
-    for rank in range(len(field.locals_)):
-        bad = int(np.count_nonzero(~np.isfinite(field.local(rank))))
-        if bad:
-            out[rank] = bad
-    return out

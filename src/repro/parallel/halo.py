@@ -20,9 +20,8 @@ Three implementations are provided and tested against each other:
   fields.
 * :meth:`HaloExchanger.exchange_stacked` -- the batched engine's: halo
   cells of a stack copied straight from their owners' interior cells
-  through cell tables built once from the decomposition (one compiled
-  loop where the kernels have it, numpy fancy indexing otherwise);
-  nothing is assembled and no owned cell moves.
+  through cell tables built once from the decomposition (the kernels'
+  ``halo_copy``); nothing is assembled and no owned cell moves.
 
 Out-of-domain halos (beyond the global grid edge, or adjacent to an
 eliminated all-land block) are filled with zeros: the closed lateral
@@ -32,6 +31,7 @@ boundary of the barotropic operator.
 import numpy as np
 
 from repro.core.errors import DecompositionError
+from repro.kernels import resolve_kernels
 
 
 class BlockField:
@@ -326,34 +326,23 @@ class HaloExchanger:
 
         Every halo cell that has an owner is copied from the owner's
         interior cell (``flat[dst] = flat[src]`` over the cell tables of
-        :meth:`halo_tables`; a trailing batch axis rides along -- one
+        :meth:`halo_tables`, a trailing batch axis riding along: one
         :meth:`~repro.kernels.base.KernelBackend.halo_copy` of
-        ``kernels`` where it runs, numpy's fancy indexing otherwise), and
-        every cell nobody owns -- closed boundary, eliminated
-        neighbours, pad of ragged slots, which elementwise updates may
-        have written -- is set to zero.  Owned cells are not touched:
-        the stack comes out bit-identical to
-        :meth:`exchange_via_global` followed by zeroing the pad, which
-        rewrites them with themselves.  Requires a stacked
-        :class:`BlockField`.
+        ``kernels``, ``None`` the shared fused instance), and every cell
+        nobody owns -- closed boundary, eliminated neighbours, pad of
+        ragged slots, which elementwise updates may have written -- is
+        set to zero.  Owned cells are not touched: the stack comes out
+        bit-identical to :meth:`exchange_via_global` followed by zeroing
+        the pad, which rewrites them with themselves.  Requires a
+        stacked :class:`BlockField`.
         """
         if not field.is_stacked:
             raise DecompositionError(
                 "exchange_stacked requires a stacked BlockField; "
                 "use exchange/exchange_via_global for per-rank fields"
             )
-        stack = field.stack
-        tables = dst, src, zero = self.halo_tables()
-        if not stack.flags.c_contiguous:
+        if not field.stack.flags.c_contiguous:
             # No flat view to index: a copy would swallow the update.
             return self.exchange_via_global(field)
-        if kernels is not None and kernels.halo_copy(stack, tables):
-            return field
-        # Cells as rows of a flat view; one value per cell stays 1-D
-        # (fancy indexing a trailing axis of one is 2.5x slower).
-        tail = stack.shape[3:]
-        flat = stack.reshape((-1,) + (tail if tail != (1,) else ()))
-        flat[dst] = flat.take(src, axis=0)
-        if zero.size:
-            flat[zero] = 0.0
+        resolve_kernels(kernels).halo_copy(field.stack, self.halo_tables())
         return field

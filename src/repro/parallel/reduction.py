@@ -15,13 +15,10 @@ machine is bit-for-bit reproducible, while changing the rank count (or
 the solver!) is not.  That non-associativity is precisely what motivates
 the paper's section 6 ensemble-consistency machinery.
 
-The two ``*_stacked`` functions are the numpy form of the batched
-engine's local partials -- product, mask pass, (for a batch) planar
-transpose, ``np.sum`` -- and the definition of their bits.  The virtual
-machine asks its kernels' ``window_dots`` first
-(:meth:`repro.kernels.base.KernelBackend.window_dots`: the same
-products reduced in the same pairwise order in one compiled pass, no
-temporaries) and comes here when the kernels have no such form.
+The batched engine's local partials are its kernels' ``window_dots``
+(:meth:`repro.kernels.base.KernelBackend.window_dots`): every block's
+window reduced in the pairwise order :func:`masked_local_dot` reduces
+it, so the partials are the per-rank oracle's.
 """
 
 import math
@@ -52,73 +49,6 @@ def masked_global_sum_blocks(partials):
     for value in partials:
         total += value
     return total
-
-
-def masked_partials_stacked(a_interiors, b_interiors, mask_stack,
-                            mask_groups=None):
-    """Per-rank masked partial products from stacked interiors.
-
-    ``a_interiors``/``b_interiors``/``mask_stack`` have shape
-    ``(p, bny, bnx)``.  One vectorized elementwise product plus one
-    ``np.sum(axis=(1, 2))`` replaces the per-rank Python loop.  The
-    result is bit-identical to computing ``sum(a * b * mask)`` rank by
-    rank: numpy's pairwise summation reduces each rank's contiguous
-    ``bny * bnx`` chunk exactly as it reduces the standalone 2-D
-    product.  (``einsum`` was rejected here -- it accumulates serially
-    and differs from the per-rank sums in the last bits.)
-
-    ``mask_groups`` (``None`` when uniform) handles ragged stacks:
-    pairwise summation blocks by element count, so summing a padded slot
-    would change the bits even though the pad contributes zeros.  It
-    lists, per block shape, ``(ranks, mask_window)`` with
-    ``mask_window = mask_stack[ranks, :ny, :nx]``; each group's exact
-    ``(ny, nx)`` windows are multiplied and reduced on their own -- at
-    most four groups, and no pad cell is ever read.
-
-    Returns a list of Python floats ordered by rank, ready for
-    :func:`masked_global_sum_blocks`.
-    """
-    if mask_groups is None:
-        prod = a_interiors * b_interiors * mask_stack
-        return np.sum(prod, axis=(1, 2)).tolist()
-    partials = np.empty(mask_stack.shape[0])
-    for ranks, mask_window in mask_groups:
-        _, ny, nx = mask_window.shape
-        prod = (a_interiors[ranks, :ny, :nx] * b_interiors[ranks, :ny, :nx]
-                * mask_window)
-        partials[ranks] = np.sum(prod, axis=(1, 2))
-    return partials.tolist()
-
-
-def masked_column_partials_stacked(a_interiors, b_interiors, mask_stack,
-                                   mask_groups=None):
-    """Per-column, per-rank masked partials of a stacked multi-RHS pair.
-
-    ``a_interiors``/``b_interiors`` are ``(p, bny, bnx, nrhs)`` interior
-    stacks.  The product is formed once in the batch layout and masked
-    *into* a planar ``(nrhs, p, bny, bnx)`` array -- one transposing
-    pass for all columns -- so every ``(column, rank)`` chunk is
-    contiguous and one ``np.sum`` over the trailing axes reduces it
-    exactly as :func:`masked_partials_stacked` reduces that column on
-    its own (same ``(a * b) * mask`` products, same pairwise blocking).
-    ``mask_groups`` selects the exact windows of ragged stacks, as
-    there.
-
-    Returns ``nrhs`` lists of Python floats ordered by rank.
-    """
-    planar = (a_interiors * b_interiors).transpose(3, 0, 1, 2)
-    nrhs = planar.shape[0]
-    if mask_groups is None:
-        masked = np.empty(planar.shape)
-        np.multiply(planar, mask_stack, out=masked)
-        return np.sum(masked, axis=(2, 3)).tolist()
-    partials = np.empty(planar.shape[:2])
-    for ranks, mask_window in mask_groups:
-        _, ny, nx = mask_window.shape
-        masked = np.empty((nrhs,) + mask_window.shape)
-        np.multiply(planar[:, ranks, :ny, :nx], mask_window, out=masked)
-        partials[:, ranks] = np.sum(masked, axis=(2, 3))
-    return partials.tolist()
 
 
 def masked_global_dot_blockfields(a, b, mask_blocks):

@@ -19,11 +19,12 @@ Execution engines
 The product engine is ``"batched"`` (``engine="auto"``, the default,
 selects it): the structure-of-arrays engine.  Per-rank tiles are
 stacked into one dense ``(p, bny + 2h, bnx + 2h)`` ndarray and every
-primitive runs as one pass over the stack (a compiled kernel of
-:mod:`repro.kernels`, or a few vectorized numpy calls).  It runs every
-decomposition: ``p`` counts active ranks only (eliminated land blocks
-have no slot) and ragged tiles are zero-padded to the largest block
-shape (see :class:`~repro.parallel.halo.BlockField`).
+primitive runs as one pass over the stack (one call of its
+:mod:`repro.kernels`: a ``native.c`` entry point or the numpy
+reference).  It runs every decomposition: ``p`` counts active ranks
+only (eliminated land blocks have no slot) and ragged tiles are
+zero-padded to the largest block shape (see
+:class:`~repro.parallel.halo.BlockField`).
 
 ``engine="perrank"`` is the test oracle, not a product choice: every
 operation is a Python-level loop over simulated ranks.  The
@@ -40,12 +41,7 @@ from repro.core.errors import DecompositionError
 from repro.kernels import resolve_kernels
 from repro.parallel.events import EventLedger
 from repro.parallel.halo import BlockField, HaloExchanger
-from repro.parallel.reduction import (
-    masked_column_partials_stacked,
-    masked_global_sum_blocks,
-    masked_local_dot,
-    masked_partials_stacked,
-)
+from repro.parallel.reduction import masked_global_sum_blocks, masked_local_dot
 
 #: Valid values of the ``engine`` constructor argument.
 ENGINES = ("auto", "batched", "perrank")
@@ -100,9 +96,8 @@ class VirtualMachine:
         ]
         self._mask_stack = None
         # Ragged decompositions only: every rank's exact (ny, nx)
-        # window, and per block shape the ranks and their mask windows
-        # (the kernels' window_dots / masked_partials_stacked).
-        self._extents = self._mask_groups = None
+        # window, which the kernels' window_dots reduce.
+        self._extents = None
         #: Kernels of the stacked reductions -- the shared fused
         #: instance; a test substitutes the oracle by assignment.
         self.kernels = resolve_kernels(None)
@@ -113,9 +108,6 @@ class VirtualMachine:
                 self._extents = np.array(
                     [(b.ny, b.nx) for b in decomp.active_blocks],
                     dtype=np.int64)
-                self._mask_groups = [
-                    (ranks, self._mask_stack[ranks, :ny, :nx])
-                    for ranks, ny, nx in decomp.shape_groups()]
         self._max_points = decomp.max_block_points()
         self.faults = []
         self._halo_rounds = 0
@@ -234,23 +226,16 @@ class VirtualMachine:
         list for scalar fields).
 
         Each list is bit-identical to the single-RHS partials of that
-        column.  Stacked fields take a single kernel pass over every
-        block's exact window, or the reduction module's numpy form; the
-        per-rank oracle reduces each column window by window on a
-        *contiguous* copy, so the pairwise summation blocking matches
-        the scalar reduction exactly.
+        column.  Stacked fields take one ``window_dots`` of the kernels
+        over every block's exact window; the per-rank oracle reduces
+        each column window by window on a *contiguous* copy, so the
+        pairwise summation blocking matches the scalar reduction
+        exactly.
         """
         if self.is_batched and a.is_stacked and b.is_stacked:
-            ai, bi = a.interior_stack(), b.interior_stack()
-            partials = self.kernels.window_dots(ai, bi, self._mask_stack,
-                                                self._extents)
-            if partials is not None:
-                return partials.tolist()
-            if a.nrhs is None:
-                return [masked_partials_stacked(ai, bi, self._mask_stack,
-                                                self._mask_groups)]
-            return masked_column_partials_stacked(ai, bi, self._mask_stack,
-                                                  self._mask_groups)
+            return self.kernels.window_dots(
+                a.interior_stack(), b.interior_stack(), self._mask_stack,
+                self._extents).tolist()
 
         def column(v, rank, j):
             block = v.interior(rank)

@@ -355,26 +355,6 @@ def _gather_warmup_tasks(steps):
     return tasks
 
 
-# The rebuildable pool lives in repro.core.pool now; the old private
-# name keeps external references working.
-_PoolHandle = PoolHandle
-
-
-def _dispatch_attempt(handle, module_path, kwargs, directive,
-                      step_timeout):
-    """Run one attempt of one step through the pool, with a timeout.
-
-    Translates infrastructure failures into typed errors: a pool made
-    unusable by a worker death becomes :class:`WorkerCrashError` (pool
-    rebuilt), an attempt past ``step_timeout`` becomes
-    :class:`StepTimeoutError` (workers killed, pool rebuilt).
-    """
-    future = handle.get().submit(_execute_step, module_path, kwargs,
-                                 directive)
-    return await_future(future, handle, f"step {module_path}",
-                        timeout=step_timeout)
-
-
 def _plan_directive(pipeline_faults, step_index, module_path, attempt):
     """First parent-planned injection directive for this dispatch."""
     for fault in pipeline_faults:
@@ -499,7 +479,7 @@ def run_all(output_dir=None, plan=None, include_verification=False,
                 ephemeral_dir = tempfile.mkdtemp(prefix="repro-cache-")
                 effective_cache_dir = ephemeral_dir
                 cache.cache_dir = effective_cache_dir
-            handle = _PoolHandle(jobs, effective_cache_dir)
+            handle = PoolHandle(jobs, effective_cache_dir)
             tasks = _gather_warmup_tasks(
                 [s for s in steps if s[0] not in resumed])
             if tasks:

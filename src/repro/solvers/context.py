@@ -16,8 +16,10 @@ this small set of primitives:
 ``combine``        ``y = a * x + b * y`` (2 units/pt; P-CSI's dx update)
 ``updates``        a run of consecutive ``axpy`` / ``xpay`` / ``combine``
                    steps, charged as the steps are (ChronGear's four
-                   recurrences: 4 units/pt); one pass over the vectors
-                   where the context can fuse it
+                   recurrences: 4 units/pt): one
+                   :meth:`~repro.kernels.base.KernelBackend.update_chain`
+                   call; ``axpy`` / ``xpay`` / ``combine`` are runs of
+                   one step
 ``scale``          ``v *= factor`` (1 unit/pt; P-CSI setup, Lanczos
                    normalization)
 ``chebyshev_span`` P-CSI's iterations between two convergence checks
@@ -71,10 +73,7 @@ from repro.kernels import resolve_kernels
 from repro.operators.blocked import BlockedOperator
 from repro.operators.stencil_op import MATVEC_FLOPS_PER_POINT, apply_stencil
 from repro.parallel.events import EventLedger
-from repro.parallel.reduction import (
-    binomial_tree_depth,
-    masked_column_partials_stacked,
-)
+from repro.parallel.reduction import binomial_tree_depth
 from repro.parallel.resilience import SpanChecks
 
 
@@ -110,11 +109,8 @@ _SPANNED = {name for runs in SPANS.values() for run in runs
             for name, _ in run}
 
 
-def _is_one(alpha):
-    """Whether ``y += alpha * x`` is the plain ``y += x`` (P-CSI's
-    ``x += dx``): ``1.0 * v == v`` for every IEEE value, so skipping
-    the product changes no bit."""
-    return isinstance(alpha, float) and alpha == 1.0
+#: The per-rank oracle's chains: its arithmetic is numpy's.
+_REFERENCE = resolve_kernels("numpy")
 
 
 class SolverContext(abc.ABC):
@@ -239,14 +235,6 @@ class SolverContext(abc.ABC):
         event regardless of how many inner products it carries.
         """
 
-    def gram(self, vs, ws=None, phase="reduction"):
-        """Gram matrix ``V^T W`` (or ``V^T V``) via :meth:`dot_block`.
-
-        The s-step CA-PCG entry point: assembling the whole Gram system
-        costs exactly one global reduction.
-        """
-        return self.dot_block(vs, vs if ws is None else ws, phase=phase)
-
     # -- column stacking (pure data movement, no events) ----------------
     @abc.abstractmethod
     def stack_columns(self, vs):
@@ -285,17 +273,20 @@ class SolverContext(abc.ABC):
         return v.shape[2] if getattr(v, "ndim", 2) == 3 else 1
 
     # -- elementwise updates -------------------------------------------
-    @abc.abstractmethod
     def axpy(self, alpha, x, y, phase="computation"):
         """``y += alpha * x`` in place; returns ``y``."""
+        self.updates(("axpy", alpha, x, y), phase=phase)
+        return y
 
-    @abc.abstractmethod
     def xpay(self, x, beta, y, phase="computation"):
         """``y = x + beta * y`` in place; returns ``y``."""
+        self.updates(("xpay", x, beta, y), phase=phase)
+        return y
 
-    @abc.abstractmethod
     def combine(self, a, x, b, y, phase="computation"):
         """``y = a * x + b * y`` in place; returns ``y``."""
+        self.updates(("combine", a, x, b, y), phase=phase)
+        return y
 
     @abc.abstractmethod
     def scale(self, factor, v, phase="computation"):
@@ -308,52 +299,28 @@ class SolverContext(abc.ABC):
         and its arguments -- ``("axpy", alpha, x, y)``, ``("xpay", x,
         beta, y)``, ``("combine", a, x, b, y)`` -- and a later step may
         read or update what an earlier one wrote (ChronGear's ``x +=
-        alpha s`` follows ``s = r' + beta s``).  The result and the
-        ledger records are those of the calls made one by one.  Where
-        every vector has a chain operand (``_chain_operand``) -- whole
-        serial vectors; stacked fields on the batched engine, whose
-        interior rows are all the chain touches -- and the kernels fuse
-        chains, the run is one pass over the vectors, with scalar
+        alpha s`` follows ``s = r' + beta s``).  The run is one
+        :meth:`~repro.kernels.base.KernelBackend.update_chain` over the
+        vectors' arrays (:meth:`_update_chain`), with scalar
         coefficients or one per column of a batch (a lockstep ChronGear
-        ensemble); otherwise (per-rank fields, kernels without a chain)
-        it is the calls themselves.
+        ensemble), charged the sum of what the steps charge.
         """
-        if self._run_chain(steps, phase):
-            return
+        chain, units = [], 0
         for kind, *args in steps:
             if kind not in _CHAIN_STEPS:
                 raise SolverError(f"unknown update step {kind!r}; expected "
                                   f"one of {', '.join(_CHAIN_STEPS)}")
-            getattr(self, kind)(*args, phase=phase)
-
-    #: ``_chain_operand(v)``: the array the kernels' update chain works
-    #: on for context vector ``v``, or ``None`` to send the run to the
-    #: one-by-one calls.  The attribute itself is ``None`` where vectors
-    #: are their own operands.
-    _chain_operand = None
-
-    def _run_chain(self, steps, phase):
-        """``steps`` as one :meth:`KernelBackend.update_chain` call over
-        the vectors' ``_chain_operand`` arrays, charged the sum of
-        what the steps charge one by one.  ``False``: nothing was
-        touched (a vector without a chain operand, an unknown step, or
-        kernels that cannot run this chain)."""
-        chain, units, operand = [], 0, self._chain_operand
-        for kind, *args in steps:
-            if kind not in _CHAIN_STEPS:
-                return False
             code, cost, operands = _CHAIN_STEPS[kind]
-            a, b, x, y = operands(*args)
-            xs, ys = (x, y) if operand is None else (operand(x), operand(y))
-            if xs is None or ys is None:
-                return False
-            chain.append((code, a, b, xs, ys))
+            chain.append((code, *operands(*args)))
             units += cost
-        if not self.kernels.update_chain(chain):
-            return False
-        # The kernels ran it, so every vector has the last one's shape.
-        self._charge_updates(units * self._vec_width(y), phase=phase)
-        return True
+        self._update_chain(chain)
+        self._charge_updates(units * self._vec_width(chain[-1][4]),
+                             phase=phase)
+
+    def _update_chain(self, chain):
+        """Run ``chain`` -- :meth:`KernelBackend.update_chain` steps
+        over context vectors -- on their arrays."""
+        self.kernels.update_chain(chain)
 
     # -- charges: each primitive's, shared with the spans ---------------
     def _charge_precond(self, w, n=1, phase="preconditioning"):
@@ -591,9 +558,7 @@ class SerialContext(SolverContext):
         super().__init__(stencil, preconditioner, ledger, kernels=kernels)
         self.decomp = decomp
         self._mask_f = self.mask.astype(np.float64)
-        # Scratch for axpy/combine: ``y += alpha * x`` would materialize
-        # ``alpha * x`` afresh on every call in the solver hot loop; the
-        # out=-based path reuses this buffer instead.
+        # The products of a masked dot that numpy forms.
         self._scratch = None
         if decomp is not None:
             if decomp.ny != stencil.shape[0] or decomp.nx != stencil.shape[1]:
@@ -645,6 +610,12 @@ class SerialContext(SolverContext):
         return vectors, self.stencil, 0, None
 
     # -- reductions ----------------------------------------------------
+    def _get_scratch(self, like):
+        if self._scratch is None or self._scratch.shape != like.shape \
+                or self._scratch.dtype != like.dtype:
+            self._scratch = np.empty_like(like)
+        return self._scratch
+
     def _dot_columns(self, a, b):
         """Per-column masked dots of a multi-RHS pair, shape ``(nrhs,)``.
 
@@ -652,14 +623,10 @@ class SerialContext(SolverContext):
         each column's products ``(a * b) * mask`` are reduced in
         row-major cell order with numpy's pairwise blocking, so every
         bit matches the scalar path (a strided reduction over the batch
-        layout could legally re-block the accumulation).  Kernels
-        without that form take the stacked reduction's planar copy.
+        layout could legally re-block the accumulation).
         """
-        a, b, mask = a[None], b[None], self._mask_f[None]
-        partials = self.kernels.window_dots(a, b, mask)
-        if partials is None:
-            partials = np.array(masked_column_partials_stacked(a, b, mask))
-        return partials[:, 0]
+        return self.kernels.window_dots(a[None], b[None],
+                                        self._mask_f[None])[:, 0]
 
     def _dot(self, a, b):
         """Masked inner product of a pair: a float for 2-D vectors (one
@@ -710,51 +677,11 @@ class SerialContext(SolverContext):
         return out
 
     # -- elementwise ---------------------------------------------------
-    def _get_scratch(self, like):
-        if self._scratch is None or self._scratch.shape != like.shape \
-                or self._scratch.dtype != like.dtype:
-            self._scratch = np.empty_like(like)
-        return self._scratch
-
-    @staticmethod
-    def _rows(coeffs, *vectors):
-        """Operands of an elementwise update: batch vectors and their
-        per-column ``(nrhs,)`` coefficients in the folded row layout
-        (:func:`~repro.core.fields.fold_update`), scalar 2-D vectors
-        untouched."""
-        if vectors[0].ndim != 3:
-            return coeffs, vectors
-        return fold_update(coeffs, vectors)
-
-    def axpy(self, alpha, x, y, phase="computation"):
-        if _is_one(alpha):
-            y += x
-        else:
-            (alpha,), (fx, fy, s) = self._rows((alpha,), x, y,
-                                               self._get_scratch(x))
-            np.multiply(fx, alpha, out=s)
-            fy += s
-        self.ledger.record_flops(phase, self._width(y) * self._critical)
-        return y
-
-    def xpay(self, x, beta, y, phase="computation"):
-        (beta,), (fx, fy) = self._rows((beta,), x, y)
-        fy *= beta
-        fy += fx
-        self.ledger.record_flops(phase, self._width(y) * self._critical)
-        return y
-
-    def combine(self, a, x, b, y, phase="computation"):
-        (a, b), (fx, fy, s) = self._rows((a, b), x, y,
-                                         self._get_scratch(x))
-        fy *= b
-        np.multiply(fx, a, out=s)
-        fy += s
-        self.ledger.record_flops(phase, 2 * self._width(y) * self._critical)
-        return y
-
     def scale(self, factor, v, phase="computation"):
-        (factor,), (fv,) = self._rows((factor,), v)
+        # A batch and its per-column factors in the folded row layout
+        # (:func:`~repro.core.fields.fold_update`).
+        (factor,), (fv,) = (fold_update((factor,), (v,)) if v.ndim == 3
+                            else ((factor,), (v,)))
         fv *= factor
         self.ledger.record_flops(phase, self._width(v) * self._critical)
         return v
@@ -774,16 +701,15 @@ class DistributedContext(SolverContext):
     """Block-field context over a :class:`VirtualMachine`.
 
     Under the batched engine (``vm.engine == "batched"``, the default
-    for every decomposition) each operation is one pass over the
-    stacked ``(p, bny, bnx)`` layout: runs of updates as one kernel
-    chain over the stacks' interior rows (:meth:`updates`), reductions
-    as one windowed dot, the matvec as one sweep, the halo update as
-    one copy of the halo cells -- or, where the kernels have no such
-    form, a few vectorized numpy calls with the same bits.  Under the
-    per-rank parity oracle every operation really happens rank by rank:
-    halo exchanges move strips between block arrays, reductions combine
-    per-rank partials in rank order, and elementwise updates loop over
-    block interiors -- bit-identical results, identical event streams.
+    for every decomposition) each operation is one kernel call over the
+    stacked ``(p, bny, bnx)`` layout: runs of updates as one chain over
+    the stacks' interior rows (:meth:`updates`), reductions as one
+    windowed dot, the matvec as one sweep, the halo update as one copy
+    of the halo cells.  Under the per-rank parity oracle every operation
+    really happens rank by rank: halo exchanges move strips between
+    block arrays, reductions combine per-rank partials in rank order,
+    and runs of updates are the numpy reference's chain on each block
+    interior in turn -- bit-identical results, identical event streams.
     """
 
     def __init__(self, stencil, preconditioner, vm, kernels=None):
@@ -795,18 +721,9 @@ class DistributedContext(SolverContext):
                                         kernels=self.kernels)
         self._critical = vm.max_block_points
         self._halo_words = vm.decomp.halo_words_per_exchange()
-        # Scratch stack for the batched axpy/combine (avoids a fresh
-        # ``alpha * x`` temporary per call in the solver hot loop).
-        self._scratch = None
 
     def _batched(self, *fields):
         return self.vm.is_batched and all(f.is_stacked for f in fields)
-
-    def _get_scratch(self, like):
-        if self._scratch is None or self._scratch.shape != like.shape \
-                or self._scratch.dtype != like.dtype:
-            self._scratch = np.empty(like.shape, dtype=like.dtype)
-        return self._scratch
 
     # -- vectors -------------------------------------------------------
     def new_vector(self):
@@ -938,84 +855,27 @@ class DistributedContext(SolverContext):
         return out
 
     # -- elementwise ---------------------------------------------------
-    def _rows(self, coeffs, *fields):
-        """Stacked operands of an elementwise update, or ``None`` when a
-        field is per-rank.  Multi-RHS interiors and their per-column
-        ``(nrhs,)`` coefficients come back in the folded row layout
-        (:func:`~repro.core.fields.fold_update`)."""
-        if not self._batched(*fields):
-            return None
-        stacks = [f.interior_stack() for f in fields]
-        if fields[0].nrhs is None:
-            return coeffs, stacks
-        return fold_update(coeffs, stacks)
-
-    def _chain_operand(self, v):
-        """A stacked field's interior rows (halo and pad cells stay out
-        of the chain); per-rank fields have no single array."""
-        return v.interior_stack() if self._batched(v) else None
-
-    # ``axpy`` / ``xpay`` / ``combine`` on stacked fields are chains of
-    # one; what follows the chain in each is the numpy form of the same
-    # update and, for per-rank fields, the parity oracle's loop:
-    # coefficients (scalars or ``(nrhs,)`` arrays) broadcast over the
-    # trailing axis.
-    def axpy(self, alpha, x, y, phase="computation"):
-        if self._run_chain((("axpy", alpha, x, y),), phase):
-            return y
-        rows = self._rows((alpha,), x, y)
-        if rows is not None:
-            (alpha,), (xi, yi) = rows
-            if _is_one(alpha):
-                yi += xi
-            else:
-                s = self._get_scratch(xi)
-                np.multiply(xi, alpha, out=s)
-                yi += s
-        else:
-            for rank in range(self.vm.num_ranks):
-                y.interior(rank)[...] += alpha * x.interior(rank)
-        self.ledger.record_flops(phase, self._vec_width(y) * self._critical)
-        return y
-
-    def xpay(self, x, beta, y, phase="computation"):
-        if self._run_chain((("xpay", x, beta, y),), phase):
-            return y
-        rows = self._rows((beta,), x, y)
-        if rows is not None:
-            (beta,), (xi, yi) = rows
-            yi *= beta
-            yi += xi
-        else:
-            for rank in range(self.vm.num_ranks):
-                yi = y.interior(rank)
-                yi *= beta
-                yi += x.interior(rank)
-        self.ledger.record_flops(phase, self._vec_width(y) * self._critical)
-        return y
-
-    def combine(self, a, x, b, y, phase="computation"):
-        if self._run_chain((("combine", a, x, b, y),), phase):
-            return y
-        rows = self._rows((a, b), x, y)
-        if rows is not None:
-            (a, b), (xi, yi) = rows
-            yi *= b
-            s = self._get_scratch(xi)
-            np.multiply(xi, a, out=s)
-            yi += s
-        else:
-            for rank in range(self.vm.num_ranks):
-                yi = y.interior(rank)
-                yi *= b
-                yi += a * x.interior(rank)
-        self.ledger.record_flops(phase, 2 * self._vec_width(y) * self._critical)
-        return y
+    def _update_chain(self, chain):
+        """The stacks' interior rows (halo and pad cells stay out of the
+        chain) in one call of the kernels; per-rank fields block by
+        block, on the numpy reference."""
+        if self._batched(*(v for step in chain for v in step[3:])):
+            self.kernels.update_chain(
+                [(kind, a, b, x.interior_stack(), y.interior_stack())
+                 for kind, a, b, x, y in chain])
+            return
+        for rank in range(self.vm.num_ranks):
+            _REFERENCE.update_chain(
+                [(kind, a, b, x.interior(rank), y.interior(rank))
+                 for kind, a, b, x, y in chain])
 
     def scale(self, factor, v, phase="computation"):
-        rows = self._rows((factor,), v)
-        if rows is not None:
-            (factor,), (vi,) = rows
+        if self._batched(v):
+            vi = v.interior_stack()
+            # A batch and its per-column factors in the folded row
+            # layout (:func:`~repro.core.fields.fold_update`).
+            (factor,), (vi,) = (((factor,), (vi,)) if v.nrhs is None
+                                else fold_update((factor,), (vi,)))
             vi *= factor
         else:
             for rank in range(self.vm.num_ranks):

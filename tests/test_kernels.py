@@ -13,6 +13,7 @@ everything still runs; only the tests of the library itself skip, with
 the loader's reason.)
 """
 
+import copy
 import functools
 import os
 import subprocess
@@ -35,10 +36,6 @@ from repro.operators.stencil_op import apply_stencil_local
 from repro.parallel import VirtualMachine, decompose
 from repro.parallel.faults import HaloFault, ReductionFault
 from repro.parallel.halo import BlockField
-from repro.parallel.reduction import (
-    masked_column_partials_stacked,
-    masked_partials_stacked,
-)
 from repro.parallel.resilience import (
     ResiliencePolicy,
     ResilienceRuntime,
@@ -295,15 +292,21 @@ class _Stack:
 
 
 class _RecordingKernels(FusedKernels):
-    """``FusedKernels`` that notes whether each update chain ran."""
+    """``FusedKernels`` that counts the calls of ``native.c``'s entry
+    point ``name`` (none where it was not adopted)."""
 
-    def __init__(self):
+    def __init__(self, name):
         super().__init__()
-        self.ran = []
+        self.ran = 0
+        lib = copy.copy(load_native())
+        fn = getattr(lib, name)
+        if fn is not None:
+            def watched(*args):
+                self.ran += 1
+                return fn(*args)
 
-    def update_chain(self, steps):
-        self.ran.append(super().update_chain(steps))
-        return self.ran[-1]
+            setattr(lib, name, watched)
+        self._lib = lib
 
 
 class TestRegistry:
@@ -1214,7 +1217,7 @@ class TestStackedKernels:
 
     @staticmethod
     def _products():
-        return {"fused": _RecordingKernels()}
+        return {"fused": _RecordingKernels("update_chain")}
 
     @given(case=_stack_cases())
     @settings(**DRAWN)
@@ -1222,8 +1225,8 @@ class TestStackedKernels:
         """Every solver's run of updates as one chain against the calls
         one by one on the oracle: whole stacks equal -- the chain
         touches no halo or pad cell the calls do not -- and ledgers
-        equal; with the library the chain really ran, and for per-rank
-        fields it is declined and the calls run."""
+        equal; with the library the chain really ran natively, and
+        per-rank fields run the numpy reference block by block."""
         stack = _Stack(case)
         values = stack.stacks(12)
         rng = np.random.default_rng(case["seed"] + 1)
@@ -1259,37 +1262,28 @@ class TestStackedKernels:
                 for want, have in zip(ref, got):
                     assert np.array_equal(want, have, equal_nan=True), name
                 assert got_ledger == ref_ledger
-                # Stacked fields with the library: four chains, all run.
-                # Without it every chain (and then every step, a chain
-                # of one) is declined; per-rank fields are never offered.
-                if not stacked:
-                    assert kernels.ran == []
-                elif kernels.native_status().endswith(" loaded"):
-                    assert kernels.ran == [True] * 4
-                else:
-                    assert kernels.ran and not any(kernels.ran)
+                # Stacked fields with the library: four native chains.
+                # Per-rank fields never reach the product's kernels.
+                native = load_native().update_chain is not None
+                assert kernels.ran == (4 if stacked and native else 0)
 
     @given(case=_stack_cases())
     @settings(**DRAWN)
     def test_drawn_partials(self, case):
         """``_column_partials`` hands the fault hooks the lists the
-        reduction module computes -- ``==``, so the same bits -- and a
-        :class:`ReductionFault` poisons the same entry of the same list
-        whichever kernels produced it."""
+        reference's windowed dots compute on the ragged windows --
+        ``==``, so the same bits -- and a :class:`ReductionFault`
+        poisons the same entry of the same list whichever kernels
+        produced it."""
         stack = _Stack(case)
         a, b = stack.fields(stack.stacks(2))
         results = []
         for kernels in (NumpyKernels(), *self._products().values()):
             vm = stack.machine(kernels)
-            ai, bi = a.interior_stack(), b.interior_stack()
-            if stack.nrhs is None:
-                got = vm._column_partials(a, b)[0]
-                want = masked_partials_stacked(
-                    ai, bi, vm.mask_stack, vm._mask_groups)
-            else:
-                got = vm._column_partials(a, b)
-                want = masked_column_partials_stacked(
-                    ai, bi, vm.mask_stack, vm._mask_groups)
+            got = vm._column_partials(a, b)
+            want = NumpyKernels().window_dots(
+                a.interior_stack(), b.interior_stack(), vm.mask_stack,
+                vm._extents).tolist()
             assert repr(got) == repr(want)    # NaN-proof ``==``
             rank = case["spot"] % vm.num_ranks
             entry = case["spot"] % (2 * (stack.nrhs or 1))
@@ -1348,8 +1342,8 @@ class TestStackedKernels:
     @settings(**DRAWN)
     def test_drawn_halo_copy(self, case, width):
         """The stacked exchange's halo copy -- ``native.c`` where it was
-        adopted, numpy's fancy indexing otherwise -- byte for byte
-        the padded global assembly with the pad zeroed, as
+        adopted, numpy's fancy indexing in the reference -- byte for
+        byte the padded global assembly with the pad zeroed, as
         ``exchange_stacked`` promises."""
         stack = _Stack(dict(case, nrhs=width))
         vm = stack.machine(NumpyKernels())
@@ -1357,11 +1351,11 @@ class TestStackedKernels:
         want, native, indexed = stack.fields([values] * 3)
         vm.exchanger.exchange_via_global(want)
         want.stack[stack.kind == "pad"] = 0.0
-        ran = FusedKernels().halo_copy(native.stack,
-                                       vm.exchanger.halo_tables())
-        assert ran == (load_native().evp_step is not None)
-        vm.exchanger.exchange_stacked(indexed)
-        for got in (native, indexed) if ran else (indexed,):
+        kernels = _RecordingKernels("evp_step")
+        kernels.halo_copy(native.stack, vm.exchanger.halo_tables())
+        assert kernels.ran == (load_native().evp_step is not None)
+        vm.exchanger.exchange_stacked(indexed, NumpyKernels())
+        for got in (native, indexed):
             assert got.stack.tobytes() == want.stack.tobytes()
 
     @given(case=_stack_cases())
@@ -1432,12 +1426,15 @@ class TestVectorKernels:
         ``test_sweep_is_not_contracted``: the product is rounded before
         the add."""
         big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
-        for step in ((0, -small, 0.0, "x", "y"), (1, 0.0, -small, "y", "x"),
-                     (2, -small, 1.0, "x", "y"), (2, 1.0, -small, "y", "x")):
+        kernels = _RecordingKernels("update_chain")
+        for ran, step in enumerate(
+                ((0, -small, 0.0, "x", "y"), (1, 0.0, -small, "y", "x"),
+                 (2, -small, 1.0, "x", "y"), (2, 1.0, -small, "y", "x")),
+                start=1):
             v = {"x": np.full(2100, small), "y": np.full(2100, big)}
             # Every form computes big - small * small into the target.
-            assert FusedKernels().update_chain(
-                [step[:3] + (v[step[3]], v[step[4]])])
+            kernels.update_chain([step[:3] + (v[step[3]], v[step[4]])])
+            assert kernels.ran == ran
             assert not np.any(v[step[4]]), step
 
     @needs_native("chebyshev_span")
@@ -1675,20 +1672,31 @@ class TestVectorKernels:
             ctx.updates(("axpy", 1.0, v, v), ("scale", 2.0, v))
 
     @needs_native("update_chain")
-    def test_update_chain_declines_what_it_cannot_run(self):
-        """Strided, read-only, mis-sized or offset-overlapping operands:
-        ``False``, and nothing was touched."""
-        kernels = FusedKernels()
+    def test_update_chain_runs_the_reference_on_what_native_declines(self):
+        """Strided and offset-overlapping operands: native declines them
+        and the chain is numpy's, step by step; read-only and mis-sized
+        operands raise, as numpy does, with nothing touched."""
         base = np.arange(64.0)
         x, y = base[:32], base[32:]
+        for bad_x, bad_y in ((slice(0, 64, 2), slice(32, 64)),
+                             (slice(8, 40), slice(0, 32))):
+            got, want = base.copy(), base.copy()
+            kernels = _RecordingKernels("update_chain")
+            kernels.update_chain([(0, 2.0, 0.0, got[bad_x], got[bad_y])])
+            want[bad_y] += 2.0 * want[bad_x]
+            assert kernels.ran == 0
+            assert np.array_equal(got, want)
         frozen = np.ones(32)
         frozen.flags.writeable = False
-        for bad_x, bad_y in ((base[::2], y), (frozen, frozen),
-                             (x[:16], y), (base[8:40], x)):
+        for bad_x, bad_y in ((frozen, frozen), (x[:16], y)):
             before = base.copy()
-            assert not kernels.update_chain([(0, 2.0, 0.0, bad_x, bad_y)])
+            for kernels in (FusedKernels(), NumpyKernels()):
+                with pytest.raises(ValueError):
+                    kernels.update_chain([(0, 2.0, 0.0, bad_x, bad_y)])
             assert np.array_equal(base, before)
-        assert kernels.update_chain([(0, 2.0, 0.0, x, y)])
+        kernels = _RecordingKernels("update_chain")
+        kernels.update_chain([(0, 2.0, 0.0, x, y)])
+        assert kernels.ran == 1
         assert np.array_equal(y, np.arange(32.0, 64.0) + 2.0 * np.arange(32.0))
 
 
