@@ -24,8 +24,6 @@ is the same shift the operator was assembled with, so the scheme is
 consistent by construction.
 """
 
-import numpy as np
-
 from repro.core.constants import GRAVITY_M_S2
 from repro.core.errors import SolverError
 

@@ -20,7 +20,6 @@ from repro.experiments.common import (
     get_cached_config,
     print_result,
 )
-from repro.operators import MATVEC_FLOPS_PER_POINT
 from repro.parallel.placement import placement_for_block_size
 from repro.perfmodel import YELLOWSTONE
 

@@ -17,7 +17,6 @@ This is exactly the paper's own reasoning (Eqs. 2-6) with the constants
 *measured* from running code instead of derived by hand.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.core.errors import ConfigurationError
 from repro.grid import get_config, pop_0p1deg, pop_1deg
 from repro.operators import apply_stencil
 from repro.parallel import decompose
-from repro.parallel.decomposition import decomposition_for_core_count, _factor_pairs
+from repro.parallel.decomposition import decomposition_for_core_count
 from repro.parallel.events import EventCounts
 from repro.precond import make_preconditioner, polynomial_family
 from repro.precond.evp import evp_for_config

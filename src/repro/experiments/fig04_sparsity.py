@@ -16,7 +16,6 @@ import numpy as np
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    get_cached_config,
     print_result,
 )
 from repro.grid import test_config

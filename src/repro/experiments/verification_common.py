@@ -12,15 +12,13 @@ CESM-POP; we run the same protocol on the mini model (DESIGN.md
 section 3).  Sizes are parameters, with paper values as defaults.
 """
 
-import numpy as np
-
 from repro.barotropic import MiniPOP
 from repro.core.constants import DEFAULT_ENSEMBLE_SIZE, ENSEMBLE_PERTURBATION
 from repro.grid import test_config
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import ChronGearSolver, PCSISolver, SerialContext
-from repro.verification import Ensemble, run_perturbed_ensemble
+from repro.verification import run_perturbed_ensemble
 
 #: Verification grid: small, earthlike, 4 solves/day.
 VERIFICATION_SHAPE = (24, 32)

@@ -18,7 +18,7 @@ Key conditioning facts reproduced here (paper section 4.3):
   raises ``phi`` and further improves conditioning.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -38,7 +38,7 @@ Land rows are set to identity so the global system stays non-singular;
 because every vector in the solve is masked, those rows are inert.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -37,8 +37,9 @@ seam through which a test substitutes the oracle (``"numpy"``, or a
 :class:`~repro.kernels.base.KernelBackend` instance); ``None`` is the
 shared ``fused`` instance.  Whether the compiled loops run is decided
 inside :class:`FusedKernels` by whether the build succeeded and each
-entry point passed its load-time self-test -- something the code can
-observe -- not behind a name.
+entry point passed its load-time self-test (the public calls that reach
+it, against the same calls without it: :mod:`repro.kernels.selftest`)
+-- something the code can observe -- not behind a name.
 
 The EVP influence matrices are deliberately *not* kernel work: they
 are built once by the engine's deterministic reference sweep, so cached

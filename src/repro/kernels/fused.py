@@ -5,10 +5,11 @@ Same arithmetic as the numpy reference -- bit for bit -- executed on
 data laid out so that every operand of every hot loop is a contiguous
 slice: no index arrays, no per-step allocations, inner loops as long as
 the problem allows.  On those layouts each loop is one function of
-``native.c`` (:mod:`repro.kernels.native` builds and verifies it).
-There is no third form: a loop whose entry point was not adopted (no
-compiler, a failed build or self-test) or that declines the operands
-it is handed runs the reference method it overrides
+``native.c`` (:mod:`repro.kernels.native` builds it and verifies each
+entry point against these calls made without it).  There is no third
+form: a loop whose entry point was not adopted (no compiler, a failed
+build or self-test) or that declines the operands it is handed runs the
+reference method it overrides
 (:class:`~repro.kernels.numpy_ref.NumpyKernels`, the base class).
 
 **EVP marching on a skewed, tile-innermost layout.**  The recurrence
@@ -104,8 +105,9 @@ building ``native.c`` under ``-ffp-contract=off`` *not* contracting
 ``acc += a * b`` into a fused multiply-add;
 ``test_native_sweep_is_not_contracted`` and
 ``test_multivector_sweep_is_not_contracted`` in ``tests/test_kernels.py``
-are the tripwires (``test_sweep_is_not_contracted`` guards the
-self-test's scipy reference).
+are the tripwires (the load-time self-test compares the sweep with the
+reference method, which rounds every product: a contracted build fails
+it).
 
 **The vector kernels, serial and stacked.**  ``native.c`` addresses a
 vector as a *row geometry* -- ``blocks`` x ``rows`` runs of contiguous

@@ -13,7 +13,7 @@ the land-block ratio at 0.25 across core counts (section 5.2);
 :func:`decomposition_for_core_count` reproduces that recipe.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -37,7 +37,7 @@ match the paper's cost decomposition (section 2.2):
   :mod:`repro.parallel.resilience`), so its overhead is measurable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 PHASES = ("computation", "preconditioning", "boundary", "reduction",

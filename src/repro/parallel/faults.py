@@ -30,8 +30,6 @@ lists), so an injected run stays bit-identical across engines -- which
 ``tests/test_engine_parity.py`` checks.
 """
 
-import math
-
 import numpy as np
 
 from repro.core.errors import ReproError

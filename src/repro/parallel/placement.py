@@ -17,7 +17,7 @@ standard space-filling-curve partitioning of Dennis 2007).
 imbalance, and per-rank halo perimeter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import DecompositionError
 

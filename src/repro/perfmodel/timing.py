@@ -5,7 +5,7 @@ each phase's :class:`~repro.parallel.events.EventCounts` is priced with
 the :class:`~repro.perfmodel.machines.MachineSpec` and the rank count.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.parallel.events import EventCounts
 

@@ -58,7 +58,7 @@ from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.cache import get_cache
-from repro.core.errors import ConfigurationError, ConvergenceError, ReproError
+from repro.core.errors import ConfigurationError, ConvergenceError
 from repro.core.pool import (
     FailurePolicy,
     PoolHandle,

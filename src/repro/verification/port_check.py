@@ -14,8 +14,6 @@ because experiment E13/E14 contrast it with the ensemble method.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.errors import ConfigurationError
 from repro.verification.metrics import rmse
 

@@ -625,9 +625,11 @@ class TestBatchStencilParity:
         return got[1, 1], np.array_equal(ref, got)
 
     def test_sweep_is_not_contracted(self):
-        """What the ``dia_sweep`` self-test's reference rests on:
-        scipy's DIA kernel rounds the product before it adds (row 0 is
-        ``1 * (1 + 2**-26) + -(1 + 2**-27) * (1 + 2**-27)``)."""
+        """The probe the contraction tripwires share, on an independent
+        sweep: scipy's DIA kernel rounds the product before it adds (row 0
+        is ``1 * (1 + 2**-26) + -(1 + 2**-27) * (1 + 2**-27)``, 0.0 only
+        then) -- the roundings ``native.c``'s sweep must keep, which the
+        load-time self-test checks against the numpy reference."""
         from scipy.sparse import dia_array
 
         big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27

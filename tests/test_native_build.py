@@ -1,5 +1,7 @@
 """``native.c`` is an accelerator over the numpy reference: failure to
 build, load or verify it is quiet, visible, and changes no result.
+Verifying is :mod:`repro.kernels.selftest`: each entry point against the
+same public calls made without it.
 
 Every scenario runs ``resolve_kernels(None)`` in a fresh interpreter (the
 library is resolved once per process) with its own cache home: the
@@ -19,6 +21,7 @@ anything on stderr, and
 ``describe()`` / ``native_status()`` must name what happened.
 """
 
+import collections
 import ctypes
 import os
 import shutil
@@ -26,11 +29,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.cache import ArtifactCache, get_cache, set_cache
-from repro.kernels import resolve_kernels
+from repro.kernels import fused, native, resolve_kernels
 from repro.kernels.native import load as load_native
 from repro.service.server import SolverService
 
@@ -210,13 +214,25 @@ def test_builds_once_then_loads_and_rebuilds_a_truncated_library(tmp_path):
     ctypes.CDLL(str(library))
 
 
+@pytest.fixture(scope="module")
+def built_cache(tmp_path_factory):
+    """A cache home holding the library, built once for the module."""
+    cache = tmp_path_factory.mktemp("built") / "cache"
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache))
+    subprocess.run([sys.executable, "-c",
+                    "from repro.kernels.native import load; load()"],
+                   env=env, check=True)
+    return cache
+
+
 @needs_compiler
 @pytest.mark.parametrize("failed", ["dia_sweep", "update_chain",
                                     "pairwise_dot", "chebyshev_span",
                                     "evp_gather", "evp_scatter",
                                     "evp_march", "evp_edges",
                                     "chrongear_span", "evp_step"])
-def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
+def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed,
+                                                     built_cache):
     """Each of the entry points the stacks share with the serial
     vectors, the serial P-CSI and ChronGear spans, each EVP entry point
     and the EVP step failing alone: each loop goes to the reference
@@ -226,7 +242,8 @@ def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
     the stacked halo copy to the primitive calls -- one iteration a
     call, as the script checks -- and fancy indexing), the others stay
     adopted, every solve and the stacked width-8 apply keep their
-    bits."""
+    bits.  (Each case loads a copy of one build.)"""
+    shutil.copytree(built_cache, tmp_path / "cache")
     prelude = ("from repro.kernels import native\n"
                f"native._SELF_TESTS['{failed}'] = lambda fn, rng: False\n")
     describe, status = _run(tmp_path / "cache", prelude=prelude)
@@ -243,6 +260,57 @@ def test_failed_self_test_drops_one_entry_point_only(tmp_path, failed):
                "chrongear_span", "evp_step"]
     adopted.remove(failed)
     assert out.strip() == str(adopted)
+
+
+@needs_compiler
+def test_check_rejects_a_one_ulp_nudge(monkeypatch):
+    """The load-time check accepts a Python stand-in for an entry point
+    that calls it, and rejects one that then moves one output value by
+    one ulp -- ``dia_sweep``'s ``y``, ``pairwise_dot``'s return value,
+    ``evp_gather``'s ``y``; ``load()`` runs each entry point's check
+    once, and nothing the checks build reaches back into ``load()``."""
+    lib = load_native()
+    functions = {name: getattr(lib, name) for name in native._SIGNATURES}
+    if None in functions.values():
+        pytest.skip(f"native kernels: {lib.status}")
+
+    def stand_in(name, out, nudge):
+        """``name``'s function, then (``nudge``) its output one ulp up:
+        the first double of argument ``out``, or the return value."""
+        real = functions[name]
+
+        def call(*args):
+            value = real(*args)
+            if nudge and out is None:
+                return np.nextafter(value, np.inf)
+            if nudge:
+                cell = ctypes.c_double.from_address(args[out])
+                cell.value = np.nextafter(cell.value, np.inf)
+            return value
+        return call
+
+    for name, out in (("dia_sweep", 7), ("pairwise_dot", None),
+                      ("evp_gather", 3)):
+        check = native._SELF_TESTS[name]
+        assert check(stand_in(name, out, False), functions), name
+        assert not check(stand_in(name, out, True), functions), name
+
+    runs = collections.Counter()
+
+    def counted(name, check):
+        def run(fn, functions):
+            runs[name] += 1
+            return check(fn, functions)
+        return run
+
+    for name, check in list(native._SELF_TESTS.items()):
+        monkeypatch.setitem(native._SELF_TESTS, name, counted(name, check))
+    reentries = []
+    monkeypatch.setattr(fused, "load", lambda: reentries.append(1))
+    monkeypatch.setattr(resolve_kernels(None), "_lib", None)
+    assert native.load.__wrapped__().status == lib.status
+    assert runs == collections.Counter(list(native._SIGNATURES))
+    assert not reentries
 
 
 @needs_compiler
