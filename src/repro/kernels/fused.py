@@ -480,6 +480,15 @@ def _boundary(layout, kind, strides):
 _NO_CELLS = np.zeros(0, dtype=np.int64)
 
 
+def _zeroed(runs, zero, h, height, width):
+    """Whether every cell of the uncovered ``runs`` (``(block, j, i,
+    cells)`` of a stack's interior, the stack ``(height, width)`` a slot
+    with halo ``h``) is among the halo copy's ``zero`` cells."""
+    first = (runs[:, 0] * height + runs[:, 1] + h) * width + runs[:, 2] + h
+    cells = [np.arange(at, at + count) for at, count in zip(first, runs[:, 3])]
+    return bool(np.isin(np.concatenate(cells), zero).all()) if cells else True
+
+
 def _per_column(coeff, width, keep):
     """Address of ``coeff`` as ``width`` float64 values, one per column
     (kept alive in ``keep``); ``None`` when it is not that."""
@@ -586,23 +595,28 @@ class _EvpSpan:
     operands bring the dots' weights and windows for a span that
     replaces ``dot_pair`` (ChronGear's), ``None`` for P-CSI's.
 
-    * P-CSI (vectors ``b, r, dx, x``): ``run(weights)`` is a span of
-      iterations, one ``(w, c)`` each, as ``len(weights) + 1`` calls: a
-      head, the tails fused with the next heads, a last tail.  With a
-      ``check``, each tail is followed by ``check(ax)``: ``ax`` is the
-      stack :attr:`ax` holding that tail's ``A x`` on its interior rows
-      when ``check.due()`` said so before the call, else ``None``.
+    * P-CSI (vectors ``b, r, dx, x``): ``run(weights, check=None)`` is
+      a span of iterations, one ``(w, c)`` each, as ``len(weights) + 1``
+      calls: a head, the tails fused with the next heads, a last tail.
     * ChronGear (vectors ``x, r, s, p``; ``r'`` and ``z`` kept): each
-      ``__call__(step, head)`` is the recurrences of ``step`` (``(alpha,
-      beta)``, floats or ``(nrhs,)`` arrays, or ``None``) with the next
-      head in one call, then -- with ``head`` -- that head's tail in a
-      second, returning its ``(rho, delta)`` as
+      ``__call__(step, head, check=None)`` is the recurrences of
+      ``step`` (``(alpha, beta)``, floats or ``(nrhs,)`` arrays, or
+      ``None``) with the next head in one call, then -- with ``head`` --
+      that head's tail in a second, returning its ``(rho, delta)`` as
       :class:`_ChronGearSpan` does; every other chain a head follows
       keeps its ``x`` update for the next call to apply with its own:
       :meth:`flush` before ``x`` is read.
 
-    :attr:`swept` is the stack each tail's halo copy and sweep read --
-    ``x`` for P-CSI, ``r'`` for ChronGear."""
+    A ``check`` (:class:`~repro.parallel.resilience.SpanChecks`) judges
+    every tail from the sums the tail makes as it goes (``native.c``
+    section 9): with ``check.abft``, the halo copy's per-slot sums of
+    what it wrote and of what the cells then hold, two ``(slots,
+    ncols)`` arrays, and -- where ``check.due()`` said so before the
+    call -- the row-sum terms ``(sum A v, sum (A 1) v, sum |(A 1) v|)``
+    per column over the blocks' windows, ``v`` the swept stack and ``A
+    1`` the first of ``check.rowsum``'s ``(weights, extents)``; after
+    the call, ``check(pre, post, terms)``, ``None`` for what was not
+    made.  Without a check the sums are not made."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
         (sweep, _, call), at = operands
@@ -654,11 +668,10 @@ class _EvpSpan:
         if dots is None:
             (x_at, r_at, dx_at), b = at, vectors[0]
             # the sweep reads x; b, r, dx, x from their first cells
-            stack, self.swept = x_at, x
+            stack = x_at
             own = (b.ctypes.data + first, r_at + first, dx_at + first,
                    x_at + first)
             self.weights = np.empty(2)
-            self.ax, self._first = None, first
             extension = ()
         else:
             # r' is swept, so its halo copy must find the cells a fresh
@@ -670,7 +683,12 @@ class _EvpSpan:
             weights, extents = dots
             x_at, r_at, s_at, p_at = at
             stack, own = address(self.rp), (0, r_at + first, 0, x_at + first)
-            self.swept = self.rp
+            if _zeroed(layout.uncovered, zero, h, height, width):
+                # The halo copy zeroes r' where no tile writes it: the
+                # scatter need not.
+                scatter = hits[1][0].copy()
+                scatter[1] = 0
+                hits[1] = (scatter, scatter.ctypes.data)
             extension = (
                 s_at + first, p_at + first, address(self.rp) + first,
                 address(self.z) + first, address(self.coef),
@@ -684,6 +702,14 @@ class _EvpSpan:
             rows.ctypes.data, *own,
             0 if self.weights is None else self.weights.ctypes.data,
             *extension)
+        # A checker's sums: the halo copy's before and after, per slot
+        # and column, then the row-sum terms.
+        sums = np.empty((2 * p + 3) * n)
+        self._sums_at = address(sums)
+        self._halo = (sums[:p * n].reshape(p, n),
+                      sums[p * n:2 * p * n].reshape(p, n))
+        self._terms = sums[2 * p * n:].reshape(3, n)
+        self._cells, self._rowsum = (p, height - 2 * h, width - 2 * h), None
         # Everything the program addresses stays alive with it.
         self._keep = (keep, groups, rows, layout)
         self._call = functools.partial(fn, ctypes.addressof(self.program))
@@ -693,15 +719,9 @@ class _EvpSpan:
         self._step(EVP_HEAD)
         for t, step in enumerate(weights):
             self.weights[0], self.weights[1] = step
-            keep = check is not None and check.due()
-            if keep and self.ax is None:
-                self.ax = np.zeros_like(self.swept)
-            self.program.ax = address(self.ax) + self._first if keep else None
-            self._step(EVP_TAIL | (EVP_HEAD if t < last else 0))
-            if check is not None:
-                check(self.ax if keep else None)
+            self._step(EVP_TAIL | (EVP_HEAD if t < last else 0), check)
 
-    def __call__(self, step, head):
+    def __call__(self, step, head, check=None):
         mode = (EVP_HEAD if head else 0) | (EVP_HELD if self.held else 0)
         if step is not None:
             n = self.width or 1
@@ -713,7 +733,7 @@ class _EvpSpan:
         self.held = bool(mode & EVP_CHAIN) and head and not self.held
         if not head:
             return None
-        self._call(EVP_TAIL)
+        self._step(EVP_TAIL, check)
         if self.width is None:
             return self.dots.tolist()
         return self.dots[:self.width].copy(), self.dots[self.width:].copy()
@@ -724,11 +744,37 @@ class _EvpSpan:
             self._call(EVP_HELD)
             self.held = False
 
-    def _step(self, mode):
+    def _step(self, mode, check=None):
+        """One call; a tail handed a ``check`` makes its sums for it
+        (only such a tail: the program names them for its call alone)."""
+        checked = check is not None and check.abft and bool(mode & EVP_TAIL)
+        due = checked and self._arm(check)
         self._call(mode)
+        if checked:
+            self.program.abft = self.program.rowsum = None
         if mode & EVP_HEAD:
             for engine, f, ring in self._rings:
                 engine.ring_rows(f, ring)
+        if check is not None:
+            pre, post = self._halo if checked else (None, None)
+            check(pre, post, self._terms if due else None)
+
+    def _arm(self, check):
+        """Point the program at the sums ``check`` reads; whether the
+        row-sum terms are due."""
+        program = self.program
+        program.abft = self._sums_at
+        if not check.due():
+            return False
+        weights, extents = self._rowsum = check.rowsum
+        if weights.shape != self._cells or weights.dtype != np.float64 \
+                or not weights.flags.c_contiguous:
+            raise ValueError("A 1 is not in this span's layout")
+        program.rowsum = weights.ctypes.data
+        if self.weights is not None:
+            # P-CSI's windows (ChronGear's dots have the same).
+            program.extents = None if extents is None else extents.ctypes.data
+        return True
 
 
 #: ``(span kind, M's kind)`` -> ``(native.c entry point, runner)``; one

@@ -1320,8 +1320,7 @@ void chrongear_span(chrongear_program *g, int64_t mode)
  *           tile covers take r' = 0.0, the value the scatter writes
  *           there --, the halo copy of x and every row of the geometry
  *           swept into r (sweep_row) and subtracted from b, numpy's
- *           b - Ax -- swept into ax instead where the program names
- *           one, so that A x is kept for a check to read; for ChronGear
+ *           b - Ax; for ChronGear
  *           evp_scatter into r', the halo copy of r', and block by
  *           block its rows swept into z followed by the block's <r, r'>
  *           and <z, r'> (pairwise_dot over its window, the weights w, as
@@ -1346,6 +1345,20 @@ void chrongear_span(chrongear_program *g, int64_t mode)
  * ChronGear -- and the vectors point at the first cell of the layout
  * the boundary programs and the geometry address (a stack's first
  * interior cell).  A program with z NULL is P-CSI's.
+ *
+ * A TAIL whose program names `abft` (NULL: off) makes a checker's sums
+ * as by-products, `ncols` doubles a sum.  Its halo copy writes the zero
+ * cells, then copies the others, adding up per stack slot the values it
+ * writes (0.0 for a zero cell: the sum starts at 0.0) into abft's first
+ * slots * ncols doubles -- the sender's truth --, and a second pass
+ * re-reads the same cells in the same order (the zero cells, then the
+ * copied ones) into the next slots * ncols: the two are equal bit for
+ * bit exactly when every cell holds what was written (NaN where NaN was
+ * written).  With `rowsum` too -- A 1, one value a cell in the layout's
+ * packed interior rows, as `w` -- the sweep adds up over every block's
+ * window (`extents`; NULL: whole blocks), no pad cell, three sums after
+ * those: sum A v, sum rowsum * v and sum |rowsum * v|, v the swept
+ * stack.  Only each other, or a relative tolerance, ever judges them.
  * ------------------------------------------------------------------ */
 typedef struct {
     const int64_t *march;              /* evp_march's program */
@@ -1382,8 +1395,10 @@ typedef struct {
     double *coef, *dots;
     const double *w;
     const int64_t *extents;
-    /* P-CSI: where the next TAIL keeps A x (NULL: nowhere) */
-    double *ax;
+    /* a checker's sums of the next TAIL -- 2 * slots + 3 values a
+     * column -- and A 1 for its row-sum terms (NULL: none) */
+    double *abft;
+    const double *rowsum;
 } evp_program;
 
 #define EVP_TAIL 1
@@ -1450,6 +1465,69 @@ static void scatter_chain(const evp_program *p)
         }
 }
 
+/* Adds the `ncols` values of each of `count` stack cells, in order, to
+ * the sums of its slot (`per` cells a slot), one run of cells of a slot
+ * at a time (the tables run slot by slot) -- having first copied cell
+ * src[i] into cell i where `src` is given: the sums of what a copy
+ * writes and of what its cells hold afterwards take the same roundings. */
+static inline __attribute__((always_inline)) void
+slot_run_sums(double *s, const int64_t ncols, int64_t per,
+              const int64_t *cells, const int64_t *src, int64_t count,
+              double *sums)
+{
+    double run[ncols];
+    for (int64_t i = 0; i < count;) {
+        const int64_t lo = cells[i] - cells[i] % per, hi = lo + per;
+        for (int64_t c = 0; c < ncols; c++)
+            run[c] = 0.0;
+        for (; i < count && cells[i] >= lo && cells[i] < hi; i++) {
+            double *d = s + cells[i] * ncols;
+            if (src) {
+                const double *from = s + src[i] * ncols;
+                for (int64_t c = 0; c < ncols; c++) {
+                    const double v = from[c];
+                    d[c] = v;
+                    run[c] = run[c] + v;
+                }
+            } else {
+                for (int64_t c = 0; c < ncols; c++)
+                    run[c] = run[c] + d[c];
+            }
+        }
+        double *out = sums + lo / per * ncols;
+        for (int64_t c = 0; c < ncols; c++)
+            out[c] = out[c] + run[c];
+    }
+}
+
+static void slot_sums(double *s, int64_t ncols, int64_t per,
+                      const int64_t *cells, const int64_t *src, int64_t count,
+                      double *sums)
+{
+    if (ncols == 1)
+        slot_run_sums(s, 1, per, cells, src, count, sums);
+    else
+        slot_run_sums(s, ncols, per, cells, src, count, sums);
+}
+
+/* The halo copy of a TAIL with `abft`: the zero cells, then the copies
+ * summed as they are written, then the second pass. */
+static void checked_copy(const evp_program *p)
+{
+    const int64_t n = p->ncols, per = p->rows[5], slots = p->rows[1];
+    double *s = p->stack, *pre = p->abft, *post = pre + slots * n;
+    for (int64_t i = 0; i < 2 * slots * n; i++)
+        pre[i] = 0.0;
+    for (int64_t i = 0; i < p->nzero; i++) {
+        double *d = s + p->zero[i] * n;
+        for (int64_t c = 0; c < n; c++)
+            d[c] = 0.0;
+    }
+    slot_sums(s, n, per, p->dst, p->src, p->ndst, pre);
+    slot_sums(s, n, per, p->zero, NULL, p->nzero, post);
+    slot_sums(s, n, per, p->dst, NULL, p->ndst, post);
+}
+
 static void halo_copy(const evp_program *p)
 {
     const int64_t n = p->ncols;
@@ -1474,8 +1552,65 @@ static void halo_copy(const evp_program *p)
     }
 }
 
-/* r = b - A x over the rows of the geometry, a row at a time, A x
- * kept in ax where the program names one. */
+/* The row-sum terms of one row's first `cells` cells, added to t:
+ * sum A v, sum w v and sum |w v| per column (av: the row of A v, v: the
+ * row of the swept stack, w: the row of A 1); one column in four partial
+ * sums, so that no add waits on the one before. */
+static void rowsum_row(int64_t cells, int64_t ncols,
+                       const double *restrict av, const double *restrict v,
+                       const double *restrict w, double *restrict t)
+{
+    if (ncols == 1) {
+        double lhs[4] = {0.0}, rhs[4] = {0.0}, scale[4] = {0.0};
+        for (int64_t i = 0; i < cells; i += 4)
+            for (int64_t k = 0; k < (cells - i < 4 ? cells - i : 4); k++) {
+                const double wv = w[i + k] * v[i + k];
+                lhs[k] = lhs[k] + av[i + k];
+                rhs[k] = rhs[k] + wv;
+                scale[k] = scale[k] + __builtin_fabs(wv);
+            }
+        t[0] = t[0] + ((lhs[0] + lhs[1]) + (lhs[2] + lhs[3]));
+        t[1] = t[1] + ((rhs[0] + rhs[1]) + (rhs[2] + rhs[3]));
+        t[2] = t[2] + ((scale[0] + scale[1]) + (scale[2] + scale[3]));
+        return;
+    }
+    double *lhs = t, *rhs = t + ncols, *scale = t + 2 * ncols;
+    for (int64_t i = 0; i < cells; i++)
+        for (int64_t c = 0; c < ncols; c++) {
+            const double wv = w[i] * v[i * ncols + c];
+            lhs[c] = lhs[c] + av[i * ncols + c];
+            rhs[c] = rhs[c] + wv;
+            scale[c] = scale[c] + __builtin_fabs(wv);
+        }
+}
+
+/* Where a TAIL's row-sum terms go (zeroed), or NULL: none are due. */
+static double *rowsum_terms(const evp_program *p)
+{
+    if (!p->abft || !p->rowsum)
+        return NULL;
+    const int64_t ncols = p->rows[0];
+    double *t = p->abft + 2 * p->rows[1] * ncols;
+    for (int64_t c = 0; c < 3 * ncols; c++)
+        t[c] = 0.0;
+    return t;
+}
+
+/* Row q of block bk of the row-sum terms t, the row of A v at av: the
+ * part of it inside the block's window. */
+static void rowsum_block_row(const evp_program *p, double *t, int64_t bk,
+                             int64_t q, int64_t start, const double *av)
+{
+    const int64_t *g = p->rows, *ext = p->extents ? p->extents + 2 * bk
+                                                  : NULL;
+    const int64_t ncols = g[0], rows = g[2], cells = g[3];
+    if (ext && q >= ext[0])
+        return;
+    rowsum_row(ext ? ext[1] : cells, ncols, av, p->stack + start * ncols,
+               p->rowsum + (bk * rows + q) * cells, t);
+}
+
+/* r = b - A x over the rows of the geometry, a row at a time. */
 static void residual_rows(const evp_program *p)
 {
     const int64_t *g = p->rows;
@@ -1484,15 +1619,18 @@ static void residual_rows(const evp_program *p)
                   y_block_stride = g[7], y_row_stride = g[8];
     const dia_matrix a = dia_of(p->n, p->ndiag, p->data, p->stride,
                                 p->offsets);
+    double *t = rowsum_terms(p);
     for (int64_t bk = 0; bk < blocks; bk++)
         for (int64_t q = 0; q < rows; q++) {
             const int64_t start = first + bk * block_stride + q * row_stride;
             const int64_t at = bk * y_block_stride + q * y_row_stride;
-            double *rq = p->r + at, *aq = p->ax ? p->ax + at : rq;
+            double *rq = p->r + at;
             const double *bq = p->b + at;
-            sweep_row(&a, start, start + cells, ncols, p->stack, aq);
+            sweep_row(&a, start, start + cells, ncols, p->stack, rq);
+            if (t)
+                rowsum_block_row(p, t, bk, q, start, rq);
             for (int64_t i = 0; i < cells * ncols; i++)
-                rq[i] = bq[i] - aq[i];
+                rq[i] = bq[i] - rq[i];
         }
 }
 
@@ -1548,14 +1686,17 @@ static void sweep_dots(const evp_program *g)
     /* one block's window, pairwise_dot's geometry */
     const int64_t window[6] = {1, nrows, cells, ncols, y_block, y_row};
     double *rho = g->dots, *delta = g->dots + ncols, part[2 * ncols];
+    double *t = rowsum_terms(g);
     for (int64_t c = 0; c < 2 * ncols; c++)
         g->dots[c] = 0.0;
     for (int64_t bk = 0; bk < blocks; bk++) {
         const int64_t at = bk * y_block;
         for (int64_t q = 0; q < nrows; q++) {
             const int64_t start = first + bk * block_stride + q * row_stride;
-            sweep_row(&a, start, start + cells, ncols, g->stack,
-                      g->z + at + q * y_row);
+            double *zq = g->z + at + q * y_row;
+            sweep_row(&a, start, start + cells, ncols, g->stack, zq);
+            if (t)
+                rowsum_block_row(g, t, bk, q, start, zq);
         }
         const double *w = g->w + bk * nrows * cells;
         const int64_t *extents = g->extents ? g->extents + 2 * bk : NULL;
@@ -1585,7 +1726,9 @@ void evp_step(const evp_program *p, int64_t mode)
         else
             scatter_chain(p);
     }
-    if (mode & (EVP_TAIL | EVP_HALO))
+    if ((mode & EVP_TAIL) && p->abft)
+        checked_copy(p);
+    else if (mode & (EVP_TAIL | EVP_HALO))
         halo_copy(p);
     if ((mode & EVP_TAIL) && p->z)
         sweep_dots(p);

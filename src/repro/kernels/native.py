@@ -85,8 +85,8 @@ class EvpProgram(ctypes.Structure):
     geometry, P-CSI's four vectors and weights slot, then ChronGear's
     extension -- ``s``, ``p``, the kept ``r'`` and ``z``, the
     coefficient and dot slots, the dots' weights and block windows --
-    left NULL by a P-CSI program, and last where a P-CSI tail keeps
-    ``A x`` (NULL: nowhere)."""
+    left NULL by a P-CSI program, and last a checker's sums of the next
+    tail and the ``A 1`` its row-sum terms read (NULL: none)."""
 
     _fields_ = ([("ncols", _I), ("ndst", _I), ("nzero", _I)]
                 + [(name, ctypes.c_void_p)
@@ -98,7 +98,7 @@ class EvpProgram(ctypes.Structure):
                 + [(name, ctypes.c_void_p) for name in (
                     "data", "offsets", "rows", "b", "r", "dx", "x",
                     "weights", "s", "p", "rp", "z", "coef", "dots", "w",
-                    "extents", "ax")])
+                    "extents", "abft", "rowsum")])
 
 
 def address(array):

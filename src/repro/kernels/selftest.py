@@ -23,6 +23,7 @@ from repro.kernels.fused import FusedKernels
 from repro.kernels.native import Native
 from repro.parallel import HaloExchanger, VirtualMachine, decompose
 from repro.parallel.halo import BlockField
+from repro.parallel.resilience import ResiliencePolicy, ResilienceRuntime
 from repro.precond.diagonal import DiagonalPreconditioner
 from repro.precond.evp import EVPTileEngine, evp_for_config
 from repro.solvers.context import DistributedContext, SerialContext
@@ -152,62 +153,42 @@ def _evp(kernels):
     return pre
 
 
-def _context(kernels, pre, keep=False, stacked=False):
+def _context(kernels, pre, stacked=False, policy=None):
     """A serial context with ``pre`` or, ``stacked``, one on the batched
-    engine's stacks; ``keep``: one that keeps ``A x``."""
-    cls, args = SerialContext, ()
-    if stacked:
-        cls, args = DistributedContext, (VirtualMachine(pre.decomp,
-                                                        mask=pre.mask),)
-        args[0].kernels = kernels
-    return (_KEPT[cls] if keep else cls)(pre.stencil, pre, *args,
-                                         kernels=kernels)
-
-
-class _KeepAx:
-    """A context handing over every P-CSI iteration's ``A x`` in
-    ``kept``: it is its span's checks, a row-sum check due every
-    iteration, and the calls' residual passes it to ``_sub``."""
-
-    cut = None
-
-    def _span_checks(self, run, first):
-        self.passed = 0
-        return self
-
-    def due(self):
-        return True
-
-    def __call__(self, ax):
-        self.kept.append(ax.copy())
-        self.passed += 1
-
-    def _sub(self, a, b, out):
-        self.kept.append(getattr(b, "stack", b).copy())
-        return super()._sub(a, b, out)
-
-
-_KEPT = {cls: type(f"Kept{cls.__name__}", (_KeepAx, cls), {})
-         for cls in (SerialContext, DistributedContext)}
+    engine's stacks, under a resilience runtime of ``policy`` if one is
+    given."""
+    if not stacked:
+        return SerialContext(pre.stencil, pre, kernels=kernels)
+    vm = VirtualMachine(pre.decomp, mask=pre.mask)
+    vm.kernels = kernels
+    ctx = DistributedContext(pre.stencil, pre, vm, kernels=kernels)
+    if policy is not None:
+        vm.resilience = ResilienceRuntime(policy, ctx)
+    return ctx
 
 
 def _span(ctx, rng, n, steps, kind):
     """A span of ``kind`` on drawn vectors of width ``n``: P-CSI's ``r``
     (on a stack its interior rows: a span updates ``r``, the calls'
-    residual is a fresh field), ``dx``, ``x`` and kept ``A x``, NaN and
-    Inf in the first three; or ChronGear's ``x``, ``r``, ``s``, ``p``
-    and every iteration's dots, NaN and Inf in ``r``, the second
-    iteration updating nothing; and the ledger."""
+    residual is a fresh field), ``dx`` and ``x``, NaN and Inf in all
+    three; or ChronGear's ``x``, ``r``, ``s``, ``p`` and every
+    iteration's dots, NaN and Inf in ``r``, the second iteration
+    updating nothing; and the ledger.  Under a resilience runtime the
+    vectors are finite (a NaN would fail the row-sum check), and the
+    runtime's summary, wall clock aside, follows."""
     decomp, shape = ctx.decomp, ctx.stencil.shape
-    out = ctx.kept = []
+    runtime = getattr(getattr(ctx, "vm", None), "resilience", None)
+    out = []
     if kind == "chebyshev":
-        b, r, dx, x = _fields(rng, decomp, shape, n, "brdx", "rdx")
+        b, r, dx, x = _fields(rng, decomp, shape, n, "brdx",
+                              "" if runtime else "rdx")
         weights = [(float(w), float(c)) for w, c in
                    rng.uniform(0.5, 2.0, (steps, 2)) * (1.0, -0.5)]
         r = ctx.chebyshev_span(b, r, dx, x, weights)
         vectors = (r if decomp is None else r.interior_stack(), dx, x)
     else:
-        vectors = _fields(rng, decomp, shape, n, "xrsp", "r")
+        vectors = _fields(rng, decomp, shape, n, "xrsp",
+                          "" if runtime else "r")
         drawn = rng.uniform(0.5, 2.0, (steps, 2, n or 1)) * ((1.0,), (0.3,))
 
         def step(rho, delta):
@@ -218,8 +199,9 @@ def _span(ctx, rng, n, steps, kind):
             return (alpha, beta) if n else (float(alpha[0]), float(beta[0]))
 
         ctx.chrongear_span(*vectors, steps, step)
+    checked = [] if runtime is None else [{**runtime.summary(), "seconds": 0}]
     return [getattr(v, "stack", v) for v in vectors] + [
-        out, ctx.ledger.snapshot()]
+        out, ctx.ledger.snapshot()] + checked
 
 
 # -- the cases -----------------------------------------------------------
@@ -342,16 +324,22 @@ def _halo_copies(kernels, rng):
 
 def _evp_spans(kernels, rng):
     """P-CSI and ChronGear + block EVP spans of 1 to 3 iterations on the
-    grid and on the ragged halo-2 stacks, P-CSI's tail keeping ``A x``
-    on both."""
+    grid and on the ragged halo-2 stacks, then on the stacks under a
+    resilience runtime -- halo checksums every iteration, a row-sum
+    check every second -- whose checks the spans judge from the sums
+    ``evp_step`` makes."""
     pre = _evp(kernels)
-    return [_span(_context(kernels, pre, keep, stacked), rng, n, steps, kind)
-            for stacked, n, steps, kind, keep in (
-                (False, None, 2, "chebyshev", True),
-                (False, 3, 3, "chrongear", False),
-                (True, 1, 1, "chebyshev", True),
-                (True, 11, 1, "chebyshev", False),
-                (True, 8, 2, "chrongear", False))]
+    guarded = ResiliencePolicy(abft_every=2)
+    return [_span(_context(kernels, pre, stacked, policy), rng, n, steps,
+                  kind)
+            for stacked, n, steps, kind, policy in (
+                (False, None, 2, "chebyshev", None),
+                (False, 3, 3, "chrongear", None),
+                (True, 1, 1, "chebyshev", None),
+                (True, 11, 1, "chebyshev", None),
+                (True, 8, 2, "chrongear", None),
+                (True, None, 3, "chebyshev", guarded),
+                (True, 3, 3, "chrongear", guarded))]
 
 
 _EVP = ("evp_march", "evp_edges")

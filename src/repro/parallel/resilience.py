@@ -40,12 +40,12 @@ iterate, byte for byte, as an undisturbed run -- the property
 ``tests/test_resilience.py`` pins across both engines.
 """
 
+import math
 import time
 
 import numpy as np
 
 from repro.core.errors import SolverError
-from repro.parallel.halo import BlockField
 
 __all__ = [
     "ResilienceEvent",
@@ -208,7 +208,7 @@ def _finite_or_none(value):
 def _field_words(value):
     """Words a piece of state contributes to the buddy-send payload."""
     if hasattr(value, "locals_"):
-        widths = [int(np.prod(arr.shape)) for arr in value.locals_]
+        widths = [math.prod(arr.shape) for arr in value.locals_]
         return max(widths) if widths else 0
     if isinstance(value, np.ndarray):
         return int(value.size)
@@ -258,6 +258,8 @@ class ResilienceRuntime:
         self._matvecs = 0
         self._rowsum = None
         self._rowsum_stack = None
+        self._rowsum_stacked = None
+        self._rowsum_charged = False
         self._bnorms = {}
         self._state_words = None
         # The ring checksums run one stacked reduction per block shape;
@@ -474,12 +476,18 @@ class ResilienceRuntime:
             return
         t0 = time.perf_counter()
         post = self.ring_checksums(field)
-        self.counters["halo_checks"] += 1
         self.seconds += time.perf_counter() - t0
+        self.halo_verdict(pre, post)
+
+    def halo_verdict(self, pre, post):
+        """Judge one halo update by its per-rank sums before and after
+        delivery (first axis: ranks); raises on a mismatch."""
+        self.counters["halo_checks"] += 1
         # NaN-aware: a ring that was already non-finite before delivery
         # still matches its own checksum, so the solver's non-finite
         # residual check diagnoses it instead of a false SDC suspect.
-        if np.array_equal(pre, post, equal_nan=True):
+        if pre.tobytes() == post.tobytes() \
+                or np.array_equal(pre, post, equal_nan=True):
             return
         bad = [r for r in range(len(pre))
                if not np.array_equal(pre[r], post[r], equal_nan=True)]
@@ -497,10 +505,7 @@ class ResilienceRuntime:
         (both sides see the same ``x``), so it guards the *apply*
         itself; corrupted iterates are the cross-check's job.
         """
-        if not self.policy.abft:
-            return
-        self._matvecs += 1
-        if self._matvecs % self.policy.abft_every:
+        if not self.count_matvec():
             return
         t0 = time.perf_counter()
         rowsum = self._ensure_rowsum()
@@ -508,9 +513,16 @@ class ResilienceRuntime:
         xs = self._interior_stack(x)
         rhs = self._weighted_sum(rowsum, xs, x.nrhs)
         scale = self._weighted_sum(rowsum, xs, x.nrhs, absolute=True)
+        self.seconds += time.perf_counter() - t0
+        self.rowsum_verdict(lhs, rhs, scale)
+
+    def rowsum_verdict(self, lhs, rhs, scale):
+        """Judge one operator apply by ``sum(A x)``, ``dot(A 1, x)`` and
+        ``sum |(A 1) x|`` over every block's interior, per column;
+        raises where the first two differ by more than ``rowsum_tol``
+        relative to the third."""
         self.counters["rowsum_checks"] += 1
         self.vm.ledger.record_allreduce("resilience", words=2)
-        self.seconds += time.perf_counter() - t0
         err = np.abs(np.asarray(lhs) - np.asarray(rhs))
         bound = self.policy.rowsum_tol * (np.asarray(scale) + 1.0)
         bad = ~np.isfinite(err) | (err > bound)
@@ -520,6 +532,14 @@ class ResilienceRuntime:
                 f"(|sum(Ax) - dot(A1, x)| = {np.max(err):.3e})",
                 detail={"check": "matvec_rowsum",
                         "error": _finite_or_none(np.max(err))})
+
+    def count_matvec(self):
+        """Count one operator apply; whether it gets the row-sum check
+        (never with ABFT off, when nothing is counted)."""
+        if not self.policy.abft:
+            return False
+        self._matvecs += 1
+        return self._matvecs % self.policy.abft_every == 0
 
     def rowsum_due(self):
         """Whether the next operator apply gets the row-sum check."""
@@ -575,7 +595,17 @@ class ResilienceRuntime:
                         "drift": _finite_or_none(np.max(dnorm))})
 
     def _ensure_rowsum(self):
-        """Lazily build and cache ``A 1`` (row sums of the operator)."""
+        """``A 1`` (row sums of the operator) per rank, cached; its
+        flops are charged once, by the first check that reads it."""
+        rowsum = self._build_rowsum()
+        if not self._rowsum_charged:
+            self._rowsum_charged = True
+            self.vm.ledger.record_flops("resilience",
+                                        9 * self.vm.max_block_points)
+        return rowsum
+
+    def _build_rowsum(self):
+        """Lazily build and cache ``A 1``, uncharged."""
         if self._rowsum is None:
             vm = self.vm
             ones = vm.scatter(np.ones((vm.decomp.ny, vm.decomp.nx)))
@@ -589,9 +619,31 @@ class ResilienceRuntime:
                             for rank in range(vm.num_ranks)]
             if self._uniform:
                 self._rowsum_stack = np.stack(self._rowsum)
-            self.vm.ledger.record_flops("resilience",
-                                        9 * vm.max_block_points)
         return self._rowsum
+
+    def stacked_rowsum(self):
+        """``(weights, extents)``: ``A 1`` on the stacked block
+        interiors, C-contiguous ``(p, bny, bnx)`` with 0.0 in the pad of
+        ragged slots, and every rank's ``(ny, nx)`` window on a ragged
+        stack (``None``: whole blocks) -- what a span's row-sum terms
+        read; built once, uncharged (:meth:`_ensure_rowsum` charges)."""
+        if self._rowsum_stacked is None:
+            t0 = time.perf_counter()
+            rowsum = self._build_rowsum()
+            extents = None
+            if self._uniform:
+                weights = self._rowsum_stack
+            else:
+                blocks = self.vm.decomp.active_blocks
+                extents = np.array([(b.ny, b.nx) for b in blocks],
+                                   dtype=np.int64)
+                weights = np.zeros((len(rowsum),)
+                                   + self.vm.decomp.max_block_shape())
+                for w, (ny, nx), a in zip(weights, extents, rowsum):
+                    w[:ny, :nx] = a
+            self._rowsum_stacked = (weights, extents)
+            self.seconds += time.perf_counter() - t0
+        return self._rowsum_stacked
 
     def _interior_stack(self, field):
         """``(stack, interiors)``: on uniform blocks the interiors
@@ -657,17 +709,23 @@ class ResilienceRuntime:
 
 class SpanChecks:
     """The runtime's checks inside a span of several iterations, made
-    where the primitive calls make them.
+    where the primitive calls make them, from sums the span's kernel
+    makes as it goes.
 
     An iteration's matvec exchanges the halo of the vector it sweeps
-    (``swept``, a stack: P-CSI's ``x``, ChronGear's ``r'``) and applies
-    the operator to it; the calls check the exchange's checksums
+    (P-CSI's ``x``, ChronGear's ``r'``) and applies the operator to it;
+    the calls check the exchange's checksums
     (:meth:`ResilienceRuntime.pre_exchange` then
     :meth:`~ResilienceRuntime.post_exchange`) and then the apply
-    (:meth:`~ResilienceRuntime.on_matvec`).  A span calls this object
-    once per iteration, after that iteration's halo copy and sweep, with
-    the sweep's product -- a stack, read only when :meth:`due` said so
-    before the sweep.
+    (:meth:`~ResilienceRuntime.on_matvec`).  A span hands this object,
+    once per iteration after that iteration's halo copy and sweep, the
+    copy's per-slot sums of what it wrote and of what the cells then
+    hold (with :attr:`abft`) and -- where :meth:`due` said so before the
+    sweep, reading :attr:`rowsum` -- the apply's row-sum terms, and it
+    judges them with the runtime's own verdicts
+    (:meth:`~ResilienceRuntime.halo_verdict`,
+    :meth:`~ResilienceRuntime.rowsum_verdict`): same counters, ledger
+    and documents as the calls.
 
     A check that fails raises with its iteration (counted from
     ``first``); ``passed`` counts the iterations whose checks passed,
@@ -676,35 +734,40 @@ class SpanChecks:
     span charges what the calls had charged by then.
     """
 
-    def __init__(self, runtime, swept, first):
+    def __init__(self, runtime, first):
         self.runtime = runtime
-        self._decomp = runtime.vm.decomp
-        self._swept = BlockField.from_stack(self._decomp, swept)
-        self._product = (None, None)
+        #: Whether the halo sums are judged (ABFT on).
+        self.abft = runtime.policy.abft
         self.first, self.passed, self.cut = first, 0, None
 
     def due(self):
         """Whether the next iteration's apply gets the row-sum check."""
         return self.runtime.rowsum_due()
 
-    def __call__(self, product):
-        runtime, swept = self.runtime, self._swept
+    @property
+    def rowsum(self):
+        """``(weights, extents)`` of the row-sum terms
+        (:meth:`ResilienceRuntime.stacked_rowsum`)."""
+        return self.runtime.stacked_rowsum()
+
+    def __call__(self, pre, post, terms):
+        """Judge one iteration: the halo sums ``pre`` and ``post``
+        (``None`` with ABFT off) and the row-sum terms ``(lhs, rhs,
+        scale)`` (``None`` where none were due)."""
+        runtime = self.runtime
+        t0 = time.perf_counter()
         try:
             self.cut = "halo"
-            runtime.post_exchange(swept, runtime.pre_exchange(swept))
+            if pre is not None:
+                runtime.halo_verdict(pre, post)
             self.cut = "matvec"
-            runtime.on_matvec(swept, self._field(product))
+            if runtime.count_matvec():
+                runtime._ensure_rowsum()
+                runtime.rowsum_verdict(*terms)
         except ResilienceEvent as event:
             event.iteration = self.first + self.passed
             raise
+        finally:
+            runtime.seconds += time.perf_counter() - t0
         self.cut = None
         self.passed += 1
-
-    def _field(self, stack):
-        """``stack`` as a block field (the last one kept)."""
-        if stack is None:
-            return None
-        if self._product[0] is not stack:
-            self._product = (stack, BlockField.from_stack(self._decomp,
-                                                          stack))
-        return self._product[1]

@@ -64,6 +64,7 @@ communication counts.
 """
 
 import abc
+import functools
 
 import numpy as np
 
@@ -408,11 +409,11 @@ class SolverContext(abc.ABC):
         return all(getattr(cls, name) is getattr(own, name)
                    for name in _SPANNED)
 
-    def _span_checks(self, run, first):
-        """The checks a span of ``run`` makes iteration by iteration
-        where its calls would make them (iterations numbered from
-        ``first``; :class:`~repro.parallel.resilience.SpanChecks`), or
-        ``None``: nothing checks this context's iterations."""
+    def _span_checks(self, first):
+        """The checks a span makes iteration by iteration where its
+        calls would make them (iterations numbered from ``first``;
+        :class:`~repro.parallel.resilience.SpanChecks`), or ``None``:
+        nothing checks this context's iterations."""
         return None
 
     def _span_runner(self, kind, vectors):
@@ -459,7 +460,7 @@ class SolverContext(abc.ABC):
                              ("axpy", 1.0, dx, x))
                 r = self.residual(b, x)
             return r
-        checks = self._span_checks(run, first)
+        checks = self._span_checks(first)
         if checks is None:
             if weights:
                 run.run(weights)
@@ -504,18 +505,19 @@ class SolverContext(abc.ABC):
                              ("axpy", alpha, s, x), ("axpy", -alpha, p, r))
             return
         heads = chains = 0
-        checks = self._span_checks(run, first)
+        checks = self._span_checks(first)
+        # A head's checks run in the call that sweeps it.
+        call = run if checks is None else functools.partial(run,
+                                                             check=checks)
         try:
-            dots = run(None, True)
+            dots = call(None, True)
             for t in range(n):
-                if checks is not None:
-                    checks(run.z)
                 heads += 1
                 step = coefficients(*dots)
                 last = t == n - 1
                 chains += step is not None
                 if step is not None or not last:
-                    dots = run(step, not last)
+                    dots = call(step, not last)
         finally:
             run.flush()
             self._charge_span("chrongear", self._vec_width(x), heads, chains,
@@ -800,13 +802,13 @@ class DistributedContext(SolverContext):
                 self.operator._get_stacked_coeffs(), self.decomp.halo_width,
                 vm.exchanger.halo_tables())
 
-    def _span_checks(self, run, first):
-        """The attached resilience runtime's checks on the stack ``run``
-        sweeps, or ``None`` without a runtime."""
+    def _span_checks(self, first):
+        """The attached resilience runtime's checks, or ``None``
+        without a runtime."""
         runtime = self.vm.resilience
         if runtime is None:
             return None
-        return SpanChecks(runtime, run.swept, first)
+        return SpanChecks(runtime, first)
 
     # -- reductions ----------------------------------------------------
     @property

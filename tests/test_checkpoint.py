@@ -1019,14 +1019,38 @@ class TestEVPSpans:
         ("pcsi", None), ("chrongear", None), ("chrongear", 1),
         ("chrongear", 3), ("chrongear", 8)])
     @pytest.mark.parametrize("lattice", list(EVP_LATTICES))
-    def test_guarded_matches_the_calls(self, tmp_path, lattice, solver,
-                                       width, checkpoint):
+    def test_guarded_matches_the_calls(self, monkeypatch, tmp_path, lattice,
+                                       solver, width, checkpoint):
         """Buddy replication + ABFT (``resilience=True``) no longer stops
         a span: the halo checksums and the row-sum checks run inside it
         where the calls run them, and iterates, histories, ledger and
         the runtime's summary -- counters, captures, everything but its
         wall clock -- are the calls' bit for bit, with snapshots due
-        every 7 iterations or none."""
+        every 7 iterations or none.  The spans' checks read the sums
+        ``evp_step`` makes: the runtime's numpy sums then run only for
+        the cross-checks' residuals (one exchange each, and a row-sum
+        check where its apply is due), as the calls run them for every
+        check."""
+        from repro.parallel.resilience import ResilienceRuntime
+
+        # The load-time check runs the runtime's checks: load unwrapped.
+        fused = self._fused()
+        counts = []
+        for name in ("ring_checksums", "_interior_sum"):
+            def counted(runtime, field, plain=getattr(ResilienceRuntime,
+                                                      name), name=name):
+                counts[-1][name] += 1
+                return plain(runtime, field)
+
+            monkeypatch.setattr(ResilienceRuntime, name, counted)
+        solve = self._solve
+
+        def counting(*args, **kwargs):
+            counts.append(dict.fromkeys(("ring_checksums", "_interior_sum"),
+                                        0))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(self, "_solve", counting)
         got, spans = self._both(
             _batch_rhs(_pop("144x120"), width), lattice=lattice,
             solver=solver, resilience=True, max_iterations=45,
@@ -1036,8 +1060,14 @@ class TestEVPSpans:
         assert counters["rowsum_checks"] >= 11
         assert counters["residual_crosschecks"] == 4
         assert counters["rollbacks"] == 0
-        if self._fused():
+        native, calls = counts
+        assert calls == {"ring_checksums": 2 * counters["halo_checks"],
+                         "_interior_sum": counters["rowsum_checks"]}
+        if fused:
             assert spans == self.GUARDED_SPANS[checkpoint]
+            assert native == {"ring_checksums": 8, "_interior_sum": 1}
+        else:
+            assert native == calls
 
     @pytest.mark.parametrize("check", ["halo", "rowsum"])
     @pytest.mark.parametrize("solver,width", [("pcsi", None),
@@ -1052,22 +1082,25 @@ class TestEVPSpans:
         -- is detected at that iteration, as one iteration a call
         detects it: the same recovery document (iteration, message,
         resumed from 10), ledger and runtime summary, and the replay
-        ends on the undisturbed run's ``x``."""
+        ends on the undisturbed run's ``x``.  The fault enters at the
+        verdict both paths share, so the spans' sums meet it where the
+        calls' numpy sums do."""
         from repro.parallel.resilience import ResilienceRuntime
 
         calls = []
-        name = "ring_checksums" if check == "halo" else "_interior_sum"
+        name = "halo_verdict" if check == "halo" else "rowsum_verdict"
         plain = getattr(ResilienceRuntime, name)
-        # The post-delivery checksum of the 15th exchange, the lhs of the
-        # 4th row-sum check.
-        due = 30 if check == "halo" else 4
+        # The post-delivery sums of the 15th exchange, the lhs of the 4th
+        # row-sum check.
+        due = 15 if check == "halo" else 4
 
-        def faulty(runtime, field):
-            value = plain(runtime, field)
+        def faulty(runtime, *sums):
             calls.append(None)
             if len(calls) == due:
-                value = value + (1.0 if check == "halo" else np.nan)
-            return value
+                at = 1 if check == "halo" else 0
+                sums = list(sums)
+                sums[at] = sums[at] + (1.0 if check == "halo" else np.nan)
+            return plain(runtime, *sums)
 
         b = _batch_rhs(_pop("144x120"), width)
         clean, _, _ = self._solve("native", b, lattice=lattice,

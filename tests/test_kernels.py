@@ -1145,13 +1145,16 @@ class TestEVPSpan:
     @needs_native("evp_step")
     @pytest.mark.parametrize("lattice", ["uniform", "ragged"])
     @pytest.mark.parametrize("nrhs", [None, 3])
-    def test_kept_ax_is_the_stacked_apply(self, uniform_config, lattice,
-                                          nrhs):
-        """A P-CSI span asked to keep ``A x`` on some iterations hands
-        each of them the stacked stencil apply of that iteration's ``x``
-        (its halos just copied) -- the operand the calls' row-sum check
-        reads -- on the interior rows, and the span's vectors are those
-        of a span that keeps none."""
+    def test_span_sums_are_the_stacked_apply(self, uniform_config, lattice,
+                                             nrhs):
+        """A P-CSI span handed a check makes its sums as it goes: every
+        iteration, the halo copy's per-slot sums of what it wrote and of
+        what the ring then holds -- equal bit for bit, and the numpy sums
+        of those cells up to rounding -- and, on the iterations the check
+        says are due, the row-sum terms of the stacked stencil apply of
+        that iteration's ``x`` (its halos just copied) over every
+        block's window: ``sum A x``, ``sum w x``, ``sum |w x|``.  The
+        span's vectors are those of a span with no check."""
         config = uniform_config
         decomp = decompose(config.ny, config.nx,
                            *((4, 4) if lattice == "uniform" else (5, 7)),
@@ -1163,47 +1166,83 @@ class TestEVPSpan:
                                                       else (nrhs,)))
                   for _ in range(4)]
         weights = TestEVPSpan._weights(7, 5)
+        extents = np.array([(block.ny, block.nx)
+                            for block in decomp.active_blocks])
+        # Drawn stand-ins for A 1: the terms weigh x by whatever they read.
+        a1 = np.zeros((decomp.num_active,) + decomp.max_block_shape())
+        for w, (ny, nx) in zip(a1, extents):
+            w[:ny, :nx] = rng.standard_normal((ny, nx))
+        rowsum = (a1, None if decomp.is_uniform else extents)
         runs = []
-        for keeps in ((False,) * 5, (True, False, True, True, False)):
+        for keeps in (None, (True, False, True, True, False)):
             vm = VirtualMachine(decomp, mask=config.mask)
             ctx = DistributedContext(config.stencil, pre, vm,
                                      kernels=kernels)
             b, r, dx, x = (vm.scatter(v) for v in values)
-            kept = _KeepEveryAx(keeps, ctx, x)
-            ctx._span_runner("chebyshev", (b, r, dx, x)).run(weights, kept)
-            assert len(kept.products) == sum(keeps)
-            for ax, want in zip(kept.products, kept.applied):
-                assert np.array_equal(
-                    ax[:, decomp.halo_width:-decomp.halo_width,
-                       decomp.halo_width:-decomp.halo_width],
-                    want.interior_stack(), equal_nan=True)
+            run = ctx._span_runner("chebyshev", (b, r, dx, x))
+            if keeps is None:
+                run.run(weights)
+            else:
+                check = _SpanSums(rowsum, keeps, ctx, x)
+                run.run(weights, check)
+                assert check.calls == 5
+                assert [terms is not None for *_, terms in check.handed] \
+                    == list(keeps)
             runs.append([v.stack for v in (r, dx, x)])
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
+        dst, _, zero = vm.exchanger.halo_tables()
+        cells = np.concatenate([zero, dst])
+        slot = cells // np.prod(x.stack.shape[1:3])
+        for (pre_sums, post, terms), stack, apply in zip(
+                check.handed, check.stacks, check.applied):
+            assert pre_sums.tobytes() == post.tobytes()
+            want = np.zeros(pre_sums.shape)
+            np.add.at(want, slot, stack.reshape(-1, want.shape[1])[cells])
+            assert np.allclose(pre_sums, want, rtol=1e-12, atol=1e-12)
+            if terms is None:
+                assert apply is None
+                continue
+            h = decomp.halo_width
+            sums = np.zeros((3, pre_sums.shape[1]))
+            for rank, (ny, nx) in enumerate(extents):
+                ax = apply.interior(rank).reshape(ny, nx, -1)
+                wx = (a1[rank, :ny, :nx, None]
+                      * stack[rank, h:h + ny, h:h + nx].reshape(ny, nx, -1))
+                sums += [ax.sum(axis=(0, 1)), wx.sum(axis=(0, 1)),
+                         np.abs(wx).sum(axis=(0, 1))]
+            assert np.allclose(terms, sums, rtol=1e-12, atol=1e-9)
 
 
-class _KeepEveryAx:
+class _SpanSums:
     """A stand-in for :class:`~repro.parallel.resilience.SpanChecks`
-    handed to a P-CSI runner: it asks for ``A x`` on the iterations
-    ``keeps`` says (all without it), copies what it is handed and, given
-    a context and its ``x``, the stacked apply of ``x`` as it is then."""
+    handed to an EVP runner: its row-sum terms are due on the iterations
+    ``keeps`` says (all without it) and read ``rowsum``'s ``(weights,
+    extents)``; it copies what it is handed and, given a context and its
+    swept field ``x``, ``x``'s stack as it is then and -- where terms
+    were due -- the stacked apply of ``x``."""
 
-    def __init__(self, keeps=None, ctx=None, x=None):
-        self.keeps, self.ctx, self.x = keeps, ctx, x
-        self.products, self.applied, self.calls = [], [], 0
+    abft = True
+
+    def __init__(self, rowsum, keeps=None, ctx=None, x=None):
+        self.rowsum, self.keeps, self.ctx, self.x = rowsum, keeps, ctx, x
+        self.handed, self.stacks, self.applied, self.calls = [], [], [], 0
 
     def due(self):
         return self.keeps is None or self.keeps[self.calls]
 
-    def __call__(self, ax):
+    def __call__(self, pre, post, terms):
         self.calls += 1
-        if ax is None:
+        self.handed.append((pre.copy(), post.copy(),
+                            None if terms is None else terms.copy()))
+        if self.ctx is None:
             return
-        self.products.append(ax.copy())
-        if self.ctx is not None:
+        self.stacks.append(self.x.stack.copy())
+        out = None
+        if terms is not None:
             out = self.ctx.vm.zeros(nrhs=self.x.nrhs)
             self.ctx.operator.apply(self.x, out)
-            self.applied.append(out)
+        self.applied.append(out)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0
@@ -1510,9 +1549,9 @@ class TestVectorKernels:
         """``evp_step``'s ``dx`` products and the sweep's with the
         operands of ``test_sweep_is_not_contracted``, with 1x1 EVP tiles
         of centre 1.0 (``M^-1 r = r`` exactly): each rounds before its
-        add, so ``dx``, ``r`` and the ``A x`` a tail keeps for a row-sum
-        check come out 0.0 where a fused multiply-add leaves
-        ``+-2**-54``."""
+        add, so ``dx`` and ``r`` -- also from a tail that makes a due
+        row-sum check's terms -- come out 0.0 where a fused multiply-add
+        leaves ``+-2**-54``."""
         from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
         from repro.precond.evp import EVPBlockPreconditioner
 
@@ -1534,15 +1573,15 @@ class TestVectorKernels:
             assert dx[1, 1] == 0.0 and x[1, 1] == big and r[1, 1] == 0.0, (
                 "the compiler contracted a*b+c in native.c's evp_step and "
                 "the loader's self-test did not notice")
-        # The tail that keeps A x sweeps into it, then subtracts.
+        # A tail that sums A x for a row-sum check as it sweeps.
         b, r, dx, x = np.zeros((4,) + shape)
         x[1, 1], x[2, 1] = big, small
-        kept = _KeepEveryAx()
+        check = _SpanSums((np.ones((1,) + shape), None))
         kernels.span_runner("chebyshev", stencil, 0, None,
                             pre.span_operands(False, 1),
-                            (b, r, dx, x)).run([(1.0, 1.0)], kept)
-        (ax,) = kept.products
-        assert ax[1, 1] == 0.0 and r[1, 1] == 0.0, (
+                            (b, r, dx, x)).run([(1.0, 1.0)], check)
+        ((_, _, terms),) = check.handed
+        assert terms is not None and r[1, 1] == 0.0, (
             "the compiler contracted a*b+c in native.c's evp_step and the "
             "loader's self-test did not notice")
 
