@@ -482,9 +482,9 @@ def cmd_serve(args):
                     shards=args.shards,
                     max_bytes=args.cache_max_bytes)
     serve(host=args.host, port=args.port, jobs=args.jobs,
-          max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-          blocks=(by, bx), engine=args.engine, tuned=not args.no_tuned,
-          retries=args.retries, job_timeout=args.job_timeout)
+          max_batch=args.max_batch, blocks=(by, bx), engine=args.engine,
+          tuned=not args.no_tuned, retries=args.retries,
+          job_timeout=args.job_timeout)
     return 0
 
 
@@ -743,11 +743,11 @@ def build_parser():
                               "= one in-process solver thread)")
     p_serve.add_argument("--max-batch", type=int, default=8,
                          help="coalesce at most this many compatible "
-                              "requests into one multi-RHS solve "
+                              "requests into one multi-RHS solve; a "
+                              "batch forms only from requests queued "
+                              "behind a running solve of their kind, "
+                              "an idle service dispatches at once "
                               "(1 disables coalescing; default: 8)")
-    p_serve.add_argument("--max-wait-ms", type=float, default=25.0,
-                         help="batching window: a request waits at most "
-                              "this long for companions (default: 25)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="artifact cache directory shared by the "
                               "service and its workers (default: "

@@ -256,8 +256,6 @@ class ResilienceRuntime:
         self._mark = None
         self._last_capture = None
         self._matvecs = 0
-        self._rowsum = None
-        self._rowsum_stack = None
         self._rowsum_stacked = None
         self._rowsum_charged = False
         self._bnorms = {}
@@ -508,11 +506,11 @@ class ResilienceRuntime:
         if not self.count_matvec():
             return
         t0 = time.perf_counter()
-        rowsum = self._ensure_rowsum()
+        rowsums = self._ensure_rowsum()
         lhs = self._interior_sum(y)
         xs = self._interior_stack(x)
-        rhs = self._weighted_sum(rowsum, xs, x.nrhs)
-        scale = self._weighted_sum(rowsum, xs, x.nrhs, absolute=True)
+        rhs = self._weighted_sum(rowsums, xs, x.nrhs)
+        scale = self._weighted_sum(rowsums, xs, x.nrhs, absolute=True)
         self.seconds += time.perf_counter() - t0
         self.rowsum_verdict(lhs, rhs, scale)
 
@@ -562,15 +560,13 @@ class ResilienceRuntime:
         t0 = time.perf_counter()
         snap = ledger.snapshot()
         true_r = ctx.residual(state["b"], state["x"])
-        stack_true, _ = self._interior_stack(true_r)
-        stack_rec, _ = self._interior_stack(state["r"])
-        if stack_true is not None and stack_rec is not None:
+        if self._uniform:
             # Uniform blocks: one stacked reduction for the drift norm
             # (both residuals come from the same masked pipeline, so
             # land cells cancel exactly).  One allreduce on the wire.
-            drift = stack_true - stack_rec
-            dnorm = np.asarray(np.sqrt(np.sum(drift * drift,
-                                              axis=(0, 1, 2))))
+            drift = self._interior_drift(true_r, state["r"])
+            np.multiply(drift, drift, out=drift)
+            dnorm = np.asarray(np.sqrt(drift.sum(axis=(0, 1, 2))))
             self.vm.ledger.record_allreduce("resilience", words=1)
         else:
             diff = ctx._sub(true_r, state["r"], out=true_r)
@@ -595,18 +591,21 @@ class ResilienceRuntime:
                         "drift": _finite_or_none(np.max(dnorm))})
 
     def _ensure_rowsum(self):
-        """``A 1`` (row sums of the operator) per rank, cached; its
-        flops are charged once, by the first check that reads it."""
-        rowsum = self._build_rowsum()
+        """:meth:`_build_rowsum`'s ``A 1``; its flops are charged once
+        per solve, by the first check that reads it."""
+        rowsums = self._build_rowsum()
         if not self._rowsum_charged:
             self._rowsum_charged = True
             self.vm.ledger.record_flops("resilience",
                                         9 * self.vm.max_block_points)
-        return rowsum
+        return rowsums
 
     def _build_rowsum(self):
-        """Lazily build and cache ``A 1``, uncharged."""
-        if self._rowsum is None:
+        """``(A 1 per rank, their stack on uniform blocks or None)``,
+        uncharged: built once per context, whose operator and
+        decomposition never change, and read by every later solve."""
+        ctx = self.context
+        if ctx.abft_rowsum is None:
             vm = self.vm
             ones = vm.scatter(np.ones((vm.decomp.ny, vm.decomp.nx)))
             # Fill interior halos directly (domain boundary stays 0);
@@ -614,12 +613,12 @@ class ResilienceRuntime:
             # building the checker must not itself be injectable.
             vm.exchanger.exchange_via_global(ones)
             out = vm.zeros()
-            self.context.operator.apply(ones, out)
-            self._rowsum = [np.asarray(out.interior(rank)).copy()
-                            for rank in range(vm.num_ranks)]
-            if self._uniform:
-                self._rowsum_stack = np.stack(self._rowsum)
-        return self._rowsum
+            ctx.operator.apply(ones, out)
+            rowsum = [np.asarray(out.interior(rank)).copy()
+                      for rank in range(vm.num_ranks)]
+            ctx.abft_rowsum = (
+                rowsum, np.stack(rowsum) if self._uniform else None)
+        return ctx.abft_rowsum
 
     def stacked_rowsum(self):
         """``(weights, extents)``: ``A 1`` on the stacked block
@@ -629,11 +628,9 @@ class ResilienceRuntime:
         read; built once, uncharged (:meth:`_ensure_rowsum` charges)."""
         if self._rowsum_stacked is None:
             t0 = time.perf_counter()
-            rowsum = self._build_rowsum()
+            rowsum, weights = self._build_rowsum()
             extents = None
-            if self._uniform:
-                weights = self._rowsum_stack
-            else:
+            if not self._uniform:
                 blocks = self.vm.decomp.active_blocks
                 extents = np.array([(b.ny, b.nx) for b in blocks],
                                    dtype=np.int64)
@@ -644,6 +641,18 @@ class ResilienceRuntime:
             self._rowsum_stacked = (weights, extents)
             self.seconds += time.perf_counter() - t0
         return self._rowsum_stacked
+
+    def _interior_drift(self, a, b):
+        """``a - b`` on uniform blocks' interiors, into one new
+        C-contiguous ``(p, ny, nx)`` stack."""
+        if a.is_stacked and b.is_stacked:
+            ia = a.interior_stack()
+            return np.subtract(ia, b.interior_stack(),
+                               out=np.empty(ia.shape))
+        drift = np.empty((self.vm.num_ranks,) + a.interior(0).shape)
+        for rank, out in enumerate(drift):
+            np.subtract(a.interior(rank), b.interior(rank), out=out)
+        return drift
 
     def _interior_stack(self, field):
         """``(stack, interiors)``: on uniform blocks the interiors
@@ -671,12 +680,13 @@ class ResilienceRuntime:
             total = total + a.sum(axis=(0, 1))
         return total
 
-    def _weighted_sum(self, rowsum, stacked, width, absolute=False):
-        """``dot(A 1, field)`` per column, from the cached row sums and
-        the field's :meth:`_interior_stack` (``width`` its ``nrhs``)."""
+    def _weighted_sum(self, rowsums, stacked, width, absolute=False):
+        """``dot(A 1, field)`` per column, from :meth:`_build_rowsum`'s
+        pair and the field's :meth:`_interior_stack` (``width`` its
+        ``nrhs``)."""
         stack, interiors = stacked
-        if stack is not None and self._rowsum_stack is not None:
-            w = self._rowsum_stack
+        rowsum, w = rowsums
+        if stack is not None and w is not None:
             if width is not None:
                 w = w[..., None]
             prod = w * stack

@@ -1,19 +1,21 @@
 """Dynamic request coalescing.
 
 The :class:`Coalescer` groups submissions that share a bucket key into
-one batch, bounded two ways: a batch dispatches as soon as it holds
-``max_batch`` items, or ``max_wait_ms`` after its first item arrived,
-whichever comes first.  A lone request therefore pays at most the
-window; a burst of compatible requests pays (almost) one solve.
+one batch, and is **work-conserving**: it never leaves the solver idle
+to wait for companions.
 
-Batching is **load-adaptive**: when a bucket's window expires while an
-earlier batch of the same key is still solving, the bucket is *held*
-open instead of dispatched -- arrivals keep accumulating and the batch
-goes out the moment the running one finishes (or immediately on
-filling to ``max_batch``).  Under saturation the batch size therefore
-grows toward ``max_batch`` instead of the scheduler queueing a string
-of window-sized slivers behind a busy executor; an idle service still
-dispatches within one window.
+* A submission whose key has no batch running dispatches on the next
+  event-loop pass.  Submissions made in the same pass (an
+  ``asyncio.gather`` burst) share that batch.
+* A submission that arrives while its key is solving waits in the
+  key's *held* bucket, and the bucket dispatches the moment the running
+  batch finishes.
+* A bucket that fills to ``max_batch`` dispatches at once.
+
+Batches therefore form only from the requests that queue behind a
+running solve: an idle service answers a lone request at once, and
+under saturation the batch size grows toward ``max_batch`` instead of
+the scheduler queueing a string of slivers behind a busy executor.
 
 The runner callback receives ``(key, items)`` and must return one
 result per item, in order; its exceptions propagate to every waiter of
@@ -23,16 +25,6 @@ scheduler.
 """
 
 import asyncio
-
-
-class _Bucket:
-    __slots__ = ("items", "futures", "timer", "held")
-
-    def __init__(self):
-        self.items = []
-        self.futures = []
-        self.timer = None
-        self.held = False
 
 
 class Coalescer:
@@ -45,15 +37,11 @@ class Coalescer:
     max_batch:
         Dispatch threshold; 1 disables coalescing (every submission
         runs alone, the no-coalescing baseline of the benchmark).
-    max_wait_ms:
-        Longest a submission waits for companions before its batch
-        dispatches anyway.
     """
 
-    def __init__(self, runner, max_batch=8, max_wait_ms=25.0):
+    def __init__(self, runner, max_batch=8):
         self.runner = runner
         self.max_batch = max(1, int(max_batch))
-        self.max_wait = max(0.0, float(max_wait_ms)) / 1000.0
         self._buckets = {}
         self._running = set()
         self._inflight = {}  # key -> running batch count
@@ -71,36 +59,26 @@ class Coalescer:
             return await future
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
-            bucket.timer = loop.call_later(
-                self.max_wait, self._window_expired, key, bucket)
-        bucket.items.append(item)
-        bucket.futures.append(future)
-        if len(bucket.items) >= self.max_batch:
+            bucket = self._buckets[key] = ([], [])  # items, futures
+            if self._inflight.get(key):
+                # Held: rides the next batch, which _release dispatches
+                # when the running one finishes.
+                self.held_windows += 1
+            else:
+                loop.call_soon(self._flush, key, bucket)
+        items, futures = bucket
+        items.append(item)
+        futures.append(future)
+        if len(items) >= self.max_batch:
             self._flush(key, bucket)
         return await future
 
-    def _window_expired(self, key, bucket):
-        """Timer callback: dispatch, or hold while the key is busy."""
-        bucket.timer = None
-        if self._inflight.get(key):
-            # An earlier batch of this bucket is still solving -- keep
-            # the window open so arrivals pile into one fat batch that
-            # dispatches the moment the running batch completes.
-            bucket.held = True
-            self.held_windows += 1
-            return
-        self._flush(key, bucket)
-
     def _flush(self, key, bucket):
-        """Dispatch a bucket (window expired, filled, or released)."""
+        """Dispatch ``bucket`` if it still waits (next pass, filled,
+        released or drained); a bucket already dispatched is left alone."""
         if self._buckets.get(key) is bucket:
             del self._buckets[key]
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-            bucket.timer = None
-        if bucket.items:
-            self._dispatch_now(key, bucket.items, bucket.futures)
+            self._dispatch_now(key, *bucket)
 
     def _dispatch_now(self, key, items, futures):
         self.batch_sizes[len(items)] = \
@@ -136,7 +114,7 @@ class Coalescer:
             return
         self._inflight.pop(key, None)
         bucket = self._buckets.get(key)
-        if bucket is not None and bucket.held:
+        if bucket is not None:
             self._flush(key, bucket)
 
     async def drain(self):
@@ -156,8 +134,8 @@ class Coalescer:
             "dispatched_batches": dispatched,
             "batched_requests": batched,
             "held_windows": self.held_windows,
-            "queue_depth": sum(len(b.items)
-                               for b in self._buckets.values()),
+            "queue_depth": sum(len(items)
+                               for items, _ in self._buckets.values()),
             "inflight_batches": len(self._running),
             "batch_size_histogram": {
                 str(size): n

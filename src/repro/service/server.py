@@ -1,8 +1,9 @@
 """The asyncio solver service: JSON over HTTP, stdlib only.
 
 One process, one event loop, three moving parts wired together here:
-the :class:`~repro.service.batching.Coalescer` groups compatible
-in-flight requests into multi-RHS batches, the
+the :class:`~repro.service.batching.Coalescer` dispatches a request
+whose bucket is idle at once and batches the compatible requests that
+queue behind a running solve into one multi-RHS solve, the
 :class:`~repro.service.executor.ServiceExecutor` runs each batch on a
 rebuildable worker pool with retry, and the
 :class:`~repro.service.jobs.JobTable` gives asynchronous clients
@@ -86,8 +87,8 @@ class SolverService:
     """One solver-service process (construct, then ``await run()``)."""
 
     def __init__(self, host="127.0.0.1", port=0, jobs=0, max_batch=8,
-                 max_wait_ms=25.0, blocks=(4, 4), engine=None,
-                 tuned=True, retries=2, backoff=0.25, job_timeout=None,
+                 blocks=(4, 4), engine=None, tuned=True, retries=2,
+                 backoff=0.25, job_timeout=None,
                  memo_bytes=MEMO_BUDGET_BYTES):
         self.host = host
         self.port = int(port)
@@ -107,8 +108,7 @@ class SolverService:
             policy=FailurePolicy(mode="retry", retries=int(retries),
                                  backoff=float(backoff)),
             timeout=job_timeout)
-        self.coalescer = Coalescer(self._run_batch, max_batch=max_batch,
-                                   max_wait_ms=max_wait_ms)
+        self.coalescer = Coalescer(self._run_batch, max_batch=max_batch)
         self.jobs = JobTable()
         self.draining = False
         #: Which kernels solves run on (resolved here, not per request:
@@ -533,13 +533,13 @@ async def _respond(writer, status, doc):
     await writer.drain()
 
 
-def serve(host="127.0.0.1", port=0, jobs=0, max_batch=8,
-          max_wait_ms=25.0, blocks=(4, 4), engine=None, tuned=True,
-          retries=2, job_timeout=None, announce=print):
+def serve(host="127.0.0.1", port=0, jobs=0, max_batch=8, blocks=(4, 4),
+          engine=None, tuned=True, retries=2, job_timeout=None,
+          announce=print):
     """Blocking entry point: run a service until SIGTERM/SIGINT."""
     service = SolverService(host=host, port=port, jobs=jobs,
-                            max_batch=max_batch, max_wait_ms=max_wait_ms,
-                            blocks=blocks, engine=engine, tuned=tuned,
-                            retries=retries, job_timeout=job_timeout)
+                            max_batch=max_batch, blocks=blocks,
+                            engine=engine, tuned=tuned, retries=retries,
+                            job_timeout=job_timeout)
     asyncio.run(service.run(announce=announce))
     return service

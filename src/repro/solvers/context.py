@@ -723,6 +723,8 @@ class DistributedContext(SolverContext):
                                         kernels=self.kernels)
         self._critical = vm.max_block_points
         self._halo_words = vm.decomp.halo_words_per_exchange()
+        #: ``A 1`` for the resilience row-sum check, built once.
+        self.abft_rowsum = None
 
     def _batched(self, *fields):
         return self.vm.is_batched and all(f.is_stacked for f in fields)

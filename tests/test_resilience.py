@@ -265,6 +265,46 @@ class TestRecovery:
         assert counts is not None
         assert counts.flops > 0 or counts.halo_words > 0
 
+    def test_rowsum_built_once_per_context(self, monkeypatch, config,
+                                           decomp, engine):
+        """The row-sum check's ``A 1`` is built by a context's first
+        guarded solve and only read by the next: one raw exchange fewer
+        than two solves that each build it (on the batched engine, the
+        only one), and the same ``x``, ledgers and counters (its flops
+        are charged once per solve either way)."""
+        def two_solves(rebuild):
+            ctx = _make_solver(engine, config, decomp).context
+            builds = []
+            plain = ctx.vm.exchanger.exchange_via_global
+
+            def counted(field):
+                builds.append(field)
+                return plain(field)
+
+            monkeypatch.setattr(ctx.vm.exchanger, "exchange_via_global",
+                                counted)
+            results = []
+            for seed in (1, 2):
+                if rebuild:
+                    ctx.abft_rowsum = None
+                solver = ChronGearSolver(ctx, tol=1e-10,
+                                         max_iterations=3000)
+                results.append(solver.solve(_rhs(config, seed),
+                                            resilience=True))
+            return results, len(builds)
+
+        shared, built = two_solves(rebuild=False)
+        rebuilt, built_twice = two_solves(rebuild=True)
+        assert built_twice == built + 1
+        if engine == "batched":
+            assert built == 1
+        for got, ref in zip(shared, rebuilt):
+            assert np.array_equal(got.x, ref.x)
+            assert got.events == ref.events
+            assert got.setup_events == ref.setup_events
+            assert (got.extra["resilience"]["counters"]
+                    == ref.extra["resilience"]["counters"])
+
     def test_chaos_matrix_with_checkpoint_resume(
             self, tmp_path, config, decomp, engine):
         """Rank death AND a bitflip in one run, checkpointing through

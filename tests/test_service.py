@@ -130,11 +130,16 @@ class TestCoalescer:
             return [f"{key}:{item}" for item in items]
         return runner
 
+    @staticmethod
+    async def _passes(count):
+        """Let ``count`` event-loop passes go by (no timers)."""
+        for _ in range(count):
+            await asyncio.sleep(0)
+
     def test_dispatch_on_fill(self):
         async def main():
             calls = []
-            co = Coalescer(self._echo_runner(calls), max_batch=3,
-                           max_wait_ms=10_000)
+            co = Coalescer(self._echo_runner(calls), max_batch=3)
             out = await asyncio.gather(*[co.submit("k", i)
                                          for i in range(3)])
             assert out == ["k:0", "k:1", "k:2"]
@@ -142,20 +147,21 @@ class TestCoalescer:
             assert co.stats()["batch_size_histogram"] == {"3": 1}
         asyncio.run(main())
 
-    def test_dispatch_on_window(self):
+    def test_idle_key_dispatches_on_next_pass(self):
         async def main():
             calls = []
-            co = Coalescer(self._echo_runner(calls), max_batch=8,
-                           max_wait_ms=20)
-            assert await co.submit("k", "solo") == "k:solo"
+            co = Coalescer(self._echo_runner(calls), max_batch=8)
+            solo = asyncio.ensure_future(co.submit("k", "solo"))
+            await self._passes(3)  # submit, dispatch, runner's first step
             assert calls == [["solo"]]
+            assert await solo == "k:solo"
+            assert co.held_windows == 0
         asyncio.run(main())
 
     def test_max_batch_one_is_baseline(self):
         async def main():
             calls = []
-            co = Coalescer(self._echo_runner(calls), max_batch=1,
-                           max_wait_ms=10_000)
+            co = Coalescer(self._echo_runner(calls), max_batch=1)
             await asyncio.gather(co.submit("k", 1), co.submit("k", 2))
             assert sorted(len(c) for c in calls) == [1, 1]
         asyncio.run(main())
@@ -163,35 +169,62 @@ class TestCoalescer:
     def test_incompatible_keys_never_batch(self):
         async def main():
             calls = []
-            co = Coalescer(self._echo_runner(calls), max_batch=8,
-                           max_wait_ms=20)
+            co = Coalescer(self._echo_runner(calls), max_batch=8)
             await asyncio.gather(co.submit("a", 1), co.submit("b", 2))
             assert sorted(len(c) for c in calls) == [1, 1]
         asyncio.run(main())
+
+    @staticmethod
+    def _blocking_runner(calls, release):
+        """Echo runner whose first batch blocks until ``release``."""
+        async def runner(key, items):
+            calls.append(list(items))
+            if len(calls) == 1:
+                await release.wait()
+            return list(items)
+        return runner
 
     def test_held_window_grows_batch_under_load(self):
         async def main():
             release = asyncio.Event()
             calls = []
-
-            async def runner(key, items):
-                calls.append(list(items))
-                if len(calls) == 1:
-                    await release.wait()
-                return list(items)
-
-            co = Coalescer(runner, max_batch=16, max_wait_ms=10)
+            co = Coalescer(self._blocking_runner(calls, release),
+                           max_batch=16)
             first = asyncio.ensure_future(co.submit("k", 0))
-            await asyncio.sleep(0.05)  # window expired, batch running
+            await self._passes(3)  # dispatched: the batch is running
+            assert calls == [[0]]
             rest = [asyncio.ensure_future(co.submit("k", i))
                     for i in range(1, 5)]
-            await asyncio.sleep(0.05)  # second window expired: held
+            await self._passes(1)  # all four submitted: held
             assert len(calls) == 1
-            assert co.held_windows >= 1
+            assert co.held_windows == 1
+            assert co.stats()["queue_depth"] == 4
             release.set()
-            await asyncio.gather(first, *rest)
+            assert await asyncio.gather(first, *rest) == [0, 1, 2, 3, 4]
             # everything queued behind the busy key rode ONE batch
-            assert calls[1] == [1, 2, 3, 4]
+            assert calls == [[0], [1, 2, 3, 4]]
+            assert co.stats()["batch_size_histogram"] == {"1": 1, "4": 1}
+        asyncio.run(main())
+
+    def test_full_held_bucket_dispatches_without_waiting(self):
+        async def main():
+            release = asyncio.Event()
+            calls = []
+            co = Coalescer(self._blocking_runner(calls, release),
+                           max_batch=3)
+            first = asyncio.ensure_future(co.submit("k", 0))
+            await self._passes(3)  # dispatched: the batch is running
+            assert calls == [[0]]
+            rest = [asyncio.ensure_future(co.submit("k", i))
+                    for i in range(1, 4)]
+            await self._passes(2)  # submitted, filled, runner started
+            # the held bucket went out while the first batch blocks
+            assert calls == [[0], [1, 2, 3]]
+            assert co.held_windows == 1
+            assert await asyncio.gather(*rest) == [1, 2, 3]
+            assert not first.done()
+            release.set()
+            assert await first == 0
         asyncio.run(main())
 
     def test_runner_error_fans_to_all_waiters(self):
@@ -199,7 +232,7 @@ class TestCoalescer:
             async def runner(key, items):
                 raise RuntimeError("boom")
 
-            co = Coalescer(runner, max_batch=2, max_wait_ms=10_000)
+            co = Coalescer(runner, max_batch=2)
             results = await asyncio.gather(
                 co.submit("k", 1), co.submit("k", 2),
                 return_exceptions=True)
@@ -209,8 +242,7 @@ class TestCoalescer:
     def test_drain_flushes_waiting_bucket(self):
         async def main():
             calls = []
-            co = Coalescer(self._echo_runner(calls), max_batch=8,
-                           max_wait_ms=60_000)
+            co = Coalescer(self._echo_runner(calls), max_batch=8)
             pending = asyncio.ensure_future(co.submit("k", 9))
             await asyncio.sleep(0)
             await co.drain()
@@ -226,7 +258,7 @@ class TestServiceSolve:
         config, variants = _rhs_variants(5)
 
         async def main():
-            service = SolverService(jobs=0, max_batch=8, max_wait_ms=30)
+            service = SolverService(jobs=0, max_batch=8)
             await service.start()
             docs = [_request(rhs=rhs) for rhs in variants]
             out = await asyncio.gather(*[service.handle_solve(d)
@@ -250,7 +282,7 @@ class TestServiceSolve:
         config, variants = _rhs_variants(4)
 
         async def main():
-            service = SolverService(jobs=0, max_batch=8, max_wait_ms=30,
+            service = SolverService(jobs=0, max_batch=8,
                                     engine="batched", blocks=(4, 4))
             await service.start()
             docs = [_request(rhs=rhs) for rhs in variants]
@@ -273,7 +305,7 @@ class TestServiceSolve:
         _config, (rhs,) = _rhs_variants(1)
 
         async def main():
-            service = SolverService(jobs=0, max_batch=8, max_wait_ms=30)
+            service = SolverService(jobs=0, max_batch=8)
             await service.start()
             doc = _request(rhs=rhs)
             out = await asyncio.gather(*[service.handle_solve(dict(doc))
@@ -293,7 +325,7 @@ class TestServiceSolve:
         _config, (rhs,) = _rhs_variants(1)
 
         async def main():
-            service = SolverService(jobs=0, max_batch=8, max_wait_ms=5)
+            service = SolverService(jobs=0, max_batch=8)
             await service.start()
             doc = _request(rhs=rhs)
             first = await service.handle_solve(dict(doc))
@@ -316,7 +348,7 @@ class TestServiceSolve:
         docs = [_request(rhs=rhs) for rhs in variants]
 
         async def main():
-            probe = SolverService(jobs=0, max_batch=8, max_wait_ms=5)
+            probe = SolverService(jobs=0, max_batch=8)
             await probe.start()
             first = await probe.handle_solve(dict(docs[0]))
             charged = probe.stats()["service"]["memo_bytes"]
@@ -324,7 +356,7 @@ class TestServiceSolve:
             entries_before = fresh_cache.stats()["memory_entries"]
 
             budget = 20 * charged
-            service = SolverService(jobs=0, max_batch=8, max_wait_ms=5,
+            service = SolverService(jobs=0, max_batch=8,
                                     memo_bytes=budget)
             await service.start()
             answers = []
@@ -459,7 +491,7 @@ def live_service(**kwargs):
 class TestHttpEndpoints:
     def test_healthz_stats_and_solve(self, fresh_cache):
         _config, (rhs,) = _rhs_variants(1)
-        with live_service(jobs=0, max_batch=4, max_wait_ms=5) as \
+        with live_service(jobs=0, max_batch=4) as \
                 (service, client):
             health = client.healthz()
             assert health["ok"] and not health["draining"]
@@ -651,7 +683,7 @@ class TestServiceResilience:
     def test_resilient_solve_counted_in_health_and_stats(
             self, fresh_cache):
         async def main():
-            service = SolverService(jobs=0, max_batch=8, max_wait_ms=10,
+            service = SolverService(jobs=0, max_batch=8,
                                     blocks=(4, 4))
             await service.start()
             out = await service.handle_solve(
