@@ -739,15 +739,17 @@ def build_parser():
                          help="listen port (0 = pick a free one; the "
                               "bound port is announced on stdout)")
     p_serve.add_argument("--jobs", type=int, default=0,
-                         help="worker processes for solves (default 0 "
-                              "= one in-process solver thread)")
+                         help="worker processes for solves, one solve "
+                              "each (default 0 = one in-process solver "
+                              "thread per usable core)")
     p_serve.add_argument("--max-batch", type=int, default=8,
                          help="coalesce at most this many compatible "
                               "requests into one multi-RHS solve; a "
                               "batch forms only from requests queued "
-                              "behind a running solve of their kind, "
-                              "an idle service dispatches at once "
-                              "(1 disables coalescing; default: 8)")
+                              "while every solver slot is busy, a "
+                              "request that finds a free slot "
+                              "dispatches at once (1 disables "
+                              "coalescing; default: 8)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="artifact cache directory shared by the "
                               "service and its workers (default: "

@@ -32,10 +32,12 @@ influence-matrix construction and its LU-based ring correction -- live
 on :class:`~repro.precond.evp.EVPTileEngine` itself and are *not*
 routed through this interface (see the engine's docstrings).
 
-Per-engine precompiled state (layouts, marching programs, scratch
-buffers) is produced by :meth:`KernelBackend.prepare_evp` and handed back to every
+Per-engine precompiled state (layouts, marching programs) is produced
+by :meth:`KernelBackend.prepare_evp` and handed back to every
 ``evp_solve`` call, so implementations never key caches on engine
-identity.
+identity; it is only read once built, so solves on several threads
+share it.  What an EVP solve writes belongs to the buffers it solves
+on (:meth:`KernelBackend.evp_runner`).
 """
 
 import numpy as np
@@ -121,7 +123,7 @@ class KernelBackend:
         Returns ``(y_slot, x_slot, x_size)``: two ``(B, my, mx)`` index
         arrays giving each cell's row in the right-hand-side buffer
         (``B * my * mx`` rows, every one used) and in the solution
-        buffer (``x_size`` rows) that :meth:`evp_run` works on.  A
+        buffer (``x_size`` rows) that :meth:`evp_runner` works on.  A
         caller that composes them with its own cell maps moves data in
         and out of the backend's layout with one ``take`` each way
         (:class:`~repro.precond.evp.EVPBlockPreconditioner` does,
@@ -134,23 +136,29 @@ class KernelBackend:
         slot = np.arange(b * my * mx, dtype=np.intp).reshape(b, my, mx)
         return slot, slot, slot.size
 
-    def evp_run(self, engine, plan, y, x, nrhs):
-        """:meth:`evp_solve` on buffers in the :meth:`evp_slots` layout.
+    def evp_runner(self, engine, plan, y, x):
+        """``run(nrhs)``: :meth:`evp_solve` on buffers in the
+        :meth:`evp_slots` layout, from ``y`` into ``x``.
 
         ``y`` is ``(B * my * mx, n)`` and ``x`` ``(x_size, n)``, both
         C-contiguous, zero when first passed and written by nothing else
-        in between; ``nrhs`` is ``None`` (``n == 1``) for a single
+        between runs; ``nrhs`` is ``None`` (``n == 1``) for a single
         right-hand side.  Rows of ``x`` no slot names are left
-        untouched.  A backend may compile programs over the two array
-        objects -- the fused kernels bind ``native.c``'s ``evp_march``
-        / ``evp_edges`` to their addresses -- so a caller passes the
-        same objects for as long as it keeps a width.  The default is
-        the reference: :meth:`evp_solve` on the tile-major buffers.
+        untouched.  A backend may compile programs over the two arrays
+        -- the fused kernels bind ``native.c``'s ``evp_march`` /
+        ``evp_edges`` to their addresses, with scratch of their own --
+        so the runner belongs with the buffers: whoever owns them (one
+        thread's working set of
+        :class:`~repro.precond.evp.EVPBlockPreconditioner`) keeps it for
+        as long as it keeps the width.  The default is the reference:
+        :meth:`evp_solve` on the tile-major buffers.
         """
         shape = (engine.batch, engine.my, engine.mx)
-        if nrhs is not None:
-            shape += (nrhs,)
-        self.evp_solve(engine, plan, y.reshape(shape), out=x.reshape(shape))
+
+        def run(nrhs):
+            full = shape if nrhs is None else shape + (nrhs,)
+            self.evp_solve(engine, plan, y.reshape(full), out=x.reshape(full))
+        return run
 
     def evp_gather(self, layout, r, y):
         """Copy every tile cell of ``r`` into the right-hand-side rows

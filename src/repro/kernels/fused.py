@@ -153,6 +153,7 @@ import functools
 import math
 import operator
 import struct
+import threading
 
 import numpy as np
 
@@ -198,6 +199,9 @@ _MAX_SWEEPS = 4
 #: Boundary programs an EVP layout keeps (one per kind and geometry of
 #: the arrays handed to it: a fresh ``out``, a stack interior, ...).
 _MAX_BOUNDARY_PROGRAMS = 8
+#: Held while one of those caches is filled or trimmed: solves on
+#: several threads share them (an entry, once made, is only read).
+_CACHE_LOCK = threading.Lock()
 
 
 def _dia_sweep(planes, h):
@@ -246,12 +250,12 @@ class _EvpPlan:
     coefficient block -- one ``B``-wide row per (term, packed row),
     then NE of the edge equations --, ``1/ne`` of the marched ones and
     the marching and edge programs of ``native.c``, all valid at every
-    width.  ``bound`` is the one :class:`_EvpWorkingSet` (one width,
-    one pair of buffers).
+    width and only read after.  What a solve writes is in its
+    :class:`_EvpWorkingSet`.
     """
 
     __slots__ = ("shape", "ty", "tx", "steps", "names", "block", "inv_ne",
-                 "programs", "bound")
+                 "programs")
 
     def __init__(self, engine):
         my, mx = engine.my, engine.mx
@@ -270,7 +274,6 @@ class _EvpPlan:
             for ty, tx in engine._diagonals]
         self.names = [name for name, _, _ in engine.terms]
         self.block = None
-        self.bound = None
 
     def slots(self):
         """``(y_slot, x_slot, x_size)`` of :meth:`KernelBackend.evp_slots`."""
@@ -308,9 +311,16 @@ class _EvpPlan:
         return line(1, 1, 0, 1, mx), line(2, 1, 1, 0, my - 1), edges
 
     def tables(self, engine):
-        """Build the width-independent arrays (once)."""
-        if self.block is not None:
-            return
+        """Build the width-independent arrays, once: solves on several
+        threads share them and their runners keep only the addresses,
+        so the first two build under ``_CACHE_LOCK`` and one wins.
+        ``block`` is set last: a solve that finds it finds the rest."""
+        if self.block is None:
+            with _CACHE_LOCK:
+                if self.block is None:
+                    self._build(engine)
+
+    def _build(self, engine):
         b, my, mx, k = engine.batch, engine.my, engine.mx, engine.k
         rows, n_march = my * mx, (my - 1) * (mx - 1)
         names = self.names
@@ -326,7 +336,6 @@ class _EvpPlan:
         block[len(names) * rows:] = packed(engine.coeffs["ne"],
                                            slice(n_march, None))
         self.inv_ne = 1.0 / packed(engine.coeffs["ne"], slice(n_march))
-        self.block = block
 
         # ``evp_march``: per marched anti-diagonal its length, first
         # equation, target state row and (coefficient row, first source
@@ -349,6 +358,7 @@ class _EvpPlan:
                      dtype=np.int64),
             np.array([row for north, east in sources
                       for row in _rows(north) + _rows(east)], dtype=np.int64))
+        self.block = block
 
 
 class _EvpWorkingSet:
@@ -366,15 +376,16 @@ class _EvpWorkingSet:
     and their ring product ``ring`` ``(n, B, 1, k)``: the operand and
     result of :meth:`EVPTileEngine.ring_rows`, which the second march
     reads back negated, so nothing is reshuffled around the matmul.
+    It is :meth:`FusedKernels.evp_runner`'s runner: a call solves.
     """
 
-    __slots__ = ("y", "x", "f", "ring", "march", "edges")
+    __slots__ = ("engine", "y", "x", "f", "ring", "march", "edges")
 
     def __init__(self, engine, plan, y, x, lib):
         b, my, mx, k = engine.batch, engine.my, engine.mx, engine.k
         n = y.shape[1]
         plan.tables(engine)
-        self.y, self.x = y, x
+        self.engine, self.y, self.x = engine, y, x
         self.f = np.empty((n, b, k))
         self.ring = np.empty((n, b, 1, k))
         prog, offsets, sources = plan.programs
@@ -392,7 +403,7 @@ class _EvpWorkingSet:
             x.ctypes.data, self.f.ctypes.data)
         self.edges.geometry = geometry   # alive as long as the pointer
 
-    def solve(self, engine):
+    def __call__(self, nrhs):
         """March from a zero ring, correct the ring, march again.
 
         Only ring cells are reset: every other interior cell is written
@@ -401,7 +412,7 @@ class _EvpWorkingSet:
         """
         self.march(False)
         self.edges()
-        engine.ring_rows(self.f, self.ring)
+        self.engine.ring_rows(self.f, self.ring)
         self.march(True)
 
 
@@ -470,9 +481,11 @@ def _boundary(layout, kind, strides):
                                axis=1).ravel())
     prog = np.concatenate([np.array(head, dtype=np.int64)]
                           + [t.astype(np.int64) for t in tables])
-    while len(layout.compiled) >= _MAX_BOUNDARY_PROGRAMS:
-        layout.compiled.pop(next(iter(layout.compiled)))
-    hit = layout.compiled[key] = (prog, prog.ctypes.data)
+    hit = (prog, prog.ctypes.data)
+    with _CACHE_LOCK:
+        while len(layout.compiled) >= _MAX_BOUNDARY_PROGRAMS:
+            layout.compiled.pop(next(iter(layout.compiled)))
+        layout.compiled[key] = hit
     return hit
 
 
@@ -837,15 +850,17 @@ class FusedKernels(NumpyKernels):
             return None
         hit = self._sweeps.get(id(coeffs))
         if hit is None or hit[0] is not coeffs:
-            self._sweeps.pop(id(coeffs), None)
             data, offsets = _dia_sweep(
                 [plane(coeffs, name) for name in _COEFF_ORDER], h)
             call = functools.partial(fn, data.shape[1], len(offsets),
                                      data.ctypes.data, data.shape[1],
                                      offsets.ctypes.data)
-            hit = self._sweeps[id(coeffs)] = (coeffs, data, offsets, call)
-            while len(self._sweeps) > _MAX_SWEEPS:
-                self._sweeps.pop(next(iter(self._sweeps)))
+            hit = (coeffs, data, offsets, call)
+            with _CACHE_LOCK:
+                self._sweeps.pop(id(coeffs), None)
+                self._sweeps[id(coeffs)] = hit
+                while len(self._sweeps) > _MAX_SWEEPS:
+                    self._sweeps.pop(next(iter(self._sweeps)))
         return hit[1:]
 
     def stencil_apply(self, coeffs, x, out=None):
@@ -862,8 +877,8 @@ class FusedKernels(NumpyKernels):
             y = np.empty(x.shape)
         # ``x`` is the whole vector, its batch columns interleaved per
         # cell: one row of the geometry.
-        entry[2](int64s(x.size // cells, 1, 1, cells, 0, 0, 0, 0, 0)[0],
-                 x.ctypes.data, address(y))
+        rows = int64s(x.size // cells, 1, 1, cells, 0, 0, 0, 0, 0)
+        entry[2](rows[0], x.ctypes.data, address(y))
         if out is None or y is out:
             return y
         out[...] = y
@@ -1057,14 +1072,10 @@ class FusedKernels(NumpyKernels):
             return super().evp_slots(engine, plan)
         return plan.slots()
 
-    def evp_run(self, engine, plan, y, x, nrhs):
+    def evp_runner(self, engine, plan, y, x):
         if plan is None:
-            return super().evp_run(engine, plan, y, x, nrhs)
-        ws = plan.bound
-        if ws is None or ws.y is not y or ws.x is not x:
-            ws = plan.bound = _EvpWorkingSet(engine, plan, y, x,
-                                             self._native())
-        ws.solve(engine)
+            return super().evp_runner(engine, plan, y, x)
+        return _EvpWorkingSet(engine, plan, y, x, self._native())
 
     def evp_gather(self, layout, r, y):
         fn = self._native().evp_gather

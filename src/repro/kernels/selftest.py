@@ -276,7 +276,7 @@ def _tile_solves(kernels, rng, engines):
         for n in widths:
             y, x = np.empty((y_slot.size, n)), np.zeros((size, n))
             y[y_slot.ravel()] = rng.values((y_slot.size, n))
-            engine.solve_slots(y, x, n)
+            engine.runner(y, x)(n)
             out.append(x[x_slot])
     return out
 

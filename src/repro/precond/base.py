@@ -8,6 +8,12 @@ to apply.  Solvers call it through one of two entry points:
 * :meth:`Preconditioner.apply_block` -- the same restricted to one
   simulated rank's interior (used by the distributed context).
 
+A built preconditioner is shared: the artifact cache hands one instance
+to every solve of its configuration, and the service runs those solves
+on several threads at once.  So whatever an application writes between
+applications is kept per thread (a solve runs on one thread); the
+instance itself holds only what every solve may read.
+
 Every preconditioner in this package is *block-local or point-local*:
 applying it requires **no halo communication** (the defining property
 that makes block preconditioning attractive in POP -- paper section 4.1).

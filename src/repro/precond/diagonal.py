@@ -62,10 +62,13 @@ class DiagonalPreconditioner(Preconditioner):
         mask)."""
         if stacked:
             return None
-        if mask is not None and self._ocean[0] is not mask:
-            self._ocean = (mask, np.array_equal(self._inv_diag != 0.0, mask))
-        if mask is not None and not self._ocean[1]:
-            return None
+        if mask is not None:
+            seen, ours = self._ocean   # one read: solves share it
+            if seen is not mask:
+                ours = np.array_equal(self._inv_diag != 0.0, mask)
+                self._ocean = (mask, ours)
+            if not ours:
+                return None
         return "diagonal", self._inv_diag
 
     def apply_flops(self, rank=None):

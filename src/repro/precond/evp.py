@@ -46,6 +46,8 @@ any significant impact on the convergence rate" (paper section 4.3).
 ``simplified=True`` (the default, as in the paper) does exactly that.
 """
 
+import threading
+
 import numpy as np
 
 from repro.core.cache import CACHE_FORMAT_VERSION, decomp_signature, digest_of
@@ -134,8 +136,6 @@ class EVPTileEngine:
         self._diagonals = self._build_diagonals()
         self._ring_rows, self._ring_cols = self._ring_indices()
         self._march_steps = self._build_march_steps()
-        #: Reference-sweep scratch by length, for one batch width.
-        self._march_scratch = (None, {})
         self._w = None
         self._r = None
         if influence is not None:
@@ -219,31 +219,26 @@ class EVPTileEngine:
         built.  The ``(B, L)`` coefficients broadcast over the columns,
         so every column runs the single-RHS elementwise sequence.  The
         ring must already be set and everything else zero.  Each step
-        gathers into a reused ``(B, L, n)`` scratch buffer per
-        anti-diagonal length and updates it in place.
+        gathers into a ``(B, L, n)`` buffer, one per anti-diagonal
+        length (each length comes twice, growing and shrinking), that
+        lives as long as the march: the engine holds nothing a second
+        march could write.
         """
         n = p.shape[3]
         pf = p.reshape(self.batch, (self.my + 2) * (self.mx + 2), n)
         yf = y.reshape(self.batch, self.my * self.mx, n)
+        pool = {}
         for y_src, inv_ne, target, terms in self._march_steps:
-            rhs = self._rhs_scratch(y_src.shape[0], n)
+            rhs = pool.get(y_src.shape[0])
+            if rhs is None:
+                rhs = pool[y_src.shape[0]] = np.empty(
+                    (self.batch, y_src.shape[0], n))
             np.take(yf, y_src, axis=1, out=rhs)
             for vals, p_src in terms:
                 np.subtract(rhs, vals[..., None] * pf[:, p_src], out=rhs)
             np.multiply(rhs, inv_ne[..., None], out=rhs)
             pf[:, target] = rhs
         return p
-
-    def _rhs_scratch(self, length, n):
-        """The reused ``(B, length, n)`` right-hand-side buffer."""
-        if self._march_scratch[0] != n:
-            # Widths only shrink within a solve: keep the current one.
-            self._march_scratch = (n, {})
-        pool = self._march_scratch[1]
-        buf = pool.get(length)
-        if buf is None:
-            buf = pool[length] = np.empty((self.batch, length, n))
-        return buf
 
     def _edge_residuals(self, p, y):
         """Residuals of the unmarched (north/east edge) equations of the
@@ -302,8 +297,6 @@ class EVPTileEngine:
         y = np.zeros((b, my, mx, k))
         self._march(p, y)
         self._w = self._edge_residuals(p, y)
-        # Solves march at their own widths: keep no k-wide scratch.
-        self._march_scratch = (None, {})
         # (k, k) would be read as a stack of vectors under numpy's
         # solve broadcasting; expand to an explicit (B, k, k) identity.
         identity = np.broadcast_to(np.eye(k), (b, k, k))
@@ -371,9 +364,12 @@ class EVPTileEngine:
         """The backend's cell layout (:meth:`KernelBackend.evp_slots`)."""
         return self.kernels.evp_slots(self, self._plan)
 
-    def solve_slots(self, y, x, nrhs):
-        """:meth:`solve` on buffers laid out as :meth:`slots` says."""
-        self.kernels.evp_run(self, self._plan, y, x, nrhs)
+    def runner(self, y, x):
+        """:meth:`solve` on buffers laid out as :meth:`slots` says: the
+        backend's ``run(nrhs)`` over these two arrays
+        (:meth:`KernelBackend.evp_runner`), which whoever owns them
+        keeps."""
+        return self.kernels.evp_runner(self, self._plan, y, x)
 
     # ------------------------------------------------------------------
     # cost accounting (paper section 4.2 / 4.3)
@@ -489,8 +485,9 @@ class EVPBlockPreconditioner(Preconditioner):
         #: maps (:meth:`_cell_maps`).
         self._maps = {}
         self._takes = {}
-        #: The buffers and each engine's views of them, for one width.
-        self._work = None
+        #: Per thread, the buffers and each engine's runner over them
+        #: (:meth:`_working_set`).
+        self._per_thread = threading.local()
         #: The last mask :meth:`span_operands` was handed, and whether it
         #: is this preconditioner's.
         self._ocean = (None, False)
@@ -694,10 +691,13 @@ class EVPBlockPreconditioner(Preconditioner):
         ``dots`` is ``None`` without a ``mask``."""
         if stacked and self.decomp is None:
             return None
-        if mask is not None and self._ocean[0] is not mask:
-            self._ocean = (mask, np.array_equal(mask, self.mask))
-        if mask is not None and not self._ocean[1]:
-            return None
+        if mask is not None:
+            seen, ours = self._ocean   # one read: solves share it
+            if seen is not mask:
+                ours = np.array_equal(mask, self.mask)
+                self._ocean = (mask, ours)
+            if not ours:
+                return None
         y, x, _ = self._working_set(n)
         layout = self._mapped("stack" if stacked else None)[0]
         dots = None
@@ -717,18 +717,21 @@ class EVPBlockPreconditioner(Preconditioner):
         return self._maps[key]
 
     def _working_set(self, n):
-        """Buffers ``(y, x)`` of width ``n`` plus each engine's views.
+        """This thread's buffers ``(y, x)`` of width ``n`` plus each
+        engine's runner over its rows of them
+        (:meth:`EVPTileEngine.runner`).
 
-        One width at a time (a batch only narrows within a solve); the
-        engines rebuild their programs when handed new views.
+        One width at a time (a batch only narrows within a solve).
+        Solves on other threads share the instance, never these.
         """
-        if self._work is None or self._work[0].shape[1] != n:
+        work = getattr(self._per_thread, "work", None)
+        if work is None or work[0].shape[1] != n:
             y = np.empty((self._y_size, n))
             x = np.zeros((self._x_size + 1, n))
-            views = {engine: (y[y_rows], x[x_rows])
-                     for _, engine, y_rows, x_rows in self._layout}
-            self._work = (y, x, views)
-        return self._work
+            runs = {engine: engine.runner(y[y_rows], x[x_rows])
+                    for _, engine, y_rows, x_rows in self._layout}
+            work = self._per_thread.work = (y, x, runs)
+        return work
 
     def _apply(self, key, r, out):
         """Gather ``r`` into the engines' layout, solve, scatter the
@@ -738,7 +741,7 @@ class EVPBlockPreconditioner(Preconditioner):
         layout, engines, _ = self._mapped(key)
         boundary = layout.groups is not None
         nrhs = r.shape[-1] if r.ndim > len(layout.shape) else None
-        y, x, views = self._working_set(nrhs or 1)
+        y, x, runs = self._working_set(nrhs or 1)
         if not (boundary and self.kernels.evp_gather(layout, r, y)):
             y_dst, y_src, _ = self._cell_maps(key)
             rows = r.reshape(-1, nrhs or 1)
@@ -748,7 +751,7 @@ class EVPBlockPreconditioner(Preconditioner):
                 y.fill(0.0)
                 y[y_dst] = rows[y_src]
         for engine in engines:
-            engine.solve_slots(*views[engine], nrhs)
+            runs[engine](nrhs)
         if out is None:
             out = np.empty(r.shape)
         if boundary and self.kernels.evp_scatter(layout, x, out):

@@ -41,6 +41,8 @@ widened global bounds therefore cover all blocks at once and no
 per-block estimation (or any communication) is needed.
 """
 
+import threading
+
 import numpy as np
 
 from repro.core.errors import SolverError
@@ -158,7 +160,7 @@ class ChebyshevPreconditioner(Preconditioner):
         self._block_coeffs = None
         self._stacked_coeffs_cache = None
         self._inv_stack = None
-        self._scratch = {}
+        self._per_thread = threading.local()
 
     # ------------------------------------------------------------------
     # eigenbounds (lazy, memoized, backend-independent)
@@ -243,6 +245,15 @@ class ChebyshevPreconditioner(Preconditioner):
     def _inv_block(self, rank):
         block = self._rank_block(rank)
         return self._inv if block is None else self._inv[block.slices]
+
+    @property
+    def _scratch(self):
+        """This thread's scratch (:meth:`_padded`, :meth:`_buffers`):
+        solves on other threads share the instance, not these."""
+        scratch = getattr(self._per_thread, "scratch", None)
+        if scratch is None:
+            scratch = self._per_thread.scratch = {}
+        return scratch
 
     def _padded(self, key, shape, dtype):
         """Zero-bordered scratch of ``shape + 2`` in the space axes.

@@ -1,21 +1,31 @@
-"""Dynamic request coalescing.
+"""Dynamic request coalescing onto the executor's solver slots.
 
 The :class:`Coalescer` groups submissions that share a bucket key into
-one batch, and is **work-conserving**: it never leaves the solver idle
-to wait for companions.
+one batch and runs at most ``slots`` batches at once -- one per solver
+slot of the executor (:attr:`~repro.service.executor.ServiceExecutor.slots`,
+one per core).  It is **work-conserving**: it never leaves a slot idle
+to wait for companions, and it keeps one count of running batches for
+all keys.
 
-* A submission whose key has no batch running dispatches on the next
-  event-loop pass.  Submissions made in the same pass (an
-  ``asyncio.gather`` burst) share that batch.
-* A submission that arrives while its key is solving waits in the
-  key's *held* bucket, and the bucket dispatches the moment the running
-  batch finishes.
-* A bucket that fills to ``max_batch`` dispatches at once.
+* A submission dispatches on the next event-loop pass while a slot is
+  free.  Submissions made in the same pass (an ``asyncio.gather``
+  burst) share that batch.
+* A submission that arrives while every slot is busy waits in its
+  key's *held* bucket; the moment any batch ends, the oldest held
+  bucket dispatches on the freed slot.
+* A bucket that fills to ``max_batch`` dispatches at once, free slot or
+  not (the executor queues it behind the running solves).
 
-Batches therefore form only from the requests that queue behind a
-running solve: an idle service answers a lone request at once, and
-under saturation the batch size grows toward ``max_batch`` instead of
-the scheduler queueing a string of slivers behind a busy executor.
+Batches therefore form only from the requests that queue behind busy
+slots: an idle service answers a lone request at once, a second client
+runs beside the first on another core, and under saturation the batch
+size grows toward ``max_batch`` instead of the scheduler queueing a
+string of slivers behind a busy executor.  With one slot this is one
+batch at a time, everything else held.
+
+A slot can also be held outside any batch: :meth:`Coalescer.hold`
+takes one until the callable it returns is called (the executor holds
+the slot of a thread-mode attempt that timed out but keeps running).
 
 The runner callback receives ``(key, items)`` and must return one
 result per item, in order; its exceptions propagate to every waiter of
@@ -25,6 +35,19 @@ scheduler.
 """
 
 import asyncio
+
+
+class _Bucket:
+    """One key's waiting submissions; ``slotted`` once a slot is taken
+    for it (it dispatches on the next pass)."""
+
+    __slots__ = ("key", "items", "futures", "slotted")
+
+    def __init__(self, key):
+        self.key = key
+        self.items = []
+        self.futures = []
+        self.slotted = False
 
 
 class Coalescer:
@@ -37,16 +60,22 @@ class Coalescer:
     max_batch:
         Dispatch threshold; 1 disables coalescing (every submission
         runs alone, the no-coalescing baseline of the benchmark).
+    slots:
+        Batches that run at once (the executor's solver slots).
     """
 
-    def __init__(self, runner, max_batch=8):
+    def __init__(self, runner, max_batch=8, slots=1):
         self.runner = runner
         self.max_batch = max(1, int(max_batch))
+        self.slots = max(1, int(slots))
+        #: key -> waiting bucket, oldest first.
         self._buckets = {}
         self._running = set()
-        self._inflight = {}  # key -> running batch count
+        #: Slots taken: running or slotted batches, plus holds.
+        self._busy = 0
         self.batch_sizes = {}  # size -> dispatch count
         self.submitted = 0
+        #: Buckets that waited because every slot was busy.
         self.held_windows = 0
 
     async def submit(self, key, item):
@@ -55,35 +84,47 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         if self.max_batch == 1:
-            self._dispatch_now(key, [item], [future])
+            self._busy += 1
+            self._start(key, [item], [future])
             return await future
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = ([], [])  # items, futures
-            if self._inflight.get(key):
-                # Held: rides the next batch, which _release dispatches
-                # when the running one finishes.
-                self.held_windows += 1
+            bucket = self._buckets[key] = _Bucket(key)
+            if self._busy < self.slots:
+                self._busy += 1
+                bucket.slotted = True
+                loop.call_soon(self._flush, bucket)
             else:
-                loop.call_soon(self._flush, key, bucket)
-        items, futures = bucket
-        items.append(item)
-        futures.append(future)
-        if len(items) >= self.max_batch:
-            self._flush(key, bucket)
+                # Held: rides the next batch a freed slot dispatches.
+                self.held_windows += 1
+        bucket.items.append(item)
+        bucket.futures.append(future)
+        if len(bucket.items) >= self.max_batch:
+            self._flush(bucket)
         return await future
 
-    def _flush(self, key, bucket):
-        """Dispatch ``bucket`` if it still waits (next pass, filled,
-        released or drained); a bucket already dispatched is left alone."""
-        if self._buckets.get(key) is bucket:
-            del self._buckets[key]
-            self._dispatch_now(key, *bucket)
+    def hold(self):
+        """Take a slot outside any batch; returns the callable that
+        gives it back (call it once)."""
+        self._busy += 1
+        return self._release
 
-    def _dispatch_now(self, key, items, futures):
+    def _flush(self, bucket):
+        """Dispatch ``bucket`` if it still waits (next pass, filled,
+        released or drained); a bucket already dispatched is left
+        alone."""
+        if self._buckets.get(bucket.key) is not bucket:
+            return
+        del self._buckets[bucket.key]
+        if not bucket.slotted:
+            # A held bucket takes a slot now: a freed one, or -- full or
+            # drained -- one over the slots.
+            self._busy += 1
+        self._start(bucket.key, bucket.items, bucket.futures)
+
+    def _start(self, key, items, futures):
         self.batch_sizes[len(items)] = \
             self.batch_sizes.get(len(items), 0) + 1
-        self._inflight[key] = self._inflight.get(key, 0) + 1
         task = asyncio.ensure_future(self._run(key, items, futures))
         self._running.add(task)
         task.add_done_callback(self._running.discard)
@@ -101,26 +142,26 @@ class Coalescer:
                     future.set_exception(exc)
             return
         finally:
-            self._release(key)
+            self._release()
         for future, result in zip(futures, results):
             if not future.done():
                 future.set_result(result)
 
-    def _release(self, key):
-        """A batch of ``key`` finished; dispatch its held bucket."""
-        left = self._inflight.get(key, 1) - 1
-        if left > 0:
-            self._inflight[key] = left
-            return
-        self._inflight.pop(key, None)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            self._flush(key, bucket)
+    def _release(self):
+        """A slot came free; dispatch the oldest held buckets onto the
+        free slots."""
+        self._busy -= 1
+        while self._busy < self.slots:
+            bucket = next((b for b in self._buckets.values()
+                           if not b.slotted), None)
+            if bucket is None:
+                return
+            self._flush(bucket)
 
     async def drain(self):
         """Dispatch all waiting buckets and await in-flight batches."""
-        for key, bucket in list(self._buckets.items()):
-            self._flush(key, bucket)
+        for bucket in list(self._buckets.values()):
+            self._flush(bucket)
         while self._running:
             await asyncio.gather(*list(self._running),
                                  return_exceptions=True)
@@ -134,8 +175,8 @@ class Coalescer:
             "dispatched_batches": dispatched,
             "batched_requests": batched,
             "held_windows": self.held_windows,
-            "queue_depth": sum(len(items)
-                               for items, _ in self._buckets.values()),
+            "queue_depth": sum(len(b.items)
+                               for b in self._buckets.values()),
             "inflight_batches": len(self._running),
             "batch_size_histogram": {
                 str(size): n

@@ -1,15 +1,19 @@
 """Solve execution behind the service: worker pool + retry.
 
-Batches built by the coalescer run through a :class:`ServiceExecutor`.
-With ``jobs >= 1`` solves execute on the rebuildable
+Batches built by the coalescer run through a :class:`ServiceExecutor`
+on its :attr:`~ServiceExecutor.slots`: how many solves run at once, one
+per core.  With ``jobs >= 1`` solves execute on the rebuildable
 :class:`~repro.core.pool.PoolHandle` process pool shared with the
-evaluation pipeline -- a died worker breaks only the attempt, the pool
-is rebuilt and the attempt re-dispatched per the
+evaluation pipeline (``jobs`` slots) -- a died worker breaks only the
+attempt, the pool is rebuilt and the attempt re-dispatched per the
 :class:`~repro.core.pool.FailurePolicy`.  With ``jobs == 0`` solves
-run on a single in-process thread (no fork, deterministic -- the mode
-tests and the benchmark load generator use), where an injected crash
+run in this process, one solver thread per usable CPU (no fork -- the
+mode the service defaults to, and tests use), where an injected crash
 raises :class:`~repro.parallel.faults.WorkerCrashError` inline and
-exercises the identical retry path.
+exercises the identical retry path.  The threads share the cached
+grids and preconditioners, never a buffer (a preconditioner keeps what
+its applications write per thread), and run in parallel because the
+native kernels are called without the GIL.
 
 The task unit (:func:`run_service_task`) is a plain picklable dict;
 the worker rebuilds the grid from its name/scale/seed and funnels the
@@ -23,6 +27,7 @@ response memo already answers live repeats.
 
 import asyncio
 import os
+import threading
 import time
 from concurrent.futures import CancelledError
 from concurrent.futures import ThreadPoolExecutor
@@ -82,13 +87,22 @@ def run_service_task_inline(task):
     return _execute_task(task, inline=True)
 
 
+def _usable_cpus():
+    """CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class ServiceExecutor:
     """Run solve tasks with retry/timeout on a rebuildable pool.
 
     Parameters
     ----------
     jobs:
-        Worker processes; 0 selects the single-thread inline mode.
+        Worker processes; 0 selects the inline mode, one solver thread
+        per usable CPU.
     cache_dir, shards, max_bytes:
         Worker-side artifact-cache configuration (the workers share
         the service's disk cache; see
@@ -100,7 +114,16 @@ class ServiceExecutor:
         Per-attempt wall-clock budget in seconds (``None`` = none).
         In process mode an overrun kills the workers and rebuilds the
         pool; in thread mode the attempt is abandoned (threads cannot
-        be killed) and the timeout error still surfaces.
+        be killed) and the timeout error still surfaces, while its
+        thread keeps its slot busy until it returns.
+
+    ``slots`` is how many solves run at once: ``jobs``, or the usable
+    CPUs in thread mode.  ``busy_slots`` counts those running one now
+    -- abandoned attempts included.  ``on_abandon`` (the coalescer's
+    :meth:`~repro.service.batching.Coalescer.hold`, wired by the
+    server) is called when a thread-mode attempt is abandoned; the
+    callable it returns is called on the event loop when that thread
+    returns.
     """
 
     def __init__(self, jobs=0, cache_dir=None, shards=None,
@@ -109,14 +132,32 @@ class ServiceExecutor:
         self.policy = policy if policy is not None else FailurePolicy()
         self.timeout = timeout
         self.retried = 0
+        self.on_abandon = None
+        self.busy_slots = 0
+        self._busy_lock = threading.Lock()
         if self.jobs:
+            self.slots = self.jobs
             self.handle = PoolHandle(self.jobs, cache_dir,
                                      shards=shards, max_bytes=max_bytes)
             self._threads = None
         else:
+            self.slots = _usable_cpus()
             self.handle = None
             self._threads = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-service-solve")
+                max_workers=self.slots,
+                thread_name_prefix="repro-service-solve")
+
+    def _count(self, change):
+        with self._busy_lock:
+            self.busy_slots += change
+
+    def _run_on_slot(self, task):
+        """One thread-mode attempt, on the slot thread running it."""
+        self._count(1)
+        try:
+            return run_service_task_inline(task)
+        finally:
+            self._count(-1)
 
     async def run(self, task):
         """Execute ``task`` with retries; returns its SolveResult."""
@@ -136,17 +177,19 @@ class ServiceExecutor:
     async def _attempt(self, task):
         loop = asyncio.get_running_loop()
         if self.handle is None:
-            future = loop.run_in_executor(
-                self._threads, run_service_task_inline, task)
+            submitted = self._threads.submit(self._run_on_slot, task)
         else:
-            future = asyncio.wrap_future(
-                self.handle.get().submit(run_service_task, task),
-                loop=loop)
+            submitted = self.handle.get().submit(run_service_task, task)
+            self._count(1)
+            submitted.add_done_callback(lambda _: self._count(-1))
         try:
-            return await asyncio.wait_for(future, self.timeout)
+            return await asyncio.wait_for(
+                asyncio.wrap_future(submitted, loop=loop), self.timeout)
         except asyncio.TimeoutError:
             if self.handle is not None:
                 self.handle.rebuild(kill=True)
+            elif self.on_abandon is not None:
+                self._abandon(loop, submitted)
             raise StepTimeoutError(
                 f"solve attempt exceeded its {self.timeout}s "
                 f"wall-clock budget") from None
@@ -156,10 +199,25 @@ class ServiceExecutor:
             raise WorkerCrashError(
                 "a worker process died while solving") from None
 
+    def _abandon(self, loop, submitted):
+        """Keep a slot held for a thread-mode attempt that outlived its
+        budget, until its thread returns."""
+        release = self.on_abandon()
+
+        def returned(_):
+            try:
+                loop.call_soon_threadsafe(release)
+            except RuntimeError:   # the loop is gone: nothing to wake
+                pass
+
+        submitted.add_done_callback(returned)
+
     def stats(self):
         return {
             "jobs": self.jobs,
             "mode": "process" if self.jobs else "thread",
+            "slots": self.slots,
+            "busy_slots": self.busy_slots,
             "retried_attempts": self.retried,
             "pool_rebuilds": (self.handle.rebuilds if self.handle
                               else 0),

@@ -1,11 +1,13 @@
 """The asyncio solver service: JSON over HTTP, stdlib only.
 
 One process, one event loop, three moving parts wired together here:
-the :class:`~repro.service.batching.Coalescer` dispatches a request
-whose bucket is idle at once and batches the compatible requests that
-queue behind a running solve into one multi-RHS solve, the
-:class:`~repro.service.executor.ServiceExecutor` runs each batch on a
-rebuildable worker pool with retry, and the
+the :class:`~repro.service.batching.Coalescer` dispatches a request at
+once while one of the executor's solver slots is free and batches the
+compatible requests that queue while every slot is busy into one
+multi-RHS solve, the
+:class:`~repro.service.executor.ServiceExecutor` runs each batch on its
+slots -- one solver thread per usable core, or a rebuildable worker
+pool with ``--jobs N`` -- with retry, and the
 :class:`~repro.service.jobs.JobTable` gives asynchronous clients
 submit/status/result/stream semantics.  Single-flight dedup sits in
 front of the coalescer: byte-identical concurrent requests share one
@@ -40,6 +42,7 @@ accepted request is dropped (covered by the drain test).
 """
 
 import asyncio
+import ctypes
 import json
 import signal
 import tempfile
@@ -108,7 +111,9 @@ class SolverService:
             policy=FailurePolicy(mode="retry", retries=int(retries),
                                  backoff=float(backoff)),
             timeout=job_timeout)
-        self.coalescer = Coalescer(self._run_batch, max_batch=max_batch)
+        self.coalescer = Coalescer(self._run_batch, max_batch=max_batch,
+                                   slots=self.executor.slots)
+        self.executor.on_abandon = self.coalescer.hold
         self.jobs = JobTable()
         self.draining = False
         #: Which kernels solves run on (resolved here, not per request:
@@ -533,13 +538,37 @@ async def _respond(writer, status, doc):
     await writer.drain()
 
 
+#: glibc's ``mallopt`` parameter for the malloc arena cap.
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena():
+    """Cap glibc at one malloc arena; off glibc there is no ``mallopt``
+    and nothing to do."""
+    try:
+        ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def serve(host="127.0.0.1", port=0, jobs=0, max_batch=8, blocks=(4, 4),
           engine=None, tuned=True, retries=2, job_timeout=None,
           announce=print):
-    """Blocking entry point: run a service until SIGTERM/SIGINT."""
+    """Blocking entry point: run a service until SIGTERM/SIGINT.
+
+    The process is the server's, so with more than one solver thread it
+    caps glibc at one malloc arena: the threads allocate while holding
+    the GIL, so the per-thread arenas glibc would give them buy no
+    concurrency and only keep freed memory (a second solver thread's
+    arena raised the server's peak RSS by 3-4 %).  A
+    :class:`SolverService` embedded in another process leaves its
+    allocator alone.
+    """
     service = SolverService(host=host, port=port, jobs=jobs,
                             max_batch=max_batch, blocks=blocks,
                             engine=engine, tuned=tuned, retries=retries,
                             job_timeout=job_timeout)
+    if service.executor.handle is None and service.executor.slots > 1:
+        _one_malloc_arena()
     asyncio.run(service.run(announce=announce))
     return service

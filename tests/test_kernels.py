@@ -1935,13 +1935,13 @@ class TestEVPParity:
 
     def test_working_set_keeps_one_width(self, uniform_config,
                                          uniform_decomp):
-        """Widths 8, 3, 1 in turn leave one working set: one pair of
-        buffers, one marching program and one ring scratch per shape
-        group, and one coefficient block per engine -- the same object
-        at every width, no row of it wider than the engine's tiles --
-        where the library marches; one scratch width where the
-        reference does.  The mask is repeated for no width where the
-        scatter masks."""
+        """Widths 8, 3, 1 in turn leave this thread one working set: one
+        pair of buffers and, per shape group, one runner over its rows
+        -- a marching program and one ring scratch where the library
+        marches --, and one coefficient block per engine -- the same
+        object at every width, no row of it wider than the engine's
+        tiles.  The mask is repeated for no width where the scatter
+        masks."""
         r = np.random.default_rng(0).standard_normal(
             uniform_config.shape + (8,))
         for backend in BACKENDS:
@@ -1961,21 +1961,19 @@ class TestEVPParity:
                     assert engine._plan.block is block
                     assert block.shape[1] == engine.batch
                     assert engine._plan.inv_ne.shape[1] == engine.batch
-            y, x, views = pre._work
+            y, x, runs = pre._per_thread.work
             assert y.shape[1] == x.shape[1] == 1
             scatters = isinstance(kernels, FusedKernels) \
                 and kernels._native().evp_scatter is not None
             assert len(pre._folded) == (0 if scatters else 1)
-            for engine, (y_rows, x_rows) in views.items():
+            assert set(runs) == set(pre._engines.values())
+            for engine, run in runs.items():
                 if engine._plan is None:
-                    width, pool = engine._march_scratch
-                    assert width == 1
-                    assert all(buf.shape[2] == 1 for buf in pool.values())
                     continue
-                bound = engine._plan.bound
-                assert bound.y is y_rows and bound.x is x_rows
-                assert bound.f.shape == (1, engine.batch, engine.k)
-                assert bound.ring.shape == (1, engine.batch, 1, engine.k)
+                assert np.shares_memory(run.y, y)
+                assert np.shares_memory(run.x, x)
+                assert run.f.shape == (1, engine.batch, engine.k)
+                assert run.ring.shape == (1, engine.batch, 1, engine.k)
 
     def test_influence_matrices_backend_independent(self, uniform_config,
                                                     uniform_decomp):

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.cache import ArtifactCache, configure_cache, get_cache, set_cache
 from repro.core.errors import ReproError
+from repro.core.pool import StepTimeoutError
 from repro.experiments.common import (
     get_cached_config,
     measure_solver,
@@ -175,12 +176,13 @@ class TestCoalescer:
         asyncio.run(main())
 
     @staticmethod
-    def _blocking_runner(calls, release):
-        """Echo runner whose first batch blocks until ``release``."""
+    def _gated_runner(calls, gates):
+        """Echo runner whose ``i``-th batch blocks until ``gates[i]`` is
+        set; later batches run at once."""
         async def runner(key, items):
             calls.append(list(items))
-            if len(calls) == 1:
-                await release.wait()
+            if len(calls) <= len(gates):
+                await gates[len(calls) - 1].wait()
             return list(items)
         return runner
 
@@ -188,43 +190,152 @@ class TestCoalescer:
         async def main():
             release = asyncio.Event()
             calls = []
-            co = Coalescer(self._blocking_runner(calls, release),
-                           max_batch=16)
-            first = asyncio.ensure_future(co.submit("k", 0))
-            await self._passes(3)  # dispatched: the batch is running
-            assert calls == [[0]]
+            co = Coalescer(self._gated_runner(calls, [release] * 2),
+                           max_batch=16, slots=2)
+            first = [asyncio.ensure_future(co.submit("k", i))
+                     for i in (0, 1)]
+            await self._passes(3)  # dispatched: both slots are busy
+            assert calls == [[0, 1]]
+            second = asyncio.ensure_future(co.submit("k", 2))
+            await self._passes(3)
+            assert calls == [[0, 1], [2]]
             rest = [asyncio.ensure_future(co.submit("k", i))
-                    for i in range(1, 5)]
+                    for i in range(3, 7)]
             await self._passes(1)  # all four submitted: held
-            assert len(calls) == 1
+            assert len(calls) == 2
             assert co.held_windows == 1
             assert co.stats()["queue_depth"] == 4
             release.set()
-            assert await asyncio.gather(first, *rest) == [0, 1, 2, 3, 4]
-            # everything queued behind the busy key rode ONE batch
-            assert calls == [[0], [1, 2, 3, 4]]
-            assert co.stats()["batch_size_histogram"] == {"1": 1, "4": 1}
+            assert await asyncio.gather(*first, second, *rest) \
+                == list(range(7))
+            # everything queued behind the busy slots rode ONE batch
+            assert calls == [[0, 1], [2], [3, 4, 5, 6]]
+            assert co.stats()["batch_size_histogram"] \
+                == {"1": 1, "2": 1, "4": 1}
         asyncio.run(main())
 
     def test_full_held_bucket_dispatches_without_waiting(self):
         async def main():
             release = asyncio.Event()
             calls = []
-            co = Coalescer(self._blocking_runner(calls, release),
-                           max_batch=3)
-            first = asyncio.ensure_future(co.submit("k", 0))
-            await self._passes(3)  # dispatched: the batch is running
-            assert calls == [[0]]
+            co = Coalescer(self._gated_runner(calls, [release] * 2),
+                           max_batch=3, slots=2)
+            first = []
+            for i in (0, 1):
+                first.append(asyncio.ensure_future(co.submit("k", i)))
+                await self._passes(3)  # dispatched: the batch is running
+            assert calls == [[0], [1]]
             rest = [asyncio.ensure_future(co.submit("k", i))
-                    for i in range(1, 4)]
+                    for i in range(2, 5)]
             await self._passes(2)  # submitted, filled, runner started
-            # the held bucket went out while the first batch blocks
-            assert calls == [[0], [1, 2, 3]]
+            # the held bucket went out while both slots block
+            assert calls == [[0], [1], [2, 3, 4]]
             assert co.held_windows == 1
-            assert await asyncio.gather(*rest) == [1, 2, 3]
-            assert not first.done()
+            assert await asyncio.gather(*rest) == [2, 3, 4]
+            assert not any(f.done() for f in first)
             release.set()
-            assert await first == 0
+            assert await asyncio.gather(*first) == [0, 1]
+        asyncio.run(main())
+
+    def test_two_slots_run_one_key_twice_then_hold(self):
+        """With two slots two submissions of one key both dispatch at
+        once; a third is held and rides the next batch the moment
+        either running batch ends."""
+        async def main():
+            gates = [asyncio.Event(), asyncio.Event()]
+            calls = []
+            co = Coalescer(self._gated_runner(calls, gates), max_batch=8,
+                           slots=2)
+            a = asyncio.ensure_future(co.submit("k", "a"))
+            await self._passes(3)
+            b = asyncio.ensure_future(co.submit("k", "b"))
+            await self._passes(3)
+            assert calls == [["a"], ["b"]] and co.held_windows == 0
+            c = asyncio.ensure_future(co.submit("k", "c"))
+            await self._passes(3)
+            assert len(calls) == 2 and co.held_windows == 1
+            gates[1].set()  # the second batch ends: c takes its slot
+            assert await b == "b"
+            await self._passes(2)
+            assert calls == [["a"], ["b"], ["c"]]
+            assert await c == "c" and not a.done()
+            gates[0].set()
+            assert await a == "a"
+        asyncio.run(main())
+
+    def test_held_keys_dispatch_in_arrival_order(self):
+        """A key that arrives while every slot is busy is held too, and
+        held buckets take freed slots oldest first."""
+        async def main():
+            gates = [asyncio.Event() for _ in range(3)]
+            calls = []
+            co = Coalescer(self._gated_runner(calls, gates), max_batch=8,
+                           slots=2)
+            busy = []
+            for item in ("k0", "k1"):
+                busy.append(asyncio.ensure_future(co.submit("k", item)))
+                await self._passes(3)
+            held = []
+            for key in ("a", "b"):
+                held.append(asyncio.ensure_future(co.submit(key, key)))
+                await self._passes(3)
+            assert calls == [["k0"], ["k1"]] and co.held_windows == 2
+            gates[0].set()
+            await busy[0]
+            await self._passes(2)
+            assert calls == [["k0"], ["k1"], ["a"]]  # b still held
+            gates[1].set()
+            await busy[1]
+            await self._passes(2)
+            assert calls == [["k0"], ["k1"], ["a"], ["b"]]
+            gates[2].set()
+            assert await asyncio.gather(*held) == ["a", "b"]
+        asyncio.run(main())
+
+    def test_never_oversubscribes_the_slots(self):
+        """Random arrivals over several keys and run times: below
+        ``max_batch`` no more batches run at once than there are slots,
+        and every submission gets its own result."""
+        async def main():
+            rng = np.random.default_rng(5)
+            running, peak = [0], [0]
+
+            async def runner(key, items):
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                await asyncio.sleep(float(rng.uniform(0, 0.004)))
+                running[0] -= 1
+                return [(key, item) for item in items]
+
+            co = Coalescer(runner, max_batch=1000, slots=2)
+            subs = []
+            for i in range(120):
+                key = f"k{rng.integers(4)}"
+                subs.append((key, i,
+                             asyncio.ensure_future(co.submit(key, i))))
+                if rng.random() < 0.5:
+                    await asyncio.sleep(float(rng.uniform(0, 0.002)))
+            for key, i, future in subs:
+                assert await future == (key, i)
+            assert peak[0] == 2
+            assert co.held_windows > 0
+            assert co.stats()["inflight_batches"] == 0
+        asyncio.run(main())
+
+    def test_held_slot_keeps_buckets_waiting(self):
+        """A slot taken by :meth:`Coalescer.hold` (an abandoned attempt
+        still running) is busy until its release is called."""
+        async def main():
+            calls = []
+            co = Coalescer(self._echo_runner(calls), max_batch=8, slots=1)
+            release = co.hold()
+            pending = asyncio.ensure_future(co.submit("k", 1))
+            await self._passes(3)
+            assert calls == [] and co.held_windows == 1
+            release()
+            assert await pending == "k:1"
+            assert calls == [[1]]
+            assert co._busy == 0
         asyncio.run(main())
 
     def test_runner_error_fans_to_all_waiters(self):
@@ -439,6 +550,36 @@ class TestServiceSolve:
                 with pytest.raises(WorkerCrashError):
                     await service.handle_solve(
                         _request(rhs=rhs, inject={"crash": 99}))
+            finally:
+                await service.shutdown()
+
+        asyncio.run(main())
+
+    def test_abandoned_attempt_keeps_its_slot_busy(self, fresh_cache):
+        """A thread-mode attempt that timed out keeps running; its slot
+        stays busy -- in the executor's count and the coalescer's --
+        until the thread returns, and comes free then."""
+        _config, (rhs,) = _rhs_variants(1)
+
+        async def main():
+            service = SolverService(jobs=0, retries=0, job_timeout=0.2)
+            await service.start()
+            executor, coalescer = service.executor, service.coalescer
+            try:
+                assert coalescer.slots == executor.slots >= 1
+                with pytest.raises(StepTimeoutError):
+                    await service.handle_solve(
+                        _request(rhs=rhs, inject={"sleep": 1.5}))
+                workers = service.health()["workers"]
+                assert workers["slots"] == executor.slots
+                assert workers["busy_slots"] == 1
+                assert coalescer._busy == 1
+                for _ in range(100):
+                    if executor.busy_slots == 0 and coalescer._busy == 0:
+                        break
+                    await asyncio.sleep(0.05)
+                assert service.stats()["executor"]["busy_slots"] == 0
+                assert coalescer._busy == 0
             finally:
                 await service.shutdown()
 
