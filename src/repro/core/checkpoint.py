@@ -16,9 +16,13 @@ is a single ``.npz`` file holding
 Write discipline mirrors the artifact cache: serialize to a temporary
 file in the destination directory, ``flush`` + ``os.fsync``, then
 ``os.replace`` into place -- a crash mid-write can never leave a torn
-checkpoint where a resume would find it.  Reads verify the envelope
-(version, kind, checksum) and raise :class:`CheckpointError` on any
-mismatch; a resume never silently continues from damaged state.
+checkpoint where a resume would find it.  A solver hands each snapshot
+to its policy's writer thread (:meth:`CheckpointPolicy.begin`) and
+keeps iterating while the file is written: one snapshot in flight at a
+time, waited for by the next and by the end of the solve.  Reads verify
+the envelope (version, kind, checksum) and raise
+:class:`CheckpointError` on any mismatch; a resume never silently
+continues from damaged state.
 
 Consumers: :class:`~repro.solvers.base.IterativeSolver` (per-iteration
 solver snapshots via :class:`CheckpointPolicy`) and
@@ -27,10 +31,12 @@ snapshots).  Both guarantee bit-identical resume: the restored run
 produces exactly the iterates/fields an uninterrupted run would.
 """
 
+import contextvars
 import hashlib
 import json
 import os
 import tempfile
+import threading
 import zipfile
 
 import numpy as np
@@ -233,6 +239,8 @@ class CheckpointPolicy:
         self.prefix = str(prefix)
         #: Paths written by this policy instance, in order.
         self.written = []
+        #: The writer of the snapshot in flight and its outcome, or None.
+        self._writer = None
 
     def due(self, iteration):
         """Whether a periodic snapshot is due after ``iteration``."""
@@ -245,13 +253,51 @@ class CheckpointPolicy:
             f"{self.prefix}-{tag}{iteration:08d}{CHECKPOINT_SUFFIX}")
 
     def write(self, iteration, kind, arrays, meta, failure=False):
-        """Write one snapshot and prune old periodic ones."""
+        """Write one snapshot now, on the calling thread, and prune old
+        periodic ones (the writer thread of :meth:`begin` runs this)."""
         path = write_checkpoint(self.path_for(iteration, failure=failure),
                                 kind, arrays, meta)
         self.written.append(path)
         if not failure:
             self._prune()
         return path
+
+    def begin(self, iteration, kind, arrays, meta, failure=False):
+        """Hand one snapshot to a writer thread and return at once.
+
+        Waits first for the snapshot in flight (:meth:`wait`), so the
+        files land, and prune, one at a time in order.  ``arrays`` and
+        ``meta`` become the writer's: the caller must not change them.
+        The writer runs :meth:`write` in the caller's context
+        (``contextvars``).
+        """
+        self.wait()
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(self.write(iteration, kind, arrays, meta,
+                                          failure=failure))
+            except Exception as exc:   # raised by wait(), on the caller
+                outcome.append(exc)
+
+        writer = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(run,), name="checkpoint-writer")
+        writer.start()
+        self._writer = writer, outcome
+
+    def wait(self):
+        """Block until the snapshot :meth:`begin` handed over is on
+        disk; its path (``None``: none was in flight).  A write that
+        failed raises its error here (:class:`CheckpointError`)."""
+        if self._writer is None:
+            return None
+        (writer, outcome), self._writer = self._writer, None
+        writer.join()
+        (result,) = outcome
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def _prune(self):
         if self.keep <= 0:

@@ -17,6 +17,7 @@ This is exactly the paper's own reasoning (Eqs. 2-6) with the constants
 *measured* from running code instead of derived by hand.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,23 +110,35 @@ def preconditioner_key(config, kind, **kwargs):
                      config.content_digest(), kind, dict(kwargs))
 
 
+#: One lock per preconditioner key: held while that key is built.
+_BUILDS, _BUILDS_LOCK = {}, threading.Lock()
+
+
 def get_cached_preconditioner(config, kind, cache=None, **kwargs):
     """Build (or fetch) a preconditioner for a cached config.
 
     The built object is shared through the cache's memory tier; EVP
     builds additionally round-trip their influence matrices through the
     disk tier (see :func:`~repro.precond.evp.evp_for_config`), turning
-    the ``O(n^3)`` setup into an npz load in warm processes.
+    the ``O(n^3)`` setup into an npz load in warm processes.  Threads
+    that miss one key together build it once: the first builds under
+    the key's lock, the others then find its object.
     """
     cache = cache if cache is not None else get_cache()
     key = preconditioner_key(config, kind, **kwargs)
     pre = cache.get_object("preconditioner", key)
-    if pre is None:
-        if kind == "evp":
-            pre = evp_for_config(config, cache=cache, **kwargs)
-        else:
-            pre = make_preconditioner(kind, config.stencil, **kwargs)
-        cache.put_object("preconditioner", key, pre)
+    if pre is not None:
+        return pre
+    with _BUILDS_LOCK:
+        build = _BUILDS.setdefault(key, threading.Lock())
+    with build:
+        pre = cache.get_object("preconditioner", key)
+        if pre is None:
+            if kind == "evp":
+                pre = evp_for_config(config, cache=cache, **kwargs)
+            else:
+                pre = make_preconditioner(kind, config.stencil, **kwargs)
+            cache.put_object("preconditioner", key, pre)
     return pre
 
 

@@ -141,7 +141,9 @@ exchange's), ``b - A x``, then the next gather, march and edges -- or a
 ChronGear + block-EVP one -- the recurrences with the next gather,
 march and edges, then the corrected march, the masked scatter into a
 kept ``r'``, its halo copy, ``z = A r'`` and both dots block by
-block.
+block.  Between spans the same runner makes a guarded loop's
+cross-check residual: the halo copy of ``x`` and ``b - A x`` alone, as
+one more ``evp_step`` call.
 
 The ring correction itself (LU-derived ``W^-1`` applied as a batched
 matmul) lives on the engine and is shared by every backend -- see
@@ -165,6 +167,7 @@ from repro.kernels.native import (
     EVP_HALO,
     EVP_HEAD,
     EVP_HELD,
+    EVP_RESIDUAL,
     EVP_TAIL,
     HALO_FORMAT,
     HEAD,
@@ -629,7 +632,14 @@ class _EvpSpan:
     per column over the blocks' windows, ``v`` the swept stack and ``A
     1`` the first of ``check.rowsum``'s ``(weights, extents)``; after
     the call, ``check(pre, post, terms)``, ``None`` for what was not
-    made.  Without a check the sums are not made."""
+    made.  Without a check the sums are not made.
+
+    Between spans, ``residual(b, check)`` makes a guarded loop's
+    cross-check of ``x`` (whole then: ChronGear's spans end flushed) as
+    one call: the tail's checked halo copy of ``x`` and ``b - A x`` into
+    a kept stack, on a copy of the program pointed at them, judged by
+    ``check`` as a tail is (:meth:`sweeps` says whether it serves a pair
+    of stacks)."""
 
     def __init__(self, fn, operands, m, h, halo, vectors):
         (sweep, _, call), at = operands
@@ -707,6 +717,9 @@ class _EvpSpan:
                 address(self.z) + first, address(self.coef),
                 address(self.dots), weights.ctypes.data,
                 0 if extents is None else extents.ctypes.data)
+        # The cross-check's residual: x swept, its halo copied.
+        self._x, self._x_at, self._first = x, x_at, first
+        self._residual = None
         self.program = EvpProgram(
             n, len(dst), len(zero), dst.ctypes.data, src.ctypes.data,
             zero.ctypes.data, stack, len(groups), ctypes.addressof(groups),
@@ -757,11 +770,36 @@ class _EvpSpan:
             self._call(EVP_HELD)
             self.held = False
 
+    def sweeps(self, b, x):
+        """Whether :meth:`residual` serves ``b - A x``: ``x`` this span's
+        iterate, ``b`` a writable C-contiguous float64 stack of its shape
+        elsewhere in memory."""
+        return (x is self._x and b.shape == x.shape and b.dtype == x.dtype
+                and b.flags.c_contiguous and b.flags.writeable
+                and not np.may_share_memory(b, x))
+
+    def residual(self, b, check):
+        """``b - A x`` (:meth:`sweeps`) as one ``evp_step`` call of
+        mode ``EVP_RESIDUAL``; returns the kept stack it lands in."""
+        if self._residual is None:
+            out = np.zeros_like(self._x)
+            program = EvpProgram.from_buffer_copy(self.program)
+            program.stack = self._x_at
+            program.r = address(out) + self._first
+            self._residual = out, program, functools.partial(
+                self._call.func, ctypes.addressof(program))
+        out, program, call = self._residual
+        program.b = address(b) + self._first
+        due = self._arm(check, program)
+        call(EVP_RESIDUAL)
+        check(*self._halo, self._terms if due else None)
+        return out
+
     def _step(self, mode, check=None):
         """One call; a tail handed a ``check`` makes its sums for it
         (only such a tail: the program names them for its call alone)."""
         checked = check is not None and check.abft and bool(mode & EVP_TAIL)
-        due = checked and self._arm(check)
+        due = checked and self._arm(check, self.program)
         self._call(mode)
         if checked:
             self.program.abft = self.program.rowsum = None
@@ -772,11 +810,10 @@ class _EvpSpan:
             pre, post = self._halo if checked else (None, None)
             check(pre, post, self._terms if due else None)
 
-    def _arm(self, check):
-        """Point the program at the sums ``check`` reads; whether the
+    def _arm(self, check, program):
+        """Point ``program`` at the sums ``check`` reads; whether the
         row-sum terms are due."""
-        program = self.program
-        program.abft = self._sums_at
+        program.abft, program.rowsum = self._sums_at, None
         if not check.due():
             return False
         weights, extents = self._rowsum = check.rowsum

@@ -1336,6 +1336,14 @@ void chrongear_span(chrongear_program *g, int64_t mode)
  * and z read their source only after all of it is final, so no row
  * lags another.
  *
+ * A RESIDUAL call (EVP_RESIDUAL alone) is a TAIL's last two phases on
+ * their own: the halo copy of the stack and every row of the geometry
+ * swept into r and subtracted from b -- checked, with `abft` and
+ * `rowsum`, as a TAIL's are.  It serves the guarded loop's cross-check:
+ * the caller points a copy of a P-CSI or ChronGear program at the
+ * iterate x (`stack`), its right-hand side (`b`) and a stack of its own
+ * (`r`), so the P-CSI residual's code gives the cross-check's b - A x.
+ *
  * The halo copy (EVP_HALO alone: only the first seven words of the
  * program are read) sets stack cell dst[i] to cell src[i] and cell
  * zero[i] to 0.0, `ncols` doubles a cell -- numpy's flat[dst] =
@@ -1406,6 +1414,7 @@ typedef struct {
 #define EVP_HALO 4
 #define EVP_CHAIN 8
 #define EVP_HELD 16
+#define EVP_RESIDUAL 32
 
 /* One tile cell of every column: r' = state * mask, then the chain. */
 #define CHAIN_CELLS(W)                                                     \
@@ -1726,13 +1735,13 @@ void evp_step(const evp_program *p, int64_t mode)
         else
             scatter_chain(p);
     }
-    if ((mode & EVP_TAIL) && p->abft)
+    if ((mode & (EVP_TAIL | EVP_RESIDUAL)) && p->abft)
         checked_copy(p);
-    else if (mode & (EVP_TAIL | EVP_HALO))
+    else if (mode & (EVP_TAIL | EVP_HALO | EVP_RESIDUAL))
         halo_copy(p);
     if ((mode & EVP_TAIL) && p->z)
         sweep_dots(p);
-    else if (mode & EVP_TAIL)
+    else if (mode & (EVP_TAIL | EVP_RESIDUAL))
         residual_rows(p);
     if (mode & EVP_HEAD) {
         evp_gather(p->gather, ncols, p->r, p->rhs);

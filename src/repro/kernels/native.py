@@ -25,6 +25,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,10 @@ CHAIN, HEAD, HOLD, HELD = 1, 2, 4, 8
 #: Mode bits of an ``evp_step`` call: the tail of one EVP iteration
 #: (P-CSI's or ChronGear's, by the program), the head of the next, the
 #: halo copy alone, ChronGear's four recurrences (their ``x`` update kept
-#: when a head follows and none is kept yet), the kept ``x`` update first.
-EVP_TAIL, EVP_HEAD, EVP_HALO, EVP_CHAIN, EVP_HELD = 1, 2, 4, 8, 16
+#: when a head follows and none is kept yet), the kept ``x`` update first,
+#: a tail's halo copy and ``b - A x`` alone (the cross-check's residual).
+EVP_TAIL, EVP_HEAD, EVP_HALO, EVP_CHAIN, EVP_HELD, EVP_RESIDUAL = (
+    1, 2, 4, 8, 16, 32)
 #: ``struct`` format of the halo copy's program: ``ncols``, the table
 #: lengths, then the ``dst`` / ``src`` / ``zero`` tables and the stack.
 HALO_FORMAT = "3q4P"
@@ -251,7 +254,8 @@ def _build(compiler, stem):
     ``<stem>-<digest of the bytes>.so``: concurrent builders each
     install a complete file (the same one)."""
     stem.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    tmp = stem.with_name(f"{stem.name}.{os.getpid()}.tmp")
+    tmp = stem.with_name(
+        f"{stem.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         subprocess.run([compiler, *_FLAGS, str(_SOURCE), "-o", str(tmp)],
                        capture_output=True, text=True, timeout=300, check=True)
@@ -262,7 +266,23 @@ def _build(compiler, stem):
     return path
 
 
-@functools.lru_cache(maxsize=None)
+def _once(build):
+    """``build()`` made once per process, by the first caller, while
+    any caller that comes meanwhile waits for it (``lru_cache`` alone lets
+    callers that come together each build); ``__wrapped__`` builds
+    afresh."""
+    lock, made = threading.Lock(), []
+
+    @functools.wraps(build)
+    def once():
+        with lock:
+            if not made:
+                made.append(build())
+            return made[0]
+    return once
+
+
+@_once
 def load():
     """The process-wide :class:`Native` (see module docstring)."""
     compiler = shutil.which("cc") or shutil.which("gcc")

@@ -342,6 +342,27 @@ def _evp_spans(kernels, rng):
                 (True, 3, 3, "chrongear", guarded))]
 
 
+def _crosschecks(kernels, rng):
+    """Guarded P-CSI and ChronGear + block EVP spans of one iteration on
+    the ragged halo-2 stacks, each followed by two cross-check residuals
+    of its iterate against drawn right-hand sides -- the row-sum check
+    due in the first -- in the span's runner where it was adopted: the
+    residuals, the iterate after their halo copies, the ledger and the
+    runtime's summary."""
+    pre, out = _evp(kernels), []
+    for n, kind, at in ((None, "chebyshev", 2), (3, "chrongear", 0)):
+        ctx = _context(kernels, pre, True, ResiliencePolicy(abft_every=2))
+        spanned = _span(ctx, rng, n, 1, kind)
+        x = BlockField.from_stack(ctx.decomp, spanned[at])
+        for _ in range(2):
+            (b,) = _fields(rng, ctx.decomp, None, n, "b")
+            out.append(ctx.checked_residual(b, x).stack.copy())
+        runtime = ctx.vm.resilience
+        out += [x.stack, ctx.ledger.snapshot(),
+                {**runtime.summary(), "seconds": 0}]
+    return out
+
+
 _EVP = ("evp_march", "evp_edges")
 #: Entry point -> its cases, ``(needs, case)``: ``case(kernels, rng)``
 #: makes the public calls and returns what they produced.  The checks
@@ -372,5 +393,6 @@ CASES = {
             (9, 3, None, 4, True), (13, 11, 2, 3, False),
             (6, 11, 3, 2, True), (40, 7, 8, 2, False),
             (4, 5, 11, 1, False), (30, 11, 1, 3, True))))],
-    "evp_step": [((), _halo_copies), (("dia_sweep",) + _EVP, _evp_spans)],
+    "evp_step": [((), _halo_copies), (("dia_sweep",) + _EVP, _evp_spans),
+                 (("dia_sweep",) + _EVP, _crosschecks)],
 }

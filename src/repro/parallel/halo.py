@@ -176,8 +176,10 @@ class HaloExchanger:
                 d: (n.rank if (n is not None and n.is_active) else None)
                 for d, n in neigh.items()
             })
-        # Lazily-built cell tables of the stacked exchange.
+        # Lazily-built cell tables of the stacked exchange, and the
+        # ranks' lattice coordinates for a tiled gather (False: none).
         self._stacked_tables = None
+        self._tiling = None
 
     # ------------------------------------------------------------------
     def scatter(self, global_field, dtype=None, stacked=False):
@@ -210,9 +212,34 @@ class HaloExchanger:
         trailing = field.locals_[0].shape[2:]
         out = np.full((decomp.ny, decomp.nx) + trailing, fill,
                       dtype=dtype or field.locals_[0].dtype)
+        tiles = self._tiles() if field.is_stacked else None
+        if tiles is not None:
+            # One assignment: the grid as a lattice of (bny, bnx) tiles.
+            bny, bnx = decomp.max_block_shape()
+            lattice = out.reshape((decomp.ny // bny, bny, decomp.nx // bnx,
+                                   bnx) + trailing).swapaxes(1, 2)
+            lattice[tiles] = field.interior_stack()
+            return out
         for rank, block in enumerate(decomp.active_blocks):
             out[block.slices] = field.interior(rank)
         return out
+
+    def _tiles(self):
+        """The ranks' ``(block rows, block columns)`` when every active
+        block is one ``(bny, bnx)`` tile of a lattice that divides the
+        grid (a stack's interiors then gather as one assignment), else
+        ``None``."""
+        if self._tiling is None:
+            decomp = self.decomp
+            bny, bnx = decomp.max_block_shape()
+            blocks = decomp.active_blocks
+            tiled = decomp.ny % bny == 0 and decomp.nx % bnx == 0 and all(
+                (b.j0, b.i0, b.ny, b.nx) == (b.jb * bny, b.ib * bnx, bny, bnx)
+                for b in blocks)
+            self._tiling = tiled and (
+                np.array([b.jb for b in blocks], dtype=np.intp),
+                np.array([b.ib for b in blocks], dtype=np.intp))
+        return self._tiling or None
 
     # ------------------------------------------------------------------
     def exchange(self, field):

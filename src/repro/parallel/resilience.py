@@ -177,12 +177,17 @@ class ResiliencePolicy:
         }
 
 
+#: Values a copy may share with what it copies.
+_SCALARS = (bool, int, float, str, type(None), np.generic)
+
+
 def _copy_value(value):
     """Deep-copy one piece of solver state for the replica.
 
     Understands the shapes solver state dicts are built from: block
     fields (layout-preserving ``copy``), numpy arrays, containers of
-    either, and immutable scalars.
+    either, and immutable scalars.  A list of records -- tuples of
+    scalars, as the residual histories hold -- is copied shallowly.
     """
     if hasattr(value, "locals_"):
         return value.copy()
@@ -191,6 +196,9 @@ def _copy_value(value):
     if isinstance(value, dict):
         return {k: _copy_value(v) for k, v in value.items()}
     if isinstance(value, list):
+        if all(type(v) is tuple and all(isinstance(e, _SCALARS) for e in v)
+               for v in value):
+            return list(value)
         return [_copy_value(v) for v in value]
     if isinstance(value, tuple):
         return tuple(_copy_value(v) for v in value)
@@ -550,16 +558,19 @@ class ResilienceRuntime:
         A bit flipped into any vector the recurrence is built from
         breaks the agreement between the recurrence residual and the
         directly recomputed one.  Runs at replication boundaries only
-        (one extra matvec per capture); its cost is re-charged to the
-        ``"resilience"`` ledger phase.  ``active`` names the original
-        columns the state's columns hold: each column's drift is bounded
-        by that column's own ``||b||``.
+        (one extra matvec per capture, whose halo exchange and apply are
+        checked like any other: the context's
+        :meth:`~repro.solvers.context.DistributedContext.checked_residual`,
+        one native pass where a span runner sweeps ``x``); its cost is
+        re-charged to the ``"resilience"`` ledger phase.  ``active`` names
+        the original columns the state's columns hold: each column's
+        drift is bounded by that column's own ``||b||``.
         """
         ctx = self.context
         ledger = self.vm.ledger
         t0 = time.perf_counter()
         snap = ledger.snapshot()
-        true_r = ctx.residual(state["b"], state["x"])
+        true_r = ctx.checked_residual(state["b"], state["x"])
         if self._uniform:
             # Uniform blocks: one stacked reduction for the drift norm
             # (both residuals come from the same masked pipeline, so
@@ -735,16 +746,19 @@ class SpanChecks:
     judges them with the runtime's own verdicts
     (:meth:`~ResilienceRuntime.halo_verdict`,
     :meth:`~ResilienceRuntime.rowsum_verdict`): same counters, ledger
-    and documents as the calls.
+    and documents as the calls.  A cross-check's residual made in the
+    span's runner between spans is judged the same way, once.
 
     A check that fails raises with its iteration (counted from
-    ``first``); ``passed`` counts the iterations whose checks passed,
+    ``first``; ``None``: the checks of a cross-check's residual, made
+    between iterations, name none); ``passed`` counts the iterations
+    whose checks passed,
     and ``cut`` says where the failed one stopped -- ``"halo"`` (its
     halo update made, its apply not) or ``"matvec"`` (both) -- so the
     span charges what the calls had charged by then.
     """
 
-    def __init__(self, runtime, first):
+    def __init__(self, runtime, first=None):
         self.runtime = runtime
         #: Whether the halo sums are judged (ABFT on).
         self.abft = runtime.policy.abft
@@ -775,7 +789,8 @@ class SpanChecks:
                 runtime._ensure_rowsum()
                 runtime.rowsum_verdict(*terms)
         except ResilienceEvent as event:
-            event.iteration = self.first + self.passed
+            if self.first is not None:
+                event.iteration = self.first + self.passed
             raise
         finally:
             runtime.seconds += time.perf_counter() - t0

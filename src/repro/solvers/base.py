@@ -117,6 +117,12 @@ serial-context snapshot resumes under the virtual machine too, but
 the continued run then follows the distributed reduction ordering --
 bit-identity holds per arithmetic stream, not across them.
 
+The loop builds each snapshot from copies and hands it to the policy's
+writer thread, which writes the file while the loop goes on; the next
+snapshot and the end of ``solve`` wait for it, and a write that failed
+raises its :class:`~repro.core.checkpoint.CheckpointError` from
+``solve``.
+
 With ``policy.on_failure`` a diagnosed failure snapshots the loop as it
 stopped: columns that ran out of budget are still active, so a resume
 under a larger ``max_iterations`` continues them; columns a guardrail
@@ -382,6 +388,9 @@ class IterativeSolver(abc.ABC):
             self.context.nrhs = saved_nrhs
             if runtime is not None:
                 runtime.detach()
+            if checkpoint is not None:
+                # No snapshot writer outlives the solve.
+                checkpoint.wait()
 
     def _normalise_entry(self, b, x0):
         """Validate shapes; returns ``(b, x0, width)``.
@@ -537,6 +546,10 @@ class IterativeSolver(abc.ABC):
                     and checkpoint.due(k)):
                 self._write_checkpoint(checkpoint, state, loop, acct)
 
+        if checkpoint is not None:
+            # The snapshot in flight is on disk: a write that failed
+            # fails the solve here, never masked by what follows.
+            checkpoint.wait()
         # Budget exhausted with columns still running: one final
         # explicit check decides which of the holdouts made it.
         holdouts = np.arange(loop.active.size)
@@ -567,6 +580,7 @@ class IterativeSolver(abc.ABC):
             try:
                 self._write_checkpoint(checkpoint, state, loop, acct,
                                        failure=failed[min(failed)])
+                checkpoint.wait()
             except CheckpointError:
                 # A failing snapshot must not mask the solver failure.
                 pass
@@ -801,14 +815,16 @@ class IterativeSolver(abc.ABC):
         """Restore what :meth:`_snapshot_solver_meta` captured (hook)."""
 
     def _write_checkpoint(self, policy, state, loop, acct, failure=None):
-        """Snapshot the complete loop through ``policy``.
+        """Snapshot the complete loop and hand it to ``policy``'s
+        writer (:meth:`~repro.core.checkpoint.CheckpointPolicy.begin`).
 
         The solver ``state`` dict is serialised by value type: scalars
         go to the JSON metadata; 1-D recurrence arrays and the
         ``_DENSE_KEYS`` arrays are stored raw; everything else is a
         context vector (or a list of them) exported to the
         engine-independent global layout -- snapshots resume on any
-        engine.
+        engine.  Every array and document handed over is a copy the
+        loop never touches again: the file is written while it goes on.
         """
         ctx = self.context
         arrays, scalars, lists = {}, {}, {}
@@ -825,13 +841,13 @@ class IterativeSolver(abc.ABC):
                     arrays[f"list_{name}_{i}"] = ctx.to_global(v)
             elif isinstance(value, np.ndarray) and (
                     value.ndim == 1 or name in self._DENSE_KEYS):
-                arrays[f"raw_{name}"] = value
+                arrays[f"raw_{name}"] = value.copy()
             else:
                 arrays[f"vec_{name}"] = ctx.to_global(value)
         loop_meta = {}
         for name, value in loop.snapshot().items():
             if isinstance(value, np.ndarray):
-                arrays[f"loop_{name}"] = value
+                arrays[f"loop_{name}"] = value.copy()
             else:
                 loop_meta[name] = value
         loop_meta["per_diag"] = {str(col): diag.to_dict() for col, diag
@@ -854,8 +870,8 @@ class IterativeSolver(abc.ABC):
             "loop_events": _events_to_meta(self._loop_events(acct)),
             "failure": failure.to_dict() if failure is not None else None,
         }
-        return policy.write(loop.iterations, "solver", arrays, meta,
-                            failure=failure is not None)
+        policy.begin(loop.iterations, "solver", arrays, meta,
+                     failure=failure is not None)
 
     def _restore_checkpoint(self, path, b_digest, width):
         """Load and verify a snapshot; returns ``(state, loop, acct)``."""

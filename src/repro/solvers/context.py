@@ -74,6 +74,7 @@ from repro.kernels import resolve_kernels
 from repro.operators.blocked import BlockedOperator
 from repro.operators.stencil_op import MATVEC_FLOPS_PER_POINT, apply_stencil
 from repro.parallel.events import EventLedger
+from repro.parallel.halo import BlockField
 from repro.parallel.reduction import binomial_tree_depth
 from repro.parallel.resilience import SpanChecks
 
@@ -811,6 +812,29 @@ class DistributedContext(SolverContext):
         if runtime is None:
             return None
         return SpanChecks(runtime, first)
+
+    def checked_residual(self, b, x):
+        """``b - A x`` for the attached resilience runtime's cross-check:
+        :meth:`residual`, whose exchange and apply the runtime checks --
+        or, where the last span runner sweeps ``x`` (a span of the same
+        vectors ran last), that runner's one kernel call, its halo sums
+        and row-sum terms judged by the same verdicts
+        (:class:`~repro.parallel.resilience.SpanChecks`), with the same
+        counters and charges, as far as a failed check let the calls
+        run.  The same bits either way; the runner's land in a stack it
+        keeps, which its next cross-check overwrites."""
+        run = self._runner[2]
+        if (getattr(run, "residual", None) is None or self.vm.faults
+                or not self._batched(b, x)
+                or not run.sweeps(b.stack, x.stack)):
+            return self.residual(b, x)
+        checks = SpanChecks(self.vm.resilience)
+        try:
+            out = run.residual(b.stack, checks)
+        finally:
+            self._charge_matvec(self._vec_width(x),
+                                applied=checks.cut != "halo")
+        return BlockField.from_stack(self.decomp, out)
 
     # -- reductions ----------------------------------------------------
     @property

@@ -11,6 +11,8 @@ wrong producer, wrong right-hand side) must be refused loudly.
 import functools
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -388,6 +390,91 @@ def _result_bits(result):
     diagnosis = result.diagnosis.to_dict() if result.diagnosis else None
     return (result.iterations, result.converged, result.residual_history,
             result.events, result.setup_events, repr(extra), diagnosis)
+
+
+class TestCheckpointWriter:
+    """A solve hands each snapshot to its policy's writer thread and
+    iterates on while the file is written: what lands is what a write on
+    the solve thread writes, every file in ``policy.written`` is complete
+    when ``solve`` returns, a failed write fails the solve, and no
+    writer outlives it.  The writer is slowed down so that the loop runs
+    ahead of every write."""
+
+    @pytest.fixture
+    def slow_writer(self, monkeypatch):
+        from repro.core import checkpoint
+
+        plain = checkpoint.write_checkpoint
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "write_checkpoint", slow)
+
+    @staticmethod
+    def _solve(config, decomp, directory, **kwargs):
+        """A guarded 2-column ChronGear solve on the batched engine with
+        a snapshot every 10 iterations: the loop's arrays and the
+        recurrences' per-column arrays change after each snapshot."""
+        b = np.stack([_rhs(config, seed) for seed in (1, 2)], axis=-1)
+        solver = ChronGearSolver(
+            _context(config, decomp, "batched", "numpy", precond="evp"),
+            tol=1e-10)
+        policy = CheckpointPolicy(str(directory), every=10, keep=0)
+        return solver.solve(b, checkpoint=policy, resilience=True,
+                            **kwargs), policy
+
+    def test_files_complete_and_as_written_on_the_solve_thread(
+            self, tmp_path, config, decomp, slow_writer, monkeypatch):
+        threads = threading.active_count()
+        result, policy = self._solve(config, decomp, tmp_path / "async")
+        assert threading.active_count() == threads
+        assert len(policy.written) >= 3
+        assert list_checkpoints(policy.directory) == policy.written
+        assert not [n for n in os.listdir(policy.directory)
+                    if n.startswith(".ckpt-tmp-")]
+        monkeypatch.setattr(
+            CheckpointPolicy, "begin",
+            lambda self, *args, **kwargs: self.write(*args, **kwargs))
+        same, inline = self._solve(config, decomp, tmp_path / "inline")
+        assert np.array_equal(result.x, same.x)
+        assert [os.path.basename(p) for p in policy.written] \
+            == [os.path.basename(p) for p in inline.written]
+        for path, ref in zip(policy.written, inline.written):
+            arrays, meta = read_checkpoint(path, kind="solver")
+            ref_arrays, ref_meta = read_checkpoint(ref, kind="solver")
+            assert meta == ref_meta
+            assert arrays.keys() == ref_arrays.keys()
+            for name, value in arrays.items():
+                assert np.array_equal(value, ref_arrays[name]), name
+
+    def test_failed_write_fails_the_solve(self, tmp_path, config, decomp,
+                                          monkeypatch):
+        from repro.core import checkpoint
+
+        plain, calls = checkpoint.write_checkpoint, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise CheckpointError("disk full")
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "write_checkpoint", second_fails)
+        threads = threading.active_count()
+        with pytest.raises(CheckpointError, match="disk full"):
+            self._solve(config, decomp, tmp_path)
+        assert threading.active_count() == threads
+        assert len(calls) == 2
+
+    def test_resume_from_an_async_snapshot(self, tmp_path, config, decomp,
+                                           slow_writer):
+        full, policy = self._solve(config, decomp, tmp_path)
+        for path in (policy.written[0], policy.written[-1]):
+            resumed, _ = self._solve(config, decomp, tmp_path / "again",
+                                     resume_from=path)
+            _assert_results_identical(full, resumed)
 
 
 class TestPCSISpans:
@@ -1027,10 +1114,10 @@ class TestEVPSpans:
         the runtime's summary -- counters, captures, everything but its
         wall clock -- are the calls' bit for bit, with snapshots due
         every 7 iterations or none.  The spans' checks read the sums
-        ``evp_step`` makes: the runtime's numpy sums then run only for
-        the cross-checks' residuals (one exchange each, and a row-sum
-        check where its apply is due), as the calls run them for every
-        check."""
+        ``evp_step`` makes, and so do the cross-checks' residuals (one
+        ``evp_step`` call each, the halo copy checked and the row-sum
+        terms made where its apply is due): the runtime's numpy sums
+        never run, where the calls run them for every check."""
         from repro.parallel.resilience import ResilienceRuntime
 
         # The load-time check runs the runtime's checks: load unwrapped.
@@ -1065,7 +1152,7 @@ class TestEVPSpans:
                          "_interior_sum": counters["rowsum_checks"]}
         if fused:
             assert spans == self.GUARDED_SPANS[checkpoint]
-            assert native == {"ring_checksums": 8, "_interior_sum": 1}
+            assert native == {"ring_checksums": 0, "_interior_sum": 0}
         else:
             assert native == calls
 
@@ -1127,6 +1214,55 @@ class TestEVPSpans:
         assert set(ref_spans) == {1}
         if self._fused():
             assert spans == [10, 10, 10, 10, 10, 5]
+
+    @pytest.mark.parametrize("check", ["halo", "rowsum"])
+    @pytest.mark.parametrize("solver,width", [("pcsi", None),
+                                              ("chrongear", 3)])
+    @pytest.mark.parametrize("lattice", ["uniform", "ragged"])
+    def test_guarded_crosscheck_failing(self, monkeypatch, lattice, solver,
+                                        width, check):
+        """A check of a cross-check's own residual that fails once --
+        the halo checksum of the cross-check at iteration 10 (the 11th
+        exchange) or the row-sum check of the one at 40 (the 11th due
+        apply) -- is the one iteration a call detects: the same recovery
+        document (the check's iteration, resumed from the replica
+        before it), ledger and runtime summary, and the replay ends on
+        the undisturbed run's ``x``."""
+        from repro.parallel.resilience import ResilienceRuntime
+
+        calls = []
+        name = "halo_verdict" if check == "halo" else "rowsum_verdict"
+        plain = getattr(ResilienceRuntime, name)
+
+        def faulty(runtime, *sums):
+            calls.append(None)
+            if len(calls) == 11:
+                at = 1 if check == "halo" else 0
+                sums = list(sums)
+                sums[at] = sums[at] + (1.0 if check == "halo" else np.nan)
+            return plain(runtime, *sums)
+
+        b = _batch_rhs(_pop("144x120"), width)
+        clean, _, _ = self._solve("native", b, lattice=lattice,
+                                  solver=solver, resilience=True,
+                                  max_iterations=45)
+        monkeypatch.setattr(ResilienceRuntime, name, faulty)
+        results = []
+        for kernels in self.PRODUCTS:
+            calls.clear()
+            results.append(self._solve(kernels, b, lattice=lattice,
+                                       solver=solver, resilience=True,
+                                       max_iterations=45))
+        (got, _, _), (ref, _, _) = results
+        summary = got.extra["resilience"]
+        (doc,) = summary["recoveries"]
+        assert doc["iteration"] == (10 if check == "halo" else 40)
+        assert doc["data"]["resumed_from_iteration"] == (
+            0 if check == "halo" else 30)
+        assert summary["counters"]["rollbacks"] == 1
+        assert _result_bits(got) == _result_bits(ref)
+        assert np.array_equal(got.x, ref.x)
+        assert np.array_equal(got.x, clean.x)
 
 
 class TestStepperResume:

@@ -8,6 +8,7 @@ holds only if nothing a solve writes lives on the shared instance.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -140,3 +141,34 @@ def test_first_applies_on_threads_equal_solo(small_config, small_decomp,
         got = _concurrently(PCSISolver, fresh, rhs)
         assert [_same(g, s) for g, s in zip(got, solo)] \
             == [True] * THREADS, got
+
+
+def test_cache_misses_together_build_once(small_config, monkeypatch):
+    """Threads that miss one preconditioner key together run its setup
+    once -- the first builds under the key's lock, the others then find
+    its object -- and all get that object."""
+    from repro.experiments import common
+
+    built, plain = [], common.make_preconditioner
+
+    def counting(kind, stencil, **kwargs):
+        built.append(kind)
+        time.sleep(0.1)   # the other threads miss while this one builds
+        return plain(kind, stencil, **kwargs)
+
+    monkeypatch.setattr(common, "make_preconditioner", counting)
+    got = [None] * THREADS
+    start = threading.Barrier(THREADS)
+
+    def fetch(i):
+        start.wait()
+        got[i] = common.get_cached_preconditioner(small_config, "diagonal")
+
+    threads = [threading.Thread(target=fetch, args=(i,))
+               for i in range(THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert built == ["diagonal"]
+    assert all(pre is got[0] for pre in got) and got[0] is not None

@@ -1586,6 +1586,39 @@ class TestVectorKernels:
             "loader's self-test did not notice")
 
     @needs_native("evp_step")
+    def test_evp_crosscheck_is_not_contracted(self):
+        """A guarded loop's cross-check residual ``b - A x`` -- one
+        ``evp_step`` residual pass on a copy of a span's program -- with
+        the operands of ``test_sweep_is_not_contracted``: each product
+        of the sweep rounds before its add, with and without a due
+        row-sum check's terms, so ``r`` comes out 0.0 where a fused
+        multiply-add leaves ``+-2**-54``."""
+        from repro.grid.stencil import COEFF_NAMES, StencilCoeffs
+        from repro.precond.evp import EVPBlockPreconditioner
+
+        big, small = 1.0 + 2.0 ** -26, 1.0 + 2.0 ** -27
+        shape = (3, 3)
+        planes = {name: np.zeros(shape) for name in COEFF_NAMES}
+        planes["c"][...] = 1.0
+        planes["n"][...] = -small
+        stencil = StencilCoeffs(mask=np.ones(shape, dtype=bool), **planes)
+        kernels = FusedKernels()
+        pre = EVPBlockPreconditioner(stencil, tile_size=1, kernels=kernels)
+        b, r, dx, x = np.zeros((4,) + shape)
+        x[1, 1], x[2, 1] = big, small
+        run = kernels.span_runner("chebyshev", stencil, 0, None,
+                                  pre.span_operands(False, 1), (b, r, dx, x))
+        rhs = np.zeros(shape)
+        assert run.sweeps(rhs, x)
+        for due in (False, True):
+            check = _SpanSums((np.ones((1,) + shape), None), [due])
+            out = run.residual(rhs, check)
+            ((_, _, terms),) = check.handed
+            assert (terms is not None) == due and out[1, 1] == 0.0, (
+                "the compiler contracted a*b+c in native.c's evp_step and "
+                "the loader's self-test did not notice")
+
+    @needs_native("evp_step")
     def test_evp_chrongear_span_is_not_contracted(self):
         """``evp_step``'s ChronGear products with the operands of
         ``test_sweep_is_not_contracted``, ``M^-1 r = r`` exactly (1x1 EVP

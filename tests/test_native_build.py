@@ -313,6 +313,41 @@ def test_check_rejects_a_one_ulp_nudge(monkeypatch):
     assert not reentries
 
 
+#: Two threads make the process's first ``load()`` at once.
+TWO_THREADS = """
+import threading
+from repro.kernels.native import load
+gate, got = threading.Barrier(2), []
+
+def first():
+    gate.wait()
+    got.append(load())
+
+threads = [threading.Thread(target=first) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+assert got[0] is got[1], [lib.status for lib in got]
+print(got[0].status)
+"""
+
+
+@needs_compiler
+def test_two_threads_first_load_share_one_library(tmp_path):
+    """Two threads of one process released together by a barrier into
+    the first ``load()``, on a fresh cache home: one builds and checks
+    while the other waits, both get the one loaded library (the same
+    object), and no temp file is left."""
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache))
+    proc = subprocess.run([sys.executable, "-c", TWO_THREADS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    (library,) = _libraries(cache)
+    assert proc.stdout.strip() == f"{library} loaded"
+
+
 @needs_compiler
 def test_concurrent_builders_install_one_intact_library(tmp_path):
     cache = tmp_path / "cache"

@@ -118,3 +118,27 @@ class TestBlockField:
         dup = field.copy()
         dup.interior(0)[...] = 5.0
         assert np.all(field.interior(0) == 0.0)
+
+
+@pytest.mark.parametrize("shape,blocks,land", [
+    ((12, 16), (3, 2), False),     # uniform tiles: one assignment
+    ((12, 12), (2, 2), True),      # uniform, a land block eliminated
+    ((13, 16), (3, 2), False),     # ragged: block by block
+])
+@pytest.mark.parametrize("nrhs", [None, 3])
+def test_stacked_gather_equals_per_rank(shape, blocks, land, nrhs):
+    """A stacked field gathers to the per-rank layout's global array, bit
+    for bit, eliminated blocks filled."""
+    mask = None
+    if land:
+        mask = np.ones(shape, dtype=bool)
+        mask[6:, 6:] = False
+    decomp = decompose(*shape, *blocks, mask=mask)
+    ex = HaloExchanger(decomp)
+    g = np.random.default_rng(5).standard_normal(
+        shape + (() if nrhs is None else (nrhs,)))
+    stacked, plain = ex.scatter(g, stacked=True), ex.scatter(g)
+    assert stacked.is_stacked and not plain.is_stacked
+    assert np.array_equal(ex.gather(stacked, fill=-7.0),
+                          ex.gather(plain, fill=-7.0))
+    assert (ex._tiles() is not None) == (shape != (13, 16))
