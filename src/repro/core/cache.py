@@ -424,26 +424,28 @@ class ArtifactCache:
             self.misses += 1
             self._count_shard(index, "misses")
             return None
-        try:
-            # Readers hold the shard lock *shared* for the whole read:
-            # the exclusive-locked LRU evictor (and concurrent writers)
-            # can never remove or replace an entry mid-read.
-            with self._lock(shard_dir, exclusive=False):
+        # Readers hold the shard lock *shared* for the whole read: the
+        # exclusive-locked LRU evictor (and concurrent writers) can never
+        # remove or replace an entry mid-read.
+        with self._lock(shard_dir, exclusive=False):
+            try:
                 arrays, meta = self._read_entry(path)
-                if self.max_bytes:
-                    try:  # LRU recency: a hit makes the entry young
-                        os.utime(path)
-                    except OSError:
-                        pass
-        except CacheEntryDamaged as exc:
-            # A file that vanished under us (evicted/cleared by another
-            # process between the existence check and the read) is a
-            # plain miss, not damage to quarantine.
-            if os.path.exists(path):
-                self._quarantine(path, str(exc))
-            self.misses += 1
-            self._count_shard(index, "misses")
-            return None
+            except CacheEntryDamaged as exc:
+                # Judged under the same lock, so no writer can have put a
+                # new entry in its place: a file that is not there
+                # vanished before the lock was taken (evicted or cleared
+                # by another process after the existence check) -- a
+                # plain miss, not damage to quarantine.
+                if os.path.exists(path):
+                    self._quarantine(path, str(exc))
+                self.misses += 1
+                self._count_shard(index, "misses")
+                return None
+            if self.max_bytes:
+                try:  # LRU recency: a hit makes the entry young
+                    os.utime(path)
+                except OSError:
+                    pass
         self.disk_hits += 1
         self._count_shard(index, "hits")
         return arrays, meta

@@ -19,7 +19,8 @@ file in the destination directory, ``flush`` + ``os.fsync``, then
 checkpoint where a resume would find it.  A solver hands each snapshot
 to its policy's writer thread (:meth:`CheckpointPolicy.begin`) and
 keeps iterating while the file is written: one snapshot in flight at a
-time, waited for by the next and by the end of the solve.  Reads verify
+time, waited for by the next and by the end of the solve, which stops
+the thread (:meth:`CheckpointPolicy.close`).  Reads verify
 the envelope (version, kind, checksum) and raise
 :class:`CheckpointError` on any mismatch; a resume never silently
 continues from damaged state.
@@ -33,11 +34,16 @@ produces exactly the iterates/fields an uninterrupted run would.
 
 import contextvars
 import hashlib
+import io
 import json
 import os
+import queue
+import struct
 import tempfile
 import threading
+import time
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -87,13 +93,103 @@ def _payload_checksum(arrays, meta):
     """SHA-256 over the canonical encoding of payload + metadata.
 
     ``canonical_bytes`` sorts dict items, so the digest is independent
-    of insertion order; array dtype/shape/content are all covered.
+    of insertion order; array dtype/shape/content are all covered.  The
+    encoding of the ``{name: array}`` dict is fed to the hash piece by
+    piece, each array's bytes as they lie: the digest of
+    ``canonical_bytes`` of the dict, with no copy of the payload made
+    (and the GIL released while a large buffer is hashed).
     """
     h = hashlib.sha256()
-    h.update(canonical_bytes({str(k): np.asarray(v)
-                              for k, v in arrays.items()}))
+    h.update(b"D{")
+    for key, arr in sorted(((canonical_bytes(str(k)),
+                             np.ascontiguousarray(np.asarray(v)))
+                            for k, v in arrays.items()),
+                           key=lambda item: item[0]):
+        h.update(key)
+        h.update(b"A" + str(arr.dtype).encode() + b"|"
+                 + str(arr.shape).encode() + b"|")
+        h.update(arr.reshape(-1).view(np.uint8))
+        h.update(b";")
+    h.update(b"}")
     h.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
     return h.hexdigest()
+
+
+#: Set on a policy's writer thread (:meth:`CheckpointPolicy.begin`).
+_WRITER = threading.local()
+#: Seconds a writer thread pauses between the steps of a snapshot, and
+#: the member size after which it pauses.
+_PAUSE, _LARGE = 1e-5, 1 << 14
+
+
+def _pause():
+    """On a writer thread, give the GIL away for a moment: a solve that
+    waits for it takes it then.  (At the writer's short releases -- a
+    ``write`` call -- the writer takes it back before a waiting thread
+    wakes, and the solve waits on until the interpreter's switch
+    interval makes the writer drop it.)"""
+    if getattr(_WRITER, "active", False):
+        time.sleep(_PAUSE)
+
+
+#: The zip records ``_savez`` writes: a local file header, its zip64
+#: extra field, a central directory header, the end of the directory.
+_LOCAL = struct.Struct("<IHHHHHIIIHH")
+_ZIP64 = struct.Struct("<HHQQ")
+_CENTRAL = struct.Struct("<IHHHHHHIIIHHHHHII")
+_END = struct.Struct("<IHHHHIIH")
+_ZIP64_VERSION, _UNIX = 45, 3
+
+
+def _savez(handle, payload):
+    """Write ``payload`` as ``np.savez(handle, **payload)`` lays it out:
+    one stored member ``<name>.npy`` an array, in order, each local
+    header with its zip64 sizes (as ``np.savez`` forces them) -- but
+    straight from the arrays' buffers, with the records made by
+    ``struct`` and each member's CRC computed before it is written, so
+    that no header is written twice (``zipfile`` rewrites each one after
+    its data) and the Python run between two large writes stays short.
+    ``np.load`` reads the file as it reads ``np.savez``'s."""
+    stamp = time.localtime(time.time())
+    date = (stamp.tm_year - 1980) << 9 | stamp.tm_mon << 5 | stamp.tm_mday
+    clock = stamp.tm_hour << 11 | stamp.tm_min << 5 | stamp.tm_sec // 2
+    entries, offset = [], 0
+    for name, value in payload.items():
+        array = np.asanyarray(value)
+        header = io.BytesIO()
+        fields = np.lib.format.header_data_from_array_1_0(array)
+        np.lib.format.write_array_header_1_0(header, fields)
+        header = header.getvalue()
+        # A Fortran-ordered array is stored in its own order, as
+        # ``np.save`` stores it; any other in C order.
+        data = np.ascontiguousarray(
+            array.T if fields["fortran_order"] else array)
+        data = data.reshape(-1).view(np.uint8)
+        crc = zlib.crc32(data, zlib.crc32(header))
+        size = len(header) + data.nbytes
+        member = (name + ".npy").encode("utf-8")
+        flags = 0 if member.isascii() else 0x800
+        extra = _ZIP64.pack(1, _ZIP64.size - 4, size, size)
+        handle.write(_LOCAL.pack(0x04034B50, _ZIP64_VERSION, flags, 0, clock,
+                                 date, crc, 0xFFFFFFFF, 0xFFFFFFFF,
+                                 len(member), len(extra))
+                     + member + extra + header)
+        handle.write(data)
+        if data.nbytes >= _LARGE:
+            _pause()
+        entries.append((member, flags, crc, size, offset))
+        offset += _LOCAL.size + len(member) + len(extra) + size
+    if offset >= 0xFFFFFFFF or len(entries) >= 0xFFFF:
+        raise ValueError("snapshot too large for a zip without a zip64 "
+                         "directory")
+    directory = b"".join(
+        _CENTRAL.pack(0x02014B50, _UNIX << 8 | _ZIP64_VERSION,
+                      _ZIP64_VERSION, flags, 0, clock, date, crc, size, size,
+                      len(member), 0, 0, 0, 0, 0o600 << 16, at) + member
+        for member, flags, crc, size, at in entries)
+    handle.write(directory + _END.pack(0x06054B50, 0, 0, len(entries),
+                                       len(entries), len(directory), offset,
+                                       0))
 
 
 def write_checkpoint(path, kind, arrays=None, meta=None):
@@ -109,25 +205,32 @@ def write_checkpoint(path, kind, arrays=None, meta=None):
     if _ENVELOPE_KEY in arrays:
         raise CheckpointError(
             f"array name {_ENVELOPE_KEY!r} is reserved for the envelope")
+    for name, value in arrays.items():
+        if np.asarray(value).dtype.hasobject:
+            raise CheckpointError(
+                f"array {name!r} holds Python objects; a checkpoint stores "
+                f"numbers and strings only")
     envelope = {
         "version": CHECKPOINT_FORMAT_VERSION,
         "kind": str(kind),
         "checksum": _payload_checksum(arrays, meta),
         "meta": meta,
     }
+    _pause()
     payload = {name: np.asarray(value) for name, value in arrays.items()}
     payload[_ENVELOPE_KEY] = np.array(json.dumps(envelope))
+    _pause()
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-tmp-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **payload)
+            _savez(handle, payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         try:
             os.remove(tmp)
         except OSError:
@@ -239,8 +342,11 @@ class CheckpointPolicy:
         self.prefix = str(prefix)
         #: Paths written by this policy instance, in order.
         self.written = []
-        #: The writer of the snapshot in flight and its outcome, or None.
-        self._writer = None
+        #: The writer thread (started by the first :meth:`begin`, stopped
+        #: by :meth:`close`), its queues of snapshots and of outcomes,
+        #: and whether a snapshot is in flight.
+        self._writer = self._jobs = self._outcomes = None
+        self._in_flight = False
 
     def due(self, iteration):
         """Whether a periodic snapshot is due after ``iteration``."""
@@ -263,41 +369,63 @@ class CheckpointPolicy:
         return path
 
     def begin(self, iteration, kind, arrays, meta, failure=False):
-        """Hand one snapshot to a writer thread and return at once.
+        """Hand one snapshot to the writer thread and return at once.
 
         Waits first for the snapshot in flight (:meth:`wait`), so the
         files land, and prune, one at a time in order.  ``arrays`` and
         ``meta`` become the writer's: the caller must not change them.
-        The writer runs :meth:`write` in the caller's context
-        (``contextvars``).
+        The writer -- one thread for every snapshot until :meth:`close`
+        -- runs :meth:`write` in the caller's context (``contextvars``).
         """
         self.wait()
-        outcome = []
+        if self._writer is None:
+            self._jobs, self._outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+            self._writer = threading.Thread(
+                target=self._serve, args=(self._jobs, self._outcomes),
+                name="checkpoint-writer", daemon=True)
+            self._writer.start()
+        self._jobs.put((contextvars.copy_context(),
+                        (iteration, kind, arrays, meta, failure)))
+        self._in_flight = True
 
-        def run():
+    def _serve(self, jobs, outcomes):
+        """The writer thread: each snapshot :meth:`begin` queues, written
+        by :meth:`write`, its path or its error queued back."""
+        _WRITER.active = True
+        while True:
+            job = jobs.get()
+            if job is None:
+                return
+            context, (iteration, kind, arrays, meta, failure) = job
             try:
-                outcome.append(self.write(iteration, kind, arrays, meta,
-                                          failure=failure))
+                outcomes.put(context.run(self.write, iteration, kind, arrays,
+                                         meta, failure=failure))
             except Exception as exc:   # raised by wait(), on the caller
-                outcome.append(exc)
-
-        writer = threading.Thread(target=contextvars.copy_context().run,
-                                  args=(run,), name="checkpoint-writer")
-        writer.start()
-        self._writer = writer, outcome
+                outcomes.put(exc)
 
     def wait(self):
         """Block until the snapshot :meth:`begin` handed over is on
         disk; its path (``None``: none was in flight).  A write that
         failed raises its error here (:class:`CheckpointError`)."""
-        if self._writer is None:
+        if not self._in_flight:
             return None
-        (writer, outcome), self._writer = self._writer, None
-        writer.join()
-        (result,) = outcome
+        self._in_flight = False
+        result = self._outcomes.get()
         if isinstance(result, Exception):
             raise result
         return result
+
+    def close(self):
+        """:meth:`wait`, then stop the writer thread (the next
+        :meth:`begin` starts another): no writer outlives the loop that
+        calls this."""
+        try:
+            return self.wait()
+        finally:
+            if self._writer is not None:
+                self._jobs.put(None)
+                self._writer.join()
+                self._writer = self._jobs = self._outcomes = None
 
     def _prune(self):
         if self.keep <= 0:

@@ -625,14 +625,15 @@ class _EvpSpan:
 
     A ``check`` (:class:`~repro.parallel.resilience.SpanChecks`) judges
     every tail from the sums the tail makes as it goes (``native.c``
-    section 9): with ``check.abft``, the halo copy's per-slot sums of
-    what it wrote and of what the cells then hold, two ``(slots,
-    ncols)`` arrays, and -- where ``check.due()`` said so before the
-    call -- the row-sum terms ``(sum A v, sum (A 1) v, sum |(A 1) v|)``
-    per column over the blocks' windows, ``v`` the swept stack and ``A
-    1`` the first of ``check.rowsum``'s ``(weights, extents)``; after
-    the call, ``check(pre, post, terms)``, ``None`` for what was not
-    made.  Without a check the sums are not made.
+    section 9), one row of a kept stack a tail: the halo copy's
+    per-slot sums of what it wrote and of what the cells then hold, two
+    ``(slots, ncols)`` arrays, and -- at the tails ``check.due(n)``
+    named before them -- the row-sum terms ``(sum A v, sum (A 1) v, sum
+    |(A 1) v|)`` per column over the blocks' windows, ``v`` the swept
+    stack and ``A 1`` the first of ``check.rowsum``'s ``(weights,
+    extents)``.  ``check(pre, post, terms, due)`` judges the rows: once
+    after a P-CSI span, after each ChronGear tail (before its
+    coefficients are formed).  Without a check the sums are not made.
 
     Between spans, ``residual(b, check)`` makes a guarded loop's
     cross-check of ``x`` (whole then: ChronGear's spans end flushed) as
@@ -728,13 +729,11 @@ class _EvpSpan:
             rows.ctypes.data, *own,
             0 if self.weights is None else self.weights.ctypes.data,
             *extension)
-        # A checker's sums: the halo copy's before and after, per slot
-        # and column, then the row-sum terms.
-        sums = np.empty((2 * p + 3) * n)
-        self._sums_at = address(sums)
-        self._halo = (sums[:p * n].reshape(p, n),
-                      sums[p * n:2 * p * n].reshape(p, n))
-        self._terms = sums[2 * p * n:].reshape(3, n)
+        # A checker's sums, one row a tail (made for the longest span
+        # yet): the halo copy's before and after, per slot and column,
+        # then the row-sum terms.
+        self._slots, self._sums = p, np.empty((1, 2 * p + 3, n))
+        self._sums_at = (address(self._sums), self._sums[0].nbytes)
         self._cells, self._rowsum = (p, height - 2 * h, width - 2 * h), None
         # Everything the program addresses stays alive with it.
         self._keep = (keep, groups, rows, layout)
@@ -743,9 +742,15 @@ class _EvpSpan:
     def run(self, weights, check=None):
         last = len(weights) - 1
         self._step(EVP_HEAD)
+        armed = None if check is None else self._arm(check, self.program,
+                                                     len(weights))
         for t, step in enumerate(weights):
             self.weights[0], self.weights[1] = step
-            self._step(EVP_TAIL | (EVP_HEAD if t < last else 0), check)
+            if armed is not None:
+                self._aim(self.program, armed, t)
+            self._step(EVP_TAIL | (EVP_HEAD if t < last else 0))
+        if armed is not None:
+            self._judge(check, self.program, armed, len(weights))
 
     def __call__(self, step, head, check=None):
         mode = (EVP_HEAD if head else 0) | (EVP_HELD if self.held else 0)
@@ -759,7 +764,13 @@ class _EvpSpan:
         self.held = bool(mode & EVP_CHAIN) and head and not self.held
         if not head:
             return None
-        self._step(EVP_TAIL, check)
+        if check is None:
+            self._step(EVP_TAIL)
+        else:
+            armed = self._arm(check, self.program, 1)
+            self._aim(self.program, armed, 0)
+            self._step(EVP_TAIL)
+            self._judge(check, self.program, armed, 1)
         if self.width is None:
             return self.dots.tolist()
         return self.dots[:self.width].copy(), self.dots[self.width:].copy()
@@ -790,41 +801,59 @@ class _EvpSpan:
                 self._call.func, ctypes.addressof(program))
         out, program, call = self._residual
         program.b = address(b) + self._first
-        due = self._arm(check, program)
+        armed = self._arm(check, program, 1)
+        self._aim(program, armed, 0)
         call(EVP_RESIDUAL)
-        check(*self._halo, self._terms if due else None)
+        self._judge(check, program, armed, 1)
         return out
 
-    def _step(self, mode, check=None):
-        """One call; a tail handed a ``check`` makes its sums for it
-        (only such a tail: the program names them for its call alone)."""
-        checked = check is not None and check.abft and bool(mode & EVP_TAIL)
-        due = checked and self._arm(check, self.program)
+    def _step(self, mode):
+        """One call, and the ring products of the head it made."""
         self._call(mode)
-        if checked:
-            self.program.abft = self.program.rowsum = None
         if mode & EVP_HEAD:
             for engine, f, ring in self._rings:
                 engine.ring_rows(f, ring)
-        if check is not None:
-            pre, post = self._halo if checked else (None, None)
-            check(pre, post, self._terms if due else None)
 
-    def _arm(self, check, program):
-        """Point ``program`` at the sums ``check`` reads; whether the
-        row-sum terms are due."""
-        program.abft, program.rowsum = self._sums_at, None
-        if not check.due():
-            return False
-        weights, extents = self._rowsum = check.rowsum
-        if weights.shape != self._cells or weights.dtype != np.float64 \
-                or not weights.flags.c_contiguous:
-            raise ValueError("A 1 is not in this span's layout")
-        program.rowsum = weights.ctypes.data
-        if self.weights is not None:
-            # P-CSI's windows (ChronGear's dots have the same).
-            program.extents = None if extents is None else extents.ctypes.data
-        return True
+    def _arm(self, check, program, n):
+        """Ready the sums of ``n`` checked tails on ``program``: ``(the
+        first row's address, a row's bytes, the positions ``check``
+        names due, A 1's address)`` for :meth:`_aim`."""
+        if len(self._sums) < n:
+            self._sums = np.empty((n,) + self._sums.shape[1:])
+            self._sums_at = (address(self._sums), self._sums[0].nbytes)
+        due = check.due(n)
+        weights_at = None
+        if due:
+            rowsum = check.rowsum
+            if rowsum is not self._rowsum:
+                weights, extents = rowsum
+                if weights.shape != self._cells \
+                        or weights.dtype != np.float64 \
+                        or not weights.flags.c_contiguous:
+                    raise ValueError("A 1 is not in this span's layout")
+                self._rowsum = rowsum
+                self._rowsum_at = (weights.ctypes.data, None if extents is None
+                                   else extents.ctypes.data)
+            weights_at, extents_at = self._rowsum_at
+            if self.weights is not None:
+                # P-CSI's windows (ChronGear's dots have the same).
+                program.extents = extents_at
+        return self._sums_at + (due, weights_at)
+
+    @staticmethod
+    def _aim(program, armed, t):
+        """Point ``program`` at tail ``t``'s row of the sums, and at ``A
+        1`` where its row-sum terms are due."""
+        at, size, due, weights_at = armed
+        program.abft = at + t * size
+        program.rowsum = weights_at if t in due else None
+
+    def _judge(self, check, program, armed, n):
+        """Unpoint ``program`` (only a checked tail names the sums) and
+        hand ``check`` the rows of ``n`` tails."""
+        program.abft = program.rowsum = None
+        rows, p = self._sums[:n], self._slots
+        check(rows[:, :p], rows[:, p:2 * p], rows[:, 2 * p:], armed[2])
 
 
 #: ``(span kind, M's kind)`` -> ``(native.c entry point, runner)``; one

@@ -1478,15 +1478,21 @@ static void scatter_chain(const evp_program *p)
  * the sums of its slot (`per` cells a slot), one run of cells of a slot
  * at a time (the tables run slot by slot) -- having first copied cell
  * src[i] into cell i where `src` is given: the sums of what a copy
- * writes and of what its cells hold afterwards take the same roundings. */
+ * writes and of what its cells hold afterwards take the same roundings.
+ * With `again`, each run's cells are then re-read, in the same order,
+ * into the slots' sums there: no later write reaches a run's cells (a
+ * copied or zeroed cell is never a source, and each is written once),
+ * so they hold then what they hold once the copy is done, and the
+ * re-read finds them in cache. */
 static inline __attribute__((always_inline)) void
 slot_run_sums(double *s, const int64_t ncols, int64_t per,
               const int64_t *cells, const int64_t *src, int64_t count,
-              double *sums)
+              double *sums, double *again)
 {
     double run[ncols];
     for (int64_t i = 0; i < count;) {
         const int64_t lo = cells[i] - cells[i] % per, hi = lo + per;
+        const int64_t first = i;
         for (int64_t c = 0; c < ncols; c++)
             run[c] = 0.0;
         for (; i < count && cells[i] >= lo && cells[i] < hi; i++) {
@@ -1506,21 +1512,35 @@ slot_run_sums(double *s, const int64_t ncols, int64_t per,
         double *out = sums + lo / per * ncols;
         for (int64_t c = 0; c < ncols; c++)
             out[c] = out[c] + run[c];
+        if (!again)
+            continue;
+        for (int64_t c = 0; c < ncols; c++)
+            run[c] = 0.0;
+        for (int64_t k = first; k < i; k++) {
+            const double *d = s + cells[k] * ncols;
+            for (int64_t c = 0; c < ncols; c++)
+                run[c] = run[c] + d[c];
+        }
+        out = again + lo / per * ncols;
+        for (int64_t c = 0; c < ncols; c++)
+            out[c] = out[c] + run[c];
     }
 }
 
 static void slot_sums(double *s, int64_t ncols, int64_t per,
                       const int64_t *cells, const int64_t *src, int64_t count,
-                      double *sums)
+                      double *sums, double *again)
 {
     if (ncols == 1)
-        slot_run_sums(s, 1, per, cells, src, count, sums);
+        slot_run_sums(s, 1, per, cells, src, count, sums, again);
     else
-        slot_run_sums(s, ncols, per, cells, src, count, sums);
+        slot_run_sums(s, ncols, per, cells, src, count, sums, again);
 }
 
-/* The halo copy of a TAIL with `abft`: the zero cells, then the copies
- * summed as they are written, then the second pass. */
+/* The halo copy of a TAIL with `abft`: the zero cells, summed into the
+ * second pass's sums, then the copies summed as they are written, each
+ * run re-read into the second pass's sums after its copy -- the second
+ * pass in its order, the zero cells then the copied ones. */
 static void checked_copy(const evp_program *p)
 {
     const int64_t n = p->ncols, per = p->rows[5], slots = p->rows[1];
@@ -1532,9 +1552,8 @@ static void checked_copy(const evp_program *p)
         for (int64_t c = 0; c < n; c++)
             d[c] = 0.0;
     }
-    slot_sums(s, n, per, p->dst, p->src, p->ndst, pre);
-    slot_sums(s, n, per, p->zero, NULL, p->nzero, post);
-    slot_sums(s, n, per, p->dst, NULL, p->ndst, post);
+    slot_sums(s, n, per, p->zero, NULL, p->nzero, post, NULL);
+    slot_sums(s, n, per, p->dst, p->src, p->ndst, pre, post);
 }
 
 static void halo_copy(const evp_program *p)

@@ -44,7 +44,8 @@ class BlockField:
     * **stacked** (structure-of-arrays): all local arrays live in one
       dense ``(num_ranks, bny + 2h, bnx + 2h)`` ndarray (``stack``),
       ``(bny, bnx)`` being the largest block shape, and ``locals_``
-      holds *views* into it.  Works for every decomposition: the rank
+      holds *views* into it, made on first use (wrapping a stack makes
+      no per-rank object).  Works for every decomposition: the rank
       axis counts active ranks only (eliminated land blocks have no
       slot), and a block smaller than the largest occupies the low
       corner of its slot, the rest being pad.  The per-rank accessors
@@ -75,18 +76,27 @@ class BlockField:
 
     def __init__(self, decomp, locals_, stack=None):
         self.decomp = decomp
-        self.locals_ = locals_
+        self._locals = locals_
         self.stack = stack
 
     @classmethod
     def from_stack(cls, decomp, stack):
         """Wrap a ``(num_ranks, bny + 2h, bnx + 2h[, nrhs])`` stack."""
-        if decomp.is_uniform:
-            return cls(decomp, list(stack), stack=stack)
-        h = decomp.halo_width
-        locals_ = [stack[rank, :b.ny + 2 * h, :b.nx + 2 * h]
-                   for rank, b in enumerate(decomp.active_blocks)]
-        return cls(decomp, locals_, stack=stack)
+        return cls(decomp, None, stack=stack)
+
+    @property
+    def locals_(self):
+        """The per-rank local arrays (a stacked field's views are made
+        here, once)."""
+        if self._locals is None:
+            stack, decomp = self.stack, self.decomp
+            if decomp.is_uniform:
+                self._locals = list(stack)
+            else:
+                h = decomp.halo_width
+                self._locals = [stack[rank, :b.ny + 2 * h, :b.nx + 2 * h]
+                                for rank, b in enumerate(decomp.active_blocks)]
+        return self._locals
 
     @classmethod
     def zeros(cls, decomp, dtype=np.float64, stacked=False, nrhs=None):
@@ -209,13 +219,17 @@ class HaloExchanger:
         Points belonging to eliminated land blocks get ``fill``.
         """
         decomp = self.decomp
-        trailing = field.locals_[0].shape[2:]
-        out = np.full((decomp.ny, decomp.nx) + trailing, fill,
-                      dtype=dtype or field.locals_[0].dtype)
+        trailing = () if field.nrhs is None else (field.nrhs,)
+        first = field.stack if field.is_stacked else field.locals_[0]
         tiles = self._tiles() if field.is_stacked else None
+        shape, dtype = (decomp.ny, decomp.nx) + trailing, dtype or first.dtype
+        bny, bnx = decomp.max_block_shape()
+        if tiles is not None and len(tiles[0]) * bny * bnx == shape[0] * shape[1]:
+            out = np.empty(shape, dtype=dtype)   # the tiles cover the grid
+        else:
+            out = np.full(shape, fill, dtype=dtype)
         if tiles is not None:
             # One assignment: the grid as a lattice of (bny, bnx) tiles.
-            bny, bnx = decomp.max_block_shape()
             lattice = out.reshape((decomp.ny // bny, bny, decomp.nx // bnx,
                                    bnx) + trailing).swapaxes(1, 2)
             lattice[tiles] = field.interior_stack()

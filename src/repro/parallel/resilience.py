@@ -9,7 +9,9 @@ both, so neither requires a global restart:
 
 * **Buddy replication** -- at every convergence-check boundary that
   falls on the replication cadence, each rank's block state (iterate,
-  recurrence vectors, solver scalars) is deep-copied in memory.  The
+  recurrence vectors, solver scalars) is copied in memory, into buffers
+  the replica keeps from one capture to the next (:class:`_Replica`:
+  one ``copyto`` per stack, the residual histories extended).  The
   copy models each rank shipping its block to a *buddy rank* --
   :func:`buddy_of` picks the diametrically opposite rank of the
   decomposition so a single node loss never takes out a block and its
@@ -34,18 +36,22 @@ both, so neither requires a global restart:
   replica, re-executes, and records the event as a structured
   recovery diagnosis.
 
-Replicas restore bit-identically (deep copies of the exact float
-state), so a solve that survives an injected fault produces the same
+Replicas restore bit-identically (copies of the exact float state,
+handed out afresh by every rollback), so a solve that survives an
+injected fault produces the same
 iterate, byte for byte, as an undisturbed run -- the property
 ``tests/test_resilience.py`` pins across both engines.
 """
 
 import math
+import threading
 import time
+import weakref
 
 import numpy as np
 
 from repro.core.errors import SolverError
+from repro.parallel.halo import BlockField
 
 __all__ = [
     "ResilienceEvent",
@@ -66,14 +72,16 @@ class ResilienceEvent(SolverError):
     last verified replica and resumes.  ``rank`` names the failed rank
     when known; ``detail`` carries structured context for the recovery
     diagnosis.  ``iteration`` is set by a check that failed inside a
-    span of several iterations: the one it failed in.
+    span of several iterations: the one it failed in.  A check judged
+    by :meth:`ResilienceRuntime.judge` sets ``at`` and ``cut`` (see
+    there).
     """
 
     def __init__(self, message, rank=None, detail=None):
         super().__init__(message)
         self.rank = rank
         self.detail = dict(detail or {})
-        self.iteration = None
+        self.iteration = self.at = self.cut = None
 
 
 class RankLostError(ResilienceEvent):
@@ -179,6 +187,14 @@ class ResiliencePolicy:
 
 #: Values a copy may share with what it copies.
 _SCALARS = (bool, int, float, str, type(None), np.generic)
+#: The exact types of the commonest of them.
+_PLAIN = frozenset((bool, int, float, str, type(None), np.float64, np.int64))
+
+
+def _is_record(value):
+    """A residual history's entry: a tuple of scalars."""
+    return type(value) is tuple and all(isinstance(e, _SCALARS)
+                                        for e in value)
 
 
 def _copy_value(value):
@@ -189,15 +205,17 @@ def _copy_value(value):
     either, and immutable scalars.  A list of records -- tuples of
     scalars, as the residual histories hold -- is copied shallowly.
     """
-    if hasattr(value, "locals_"):
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, BlockField):
         return value.copy()
     if isinstance(value, np.ndarray):
         return value.copy()
     if isinstance(value, dict):
-        return {k: _copy_value(v) for k, v in value.items()}
+        return {k: v if type(v) in _PLAIN else _copy_value(v)
+                for k, v in value.items()}
     if isinstance(value, list):
-        if all(type(v) is tuple and all(isinstance(e, _SCALARS) for e in v)
-               for v in value):
+        if all(_is_record(v) for v in value):
             return list(value)
         return [_copy_value(v) for v in value]
     if isinstance(value, tuple):
@@ -215,9 +233,15 @@ def _finite_or_none(value):
 
 def _field_words(value):
     """Words a piece of state contributes to the buddy-send payload."""
-    if hasattr(value, "locals_"):
-        widths = [math.prod(arr.shape) for arr in value.locals_]
-        return max(widths) if widths else 0
+    if isinstance(value, BlockField):
+        if not value.is_stacked:
+            return max((math.prod(arr.shape) for arr in value.locals_),
+                       default=0)
+        # The largest rank's local array, a window of the stack.
+        h = value.decomp.halo_width
+        return max(((b.ny + 2 * h) * (b.nx + 2 * h)
+                    for b in value.decomp.active_blocks),
+                   default=0) * (value.nrhs or 1)
     if isinstance(value, np.ndarray):
         return int(value.size)
     if isinstance(value, dict):
@@ -225,6 +249,160 @@ def _field_words(value):
     if isinstance(value, (list, tuple)):
         return sum(_field_words(v) for v in value)
     return 0
+
+
+class _Stale(Exception):
+    """A capture no longer has the shapes its copy plan was built for."""
+
+
+class _Replica:
+    """The buddy copy of one solve's state and loop snapshot, kept from
+    one capture to the next.
+
+    The first capture walks the two dicts once and files every entry
+    under a rule, making what the rule keeps: a stacked block field gets
+    a stack of its own that each capture fills with one ``copyto`` --
+    the state's ``b``, the right-hand side, which no solver writes, only
+    when it is another field than the last capture's; an array is
+    copied (the loop's are a few words each); a residual history -- a
+    list of records, or a list of such lists -- gets a list that each
+    capture extends by the records added since (the loop only appends
+    to a history, and a rollback restores it from this one); a scalar is
+    shared; anything else, a per-rank field among them, is deep-copied
+    (:func:`_copy_value`).  Nothing walks the state again, and no
+    per-rank view of a stack is made.  A capture whose shapes differ --
+    a compaction, a new or a retyped entry -- raises :class:`_Stale`
+    (:meth:`ResilienceRuntime.capture` then builds a new plan).
+
+    :attr:`state` and :attr:`meta` are the copies; a rollback deep-copies
+    them, so they stay this object's alone."""
+
+    _FIELD, _ARRAY, _LOG, _LOGS, _SCALAR, _OTHER, _RHS = range(7)
+
+    def __init__(self, state, meta):
+        self.state, self.meta = {}, {}
+        self._rhs = None
+        self._plans = (self._plan(state, self.state),
+                       self._plan(meta, self.meta))
+        self.capture(state, meta)
+
+    def _plan(self, source, copy):
+        plan = []
+        for name, value in source.items():
+            if isinstance(value, BlockField) and value.is_stacked:
+                kept = BlockField.from_stack(value.decomp,
+                                             np.empty_like(value.stack))
+                rule = (self._RHS if copy is self.state and name == "b"
+                        else self._FIELD)
+                plan.append((name, rule, kept))
+                copy[name] = kept
+            elif type(value) is np.ndarray:
+                plan.append((name, self._ARRAY, None))
+            elif isinstance(value, list) and all(_is_record(v) for v in value):
+                copy[name] = []
+                plan.append((name, self._LOG, copy[name]))
+            elif isinstance(value, list) and value and all(
+                    isinstance(v, list) and all(_is_record(e) for e in v)
+                    for v in value):
+                copy[name] = [[] for _ in value]
+                plan.append((name, self._LOGS, copy[name]))
+            elif isinstance(value, _SCALARS):
+                plan.append((name, self._SCALAR, None))
+            else:
+                plan.append((name, self._OTHER, None))
+        return tuple(plan)
+
+    def capture(self, state, meta):
+        """Copy ``state`` and ``meta`` into the kept copies; raises
+        :class:`_Stale` where their shapes left the plan."""
+        for source, copy, plan in zip((state, meta), (self.state, self.meta),
+                                      self._plans):
+            if len(source) != len(plan):
+                raise _Stale
+            for name, rule, kept in plan:
+                try:
+                    value = source[name]
+                except KeyError:
+                    raise _Stale from None
+                if rule == self._FIELD:
+                    _fill_field(kept, value)
+                elif rule == self._RHS:
+                    if value is not self._rhs:
+                        _fill_field(kept, value)
+                        self._rhs = value
+                elif rule == self._ARRAY:
+                    if type(value) is not np.ndarray:
+                        raise _Stale
+                    copy[name] = value.copy()
+                elif rule == self._LOG:
+                    _extend_log(kept, value)
+                elif rule == self._LOGS:
+                    if type(value) is not list or len(value) != len(kept):
+                        raise _Stale
+                    for log, records in zip(kept, value):
+                        _extend_log(log, records)
+                elif rule == self._SCALAR:
+                    if not isinstance(value, _SCALARS):
+                        raise _Stale
+                    copy[name] = value
+                else:
+                    copy[name] = _copy_value(value)
+
+
+def _fill_field(kept, value):
+    """One ``copyto`` of stacked ``value``'s stack into ``kept``'s."""
+    if (not isinstance(value, BlockField) or not value.is_stacked
+            or value.decomp is not kept.decomp
+            or value.stack.shape != kept.stack.shape
+            or value.stack.dtype != kept.stack.dtype):
+        raise _Stale
+    np.copyto(kept.stack, value.stack)
+
+
+def _extend_log(kept, records):
+    """Bring the kept copy of a history up to ``records``: append what
+    was added since (the copy is a prefix of it -- the entry at its end
+    is the very same record), or copy it anew."""
+    if type(records) is not list:
+        raise _Stale
+    n = len(kept)
+    if n and (len(records) < n or records[n - 1] is not kept[-1]):
+        n = 0
+        kept.clear()
+    added = records[n:]
+    if not all(_is_record(v) for v in added):
+        raise _Stale
+    kept += added
+
+
+class _RowSums:
+    """``A 1`` of one operator over one decomposition, for the row-sum
+    check: per rank (``rowsum``), stacked on uniform blocks
+    (``stacked``, else ``None``), and in a span's layout (``weights``,
+    C-contiguous ``(p, bny, bnx)`` with 0.0 in the pad of ragged slots,
+    and ``extents``, every rank's ``(ny, nx)`` window on a ragged stack
+    or ``None``: whole blocks; ``span`` is the pair)."""
+
+    def __init__(self, rowsum, decomp):
+        self.rowsum = rowsum
+        self.stacked = np.stack(rowsum) if decomp.is_uniform else None
+        if decomp.is_uniform:
+            self.weights, self.extents = self.stacked, None
+        else:
+            self.extents = np.array([(b.ny, b.nx) for b in decomp.active_blocks],
+                                    dtype=np.int64)
+            self.weights = np.zeros((len(rowsum),) + decomp.max_block_shape())
+            for w, (ny, nx), a in zip(self.weights, self.extents, rowsum):
+                w[:ny, :nx] = a
+        self.span = self.weights, self.extents
+
+
+#: ``A 1`` per decomposition and stencil -- one operator's row sums,
+#: built once, uncharged, and read by every later solve of any context
+#: over the two (:meth:`ResilienceRuntime._build_rowsum`): decomposition
+#: -> ``[(weak reference to the stencil, _RowSums)]``.
+_ROWSUMS = weakref.WeakKeyDictionary()
+_ROWSUMS_LOCK = threading.Lock()
 
 
 class ResilienceRuntime:
@@ -261,12 +439,15 @@ class ResilienceRuntime:
         self.seconds = 0.0
         self.recoveries = []
         self._replica = None
+        self._copies = None
         self._mark = None
         self._last_capture = None
         self._matvecs = 0
-        self._rowsum_stacked = None
+        self._rowsums = None
         self._rowsum_charged = False
         self._bnorms = {}
+        self._bound = (None, None)
+        self._drift = None
         self._state_words = None
         # The ring checksums run one stacked reduction per block shape;
         # the interior sums one over every rank when blocks are uniform
@@ -299,15 +480,21 @@ class ResilienceRuntime:
 
         ``meta`` is the guarded loop's own snapshot (iteration counter,
         per-column guardrail state, frozen outputs, residual
-        histories).  The buddy send is charged to the ``"resilience"``
-        ledger phase.
+        histories).  Both are copied into the replica's kept buffers
+        (:class:`_Replica`, whose plan is built by the first capture and
+        again after a compaction); ``solver_meta``, a document the
+        solver makes afresh for each capture, is kept as it is.  The
+        buddy send is charged to the ``"resilience"`` ledger phase.
         """
         t0 = time.perf_counter()
-        self._replica = (
-            _copy_value(state),
-            _copy_value(meta),
-            _copy_value(solver_meta),
-        )
+        try:
+            if self._copies is None:
+                raise _Stale
+            self._copies.capture(state, meta)
+        except _Stale:
+            self._copies = _Replica(state, meta)
+        self._replica = (self._copies.state, self._copies.meta,
+                         solver_meta)
         self._last_capture = int(meta.get("iterations", 0))
         self.counters["replications"] += 1
         ledger = self.vm.ledger
@@ -483,24 +670,29 @@ class ResilienceRuntime:
         t0 = time.perf_counter()
         post = self.ring_checksums(field)
         self.seconds += time.perf_counter() - t0
-        self.halo_verdict(pre, post)
+        self.judge(halo=(pre[None], post[None]))
 
     def halo_verdict(self, pre, post):
-        """Judge one halo update by its per-rank sums before and after
-        delivery (first axis: ranks); raises on a mismatch."""
-        self.counters["halo_checks"] += 1
+        """Judge halo updates by their per-rank sums before (``pre``) and
+        after (``post``) delivery, stacked one update a row -- ``(updates,
+        ranks[, columns])``: ``(index, event)`` of the first update whose
+        sums differ, or ``(len(pre), None)``.  Counts nothing
+        (:meth:`judge` counts)."""
         # NaN-aware: a ring that was already non-finite before delivery
         # still matches its own checksum, so the solver's non-finite
         # residual check diagnoses it instead of a false SDC suspect.
-        if pre.tobytes() == post.tobytes() \
-                or np.array_equal(pre, post, equal_nan=True):
-            return
-        bad = [r for r in range(len(pre))
-               if not np.array_equal(pre[r], post[r], equal_nan=True)]
-        rank = bad[0] if bad else None
-        raise self.suspect(
-            f"halo payload checksum mismatch on rank(s) {bad}",
-            rank=rank, detail={"check": "halo_checksum", "ranks": bad})
+        if pre.tobytes() == post.tobytes():
+            return len(pre), None
+        for at, (before, after) in enumerate(zip(pre, post)):
+            if np.array_equal(before, after, equal_nan=True):
+                continue
+            bad = [r for r in range(len(before))
+                   if not np.array_equal(before[r], after[r], equal_nan=True)]
+            return at, SDCDetectedError(
+                f"halo payload checksum mismatch on rank(s) {bad}",
+                rank=bad[0] if bad else None,
+                detail={"check": "halo_checksum", "ranks": bad})
+        return len(pre), None
 
     def on_matvec(self, x, y):
         """Row-sum ABFT on an operator apply: ``sum(A x) == dot(A 1, x)``.
@@ -511,46 +703,103 @@ class ResilienceRuntime:
         (both sides see the same ``x``), so it guards the *apply*
         itself; corrupted iterates are the cross-check's job.
         """
-        if not self.count_matvec():
+        if not self.policy.abft:
+            return
+        if not self.due(1):
+            self._matvecs += 1   # counted, not checked
             return
         t0 = time.perf_counter()
-        rowsums = self._ensure_rowsum()
+        rowsums = self._build_rowsum()
         lhs = self._interior_sum(y)
         xs = self._interior_stack(x)
         rhs = self._weighted_sum(rowsums, xs, x.nrhs)
         scale = self._weighted_sum(rowsums, xs, x.nrhs, absolute=True)
         self.seconds += time.perf_counter() - t0
-        self.rowsum_verdict(lhs, rhs, scale)
+        self.judge(terms=np.stack([lhs, rhs, scale])[None], applies=1,
+                   due=range(1))
 
     def rowsum_verdict(self, lhs, rhs, scale):
-        """Judge one operator apply by ``sum(A x)``, ``dot(A 1, x)`` and
-        ``sum |(A 1) x|`` over every block's interior, per column;
-        raises where the first two differ by more than ``rowsum_tol``
-        relative to the third."""
-        self.counters["rowsum_checks"] += 1
-        self.vm.ledger.record_allreduce("resilience", words=2)
-        err = np.abs(np.asarray(lhs) - np.asarray(rhs))
-        bound = self.policy.rowsum_tol * (np.asarray(scale) + 1.0)
-        bad = ~np.isfinite(err) | (err > bound)
-        if np.any(bad):
-            raise self.suspect(
-                "matvec row-sum checksum violated "
-                f"(|sum(Ax) - dot(A1, x)| = {np.max(err):.3e})",
-                detail={"check": "matvec_rowsum",
-                        "error": _finite_or_none(np.max(err))})
+        """Judge operator applies by ``sum(A x)`` (``lhs``), ``dot(A 1,
+        x)`` (``rhs``) and ``sum |(A 1) x|`` (``scale``) over every
+        block's interior, stacked one apply a row -- ``(applies[,
+        columns])``: ``(index, event)`` of the first apply where, in some
+        column, the first two differ by more than ``rowsum_tol``
+        relative to the third (or not finitely), or ``(len(lhs),
+        None)``.  Counts nothing (:meth:`judge` counts)."""
+        # A few words each: judged as Python floats, the same IEEE
+        # arithmetic as numpy's, without a ufunc call per operation.
+        tol, applies = self.policy.rowsum_tol, len(lhs)
+        rows = (np.reshape(v, (applies, -1)).tolist()
+                for v in (lhs, rhs, scale))
+        for at, terms in enumerate(zip(*rows)):
+            for sa, sw, sabs in zip(*terms):
+                err = abs(sa - sw)
+                if math.isfinite(err) and not err > tol * (sabs + 1.0):
+                    continue
+                worst = np.max(np.abs(lhs[at] - rhs[at]))
+                return at, SDCDetectedError(
+                    "matvec row-sum checksum violated "
+                    f"(|sum(Ax) - dot(A1, x)| = {worst:.3e})",
+                    detail={"check": "matvec_rowsum",
+                            "error": _finite_or_none(worst)})
+        return applies, None
 
-    def count_matvec(self):
-        """Count one operator apply; whether it gets the row-sum check
-        (never with ABFT off, when nothing is counted)."""
+    def judge(self, halo=None, terms=None, applies=0, due=()):
+        """Judge one or more iterations' checks in the order the calls
+        make them, and count them as the calls do.
+
+        Each of ``applies`` iterations -- or one halo update with no
+        apply, ``applies == 0`` -- is its halo update, judged by its sums
+        ``halo = (pre, post)`` (:meth:`halo_verdict`, one row an update;
+        ``None``: none is checked), then its operator apply, counted and,
+        at the positions ``due`` names (ascending), judged by its
+        row-sum terms: ``terms``, one row ``(lhs, rhs, scale)`` a
+        position in ``due`` (:meth:`rowsum_verdict`).  The first check
+        that fails is raised with ``event.at``, its iteration's index,
+        and ``event.cut``: ``"halo"`` (its halo update judged, its apply
+        not made) or ``"matvec"`` (both); what came before it is counted,
+        it too, and nothing after it.
+        """
+        n = len(halo[0]) if halo is not None else applies
+        stop, event, cut = n, None, None
+        if halo is not None:
+            stop, event = self.halo_verdict(*halo)
+            cut = None if event is None else "halo"
+        checked = sum(1 for at in due if at < stop)
+        if checked:
+            rows = terms[:checked]
+            k, failed = self.rowsum_verdict(rows[:, 0], rows[:, 1], rows[:, 2])
+            if failed is not None:
+                stop, event, cut = due[k], failed, "matvec"
+                checked = k + 1
+        judged = n if event is None else stop + 1
+        counters = self.counters
+        if halo is not None:
+            counters["halo_checks"] += judged
+        if applies:
+            self._matvecs += judged - (cut == "halo")
+        if checked:
+            ledger = self.vm.ledger
+            if not self._rowsum_charged:
+                # ``A 1``'s flops, once per solve, by its first check.
+                self._rowsum_charged = True
+                ledger.record_flops("resilience",
+                                    9 * self.vm.max_block_points)
+            counters["rowsum_checks"] += checked
+            ledger.record_allreduce("resilience", words=2, count=checked)
+        if event is not None:
+            counters["sdc_detected"] += 1
+            event.at, event.cut = stop, cut
+            raise event
+
+    def due(self, applies):
+        """The positions, among the next ``applies`` operator applies,
+        of those that get the row-sum check (every ``abft_every``-th
+        apply of the solve; none with ABFT off): a ``range``."""
         if not self.policy.abft:
-            return False
-        self._matvecs += 1
-        return self._matvecs % self.policy.abft_every == 0
-
-    def rowsum_due(self):
-        """Whether the next operator apply gets the row-sum check."""
-        return (self.policy.abft
-                and (self._matvecs + 1) % self.policy.abft_every == 0)
+            return range(0)
+        every = self.policy.abft_every
+        return range(every - 1 - self._matvecs % every, applies, every)
 
     def crosscheck_residual(self, state, active):
         """Verify the recurrence residual against ``b - A x``.
@@ -562,14 +811,13 @@ class ResilienceRuntime:
         checked like any other: the context's
         :meth:`~repro.solvers.context.DistributedContext.checked_residual`,
         one native pass where a span runner sweeps ``x``); its cost is
-        re-charged to the ``"resilience"`` ledger phase.  ``active`` names
+        charged to the ``"resilience"`` ledger phase.  ``active`` names
         the original columns the state's columns hold: each column's
         drift is bounded by that column's own ``||b||``.
         """
         ctx = self.context
         ledger = self.vm.ledger
         t0 = time.perf_counter()
-        snap = ledger.snapshot()
         true_r = ctx.checked_residual(state["b"], state["x"])
         if self._uniform:
             # Uniform blocks: one stacked reduction for the drift norm
@@ -577,90 +825,97 @@ class ResilienceRuntime:
             # land cells cancel exactly).  One allreduce on the wire.
             drift = self._interior_drift(true_r, state["r"])
             np.multiply(drift, drift, out=drift)
-            dnorm = np.asarray(np.sqrt(drift.sum(axis=(0, 1, 2))))
-            self.vm.ledger.record_allreduce("resilience", words=1)
+            dnorm = np.sqrt(drift.sum(axis=(0, 1, 2)))
+            ledger.record_allreduce("resilience", words=1)
         else:
+            snap = ledger.snapshot()
             diff = ctx._sub(true_r, state["r"], out=true_r)
             dnorm = np.asarray(ctx.norm2(diff))
-        active = [int(col) for col in active]
-        if not self._bnorms.keys() >= set(active):
-            # A column's ``b`` is loop-invariant: one reduction serves
-            # the whole solve, however many columns retire after it.
-            self._bnorms.update(zip(active, np.atleast_1d(
-                ctx.norm2(state["b"]))))
-        bnorm = np.array([self._bnorms[col] for col in active])
-        ledger.transfer(snap, "resilience")
+            ledger.transfer(snap, "resilience")
+        bound = self._crosscheck_bound(state["b"], active)
         self.counters["residual_crosschecks"] += 1
         self.seconds += time.perf_counter() - t0
-        bound = self.policy.crosscheck_tol * (bnorm + 1.0)
-        bad = ~np.isfinite(dnorm) | (dnorm > bound)
-        if np.any(bad):
+        if not all(math.isfinite(drift) and not drift > limit
+                   for drift, limit in zip(np.atleast_1d(dnorm).tolist(),
+                                           bound.tolist())):
             raise self.suspect(
                 "residual cross-check failed: recurrence residual "
                 f"disagrees with b - Ax by {np.max(dnorm):.3e}",
                 detail={"check": "residual_crosscheck",
                         "drift": _finite_or_none(np.max(dnorm))})
 
-    def _ensure_rowsum(self):
-        """:meth:`_build_rowsum`'s ``A 1``; its flops are charged once
-        per solve, by the first check that reads it."""
-        rowsums = self._build_rowsum()
-        if not self._rowsum_charged:
-            self._rowsum_charged = True
-            self.vm.ledger.record_flops("resilience",
-                                        9 * self.vm.max_block_points)
-        return rowsums
+    def _crosscheck_bound(self, b, active):
+        """Each active column's drift bound, ``crosscheck_tol * (||b|| +
+        1)``: kept while the active columns stay the same."""
+        key = active.tobytes()
+        if self._bound[0] != key:
+            cols = [int(col) for col in active]
+            if not self._bnorms.keys() >= set(cols):
+                # A column's ``b`` is loop-invariant: one reduction
+                # serves the whole solve, however many columns retire
+                # after it.
+                ledger = self.vm.ledger
+                snap = ledger.snapshot()
+                self._bnorms.update(zip(cols, np.atleast_1d(
+                    self.context.norm2(b))))
+                ledger.transfer(snap, "resilience")
+            bnorm = np.array([self._bnorms[col] for col in cols])
+            self._bound = key, self.policy.crosscheck_tol * (bnorm + 1.0)
+        return self._bound[1]
 
     def _build_rowsum(self):
-        """``(A 1 per rank, their stack on uniform blocks or None)``,
-        uncharged: built once per context, whose operator and
-        decomposition never change, and read by every later solve."""
-        ctx = self.context
-        if ctx.abft_rowsum is None:
-            vm = self.vm
-            ones = vm.scatter(np.ones((vm.decomp.ny, vm.decomp.nx)))
-            # Fill interior halos directly (domain boundary stays 0);
-            # the raw exchanger skips the ledger and the fault hooks --
-            # building the checker must not itself be injectable.
-            vm.exchanger.exchange_via_global(ones)
-            out = vm.zeros()
-            ctx.operator.apply(ones, out)
-            rowsum = [np.asarray(out.interior(rank)).copy()
-                      for rank in range(vm.num_ranks)]
-            ctx.abft_rowsum = (
-                rowsum, np.stack(rowsum) if self._uniform else None)
-        return ctx.abft_rowsum
+        """``A 1`` of the context's operator over its decomposition
+        (:class:`_RowSums`), uncharged (:meth:`judge` charges its first
+        check): built by the first guarded solve on the two and kept for
+        every later solve, in any context, while both live."""
+        if self._rowsums is None:
+            decomp, stencil = self.vm.decomp, self.context.stencil
+            with _ROWSUMS_LOCK:
+                entries = _ROWSUMS.setdefault(decomp, [])
+                entries[:] = [(ref, rs) for ref, rs in entries
+                              if ref() is not None]
+                for ref, rowsums in entries:
+                    if ref() is stencil:
+                        break
+                else:
+                    t0 = time.perf_counter()
+                    rowsums = _RowSums(self._apply_to_ones(), decomp)
+                    entries.append((weakref.ref(stencil), rowsums))
+                    self.seconds += time.perf_counter() - t0
+            self._rowsums = rowsums
+        return self._rowsums
+
+    def _apply_to_ones(self):
+        """``A 1`` per rank: the operator applied to a field of ones whose
+        halos hold their neighbours' ones (the domain boundary's stay
+        0)."""
+        ctx, vm = self.context, self.vm
+        ones = vm.scatter(np.ones((vm.decomp.ny, vm.decomp.nx)))
+        # The raw exchanger skips the ledger and the fault hooks --
+        # building the checker must not itself be injectable.
+        vm.exchanger.exchange_via_global(ones)
+        out = vm.zeros()
+        ctx.operator.apply(ones, out)
+        return [np.asarray(out.interior(rank)).copy()
+                for rank in range(vm.num_ranks)]
 
     def stacked_rowsum(self):
-        """``(weights, extents)``: ``A 1`` on the stacked block
-        interiors, C-contiguous ``(p, bny, bnx)`` with 0.0 in the pad of
-        ragged slots, and every rank's ``(ny, nx)`` window on a ragged
-        stack (``None``: whole blocks) -- what a span's row-sum terms
-        read; built once, uncharged (:meth:`_ensure_rowsum` charges)."""
-        if self._rowsum_stacked is None:
-            t0 = time.perf_counter()
-            rowsum, weights = self._build_rowsum()
-            extents = None
-            if not self._uniform:
-                blocks = self.vm.decomp.active_blocks
-                extents = np.array([(b.ny, b.nx) for b in blocks],
-                                   dtype=np.int64)
-                weights = np.zeros((len(rowsum),)
-                                   + self.vm.decomp.max_block_shape())
-                for w, (ny, nx), a in zip(weights, extents, rowsum):
-                    w[:ny, :nx] = a
-            self._rowsum_stacked = (weights, extents)
-            self.seconds += time.perf_counter() - t0
-        return self._rowsum_stacked
+        """``(weights, extents)``: ``A 1`` in a span's layout
+        (:class:`_RowSums`) -- what a span's row-sum terms read."""
+        return self._build_rowsum().span
 
     def _interior_drift(self, a, b):
-        """``a - b`` on uniform blocks' interiors, into one new
-        C-contiguous ``(p, ny, nx)`` stack."""
+        """``a - b`` on uniform blocks' interiors, into a C-contiguous
+        ``(p, ny, nx)`` stack the runtime keeps (the next call
+        overwrites it)."""
+        shape = ((self.vm.num_ranks,) + a.interior(0).shape
+                 if not a.is_stacked else a.interior_stack().shape)
+        if self._drift is None or self._drift.shape != shape:
+            self._drift = np.empty(shape)
+        drift = self._drift
         if a.is_stacked and b.is_stacked:
-            ia = a.interior_stack()
-            return np.subtract(ia, b.interior_stack(),
-                               out=np.empty(ia.shape))
-        drift = np.empty((self.vm.num_ranks,) + a.interior(0).shape)
+            return np.subtract(a.interior_stack(), b.interior_stack(),
+                               out=drift)
         for rank, out in enumerate(drift):
             np.subtract(a.interior(rank), b.interior(rank), out=out)
         return drift
@@ -693,10 +948,10 @@ class ResilienceRuntime:
 
     def _weighted_sum(self, rowsums, stacked, width, absolute=False):
         """``dot(A 1, field)`` per column, from :meth:`_build_rowsum`'s
-        pair and the field's :meth:`_interior_stack` (``width`` its
+        ``A 1`` and the field's :meth:`_interior_stack` (``width`` its
         ``nrhs``)."""
         stack, interiors = stacked
-        rowsum, w = rowsums
+        w = rowsums.stacked
         if stack is not None and w is not None:
             if width is not None:
                 w = w[..., None]
@@ -706,7 +961,7 @@ class ResilienceRuntime:
             return prod.sum(axis=(0, 1, 2))
         total = 0.0 if width is None else np.zeros(width)
         for rank, a in enumerate(interiors):
-            w = rowsum[rank]
+            w = rowsums.rowsum[rank]
             if width is not None:
                 w = w[..., None]
             prod = w * a
@@ -738,16 +993,18 @@ class SpanChecks:
     the calls check the exchange's checksums
     (:meth:`ResilienceRuntime.pre_exchange` then
     :meth:`~ResilienceRuntime.post_exchange`) and then the apply
-    (:meth:`~ResilienceRuntime.on_matvec`).  A span hands this object,
-    once per iteration after that iteration's halo copy and sweep, the
-    copy's per-slot sums of what it wrote and of what the cells then
-    hold (with :attr:`abft`) and -- where :meth:`due` said so before the
-    sweep, reading :attr:`rowsum` -- the apply's row-sum terms, and it
-    judges them with the runtime's own verdicts
-    (:meth:`~ResilienceRuntime.halo_verdict`,
-    :meth:`~ResilienceRuntime.rowsum_verdict`): same counters, ledger
+    (:meth:`~ResilienceRuntime.on_matvec`).  A span asks :meth:`due`,
+    before its iterations, which of their applies get the row-sum check
+    -- reading :attr:`rowsum` for those -- and hands this object, after
+    one or more of them (a whole P-CSI span at once; a ChronGear tail
+    before its coefficients are formed), what its halo copies and
+    sweeps made, stacked one iteration a row: the copies' per-slot sums
+    of what they wrote and of what the cells then hold, and the due
+    applies' row-sum terms.  They are judged by the runtime's own
+    verdicts (:meth:`~ResilienceRuntime.judge`): same counters, ledger
     and documents as the calls.  A cross-check's residual made in the
-    span's runner between spans is judged the same way, once.
+    span's runner between spans is judged the same way, as one
+    iteration.
 
     A check that fails raises with its iteration (counted from
     ``first``; ``None``: the checks of a cross-check's residual, made
@@ -760,13 +1017,12 @@ class SpanChecks:
 
     def __init__(self, runtime, first=None):
         self.runtime = runtime
-        #: Whether the halo sums are judged (ABFT on).
-        self.abft = runtime.policy.abft
         self.first, self.passed, self.cut = first, 0, None
 
-    def due(self):
-        """Whether the next iteration's apply gets the row-sum check."""
-        return self.runtime.rowsum_due()
+    def due(self, n):
+        """The positions, among the next ``n`` iterations, of those
+        whose applies get the row-sum check."""
+        return self.runtime.due(n)
 
     @property
     def rowsum(self):
@@ -774,25 +1030,23 @@ class SpanChecks:
         (:meth:`ResilienceRuntime.stacked_rowsum`)."""
         return self.runtime.stacked_rowsum()
 
-    def __call__(self, pre, post, terms):
-        """Judge one iteration: the halo sums ``pre`` and ``post``
-        (``None`` with ABFT off) and the row-sum terms ``(lhs, rhs,
-        scale)`` (``None`` where none were due)."""
+    def __call__(self, pre, post, terms, due):
+        """Judge ``len(pre)`` iterations: their halo sums ``pre`` and
+        ``post``, ``(iterations, slots, columns)``, and the row-sum terms
+        ``terms``, ``(iterations, 3, columns)``, of the iterations at
+        the positions ``due`` (:meth:`due`'s ``range``)."""
         runtime = self.runtime
         t0 = time.perf_counter()
         try:
-            self.cut = "halo"
-            if pre is not None:
-                runtime.halo_verdict(pre, post)
-            self.cut = "matvec"
-            if runtime.count_matvec():
-                runtime._ensure_rowsum()
-                runtime.rowsum_verdict(*terms)
+            runtime.judge(halo=(pre, post),
+                          terms=terms[due.start:due.stop:due.step],
+                          applies=len(pre), due=due)
         except ResilienceEvent as event:
+            self.cut = event.cut
             if self.first is not None:
-                event.iteration = self.first + self.passed
+                event.iteration = self.first + self.passed + event.at
+            self.passed += event.at
             raise
         finally:
             runtime.seconds += time.perf_counter() - t0
-        self.cut = None
-        self.passed += 1
+        self.passed += len(pre)

@@ -121,7 +121,8 @@ The loop builds each snapshot from copies and hands it to the policy's
 writer thread, which writes the file while the loop goes on; the next
 snapshot and the end of ``solve`` wait for it, and a write that failed
 raises its :class:`~repro.core.checkpoint.CheckpointError` from
-``solve``.
+``solve``.  ``solve`` stops the writer thread before it returns
+(:meth:`~repro.core.checkpoint.CheckpointPolicy.close`).
 
 With ``policy.on_failure`` a diagnosed failure snapshots the loop as it
 stopped: columns that ran out of budget are still active, so a resume
@@ -153,6 +154,7 @@ from repro.core.constants import (
 )
 from repro.core.errors import BreakdownError, ConvergenceError, SolverError
 from repro.parallel.events import EventCounts
+from repro.parallel.halo import BlockField
 from repro.parallel.resilience import ResilienceEvent, ResilienceRuntime
 from repro.solvers.health import (
     BREAKDOWN,
@@ -176,7 +178,7 @@ class _LoopState:
     original column id; ``x_full`` is allocated when the first column retires.
 
     :meth:`snapshot` / :meth:`restore` are the one serialisation of the
-    loop: in-solve rollback keeps a deep copy of the snapshot, the
+    loop: in-solve rollback keeps a copy of the snapshot, the
     checkpoint writer stores the same dict on disk.
     """
 
@@ -209,8 +211,9 @@ class _LoopState:
     def snapshot(self):
         """Everything the loop needs to continue exactly from here.
 
-        The values are references: the rollback replica deep-copies
-        them, the checkpoint writer serialises them on the spot.
+        The values are references: the rollback replica copies them
+        (into buffers it keeps, its histories extended), the checkpoint
+        writer serialises them on the spot.
         """
         return dict(vars(self))
 
@@ -390,7 +393,7 @@ class IterativeSolver(abc.ABC):
                 runtime.detach()
             if checkpoint is not None:
                 # No snapshot writer outlives the solve.
-                checkpoint.wait()
+                checkpoint.close()
 
     def _normalise_entry(self, b, x0):
         """Validate shapes; returns ``(b, x0, width)``.
@@ -795,7 +798,7 @@ class IterativeSolver(abc.ABC):
             elif (isinstance(value, np.ndarray) and value.ndim == 1
                     and value.shape[0] == old_width):
                 state[name] = value[keep]
-            elif hasattr(value, "locals_") or (
+            elif isinstance(value, BlockField) or (
                     isinstance(value, np.ndarray) and value.ndim == 3):
                 state[name] = ctx.compact(value, keep)
 
@@ -805,6 +808,8 @@ class IterativeSolver(abc.ABC):
     def _snapshot_solver_meta(self):
         """Solver-specific state to checkpoint (hook; JSON-able dict).
 
+        A fresh document on every call, sharing nothing the solver
+        changes later: the rollback replica keeps it as it is.
         Subclasses whose behavior depends on state outside the loop
         ``state`` dict (P-CSI's Chebyshev interval, Lanczos seeds and
         step counts) override this and :meth:`_restore_solver_meta`.

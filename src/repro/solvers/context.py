@@ -330,11 +330,11 @@ class SolverContext(abc.ABC):
         self.ledger.record_flops(phase, n * w * self._precond_flops())
 
     def _charge_matvec(self, w, n=1, phase="computation", exchanged=False,
-                       applied=True):
+                       applied=True, halo_phase="boundary"):
         """``n`` matvecs at width ``w``, each with its halo update: one
-        boundary event of ``w * halo_words`` words -- unless the virtual
-        machine's exchange ``exchanged`` it already -- and, unless a
-        check stopped them between the two, the stencil's flops
+        ``halo_phase`` event of ``w * halo_words`` words -- unless the
+        virtual machine's exchange ``exchanged`` it already -- and,
+        unless a check stopped them between the two, the stencil's flops
         (``applied``)."""
         if applied:
             self.ledger.record_flops(
@@ -346,7 +346,7 @@ class SolverContext(abc.ABC):
         # zero when p == 1.  A multi-RHS batch moves nrhs-fold payload in
         # the same single exchange.
         if not exchanged:
-            self.ledger.record_halo("boundary", words=n * w * self._halo_words,
+            self.ledger.record_halo(halo_phase, words=n * w * self._halo_words,
                                     exchanges=n)
 
     def _charge_allreduce(self, words, n=1, phase="reduction"):
@@ -724,8 +724,6 @@ class DistributedContext(SolverContext):
                                         kernels=self.kernels)
         self._critical = vm.max_block_points
         self._halo_words = vm.decomp.halo_words_per_exchange()
-        #: ``A 1`` for the resilience row-sum check, built once.
-        self.abft_rowsum = None
 
     def _batched(self, *fields):
         return self.vm.is_batched and all(f.is_stacked for f in fields)
@@ -807,9 +805,10 @@ class DistributedContext(SolverContext):
 
     def _span_checks(self, first):
         """The attached resilience runtime's checks, or ``None``
-        without a runtime."""
+        without a runtime or with its ABFT off (replication alone checks
+        nothing inside a span)."""
         runtime = self.vm.resilience
-        if runtime is None:
+        if runtime is None or not runtime.policy.abft:
             return None
         return SpanChecks(runtime, first)
 
@@ -822,18 +821,30 @@ class DistributedContext(SolverContext):
         (:class:`~repro.parallel.resilience.SpanChecks`), with the same
         counters and charges, as far as a failed check let the calls
         run.  The same bits either way; the runner's land in a stack it
-        keeps, which its next cross-check overwrites."""
+        keeps, which its next cross-check overwrites.  What it charges
+        is fault-tolerance overhead: once its checks passed, it is in
+        the ``"resilience"`` phase; where one failed, in the calls'
+        phases (a rollback moves them)."""
+        ledger = self.ledger
         run = self._runner[2]
         if (getattr(run, "residual", None) is None or self.vm.faults
                 or not self._batched(b, x)
                 or not run.sweeps(b.stack, x.stack)):
-            return self.residual(b, x)
+            snap = ledger.snapshot()
+            out = self.residual(b, x)
+            ledger.transfer(snap, "resilience")
+            return out
         checks = SpanChecks(self.vm.resilience)
+        out = None
         try:
             out = run.residual(b.stack, checks)
         finally:
-            self._charge_matvec(self._vec_width(x),
-                                applied=checks.cut != "halo")
+            if out is None:
+                self._charge_matvec(self._vec_width(x),
+                                    applied=checks.cut != "halo")
+            else:
+                self._charge_matvec(self._vec_width(x), phase="resilience",
+                                    halo_phase="resilience")
         return BlockField.from_stack(self.decomp, out)
 
     # -- reductions ----------------------------------------------------

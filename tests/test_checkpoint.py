@@ -1171,23 +1171,16 @@ class TestEVPSpans:
         resumed from 10), ledger and runtime summary, and the replay
         ends on the undisturbed run's ``x``.  The fault enters at the
         verdict both paths share, so the spans' sums meet it where the
-        calls' numpy sums do."""
+        calls' numpy sums do: the verdicts judge their sums stacked one
+        update (apply) a row, and the fault enters the due-th row."""
         from repro.parallel.resilience import ResilienceRuntime
 
         calls = []
         name = "halo_verdict" if check == "halo" else "rowsum_verdict"
-        plain = getattr(ResilienceRuntime, name)
         # The post-delivery sums of the 15th exchange, the lhs of the 4th
         # row-sum check.
-        due = 15 if check == "halo" else 4
-
-        def faulty(runtime, *sums):
-            calls.append(None)
-            if len(calls) == due:
-                at = 1 if check == "halo" else 0
-                sums = list(sums)
-                sums[at] = sums[at] + (1.0 if check == "halo" else np.nan)
-            return plain(runtime, *sums)
+        faulty = _fault_in_row(calls, getattr(ResilienceRuntime, name),
+                               15 if check == "halo" else 4, check)
 
         b = _batch_rhs(_pop("144x120"), width)
         clean, _, _ = self._solve("native", b, lattice=lattice,
@@ -1215,6 +1208,76 @@ class TestEVPSpans:
         if self._fused():
             assert spans == [10, 10, 10, 10, 10, 5]
 
+    def _rolled_back(self, monkeypatch, b, row, **kwargs):
+        """A guarded solve whose halo update ``row`` (counted over the
+        spans' iterations and the cross-checks) fails its checksum once,
+        with the replicas watched (:func:`_watch_replicas`): ``(result,
+        captures, rollbacks, plans)``; the replay ends on the undisturbed
+        run's ``x``."""
+        from repro.parallel.resilience import ResilienceRuntime
+
+        clean, _, _ = self._solve("native", b, resilience=True,
+                                  max_iterations=45, **kwargs)
+        captures, rollbacks, plans = _watch_replicas(monkeypatch)
+        calls = []
+        monkeypatch.setattr(ResilienceRuntime, "halo_verdict", _fault_in_row(
+            calls, ResilienceRuntime.halo_verdict, row, "halo"))
+        got, _, _ = self._solve("native", b, resilience=True,
+                                max_iterations=45, **kwargs)
+        assert got.extra["resilience"]["counters"]["rollbacks"] == 1
+        assert np.array_equal(got.x, clean.x)
+        return got, captures, rollbacks, plans
+
+    @pytest.mark.parametrize("solver,width", [("pcsi", None),
+                                              ("chrongear", 3)])
+    @pytest.mark.parametrize("lattice", list(EVP_LATTICES))
+    def test_guarded_rollback_restores_the_replica(self, monkeypatch,
+                                                   lattice, solver, width):
+        """The replica is copied into buffers it keeps from one capture
+        to the next (one ``copyto`` a stack, histories extended), yet a
+        rollback -- here at iteration 23, the halo checksum of the 25th
+        update failing -- hands the loop back the state and loop
+        snapshot of the last capture, at 20, bit for bit: every entry
+        equals an independent copy taken at that capture, in fresh
+        arrays the replica does not share.  The copy plan is built by the
+        first capture -- and, for ChronGear, whose ``rho`` and ``sigma``
+        turn from floats into per-column arrays in its first iteration,
+        once more by the next."""
+        got, captures, rollbacks, plans = self._rolled_back(
+            monkeypatch, _batch_rhs(_pop("144x120"), width), 25,
+            lattice=lattice, solver=solver)
+        (doc,) = got.extra["resilience"]["recoveries"]
+        assert doc["data"]["resumed_from_iteration"] == 20
+        (state, meta, shared), = rollbacks
+        at = [bits[1]["iterations"] for bits in captures].index(("int", 20))
+        assert (state, meta) == captures[at]
+        assert not shared
+        assert plans == ([None] if solver == "pcsi" else [width] * 2)
+
+    @pytest.mark.parametrize("lattice", list(EVP_LATTICES))
+    def test_guarded_rollback_after_a_compaction(self, monkeypatch, lattice):
+        """ChronGear on eight columns, column 0 from its solution: it
+        retires at the check at 10 and the batch compacts 8 -> 7, so the
+        capture at 10 builds a second copy plan, of width seven, which the
+        later ones keep; a rollback at iteration 13 (the 14th halo
+        update) restores that capture bit for bit."""
+        b = _batch_rhs(_pop("144x120"), 8)
+        exact, _, _ = self._solve("calls", np.ascontiguousarray(b[..., 0]),
+                                  lattice=lattice, solver="chrongear",
+                                  tol=1e-12)
+        x0 = np.zeros_like(b)
+        x0[..., 0] = exact.x
+        got, captures, rollbacks, plans = self._rolled_back(
+            monkeypatch, b, 14, lattice=lattice, solver="chrongear", x0=x0)
+        assert got.extra["per_rhs_iterations"][0] == 10
+        (doc,) = got.extra["resilience"]["recoveries"]
+        assert doc["data"]["resumed_from_iteration"] == 10
+        (state, meta, shared), = rollbacks
+        assert meta["active"][2] == (7,)
+        assert (state, meta) == captures[1]
+        assert not shared
+        assert plans == [8, 7]
+
     @pytest.mark.parametrize("check", ["halo", "rowsum"])
     @pytest.mark.parametrize("solver,width", [("pcsi", None),
                                               ("chrongear", 3)])
@@ -1232,15 +1295,8 @@ class TestEVPSpans:
 
         calls = []
         name = "halo_verdict" if check == "halo" else "rowsum_verdict"
-        plain = getattr(ResilienceRuntime, name)
-
-        def faulty(runtime, *sums):
-            calls.append(None)
-            if len(calls) == 11:
-                at = 1 if check == "halo" else 0
-                sums = list(sums)
-                sums[at] = sums[at] + (1.0 if check == "halo" else np.nan)
-            return plain(runtime, *sums)
+        faulty = _fault_in_row(calls, getattr(ResilienceRuntime, name), 11,
+                               check)
 
         b = _batch_rhs(_pop("144x120"), width)
         clean, _, _ = self._solve("native", b, lattice=lattice,
@@ -1263,6 +1319,86 @@ class TestEVPSpans:
         assert _result_bits(got) == _result_bits(ref)
         assert np.array_equal(got.x, ref.x)
         assert np.array_equal(got.x, clean.x)
+
+
+def _replica_bits(value):
+    """An independent copy of a piece of loop state, every array as its
+    dtype, shape and bytes, a block field as its layout and its stack
+    (or blocks), a diagnosis as its document: what a rollback must hand
+    back bit for bit."""
+    from repro.parallel.halo import BlockField
+    from repro.solvers.health import SolverDiagnosis
+
+    if isinstance(value, BlockField):
+        arrays = [value.stack] if value.is_stacked else value.locals_
+        return ("field", value.is_stacked, [_replica_bits(a) for a in arrays])
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, SolverDiagnosis):
+        return ("diagnosis", json.dumps(value.to_dict(), sort_keys=True))
+    if isinstance(value, dict):
+        return {key: _replica_bits(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_replica_bits(v) for v in value])
+    if isinstance(value, float) and value != value:
+        return ("nan",)
+    return (type(value).__name__, value)
+
+
+def _watch_replicas(monkeypatch):
+    """Record, at every capture, an independent copy of what it copied
+    (:func:`_replica_bits`), and at every rollback what it handed back
+    and whether that shares memory with the replica; returns ``(captures,
+    rollbacks, plans)``, ``plans`` the width of the state's ``x`` at each
+    copy plan built."""
+    from repro.parallel import resilience
+
+    captures, rollbacks, plans = [], [], []
+    capture, rollback = (resilience.ResilienceRuntime.capture,
+                         resilience.ResilienceRuntime.rollback)
+    build = resilience._Replica.__init__
+
+    def capturing(runtime, state, meta, solver_meta=None):
+        capture(runtime, state, meta, solver_meta)
+        captures.append((_replica_bits(state), _replica_bits(meta)))
+
+    def rolling_back(runtime, event, detected_at):
+        kept = [runtime._replica[0][name].stack
+                for name in runtime._replica[0] if name in ("x", "r")]
+        restored = rollback(runtime, event, detected_at)
+        shared = any(np.may_share_memory(restored[0][name].stack, stack)
+                     for name in ("x", "r") for stack in kept)
+        rollbacks.append((_replica_bits(restored[0]),
+                          _replica_bits(restored[1]), shared))
+        return restored
+
+    def planning(replica, state, meta):
+        plans.append(state["x"].nrhs)
+        build(replica, state, meta)
+
+    monkeypatch.setattr(resilience.ResilienceRuntime, "capture", capturing)
+    monkeypatch.setattr(resilience.ResilienceRuntime, "rollback",
+                        rolling_back)
+    monkeypatch.setattr(resilience._Replica, "__init__", planning)
+    return captures, rollbacks, plans
+
+
+def _fault_in_row(calls, verdict, due, check):
+    """``verdict`` (:meth:`ResilienceRuntime.halo_verdict` or
+    ``rowsum_verdict``, whose sums are stacked one halo update or apply a
+    row) with a fault in its ``due``-th row since ``calls`` was cleared:
+    1.0 added to the post-delivery halo sums, NaN to ``sum A x``."""
+    def faulty(runtime, *sums):
+        row = due - len(calls) - 1
+        calls.extend([None] * len(sums[0]))
+        if 0 <= row < len(sums[0]):
+            at = 1 if check == "halo" else 0
+            sums = list(sums)
+            sums[at] = np.array(sums[at], dtype=np.float64)
+            sums[at][row] += 1.0 if check == "halo" else np.nan
+        return verdict(runtime, *sums)
+
+    return faulty
 
 
 class TestStepperResume:

@@ -172,3 +172,63 @@ def test_cache_misses_together_build_once(small_config, monkeypatch):
         thread.join()
     assert built == ["diagonal"]
     assert all(pre is got[0] for pre in got) and got[0] is not None
+
+
+def test_guarded_solves_build_a_1_once(small_config, small_decomp,
+                                       monkeypatch):
+    """Guarded solves that start together, each in a context of its own
+    over one stencil and decomposition, build the row-sum check's ``A 1``
+    once -- the first under the cache's lock, the others then read it --
+    and each equals its solo solve, the runtime's counters included (the
+    interpreter's switch interval shortened so that the threads
+    interleave)."""
+    import sys
+    import weakref
+
+    from repro.kernels.native import load as load_native
+    from repro.parallel import resilience
+
+    # The load-time check builds A 1 for its own contexts: load first.
+    load_native()
+    monkeypatch.setattr(resilience, "_ROWSUMS", weakref.WeakKeyDictionary())
+    built, plain = [], resilience.ResilienceRuntime._apply_to_ones
+
+    def counting(runtime):
+        built.append(None)
+        time.sleep(0.05)   # the other threads look it up meanwhile
+        return plain(runtime)
+
+    monkeypatch.setattr(resilience.ResilienceRuntime, "_apply_to_ones",
+                        counting)
+    context = _shared(small_config, small_decomp, "evp", "batched")
+    rhs = _rhs(small_config, THREADS)
+    out = [None] * THREADS
+    start = threading.Barrier(THREADS)
+
+    def guarded(b):
+        return PCSISolver(context(), tol=1e-12, check_freq=10,
+                          max_iterations=2000).solve(b, resilience=True)
+
+    def run(i):
+        start.wait()
+        out[i] = guarded(rhs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1
+    for got, b in zip(out, rhs):
+        solo = guarded(b)
+        assert _same(got, solo)
+        assert (got.extra["resilience"]["counters"]
+                == solo.extra["resilience"]["counters"])
+    assert len(built) == 1

@@ -1147,14 +1147,16 @@ class TestEVPSpan:
     @pytest.mark.parametrize("nrhs", [None, 3])
     def test_span_sums_are_the_stacked_apply(self, uniform_config, lattice,
                                              nrhs):
-        """A P-CSI span handed a check makes its sums as it goes: every
-        iteration, the halo copy's per-slot sums of what it wrote and of
-        what the ring then holds -- equal bit for bit, and the numpy sums
-        of those cells up to rounding -- and, on the iterations the check
-        says are due, the row-sum terms of the stacked stencil apply of
-        that iteration's ``x`` (its halos just copied) over every
-        block's window: ``sum A x``, ``sum w x``, ``sum |w x|``.  The
-        span's vectors are those of a span with no check."""
+        """A P-CSI span handed a check makes its sums as it goes and
+        hands them over once, one row an iteration: the halo copy's
+        per-slot sums of what it wrote and of what the ring then holds --
+        equal bit for bit, and the numpy sums of those cells up to
+        rounding -- and, on the iterations the check says are due, the
+        row-sum terms of the stacked stencil apply of that iteration's
+        ``x`` (its halos just copied; the same span run one iteration a
+        call gives it) over every block's window: ``sum A x``, ``sum w
+        x``, ``sum |w x|``.  The span's vectors are those of a span with
+        no check."""
         config = uniform_config
         decomp = decompose(config.ny, config.nx,
                            *((4, 4) if lattice == "uniform" else (5, 7)),
@@ -1173,8 +1175,8 @@ class TestEVPSpan:
         for w, (ny, nx) in zip(a1, extents):
             w[:ny, :nx] = rng.standard_normal((ny, nx))
         rowsum = (a1, None if decomp.is_uniform else extents)
-        runs = []
-        for keeps in (None, (True, False, True, True, False)):
+        runs, stacks, applied = [], [], []
+        for keeps in (None, (True, False, True, True, False), "one by one"):
             vm = VirtualMachine(decomp, mask=config.mask)
             ctx = DistributedContext(config.stencil, pre, vm,
                                      kernels=kernels)
@@ -1182,26 +1184,32 @@ class TestEVPSpan:
             run = ctx._span_runner("chebyshev", (b, r, dx, x))
             if keeps is None:
                 run.run(weights)
+            elif keeps == "one by one":
+                for step in weights:
+                    run.run([step])
+                    stacks.append(x.stack.copy())
+                    applied.append(vm.zeros(nrhs=x.nrhs))
+                    ctx.operator.apply(x, applied[-1])
             else:
-                check = _SpanSums(rowsum, keeps, ctx, x)
+                check = _SpanSums(rowsum, keeps)
                 run.run(weights, check)
-                assert check.calls == 5
+                assert check.calls == 1
                 assert [terms is not None for *_, terms in check.handed] \
                     == list(keeps)
             runs.append([v.stack for v in (r, dx, x)])
-        for got, want in zip(*runs):
+        for want, got, one_by_one in zip(*runs):
             assert np.array_equal(got, want)
+            assert np.array_equal(one_by_one, want)
         dst, _, zero = vm.exchanger.halo_tables()
         cells = np.concatenate([zero, dst])
         slot = cells // np.prod(x.stack.shape[1:3])
         for (pre_sums, post, terms), stack, apply in zip(
-                check.handed, check.stacks, check.applied):
+                check.handed, stacks, applied):
             assert pre_sums.tobytes() == post.tobytes()
             want = np.zeros(pre_sums.shape)
             np.add.at(want, slot, stack.reshape(-1, want.shape[1])[cells])
             assert np.allclose(pre_sums, want, rtol=1e-12, atol=1e-12)
             if terms is None:
-                assert apply is None
                 continue
             h = decomp.halo_width
             sums = np.zeros((3, pre_sums.shape[1]))
@@ -1217,32 +1225,25 @@ class TestEVPSpan:
 class _SpanSums:
     """A stand-in for :class:`~repro.parallel.resilience.SpanChecks`
     handed to an EVP runner: its row-sum terms are due on the iterations
-    ``keeps`` says (all without it) and read ``rowsum``'s ``(weights,
-    extents)``; it copies what it is handed and, given a context and its
-    swept field ``x``, ``x``'s stack as it is then and -- where terms
-    were due -- the stacked apply of ``x``."""
+    ``keeps`` says, counted over every call (all without it), and read
+    ``rowsum``'s ``(weights, extents)``; it copies what it is handed, one
+    ``(pre, post, terms)`` an iteration (``terms`` ``None`` where none
+    were due)."""
 
-    abft = True
+    def __init__(self, rowsum, keeps=None):
+        self.rowsum, self.keeps = rowsum, keeps
+        self.handed, self.calls = [], 0
 
-    def __init__(self, rowsum, keeps=None, ctx=None, x=None):
-        self.rowsum, self.keeps, self.ctx, self.x = rowsum, keeps, ctx, x
-        self.handed, self.stacks, self.applied, self.calls = [], [], [], 0
+    def due(self, n):
+        seen = len(self.handed)
+        return tuple(t for t in range(n)
+                     if self.keeps is None or self.keeps[seen + t])
 
-    def due(self):
-        return self.keeps is None or self.keeps[self.calls]
-
-    def __call__(self, pre, post, terms):
+    def __call__(self, pre, post, terms, due):
         self.calls += 1
-        self.handed.append((pre.copy(), post.copy(),
-                            None if terms is None else terms.copy()))
-        if self.ctx is None:
-            return
-        self.stacks.append(self.x.stack.copy())
-        out = None
-        if terms is not None:
-            out = self.ctx.vm.zeros(nrhs=self.x.nrhs)
-            self.ctx.operator.apply(self.x, out)
-        self.applied.append(out)
+        self.handed += [(pre[t].copy(), post[t].copy(),
+                         terms[t].copy() if t in due else None)
+                        for t in range(len(pre))]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # Inf * 0.0

@@ -12,6 +12,8 @@ with no resilience armed at all -- must still surface as a structured
 answer.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -265,37 +267,42 @@ class TestRecovery:
         assert counts is not None
         assert counts.flops > 0 or counts.halo_words > 0
 
-    def test_rowsum_built_once_per_context(self, monkeypatch, config,
-                                           decomp, engine):
-        """The row-sum check's ``A 1`` is built by a context's first
-        guarded solve and only read by the next: one raw exchange fewer
-        than two solves that each build it (on the batched engine, the
-        only one), and the same ``x``, ledgers and counters (its flops
-        are charged once per solve either way)."""
-        def two_solves(rebuild):
-            ctx = _make_solver(engine, config, decomp).context
-            builds = []
-            plain = ctx.vm.exchanger.exchange_via_global
+    def test_rowsum_built_once_per_stencil_and_decomposition(
+            self, monkeypatch, config, decomp, engine):
+        """The row-sum check's ``A 1`` is built by the first guarded
+        solve on a stencil and decomposition and only read by every later
+        one, in any context over the two: two contexts' two solves each
+        make three raw exchanges fewer than the same four solves that
+        each build it afresh (on the batched engine, one in all), with
+        the same ``x``, ledgers and counters (its flops are charged once
+        per solve either way)."""
+        from repro.parallel import resilience
 
-            def counted(field):
-                builds.append(field)
-                return plain(field)
+        def four_solves(rebuild):
+            monkeypatch.setattr(resilience, "_ROWSUMS",
+                                weakref.WeakKeyDictionary())
+            builds, results = [], []
+            for _ in range(2):
+                ctx = _make_solver(engine, config, decomp).context
 
-            monkeypatch.setattr(ctx.vm.exchanger, "exchange_via_global",
-                                counted)
-            results = []
-            for seed in (1, 2):
-                if rebuild:
-                    ctx.abft_rowsum = None
-                solver = ChronGearSolver(ctx, tol=1e-10,
-                                         max_iterations=3000)
-                results.append(solver.solve(_rhs(config, seed),
-                                            resilience=True))
+                def counted(field, plain=ctx.vm.exchanger.exchange_via_global):
+                    builds.append(field)
+                    return plain(field)
+
+                monkeypatch.setattr(ctx.vm.exchanger, "exchange_via_global",
+                                    counted)
+                for seed in (1, 2):
+                    if rebuild:
+                        resilience._ROWSUMS.clear()
+                    solver = ChronGearSolver(ctx, tol=1e-10,
+                                             max_iterations=3000)
+                    results.append(solver.solve(_rhs(config, seed),
+                                                resilience=True))
             return results, len(builds)
 
-        shared, built = two_solves(rebuild=False)
-        rebuilt, built_twice = two_solves(rebuild=True)
-        assert built_twice == built + 1
+        shared, built = four_solves(rebuild=False)
+        rebuilt, built_each = four_solves(rebuild=True)
+        assert built_each == built + 3
         if engine == "batched":
             assert built == 1
         for got, ref in zip(shared, rebuilt):
