@@ -14,9 +14,6 @@ Commands
     ``repro tune`` has persisted a winning combo for this grid +
     decomposition, any of ``--solver``/``--precond``/``--engine``
     left unset is filled from it (``--no-tuned`` opts out).
-    ``--precond`` accepts the polynomial kinds ``cheby:D`` and
-    ``ncheby:D[:K]``; ``--precond-degree`` / ``--newton-steps``
-    override the suffix.
     ``--engine {serial,batched}`` selects the serial context or the
     virtual machine's batched engine; ``--inject-fault SPEC``
     (repeatable) attaches deterministic fault injectors to exercise
@@ -39,7 +36,7 @@ Commands
 ``machines``
     Print the calibrated machine models.
 ``tune [--config NAME] [--blocks by,bx] [--quick] [--out PATH]``
-    Benchmark candidate (solver, preconditioner+degree, engine)
+    Benchmark candidate (solver, preconditioner, engine)
     combos with real solves, print the ranked table, and
     persist the winner in the artifact cache keyed by grid +
     decomposition; later ``repro solve`` runs apply it automatically.
@@ -150,7 +147,7 @@ def cmd_solve(args):
     from repro.operators import apply_stencil
     from repro.parallel import VirtualMachine, decompose, parse_fault_spec
     from repro.perfmodel import get_machine, phase_times
-    from repro.precond import make_preconditioner, polynomial_family
+    from repro.precond import make_preconditioner
     from repro.precond.evp import evp_for_config
     from repro.solvers import DistributedContext, SerialContext, make_solver
 
@@ -204,20 +201,12 @@ def cmd_solve(args):
                   "switching to --engine batched")
             engine = "batched"
 
-    precond_kwargs = {}
-    family = polynomial_family(precond_kind)
-    if family and args.precond_degree is not None:
-        precond_kwargs["degree"] = args.precond_degree
-    if family == "ncheby" and args.newton_steps is not None:
-        precond_kwargs["steps"] = args.newton_steps
-
     decomp = None
     if engine == "serial":
         if precond_kind == "evp":
             pre = evp_for_config(config)
         else:
-            pre = make_preconditioner(precond_kind, config.stencil,
-                                      **precond_kwargs)
+            pre = make_preconditioner(precond_kind, config.stencil)
         ctx = SerialContext(config.stencil, pre)
     else:
         decomp = decompose(config.ny, config.nx, by, bx, mask=config.mask)
@@ -228,7 +217,7 @@ def cmd_solve(args):
             pre = evp_for_config(config, decomp=decomp)
         else:
             pre = make_preconditioner(precond_kind, config.stencil,
-                                      decomp=decomp, **precond_kwargs)
+                                      decomp=decomp)
         ctx = DistributedContext(config.stencil, pre, vm)
     for fault in faults:
         print(f"injecting fault: {fault.describe()}")
@@ -551,6 +540,9 @@ def cmd_machines(_args):
 
 
 def build_parser():
+    from repro.precond import PRECOND_KINDS
+    from repro.solvers import SOLVER_REGISTRY
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction harness for the SC'15 POP barotropic "
@@ -569,19 +561,14 @@ def build_parser():
     p_solve.add_argument("--config", default="pop_1deg",
                          choices=["pop_1deg", "pop_0.1deg", "test"])
     p_solve.add_argument("--scale", type=float, default=1.0)
-    p_solve.add_argument("--solver", default=None,
+    p_solve.add_argument("--solver", default=None, type=str.lower,
+                         choices=SOLVER_REGISTRY,
                          help="solver name (default: the persisted "
                               "tuned choice if any, else pcsi)")
-    p_solve.add_argument("--precond", default=None,
-                         help="preconditioner kind, e.g. evp, diagonal, "
-                              "cheby:4, ncheby:2:1 (default: the "
+    p_solve.add_argument("--precond", default=None, type=str.lower,
+                         choices=PRECOND_KINDS,
+                         help="preconditioner kind (default: the "
                               "persisted tuned choice if any, else evp)")
-    p_solve.add_argument("--precond-degree", type=int, default=None,
-                         help="polynomial degree for cheby/ncheby "
-                              "(overrides the kind's :D suffix)")
-    p_solve.add_argument("--newton-steps", type=int, default=None,
-                         help="Newton refinement sweeps for ncheby "
-                              "(overrides the kind's :D:K suffix)")
     p_solve.add_argument("--no-tuned", action="store_true",
                          help="ignore any persisted 'repro tune' choice "
                               "for this grid + decomposition")
@@ -670,7 +657,7 @@ def build_parser():
                              "solves to (default: 1e-12)")
     p_tune.add_argument("--quick", action="store_true",
                         help="reduced candidate matrix for smoke runs "
-                             "(fewer solvers/preconds, one backend)")
+                             "(fewer solvers and preconditioners)")
     p_tune.add_argument("--machine", default="yellowstone",
                         help="machine model for the modeled-time column")
     p_tune.add_argument("--cache-dir", default=None,

@@ -29,7 +29,7 @@ from repro.operators import apply_stencil
 from repro.parallel import decompose
 from repro.parallel.decomposition import decomposition_for_core_count
 from repro.parallel.events import EventCounts
-from repro.precond import make_preconditioner, polynomial_family
+from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
     SOLVER_REGISTRY,
@@ -329,11 +329,7 @@ def _decomposed_context(config, precond, engine, blocks, cache):
     if precond == "evp":
         pre = evp_for_config(config, decomp=decomp, cache=cache)
     else:
-        pkw = {}
-        if polynomial_family(precond):
-            pkw["bounds_cache"] = cache
-        pre = make_preconditioner(precond, config.stencil,
-                                  decomp=decomp, **pkw)
+        pre = make_preconditioner(precond, config.stencil, decomp=decomp)
     if engine == "serial":
         return SerialContext(config.stencil, pre, decomp=decomp)
     vm = VirtualMachine(decomp, mask=config.mask, engine=engine)

@@ -13,8 +13,7 @@ sequence -- ``np.array_equal`` results, pinned by
     The reference: nine slice-multiply-accumulate passes, the engine's
     gather-based marching sweep, numpy's own product-then-sum.
     Readable and slow; it is the oracle the parity suites compare
-    against, and :mod:`repro.precond.polynomial` pins it for its
-    Lanczos run.
+    against.
 ``fused`` (:class:`FusedKernels`)
     The product, used by everything else: layouts on which every hot
     loop is one pass over contiguous memory (see

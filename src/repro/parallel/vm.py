@@ -60,11 +60,6 @@ class VirtualMachine:
     ledger:
         Optional shared :class:`EventLedger`; a fresh one is created if
         omitted.
-    fast_exchange:
-        For the per-rank engine: use the bulk-synchronous
-        global-assembly halo update (identical result, fewer
-        Python-level copies).  The direct point-to-point path remains
-        available for validation.
     engine:
         ``"auto"`` (default) or ``"batched"``; ``"perrank"`` builds the
         test oracle -- see the module docstring.
@@ -75,12 +70,11 @@ class VirtualMachine:
         -- the test harness for the solver guardrails.
     """
 
-    def __init__(self, decomp, mask=None, ledger=None, fast_exchange=True,
-                 engine="auto", faults=None):
+    def __init__(self, decomp, mask=None, ledger=None, engine="auto",
+                 faults=None):
         self.decomp = decomp
         self.exchanger = HaloExchanger(decomp)
         self.ledger = ledger if ledger is not None else EventLedger()
-        self.fast_exchange = fast_exchange
         if engine not in ENGINES:
             raise DecompositionError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -183,10 +177,8 @@ class VirtualMachine:
         """
         if self.is_batched and field.is_stacked:
             self.exchanger.exchange_stacked(field, self.kernels)
-        elif self.fast_exchange:
-            self.exchanger.exchange_via_global(field)
         else:
-            self.exchanger.exchange(field)
+            self.exchanger.exchange_via_global(field)
         width = field.nrhs or 1
         self.ledger.record_halo(
             phase,

@@ -35,8 +35,6 @@ from repro.perfmodel.equations import (
     pcsi_step_time,
     chrongear_evp_step_time,
     pcsi_evp_step_time,
-    chrongear_poly_step_time,
-    pcsi_poly_step_time,
     capcg_step_time,
     capcg_reductions_per_iteration,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "pcsi_step_time",
     "chrongear_evp_step_time",
     "pcsi_evp_step_time",
-    "chrongear_poly_step_time",
-    "pcsi_poly_step_time",
     "capcg_step_time",
     "capcg_reductions_per_iteration",
     "PopCostModel",

@@ -82,50 +82,6 @@ def pcsi_evp_step_time(n_global, p, machine, iterations=1):
     return iterations * per_iter
 
 
-def chrongear_poly_step_time(n_global, p, machine, degree=4, steps=0,
-                             iterations=1):
-    """Eq. (5) analogue for polynomial-preconditioned ChronGear.
-
-    Same shape as the EVP form, but the preconditioner flop coefficient
-    is :func:`~repro.precond.polynomial.polynomial_point_flops` instead
-    of block-EVP's 14: the block-local Chebyshev/Newton-Chebyshev apply
-    adds *only* computation -- zero global reductions and zero halo
-    exchanges per apply -- so the ``alpha`` and ``beta`` terms are
-    untouched relative to the diagonal baseline (Eq. 2 minus its 1
-    flop/point diagonal scaling).
-    """
-    from repro.precond.polynomial import polynomial_point_flops
-
-    n2, halo_words, logp = _common(n_global, p, machine)
-    per_iter = (
-        (17.0 + polynomial_point_flops(degree, steps)) * n2 * machine.theta
-        + halo_words * 8 * machine.beta
-        + (4 + logp) * machine.alpha
-    )
-    return iterations * per_iter
-
-
-def pcsi_poly_step_time(n_global, p, machine, degree=4, steps=0,
-                        iterations=1):
-    """Eq. (6) analogue for polynomial-preconditioned P-CSI.
-
-    Like :func:`chrongear_poly_step_time`: the diagonal baseline's 1
-    flop/point preconditioner term (Eq. 3's ``13 = 12 + 1``) is replaced
-    by the polynomial apply's flops per point; communication terms are
-    identical to the diagonal form since the apply is reduction- and
-    halo-free.
-    """
-    from repro.precond.polynomial import polynomial_point_flops
-
-    n2, halo_words, _ = _common(n_global, p, machine)
-    per_iter = (
-        (12.0 + polynomial_point_flops(degree, steps)) * n2 * machine.theta
-        + 4 * machine.alpha
-        + halo_words * 8 * machine.beta
-    )
-    return iterations * per_iter
-
-
 def capcg_step_time(n_global, p, machine, s=4, iterations=1):
     """Closed-form cost of s-step CA-PCG (diagonal preconditioning).
 

@@ -7,10 +7,7 @@
 * :mod:`repro.precond.evp` -- the paper's block Error-Vector-Propagation
   preconditioner (section 4), with full and simplified stencils,
 * :mod:`repro.precond.block_lu` -- block-Jacobi with exact dense block
-  solves, the ``O(n^4)``-work comparator EVP displaces (section 4.1),
-* :mod:`repro.precond.polynomial` -- reduction-free Chebyshev and
-  Newton-Chebyshev polynomial preconditioners built from the cached
-  Lanczos eigenbounds (zero reductions and zero halos per apply).
+  solves, the ``O(n^4)``-work comparator EVP displaces (section 4.1).
 """
 
 from repro.precond.base import Preconditioner
@@ -18,11 +15,6 @@ from repro.precond.identity import IdentityPreconditioner
 from repro.precond.diagonal import DiagonalPreconditioner
 from repro.precond.evp import EVPBlockPreconditioner, EVPTileEngine
 from repro.precond.block_lu import BlockLUPreconditioner
-from repro.precond.polynomial import (
-    ChebyshevPreconditioner,
-    NewtonChebyshevPreconditioner,
-    polynomial_point_flops,
-)
 
 __all__ = [
     "Preconditioner",
@@ -31,87 +23,39 @@ __all__ = [
     "EVPBlockPreconditioner",
     "EVPTileEngine",
     "BlockLUPreconditioner",
-    "ChebyshevPreconditioner",
-    "NewtonChebyshevPreconditioner",
-    "polynomial_point_flops",
-    "polynomial_family",
+    "PRECOND_KINDS",
     "make_preconditioner",
 ]
 
-#: Accepted spellings of the polynomial families (suffix syntax:
-#: ``cheby:DEGREE`` and ``ncheby:DEGREE[:STEPS]``).
-_CHEBY_NAMES = ("cheby", "chebyshev")
-_NCHEBY_NAMES = ("ncheby", "newton-cheby", "newtoncheby", "newton")
+#: Every preconditioner kind :func:`make_preconditioner` builds, and
+#: its aliases.
+_CLASSES = {
+    "identity": IdentityPreconditioner,
+    "none": IdentityPreconditioner,
+    "diagonal": DiagonalPreconditioner,
+    "diag": DiagonalPreconditioner,
+    "evp": EVPBlockPreconditioner,
+    "block_lu": BlockLUPreconditioner,
+    "blocklu": BlockLUPreconditioner,
+    "lu": BlockLUPreconditioner,
+}
 
-
-def polynomial_family(kind):
-    """``"cheby"`` / ``"ncheby"`` for a polynomial spec, else ``None``.
-
-    The one reading of the spellings above (case-insensitive, any
-    ``:DEGREE[:STEPS]`` suffix ignored): callers use it to decide which
-    kinds take ``bounds_cache=``, ``degree=`` and ``steps=``.
-    """
-    base = str(kind).lower().partition(":")[0]
-    if base in _CHEBY_NAMES:
-        return "cheby"
-    if base in _NCHEBY_NAMES:
-        return "ncheby"
-    return None
-
-
-def _int_suffix(kind, part, what):
-    try:
-        return int(part)
-    except ValueError:
-        raise ValueError(
-            f"bad preconditioner spec {kind!r}: {what} suffix {part!r} "
-            f"is not an integer") from None
+#: The names :func:`make_preconditioner` accepts, aliases included.
+#: Input that names a kind -- ``repro solve --precond``, a service
+#: request's ``precond`` -- is checked against it where it arrives.
+PRECOND_KINDS = tuple(_CLASSES)
 
 
 def make_preconditioner(kind, stencil, decomp=None, **kwargs):
     """Factory: build a preconditioner by name.
 
-    ``kind`` is one of ``"identity"``, ``"diagonal"``, ``"evp"``,
-    ``"block_lu"``, ``"cheby"``, ``"ncheby"``.  ``decomp`` is required
-    for the block preconditioners (and optional for the point-wise
-    ones).  The polynomial kinds accept an inline degree spec --
-    ``"cheby:6"`` is a degree-6 Chebyshev, ``"ncheby:2:2"`` a degree-2
-    seed with 2 Newton sweeps -- which explicit ``degree=``/``steps=``
-    keyword arguments override.
+    ``kind`` is one of :data:`PRECOND_KINDS` (case-insensitive).
+    ``decomp`` is required for the block preconditioners (and optional
+    for the point-wise ones).
     """
-    kind = kind.lower()
-    base, _, suffix = kind.partition(":")
-    family = polynomial_family(kind)
-    if family == "cheby":
-        kwargs = dict(kwargs)
-        if suffix:
-            kwargs.setdefault("degree",
-                              _int_suffix(kind, suffix, "degree"))
-        return ChebyshevPreconditioner(stencil, decomp=decomp, **kwargs)
-    if family == "ncheby":
-        kwargs = dict(kwargs)
-        if suffix:
-            parts = suffix.split(":")
-            if len(parts) > 2:
-                raise ValueError(
-                    f"bad preconditioner spec {kind!r}: expected "
-                    f"'{base}:DEGREE[:STEPS]'")
-            kwargs.setdefault("degree",
-                              _int_suffix(kind, parts[0], "degree"))
-            if len(parts) == 2:
-                kwargs.setdefault("steps",
-                                  _int_suffix(kind, parts[1], "steps"))
-        return NewtonChebyshevPreconditioner(stencil, decomp=decomp,
-                                             **kwargs)
-    if kind in ("identity", "none"):
-        return IdentityPreconditioner(stencil, decomp=decomp, **kwargs)
-    if kind in ("diagonal", "diag"):
-        return DiagonalPreconditioner(stencil, decomp=decomp, **kwargs)
-    if kind == "evp":
-        return EVPBlockPreconditioner(stencil, decomp=decomp, **kwargs)
-    if kind in ("block_lu", "blocklu", "lu"):
-        return BlockLUPreconditioner(stencil, decomp=decomp, **kwargs)
-    raise ValueError(
-        f"unknown preconditioner kind {kind!r}; expected identity, diagonal, "
-        "evp, block_lu, cheby[:D] or ncheby[:D[:K]]"
-    )
+    cls = _CLASSES.get(kind.lower())
+    if cls is None:
+        raise ValueError(
+            f"unknown preconditioner kind {kind!r}; expected one of "
+            f"{PRECOND_KINDS}")
+    return cls(stencil, decomp=decomp, **kwargs)

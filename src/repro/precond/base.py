@@ -108,22 +108,6 @@ class Preconditioner(abc.ABC):
         return None
 
     # ------------------------------------------------------------------
-    # checkpoint hooks
-    # ------------------------------------------------------------------
-    def snapshot_meta(self):
-        """JSON-able state a solver checkpoint should carry for ``M``.
-
-        Stateless preconditioners return ``{}`` (the default).
-        Preconditioners with lazily resolved state (e.g. the polynomial
-        families' spectral interval) override this so a resumed solve
-        restores the exact operator instead of re-deriving it.
-        """
-        return {}
-
-    def restore_meta(self, meta):
-        """Restore state captured by :meth:`snapshot_meta` (no-op)."""
-
-    # ------------------------------------------------------------------
     # caching
     # ------------------------------------------------------------------
     def cache_token(self):

@@ -13,7 +13,9 @@ Request fields
 ``scale``           grid scale factor (default 1.0)
 ``seed``            grid seed (default ``None``)
 ``solver``          solver name, or ``None`` to use the tuned choice
-``precond``         preconditioner spec, or ``None`` likewise
+``precond``         preconditioner kind (one of
+                    :data:`~repro.precond.PRECOND_KINDS`), or ``None``
+                    likewise
 ``tol``             relative tolerance (default 1e-12)
 ``check_freq``      convergence-check cadence (default 10)
 ``max_iterations``  iteration budget (default 2000)
@@ -42,6 +44,7 @@ import numpy as np
 
 from repro.core.cache import CACHE_FORMAT_VERSION, digest_of
 from repro.core.errors import ConfigurationError
+from repro.precond import PRECOND_KINDS
 from repro.reporting.serialize import decode_array, encode_array
 from repro.solvers.result import SolveResult
 
@@ -82,7 +85,11 @@ def normalize_request(doc):
                 f"{KNOWN_SOLVERS}")
     precond = doc.get("precond")
     if precond is not None:
-        precond = str(precond)
+        precond = str(precond).lower()
+        if precond not in PRECOND_KINDS:
+            raise ProtocolError(
+                f"unknown preconditioner {precond!r}; expected one of "
+                f"{PRECOND_KINDS}")
     rhs = doc.get("rhs")
     if rhs is not None:
         try:

@@ -868,8 +868,6 @@ class IterativeSolver(abc.ABC):
             "lists": lists,
             "extra": sanitize_meta(state.get("extra", {})),
             "solver_state": sanitize_meta(self._snapshot_solver_meta()),
-            "precond_state": sanitize_meta(
-                ctx.preconditioner.snapshot_meta()),
             "loop": sanitize_meta(loop_meta),
             "setup_events": _events_to_meta(acct["setup_events"]),
             "loop_events": _events_to_meta(self._loop_events(acct)),
@@ -930,7 +928,6 @@ class IterativeSolver(abc.ABC):
         if width is not None and loop.active.size:
             ctx.nrhs = int(loop.active.size)
         self._restore_solver_meta(meta["solver_state"])
-        ctx.preconditioner.restore_meta(meta["precond_state"] or {})
         acct = {
             "after_setup": ctx.ledger.snapshot(),
             "setup_events": _events_from_meta(meta["setup_events"]),

@@ -3,7 +3,7 @@ persist the winner per grid + decomposition.
 
 Following "Tuning Spectral Element Preconditioners for Parallel
 Scalability", which tunes the choices that change the *numerics* per
-machine, the right (solver, preconditioner+degree, execution engine)
+machine, the right (solver, preconditioner, execution engine)
 combination is an empirical property of a grid and its block
 decomposition, not something to hand-pick.  (The kernel
 implementations are not an axis: they agree bit for bit, see
@@ -36,12 +36,12 @@ from repro.core.errors import ConvergenceError
 
 #: Candidate axes of a full tuning run.
 DEFAULT_SOLVERS = ("chrongear", "pcsi", "capcg")
-DEFAULT_PRECONDS = ("diagonal", "evp", "cheby:2", "cheby:4", "ncheby:2:1")
+DEFAULT_PRECONDS = ("diagonal", "evp")
 DEFAULT_ENGINES = ("serial", "batched")
 
 #: The reduced matrix behind ``repro tune --quick`` (CI smoke).
 QUICK_SOLVERS = ("chrongear", "pcsi")
-QUICK_PRECONDS = ("diagonal", "cheby:2")
+QUICK_PRECONDS = ("diagonal",)
 QUICK_ENGINES = ("serial", "batched")
 
 
@@ -57,8 +57,13 @@ def load_tuned_choice(config, decomp, cache=None):
     Checks the memory tier first, then the disk tier (promoting a disk
     hit into memory).  The returned dict carries ``solver``,
     ``precond``, ``engine``, ``blocks`` plus the benchmark numbers
-    recorded at tuning time.
+    recorded at tuning time.  A persisted choice naming a solver or
+    preconditioner this version does not build (written by an older
+    one) is a miss, so callers fall back to their defaults.
     """
+    from repro.precond import PRECOND_KINDS
+    from repro.solvers import SOLVER_REGISTRY
+
     cache = cache if cache is not None else get_cache()
     key = tuned_choice_key(config, decomp)
     choice = cache.get_object("tuned", key)
@@ -67,6 +72,10 @@ def load_tuned_choice(config, decomp, cache=None):
         if loaded is not None:
             choice = dict(loaded[1])
             cache.put_object("tuned", key, choice)
+    if choice is not None and (
+            str(choice.get("solver")).lower() not in SOLVER_REGISTRY
+            or str(choice.get("precond")).lower() not in PRECOND_KINDS):
+        return None
     return choice
 
 
@@ -84,16 +93,12 @@ def candidate_list(quick=False):
 
 
 def _build_preconditioner(spec, config, decomp, cache):
-    from repro.precond import make_preconditioner, polynomial_family
+    from repro.precond import make_preconditioner
     from repro.precond.evp import evp_for_config
 
     if spec == "evp":
         return evp_for_config(config, decomp=decomp, cache=cache)
-    kwargs = {}
-    if polynomial_family(spec):
-        kwargs["bounds_cache"] = cache
-    return make_preconditioner(spec, config.stencil, decomp=decomp,
-                               **kwargs)
+    return make_preconditioner(spec, config.stencil, decomp=decomp)
 
 
 def _benchmark(config, decomp, candidate, rhs, tol, max_iterations,

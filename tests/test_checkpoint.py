@@ -288,6 +288,27 @@ class TestSolverResume:
                 b, resume_from=policy.written[0])
         _assert_results_identical(full, resumed)
 
+    def test_resume_ignores_a_retired_precond_state_key(self, tmp_path,
+                                                        config, decomp):
+        """Older snapshots carry a ``precond_state`` entry (``{}`` for
+        every preconditioner this version builds); it is not read."""
+        b = _rhs(config)
+        full = make_solver(
+            "pcsi", _context(config, decomp, "serial", "numpy"),
+            tol=1e-10).solve(b)
+        policy = CheckpointPolicy(str(tmp_path / "ckpt"), every=20)
+        make_solver("pcsi", _context(config, decomp, "serial", "numpy"),
+                    tol=1e-10).solve(b, checkpoint=policy)
+        arrays, meta = read_checkpoint(policy.written[0], kind="solver")
+        assert "precond_state" not in meta
+        old = str(tmp_path / "old.ckpt.npz")
+        write_checkpoint(old, "solver", arrays,
+                         dict(meta, precond_state={}))
+        resumed = make_solver(
+            "pcsi", _context(config, decomp, "serial", "numpy"),
+            tol=1e-10).solve(b, resume_from=old)
+        _assert_results_identical(full, resumed)
+
     def test_cross_engine_resume(self, tmp_path, config, decomp):
         """A snapshot written under one engine resumes under another:
         checkpoints are stored in the engine-agnostic global layout.

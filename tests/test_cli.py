@@ -71,6 +71,14 @@ class TestCommands:
         assert "global reductions" in out
         assert "loop reductions / iteration" in out
 
+    @pytest.mark.parametrize("flag", ["--solver", "--precond"])
+    def test_solve_unknown_name_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "--config", "test", flag, "bogus"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "invalid choice" in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -24,7 +24,7 @@ from repro.solvers.csi import PCSISolver
 
 THREADS = 4
 ROUNDS = 3
-PRECONDS = ("evp", "diagonal", "cheby:4")
+PRECONDS = ("evp", "diagonal")
 ENGINES = ("serial", "batched")
 
 

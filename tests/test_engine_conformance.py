@@ -65,7 +65,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 ENGINES = ("perrank", "batched")
 SOLVERS = ("pcsi", "chrongear", "pcg", "pipecg", "capcg")
-PRECONDS = ("identity", "diagonal", "evp", "block_lu", "cheby:3")
+PRECONDS = ("identity", "diagonal", "evp", "block_lu")
 
 
 def _config_with_land_blocks(ny, nx, mby, mbx, land_blocks, seed):

@@ -2064,10 +2064,6 @@ class TestSolveParity:
         """The batched engine on a ragged stack -- update chains with
         per-column coefficients, windowed dots, the planes-once sweep,
         the halo-only exchange -- against the oracle."""
-        # Identity has no stacked kernel of its own; the polynomial
-        # family (block-local sweeps on the padded stack) takes its slot.
-        precond = "cheby:2" if precond == "identity" else precond
-
         def solve(kernels):
             vm = VirtualMachine(ragged_decomp, mask=uniform_config.mask)
             vm.kernels = kernels

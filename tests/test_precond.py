@@ -240,8 +240,8 @@ class TestBatchPlanes:
     in the folded row layout, repeated once per width -- except EVP's
     mask where its native scatter masks, reading the plane itself."""
 
-    @pytest.mark.parametrize("kind", ["identity", "diagonal", "cheby:2",
-                                      "block_lu", "evp"])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "block_lu",
+                                      "evp"])
     def test_columns_match_and_one_width_is_kept(self, small_config,
                                                  small_decomp, kind):
         if kind == "evp":

@@ -88,6 +88,8 @@ class TestProtocol:
         {"config": ""},
         {"config": "test", "solver": "gmres"},
         {"config": "test", "engine": "warp"},
+        {"config": "test", "precond": "bogus"},
+        {"config": "test", "precond": "cheby:4"},
         {"config": "test", "blocks": [4]},
         {"config": "test", "blocks": [0, 4]},
         {"config": "test", "tol": 0.0},
@@ -652,6 +654,15 @@ class TestHttpEndpoints:
             with pytest.raises(ServiceError) as err:
                 client.solve({"config": "test", "solver": "gmres"})
             assert err.value.status == 400
+
+    def test_unknown_precond_is_400(self, fresh_cache):
+        with live_service(jobs=0) as (_service, client):
+            with pytest.raises(ServiceError) as err:
+                client.solve({"config": "test", "precond": "cheby:4"})
+            assert err.value.status == 400
+            assert "unknown preconditioner" in str(err.value)
+            assert client.stats()["service"]["errors"] == 1
+            assert client.healthz()["ok"]
 
     def test_oversized_body_is_413_before_it_is_read(self, fresh_cache):
         import json

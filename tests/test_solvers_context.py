@@ -167,7 +167,7 @@ def _reduction_cases(draw):
         solver=draw(st.sampled_from(
             ("pcg", "chrongear", "pipecg", "pcsi", "capcg"))),
         precond=draw(st.sampled_from(
-            ("diagonal", "evp", "cheby:2", "identity"))),
+            ("diagonal", "evp", "identity"))),
         stacked=draw(st.booleans()),
         nrhs=draw(st.sampled_from((None, 1, 3))),
         warm=draw(st.booleans()),

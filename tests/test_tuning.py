@@ -41,15 +41,14 @@ def quick_report(cfg, tmp_path_factory):
 class TestCandidateMatrix:
     def test_full_matrix_spans_all_axes(self):
         cands = candidate_list()
-        assert len(cands) == 3 * 5 * 2
-        assert len(candidate_list(quick=True)) == 2 * 2 * 2
+        assert len(cands) == 3 * 2 * 2
+        assert len(candidate_list(quick=True)) == 2 * 1 * 2
         assert all(set(c) == {"solver", "precond", "engine"}
                    for c in cands)
         solvers = {c["solver"] for c in cands}
         preconds = {c["precond"] for c in cands}
         assert {"chrongear", "pcsi", "capcg"} <= solvers
-        assert "cheby:2" in preconds and "ncheby:2:1" in preconds
-        assert "evp" in preconds and "diagonal" in preconds
+        assert preconds == {"evp", "diagonal"}
 
     def test_quick_matrix_is_smaller(self):
         quick = candidate_list(quick=True)
@@ -186,54 +185,26 @@ class TestCliTunedResolution:
         assert "applying tuned choice:" not in out
         assert "pcsi+evp" in out
 
-    def test_polynomial_degree_flags(self, tmp_path, capsys):
-        rc = main(["solve", "--config", "test",
-                   "--cache-dir", str(tmp_path / "empty"),
-                   "--solver", "pcsi", "--precond", "cheby:2",
-                   "--precond-degree", "5", "--tol", "1e-8",
+    def test_retired_precond_choice_is_a_miss(self, tmp_path, capsys):
+        """A record naming a preconditioner kind this version does not
+        build (the polynomial ``cheby:4`` of older versions) is read as
+        no choice: the solve runs the defaults instead of failing."""
+        cache_dir, _ = self._tune(tmp_path, capsys)
+        cache = ArtifactCache(cache_dir=cache_dir)
+        cfg = get_config("test")
+        decomp = decompose(cfg.ny, cfg.nx, 2, 2, mask=cfg.mask)
+        key = tuned_choice_key(cfg, decomp)
+        choice = dict(cache.load("tuned", key)[1], precond="cheby:4")
+        cache.store("tuned", key, meta=choice)
+        fresh = ArtifactCache(cache_dir=cache_dir)
+        assert load_tuned_choice(cfg, decomp, cache=fresh) is None
+        rc = main(["solve", "--config", "test", "--blocks", "2,2",
+                   "--cache-dir", cache_dir, "--tol", "1e-8",
                    "--cores", "16"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "pcsi+cheby" in out and "converged" in out
-
-
-class TestPolynomialSpellings:
-    """Every accepted spelling of a polynomial kind gets the caller's
-    bounds cache, through the service's and the tuner's builders."""
-
-    SPELLINGS = ("Cheby:2", "CHEBYSHEV:2", "nCheby:2:1",
-                 "Newton-Cheby:2:1", "NewtonCheby:2:1", "NEWTON:2:1")
-
-    def test_six_spellings_share_one_lanczos_run(self, cfg, monkeypatch):
-        from repro.experiments.common import _decomposed_context
-        from repro.precond import polynomial_family
-        from repro.solvers.lanczos import LanczosEstimator
-        from repro.tuning import _build_preconditioner
-
-        runs = []
-        real_run = LanczosEstimator.run
-
-        def counting_run(self, *args, **kwargs):
-            runs.append(self)
-            return real_run(self, *args, **kwargs)
-
-        monkeypatch.setattr(LanczosEstimator, "run", counting_run)
-        cache = ArtifactCache()
-        decomp = decompose(cfg.ny, cfg.nx, 2, 2, mask=cfg.mask)
-        bounds = set()
-        for spec in self.SPELLINGS:
-            assert polynomial_family(spec) in ("cheby", "ncheby")
-            built = (
-                _decomposed_context(cfg, spec, "serial", (2, 2),
-                                    cache).preconditioner,
-                _build_preconditioner(spec, cfg, decomp, cache),
-            )
-            for pre in built:
-                assert pre.bounds_cache is cache, spec
-                bounds.add(pre.ensure_bounds())
-        assert len(runs) == 1 and len(bounds) == 1
-        assert polynomial_family("evp") is None
-        assert polynomial_family("diagonal") is None
+        assert "applying tuned choice:" not in out
+        assert "pcsi+evp" in out and "converged" in out
 
 
 class TestCacheStatsRegression:
