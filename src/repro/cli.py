@@ -18,12 +18,10 @@ Commands
     virtual machine's batched engine; ``--inject-fault SPEC``
     (repeatable) attaches deterministic fault injectors to exercise
     the solver guardrails,
-    and ``--max-recoveries`` / ``--fallback chrongear`` control the
-    divergence recovery of the spectrally bounded solvers (P-CSI and
-    CA-PCG).  ``--sstep N`` sets CA-PCG's batch depth (one Gram
-    reduction per ``N`` iterations); ``--show-events`` prints the
-    solve's global-reduction and halo-exchange ledger.  A diagnosed
-    failure exits with status 3.
+    and ``--max-recoveries`` / ``--fallback chrongear`` control
+    P-CSI's divergence recovery; ``--show-events`` prints the solve's
+    global-reduction and halo-exchange ledger.  A diagnosed failure
+    exits with status 3.
     ``--checkpoint-dir DIR`` snapshots the solver state every
     ``--checkpoint-every`` iterations (and on diagnosed failure);
     ``--resume-from PATH`` continues a solve from such a snapshot,
@@ -90,7 +88,6 @@ EXPERIMENTS = {
         "repro.experiments.ablation_diagnostic_field",
     "ablation-block-layout": "repro.experiments.ablation_block_layout",
     "ext-solver-strategies": "repro.experiments.ext_solver_strategies",
-    "ext-capcg-model": "repro.experiments.ext_capcg_model",
 }
 
 
@@ -149,7 +146,13 @@ def cmd_solve(args):
     from repro.perfmodel import get_machine, phase_times
     from repro.precond import make_preconditioner
     from repro.precond.evp import evp_for_config
-    from repro.solvers import DistributedContext, SerialContext, make_solver
+    from repro.solvers import (
+        SOLVER_REGISTRY,
+        DistributedContext,
+        PCSISolver,
+        SerialContext,
+        make_solver,
+    )
 
     config = get_cached_config(args.config, scale=args.scale)
     print(config.describe())
@@ -223,11 +226,9 @@ def cmd_solve(args):
         print(f"injecting fault: {fault.describe()}")
 
     extra_kwargs = {}
-    if solver_name.lower() in ("pcsi", "csi", "capcg"):
+    if SOLVER_REGISTRY.get(solver_name.lower()) is PCSISolver:
         extra_kwargs["max_recoveries"] = args.max_recoveries
         extra_kwargs["fallback"] = args.fallback
-    if solver_name.lower() == "capcg":
-        extra_kwargs["sstep"] = args.sstep
     solver = make_solver(solver_name, ctx, tol=args.tol, **extra_kwargs)
     rng = np.random.default_rng(args.seed)
     nrhs = max(1, int(args.nrhs))
@@ -616,16 +617,12 @@ def build_parser():
                               "buddy replication at the default cadence "
                               "unless --replicate-every is given")
     p_solve.add_argument("--max-recoveries", type=int, default=2,
-                         help="divergence recovery attempts for the "
-                              "spectrally bounded solvers, P-CSI and "
-                              "CA-PCG (default: 2)")
+                         help="P-CSI's divergence recovery attempts "
+                              "(default: 2)")
     p_solve.add_argument("--fallback", default=None,
                          choices=["chrongear"],
-                         help="last-resort solver once P-CSI/CA-PCG "
+                         help="last-resort solver once P-CSI's "
                               "recoveries are exhausted")
-    p_solve.add_argument("--sstep", type=int, default=4,
-                         help="CA-PCG batch depth: one Gram reduction "
-                              "per this many iterations (default: 4)")
     p_solve.add_argument("--show-events", action="store_true",
                          help="print the solve's communication ledger "
                               "(global reductions and halo exchanges, "

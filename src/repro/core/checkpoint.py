@@ -54,7 +54,7 @@ from repro.core.errors import ReproError
 #: snapshots from other versions outright (resuming across format
 #: changes cannot be bit-identical, so it must not be silent).
 #: Version 2: one ``"solver"`` kind for every solver and batch width
-#: (version 1 had three layouts: single-RHS, multi-RHS and CA-PCG).
+#: (version 1 had one layout per solver family and batch width).
 CHECKPOINT_FORMAT_VERSION = 2
 
 #: npz member holding the JSON envelope.

@@ -33,8 +33,8 @@ from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
     SOLVER_REGISTRY,
+    PCSISolver,
     SerialContext,
-    SpectralBoundedSolver,
 )
 from repro.solvers.result import SolveResult
 
@@ -404,7 +404,7 @@ def measure_solver(config, solver="chrongear", precond="diagonal",
         ctx = _decomposed_context(config, precond, engine, blocks, cache)
     cls = SOLVER_REGISTRY[solver]
     extra_kwargs = dict(solver_kwargs)
-    if issubclass(cls, SpectralBoundedSolver):
+    if issubclass(cls, PCSISolver):
         extra_kwargs.setdefault("bounds_cache", cache)
     b = reference_rhs(config) if rhs is None else np.asarray(
         rhs, dtype=np.float64)

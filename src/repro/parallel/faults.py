@@ -155,11 +155,11 @@ class ReductionFault(FaultInjector):
         self.rank = int(rank)
         self.value = None if factor is not None else float(value)
         self.factor = None if factor is None else float(factor)
-        # A fused reduction (dot_pair, capcg's dot_block Gram matrix)
+        # A fused reduction (dot_pair, a dot_block Gram matrix)
         # presents several partial lists under ONE reduction count;
         # ``entry`` selects which of them to poison (0-based call
-        # index within the fused reduction), so a single Gram entry
-        # can be corrupted without touching its siblings.  ``None``
+        # index within the fused reduction), so a single entry can be
+        # corrupted without touching its siblings.  ``None``
         # keeps the historical behavior: poison every list.
         self.entry = None if entry is None else int(entry)
         self._entry_count = None

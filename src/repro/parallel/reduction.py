@@ -49,17 +49,3 @@ def masked_global_sum_blocks(partials):
     for value in partials:
         total += value
     return total
-
-
-def masked_global_dot_blockfields(a, b, mask_blocks):
-    """Masked global inner product of two :class:`BlockField` values.
-
-    ``mask_blocks`` is a list (by rank) of interior mask arrays.  Returns
-    the scalar product over all ocean points, reduced in rank order.
-    """
-    partials = []
-    for rank in range(len(a.locals_)):
-        partials.append(
-            masked_local_dot(a.interior(rank), b.interior(rank), mask_blocks[rank])
-        )
-    return masked_global_sum_blocks(partials)

@@ -285,9 +285,8 @@ class VirtualMachine:
         pair is reduced on the same per-column path as
         :meth:`global_dot`, so each entry is bit-identical to a
         standalone reduction; the ledger records a **single** fused
-        all-reduce carrying the whole Gram payload -- the
-        communication-avoiding s-step assembly.  The fault hooks see
-        the lists in ``(i, j, column)`` order.
+        all-reduce carrying the whole Gram payload.  The fault hooks
+        see the lists in ``(i, j, column)`` order.
         """
         xs = list(xs)
         ys = list(ys)

@@ -35,8 +35,6 @@ from repro.perfmodel.equations import (
     pcsi_step_time,
     chrongear_evp_step_time,
     pcsi_evp_step_time,
-    capcg_step_time,
-    capcg_reductions_per_iteration,
 )
 from repro.perfmodel.pop import (
     PopCostModel,
@@ -67,8 +65,6 @@ __all__ = [
     "pcsi_step_time",
     "chrongear_evp_step_time",
     "pcsi_evp_step_time",
-    "capcg_step_time",
-    "capcg_reductions_per_iteration",
     "PopCostModel",
     "baroclinic_day_time",
     "simulation_rate_sypd",

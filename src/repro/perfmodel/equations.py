@@ -80,49 +80,3 @@ def pcsi_evp_step_time(n_global, p, machine, iterations=1):
         + halo_words * 8 * machine.beta
     )
     return iterations * per_iter
-
-
-def capcg_step_time(n_global, p, machine, s=4, iterations=1):
-    """Closed-form cost of s-step CA-PCG (diagonal preconditioning).
-
-    Per *outer* iteration (``s`` CG steps) the solver runs ``2s + 2``
-    matvec-equivalents (``s`` stacked width-2 basis rounds, one extra
-    for ``A P_s``, one residual replacement), ``2s + 1`` preconditioner
-    applications, the three-term basis combinations (``6s - 2`` flop
-    units), the materialization/search-direction rebuild (``3 (2s+1)``)
-    and the ``(2s+1) x (2s+2)``-entry Gram assembly -- but only ONE
-    global reduction, so the ``alpha log p`` latency term is divided by
-    ``s``:
-
-    .. math::
-
-       T_{capcg} = \\frac{K}{s} [ (4s^2 + 38s + 22)\\,N^2/p\\,\\theta
-                   + (2s + 2) \\cdot 8N/\\sqrt{p}\\,\\beta
-                   + (4 + \\log p)\\,\\alpha ]
-
-    The flop coefficient is ~3x ChronGear's per iteration -- the classic
-    communication-avoiding trade: redundant computation buys a ``1/s``
-    reduction count, which wins once ``alpha log p`` dominates
-    ``N^2 theta / p`` (large ``p``).
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    n2, halo_words, logp = _common(n_global, p, machine)
-    per_outer = (
-        (4.0 * s * s + 38.0 * s + 22.0) * n2 * machine.theta
-        + (2 * s + 2) * halo_words * 8 * machine.beta
-        + (4 + logp) * machine.alpha
-    )
-    return iterations * per_outer / s
-
-
-def capcg_reductions_per_iteration(s, check_freq=10):
-    """Modeled global reductions per CA-PCG iteration.
-
-    One Gram reduction per ``s`` iterations plus the convergence check
-    every ``check_freq`` iterations -- against ChronGear's ``1 + 1/f``
-    and PCG's ``2 + 1/f``.
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return 1.0 / s + (1.0 / check_freq if check_freq else 0.0)

@@ -46,10 +46,14 @@ from repro.core.cache import CACHE_FORMAT_VERSION, digest_of
 from repro.core.errors import ConfigurationError
 from repro.precond import PRECOND_KINDS
 from repro.reporting.serialize import decode_array, encode_array
+from repro.solvers import SOLVER_REGISTRY
 from repro.solvers.result import SolveResult
 
-#: Solver names a request may carry (the measure_solver registry).
-KNOWN_SOLVERS = ("chrongear", "pcsi", "pcg", "pipecg", "capcg")
+#: Solver names a request may carry: the registry's canonical names
+#: (aliases such as ``csi`` are refused, so each solver has one memo
+#: and bucket key).
+KNOWN_SOLVERS = tuple(dict.fromkeys(
+    cls.name for cls in SOLVER_REGISTRY.values()))
 
 #: Applied when a request omits solver/precond and no tuned choice is
 #: persisted for the grid.

@@ -9,16 +9,13 @@
 * :mod:`repro.solvers.chrongear` -- Chronopoulos-Gear PCG (paper Alg. 1,
   POP's default).
 * :mod:`repro.solvers.csi` -- the Preconditioned Classical Stiefel
-  Iteration, P-CSI (paper Alg. 2).
+  Iteration, P-CSI (paper Alg. 2), with its eigenbound acquisition
+  and divergence recovery.
 * :mod:`repro.solvers.pcg` -- textbook PCG (two reductions/iteration),
   the pre-ChronGear baseline.
 * :mod:`repro.solvers.pipecg` -- pipelined CG (Ghysels & Vanroose 2014,
   the related-work alternative: overlap the reduction instead of
   removing it).
-* :mod:`repro.solvers.capcg` -- s-step communication-avoiding PCG
-  (one Gram reduction per ``s`` iterations over a Chebyshev basis).
-* :mod:`repro.solvers.spectral` -- shared eigenbound acquisition and
-  divergence-recovery machinery for P-CSI and CA-PCG.
 * :mod:`repro.solvers.lanczos` -- eigenvalue-bound estimation for
   P-CSI's Chebyshev interval (paper section 3).
 * :mod:`repro.solvers.health` -- structured diagnoses for abnormal
@@ -44,8 +41,6 @@ from repro.solvers.pcg import PCGSolver
 from repro.solvers.pipecg import PipeCGSolver
 from repro.solvers.chrongear import ChronGearSolver
 from repro.solvers.csi import PCSISolver
-from repro.solvers.spectral import SpectralBoundedSolver
-from repro.solvers.capcg import CAPCGSolver
 from repro.solvers.lanczos import LanczosEstimator, estimate_eigenbounds
 
 __all__ = [
@@ -58,8 +53,6 @@ __all__ = [
     "PipeCGSolver",
     "ChronGearSolver",
     "PCSISolver",
-    "SpectralBoundedSolver",
-    "CAPCGSolver",
     "LanczosEstimator",
     "estimate_eigenbounds",
     "SolverDiagnosis",
@@ -82,7 +75,6 @@ SOLVER_REGISTRY = {
     "pcsi": PCSISolver,
     "csi": PCSISolver,
     "pipecg": PipeCGSolver,
-    "capcg": CAPCGSolver,
 }
 
 

@@ -102,8 +102,7 @@ snapshot kind, ``"solver"``, for every solver and width.  It captures
 the *complete* loop: the :class:`_LoopState` (the same snapshot an
 in-solve rollback restores), the solver ``state`` dict serialised by
 value type -- scalars, ``(width,)`` recurrence arrays, context vectors
-and lists of them exported to global layout, dense coordinate-space
-arrays (``_DENSE_KEYS``) -- the per-phase event ledger so far, and
+exported to global layout -- the per-phase event ledger so far, and
 solver-specific state (P-CSI's Chebyshev interval and Lanczos
 configuration).  A resumed solve replays the exact arithmetic the
 uninterrupted run would have performed: the final result (iterates,
@@ -314,11 +313,6 @@ class IterativeSolver(abc.ABC):
     #: Constructor knobs a snapshot records and a resume must match:
     #: under any other value the resumed run would not be bit-identical.
     _RESUME_KNOBS = ("tol", "check_freq")
-
-    #: ``state`` entries that are dense coordinate-space arrays with a
-    #: trailing width axis (not context vectors): stored raw in
-    #: snapshots and compacted by plain indexing.
-    _DENSE_KEYS = ()
 
     def __init__(self, context, tol=DEFAULT_SOLVER_TOLERANCE,
                  max_iterations=10000,
@@ -781,21 +775,16 @@ class IterativeSolver(abc.ABC):
     def _compact_state(self, state, keep, old_width):
         """Drop finished columns from every entry of the loop state.
 
-        Context vectors (and lists of them) compact through
-        :meth:`SolverContext.compact` (pure data movement);
-        ``(old_width,)`` recurrence arrays (the batched rho/sigma/...)
-        and the dense ``_DENSE_KEYS`` arrays compact by indexing their
-        trailing axis; true scalars pass through untouched.
+        Context vectors compact through :meth:`SolverContext.compact`
+        (pure data movement); ``(old_width,)`` recurrence arrays (the
+        batched rho/sigma/...) compact by indexing; true scalars pass
+        through untouched.
         """
         ctx = self.context
         for name, value in list(state.items()):
             if name == "extra":
                 continue
-            if name in self._DENSE_KEYS:
-                state[name] = np.ascontiguousarray(value[..., keep])
-            elif isinstance(value, list):
-                state[name] = [ctx.compact(v, keep) for v in value]
-            elif (isinstance(value, np.ndarray) and value.ndim == 1
+            if (isinstance(value, np.ndarray) and value.ndim == 1
                     and value.shape[0] == old_width):
                 state[name] = value[keep]
             elif isinstance(value, BlockField) or (
@@ -824,15 +813,14 @@ class IterativeSolver(abc.ABC):
         writer (:meth:`~repro.core.checkpoint.CheckpointPolicy.begin`).
 
         The solver ``state`` dict is serialised by value type: scalars
-        go to the JSON metadata; 1-D recurrence arrays and the
-        ``_DENSE_KEYS`` arrays are stored raw; everything else is a
-        context vector (or a list of them) exported to the
+        go to the JSON metadata; 1-D recurrence arrays are stored raw;
+        everything else is a context vector exported to the
         engine-independent global layout -- snapshots resume on any
         engine.  Every array and document handed over is a copy the
         loop never touches again: the file is written while it goes on.
         """
         ctx = self.context
-        arrays, scalars, lists = {}, {}, {}
+        arrays, scalars = {}, {}
         for name, value in state.items():
             if name == "extra":
                 continue
@@ -840,12 +828,7 @@ class IterativeSolver(abc.ABC):
                 scalars[name] = value
             elif isinstance(value, np.generic):
                 scalars[name] = value.item()
-            elif isinstance(value, list):
-                lists[name] = len(value)
-                for i, v in enumerate(value):
-                    arrays[f"list_{name}_{i}"] = ctx.to_global(v)
-            elif isinstance(value, np.ndarray) and (
-                    value.ndim == 1 or name in self._DENSE_KEYS):
+            elif isinstance(value, np.ndarray) and value.ndim == 1:
                 arrays[f"raw_{name}"] = value.copy()
             else:
                 arrays[f"vec_{name}"] = ctx.to_global(value)
@@ -865,7 +848,6 @@ class IterativeSolver(abc.ABC):
             "knobs": {knob: getattr(self, knob)
                       for knob in self._RESUME_KNOBS},
             "scalars": sanitize_meta(scalars),
-            "lists": lists,
             "extra": sanitize_meta(state.get("extra", {})),
             "solver_state": sanitize_meta(self._snapshot_solver_meta()),
             "loop": sanitize_meta(loop_meta),
@@ -919,9 +901,6 @@ class IterativeSolver(abc.ABC):
                 state[key] = ctx.from_global(value)
             elif kind == "raw":
                 state[key] = np.array(value)
-        for key, count in meta["lists"].items():
-            state[key] = [ctx.from_global(arrays[f"list_{key}_{i}"])
-                          for i in range(count)]
         state.update(meta["scalars"])
         state["extra"] = dict(meta["extra"])
         loop = _LoopState.__new__(_LoopState).restore(doc)

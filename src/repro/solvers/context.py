@@ -232,30 +232,9 @@ class SolverContext(abc.ABC):
         is a ``(len(xs), len(ys))`` array with ``out[i, j] =
         <xs[i], ys[j]>`` (trailing ``(nrhs,)`` axis for multi-RHS
         vectors).  Every pair's local partial rides a single fused
-        all-reduce of ``len(xs) * len(ys) [* nrhs]`` words -- the
-        communication-avoiding Gram-matrix assembly: one ``reduction``
-        event regardless of how many inner products it carries.
-        """
-
-    # -- column stacking (pure data movement, no events) ----------------
-    @abc.abstractmethod
-    def stack_columns(self, vs):
-        """Concatenate vectors into one multi-RHS vector (copies).
-
-        Scalar vectors contribute one column each; multi-RHS vectors
-        contribute their full width.  This is how the s-step basis build
-        routes independent recurrences through the batched multi-RHS
-        kernel paths (stacked stencil program, ``apply_stack``
-        preconditioning): one halo exchange and one stencil sweep serve
-        all stacked columns.
-        """
-
-    @abc.abstractmethod
-    def split_columns(self, v, widths):
-        """Inverse of :meth:`stack_columns`: split off contiguous column
-        groups.  ``widths`` is a sequence whose entries are ``None``
-        (emit a scalar vector from one column) or an int ``w`` (emit a
-        width-``w`` multi-RHS vector).  Pure data movement.
+        all-reduce of ``len(xs) * len(ys) [* nrhs]`` words -- a whole
+        Gram matrix in one ``reduction`` event, however many inner
+        products it carries.
         """
 
     # -- multi-RHS support ---------------------------------------------
@@ -662,23 +641,6 @@ class SerialContext(SolverContext):
         self._charge_allreduce(len(xs) * len(ys) * w, phase=phase)
         return out
 
-    # -- column stacking -----------------------------------------------
-    def stack_columns(self, vs):
-        cols = [v[..., None] if v.ndim == 2 else v for v in vs]
-        return np.ascontiguousarray(np.concatenate(cols, axis=2))
-
-    def split_columns(self, v, widths):
-        out = []
-        start = 0
-        for w in widths:
-            if w is None:
-                out.append(np.ascontiguousarray(v[..., start]))
-                start += 1
-            else:
-                out.append(np.ascontiguousarray(v[..., start:start + w]))
-                start += int(w)
-        return out
-
     # -- elementwise ---------------------------------------------------
     def scale(self, factor, v, phase="computation"):
         # A batch and its per-column factors in the folded row layout
@@ -860,38 +822,6 @@ class DistributedContext(SolverContext):
 
     def dot_block(self, xs, ys, phase="reduction"):
         return self.vm.global_dot_block(xs, ys, phase=phase)
-
-    # -- column stacking -----------------------------------------------
-    def stack_columns(self, vs):
-        widths = [v.nrhs or 1 for v in vs]
-        out = self.vm.zeros(nrhs=sum(widths))
-        start = 0
-        for v, w in zip(vs, widths):
-            for rank in range(self.vm.num_ranks):
-                dst = out.locals_[rank]
-                src = v.locals_[rank]
-                if v.nrhs is None:
-                    dst[..., start] = src
-                else:
-                    dst[..., start:start + w] = src
-            start += w
-        return out
-
-    def split_columns(self, v, widths):
-        out = []
-        start = 0
-        for w in widths:
-            piece = self.vm.zeros(nrhs=w)
-            span = 1 if w is None else int(w)
-            for rank in range(self.vm.num_ranks):
-                src = v.locals_[rank]
-                if w is None:
-                    piece.locals_[rank][...] = src[..., start]
-                else:
-                    piece.locals_[rank][...] = src[..., start:start + span]
-            out.append(piece)
-            start += span
-        return out
 
     # -- elementwise ---------------------------------------------------
     def _update_chain(self, chain):

@@ -20,7 +20,7 @@ tolerance, with the preconditioner always built against the
 decomposition (the serial engine runs with ``decomp=`` so the
 block-local operator -- and hence the iteration count -- is identical
 across engines and the choice transfers between them).  Lanczos
-eigenbounds are shared through the same cache, so spectral candidates
+eigenbounds are shared through the same cache, so P-CSI candidates
 don't re-estimate per combo.
 """
 
@@ -35,12 +35,12 @@ from repro.core.cache import (
 from repro.core.errors import ConvergenceError
 
 #: Candidate axes of a full tuning run.
-DEFAULT_SOLVERS = ("chrongear", "pcsi", "capcg")
+DEFAULT_SOLVERS = ("chrongear", "pcsi")
 DEFAULT_PRECONDS = ("diagonal", "evp")
 DEFAULT_ENGINES = ("serial", "batched")
 
 #: The reduced matrix behind ``repro tune --quick`` (CI smoke).
-QUICK_SOLVERS = ("chrongear", "pcsi")
+QUICK_SOLVERS = DEFAULT_SOLVERS
 QUICK_PRECONDS = ("diagonal",)
 QUICK_ENGINES = ("serial", "batched")
 
@@ -109,10 +109,10 @@ def _benchmark(config, decomp, candidate, rhs, tol, max_iterations,
     from repro.solvers import (
         SOLVER_REGISTRY,
         DistributedContext,
+        PCSISolver,
         SerialContext,
         make_solver,
     )
-    from repro.solvers.spectral import SpectralBoundedSolver
 
     entry = dict(candidate)
     entry.update(converged=False, iterations=None, wall_time=None,
@@ -128,7 +128,7 @@ def _benchmark(config, decomp, candidate, rhs, tol, max_iterations,
             ctx = DistributedContext(config.stencil, pre, vm)
         solver_kwargs = {"tol": tol, "max_iterations": max_iterations}
         solver_cls = SOLVER_REGISTRY[candidate["solver"].lower()]
-        if issubclass(solver_cls, SpectralBoundedSolver):
+        if issubclass(solver_cls, PCSISolver):
             solver_kwargs["bounds_cache"] = cache
         solver = make_solver(candidate["solver"], ctx, **solver_kwargs)
         start = time.perf_counter()

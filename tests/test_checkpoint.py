@@ -291,7 +291,9 @@ class TestSolverResume:
     def test_resume_ignores_a_retired_precond_state_key(self, tmp_path,
                                                         config, decomp):
         """Older snapshots carry a ``precond_state`` entry (``{}`` for
-        every preconditioner this version builds); it is not read."""
+        every preconditioner this version builds) and a ``lists`` entry
+        (``{}`` for every solver this version builds); neither is
+        read."""
         b = _rhs(config)
         full = make_solver(
             "pcsi", _context(config, decomp, "serial", "numpy"),
@@ -300,10 +302,10 @@ class TestSolverResume:
         make_solver("pcsi", _context(config, decomp, "serial", "numpy"),
                     tol=1e-10).solve(b, checkpoint=policy)
         arrays, meta = read_checkpoint(policy.written[0], kind="solver")
-        assert "precond_state" not in meta
+        assert "precond_state" not in meta and "lists" not in meta
         old = str(tmp_path / "old.ckpt.npz")
         write_checkpoint(old, "solver", arrays,
-                         dict(meta, precond_state={}))
+                         dict(meta, precond_state={}, lists={}))
         resumed = make_solver(
             "pcsi", _context(config, decomp, "serial", "numpy"),
             tol=1e-10).solve(b, resume_from=old)

@@ -64,7 +64,7 @@ from repro.solvers import (
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 ENGINES = ("perrank", "batched")
-SOLVERS = ("pcsi", "chrongear", "pcg", "pipecg", "capcg")
+SOLVERS = ("pcsi", "chrongear", "pcg", "pipecg")
 PRECONDS = ("identity", "diagonal", "evp", "block_lu")
 
 

@@ -12,16 +12,12 @@ chrongear      ``K + K//f`` (1 fused/iter)    --
 pcg            ``2K + K//f`` (2/iter)         --
 pipecg         ``K//f`` (checks only)         ``K`` (1 fused/iter)
 pcsi           ``K//f`` (checks only)         --
-capcg          ``ceil(K/s) - 1 + K//f``       --
 =============  =============================  =======================
 
-(CA-PCG's first Gram reduction happens in the setup stage, hence the
-``- 1``.)  The same counts must come out of the serial model and both
+The same counts must come out of the serial model and both
 virtual-machine engines -- the serial context *predicts* what the
 distributed run *measures*.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -29,7 +25,6 @@ import pytest
 from repro.grid import test_config as make_test_config
 from repro.operators import apply_stencil
 from repro.parallel import VirtualMachine, decompose
-from repro.perfmodel import event_totals
 from repro.precond import make_preconditioner
 from repro.solvers import DistributedContext, SerialContext, make_solver
 
@@ -106,32 +101,13 @@ class TestReductionsPerIteration:
         assert _blocking(result) == k // f
         assert _overlapped(result) == 0
 
-    @pytest.mark.parametrize("sstep", [2, 4, 8])
-    def test_capcg_one_gram_per_epoch(self, cfg, rhs, engine, sstep):
-        result, solver = _solve(cfg, rhs, "capcg", engine, sstep=sstep)
-        k, f = result.iterations, solver.check_freq
-        # ceil(K/s) epochs; the first Gram is charged to setup.
-        assert _blocking(result) == \
-            math.ceil(k / sstep) - 1 + k // f
-        assert _overlapped(result) == 0
-
-    def test_capcg_amortization_ordering(self, cfg, rhs, engine):
-        """More s, fewer reductions -- and always fewer than ChronGear."""
-        chrongear, _ = _solve(cfg, rhs, "chrongear", engine)
-        previous = event_totals(chrongear.events).allreduces
-        for sstep in (2, 4, 8):
-            result, _ = _solve(cfg, rhs, "capcg", engine, sstep=sstep)
-            current = event_totals(result.events).allreduces
-            assert current < previous
-            previous = current
-
 
 class TestSerialModelPredictsEngines:
     """Identical ledgers across the serial model and both engines."""
 
     @pytest.mark.parametrize("name,kwargs", [
         ("chrongear", {}), ("pcg", {}), ("pipecg", {}),
-        ("pcsi", {}), ("capcg", {"sstep": 4}),
+        ("pcsi", {}),
     ])
     def test_ledgers_agree(self, cfg, rhs, name, kwargs):
         results = {}

@@ -2027,11 +2027,11 @@ class TestEVPParity:
 @pytest.mark.parametrize("precond", ["identity", "diagonal", "evp"])
 class TestSolveParity:
     """Full P-CSI solves: every backend against the numpy reference,
-    under both execution engines -- and serial solves of all five
+    under both execution engines -- and serial solves of all four
     solvers, where the dot and the update chain run."""
 
     @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg",
-                                        "pcsi", "capcg"])
+                                        "pcsi"])
     @pytest.mark.parametrize("nrhs", [None, 3])
     def test_serial(self, uniform_config, uniform_decomp, backend, precond,
                     solver, nrhs):
@@ -2057,7 +2057,7 @@ class TestSolveParity:
         _assert_close(backend, ref.x, got.x)
 
     @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg",
-                                        "pcsi", "capcg"])
+                                        "pcsi"])
     @pytest.mark.parametrize("nrhs", [None, 3])
     def test_stacked(self, uniform_config, ragged_decomp, backend, precond,
                      solver, nrhs):

@@ -23,21 +23,18 @@ from repro.parallel.faults import ReductionFault
 from repro.precond import make_preconditioner
 from repro.precond.evp import evp_for_config
 from repro.solvers import (
-    CAPCGSolver,
     ChronGearSolver,
     DistributedContext,
     PCGSolver,
     PCSISolver,
     PipeCGSolver,
     SerialContext,
-    SpectralBoundedSolver,
 )
 from repro.solvers.health import BREAKDOWN, NONFINITE_RESIDUAL
 from tests.test_engine_conformance import _config_with_land_blocks
 
 SOLVERS = {"chrongear": ChronGearSolver, "pcg": PCGSolver,
-           "pcsi": PCSISolver, "pipecg": PipeCGSolver,
-           "capcg": CAPCGSolver}
+           "pcsi": PCSISolver, "pipecg": PipeCGSolver}
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +86,7 @@ def _solve_batched_and_looped(cfg, rhs_batch, solver_name, engine,
     batched = build()
     multi = batched.solve(rhs_batch)
     kw = {}
-    if issubclass(cls, SpectralBoundedSolver):
+    if issubclass(cls, PCSISolver):
         # The batch estimated its interval once; hand the identical
         # bounds to the singles, as a sequence of solves would reuse.
         kw["eig_bounds"] = batched.eig_bounds

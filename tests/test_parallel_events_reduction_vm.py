@@ -8,7 +8,6 @@ from repro.parallel.events import EventCounts, EventLedger
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.reduction import (
     binomial_tree_depth,
-    masked_global_dot_blockfields,
     masked_global_sum_blocks,
     masked_local_dot,
 )

@@ -72,26 +72,3 @@ class TestStrategyExtension:
         assert overlap[-1] <= fuse[-1] * 1.02
         assert eliminate[-1] < overlap[-1]
         assert result.notes["eliminate beats overlap at max cores"]
-
-
-class TestCAPCGModelExtension:
-    def test_amortization_comparison_shape(self):
-        from repro.experiments import ext_capcg_model
-        from repro.perfmodel import YELLOWSTONE
-
-        result = ext_capcg_model.run(
-            scale=0.125, cores=(470, 16875), machines=(YELLOWSTONE,),
-            precond="diagonal", ssteps=(2, 4))
-        # CA-PCG keeps PCG's iteration count and undercuts both
-        # one-reduction-per-iteration solvers on reductions and, at the
-        # top core count, on modeled wall-clock.
-        assert result.notes["iterations CA-PCG s=4"] == \
-            result.notes["iterations ChronGear"]
-        for s in (2, 4):
-            assert result.notes[f"CA-PCG s={s} reductions < ChronGear"]
-            assert result.notes[f"CA-PCG s={s} reductions < PipeCG"]
-            assert result.notes[f"CA-PCG s={s} reduction budget ok"]
-        assert result.notes[
-            "capcg beats ChronGear at max cores (yellowstone)"]
-        assert result.notes[
-            "capcg beats PipeCG at max cores (yellowstone)"]

@@ -25,7 +25,6 @@ from repro.parallel import (
     BitflipFault,
     FaultInjectionError,
     RankDeathFault,
-    ReductionFault,
     ResiliencePolicy,
     VirtualMachine,
     buddy_of,
@@ -47,7 +46,6 @@ from repro.solvers import (
     PipeCGSolver,
     SerialContext,
 )
-from repro.solvers.capcg import CAPCGSolver
 
 #: A flipped exponent bit breeds astronomically large intermediates on
 #: their way to the ABFT check that kills them -- the overflow warnings
@@ -91,7 +89,7 @@ def _make_solver(engine, config, decomp, solver_cls=ChronGearSolver,
     kwargs.setdefault("max_iterations", 3000)
     if solver_cls is PCSISolver:
         kwargs.setdefault("max_recoveries", 0)
-    if solver_cls in (PCSISolver, CAPCGSolver):
+    if solver_cls is PCSISolver:
         kwargs.setdefault("eig_bounds", (0.05, 2.5))
     return solver_cls(ctx, **kwargs)
 
@@ -455,43 +453,3 @@ class TestMultiRHS:
             # the drift norm's reduction, none for ``b``
             assert ledger.counts("resilience").allreduces == before + 1
         assert runtime.counters["residual_crosschecks"] == 3
-
-
-class TestCAPCGGramPoison:
-    """The batched-Gram reduction of CA-PCG is fault-injectable: a
-    poisoned ``dot_block`` partial must reach the reduced Gram matrix
-    (regression: the sums used to be taken before the fault hooks)."""
-
-    def test_poisoned_gram_diagnosed(self, config, decomp):
-        fault = ReductionFault(rank=0, at=3, entry=0)
-        solver = _make_solver("perrank", config, decomp, CAPCGSolver,
-                              faults=[fault], max_recoveries=0)
-        with pytest.raises(ConvergenceError) as err:
-            solver.solve(_rhs(config))
-        assert fault.fired == 1
-        assert err.value.diagnosis.kind in NAN_KINDS
-
-    def test_poisoned_gram_epoch_recovery(self, config, decomp):
-        # CA-PCG's own spectral recovery: the breakdown is recorded as
-        # a structured diagnosis and the restarted epochs re-converge.
-        fault = ReductionFault(rank=0, at=3, entry=0)
-        solver = _make_solver("perrank", config, decomp, CAPCGSolver,
-                              faults=[fault])
-        result = solver.solve(_rhs(config))
-        assert fault.fired == 1
-        assert result.converged
-        assert result.extra["recoveries"] >= 1
-        kinds = [d["kind"] for d in result.extra["recovery_diagnoses"]]
-        assert BREAKDOWN in kinds
-
-    def test_poisoned_gram_resilient_rollback(self, config, decomp):
-        b = _rhs(config)
-        reference = _make_solver("perrank", config, decomp,
-                                 CAPCGSolver).solve(b)
-        fault = ReductionFault(rank=0, at=3, entry=0)
-        solver = _make_solver("perrank", config, decomp, CAPCGSolver,
-                              faults=[fault], max_recoveries=0)
-        result = solver.solve(b, resilience=True)
-        assert fault.fired == 1
-        _assert_recovered_identical(result, reference,
-                                    kinds=(SDC_DETECTED,))

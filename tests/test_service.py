@@ -97,6 +97,8 @@ class TestProtocol:
         {"config": "test", "max_iterations": "many"},
         {"config": "test", "rhs": {"bogus": 1}},
         {"config": "test", "inject": "crash"},
+        {"config": "test", "solver": "capcg"},
+        {"config": "test", "solver": "csi"},
     ])
     def test_malformed_requests_rejected(self, doc):
         with pytest.raises(ProtocolError):

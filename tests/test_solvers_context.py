@@ -165,7 +165,7 @@ def _reduction_cases(draw):
                                         max_size=(mby * mbx) // 3))),
         seed=draw(st.integers(0, 20)),
         solver=draw(st.sampled_from(
-            ("pcg", "chrongear", "pipecg", "pcsi", "capcg"))),
+            ("pcg", "chrongear", "pipecg", "pcsi"))),
         precond=draw(st.sampled_from(
             ("diagonal", "evp", "identity"))),
         stacked=draw(st.booleans()),

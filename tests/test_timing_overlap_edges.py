@@ -1,12 +1,8 @@
 """Edge coverage for overlapped pricing and reduction helpers."""
 
-import numpy as np
 import pytest
 
-from repro.parallel import decompose
 from repro.parallel.events import EventCounts
-from repro.parallel.reduction import masked_global_dot_blockfields
-from repro.parallel.halo import HaloExchanger
 from repro.perfmodel import MachineSpec
 from repro.perfmodel.timing import phase_times, phase_times_overlapped
 
@@ -54,22 +50,6 @@ class TestOverlappedPricing:
         events = {"reduction_overlap": EventCounts(allreduces=5)}
         t = phase_times_overlapped(events, MACHINE, p=1)
         assert t.total == 0.0
-
-
-class TestBlockfieldReduction:
-    def test_masked_global_dot_blockfields(self):
-        decomp = decompose(8, 12, 2, 2)
-        ex = HaloExchanger(decomp)
-        rng = np.random.default_rng(0)
-        ga = rng.standard_normal((8, 12))
-        gb = rng.standard_normal((8, 12))
-        mask = rng.random((8, 12)) > 0.4
-        a = ex.scatter(ga)
-        b = ex.scatter(gb)
-        mask_blocks = [mask[block.slices].astype(float)
-                       for block in decomp.active_blocks]
-        got = masked_global_dot_blockfields(a, b, mask_blocks)
-        assert got == pytest.approx(float(np.sum(ga * gb * mask)))
 
 
 class TestLedgerSinceEdges:

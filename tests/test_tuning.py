@@ -41,13 +41,13 @@ def quick_report(cfg, tmp_path_factory):
 class TestCandidateMatrix:
     def test_full_matrix_spans_all_axes(self):
         cands = candidate_list()
-        assert len(cands) == 3 * 2 * 2
+        assert len(cands) == 2 * 2 * 2
         assert len(candidate_list(quick=True)) == 2 * 1 * 2
         assert all(set(c) == {"solver", "precond", "engine"}
                    for c in cands)
         solvers = {c["solver"] for c in cands}
         preconds = {c["precond"] for c in cands}
-        assert {"chrongear", "pcsi", "capcg"} <= solvers
+        assert solvers == {"chrongear", "pcsi"}
         assert preconds == {"evp", "diagonal"}
 
     def test_quick_matrix_is_smaller(self):
@@ -186,18 +186,20 @@ class TestCliTunedResolution:
         assert "pcsi+evp" in out
 
     def test_retired_precond_choice_is_a_miss(self, tmp_path, capsys):
-        """A record naming a preconditioner kind this version does not
-        build (the polynomial ``cheby:4`` of older versions) is read as
-        no choice: the solve runs the defaults instead of failing."""
+        """A record naming a preconditioner kind or a solver this
+        version does not build (the polynomial ``cheby:4`` and the
+        s-step ``capcg`` of older versions) is read as no choice: the
+        solve runs the defaults instead of failing."""
         cache_dir, _ = self._tune(tmp_path, capsys)
         cache = ArtifactCache(cache_dir=cache_dir)
         cfg = get_config("test")
         decomp = decompose(cfg.ny, cfg.nx, 2, 2, mask=cfg.mask)
         key = tuned_choice_key(cfg, decomp)
-        choice = dict(cache.load("tuned", key)[1], precond="cheby:4")
-        cache.store("tuned", key, meta=choice)
-        fresh = ArtifactCache(cache_dir=cache_dir)
-        assert load_tuned_choice(cfg, decomp, cache=fresh) is None
+        tuned = cache.load("tuned", key)[1]
+        for retired in ({"precond": "cheby:4"}, {"solver": "capcg"}):
+            cache.store("tuned", key, meta=dict(tuned, **retired))
+            fresh = ArtifactCache(cache_dir=cache_dir)
+            assert load_tuned_choice(cfg, decomp, cache=fresh) is None
         rc = main(["solve", "--config", "test", "--blocks", "2,2",
                    "--cache-dir", cache_dir, "--tol", "1e-8",
                    "--cores", "16"])
