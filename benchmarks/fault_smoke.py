@@ -72,7 +72,6 @@ from repro.solvers import (  # noqa: E402
     DistributedContext,
     PCGSolver,
     PCSISolver,
-    PipeCGSolver,
 )
 
 ENGINES = ("perrank", "batched")
@@ -81,7 +80,6 @@ SOLVERS = {
     "chrongear": ChronGearSolver,
     "pcsi": PCSISolver,
     "pcg": PCGSolver,
-    "pipecg": PipeCGSolver,
 }
 
 #: The matrix: (scenario name, solver, fault spec, solver kwargs,
@@ -94,16 +92,12 @@ SCENARIOS = [
      ("halo", {"rank": 2, "at": 6}), {}, "diagnosed"),
     ("halo-pcg", "pcg",
      ("halo", {"rank": 2, "at": 6}), {}, "diagnosed"),
-    ("halo-pipecg", "pipecg",
-     ("halo", {"rank": 2, "at": 6}), {}, "diagnosed"),
     ("halo-pcsi", "pcsi",
      ("halo", {"rank": 1, "at": 40}),
      {"eig_bounds": (0.05, 2.5), "max_recoveries": 0}, "diagnosed"),
     ("reduction-chrongear", "chrongear",
      ("reduction", {"rank": 3, "at": 4}), {}, "diagnosed"),
     ("reduction-pcg", "pcg",
-     ("reduction", {"rank": 3, "at": 4}), {}, "diagnosed"),
-    ("reduction-pipecg", "pipecg",
      ("reduction", {"rank": 3, "at": 4}), {}, "diagnosed"),
     ("eigenbounds-pcsi-bare", "pcsi",
      ("eigenbounds", {"mu_factor": 0.3}),

@@ -62,7 +62,7 @@ def main():
     report = health_report(model)
     print(f"kinetic energy: {report['kinetic_energy_J']:.3e} J, "
           f"gyre transport: {report['gyre_transport_Sv']:.2f} Sv")
-    print(f"barotropic solver: {model.mean_solver_iterations():.0f} "
+    print(f"barotropic solver: {model.stepper.mean_iterations():.0f} "
           f"iterations/step average over {model.state.step} steps "
           f"({solver.name}+{pre.name})")
 

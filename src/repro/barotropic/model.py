@@ -311,7 +311,3 @@ class MiniPOP:
             self.state.temperature * (1.0 + magnitude * noise)
         ) * self.mask
         return self
-
-    def mean_solver_iterations(self):
-        """Average barotropic iterations per step so far."""
-        return self.stepper.mean_iterations()

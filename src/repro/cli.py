@@ -87,7 +87,6 @@ EXPERIMENTS = {
     "ablation-diagnostic-field":
         "repro.experiments.ablation_diagnostic_field",
     "ablation-block-layout": "repro.experiments.ablation_block_layout",
-    "ext-solver-strategies": "repro.experiments.ext_solver_strategies",
 }
 
 

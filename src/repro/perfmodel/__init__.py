@@ -26,7 +26,6 @@ from repro.perfmodel.timing import (
     PhaseTimes,
     event_totals,
     phase_times,
-    phase_times_overlapped,
     solve_time,
     solver_day_time,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "PhaseTimes",
     "event_totals",
     "phase_times",
-    "phase_times_overlapped",
     "solve_time",
     "solver_day_time",
     "chrongear_step_time",

@@ -3,6 +3,8 @@
 The bridge between the instrumented algorithms and the machine models:
 each phase's :class:`~repro.parallel.events.EventCounts` is priced with
 the :class:`~repro.perfmodel.machines.MachineSpec` and the rank count.
+Every phase is priced by one rule (:func:`_price`), which charges each
+recorded all-reduce in full, as a blocking one.
 """
 
 from dataclasses import dataclass
@@ -41,15 +43,6 @@ class PhaseTimes:
             reduction=self.reduction * factor,
             setup=self.setup,
         )
-
-    def asdict(self):
-        return {
-            "computation": self.computation,
-            "preconditioning": self.preconditioning,
-            "boundary": self.boundary,
-            "reduction": self.reduction,
-            "setup": self.setup,
-        }
 
 
 def _price(counts, machine, p):
@@ -98,47 +91,11 @@ def phase_times(events, machine, p):
     """Price a per-phase event dict; returns :class:`PhaseTimes`.
 
     ``events`` maps phase name -> :class:`EventCounts` (as stored on
-    :class:`~repro.solvers.result.SolveResult`).
+    :class:`~repro.solvers.result.SolveResult`); a phase other than
+    the four loop phases is charged to ``setup``.
     """
     out = PhaseTimes()
     for phase, counts in events.items():
-        seconds = _price(counts, machine, p)
-        if phase == "computation":
-            out.computation += seconds
-        elif phase == "preconditioning":
-            out.preconditioning += seconds
-        elif phase == "boundary":
-            out.boundary += seconds
-        elif phase in ("reduction", "reduction_overlap"):
-            # overlapped reductions (PipeCG) are priced at full cost
-            # here; use :func:`phase_times_overlapped` for the discount.
-            out.reduction += seconds
-        else:
-            out.setup += seconds
-    return out
-
-
-def phase_times_overlapped(events, machine, p):
-    """Like :func:`phase_times`, but all-reduces recorded under the
-    ``"reduction_overlap"`` phase are hidden behind computation.
-
-    Pipelined CG issues its fused reduction non-blocking and completes
-    it after the preconditioner apply and matrix-vector product of the
-    same iteration, so in aggregate the synchronization cost is only the
-    part that exceeds the computation it overlaps:
-
-    ``max(0, T_allreduce_total - (T_computation + T_preconditioning))``.
-
-    The masking flops of the reduction remain fully charged.
-    """
-    out = PhaseTimes()
-    overlap_ar = 0.0
-    for phase, counts in events.items():
-        if phase == "reduction_overlap":
-            out.reduction += machine.compute_time(counts.flops)
-            if p > 1 and counts.allreduces:
-                overlap_ar += counts.allreduces * machine.allreduce_time(p)
-            continue
         seconds = _price(counts, machine, p)
         if phase == "computation":
             out.computation += seconds
@@ -150,8 +107,6 @@ def phase_times_overlapped(events, machine, p):
             out.reduction += seconds
         else:
             out.setup += seconds
-    budget = out.computation + out.preconditioning
-    out.reduction += max(0.0, overlap_ar - budget)
     return out
 
 

@@ -13,9 +13,6 @@
   and divergence recovery.
 * :mod:`repro.solvers.pcg` -- textbook PCG (two reductions/iteration),
   the pre-ChronGear baseline.
-* :mod:`repro.solvers.pipecg` -- pipelined CG (Ghysels & Vanroose 2014,
-  the related-work alternative: overlap the reduction instead of
-  removing it).
 * :mod:`repro.solvers.lanczos` -- eigenvalue-bound estimation for
   P-CSI's Chebyshev interval (paper section 3).
 * :mod:`repro.solvers.health` -- structured diagnoses for abnormal
@@ -38,7 +35,6 @@ from repro.solvers.health import (
 )
 from repro.solvers.base import IterativeSolver
 from repro.solvers.pcg import PCGSolver
-from repro.solvers.pipecg import PipeCGSolver
 from repro.solvers.chrongear import ChronGearSolver
 from repro.solvers.csi import PCSISolver
 from repro.solvers.lanczos import LanczosEstimator, estimate_eigenbounds
@@ -50,7 +46,6 @@ __all__ = [
     "SolveResult",
     "IterativeSolver",
     "PCGSolver",
-    "PipeCGSolver",
     "ChronGearSolver",
     "PCSISolver",
     "LanczosEstimator",
@@ -74,7 +69,6 @@ SOLVER_REGISTRY = {
     "chrongear": ChronGearSolver,
     "pcsi": PCSISolver,
     "csi": PCSISolver,
-    "pipecg": PipeCGSolver,
 }
 
 

@@ -41,7 +41,7 @@ so later iterations do no work for it.  An in-iteration
 One recurrence per column
 -------------------------
 A solver's coefficient step (ChronGear's ``beta``/``sigma``/``alpha``,
-PCG's, PipeCG's) is written once as scalar arithmetic on one column's
+PCG's) is written once as scalar arithmetic on one column's
 floats and run by :func:`per_column` over every column -- a 2-D solve
 is one column.  The anomaly rule is therefore the same at every width:
 

@@ -272,7 +272,7 @@ class TestSolverResume:
             b, resume_from=policy.written[0])
         _assert_results_identical(full, resumed)
 
-    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    @pytest.mark.parametrize("engine", ["serial", "batched", "perrank"])
     def test_chrongear_resume_bit_identical(self, tmp_path, config,
                                             decomp, engine):
         b = _rhs(config)
@@ -286,6 +286,25 @@ class TestSolverResume:
         resumed = ChronGearSolver(
             _context(config, decomp, engine, "numpy"), tol=1e-10).solve(
                 b, resume_from=policy.written[0])
+        _assert_results_identical(full, resumed)
+
+    @pytest.mark.parametrize("engine", ["serial", "batched", "perrank"])
+    def test_pcg_resume_bit_identical(self, tmp_path, config, decomp,
+                                      engine):
+        """Plain PCG carries its search direction and ``rho`` across a
+        snapshot the way ChronGear does."""
+        b = _rhs(config)
+        full = make_solver(
+            "pcg", _context(config, decomp, engine, "numpy"),
+            tol=1e-10).solve(b)
+
+        policy = CheckpointPolicy(str(tmp_path / engine), every=40)
+        make_solver("pcg", _context(config, decomp, engine, "numpy"),
+                    tol=1e-10).solve(b, checkpoint=policy)
+        assert policy.written
+        resumed = make_solver(
+            "pcg", _context(config, decomp, engine, "numpy"),
+            tol=1e-10).solve(b, resume_from=policy.written[0])
         _assert_results_identical(full, resumed)
 
     def test_resume_ignores_a_retired_precond_state_key(self, tmp_path,

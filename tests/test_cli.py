@@ -29,8 +29,8 @@ class TestCommands:
                      "fig13", "table1"):
             assert name in EXPERIMENTS
 
-    def test_registry_covers_the_extension_studies(self):
-        assert "ext-solver-strategies" in EXPERIMENTS
+    def test_registry_drops_the_retired_extension_studies(self):
+        assert "ext-solver-strategies" not in EXPERIMENTS
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
@@ -71,8 +71,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag", ["--solver", "--precond"])
     def test_solve_unknown_name_is_a_usage_error(self, flag, capsys):
-        # ``capcg`` names a solver older versions built.
-        for name in ("bogus", "capcg"):
+        # ``capcg`` and ``pipecg`` name solvers older versions built.
+        for name in ("bogus", "capcg", "pipecg"):
             with pytest.raises(SystemExit) as exit_:
                 main(["solve", "--config", "test", flag, name])
             assert exit_.value.code == 2

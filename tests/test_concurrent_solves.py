@@ -24,7 +24,7 @@ from repro.solvers.csi import PCSISolver
 
 THREADS = 4
 ROUNDS = 3
-PRECONDS = ("evp", "diagonal")
+PRECONDS = ("evp", "diagonal", "block_lu", "identity")
 ENGINES = ("serial", "batched")
 
 

@@ -1,5 +1,5 @@
 """Extended distributed-substrate tests: uneven decompositions, wider
-halos, land-heavy masks, PipeCG over the virtual machine."""
+halos, land-heavy masks."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from repro.grid import test_config as make_test_config
 from repro.operators import BlockedOperator, apply_stencil
 from repro.parallel import VirtualMachine, decompose
 from repro.precond import make_preconditioner
-from repro.precond.evp import evp_for_config
 from repro.solvers import (
     ChronGearSolver,
     DistributedContext,
-    PipeCGSolver,
     SerialContext,
 )
 
@@ -104,30 +102,3 @@ class TestLandHeavyMasks:
                             eliminate_land=False)
         assert with_elim.num_active < without.num_active
 
-
-class TestPipeCGDistributed:
-    def test_pipecg_serial_distributed_equivalence(self, small_config,
-                                                   small_decomp):
-        pre_s = make_preconditioner("diagonal", small_config.stencil,
-                                    decomp=small_decomp)
-        pre_d = make_preconditioner("diagonal", small_config.stencil,
-                                    decomp=small_decomp)
-        b = _rhs(small_config)
-        serial = PipeCGSolver(
-            SerialContext(small_config.stencil, pre_s, decomp=small_decomp),
-            tol=1e-11).solve(b)
-        vm = VirtualMachine(small_decomp, mask=small_config.mask)
-        dist = PipeCGSolver(
-            DistributedContext(small_config.stencil, pre_d, vm),
-            tol=1e-11).solve(b)
-        assert serial.iterations == dist.iterations
-        for phase in ("computation", "reduction_overlap", "boundary"):
-            assert serial.events.get(phase) == dist.events.get(phase), phase
-
-    def test_evp_distributed_pipecg(self, small_config, small_decomp):
-        pre = evp_for_config(small_config, decomp=small_decomp)
-        vm = VirtualMachine(small_decomp, mask=small_config.mask)
-        res = PipeCGSolver(
-            DistributedContext(small_config.stencil, pre, vm),
-            tol=1e-10, max_iterations=20000).solve(_rhs(small_config))
-        assert res.converged

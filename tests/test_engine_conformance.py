@@ -64,7 +64,7 @@ from repro.solvers import (
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 ENGINES = ("perrank", "batched")
-SOLVERS = ("pcsi", "chrongear", "pcg", "pipecg")
+SOLVERS = ("pcsi", "chrongear", "pcg")
 PRECONDS = ("identity", "diagonal", "evp", "block_lu")
 
 
@@ -408,9 +408,9 @@ class TestDrawnGuardedLoop:
         # The claim is about runs that rolled back and recovered.  A
         # flipped bit can also be inert or too subtle for the ABFT
         # tolerances, and one that lands in an auxiliary recurrence
-        # vector (PipeCG's u/q) passes the residual cross-check into
-        # the replica and exhausts the rollback budget -- a limit of the
-        # resilience layer at the parent commit too, not of the loop.
+        # vector -- one the residual cross-check ``b - A x`` does not
+        # read -- can pass into the replica and exhaust the rollback
+        # budget: a limit of the resilience layer, not of the loop.
         assume(healed.extra["resilience"]["counters"]["rollbacks"]
                and healed.diagnosis is None)
         _same_solve(full, healed)

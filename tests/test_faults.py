@@ -37,7 +37,6 @@ from repro.solvers import (
     DistributedContext,
     PCGSolver,
     PCSISolver,
-    PipeCGSolver,
 )
 
 ENGINES = ("perrank", "batched")
@@ -90,8 +89,7 @@ def _diagnosed_solve(solver, b):
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestHaloFault:
-    @pytest.mark.parametrize("solver_cls", [ChronGearSolver, PCGSolver,
-                                            PipeCGSolver])
+    @pytest.mark.parametrize("solver_cls", [ChronGearSolver, PCGSolver])
     def test_cg_family_diagnosed(self, config, decomp, engine, solver_cls):
         solver = _make_solver(engine, config, decomp, solver_cls,
                               faults=[HaloFault(rank=2, at=6)])
@@ -118,8 +116,7 @@ class TestHaloFault:
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestReductionFault:
-    @pytest.mark.parametrize("solver_cls", [ChronGearSolver, PCGSolver,
-                                            PipeCGSolver])
+    @pytest.mark.parametrize("solver_cls", [ChronGearSolver, PCGSolver])
     def test_nan_partial_diagnosed(self, config, decomp, engine,
                                    solver_cls):
         solver = _make_solver(engine, config, decomp, solver_cls,
@@ -200,7 +197,8 @@ class TestEigenboundsFault:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("solver_cls", [ChronGearSolver, PCSISolver])
+@pytest.mark.parametrize("solver_cls", [ChronGearSolver, PCGSolver,
+                                        PCSISolver])
 class TestRHSFault:
     def test_entry_guard_refuses(self, config, decomp, engine, solver_cls):
         fault = RHSFault(seed=11)

@@ -1674,9 +1674,11 @@ class TestVectorKernels:
 
     @staticmethod
     def _chains(rng, shape, coeffs, vectors=None):
-        """The update runs of the four solvers that have one, over
-        fresh vectors (or ``vectors``, named ``a`` .. ``l``);
-        ``coeffs()`` draws a coefficient."""
+        """The update runs of the three solvers that have one, and a
+        run of eight (one full native group, in which later steps
+        overwrite what earlier ones read), over fresh vectors (or
+        ``vectors``, named ``a`` .. ``l``); ``coeffs()`` draws a
+        coefficient."""
         v = vectors or {name: rng.standard_normal(shape)
                         for name in "abcdefghijkl"}
         alpha, beta = coeffs(), coeffs()
@@ -1687,7 +1689,7 @@ class TestVectorKernels:
                           ("axpy", -alpha, v["d"], v["f"])],
             "pcg": [("axpy", alpha, v["a"], v["b"]),
                     ("axpy", -alpha, v["c"], v["d"])],
-            "pipecg": [("xpay", v["a"], beta, v["e"]),
+            "eight": [("xpay", v["a"], beta, v["e"]),
                        ("xpay", v["b"], beta, v["f"]),
                        ("xpay", v["c"], beta, v["g"]),
                        ("xpay", v["d"], beta, v["h"]),
@@ -1702,9 +1704,9 @@ class TestVectorKernels:
     @pytest.mark.parametrize("product", PRODUCTS)
     @pytest.mark.parametrize("layout", ["2d", "batch-shared",
                                         "batch-per-column"])
-    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg", "pcsi"])
+    @pytest.mark.parametrize("chain", ["chrongear", "pcg", "eight", "pcsi"])
     def test_update_chain_matches_calls(self, uniform_config, uniform_decomp,
-                                        solver, layout, product):
+                                        chain, layout, product):
         """``ctx.updates`` against the same steps called one by one on
         the oracle: vectors and ledgers equal.  Later steps read what
         earlier ones wrote (ChronGear's ``x += alpha s`` after ``s = r'
@@ -1727,10 +1729,10 @@ class TestVectorKernels:
             vectors, chains = self._chains(rng, shape, coeffs_for(rng))
             for _ in range(3):
                 if one_by_one:
-                    for kind, *args in chains[solver]:
+                    for kind, *args in chains[chain]:
                         getattr(ctx, kind)(*args)
                 else:
-                    ctx.updates(*chains[solver])
+                    ctx.updates(*chains[chain])
             results.append((vectors, ctx.ledger.snapshot()))
         (ref, ref_ledger), (got, got_ledger) = results
         for name in ref:
@@ -2027,12 +2029,12 @@ class TestEVPParity:
 @pytest.mark.parametrize("precond", ["identity", "diagonal", "evp"])
 class TestSolveParity:
     """Full P-CSI solves: every backend against the numpy reference,
-    under both execution engines -- and serial solves of all four
-    solvers, where the dot and the update chain run."""
+    under both execution engines -- and serial solves of all three
+    solvers, where the dot and the update chain run.  A one-column
+    stack (``nrhs=1``) runs the batched path at its narrowest width."""
 
-    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg",
-                                        "pcsi"])
-    @pytest.mark.parametrize("nrhs", [None, 3])
+    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pcsi"])
+    @pytest.mark.parametrize("nrhs", [None, 1, 3])
     def test_serial(self, uniform_config, uniform_decomp, backend, precond,
                     solver, nrhs):
         def solve(kernels):
@@ -2056,9 +2058,8 @@ class TestSolveParity:
         assert ref_ledger == got_ledger
         _assert_close(backend, ref.x, got.x)
 
-    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pipecg",
-                                        "pcsi"])
-    @pytest.mark.parametrize("nrhs", [None, 3])
+    @pytest.mark.parametrize("solver", ["chrongear", "pcg", "pcsi"])
+    @pytest.mark.parametrize("nrhs", [None, 1, 3])
     def test_stacked(self, uniform_config, ragged_decomp, backend, precond,
                      solver, nrhs):
         """The batched engine on a ragged stack -- update chains with

@@ -27,14 +27,13 @@ from repro.solvers import (
     DistributedContext,
     PCGSolver,
     PCSISolver,
-    PipeCGSolver,
     SerialContext,
 )
 from repro.solvers.health import BREAKDOWN, NONFINITE_RESIDUAL
 from tests.test_engine_conformance import _config_with_land_blocks
 
 SOLVERS = {"chrongear": ChronGearSolver, "pcg": PCGSolver,
-           "pcsi": PCSISolver, "pipecg": PipeCGSolver}
+           "pcsi": PCSISolver}
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +342,7 @@ class TestOneAnomalyRule:
                                          at=TestOneAnomalyRule.AT)
                           for r in ranks]
             vm = VirtualMachine(decomp, mask=cfg.stencil.mask,
-                                faults=faults)
+                                engine=engine, faults=faults)
             ctx = DistributedContext(cfg.stencil, make_preconditioner(
                 "diagonal", cfg.stencil, decomp=decomp), vm)
         return cls(ctx, tol=1e-12, max_iterations=600,
@@ -353,8 +352,8 @@ class TestOneAnomalyRule:
     def _rhs(rhs_batch, width):
         return rhs_batch[..., 0] if width is None else rhs_batch[..., :width]
 
-    @pytest.mark.parametrize("solver_name", ["chrongear", "pcg", "pipecg"])
-    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    @pytest.mark.parametrize("solver_name", ["chrongear", "pcg"])
+    @pytest.mark.parametrize("engine", ["serial", "batched", "perrank"])
     @pytest.mark.parametrize("width", [None, 1, 3])
     def test_nonfinite_reduction_poisons_its_column(
             self, cfg, rhs_batch, solver_name, engine, width):
@@ -380,8 +379,8 @@ class TestOneAnomalyRule:
             assert res.extra["per_rhs_residual_norm"][j] == \
                 clean.residual_norm
 
-    @pytest.mark.parametrize("solver_name", ["chrongear", "pcg", "pipecg"])
-    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    @pytest.mark.parametrize("solver_name", ["chrongear", "pcg"])
+    @pytest.mark.parametrize("engine", ["serial", "batched", "perrank"])
     @pytest.mark.parametrize("width", [None, 1, 3])
     def test_vanished_denominator_is_batch_breakdown(
             self, cfg, rhs_batch, solver_name, engine, width):

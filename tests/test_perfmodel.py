@@ -87,6 +87,17 @@ class TestPhaseTimes:
         t = phase_times(events, YELLOWSTONE, p=1)
         assert t.total == 0.0
 
+    def test_other_phases_are_charged_to_setup(self):
+        """A phase outside the four loop phases (``recovery``, ...) is
+        one-time cost: priced into ``setup``, not into ``total``."""
+        events = {"reduction": EventCounts(allreduces=2),
+                  "recovery": EventCounts(allreduces=5)}
+        t = phase_times(events, YELLOWSTONE, p=64)
+        ar = YELLOWSTONE.allreduce_time(64)
+        assert t.reduction == pytest.approx(2 * ar)
+        assert t.setup == pytest.approx(5 * ar)
+        assert t.total == pytest.approx(2 * ar)
+
     def test_scaled_preserves_setup(self):
         t = PhaseTimes(computation=1.0, boundary=2.0, setup=5.0)
         s = t.scaled(3.0)

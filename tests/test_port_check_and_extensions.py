@@ -1,4 +1,4 @@
-"""Tests for the legacy port check and the strategy-comparison extension."""
+"""Tests for the legacy port check."""
 
 import numpy as np
 import pytest
@@ -57,18 +57,3 @@ class TestPortCheck:
         model, cfg = _model()
         with pytest.raises(ConfigurationError):
             port_check(model, np.zeros(cfg.shape), cfg.mask, days=0)
-
-
-class TestStrategyExtension:
-    def test_strategy_comparison_shape(self):
-        from repro.experiments import ext_solver_strategies
-
-        result = ext_solver_strategies.run(
-            scale=0.125, cores=(470, 16875), precond="diagonal")
-        fuse = result.series_by_label("fuse (ChronGear)").y
-        overlap = result.series_by_label("overlap (PipeCG)").y
-        eliminate = result.series_by_label("eliminate (P-CSI)").y
-        # At the top core count: overlap <= fuse, eliminate is best.
-        assert overlap[-1] <= fuse[-1] * 1.02
-        assert eliminate[-1] < overlap[-1]
-        assert result.notes["eliminate beats overlap at max cores"]

@@ -42,8 +42,8 @@ from repro.solvers import (
     SDC_DETECTED,
     ChronGearSolver,
     DistributedContext,
+    PCGSolver,
     PCSISolver,
-    PipeCGSolver,
     SerialContext,
 )
 
@@ -361,7 +361,8 @@ class _InteriorNaN(FaultInjector):
             field.local(5)[h, h + 3] = np.nan
 
 
-@pytest.mark.parametrize("solver_cls", [PCSISolver, PipeCGSolver])
+@pytest.mark.parametrize("solver_cls", [PCSISolver, ChronGearSolver,
+                                        PCGSolver])
 def test_nonfinite_ring_is_not_a_halo_mismatch(config, decomp, solver_cls):
     # NaN != NaN: a ring that is already non-finite when it is sent
     # used to fail its own checksum on delivery, so the rollback budget

@@ -99,6 +99,7 @@ class TestProtocol:
         {"config": "test", "inject": "crash"},
         {"config": "test", "solver": "capcg"},
         {"config": "test", "solver": "csi"},
+        {"config": "test", "solver": "pipecg"},
     ])
     def test_malformed_requests_rejected(self, doc):
         with pytest.raises(ProtocolError):
@@ -825,8 +826,8 @@ class TestServiceResilience:
         assert normalize_request(
             _request(resilience={}))["resilience"] == req["resilience"]
         plain = dict(normalize_request(_request()),
-                     solver="pcsi", engine="perrank", blocks=(4, 4))
-        armed = dict(req, solver="pcsi", engine="perrank",
+                     solver="pcsi", engine="batched", blocks=(4, 4))
+        armed = dict(req, solver="pcsi", engine="batched",
                      blocks=(4, 4))
         assert bucket_key(plain) != bucket_key(armed)
         with pytest.raises(ProtocolError):
@@ -850,8 +851,9 @@ class TestServiceResilience:
         out, health, stats = asyncio.run(main())
         assert out["status"] == "ok"
         assert out["result"]["converged"]
-        # a serial/default engine request was auto-routed to a VM engine
-        assert out["engine"] in ("perrank", "batched")
+        # a serial/default engine request was routed to the batched
+        # engine, the only decomposed engine a request can name
+        assert out["engine"] == "batched"
         assert health["ok"] and health["workers"]["alive"]
         assert health["queue_depth"] == 0
         assert health["resilience"]["resilient_solves"] == 1

@@ -34,13 +34,12 @@ from repro.solvers import (
     DistributedContext,
     PCGSolver,
     PCSISolver,
-    PipeCGSolver,
     SerialContext,
     SolverDiagnosis,
 )
 from tests.test_checkpoint import CallsSerialContext
 
-ALL_SOLVERS = [ChronGearSolver, PCSISolver, PCGSolver, PipeCGSolver]
+ALL_SOLVERS = [ChronGearSolver, PCSISolver, PCGSolver]
 CONTEXTS = ("serial", "perrank", "batched")
 
 

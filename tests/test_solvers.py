@@ -37,7 +37,8 @@ class TestFactory:
 
 @pytest.mark.parametrize("solver_cls", [PCGSolver, ChronGearSolver,
                                         PCSISolver])
-@pytest.mark.parametrize("precond", ["identity", "diagonal", "evp"])
+@pytest.mark.parametrize("precond", ["identity", "diagonal", "evp",
+                                     "block_lu"])
 class TestConvergence:
     def test_recovers_known_solution(self, small_config, rhs_maker,
                                      solver_cls, precond):

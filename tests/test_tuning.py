@@ -187,16 +187,18 @@ class TestCliTunedResolution:
 
     def test_retired_precond_choice_is_a_miss(self, tmp_path, capsys):
         """A record naming a preconditioner kind or a solver this
-        version does not build (the polynomial ``cheby:4`` and the
-        s-step ``capcg`` of older versions) is read as no choice: the
-        solve runs the defaults instead of failing."""
+        version does not build (the polynomial ``cheby:4``, the s-step
+        ``capcg`` and the pipelined ``pipecg`` of older versions) is
+        read as no choice: the solve runs the defaults instead of
+        failing."""
         cache_dir, _ = self._tune(tmp_path, capsys)
         cache = ArtifactCache(cache_dir=cache_dir)
         cfg = get_config("test")
         decomp = decompose(cfg.ny, cfg.nx, 2, 2, mask=cfg.mask)
         key = tuned_choice_key(cfg, decomp)
         tuned = cache.load("tuned", key)[1]
-        for retired in ({"precond": "cheby:4"}, {"solver": "capcg"}):
+        for retired in ({"precond": "cheby:4"}, {"solver": "capcg"},
+                        {"solver": "pipecg"}):
             cache.store("tuned", key, meta=dict(tuned, **retired))
             fresh = ArtifactCache(cache_dir=cache_dir)
             assert load_tuned_choice(cfg, decomp, cache=fresh) is None
